@@ -8,11 +8,15 @@ energy. Natural units c = hbar = 1 throughout; every headline result is
 a dimensionless enhancement over the uncorrelated ensemble.
 """
 
+# set before the submodule imports: experiments reads it while importing
+__version__ = "0.1.0"
+
 from .core import (
     BoxVolume,
     ConfigError,
     EnergyReport,
     FarFieldViolationError,
+    MissingSettingError,
     PhasedWaveSet,
     SingularityError,
     SourceArray,
@@ -38,8 +42,6 @@ from .quantum import (
     QuantumState,
     biphoton_energy,
     build_operators,
-    classical_limit_check,
-    enhancement_factor,
     expectation_energy,
     single_mode_hamiltonian,
 )
@@ -51,7 +53,6 @@ from .multimode import (
     multimode_energy,
     overlap_integral,
     overlap_integral_quadrature,
-    overlap_nonzero_condition,
     two_mode_hamiltonian,
     wavepacket_energy,
 )
@@ -64,8 +65,6 @@ from .experiments import (
     run_sweep,
 )
 
-__version__ = "0.1.0"
-
 __all__ = [
     "BoxVolume",
     "CommutatorConvention",
@@ -74,6 +73,7 @@ __all__ = [
     "EnergyReport",
     "FarFieldViolationError",
     "FockSpace",
+    "MissingSettingError",
     "ModePair",
     "PhasedWaveSet",
     "QuantumState",
@@ -90,11 +90,9 @@ __all__ = [
     "build_operators",
     "canonical_coordinates",
     "classical_energy",
-    "classical_limit_check",
     "classify_overlap",
     "commensurate_box",
     "dicke_scaling_check",
-    "enhancement_factor",
     "expectation_energy",
     "farfield_power",
     "field_energy_grid",
@@ -103,7 +101,6 @@ __all__ = [
     "multimode_energy",
     "overlap_integral",
     "overlap_integral_quadrature",
-    "overlap_nonzero_condition",
     "phase_sum",
     "reduce_phase",
     "run_sweep",

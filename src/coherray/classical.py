@@ -32,6 +32,7 @@ from .core import (
     SourceArray,
     WaveMode,
     _readonly,
+    _sinc,
     phase_sum,
 )
 
@@ -222,11 +223,6 @@ def field_energy_grid(
     cell = volume.volume / float(np.prod(res))
     energy = float(((e_sq + h_sq) / (8.0 * math.pi)).sum() * cell)
     return GridEnergy(energy, commensurate)
-
-
-def _sinc(x):
-    # sin(x)/x with sinc(0) = 1 (numpy's np.sinc is the normalized variant)
-    return np.sinc(np.asarray(x) / np.pi)
 
 
 def spherical_field_amplitude(source, phase: float, observation, wavenumber: float) -> complex:

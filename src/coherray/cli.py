@@ -20,13 +20,23 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import classical, experiments, multimode, quantum
-from .core import TWO_PI, BoxVolume, ConfigError, EnergyReport, PhasedWaveSet, WaveMode, make_linear_array
+from .core import (
+    TWO_PI,
+    BoxVolume,
+    ConfigError,
+    EnergyReport,
+    MissingSettingError,
+    PhasedWaveSet,
+    WaveMode,
+    make_linear_array,
+)
 from .classical import DetectorGrid, SpectrumCurve
 from .experiments import SweepSpec
 
@@ -45,23 +55,18 @@ def _fmt_float(value: float) -> str:
     return format(float(value), _FLOAT_FMT)
 
 
-def _parse_int(text: str) -> int:
-    return int(text)
-
-
 def _parse_float(text: str) -> float:
-    return float(text)
-
-
-def _parse_str(text: str) -> str:
-    return text
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _parse_floats(text: str) -> tuple:
     parts = [p for p in text.split(",") if p.strip() != ""]
     if not parts:
         raise ValueError("expected a comma-separated list of numbers")
-    return tuple(float(p) for p in parts)
+    return tuple(_parse_float(p) for p in parts)
 
 
 def _parse_vec3(text: str) -> tuple:
@@ -84,7 +89,10 @@ def _parse_complex(text: str) -> complex:
         if len(values) != 2:
             raise ValueError("complex values are 're' or 're,im'")
         return complex(values[0], values[1])
-    return complex(text)
+    value = complex(text)
+    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _parse_components(text: str) -> tuple:
@@ -128,11 +136,11 @@ class _Field:
 
 
 _GLOBAL_FIELDS = (
-    _Field("seed", _parse_int, 0, "seed for randomized phase draws"),
-    _Field("samples", _parse_int, None, "quadrature density (detector points per axis)"),
-    _Field("n-max", _parse_int, 32, "number-state truncation of the quantum space"),
+    _Field("seed", int, 0, "seed for randomized phase draws"),
+    _Field("samples", int, None, "quadrature density (detector points per axis)"),
+    _Field("n-max", int, 32, "number-state truncation of the quantum space"),
     _Field("format", _choice("csv", "json"), "csv", "output format"),
-    _Field("output", _parse_str, None, "output path (default: standard output)"),
+    _Field("output", str, None, "output path (default: standard output)"),
 )
 
 _UNITS_FIELDS = (
@@ -146,17 +154,17 @@ _SWEEP_PARAMETERS = _choice("phase_delta", "spacing", "wavelength", "source_coun
 
 _SUBCOMMAND_FIELDS = {
     "classical": (
-        _Field("n-waves", _parse_int, _REQUIRED, "number of phase-coherent waves"),
+        _Field("n-waves", int, _REQUIRED, "number of phase-coherent waves"),
         _Field("delta-phi", _parse_float, 0.0, "progressive phase step phi_n = n * delta"),
         _Field("phases", _parse_floats, None, "explicit phase list (overrides delta-phi)"),
         _Field("amplitude", _parse_float, 1.0, "common wave amplitude"),
         _Field("wavelength", _parse_float, 1.0, "wavelength of the shared mode"),
     ),
     "quantum": (
-        _Field("n-waves", _parse_int, _REQUIRED, "number of phase-coherent waves"),
+        _Field("n-waves", int, _REQUIRED, "number of phase-coherent waves"),
         _Field("delta-phi", _parse_float, 0.0, "progressive phase step phi_n = n * delta"),
         _Field("phases", _parse_floats, None, "explicit phase list (overrides delta-phi)"),
-        _Field("n", _parse_int, 0, "occupation of the number state"),
+        _Field("n", int, 0, "occupation of the number state"),
         _Field("omega", _parse_float, 1.0, "mode frequency"),
         _Field(
             "convention",
@@ -192,12 +200,12 @@ _SUBCOMMAND_FIELDS = {
         _Field("parameter", _SWEEP_PARAMETERS, _REQUIRED, "swept knob"),
         _Field("start", _parse_float, _REQUIRED, "first parameter value"),
         _Field("stop", _parse_float, _REQUIRED, "last parameter value"),
-        _Field("steps", _parse_int, _REQUIRED, "number of sweep points"),
-        _Field("n-waves", _parse_int, None, "fixed: wave count (phase_delta sweeps)"),
-        _Field("n-sources", _parse_int, None, "fixed: source count (farfield)"),
+        _Field("steps", int, _REQUIRED, "number of sweep points"),
+        _Field("n-waves", int, None, "fixed: wave count (phase_delta sweeps)"),
+        _Field("n-sources", int, None, "fixed: source count (farfield)"),
         _Field("spacing", _parse_float, None, "fixed: array spacing"),
         _Field("wavelength", _parse_float, None, "fixed: wavelength"),
-        _Field("n", _parse_int, None, "fixed: occupation (quantum_energy)"),
+        _Field("n", int, None, "fixed: occupation (quantum_energy)"),
         _Field("omega", _parse_float, None, "fixed: frequency"),
         _Field("overlap", _parse_complex, None, "fixed: mode overlap (biphoton)"),
         _Field("phase", _parse_float, None, "fixed: constant phase offset"),
@@ -212,7 +220,7 @@ _SUBCOMMAND_FIELDS = {
         _Field("components", _parse_components, None, "fixed: wavepacket components"),
         _Field("box", _parse_vec3, None, "fixed: box side lengths"),
         _Field("direction", _parse_vec3, None, "fixed: wavepacket direction"),
-        _Field("component", _parse_int, None, "fixed: swept component index"),
+        _Field("component", int, None, "fixed: swept component index"),
     ),
     "dicke": (
         _Field("n-values", _parse_ints, _REQUIRED, "source counts to fit, e.g. '2,4,8'"),
@@ -226,11 +234,11 @@ _SUBCOMMAND_FIELDS = {
         _Field("jitter", _parse_float, 0.0, "position jitter as a fraction of spacing"),
     ),
     "spectrum": (
-        _Field("n-sources", _parse_int, _REQUIRED, "source count of the linear array"),
+        _Field("n-sources", int, _REQUIRED, "source count of the linear array"),
         _Field("spacing", _parse_float, _REQUIRED, "array spacing"),
         _Field("wavelength-min", _parse_float, _REQUIRED, "sweep start wavelength"),
         _Field("wavelength-max", _parse_float, _REQUIRED, "sweep stop wavelength"),
-        _Field("steps", _parse_int, 200, "number of wavelengths"),
+        _Field("steps", int, 200, "number of wavelengths"),
         _Field("geometry", _choice("hemisphere", "arc"), "arc", "detector geometry"),
         _Field("radius", _parse_float, None, "detector radius (default: far-field minimum)"),
     ),
@@ -437,8 +445,8 @@ def _report_table(report: EnergyReport, meta: dict) -> ResultTable:
     return ResultTable(("quantity", "value"), rows, meta, scaled_rows=_ENERGY_QUANTITIES)
 
 
-def _curve_table(curve: SpectrumCurve, meta: dict | None = None) -> ResultTable:
-    meta = dict(curve.metadata if meta is None else meta)
+def _curve_table(curve: SpectrumCurve) -> ResultTable:
+    meta = dict(curve.metadata)
     name = meta.get("parameter")
     if not isinstance(name, str):
         name = "wavelength" if meta.get("kind") == "transmission_spectrum" else "parameter"
@@ -552,31 +560,14 @@ def _run_wavepacket(config: RunConfig) -> ResultTable:
     return _report_table(report, meta)
 
 
-_SWEEP_FIXED_KEYS = (
-    ("n_waves", "n_waves"),
-    ("n_sources", "n_sources"),
-    ("spacing", "spacing"),
-    ("wavelength", "wavelength"),
-    ("n", "n"),
-    ("omega", "omega"),
-    ("overlap", "overlap"),
-    ("phase", "phase"),
-    ("phase_profile", "phase_profile"),
-    ("geometry", "geometry"),
-    ("radius", "radius"),
-    ("components", "components"),
-    ("box", "box_lengths"),
-    ("direction", "direction"),
-    ("component", "component"),
-)
-
-
 def _run_sweep(config: RunConfig) -> ResultTable:
     params = config.parameters
-    fixed = {}
-    for dest, fixed_key in _SWEEP_FIXED_KEYS:
-        if params.get(dest) is not None:
-            fixed[fixed_key] = params[dest]
+    # every optional sweep flag is a fixed setting; "box" is spelled box_lengths there
+    fixed = {
+        ("box_lengths" if field_spec.dest == "box" else field_spec.dest): params[field_spec.dest]
+        for field_spec in _SUBCOMMAND_FIELDS["sweep"]
+        if field_spec.default is not _REQUIRED and params[field_spec.dest] is not None
+    }
     if params["target"] == "farfield_power" and config.samples is not None:
         fixed["samples"] = config.samples
     if params["target"] == "quantum_energy":
@@ -742,18 +733,14 @@ def _render_json(meta: dict, columns, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_results(result, config: RunConfig) -> int:
-    """Serialize a result (table, curve, or report) per the config.
+def emit_results(result: ResultTable, config: RunConfig) -> int:
+    """Serialize a result table per the config.
 
     CSV: '# key = value' metadata lines (sorted), a header row, then data
     rows. JSON: {meta, columns, rows}. Floats use 17 significant digits
     in both formats, so parsing the output reproduces them exactly.
     Returns the process exit code (0 on success).
     """
-    if isinstance(result, EnergyReport):
-        result = _report_table(result, {"kind": "energy_report"})
-    elif isinstance(result, SpectrumCurve):
-        result = _curve_table(result)
     meta = {key: _format_meta_value(value) for key, value in result.meta.items()}
     meta.update(_config_echo(config))
     rows = _scaled_rows(result, config.energy_scale)
@@ -784,7 +771,7 @@ def main(argv=None) -> int:
         return err.code
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
-        return 4 if "missing" in str(err) else 3
+        return 4 if isinstance(err, MissingSettingError) else 3
     except (ValueError, ArithmeticError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

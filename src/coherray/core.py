@@ -30,6 +30,10 @@ class ConfigError(Exception):
     """A sweep or CLI configuration is incomplete or inconsistent."""
 
 
+class MissingSettingError(ConfigError):
+    """A sweep target lacks a setting it requires."""
+
+
 def _vec3(value, name: str) -> np.ndarray:
     arr = np.asarray(value, dtype=float)
     if arr.shape != (3,):
@@ -44,6 +48,11 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     arr = np.array(arr, copy=True)
     arr.flags.writeable = False
     return arr
+
+
+def _sinc(x):
+    # sin(x)/x with sinc(0) = 1 (numpy's np.sinc is the normalized variant)
+    return np.sinc(np.asarray(x, dtype=float) / np.pi)
 
 
 def reduce_phase(phi: float) -> float:

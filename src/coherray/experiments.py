@@ -13,12 +13,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import classical, quantum
-from .core import TWO_PI, BoxVolume, ConfigError, PhasedWaveSet, SourceArray, WaveMode, make_linear_array
+from . import __version__, classical, quantum
+from .core import (
+    TWO_PI,
+    BoxVolume,
+    ConfigError,
+    MissingSettingError,
+    PhasedWaveSet,
+    SourceArray,
+    WaveMode,
+    make_linear_array,
+)
 from .classical import DetectorGrid, SpectrumCurve, farfield_power
 from .multimode import WavepacketSpectrum, wavepacket_energy
-
-_VERSION = "0.1.0"
 
 
 class XorShift64Star:
@@ -105,7 +112,9 @@ _SUPPORTED = {
 def _require(fixed: dict, keys: tuple, target: str):
     missing = [key for key in keys if key not in fixed]
     if missing:
-        raise ConfigError(f"target {target!r} is missing fixed settings: {', '.join(missing)}")
+        raise MissingSettingError(
+            f"target {target!r} is missing fixed settings: {', '.join(missing)}"
+        )
 
 
 def _default_mode() -> WaveMode:
@@ -140,7 +149,8 @@ def run_sweep(spec: SweepSpec) -> SpectrumCurve:
     - farfield_power x {wavelength, spacing, source_count, phase_delta}:
       linear array, arc detector by default. fixed: the two of
       (n_sources, spacing, wavelength) not being swept; optional geometry,
-      samples, radius, phase (constant offset ramped by phase_delta).
+      samples, radius (default: far-field minimum over the swept arrays),
+      phase or phase_profile (phase_delta sweeps use the ramp instead).
     - biphoton x phase_delta: fixed: overlap; optional omega.
     - wavepacket x phase_delta: the delta replaces the phase of one
       component. fixed: components, box_lengths; optional direction,
@@ -174,7 +184,7 @@ def run_sweep(spec: SweepSpec) -> SpectrumCurve:
         "stop": spec.stop,
         "steps": spec.steps,
         "seed": spec.seed,
-        "version": _VERSION,
+        "version": __version__,
     }
     for key in sorted(spec.fixed):
         meta[f"fixed.{key}"] = _meta_scalar(spec.fixed[key])
@@ -232,43 +242,31 @@ def _sweep_farfield(spec: SweepSpec, values: np.ndarray):
     }[spec.parameter]
     _require(fixed, needed, spec.target)
 
-    geometry = fixed.get("geometry", "arc")
-    samples = int(fixed.get("samples", 1024))
-
-    # one detector serves the whole sweep: size it for the worst case
-    max_wavelength = float(fixed.get("wavelength", 0.0))
-    max_extent = 0.0
-    if spec.parameter == "wavelength":
-        max_wavelength = float(values[-1])
-        max_extent = (int(fixed["n_sources"]) - 1) * float(fixed["spacing"])
-    elif spec.parameter == "spacing":
-        max_extent = (int(fixed["n_sources"]) - 1) * float(values[-1])
-    elif spec.parameter == "source_count":
-        max_extent = (int(round(values[-1])) - 1) * float(fixed["spacing"])
-    else:
-        max_extent = (int(fixed["n_sources"]) - 1) * float(fixed["spacing"])
-    radius = float(
-        fixed.get("radius", classical.FAR_FIELD_FACTOR * max(max_wavelength, max_extent))
-    )
-    detector = DetectorGrid(radius=radius, geometry=geometry, samples=samples)
-
-    power = np.empty(values.size)
-    enhancement = np.empty(values.size)
-    for i, value in enumerate(values):
-        n = int(fixed["n_sources"]) if "n_sources" in fixed else int(round(value))
-        spacing = float(fixed["spacing"]) if spec.parameter != "spacing" else float(value)
-        wavelength = (
-            float(fixed["wavelength"]) if spec.parameter != "wavelength" else float(value)
-        )
-        if spec.parameter == "source_count":
-            n = int(round(value))
+    arrays = []
+    for value in values:
+        n = int(round(value)) if spec.parameter == "source_count" else int(fixed["n_sources"])
+        spacing = float(value) if spec.parameter == "spacing" else float(fixed["spacing"])
+        wavelength = float(value) if spec.parameter == "wavelength" else float(fixed["wavelength"])
         if spec.parameter == "phase_delta":
             profile = _ramp(n, float(value))
-        elif fixed.get("phase_profile") == "random":
-            profile = stream.phases(n)
         else:
-            profile = np.full(n, float(fixed.get("phase", 0.0)))
-        array = make_linear_array(n, spacing, wavelength, profile)
+            profile = _sweep_phase_profile(fixed, n, stream)
+        arrays.append(make_linear_array(n, spacing, wavelength, profile))
+
+    # one detector serves the whole sweep: size it for the worst case
+    radius = fixed.get("radius")
+    if radius is None:
+        radius = classical.FAR_FIELD_FACTOR * max(
+            max(array.wavelength, array.extent) for array in arrays
+        )
+    detector = DetectorGrid(
+        radius=float(radius),
+        geometry=fixed.get("geometry", "arc"),
+        samples=int(fixed.get("samples", 1024)),
+    )
+    power = np.empty(values.size)
+    enhancement = np.empty(values.size)
+    for i, array in enumerate(arrays):
         power[i], enhancement[i] = farfield_power(array, detector)
     return power, enhancement
 

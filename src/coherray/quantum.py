@@ -21,8 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import phase_sum
-
 # coherent states are rejected when the truncated tail carries more weight
 COHERENT_TAIL_LIMIT = 1e-8
 
@@ -281,40 +279,6 @@ def expectation_energy(state: QuantumState, hamiltonian: np.ndarray) -> float:
             f"imaginary expectation residue {value.imag} exceeds {_RESIDUE_TOL} * |H|"
         )
     return value.real
-
-
-def enhancement_factor(phases) -> float:
-    """|S|^2 / N: the energy ratio relative to N uncorrelated waves."""
-    phases = list(phases)
-    _, magnitude_sq = phase_sum(phases)
-    return magnitude_sq / len(phases)
-
-
-def classical_limit_check(
-    occupation: int,
-    phases,
-    omega: float = 1.0,
-    hbar: float = 1.0,
-) -> float:
-    """Relative gap between quantum and classical enhancement ratios.
-
-    The quantum ratio <H> / (N hbar omega (n + 1/2)) equals |S|^2/N for
-    every occupation, so the return value is rounding noise (and defined
-    as ~0 when both ratios vanish under destructive phases).
-    """
-    if occupation < 0:
-        raise ValueError("occupation must be nonnegative")
-    phases = list(phases)
-    space = FockSpace(n_max=max(occupation + 1, 2))
-    hamiltonian = single_mode_hamiltonian(phases, omega, space, hbar=hbar)
-    state = QuantumState.fock(space, occupation)
-    quantum_ratio = expectation_energy(state, hamiltonian) / (
-        len(phases) * hbar * omega * (occupation + 0.5)
-    )
-    classical_ratio = enhancement_factor(phases)
-    if classical_ratio < 1e-14:
-        return abs(quantum_ratio - classical_ratio)
-    return abs(quantum_ratio - classical_ratio) / classical_ratio
 
 
 def biphoton_energy(delta_phi: float, overlap: complex, omega: float, hbar: float = 1.0) -> float:

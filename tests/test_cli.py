@@ -84,6 +84,46 @@ class TestExitCodes:
         assert code == 4
         assert "n-waves" in err
 
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (("classical", "--n-waves", "2", "--delta-phi", "nan"), "'delta-phi'"),
+            (("biphoton", "--overlap", "0.5", "--omega", "nan"), "'omega'"),
+            (("overlap", "--dk", "inf,0,0", "--box", "1,1,1"), "'dk'"),
+        ],
+        ids=("classical", "biphoton", "overlap"),
+    )
+    def test_non_finite_number_is_type_mismatch(self, capsys, argv, key):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert key in err
+        assert out == ""
+
+    def test_farfield_sweep_without_source_count_is_missing_key(self, capsys):
+        code, _, err = run_cli(
+            capsys, "sweep", "--target", "farfield_power", "--parameter", "wavelength",
+            "--start", "0.5", "--stop", "2", "--steps", "3", "--spacing", "1",
+        )
+        assert code == 4
+        assert "n_sources" in err
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ("--target", "classical_energy", "--parameter", "source_count",
+             "--phase-profile", "sometimes"),
+            ("--target", "wavepacket", "--parameter", "phase_delta",
+             "--components", "6.28,1,0;7.85,0.5,0.3", "--box", "1,1,1", "--component", "5"),
+        ],
+        ids=("phase-profile", "component"),
+    )
+    def test_bad_sweep_setting_is_type_mismatch(self, capsys, extra):
+        code, _, err = run_cli(
+            capsys, "sweep", "--start", "1", "--stop", "3", "--steps", "3", *extra
+        )
+        assert code == 3
+        assert err
+
     def test_runtime_failure(self, capsys):
         # detector parked well inside the near field
         code, _, err = run_cli(
@@ -136,6 +176,21 @@ class TestConfigFile:
         for key in ("diagonal", "cross", "total"):
             assert float(scaled[key]) == 2.0 * float(plain[key])
         assert scaled["enhancement"] == plain["enhancement"]
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ("biphoton.overlap = 0.5\nunits.energy-scale = inf\n", "'units.energy-scale'"),
+            ("biphoton.overlap = nan\n", "'overlap'"),
+        ],
+        ids=("energy-scale", "overlap"),
+    )
+    def test_non_finite_file_value_is_type_mismatch(self, tmp_path, capsys, text, key):
+        path = self.write(tmp_path, text)
+        code, out, err = run_cli(capsys, "biphoton", "--config", path)
+        assert code == 3
+        assert key in err
+        assert out == ""
 
     def test_unknown_key_and_section_rejected(self, tmp_path, capsys):
         path = self.write(tmp_path, "classical.warp = 9\n")

@@ -6,6 +6,7 @@ import pytest
 from coherray import (
     ConfigError,
     DetectorGrid,
+    MissingSettingError,
     ScalingFit,
     SpectrumCurve,
     SweepSpec,
@@ -86,6 +87,26 @@ def test_missing_fixed_settings_are_named():
         run_sweep(SweepSpec("classical_energy", "phase_delta", 0.0, 1.0, 3))
     with pytest.raises(ConfigError, match="overlap"):
         run_sweep(SweepSpec("biphoton", "phase_delta", 0.0, 1.0, 3))
+
+
+def test_missing_setting_and_bad_value_raise_distinct_types():
+    with pytest.raises(MissingSettingError, match="n_sources"):
+        run_sweep(SweepSpec("farfield_power", "wavelength", 0.5, 2.0, 3, {"spacing": 1.0}))
+    bad_specs = (
+        SweepSpec(
+            "farfield_power", "wavelength", 0.5, 2.0, 3,
+            {"n_sources": 3, "spacing": 1.0, "phase_profile": "sometimes"},
+        ),
+        SweepSpec(
+            "wavepacket", "phase_delta", 0.0, 1.0, 3,
+            {"components": ((6.28, 1.0, 0.0), (7.85, 0.5, 0.3)), "box_lengths": (1.0, 1.0, 1.0),
+             "component": 5},
+        ),
+    )
+    for spec in bad_specs:
+        with pytest.raises(ConfigError) as info:
+            run_sweep(spec)
+        assert not isinstance(info.value, MissingSettingError)
 
 
 def test_classical_phase_sweep_follows_two_plus_two_cosine():

@@ -15,7 +15,6 @@ from coherray import (
     multimode_energy,
     overlap_integral,
     overlap_integral_quadrature,
-    overlap_nonzero_condition,
     single_wave_energy,
     two_mode_hamiltonian,
     wavepacket_energy,
@@ -100,6 +99,40 @@ class TestOverlapQuadrature:
         with pytest.raises(ValueError):
             overlap_integral_quadrature(pair, 1)
 
+    def test_separable_form_matches_full_grid_reference(self):
+        rng = XorShift64Star(2024)
+        for n in (16, 23, 32, 41, 48):
+            for _ in range(8):
+                k1 = np.array([TWO_PI * (0.2 + rng.uniform()) for _ in range(3)])
+                k2 = np.array([(2.0 * rng.uniform() - 1.0) * 12.0 for _ in range(3)])
+                lengths = tuple(0.3 + 2.5 * rng.uniform() for _ in range(3))
+                center = tuple(2.0 * rng.uniform() - 1.0 for _ in range(3))
+                pair = ModePair(
+                    WaveMode.plane(k1),
+                    WaveMode.plane(k2),
+                    TWO_PI * rng.uniform(),
+                    TWO_PI * rng.uniform(),
+                    BoxVolume(lengths, center),
+                )
+                reference = full_grid_overlap_quadrature(pair, n)
+                assert abs(overlap_integral_quadrature(pair, n) - reference) <= 1e-13
+
+
+def full_grid_overlap_quadrature(pair, n):
+    """Reference midpoint rule: e^{i dk . r} on the full n^3 cell-center grid."""
+    delta_k = pair.delta_k
+    box = pair.box
+    axes = [
+        box.center[i] - box.lengths[i] / 2.0 + (np.arange(n) + 0.5) * (box.lengths[i] / n)
+        for i in range(3)
+    ]
+    travel = (
+        delta_k[0] * axes[0][:, None, None]
+        + delta_k[1] * axes[1][None, :, None]
+        + delta_k[2] * axes[2][None, None, :]
+    )
+    return complex(np.exp(1j * pair.delta_phi) * np.exp(1j * travel).mean())
+
 
 class TestOverlapRegimes:
     def test_same_mode(self):
@@ -114,7 +147,7 @@ class TestOverlapRegimes:
 
     def test_pair_wrapper(self):
         pair = ModePair(mode_along_x(TWO_PI), mode_along_x(TWO_PI + 1.0), box=UNIT_BOX)
-        assert overlap_nonzero_condition(pair) == "small_volume"
+        assert classify_overlap(pair.delta_k, pair.box) == "small_volume"
 
     def test_vanishing_envelope_bounds_actual_overlap(self):
         rng = XorShift64Star(23)

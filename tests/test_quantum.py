@@ -9,8 +9,6 @@ from coherray import (
     QuantumState,
     biphoton_energy,
     build_operators,
-    classical_limit_check,
-    enhancement_factor,
     expectation_energy,
     phase_sum,
     single_mode_hamiltonian,
@@ -182,6 +180,27 @@ def test_expectation_rejects_shape_mismatch():
         expectation_energy(state, np.eye(7))
 
 
+def enhancement_factor(phases):
+    """|S|^2 / N: the energy ratio relative to N uncorrelated waves."""
+    return phase_sum(phases)[1] / len(phases)
+
+
+def classical_limit_gap(occupation, phases, omega=1.0):
+    """Relative gap between the quantum ratio <H> / (N omega (n + 1/2))
+    and the classical ratio |S|^2 / N (absolute when both vanish)."""
+    phases = list(phases)
+    space = FockSpace(n_max=max(occupation + 1, 2))
+    hamiltonian = single_mode_hamiltonian(phases, omega, space)
+    state = QuantumState.fock(space, occupation)
+    quantum_ratio = expectation_energy(state, hamiltonian) / (
+        len(phases) * omega * (occupation + 0.5)
+    )
+    classical_ratio = enhancement_factor(phases)
+    if classical_ratio < 1e-14:
+        return abs(quantum_ratio - classical_ratio)
+    return abs(quantum_ratio - classical_ratio) / classical_ratio
+
+
 def test_enhancement_factor():
     assert abs(enhancement_factor([0.3] * 5) - 5.0) < 1e-12
     assert enhancement_factor([0.0, math.pi]) < 1e-30
@@ -191,9 +210,9 @@ def test_classical_limit_holds_for_any_occupation():
     rng = XorShift64Star(99)
     for occupation in (0, 1, 7, 20):
         phases = rng.phases(3)
-        assert classical_limit_check(occupation, phases) < 1e-10
+        assert classical_limit_gap(occupation, phases) < 1e-10
     # destructive configuration compares near-zero against zero
-    assert classical_limit_check(2, [0.0, math.pi]) < 1e-10
+    assert classical_limit_gap(2, [0.0, math.pi]) < 1e-10
 
 
 class TestBiphoton:
