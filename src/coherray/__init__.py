@@ -53,7 +53,6 @@ from .multimode import (
     multimode_energy,
     overlap_integral,
     overlap_integral_quadrature,
-    two_mode_hamiltonian,
     wavepacket_energy,
 )
 from .experiments import (
@@ -107,6 +106,5 @@ __all__ = [
     "single_mode_hamiltonian",
     "single_wave_energy",
     "transmission_spectrum",
-    "two_mode_hamiltonian",
     "wavepacket_energy",
 ]

@@ -68,8 +68,8 @@ class DetectorGrid:
     def __post_init__(self):
         if self.geometry not in ("hemisphere", "arc"):
             raise ValueError(f"geometry must be 'hemisphere' or 'arc', got {self.geometry!r}")
-        if self.radius <= 0.0:
-            raise ValueError("radius must be positive")
+        if not (math.isfinite(self.radius) and self.radius > 0.0):
+            raise ValueError("radius must be positive and finite")
         if self.samples < 64:
             raise ValueError("need at least 64 samples per angular axis")
         extent = self.angular_extent

@@ -176,13 +176,17 @@ class SourceArray:
             raise ValueError(f"positions must have shape (N, 3), got {pos.shape}")
         if pos.shape[0] < 1:
             raise ValueError("need at least one source")
+        if not np.all(np.isfinite(pos)):
+            raise ValueError("positions must be finite")
         ph = np.asarray(self.phases, dtype=float)
         if ph.shape != (pos.shape[0],):
             raise ValueError("phases must match the number of sources")
-        if self.wavelength <= 0.0:
-            raise ValueError("wavelength must be positive")
-        if self.spacing is not None and self.spacing <= 0.0:
-            raise ValueError("spacing must be positive")
+        if not np.all(np.isfinite(ph)):
+            raise ValueError("phases must be finite")
+        if not (math.isfinite(self.wavelength) and self.wavelength > 0.0):
+            raise ValueError("wavelength must be positive and finite")
+        if self.spacing is not None and not (math.isfinite(self.spacing) and self.spacing > 0.0):
+            raise ValueError("spacing must be positive and finite")
         if pos.shape[0] > 1:
             diff = pos[:, None, :] - pos[None, :, :]
             dist = np.sqrt((diff ** 2).sum(axis=2))
@@ -244,8 +248,10 @@ class EnergyReport:
 
     @classmethod
     def from_parts(cls, diagonal: float, cross: float) -> "EnergyReport":
-        if diagonal <= 0.0:
-            raise ValueError("diagonal energy must be positive")
+        if not (math.isfinite(diagonal) and diagonal > 0.0):
+            raise ValueError("diagonal energy must be positive and finite")
+        if not math.isfinite(cross):
+            raise ValueError("cross energy must be finite")
         total = diagonal + cross
         # rounding may leave a tiny negative; anything worse is a real bug
         if total < -1e-9 * diagonal:
@@ -284,10 +290,10 @@ def make_linear_array(
     """
     if n_sources < 1:
         raise ValueError("n_sources must be at least 1")
-    if spacing <= 0.0:
-        raise ValueError("spacing must be positive")
-    if wavelength <= 0.0:
-        raise ValueError("wavelength must be positive")
+    if not (math.isfinite(spacing) and spacing > 0.0):
+        raise ValueError("spacing must be positive and finite")
+    if not (math.isfinite(wavelength) and wavelength > 0.0):
+        raise ValueError("wavelength must be positive and finite")
     offsets = (np.arange(n_sources) - (n_sources - 1) / 2.0) * spacing
     positions = np.zeros((n_sources, 3))
     positions[:, 0] = offsets

@@ -319,7 +319,7 @@ def dicke_scaling_check(
 
     ``jitter`` displaces each source by up to +-jitter * spacing along the
     array axis (xorshift-seeded), to show the scaling does not rely on
-    exact periodicity.
+    exact periodicity; it must be finite and nonnegative.
     """
     ns = sorted({int(n) for n in n_values})
     if len(ns) < 3:
@@ -328,6 +328,8 @@ def dicke_scaling_check(
         raise ValueError("N values must be positive")
     if regime not in ("closed_form", "farfield"):
         raise ValueError(f"regime must be 'closed_form' or 'farfield', got {regime!r}")
+    if not (math.isfinite(jitter) and jitter >= 0.0):
+        raise ValueError("jitter must be nonnegative and finite")
 
     stream = XorShift64Star(seed)
     energies = []

@@ -1,4 +1,4 @@
-"""Cross-mode interference: overlap integrals, two-mode coupling, wavepackets.
+"""Cross-mode interference: overlap integrals, two-mode energy, wavepackets.
 
 Waves of different wavevectors exchange energy only to the extent that
 their spatial profiles overlap inside the quantization volume. For an
@@ -8,7 +8,8 @@ axis-aligned box the normalized overlap factorizes into sinc functions,
 
 with dk = k2 - k1 and sinc(x) = sin(x)/x. |I| <= 1, the same-mode limit
 gives |I| = 1, and large dk . L products drive I to zero, which is why
-widely separated modes contribute no interference energy.
+widely separated modes contribute no interference energy. The two-mode
+energy is read off the state's amplitude table, never a dense operator.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import TWO_PI, BoxVolume, EnergyReport, WaveMode, _sinc, reduce_phase
-from .quantum import FockSpace, QuantumState, build_operators
+from .quantum import QuantumState
 
 # |dk| * max(L) below this counts as the same mode
 SAME_MODE_TOL = 1e-9
@@ -99,6 +100,8 @@ def box_overlap(delta_k, box: BoxVolume) -> complex:
     times the center phase e^{i dk . center}.
     """
     delta_k = np.asarray(delta_k, dtype=float)
+    if not np.all(np.isfinite(delta_k)):
+        raise ValueError("delta_k must be finite")
     geometric = float(np.prod(_sinc(delta_k * box.lengths / 2.0)))
     center_phase = np.exp(1j * float(np.dot(delta_k, box.center)))
     return complex(center_phase * geometric)
@@ -156,53 +159,31 @@ def classify_overlap(delta_k, box: BoxVolume) -> str:
     return "small_volume"
 
 
-def two_mode_hamiltonian(pair: ModePair, space: FockSpace, hbar: float = 1.0) -> np.ndarray:
-    """Energy operator of two distinct modes coupled by their overlap.
-
-    H = hbar w1 (N1 + 1/2) + hbar w2 (N2 + 1/2)
-        + (hbar sqrt(w1 w2) / 2) [a1+ a2 I + a1 a2+ I* + a2+ a1 I* + a2 a1+ I]
-
-    with I = overlap_integral(pair). The four exchange terms are literal
-    operator products on the two-mode product space (the modes commute),
-    so the cross block reduces to hbar sqrt(w1 w2) (a1+ a2 I + h.c.); the
-    result is exactly Hermitian. Product number states carry no cross
-    energy; coherent states pick up 2 hbar sqrt(w1 w2) Re(conj(a1) a2 I).
-    """
-    diagonal, cross = _two_mode_parts(pair, space, hbar)
-    return diagonal + cross
-
-
-def _two_mode_parts(pair: ModePair, space: FockSpace, hbar: float):
-    if space.mode_count != 2:
-        raise ValueError("two-mode operators need a two-mode space")
-    ops1 = build_operators(space, 0)
-    ops2 = build_operators(space, 1)
-    eye = np.eye(space.dimension)
-    omega1 = pair.mode1.omega
-    omega2 = pair.mode2.omega
-    overlap = overlap_integral(pair)
-    diagonal = hbar * omega1 * (ops1.number + eye / 2.0) + hbar * omega2 * (
-        ops2.number + eye / 2.0
-    )
-    coupling = hbar * math.sqrt(omega1 * omega2) / 2.0
-    cross = coupling * (
-        ops1.create @ ops2.destroy * overlap
-        + ops1.destroy @ ops2.create * np.conj(overlap)
-        + ops2.create @ ops1.destroy * np.conj(overlap)
-        + ops2.destroy @ ops1.create * overlap
-    )
-    return diagonal.astype(complex), cross
-
-
 def multimode_energy(state: QuantumState, pair: ModePair, hbar: float = 1.0) -> EnergyReport:
-    """Expectation of the two-mode energy, split into self and cross parts."""
-    from .quantum import expectation_energy
+    """Expectation of the two-mode energy, split into self and cross parts.
 
-    if state.space.mode_count != 2:
+    H = hbar w1 (N1 + 1/2) + hbar w2 (N2 + 1/2) + hbar sqrt(w1 w2) (a1+ a2 I + h.c.)
+
+    with I = overlap_integral(pair); the four symmetrized exchange terms
+    collapse to one pair because the modes commute. Both parts are read
+    off the amplitude table psi[n1, n2] in O(d): the self part from the
+    occupation marginals, the cross part as 2 hbar sqrt(w1 w2) Re(I <a1+ a2>)
+    with <a1+ a2> = sum conj(psi[i+1, j]) sqrt((i+1)(j+1)) psi[i, j+1].
+    Product number states carry no cross energy; coherent states pick up
+    2 hbar sqrt(w1 w2) Re(conj(a1) a2 I).
+    """
+    space = state.space
+    if space.mode_count != 2:
         raise ValueError("multimode_energy needs a two-mode state")
-    diagonal_op, cross_op = _two_mode_parts(pair, state.space, hbar)
-    diagonal = expectation_energy(state, diagonal_op)
-    cross = expectation_energy(state, cross_op)
+    psi = state.vector.reshape(space.levels, space.levels)
+    occupation = np.abs(psi) ** 2
+    shifted = np.arange(space.levels) + 0.5
+    omega1, omega2 = pair.mode1.omega, pair.mode2.omega
+    marginal1, marginal2 = occupation.sum(axis=1), occupation.sum(axis=0)
+    diagonal = hbar * float(omega1 * marginal1 @ shifted + omega2 * marginal2 @ shifted)
+    root = np.sqrt(np.arange(1.0, space.levels))
+    exchange = complex(np.vdot(psi[1:, :-1], np.outer(root, root) * psi[:-1, 1:]))
+    cross = 2.0 * hbar * math.sqrt(omega1 * omega2) * (overlap_integral(pair) * exchange).real
     return EnergyReport.from_parts(diagonal, cross)
 
 

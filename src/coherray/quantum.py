@@ -24,7 +24,7 @@ import numpy as np
 # coherent states are rejected when the truncated tail carries more weight
 COHERENT_TAIL_LIMIT = 1e-8
 
-# operator matrices larger than this are refused outright
+# build_operators refuses dense embeddings of spaces larger than this
 MAX_DIMENSION = 1_000_000
 
 _RESIDUE_TOL = 1e-10
@@ -197,7 +197,7 @@ def _coherent_column(alpha: complex, n_max: int) -> np.ndarray:
 
 
 def build_operators(space: FockSpace, mode_index: int = 0) -> ModeOperators:
-    """Ladder matrices for one mode, kron-embedded into the product space.
+    """Ladder and number matrices for one mode, kron-embedded into the product space.
 
     The single-mode annihilator has sqrt(1..n_max) on the superdiagonal, so
     [a, a^dag] equals the identity on levels below n_max (truncation flips
@@ -206,16 +206,16 @@ def build_operators(space: FockSpace, mode_index: int = 0) -> ModeOperators:
     if not 0 <= mode_index < space.mode_count:
         raise ValueError(f"mode_index {mode_index} outside 0..{space.mode_count - 1}")
     if space.dimension > MAX_DIMENSION:
-        raise ValueError(
-            f"space dimension {space.dimension} exceeds the {MAX_DIMENSION} limit"
-        )
+        raise ValueError(f"space dimension {space.dimension} exceeds the {MAX_DIMENSION} limit")
     destroy_single = np.diag(np.sqrt(np.arange(1, space.levels, dtype=float)), 1)
+    number_single = np.diag(np.arange(space.levels, dtype=float))
     eye = np.eye(space.levels)
-    destroy = np.ones((1, 1))
+    destroy = number = np.ones((1, 1))
     for position in range(space.mode_count):
-        destroy = np.kron(destroy, destroy_single if position == mode_index else eye)
-    create = destroy.T.copy()
-    return ModeOperators(create=create, destroy=destroy, number=create @ destroy)
+        here = position == mode_index
+        destroy = np.kron(destroy, destroy_single if here else eye)
+        number = np.kron(number, number_single if here else eye)
+    return ModeOperators(create=destroy.T.copy(), destroy=destroy, number=number)
 
 
 def single_mode_hamiltonian(
@@ -239,30 +239,27 @@ def single_mode_hamiltonian(
     """
     if space.mode_count != 1:
         raise ValueError("single_mode_hamiltonian needs a one-mode space")
-    if omega <= 0.0:
-        raise ValueError("omega must be positive")
+    if not (math.isfinite(omega) and omega > 0.0):
+        raise ValueError("omega must be positive and finite")
     phases = np.asarray(list(phases), dtype=float)
-    if phases.size == 0:
-        raise ValueError("phase list must not be empty")
+    if phases.size == 0 or not np.all(np.isfinite(phases)):
+        raise ValueError("phase list must be nonempty and finite")
     if convention is None:
         convention = CommutatorConvention.canonical()
 
     n_waves = phases.size
-    number = np.diag(np.arange(space.levels, dtype=float))
-    eye = np.eye(space.levels)
-
-    hamiltonian = n_waves * hbar * omega * (number + eye / 2.0)
+    # every term is number-diagonal: build the diagonal, embed it once
+    number = np.arange(space.levels, dtype=float)
+    diagonal = n_waves * hbar * omega * (number + 0.5)
     if include_cross:
         for i in range(n_waves):
             for j in range(i + 1, n_waves):
                 cos_delta = math.cos(phases[i] - phases[j])
                 if convention.kind == "canonical":
-                    hamiltonian = hamiltonian + hbar * omega * cos_delta * (2.0 * number + eye)
+                    diagonal = diagonal + hbar * omega * cos_delta * (2.0 * number + 1.0)
                 else:
-                    hamiltonian = hamiltonian + hbar * omega * (
-                        2.0 * cos_delta * number + convention.sign * eye
-                    )
-    return hamiltonian.astype(complex)
+                    diagonal = diagonal + hbar * omega * (2.0 * cos_delta * number + convention.sign)
+    return np.diag(diagonal).astype(complex)
 
 
 def expectation_energy(state: QuantumState, hamiltonian: np.ndarray) -> float:
@@ -290,8 +287,10 @@ def biphoton_energy(delta_phi: float, overlap: complex, omega: float, hbar: floa
     vacuum contribution is excluded; it is half the returned value.
     """
     overlap = complex(overlap)
-    if abs(overlap) > 1.0 + 1e-12:
+    if not abs(overlap) <= 1.0 + 1e-12:
         raise ValueError(f"overlap magnitude {abs(overlap)} exceeds 1")
-    if omega <= 0.0:
-        raise ValueError("omega must be positive")
+    if not (math.isfinite(omega) and omega > 0.0):
+        raise ValueError("omega must be positive and finite")
+    if not math.isfinite(delta_phi):
+        raise ValueError("delta_phi must be finite")
     return 2.0 * hbar * omega * (1.0 + (overlap * np.exp(1j * delta_phi)).real)

@@ -149,6 +149,11 @@ class TestDetectorGrid:
         with pytest.raises(ValueError):
             DetectorGrid(radius=-1.0)
 
+    @pytest.mark.parametrize("radius", [math.nan, math.inf])
+    def test_rejects_non_finite_radius(self, radius):
+        with pytest.raises(ValueError):
+            DetectorGrid(radius=radius)
+
 
 def test_single_source_enhancement_is_one():
     arr = make_linear_array(1, 1.0, 1.0)

@@ -124,6 +124,14 @@ class TestExitCodes:
         assert code == 3
         assert err
 
+    def test_negative_jitter_is_runtime_failure(self, capsys):
+        code, out, err = run_cli(
+            capsys, "dicke", "--n-values", "2,4,8", "--regime", "farfield", "--jitter", "-0.3"
+        )
+        assert code == 1
+        assert "jitter" in err
+        assert out == ""
+
     def test_runtime_failure(self, capsys):
         # detector parked well inside the near field
         code, _, err = run_cli(

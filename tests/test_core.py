@@ -133,6 +133,28 @@ def test_make_linear_array_phase_profiles():
         make_linear_array(3, 1.0, 1.0, phase_profile=[0.0, 0.1])
 
 
+@pytest.mark.parametrize(
+    "spacing, wavelength, profile",
+    [
+        (math.nan, 1.0, 0.0),
+        (math.inf, 1.0, 0.0),
+        (0.1, math.nan, 0.0),
+        (0.1, math.inf, 0.0),
+        (0.1, 1.0, [0.0, math.nan, 0.0]),
+        (0.1, 1.0, math.inf),
+    ],
+)
+def test_make_linear_array_rejects_non_finite_input(spacing, wavelength, profile):
+    with pytest.raises(ValueError):
+        make_linear_array(3, spacing, wavelength, profile)
+
+
+def test_source_array_rejects_non_finite_positions():
+    positions = np.array([[0.0, 0.0, 0.0], [math.nan, 0.0, 0.0]])
+    with pytest.raises(ValueError):
+        SourceArray(positions, np.zeros(2), 1.0, None)
+
+
 class TestBoxVolume:
     def test_volume(self):
         box = BoxVolume((2.0, 3.0, 0.5))
@@ -159,6 +181,14 @@ def test_energy_report_from_parts():
         EnergyReport.from_parts(2.0, -2.1)
     with pytest.raises(ValueError):
         EnergyReport.from_parts(0.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "diagonal, cross", [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf)]
+)
+def test_energy_report_rejects_non_finite_parts(diagonal, cross):
+    with pytest.raises(ValueError):
+        EnergyReport.from_parts(diagonal, cross)
 
 
 def test_frozen_dataclasses_are_immutable():

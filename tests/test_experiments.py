@@ -276,6 +276,12 @@ class TestDickeScaling:
         with pytest.raises(ValueError):
             dicke_scaling_check([2, 4, 8], regime="telepathy")
 
+    @pytest.mark.parametrize("jitter", [-0.3, math.nan, math.inf])
+    def test_rejects_negative_or_non_finite_jitter(self, jitter):
+        for regime in ("closed_form", "farfield"):
+            with pytest.raises(ValueError):
+                dicke_scaling_check([2, 4, 8], regime=regime, jitter=jitter)
+
     def test_scaling_fit_validates_r_squared(self):
         with pytest.raises(ValueError):
             ScalingFit(2.0, 1.5, ((1, 1.0),))

@@ -11,12 +11,13 @@ from coherray import (
     WaveMode,
     WavepacketSpectrum,
     box_overlap,
+    build_operators,
     classify_overlap,
+    expectation_energy,
     multimode_energy,
     overlap_integral,
     overlap_integral_quadrature,
     single_wave_energy,
-    two_mode_hamiltonian,
     wavepacket_energy,
 )
 from coherray.experiments import XorShift64Star
@@ -50,6 +51,12 @@ class TestBoxOverlap:
             axis_dk[i] = dk[i]
             product *= box_overlap(axis_dk, box)
         assert box_overlap(dk, box) == pytest.approx(product, rel=1e-12)
+
+    def test_rejects_non_finite_mismatch(self):
+        with pytest.raises(ValueError):
+            box_overlap([math.inf, 0.0, 0.0], UNIT_BOX)
+        with pytest.raises(ValueError):
+            box_overlap([0.0, math.nan, 0.0], UNIT_BOX)
 
     def test_offset_box_adds_center_phase(self):
         dk = np.array([0.9, 0.0, 0.0])
@@ -159,11 +166,68 @@ class TestOverlapRegimes:
                 assert abs(box_overlap(dk, box)) < 0.1
 
 
+def dense_two_mode_parts(pair, space, hbar=1.0):
+    """Reference operators: the self and cross blocks of the two-mode energy
+    as dense matrices, the four exchange terms as literal ladder products."""
+    ops1 = build_operators(space, 0)
+    ops2 = build_operators(space, 1)
+    eye = np.eye(space.dimension)
+    omega1 = pair.mode1.omega
+    omega2 = pair.mode2.omega
+    overlap = overlap_integral(pair)
+    diagonal = hbar * omega1 * (ops1.number + eye / 2.0) + hbar * omega2 * (
+        ops2.number + eye / 2.0
+    )
+    coupling = hbar * math.sqrt(omega1 * omega2) / 2.0
+    cross = coupling * (
+        ops1.create @ ops2.destroy * overlap
+        + ops1.destroy @ ops2.create * np.conj(overlap)
+        + ops2.create @ ops1.destroy * np.conj(overlap)
+        + ops2.destroy @ ops1.create * overlap
+    )
+    return diagonal.astype(complex), cross
+
+
 class TestTwoModeOperator:
     def test_hermitian(self):
         pair = ModePair(mode_along_x(TWO_PI), mode_along_x(TWO_PI + 0.4), 0.0, 0.3, UNIT_BOX)
-        operator = two_mode_hamiltonian(pair, FockSpace(n_max=3, mode_count=2))
+        diagonal, cross = dense_two_mode_parts(pair, FockSpace(n_max=3, mode_count=2))
+        operator = diagonal + cross
         assert np.allclose(operator, operator.conj().T, atol=1e-12)
+
+    def test_agrees_with_dense_operator_on_random_states(self):
+        rng = XorShift64Star(4096)
+        for trial in range(36):
+            n_max = 2 + trial % 11
+            space = FockSpace(n_max=n_max, mode_count=2)
+            k1 = np.array([TWO_PI * (0.5 + rng.uniform()), 0.0, 0.0])
+            k2 = k1 + np.array([2.0 * rng.uniform() - 1.0 for _ in range(3)])
+            lengths = tuple(0.5 + 1.5 * rng.uniform() for _ in range(3))
+            center = tuple(2.0 * rng.uniform() - 1.0 for _ in range(3))
+            pair = ModePair(
+                WaveMode.plane(k1),
+                WaveMode.plane(k2),
+                TWO_PI * rng.uniform(),
+                TWO_PI * rng.uniform(),
+                BoxVolume(lengths, center),
+            )
+            amplitudes = np.array(
+                [complex(2.0 * rng.uniform() - 1.0, 2.0 * rng.uniform() - 1.0)
+                 for _ in range(space.dimension)]
+            )
+            state = QuantumState(space, amplitudes / np.linalg.norm(amplitudes))
+            hbar = 0.5 + rng.uniform()
+            diagonal_op, cross_op = dense_two_mode_parts(pair, space, hbar)
+            report = multimode_energy(state, pair, hbar)
+            diagonal = expectation_energy(state, diagonal_op)
+            cross = expectation_energy(state, cross_op)
+            assert abs(report.diagonal - diagonal) <= 1e-12 * abs(diagonal)
+            assert abs(report.cross - cross) <= 1e-12 * abs(cross)
+
+    def test_rejects_one_mode_state(self):
+        pair = ModePair(mode_along_x(TWO_PI), mode_along_x(TWO_PI))
+        with pytest.raises(ValueError):
+            multimode_energy(QuantumState.fock(FockSpace(n_max=2), 1), pair)
 
     def test_single_photon_superpositions_split_symmetrically(self):
         # same mode in both slots: I = 1, w = 2 pi

@@ -131,6 +131,51 @@ def test_hamiltonian_is_hermitian():
         assert np.allclose(operator, operator.conj().T, atol=1e-12)
 
 
+def dense_pairwise_hamiltonian(phases, omega, space, convention, hbar=1.0):
+    """Reference: the N-wave operator summed pair by pair as dense matrices."""
+    number = np.diag(np.arange(space.levels, dtype=float))
+    eye = np.eye(space.levels)
+    hamiltonian = len(phases) * hbar * omega * (number + eye / 2.0)
+    for i in range(len(phases)):
+        for j in range(i + 1, len(phases)):
+            cos_delta = math.cos(phases[i] - phases[j])
+            if convention.kind == "canonical":
+                hamiltonian = hamiltonian + hbar * omega * cos_delta * (2.0 * number + eye)
+            else:
+                hamiltonian = hamiltonian + hbar * omega * (
+                    2.0 * cos_delta * number + convention.sign * eye
+                )
+    return hamiltonian.astype(complex)
+
+
+def test_hamiltonian_matches_dense_pairwise_sum_bit_for_bit():
+    rng = XorShift64Star(77)
+    conventions = (
+        CommutatorConvention.canonical(),
+        CommutatorConvention.phased(1),
+        CommutatorConvention.phased(-1),
+    )
+    for convention in conventions:
+        for n_waves in (1, 2, 5, 9):
+            phases = [float(p) for p in rng.phases(n_waves)]
+            omega = 0.3 + 2.0 * rng.uniform()
+            hbar = 0.5 + rng.uniform()
+            space = FockSpace(n_max=3 + n_waves)
+            operator = single_mode_hamiltonian(phases, omega, space, convention, hbar=hbar)
+            reference = dense_pairwise_hamiltonian(phases, omega, space, convention, hbar)
+            assert np.array_equal(np.diag(operator), np.diag(reference))
+            assert np.array_equal(operator, reference)
+
+
+@pytest.mark.parametrize(
+    "omega, phases",
+    [(math.nan, [0.0, 1.0]), (math.inf, [0.0, 1.0]), (1.0, [0.0, math.nan]), (1.0, [math.inf])],
+)
+def test_hamiltonian_rejects_non_finite_input(omega, phases):
+    with pytest.raises(ValueError):
+        single_mode_hamiltonian(phases, omega, FockSpace(n_max=3))
+
+
 def test_self_part_is_uncorrelated_reference():
     space = FockSpace(n_max=5)
     operator = single_mode_hamiltonian([0.1, 0.9, 2.2], 2.0, space, include_cross=False)
@@ -237,3 +282,11 @@ class TestBiphoton:
     def test_overlap_magnitude_capped(self):
         with pytest.raises(ValueError):
             biphoton_energy(0.0, 1.5, 1.0)
+
+    @pytest.mark.parametrize(
+        "delta_phi, overlap, omega",
+        [(math.nan, 0.5, 1.0), (0.0, 0.5, math.nan), (0.0, 0.5, math.inf), (0.0, math.nan, 1.0)],
+    )
+    def test_rejects_non_finite_input(self, delta_phi, overlap, omega):
+        with pytest.raises(ValueError):
+            biphoton_energy(delta_phi, overlap, omega)
