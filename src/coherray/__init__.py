@@ -32,6 +32,7 @@ from .classical import (
     classical_energy,
     commensurate_box,
     farfield_power,
+    farfield_powers,
     field_energy_grid,
     single_wave_energy,
     transmission_spectrum,
@@ -94,6 +95,7 @@ __all__ = [
     "dicke_scaling_check",
     "expectation_energy",
     "farfield_power",
+    "farfield_powers",
     "field_energy_grid",
     "find_resonances",
     "make_linear_array",

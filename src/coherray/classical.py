@@ -12,12 +12,17 @@ wavelength the two agree to quadrature accuracy.
 Far-field power of point-source arrays is integrated over a detector
 surface: the default geometry is the forward hemisphere (array along x in
 the z=0 plane, cap around +z, theta measured from +z), with a 1-D arc in
-the x-z plane as the fast mode for sweeps over linear arrays.
+the x-z plane as the fast mode for sweeps over linear arrays. One engine,
+`farfield_powers`, evaluates a list of arrays on one detector, sharing the
+quadrature and the distance table across a sweep; `farfield_power`,
+`transmission_spectrum` and the far-field sweeps of `experiments` all go
+through it.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -45,6 +50,19 @@ FAR_FIELD_FACTOR = 100.0
 
 _COMMENSURATE_TOL = 1e-9
 
+# bytes the far-field engine may hold for one request: the distance table
+# and its build temporary, the quadrature columns, and the two complex
+# temporaries of one row block
+FAR_FIELD_BUDGET_BYTES = 1 << 30
+
+# detector rows per block of the field sum; blocks bound the complex
+# temporaries, and the intensity is still summed over all rows at once
+_BLOCK_ROWS = 4096
+
+# float columns per detector point besides the distance table: the point
+# (3), its weight, its origin distance and its intensity
+_QUADRATURE_COLUMNS = 6
+
 
 @dataclass(frozen=True)
 class DetectorGrid:
@@ -70,7 +88,12 @@ class DetectorGrid:
             raise ValueError(f"geometry must be 'hemisphere' or 'arc', got {self.geometry!r}")
         if not (math.isfinite(self.radius) and self.radius > 0.0):
             raise ValueError("radius must be positive and finite")
-        if self.samples < 64:
+        try:
+            samples = operator.index(self.samples)
+        except TypeError:
+            raise TypeError(f"samples must be an integer, got {self.samples!r}") from None
+        object.__setattr__(self, "samples", samples)
+        if samples < 64:
             raise ValueError("need at least 64 samples per angular axis")
         extent = self.angular_extent
         if extent is None:
@@ -270,41 +293,86 @@ def _detector_quadrature(detector: DetectorGrid) -> tuple[np.ndarray, np.ndarray
     return radius * directions, weights
 
 
+def _distances(points: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """Point-to-source distances (S, N), summed one coordinate at a time."""
+    squared = np.zeros((points.shape[0], positions.shape[0]))
+    for axis in range(3):
+        delta = points[:, axis:axis + 1] - positions[:, axis]
+        delta *= delta
+        squared += delta
+    return np.sqrt(squared, out=squared)
+
+
 def _raw_power(
-    points: np.ndarray,
-    weights: np.ndarray,
-    positions: np.ndarray,
-    phases: np.ndarray,
-    wavenumber: float,
+    distances: np.ndarray, weights: np.ndarray, phases: np.ndarray, wavenumber: float
 ) -> float:
-    separation = points[:, None, :] - positions[None, :, :]
-    distances = np.sqrt((separation ** 2).sum(axis=2))
-    field = (np.exp(1j * (wavenumber * distances + phases[None, :])) / distances).sum(axis=1)
-    intensity = field.real ** 2 + field.imag ** 2
+    intensity = np.empty(weights.size)
+    for start in range(0, weights.size, _BLOCK_ROWS):
+        block = distances[start:start + _BLOCK_ROWS]
+        field = (np.exp(1j * (wavenumber * block + phases)) / block).sum(axis=1)
+        intensity[start:start + _BLOCK_ROWS] = field.real ** 2 + field.imag ** 2
     return float((intensity * weights).sum())
 
 
-def farfield_power(array: SourceArray, detector: DetectorGrid) -> tuple[float, float]:
-    """Detected power of the array and its enhancement over N single sources.
+def _check_budget(detector: DetectorGrid, n_sources: int):
+    points = detector.samples if detector.geometry == "arc" else detector.samples ** 2
+    needed = 8 * points * (2 * n_sources + _QUADRATURE_COLUMNS)
+    needed += 2 * 16 * min(points, _BLOCK_ROWS) * n_sources
+    if needed > FAR_FIELD_BUDGET_BYTES:
+        raise ValueError(
+            f"far-field request of {points} detector points x {n_sources} sources needs"
+            f" {needed} bytes, over the budget of {FAR_FIELD_BUDGET_BYTES} bytes"
+        )
+
+
+def farfield_powers(arrays, detector: DetectorGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Detected power and enhancement of each array on one detector.
 
     Each source radiates e^{i(k r + phi_n)} / r; the coherent intensity is
     integrated over the detector. Enhancement divides by N times the power
     of one origin-centered source on the same detector, so a single source
     scores exactly 1 and a subwavelength uniform-phase array approaches N.
 
+    The quadrature is built once; the distance table is rebuilt only when
+    an array's positions differ from the previous array's, and the
+    single-source reference only when the wavenumber does.
+
     Raises FarFieldViolationError unless the detector radius is at least
-    100x both the wavelength and the array extent.
+    100x both the wavelength and the extent of every array, and ValueError
+    if the request would need more than FAR_FIELD_BUDGET_BYTES.
     """
-    threshold = FAR_FIELD_FACTOR * max(array.wavelength, array.extent)
-    if detector.radius < threshold:
-        raise FarFieldViolationError(
-            f"detector radius {detector.radius} below far-field threshold {threshold}"
-        )
+    arrays = list(arrays)
+    for array in arrays:
+        threshold = FAR_FIELD_FACTOR * max(array.wavelength, array.extent)
+        if detector.radius < threshold:
+            raise FarFieldViolationError(
+                f"detector radius {detector.radius} below far-field threshold {threshold}"
+            )
+    _check_budget(detector, max((array.n_sources for array in arrays), default=0))
     points, weights = _detector_quadrature(detector)
-    k = array.wavenumber
-    power = _raw_power(points, weights, array.positions, array.phases, k)
-    single = _raw_power(points, weights, np.zeros((1, 3)), np.zeros(1), k)
-    return power, power / (array.n_sources * single)
+    origin = _distances(points, np.zeros((1, 3)))
+    powers = np.empty(len(arrays))
+    enhancements = np.empty(len(arrays))
+    positions = table = None
+    wavenumber = single = None
+    for i, array in enumerate(arrays):
+        if positions is None or not np.array_equal(array.positions, positions):
+            positions = array.positions
+            table = None  # release the old table before building the new one
+            table = _distances(points, positions)
+        if array.wavenumber != wavenumber:
+            wavenumber = array.wavenumber
+            single = _raw_power(origin, weights, np.zeros(1), wavenumber)
+        power = _raw_power(table, weights, array.phases, wavenumber)
+        powers[i] = power
+        enhancements[i] = power / (array.n_sources * single)
+    return powers, enhancements
+
+
+def farfield_power(array: SourceArray, detector: DetectorGrid) -> tuple[float, float]:
+    """Detected power of one array and its enhancement; see farfield_powers."""
+    powers, enhancements = farfield_powers([array], detector)
+    return float(powers[0]), float(enhancements[0])
 
 
 def transmission_spectrum(
@@ -317,16 +385,13 @@ def transmission_spectrum(
     exceeds the wavelength and grating lobes sweep across the detector.
     """
     lo, hi = float(wavelength_range[0]), float(wavelength_range[1])
-    if not 0.0 < lo < hi:
-        raise ValueError("wavelength range must satisfy 0 < lo < hi")
+    if not (0.0 < lo < hi and math.isfinite(hi)):
+        raise ValueError("wavelength range must satisfy 0 < lo < hi, both finite")
     if steps < 2:
         raise ValueError("need at least 2 steps")
     values = np.linspace(lo, hi, steps)
-    powers = np.empty(steps)
-    enhancements = np.empty(steps)
-    for i, wavelength in enumerate(values):
-        swept = replace(array, wavelength=float(wavelength))
-        powers[i], enhancements[i] = farfield_power(swept, detector)
+    swept = [replace(array, wavelength=float(wavelength)) for wavelength in values]
+    powers, enhancements = farfield_powers(swept, detector)
     meta = {
         "kind": "transmission_spectrum",
         "n_sources": array.n_sources,

@@ -35,7 +35,8 @@ class MissingSettingError(ConfigError):
 
 
 def _vec3(value, name: str) -> np.ndarray:
-    arr = np.asarray(value, dtype=float)
+    # a copy, so freezing it never freezes the caller's array
+    arr = np.array(value, dtype=float)
     if arr.shape != (3,):
         raise ValueError(f"{name} must be a 3-vector, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):

@@ -24,7 +24,7 @@ from .core import (
     WaveMode,
     make_linear_array,
 )
-from .classical import DetectorGrid, SpectrumCurve, farfield_power
+from .classical import DetectorGrid, SpectrumCurve, farfield_powers
 from .multimode import WavepacketSpectrum, wavepacket_energy
 
 
@@ -264,11 +264,7 @@ def _sweep_farfield(spec: SweepSpec, values: np.ndarray):
         geometry=fixed.get("geometry", "arc"),
         samples=int(fixed.get("samples", 1024)),
     )
-    power = np.empty(values.size)
-    enhancement = np.empty(values.size)
-    for i, array in enumerate(arrays):
-        power[i], enhancement[i] = farfield_power(array, detector)
-    return power, enhancement
+    return farfield_powers(arrays, detector)
 
 
 def _sweep_biphoton(spec: SweepSpec, values: np.ndarray):
@@ -343,6 +339,7 @@ def dicke_scaling_check(
         max_extent = (ns[-1] - 1) * spacing * (1.0 + 2.0 * jitter)
         radius = classical.FAR_FIELD_FACTOR * max(wavelength, max_extent)
         detector = DetectorGrid(radius=radius, geometry="arc", samples=detector_samples)
+        arrays = []
         for n in ns:
             array = make_linear_array(n, spacing, wavelength)
             if jitter > 0.0:
@@ -352,8 +349,8 @@ def dicke_scaling_check(
                 )
                 positions[:, 0] += offsets
                 array = SourceArray(positions, array.phases, wavelength, None)
-            power, _ = farfield_power(array, detector)
-            energies.append(power)
+            arrays.append(array)
+        energies, _ = farfield_powers(arrays, detector)
 
     log_n = np.log(np.asarray(ns, dtype=float))
     log_e = np.log(np.asarray(energies))

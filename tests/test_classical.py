@@ -1,4 +1,7 @@
 import math
+import tracemalloc
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,18 +12,24 @@ from coherray import (
     FarFieldViolationError,
     PhasedWaveSet,
     SingularityError,
+    SourceArray,
+    SweepSpec,
     WaveMode,
     canonical_coordinates,
     classical_energy,
     commensurate_box,
+    dicke_scaling_check,
     farfield_power,
+    farfield_powers,
     field_energy_grid,
     make_linear_array,
     phase_sum,
+    run_sweep,
     single_wave_energy,
     transmission_spectrum,
 )
-from coherray.classical import SpectrumCurve, spherical_field_amplitude
+from coherray import classical
+from coherray.classical import SpectrumCurve, _detector_quadrature, spherical_field_amplitude
 from coherray.experiments import XorShift64Star
 
 TWO_PI = 2.0 * math.pi
@@ -154,6 +163,12 @@ class TestDetectorGrid:
         with pytest.raises(ValueError):
             DetectorGrid(radius=radius)
 
+    def test_samples_must_be_an_integer(self):
+        with pytest.raises(TypeError, match="samples must be an integer"):
+            DetectorGrid(radius=100.0, samples=100.5)
+        grid = DetectorGrid(radius=100.0, samples=np.int64(128))
+        assert type(grid.samples) is int and grid.samples == 128
+
 
 def test_single_source_enhancement_is_one():
     arr = make_linear_array(1, 1.0, 1.0)
@@ -232,8 +247,6 @@ def test_transmission_spectrum_endpoints_match_direct_evaluation():
     curve = transmission_spectrum(arr, (0.5, 3.0), 7, det)
     assert len(curve) == 7
 
-    from dataclasses import replace
-
     for index, wavelength in ((0, 0.5), (6, 3.0)):
         power, enhancement = farfield_power(replace(arr, wavelength=wavelength), det)
         assert math.isclose(curve.power[index], power, rel_tol=1e-12)
@@ -249,3 +262,135 @@ def test_spectrum_curve_validation():
         SpectrumCurve(np.array([1.0, 1.0]), np.ones(2), np.ones(2), {})
     with pytest.raises(ValueError):
         SpectrumCurve(np.array([1.0, 2.0]), np.ones(3), np.ones(2), {})
+
+
+def test_transmission_spectrum_rejects_infinite_upper_wavelength():
+    arr = make_linear_array(3, 2.0, 0.5)
+    det = DetectorGrid(radius=1e4, geometry="arc", samples=256)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="wavelength range"):
+            transmission_spectrum(arr, (0.5, math.inf), 5, det)
+
+
+def separation_tensor_power(points, weights, positions, phases, wavenumber):
+    """Reference: the detected power through the full (S, N, 3) separation
+    tensor, as the far-field kernel computed it before the engine."""
+    separation = points[:, None, :] - positions[None, :, :]
+    distances = np.sqrt((separation ** 2).sum(axis=2))
+    field = (np.exp(1j * (wavenumber * distances + phases[None, :])) / distances).sum(axis=1)
+    intensity = field.real ** 2 + field.imag ** 2
+    return float((intensity * weights).sum())
+
+
+def reference_farfield_power(array, detector):
+    points, weights = _detector_quadrature(detector)
+    k = array.wavenumber
+    power = separation_tensor_power(points, weights, array.positions, array.phases, k)
+    single = separation_tensor_power(points, weights, np.zeros((1, 3)), np.zeros(1), k)
+    return power, power / (array.n_sources * single)
+
+
+def random_array(rng, n):
+    wavelength = 0.3 + 2.0 * rng.uniform()
+    side = 0.05 + 3.0 * rng.uniform()
+    positions = np.array([[side * (rng.uniform() - 0.5) for _ in range(3)] for _ in range(n)])
+    return SourceArray(positions, rng.phases(n), wavelength)
+
+
+def far_detector(rng, arrays, geometry, samples):
+    extent = max(max(array.wavelength, array.extent) for array in arrays)
+    return DetectorGrid(
+        radius=classical.FAR_FIELD_FACTOR * extent * (1.0 + rng.uniform()),
+        geometry=geometry,
+        samples=samples,
+    )
+
+
+# arc: point counts below, at and above one 4096-row block; hemisphere:
+# 64^2 = 4096 points, 65^2 = 4225 and 96^2 = 9216
+@pytest.mark.parametrize(
+    "geometry, samples",
+    [("arc", 640), ("arc", 4096), ("arc", 4097), ("arc", 9000),
+     ("hemisphere", 64), ("hemisphere", 65), ("hemisphere", 96)],
+)
+def test_engine_is_bit_equal_to_separation_tensor_reference(geometry, samples):
+    rng = XorShift64Star(4096 + samples)
+    for n in (1, 7, 8, 9, 33, 64):
+        array = random_array(rng, n)
+        detector = far_detector(rng, [array], geometry, samples)
+        assert farfield_power(array, detector) == reference_farfield_power(array, detector)
+
+
+def test_farfield_powers_equals_one_call_per_array():
+    rng = XorShift64Star(77)
+    first = random_array(rng, 9)
+    second = random_array(rng, 9)
+    # same positions for the first half (wavelength and phase changes only),
+    # new positions for the second half, so the table is rebuilt midway
+    arrays = [
+        replace(first, wavelength=0.5 + rng.uniform()),
+        replace(first, phases=rng.phases(9)),
+        first,
+        second,
+        replace(second, wavelength=0.5 + rng.uniform()),
+        random_array(rng, 8),
+    ]
+    detector = far_detector(rng, arrays, "arc", 4500)
+    powers, enhancements = farfield_powers(arrays, detector)
+    for i, array in enumerate(arrays):
+        expected = farfield_power(array, detector)
+        assert (powers[i], enhancements[i]) == expected
+        assert expected == reference_farfield_power(array, detector)
+
+
+def test_farfield_powers_checks_every_array_against_the_threshold():
+    rng = XorShift64Star(5)
+    arrays = [random_array(rng, 4) for _ in range(4)]
+    detector = far_detector(rng, arrays, "arc", 256)
+    farfield_powers(arrays, detector)
+    arrays[2] = make_linear_array(4, detector.radius / 50.0, 1.0)
+    with pytest.raises(FarFieldViolationError):
+        farfield_powers(arrays, detector)
+
+
+def test_far_field_request_over_budget_is_refused_before_allocation():
+    array = make_linear_array(8, 0.2, 1.0)
+    detector = DetectorGrid(radius=1e3, geometry="hemisphere", samples=100_000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="budget"):
+            farfield_power(array, detector)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+def test_sweeps_build_the_quadrature_once(monkeypatch):
+    calls = {"_detector_quadrature": 0, "_distances": 0}
+    for name in calls:
+        original = getattr(classical, name)
+
+        def counted(*args, _original=original, _name=name):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(classical, name, counted)
+
+    def run(action):
+        for name in calls:
+            calls[name] = 0
+        action()
+        return calls["_detector_quadrature"], calls["_distances"]
+
+    arr = make_linear_array(3, 2.0, 0.5)
+    det = DetectorGrid(radius=1e3, geometry="arc", samples=256)
+    # one origin table plus one source table while the positions hold still
+    assert run(lambda: transmission_spectrum(arr, (0.5, 3.0), 9, det)) == (1, 2)
+    fixed = {"n_sources": 4, "spacing": 0.3, "wavelength": 1.0, "samples": 256}
+    phase_sweep = SweepSpec("farfield_power", "phase_delta", 0.0, 3.0, 6, fixed)
+    assert run(lambda: run_sweep(phase_sweep)) == (1, 2)
+    spacing_sweep = SweepSpec("farfield_power", "spacing", 0.1, 1.0, 6, fixed)
+    assert run(lambda: run_sweep(spacing_sweep)) == (1, 7)
+    assert run(lambda: dicke_scaling_check([2, 4, 8], "farfield", detector_samples=256)) == (1, 4)

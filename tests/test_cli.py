@@ -132,6 +132,15 @@ class TestExitCodes:
         assert "jitter" in err
         assert out == ""
 
+    def test_far_field_request_over_memory_budget_is_runtime_failure(self, capsys):
+        code, out, err = run_cli(
+            capsys, "spectrum", "--n-sources", "4", "--spacing", "0.5", "--wavelength-min", "1",
+            "--wavelength-max", "2", "--geometry", "hemisphere", "--samples", "20000",
+        )
+        assert code == 1
+        assert "budget" in err
+        assert out == ""
+
     def test_runtime_failure(self, capsys):
         # detector parked well inside the near field
         code, _, err = run_cli(

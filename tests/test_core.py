@@ -198,3 +198,15 @@ def test_frozen_dataclasses_are_immutable():
     arr = make_linear_array(2, 1.0, 1.0)
     with pytest.raises(ValueError):
         arr.positions[0, 0] = 5.0
+
+
+def test_value_objects_do_not_freeze_the_callers_vectors():
+    k = np.array([TWO_PI, 0.0, 0.0])
+    lengths = np.array([1.0, 2.0, 3.0])
+    mode = WaveMode.plane(k)
+    box = BoxVolume(lengths)
+    assert k.flags.writeable and lengths.flags.writeable
+    assert not mode.wavevector.flags.writeable
+    assert not box.lengths.flags.writeable
+    k[0] = 1.0
+    assert mode.wavevector[0] == TWO_PI

@@ -6,7 +6,9 @@ it produced when the corpus was recorded. The cases cover all eight
 subcommands, both output formats, the three quantum conventions, a
 config file with an output energy scale, far-field sweeps over every
 parameter, a jittered far-field Dicke fit and arc and hemisphere
-spectra. A refactor that claims to change no behaviour must leave every
+spectra, three of them with more than 4096 detector points and N >= 8
+(the far-field engine's row blocks and numpy's pairwise summation both
+change shape there). A refactor that claims to change no behaviour must leave every
 hash as it is.
 
 A hash may be regenerated only by a change that intends to alter the
