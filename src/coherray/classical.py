@@ -7,7 +7,12 @@ S the coherent phase sum, so it ranges from 0 (destructive) to N^2*E1
 (constructive). The brute-force route (`field_energy_grid`) integrates
 the energy density (E^2 + H^2)/8pi on a grid, with E = -(1/c) dA/dt and
 H = curl A evaluated pointwise; over a box commensurate with the
-wavelength the two agree to quadrature accuracy.
+wavelength the two agree to quadrature accuracy. It never forms the phase
+sum: each wave's field is laid onto the grid and summed there. Because
+e^{ik.r} = e^{ik_x x} e^{ik_y y} e^{ik_z z} on the midpoint grid, the
+plane-wave table is the outer product of three 1-D factors, so the
+exponential is evaluated once per axis point and once per wave, not once
+per cell per wave.
 
 Far-field power of point-source arrays is integrated over a detector
 surface: the default geometry is the forward hemisphere (array along x in
@@ -50,10 +55,14 @@ FAR_FIELD_FACTOR = 100.0
 
 _COMMENSURATE_TOL = 1e-9
 
-# bytes the far-field engine may hold for one request: the distance table
-# and its build temporary, the quadrature columns, and the two complex
-# temporaries of one row block
-FAR_FIELD_BUDGET_BYTES = 1 << 30
+# bytes one far-field or grid request may hold at its peak; each route
+# checks its own count against it before allocating
+MEMORY_BUDGET_BYTES = 1 << 30
+
+# complex res^3 arrays the grid holds at its peak: the plane-wave table,
+# E, H and the product of one wave (the real density arrays come after the
+# table and the product are released, and need less)
+_GRID_COMPLEX_ARRAYS = 4
 
 # detector rows per block of the field sum; blocks bound the complex
 # temporaries, and the intensity is still summed over all rows at once
@@ -208,11 +217,31 @@ def field_energy_grid(
     The fields of each wave are evaluated analytically at every cell
     center (snapshot at t = 0; for a commensurate box the integral is
     time-independent) and the density (E^2 + H^2)/8pi is summed. This is
-    the brute-force twin of `classical_energy`.
+    the brute-force twin of `classical_energy` and never forms the phase
+    sum: every wave adds its own field to E and to H on the grid.
+
+    e^{ik.r} separates over the axes of the midpoint grid, so the
+    plane-wave table is the outer product of three 1-D factors and each
+    wave is that table times a e^{i phi}: 3*res + N exponentials in place
+    of N*res^3.
+
+    ``resolution`` is the number of cells per axis, one integer or three.
+    Raises TypeError for non-integers, and ValueError below 8 cells per
+    axis or when the grid would need more than MEMORY_BUDGET_BYTES.
     """
-    res = np.broadcast_to(np.asarray(resolution, dtype=int), (3,)).copy()
-    if np.any(res < 8):
+    try:
+        res = tuple(operator.index(r) for r in np.broadcast_to(np.asarray(resolution), (3,)))
+    except TypeError:
+        raise TypeError(f"resolution must be integers, got {resolution!r}") from None
+    if min(res) < 8:
         raise ValueError("resolution must be at least 8 per axis")
+    cells = math.prod(res)
+    needed = _GRID_COMPLEX_ARRAYS * 16 * cells
+    if needed > MEMORY_BUDGET_BYTES:
+        raise ValueError(
+            f"grid request of {cells} cells needs {needed} bytes,"
+            f" over the budget of {MEMORY_BUDGET_BYTES} bytes"
+        )
 
     mode = waves.mode
     k = mode.wavevector
@@ -226,25 +255,25 @@ def field_energy_grid(
         volume.center[i] - lengths[i] / 2.0 + (np.arange(res[i]) + 0.5) * (lengths[i] / res[i])
         for i in range(3)
     ]
-    travel = (
-        k[0] * axes[0][:, None, None]
-        + k[1] * axes[1][None, :, None]
-        + k[2] * axes[2][None, None, :]
-    )
+    fx, fy, fz = (np.exp(1j * k[i] * axes[i]) for i in range(3))
+    plane = (fx[:, None] * fy)[:, :, None] * fz
 
     c = mode.light_speed
-    efield = np.zeros(travel.shape, dtype=complex)
-    hfield = np.zeros(travel.shape, dtype=complex)
+    efield = np.zeros(res, dtype=complex)
+    hfield = np.zeros(res, dtype=complex)
+    product = np.empty(res, dtype=complex)
     for phi in waves.phases:
-        analytic = mode.amplitude * np.exp(1j * (travel + phi))
-        efield += (1j * mode.omega / c) * analytic
-        hfield += 1j * analytic
-    # E along the polarization; H along k x pol with |k x pol| = |k|
-    e_sq = (2.0 * efield.real) ** 2
-    h_sq = mode.wavenumber ** 2 * (2.0 * hfield.real) ** 2
+        analytic = mode.amplitude * np.exp(1j * phi)
+        efield += np.multiply(plane, (1j * mode.omega / c) * analytic, out=product)
+        hfield += np.multiply(plane, 1j * analytic, out=product)
+    del plane, product
+    # E along the polarization; H along k x pol with |k x pol| = |k|; the
+    # real fields are 2 Re E and 2 Re H, so (E^2 + H^2)/8pi is this sum / 2pi
+    density = np.square(efield.real)
+    density += mode.wavenumber ** 2 * np.square(hfield.real)
 
-    cell = volume.volume / float(np.prod(res))
-    energy = float(((e_sq + h_sq) / (8.0 * math.pi)).sum() * cell)
+    cell = volume.volume / cells
+    energy = float(density.sum() / TWO_PI * cell)
     return GridEnergy(energy, commensurate)
 
 
@@ -315,13 +344,16 @@ def _raw_power(
 
 
 def _check_budget(detector: DetectorGrid, n_sources: int):
+    """Refuse a far-field request whose distance table, its build temporary,
+    quadrature columns and two complex row-block temporaries exceed the
+    budget."""
     points = detector.samples if detector.geometry == "arc" else detector.samples ** 2
     needed = 8 * points * (2 * n_sources + _QUADRATURE_COLUMNS)
     needed += 2 * 16 * min(points, _BLOCK_ROWS) * n_sources
-    if needed > FAR_FIELD_BUDGET_BYTES:
+    if needed > MEMORY_BUDGET_BYTES:
         raise ValueError(
             f"far-field request of {points} detector points x {n_sources} sources needs"
-            f" {needed} bytes, over the budget of {FAR_FIELD_BUDGET_BYTES} bytes"
+            f" {needed} bytes, over the budget of {MEMORY_BUDGET_BYTES} bytes"
         )
 
 
@@ -339,7 +371,7 @@ def farfield_powers(arrays, detector: DetectorGrid) -> tuple[np.ndarray, np.ndar
 
     Raises FarFieldViolationError unless the detector radius is at least
     100x both the wavelength and the extent of every array, and ValueError
-    if the request would need more than FAR_FIELD_BUDGET_BYTES.
+    if the request would need more than MEMORY_BUDGET_BYTES.
     """
     arrays = list(arrays)
     for array in arrays:

@@ -163,13 +163,16 @@ class SourceArray:
     """Point sources at fixed positions with per-source emission phases.
 
     ``spacing`` is the uniform gap for linear arrays (None for free-form
-    layouts). ``wavelength`` is the shared emission wavelength.
+    layouts). ``wavelength`` is the shared emission wavelength. ``extent``
+    is the largest pairwise source distance (0 for a single source), read
+    off the distance table that the distinctness check builds.
     """
 
     positions: np.ndarray
     phases: np.ndarray
     wavelength: float
     spacing: float | None = None
+    extent: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pos = np.asarray(self.positions, dtype=float)
@@ -188,12 +191,15 @@ class SourceArray:
             raise ValueError("wavelength must be positive and finite")
         if self.spacing is not None and not (math.isfinite(self.spacing) and self.spacing > 0.0):
             raise ValueError("spacing must be positive and finite")
+        extent = 0.0
         if pos.shape[0] > 1:
             diff = pos[:, None, :] - pos[None, :, :]
             dist = np.sqrt((diff ** 2).sum(axis=2))
             off_diag = dist[~np.eye(pos.shape[0], dtype=bool)]
             if off_diag.min() <= 0.0:
                 raise ValueError("source positions must be distinct")
+            extent = float(dist.max())
+        object.__setattr__(self, "extent", extent)
         object.__setattr__(self, "positions", _readonly(pos))
         object.__setattr__(self, "phases", _readonly(ph % TWO_PI))
 
@@ -204,14 +210,6 @@ class SourceArray:
     @property
     def wavenumber(self) -> float:
         return TWO_PI / self.wavelength
-
-    @property
-    def extent(self) -> float:
-        """Largest pairwise source distance (0 for a single source)."""
-        if self.n_sources == 1:
-            return 0.0
-        diff = self.positions[:, None, :] - self.positions[None, :, :]
-        return float(np.sqrt((diff ** 2).sum(axis=2)).max())
 
 
 @dataclass(frozen=True)

@@ -193,3 +193,49 @@ def test_10_random_phases_respect_energy_bounds():
         energy = expectation_energy(state, operator)
         assert -1e-9 * unit <= energy <= n_waves * n_waves * unit * (1.0 + 1e-9)
     assert time.monotonic() - start < 10.0
+
+
+def test_11_four_routes_agree_on_random_phases():
+    """Closed form, grid, number-state operator and far field on one
+    seeded stream of phase sets; each route against its own identity."""
+    start = time.monotonic()
+    stream = XorShift64Star(4)
+    for _ in range(20):
+        n_waves = int(1 + stream.next_uint64() % 6)
+        phases = stream.phases(n_waves)
+        wavelength = 0.5 + 1.5 * stream.uniform()
+        mode = WaveMode.plane(np.array([TWO_PI / wavelength, 0.0, 0.0]))
+        center = [stream.uniform() - 0.5 for _ in range(3)]
+        box = commensurate_box(mode, (1.0 + 2.0 * stream.uniform(), 0.8, 1.3), center)
+        unit = single_wave_energy(mode, box)
+
+        closed = classical_energy(PhasedWaveSet(mode, phases), box).total
+        magnitude_sq = closed / unit
+        assert -1e-9 * unit <= closed <= n_waves * n_waves * unit * (1.0 + 1e-9)
+
+        grid = field_energy_grid(PhasedWaveSet(mode, phases), box, resolution=32)
+        assert grid.commensurate
+        assert abs(grid.energy - closed) <= 1e-5 * max(closed, unit)
+
+        occupation = int(stream.next_uint64() % 16)
+        space = FockSpace(max(occupation + 1, 8))
+        operator = single_mode_hamiltonian(phases, 1.0, space)
+        energy = expectation_energy(QuantumState.fock(space, occupation), operator)
+        expected = magnitude_sq * (occupation + 0.5)
+        assert abs(energy - expected) <= 1e-10 * max(1.0, expected)
+
+        # line array along x, forward hemisphere: the pair identity
+        # (1/N) sum_mn cos(phi_m - phi_n) sinc(k |x_m - x_n|)
+        extent = (0.3 + 3.7 * stream.uniform()) * wavelength
+        spacing = extent / max(n_waves - 1, 1)
+        array = make_linear_array(n_waves, spacing, wavelength, phases)
+        detector = DetectorGrid(radius=100.0 * max(wavelength, array.extent), samples=128)
+        _, enhancement = farfield_power(array, detector)
+        x = array.positions[:, 0]
+        separation = np.abs(x[:, None] - x[None, :])
+        identity = float(
+            (np.cos(phases[:, None] - phases[None, :])
+             * np.sinc(TWO_PI / wavelength * separation / math.pi)).sum()
+        ) / n_waves
+        assert abs(enhancement - identity) <= 1e-3 * max(1.0, identity)
+    assert time.monotonic() - start < 5.0

@@ -131,6 +131,146 @@ def test_field_energy_grid_antiphase_is_dark_everywhere():
     assert abs(grid.energy) <= 1e-12 * single_wave_energy(mode, box)
 
 
+def direct_exp_grid(waves, volume, resolution):
+    """Reference: the grid energy with one complex exp per cell per wave,
+    as field_energy_grid computed it before the separable table."""
+    res = np.broadcast_to(np.asarray(resolution, dtype=int), (3,)).copy()
+    mode = waves.mode
+    k = mode.wavevector
+    lengths = volume.lengths
+    residual = np.prod(np.sinc(k * lengths / math.pi))
+    commensurate = bool(abs(residual) < 1e-9)
+    axes = [
+        volume.center[i] - lengths[i] / 2.0 + (np.arange(res[i]) + 0.5) * (lengths[i] / res[i])
+        for i in range(3)
+    ]
+    travel = (
+        k[0] * axes[0][:, None, None]
+        + k[1] * axes[1][None, :, None]
+        + k[2] * axes[2][None, None, :]
+    )
+    c = mode.light_speed
+    efield = np.zeros(travel.shape, dtype=complex)
+    hfield = np.zeros(travel.shape, dtype=complex)
+    for phi in waves.phases:
+        analytic = mode.amplitude * np.exp(1j * (travel + phi))
+        efield += (1j * mode.omega / c) * analytic
+        hfield += 1j * analytic
+    e_sq = (2.0 * efield.real) ** 2
+    h_sq = mode.wavenumber ** 2 * (2.0 * hfield.real) ** 2
+    cell = volume.volume / float(np.prod(res))
+    return float(((e_sq + h_sq) / (8.0 * math.pi)).sum() * cell), commensurate
+
+
+def random_grid_case(rng, case):
+    """One seeded wave set, box and resolution: axis-aligned k on a
+    commensurate box, axis-aligned k on a free box, or off-axis k."""
+    n = 1 + case % 8
+    wavelength = 0.4 + 1.6 * rng.uniform()
+    speed = 0.5 + 1.5 * rng.uniform()
+    amplitude = complex(0.2 + rng.uniform(), rng.uniform() - 0.5)
+    center = [2.0 * rng.uniform() - 1.0 for _ in range(3)]
+    lengths = [0.3 + 2.0 * rng.uniform() for _ in range(3)]
+    if case % 3 == 2:
+        direction = np.array([rng.uniform() - 0.5 for _ in range(3)])
+        direction /= np.linalg.norm(direction)
+    else:
+        direction = np.zeros(3)
+        direction[case % 3] = 1.0 if rng.uniform() < 0.5 else -1.0
+    mode = WaveMode.plane(TWO_PI / wavelength * direction, amplitude, light_speed=speed)
+    if case % 3 == 0:
+        box = commensurate_box(mode, lengths, center)
+    else:
+        box = BoxVolume(lengths, center)
+    resolution = (8, 12, (8, 13, 21), (16, 9, 11), 20, (24, 16, 8))[case % 6]
+    return PhasedWaveSet(mode, tuple(rng.phases(n))), box, resolution
+
+
+def test_field_energy_grid_matches_direct_exp_reference():
+    rng = XorShift64Star(2025)
+    commensurate_cases = 0
+    for case in range(30):
+        waves, box, resolution = random_grid_case(rng, case)
+        grid = field_energy_grid(waves, box, resolution)
+        energy, commensurate = direct_exp_grid(waves, box, resolution)
+        scale = max(abs(energy), single_wave_energy(waves.mode, box))
+        assert abs(grid.energy - energy) <= 1e-12 * scale
+        assert grid.commensurate == commensurate
+        commensurate_cases += commensurate
+    assert 0 < commensurate_cases < 30
+
+
+def test_field_energy_grid_never_forms_the_phase_sum(monkeypatch):
+    from coherray import core
+
+    mode = WaveMode.plane(np.array([0.0, 0.0, 3.0]), amplitude=0.7)
+    box = commensurate_box(mode, (1.1, 0.8, 2.5), center=(0.2, -0.1, 0.3))
+    waves = PhasedWaveSet(mode, (0.3, 1.9, 4.0, 5.5))
+    closed = classical_energy(waves, box).total
+
+    def refuse(phases):
+        raise AssertionError("the grid route must not form the phase sum")
+
+    monkeypatch.setattr(core, "phase_sum", refuse)
+    monkeypatch.setattr(classical, "phase_sum", refuse)
+    grid = field_energy_grid(waves, box, resolution=32)
+    assert grid.commensurate
+    assert abs(grid.energy - closed) <= 1e-5 * closed
+
+
+def test_field_energy_grid_evaluates_exp_per_axis_and_per_wave(monkeypatch):
+    mode = WaveMode.plane(np.array([1.0, -2.0, 0.5]))
+    waves = PhasedWaveSet(mode, (0.1, 2.0, 3.3))
+    box = BoxVolume((1.0, 2.0, 0.7), (0.1, 0.0, -0.2))
+    expected = field_energy_grid(waves, box, (8, 13, 21))
+    evaluated = []
+    original = np.exp
+
+    def counted(x, *args, **kwargs):
+        evaluated.append(np.size(x))
+        return original(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", counted)
+    assert field_energy_grid(waves, box, (8, 13, 21)) == expected
+    assert sum(evaluated) == 8 + 13 + 21 + 3
+
+
+def test_field_energy_grid_resolution_must_be_integers():
+    waves = PhasedWaveSet(unit_mode(), (0.0, 1.0))
+    box = BoxVolume((1.0, 1.0, 1.0))
+    for bad in (48.7, 16.0, (8.9, 13, 21), np.array([8.0, 13.0, 21.0]), "16"):
+        with pytest.raises(TypeError, match="resolution"):
+            field_energy_grid(waves, box, bad)
+    with pytest.raises(ValueError):
+        field_energy_grid(waves, box, (16, 16))
+    with pytest.raises(ValueError, match="at least 8"):
+        field_energy_grid(waves, box, (8, 7, 8))
+    assert field_energy_grid(waves, box, np.int64(16)) == field_energy_grid(waves, box, 16)
+    anisotropic = field_energy_grid(waves, box, (8, 13, 21))
+    assert field_energy_grid(waves, box, (np.int64(8), 13, np.int32(21))) == anisotropic
+    assert field_energy_grid(waves, box, np.array([8, 13, 21])) == anisotropic
+
+
+def test_grid_request_over_budget_is_refused_before_allocation():
+    waves = PhasedWaveSet(unit_mode(), (0.0, 1.0))
+    box = BoxVolume((1.0, 1.0, 1.0))
+    tracemalloc.start()
+    try:
+        for resolution, cells in ((10_000, 10 ** 12), ((256, 256, 257), 256 * 256 * 257),
+                                  ((8, 8, 2 ** 62), 2 ** 68)):
+            message = (
+                f"grid request of {cells} cells needs {64 * cells} bytes,"
+                f" over the budget of {classical.MEMORY_BUDGET_BYTES} bytes"
+            )
+            with pytest.raises(ValueError) as refused:
+                field_energy_grid(waves, box, resolution)
+            assert str(refused.value) == message
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
 def test_spherical_field_amplitude_falls_like_one_over_r():
     source = np.zeros(3)
     k = TWO_PI

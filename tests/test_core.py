@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -111,6 +112,28 @@ class TestSourceArray:
         positions = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
         with pytest.raises(ValueError):
             SourceArray(positions, np.zeros(3), 1.0, None)
+
+
+def test_source_array_extent_is_stored_once_and_not_compared():
+    """extent is bit-equal to the largest entry of the pairwise distance
+    tensor, is recomputed by replace, and stays out of init, repr and
+    equality."""
+    rng = XorShift64Star(99)
+    for n in (1, 2, 5, 17, 40):
+        positions = np.array([[3.0 * rng.uniform() - 1.5 for _ in range(3)] for _ in range(n)])
+        arr = SourceArray(positions, rng.phases(n), 0.5 + rng.uniform())
+        diff = arr.positions[:, None, :] - arr.positions[None, :, :]
+        assert arr.extent == float(np.sqrt((diff ** 2).sum(axis=2)).max())
+        assert type(arr.extent) is float
+        assert replace(arr, wavelength=2.0).extent == arr.extent
+        moved = replace(arr, positions=2.0 * arr.positions)
+        assert moved.extent == 2.0 * arr.extent
+    assert [f.name for f in fields(SourceArray) if f.compare] == [
+        "positions", "phases", "wavelength", "spacing"
+    ]
+    assert "extent" not in repr(arr)
+    with pytest.raises(ValueError):
+        replace(arr, extent=1.0)
 
 
 def test_make_linear_array_centers_on_origin():
