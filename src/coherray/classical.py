@@ -34,6 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (
+    MEMORY_BUDGET_BYTES,  # classical.MEMORY_BUDGET_BYTES names the budget its routes check
     TWO_PI,
     BoxVolume,
     FarFieldViolationError,
@@ -41,6 +42,7 @@ from .core import (
     SingularityError,
     SourceArray,
     WaveMode,
+    _check_budget,
     _readonly,
     _sinc,
     phase_sum,
@@ -54,10 +56,6 @@ EXCLUSION_FRACTION = 0.1
 FAR_FIELD_FACTOR = 100.0
 
 _COMMENSURATE_TOL = 1e-9
-
-# bytes one far-field or grid request may hold at its peak; each route
-# checks its own count against it before allocating
-MEMORY_BUDGET_BYTES = 1 << 30
 
 # complex res^3 arrays the grid holds at its peak: the plane-wave table,
 # E, H and the product of one wave (the real density arrays come after the
@@ -236,12 +234,7 @@ def field_energy_grid(
     if min(res) < 8:
         raise ValueError("resolution must be at least 8 per axis")
     cells = math.prod(res)
-    needed = _GRID_COMPLEX_ARRAYS * 16 * cells
-    if needed > MEMORY_BUDGET_BYTES:
-        raise ValueError(
-            f"grid request of {cells} cells needs {needed} bytes,"
-            f" over the budget of {MEMORY_BUDGET_BYTES} bytes"
-        )
+    _check_budget(_GRID_COMPLEX_ARRAYS * 16 * cells, f"grid request of {cells} cells")
 
     mode = waves.mode
     k = mode.wavevector
@@ -343,18 +336,14 @@ def _raw_power(
     return float((intensity * weights).sum())
 
 
-def _check_budget(detector: DetectorGrid, n_sources: int):
+def _check_farfield_budget(detector: DetectorGrid, n_sources: int):
     """Refuse a far-field request whose distance table, its build temporary,
     quadrature columns and two complex row-block temporaries exceed the
     budget."""
     points = detector.samples if detector.geometry == "arc" else detector.samples ** 2
     needed = 8 * points * (2 * n_sources + _QUADRATURE_COLUMNS)
     needed += 2 * 16 * min(points, _BLOCK_ROWS) * n_sources
-    if needed > MEMORY_BUDGET_BYTES:
-        raise ValueError(
-            f"far-field request of {points} detector points x {n_sources} sources needs"
-            f" {needed} bytes, over the budget of {MEMORY_BUDGET_BYTES} bytes"
-        )
+    _check_budget(needed, f"far-field request of {points} detector points x {n_sources} sources")
 
 
 def farfield_powers(arrays, detector: DetectorGrid) -> tuple[np.ndarray, np.ndarray]:
@@ -380,7 +369,7 @@ def farfield_powers(arrays, detector: DetectorGrid) -> tuple[np.ndarray, np.ndar
             raise FarFieldViolationError(
                 f"detector radius {detector.radius} below far-field threshold {threshold}"
             )
-    _check_budget(detector, max((array.n_sources for array in arrays), default=0))
+    _check_farfield_budget(detector, max((array.n_sources for array in arrays), default=0))
     points, weights = _detector_quadrature(detector)
     origin = _distances(points, np.zeros((1, 3)))
     powers = np.empty(len(arrays))

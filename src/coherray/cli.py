@@ -290,7 +290,14 @@ def _classify_usage_error(message: str) -> int:
     return 2
 
 
-def _build_parser() -> _ClassifyingParser:
+def _build_parser(argv) -> _ClassifyingParser:
+    """Parser for ``argv``: the named subcommand's subparser only, else all eight.
+
+    A run parses with exactly one subparser, so building the other seven
+    is wasted work. Help, a missing command, an unknown command or a flag
+    first need the full parser, whose usage and choice list are unchanged.
+    """
+    names = [argv[0]] if argv and argv[0] in _SUBCOMMAND_FIELDS else _SUBCOMMAND_FIELDS
     shared = _ClassifyingParser(add_help=False)
     for field_spec in _GLOBAL_FIELDS:
         shared.add_argument(f"--{field_spec.name}", default=None, help=field_spec.help)
@@ -305,9 +312,9 @@ def _build_parser() -> _ClassifyingParser:
         ),
     )
     subparsers = parser.add_subparsers(dest="command", required=True, metavar="command")
-    for name, fields in _SUBCOMMAND_FIELDS.items():
+    for name in names:
         sub = subparsers.add_parser(name, parents=[shared], help=_SUBCOMMAND_HELP[name])
-        for field_spec in fields:
+        for field_spec in _SUBCOMMAND_FIELDS[name]:
             sub.add_argument(f"--{field_spec.name}", default=None, help=field_spec.help)
     return parser
 
@@ -378,8 +385,8 @@ def parse_config(argv, config_path: str | None = None) -> RunConfig:
     ``config_path`` is a fallback used when no --config flag is present.
     Raises _CliError with the documented exit code on any failure.
     """
-    parser = _build_parser()
-    namespace = parser.parse_args(list(argv))
+    argv = list(argv)
+    namespace = _build_parser(argv).parse_args(argv)
     flag_values = vars(namespace)
     subcommand = flag_values.pop("command")
 

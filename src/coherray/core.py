@@ -17,6 +17,14 @@ TWO_PI = 2.0 * math.pi
 
 _VEC_TOL = 1e-9
 
+# bytes one request may hold at its peak; each route that builds a large
+# array checks its own count against it before allocating
+MEMORY_BUDGET_BYTES = 1 << 30
+
+# source pairs per block of SourceArray's distinctness check and extent:
+# 32 bytes of temporaries per pair, so ~2 MB per block
+_PAIR_BLOCK = 1 << 16
+
 
 class SingularityError(ValueError):
     """An observation point fell inside a source's exclusion radius."""
@@ -43,6 +51,15 @@ def _vec3(value, name: str) -> np.ndarray:
         raise ValueError(f"{name} must be finite")
     arr.flags.writeable = False
     return arr
+
+
+def _check_budget(needed: int, request: str):
+    """Refuse ``request`` (a description naming its size) if it needs more
+    than MEMORY_BUDGET_BYTES."""
+    if needed > MEMORY_BUDGET_BYTES:
+        raise ValueError(
+            f"{request} needs {needed} bytes, over the budget of {MEMORY_BUDGET_BYTES} bytes"
+        )
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -165,7 +182,7 @@ class SourceArray:
     ``spacing`` is the uniform gap for linear arrays (None for free-form
     layouts). ``wavelength`` is the shared emission wavelength. ``extent``
     is the largest pairwise source distance (0 for a single source), read
-    off the distance table that the distinctness check builds.
+    off the distance rows that the distinctness check builds.
     """
 
     positions: np.ndarray
@@ -191,15 +208,7 @@ class SourceArray:
             raise ValueError("wavelength must be positive and finite")
         if self.spacing is not None and not (math.isfinite(self.spacing) and self.spacing > 0.0):
             raise ValueError("spacing must be positive and finite")
-        extent = 0.0
-        if pos.shape[0] > 1:
-            diff = pos[:, None, :] - pos[None, :, :]
-            dist = np.sqrt((diff ** 2).sum(axis=2))
-            off_diag = dist[~np.eye(pos.shape[0], dtype=bool)]
-            if off_diag.min() <= 0.0:
-                raise ValueError("source positions must be distinct")
-            extent = float(dist.max())
-        object.__setattr__(self, "extent", extent)
+        object.__setattr__(self, "extent", _checked_extent(pos))
         object.__setattr__(self, "positions", _readonly(pos))
         object.__setattr__(self, "phases", _readonly(ph % TWO_PI))
 
@@ -210,6 +219,25 @@ class SourceArray:
     @property
     def wavenumber(self) -> float:
         return TWO_PI / self.wavelength
+
+
+def _checked_extent(pos: np.ndarray) -> float:
+    """Largest pairwise distance of the (N, 3) positions; raises ValueError
+    unless they are distinct. Rows of the distance table are built a block
+    at a time, so memory is O(N) rather than O(N^2)."""
+    n = pos.shape[0]
+    rows = max(1, _PAIR_BLOCK // n)
+    extent = 0.0
+    for start in range(0, n, rows):
+        diff = pos[start:start + rows, None, :] - pos[None, :, :]
+        np.square(diff, out=diff)
+        dist = np.sqrt(diff.sum(axis=2))
+        extent = max(extent, float(dist.max()))
+        # a source's distance to itself is the one zero allowed
+        dist[np.arange(dist.shape[0]), np.arange(start, start + dist.shape[0])] = np.inf
+        if dist.min() <= 0.0:
+            raise ValueError("source positions must be distinct")
+    return extent
 
 
 @dataclass(frozen=True)

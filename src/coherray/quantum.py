@@ -21,11 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import _check_budget
+
 # coherent states are rejected when the truncated tail carries more weight
 COHERENT_TAIL_LIMIT = 1e-8
-
-# build_operators refuses dense embeddings of spaces larger than this
-MAX_DIMENSION = 1_000_000
 
 _RESIDUE_TOL = 1e-10
 
@@ -202,11 +201,18 @@ def build_operators(space: FockSpace, mode_index: int = 0) -> ModeOperators:
     The single-mode annihilator has sqrt(1..n_max) on the superdiagonal, so
     [a, a^dag] equals the identity on levels below n_max (truncation flips
     the last diagonal entry to -n_max).
+
+    Raises ValueError if the dense matrices would need more than
+    MEMORY_BUDGET_BYTES.
     """
     if not 0 <= mode_index < space.mode_count:
         raise ValueError(f"mode_index {mode_index} outside 0..{space.mode_count - 1}")
-    if space.dimension > MAX_DIMENSION:
-        raise ValueError(f"space dimension {space.dimension} exceeds the {MAX_DIMENSION} limit")
+    # peak: the three float64 d x d results plus the three levels x levels
+    # single-mode factors (the kron stages before the last are released)
+    _check_budget(
+        24 * (space.dimension ** 2 + space.levels ** 2),
+        f"dense operators of dimension {space.dimension}",
+    )
     destroy_single = np.diag(np.sqrt(np.arange(1, space.levels, dtype=float)), 1)
     number_single = np.diag(np.arange(space.levels, dtype=float))
     eye = np.eye(space.levels)
@@ -236,9 +242,14 @@ def single_mode_hamiltonian(
 
     With ``include_cross`` False only the self part is returned (the
     uncorrelated-wave reference). The result is exactly Hermitian.
+
+    Raises ValueError if the dense levels x levels result would need more
+    than MEMORY_BUDGET_BYTES.
     """
     if space.mode_count != 1:
         raise ValueError("single_mode_hamiltonian needs a one-mode space")
+    # peak: the float64 np.diag table and its complex copy
+    _check_budget(24 * space.levels ** 2, f"Hamiltonian of {space.levels} levels")
     if not (math.isfinite(omega) and omega > 0.0):
         raise ValueError("omega must be positive and finite")
     phases = np.asarray(list(phases), dtype=float)

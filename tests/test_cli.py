@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from coherray import SweepSpec, run_sweep
-from coherray.cli import main
+from coherray.cli import _SUBCOMMAND_FIELDS, main, parse_config
 
 TWO_PI = 2.0 * math.pi
 UNIT_ENERGY = TWO_PI  # unit-amplitude wave at unit wavelength, unit box
@@ -138,6 +139,13 @@ class TestExitCodes:
             "--wavelength-max", "2", "--geometry", "hemisphere", "--samples", "20000",
         )
         assert code == 1
+        assert "budget" in err
+        assert out == ""
+
+    def test_hamiltonian_over_memory_budget_is_runtime_failure(self, capsys):
+        code, out, err = run_cli(capsys, "quantum", "--n-max", "20000", "--n-waves", "2")
+        assert code == 1
+        assert "Hamiltonian of 20001 levels" in err
         assert "budget" in err
         assert out == ""
 
@@ -320,3 +328,51 @@ class TestOutputShape:
         rows = split_csv(out)[2]
         for row, n in zip(rows, (1, 2, 3, 4)):
             assert float(row[1]) == pytest.approx(n * n * 1.5, rel=1e-12)
+
+
+MINIMAL_ARGV = {
+    "classical": ("--n-waves", "2"),
+    "quantum": ("--n-waves", "2"),
+    "overlap": ("--dk", "1,0,0", "--box", "1,1,1"),
+    "biphoton": ("--overlap", "0.5"),
+    "wavepacket": ("--components", "6.28,1,0"),
+    "sweep": ("--target", "classical_energy", "--parameter", "phase_delta",
+              "--start", "0", "--stop", "1", "--steps", "2"),
+    "dicke": ("--n-values", "2,4"),
+    "spectrum": ("--n-sources", "2", "--spacing", "1", "--wavelength-min", "1",
+                 "--wavelength-max", "2"),
+}
+
+
+class TestParserBuild:
+    """A run builds only the subparser it names; usage paths build all eight."""
+
+    @pytest.fixture
+    def subparsers_built(self, monkeypatch):
+        built = []
+        add_parser = argparse._SubParsersAction.add_parser
+
+        def counting(self, name, **kwargs):
+            built.append(name)
+            return add_parser(self, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+        return built
+
+    @pytest.mark.parametrize("name", list(_SUBCOMMAND_FIELDS))
+    def test_a_run_builds_one_subparser(self, subparsers_built, name):
+        config = parse_config([name, *MINIMAL_ARGV[name]])
+        assert config.subcommand == name
+        assert subparsers_built == [name]
+
+    def test_help_builds_every_subparser(self, subparsers_built, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["--help"])
+        assert exit_.value.code == 0
+        assert subparsers_built == list(_SUBCOMMAND_FIELDS)
+        help_text = capsys.readouterr().out
+        assert all(name in help_text for name in _SUBCOMMAND_FIELDS)
+
+    def test_unknown_command_builds_every_subparser(self, subparsers_built, capsys):
+        assert main(["frobnicate"]) == 2
+        assert subparsers_built == list(_SUBCOMMAND_FIELDS)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -100,8 +101,26 @@ def test_phased_wave_set_reduces_phases():
 class TestSourceArray:
     def test_rejects_coincident_sources(self):
         positions = np.zeros((2, 3))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="distinct"):
             SourceArray(positions, np.zeros(2), 1.0, None)
+
+    @pytest.mark.parametrize("first, second", ((10, 450), (450, 10), (598, 599)))
+    def test_rejects_coincident_sources_in_any_row_block(self, first, second):
+        positions = make_linear_array(600, 0.5, 1.0).positions.copy()
+        positions[second] = positions[first]
+        with pytest.raises(ValueError, match="distinct"):
+            SourceArray(positions, np.zeros(600), 1.0, None)
+
+    def test_distinctness_check_memory_is_linear_in_source_count(self):
+        """The full N x N x 3 table peaked at 56 * N^2 bytes, 224 MB here."""
+        tracemalloc.start()
+        try:
+            arr = make_linear_array(2000, 0.5, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert arr.extent == 999.5
+        assert peak < 8 * 2 ** 20
 
     def test_extent_and_wavenumber(self):
         arr = make_linear_array(4, 0.5, 2.0)
@@ -115,11 +134,11 @@ class TestSourceArray:
 
 
 def test_source_array_extent_is_stored_once_and_not_compared():
-    """extent is bit-equal to the largest entry of the pairwise distance
-    tensor, is recomputed by replace, and stays out of init, repr and
-    equality."""
+    """extent is bit-equal to the largest entry of the full pairwise distance
+    tensor (also when it is built in several row blocks), is recomputed by
+    replace, and stays out of init, repr and equality."""
     rng = XorShift64Star(99)
-    for n in (1, 2, 5, 17, 40):
+    for n in (1, 2, 5, 17, 40, 300, 1000):
         positions = np.array([[3.0 * rng.uniform() - 1.5 for _ in range(3)] for _ in range(n)])
         arr = SourceArray(positions, rng.phases(n), 0.5 + rng.uniform())
         diff = arr.positions[:, None, :] - arr.positions[None, :, :]

@@ -11,6 +11,13 @@ spectra, three of them with more than 4096 detector points and N >= 8
 change shape there). A refactor that claims to change no behaviour must leave every
 hash as it is.
 
+``golden/usage_corpus.json`` does the same for the usage surface:
+top-level and per-subcommand ``--help``, no command, an unknown command,
+an unknown flag, an abbreviated flag, a flag before the command and a
+missing required key. Each case stores the exit code and the SHA-256 of
+stdout and of stderr, recorded with ``COLUMNS=80`` so that argparse
+wraps help text the same way on every terminal.
+
 A hash may be regenerated only by a change that intends to alter the
 output of that invocation and says why in CHANGES.md; never to make a
 refactor pass.
@@ -28,6 +35,27 @@ from coherray.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 CASES = json.loads((GOLDEN / "cli_corpus.json").read_text(encoding="utf-8"))["cases"]
+USAGE_CASES = json.loads((GOLDEN / "usage_corpus.json").read_text(encoding="utf-8"))["cases"]
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def run_usage_case(argv):
+    """Run ``main(argv)``; return its exit code and the hashes of both streams.
+
+    ``--help`` exits through ``SystemExit`` out of argparse, so that exit
+    code is taken from the exception.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exit_:
+            code = exit_.code
+    return {"exit": code, "stdout_sha256": _sha256(out.getvalue()),
+            "stderr_sha256": _sha256(err.getvalue())}
 
 
 @pytest.mark.parametrize(
@@ -41,5 +69,14 @@ def test_cli_output_matches_recorded_hash(case):
     with contextlib.redirect_stdout(out):
         code = main(argv)
     assert code == 0
-    digest = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+    digest = _sha256(out.getvalue())
     assert digest == case["sha256"], f"stdout changed for {argv}:\n{out.getvalue()}"
+
+
+@pytest.mark.parametrize(
+    "case", USAGE_CASES, ids=[" ".join(case["argv"]) or "no-argv" for case in USAGE_CASES]
+)
+def test_usage_output_matches_recorded_hashes(case, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    recorded = {key: case[key] for key in ("exit", "stdout_sha256", "stderr_sha256")}
+    assert run_usage_case(case["argv"]) == recorded, f"usage output changed for {case['argv']}"

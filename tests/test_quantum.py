@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from coherray import (
     phase_sum,
     single_mode_hamiltonian,
 )
+from coherray.core import MEMORY_BUDGET_BYTES
 from coherray.experiments import XorShift64Star
 
 TWO_PI = 2.0 * math.pi
@@ -67,8 +69,24 @@ class TestLadderOperators:
         assert np.allclose(ops0.destroy @ ops1.create, ops1.create @ ops0.destroy, atol=1e-12)
 
     def test_dimension_cap(self):
-        with pytest.raises(ValueError):
-            build_operators(FockSpace(n_max=1100, mode_count=2))
+        """Dense embeddings over the memory budget are refused before they
+        allocate; the old cap of 10^6 basis states let the 10^4-state
+        two-mode space (2.4 GB) through."""
+        tracemalloc.start()
+        try:
+            for space in (FockSpace(n_max=1100, mode_count=2), FockSpace(n_max=99, mode_count=2),
+                          FockSpace(n_max=10_000)):
+                needed = 24 * (space.dimension ** 2 + space.levels ** 2)
+                with pytest.raises(ValueError) as refused:
+                    build_operators(space)
+                assert str(refused.value) == (
+                    f"dense operators of dimension {space.dimension} needs {needed} bytes,"
+                    f" over the budget of {MEMORY_BUDGET_BYTES} bytes"
+                )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
 
 class TestQuantumState:
@@ -174,6 +192,22 @@ def test_hamiltonian_matches_dense_pairwise_sum_bit_for_bit():
 def test_hamiltonian_rejects_non_finite_input(omega, phases):
     with pytest.raises(ValueError):
         single_mode_hamiltonian(phases, omega, FockSpace(n_max=3))
+
+
+def test_hamiltonian_over_budget_is_refused_before_allocation():
+    tracemalloc.start()
+    try:
+        for levels in (6_689, 20_001):
+            with pytest.raises(ValueError) as refused:
+                single_mode_hamiltonian([0.0, 1.0], 1.0, FockSpace(n_max=levels - 1))
+            assert str(refused.value) == (
+                f"Hamiltonian of {levels} levels needs {24 * levels ** 2} bytes,"
+                f" over the budget of {MEMORY_BUDGET_BYTES} bytes"
+            )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_self_part_is_uncorrelated_reference():
