@@ -70,6 +70,10 @@ _BLOCK_ROWS = 4096
 # (3), its weight, its origin distance and its intensity
 _QUADRATURE_COLUMNS = 6
 
+# bytes per step of a far-field sweep besides the sources: the step's
+# SourceArray object (~400 measured with tracemalloc) and the curve columns
+_SWEEP_STEP_BYTES = 512
+
 
 @dataclass(frozen=True)
 class DetectorGrid:
@@ -346,6 +350,13 @@ def _check_farfield_budget(detector: DetectorGrid, n_sources: int):
     _check_budget(needed, f"far-field request of {points} detector points x {n_sources} sources")
 
 
+def _check_sweep_budget(steps: int, n_sources: int):
+    """Refuse a far-field sweep whose per-step arrays, each holding positions
+    and phases of up to ``n_sources`` sources, exceed the budget."""
+    needed = steps * (_SWEEP_STEP_BYTES + 32 * n_sources)
+    _check_budget(needed, f"far-field sweep of {steps} steps x {n_sources} sources")
+
+
 def farfield_powers(arrays, detector: DetectorGrid) -> tuple[np.ndarray, np.ndarray]:
     """Detected power and enhancement of each array on one detector.
 
@@ -410,6 +421,7 @@ def transmission_spectrum(
         raise ValueError("wavelength range must satisfy 0 < lo < hi, both finite")
     if steps < 2:
         raise ValueError("need at least 2 steps")
+    _check_sweep_budget(steps, array.n_sources)
     values = np.linspace(lo, hi, steps)
     swept = [replace(array, wavelength=float(wavelength)) for wavelength in values]
     powers, enhancements = farfield_powers(swept, detector)

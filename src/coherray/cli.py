@@ -35,6 +35,7 @@ from .core import (
     MissingSettingError,
     PhasedWaveSet,
     WaveMode,
+    _check_wave_budget,
     make_linear_array,
 )
 from .classical import DetectorGrid, SpectrumCurve
@@ -468,6 +469,7 @@ def _ramp_or_phases(params: dict) -> np.ndarray:
     n = params["n_waves"]
     if n < 1:
         raise ConfigError("n-waves must be at least 1")
+    _check_wave_budget(n)
     if params.get("phases") is not None:
         phases = np.asarray(params["phases"], dtype=float)
         if phases.size != n:

@@ -8,6 +8,7 @@ CLI offers an output-only energy scale for converting to physical units.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -20,6 +21,11 @@ _VEC_TOL = 1e-9
 # bytes one request may hold at its peak; each route that builds a large
 # array checks its own count against it before allocating
 MEMORY_BUDGET_BYTES = 1 << 30
+
+# peak bytes per wave of the closed-form route: the phase tuple and
+# PhasedWaveSet's reduced copy (a float object per entry) and phase_sum's
+# arrays; measured with tracemalloc at 80 bytes per wave
+_WAVE_BYTES = 80
 
 # source pairs per block of SourceArray's distinctness check and extent:
 # 32 bytes of temporaries per pair, so ~2 MB per block
@@ -60,6 +66,11 @@ def _check_budget(needed: int, request: str):
         raise ValueError(
             f"{request} needs {needed} bytes, over the budget of {MEMORY_BUDGET_BYTES} bytes"
         )
+
+
+def _check_wave_budget(n_waves: int):
+    """Refuse a set of ``n_waves`` phases before it is built."""
+    _check_budget(_WAVE_BYTES * n_waves, f"phase set of {n_waves} waves")
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -112,10 +123,12 @@ class WaveMode:
         object.__setattr__(self, "amplitude", complex(self.amplitude))
         if self.kind not in ("plane", "spherical"):
             raise ValueError(f"kind must be 'plane' or 'spherical', got {self.kind!r}")
-        if self.light_speed <= 0.0:
-            raise ValueError("light_speed must be positive")
-        if not self.omega > 0.0:
-            raise ValueError("omega must be positive")
+        if not cmath.isfinite(self.amplitude):
+            raise ValueError("amplitude must be finite")
+        if not (math.isfinite(self.light_speed) and self.light_speed > 0.0):
+            raise ValueError("light_speed must be positive and finite")
+        if not (math.isfinite(self.omega) and self.omega > 0.0):
+            raise ValueError("omega must be positive and finite")
         k_norm = float(np.linalg.norm(self.wavevector))
         if k_norm <= 0.0:
             raise ValueError("wavevector must be nonzero")
@@ -317,6 +330,8 @@ def make_linear_array(
     """
     if n_sources < 1:
         raise ValueError("n_sources must be at least 1")
+    # peak: the offsets, positions and phases (8 + 24 + 8 bytes per source)
+    _check_budget(40 * n_sources, f"linear array of {n_sources} sources")
     if not (math.isfinite(spacing) and spacing > 0.0):
         raise ValueError("spacing must be positive and finite")
     if not (math.isfinite(wavelength) and wavelength > 0.0):

@@ -22,9 +22,11 @@ from .core import (
     PhasedWaveSet,
     SourceArray,
     WaveMode,
+    _check_budget,
+    _check_wave_budget,
     make_linear_array,
 )
-from .classical import DetectorGrid, SpectrumCurve, farfield_powers
+from .classical import DetectorGrid, SpectrumCurve, _check_sweep_budget, farfield_powers
 from .multimode import WavepacketSpectrum, wavepacket_energy
 
 
@@ -122,10 +124,12 @@ def _default_mode() -> WaveMode:
 
 
 def _ramp(n: int, delta: float) -> np.ndarray:
+    _check_wave_budget(n)
     return np.arange(n) * delta
 
 
 def _sweep_phase_profile(fixed: dict, n: int, stream: XorShift64Star) -> np.ndarray:
+    _check_wave_budget(n)
     profile = fixed.get("phase_profile", "uniform")
     if profile == "uniform":
         return np.full(n, float(fixed.get("phase", 0.0)))
@@ -168,6 +172,9 @@ def run_sweep(spec: SweepSpec) -> SpectrumCurve:
             f"target {spec.target!r} cannot sweep {spec.parameter!r};"
             f" supported: {', '.join(_SUPPORTED[spec.target])}"
         )
+    # seven float64 columns: values, power, enhancement, linspace's
+    # temporary and the curve's read-only copies of the first three
+    _check_budget(56 * spec.steps, f"sweep of {spec.steps} steps")
     values = np.linspace(spec.start, spec.stop, spec.steps)
     runner = {
         "classical_energy": _sweep_closed_form,
@@ -241,6 +248,9 @@ def _sweep_farfield(spec: SweepSpec, values: np.ndarray):
         "phase_delta": ("n_sources", "spacing", "wavelength"),
     }[spec.parameter]
     _require(fixed, needed, spec.target)
+    # values ascend, so a source-count sweep's last array is its largest
+    largest = int(fixed["n_sources"]) if "n_sources" in needed else int(round(values[-1]))
+    _check_sweep_budget(values.size, largest)
 
     arrays = []
     for value in values:
@@ -331,6 +341,7 @@ def dicke_scaling_check(
     energies = []
     if regime == "closed_form":
         mode = _default_mode()
+        _check_wave_budget(ns[-1])
         for n in ns:
             energies.append(classical.classical_energy(PhasedWaveSet(mode, (0.0,) * n)).total)
     else:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TWO_PI, BoxVolume, EnergyReport, WaveMode, _sinc, reduce_phase
+from .core import TWO_PI, BoxVolume, EnergyReport, WaveMode, _check_budget, _sinc, reduce_phase
 from .quantum import QuantumState
 
 # |dk| * max(L) below this counts as the same mode
@@ -40,6 +40,8 @@ class ModePair:
     box: BoxVolume = None
 
     def __post_init__(self):
+        if not (math.isfinite(self.phi1) and math.isfinite(self.phi2)):
+            raise ValueError("phi1 and phi2 must be finite")
         if self.box is None:
             object.__setattr__(self, "box", BoxVolume(np.ones(3)))
         object.__setattr__(self, "phi1", reduce_phase(self.phi1))
@@ -131,6 +133,8 @@ def overlap_integral_quadrature(pair: ModePair, samples_per_axis: int = 100) -> 
     if samples_per_axis < 2:
         raise ValueError("need at least 2 samples per axis")
     n = samples_per_axis
+    # peak per axis: the sample points and two complex arrays (8 + 16 + 16 bytes)
+    _check_budget(40 * n, f"quadrature of {n} samples per axis")
     box = pair.box
     mean = complex(np.exp(1j * pair.delta_phi))
     for dk, length, center in zip(pair.delta_k, box.lengths, box.center):

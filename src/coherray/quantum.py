@@ -1,11 +1,13 @@
 """Quantized description of N phase-coherent waves in a truncated number basis.
 
 The N waves share one field mode; their interference enters the
-Hamiltonian through cross terms carrying e^{i(phi_n - phi_m)} factors. On
-number states the full operator collapses to hbar*omega*|S|^2*(n + 1/2),
-so the quantum enhancement reproduces the classical |S|^2/N ratio exactly
-for every occupation, and opposite phases annihilate the energy operator
-including its vacuum part.
+Hamiltonian through cross terms carrying e^{i(phi_n - phi_m)} factors.
+Every term is a multiple of N_hat or of 1, so the operator is kept as its
+diagonal, hbar*omega*|S|^2*(n + 1/2) on |n>, and an expectation costs
+O(d): the quantum enhancement reproduces the classical |S|^2/N ratio
+exactly for every occupation, and opposite phases annihilate the energy
+operator including its vacuum part. The state vector is the only array
+that grows with the request; FockSpace checks it against the budget.
 
 Normal ordering of the cross terms admits two bookkeeping conventions:
 the canonical one keeps the (N_hat + 1) form, while the "phased" one
@@ -41,6 +43,9 @@ class FockSpace:
             raise ValueError("n_max must be at least 1")
         if self.mode_count < 1:
             raise ValueError("mode_count must be at least 1")
+        dimension = (int(self.n_max) + 1) ** int(self.mode_count)
+        # peak of building a state: the complex vector and its read-only copy
+        _check_budget(32 * dimension, f"state vector of {dimension} basis states")
 
     @property
     def levels(self) -> int:
@@ -51,8 +56,9 @@ class FockSpace:
         return self.levels ** self.mode_count
 
     def basis_index(self, occupations) -> int:
-        """Row index of a product number state; mode 0 varies slowest."""
-        occ = tuple(int(n) for n in occupations)
+        """Row index of a product number state (a scalar for one mode); mode 0
+        varies slowest."""
+        occ = tuple(int(n) for n in np.atleast_1d(occupations))
         if len(occ) != self.mode_count:
             raise ValueError(f"expected {self.mode_count} occupations, got {len(occ)}")
         index = 0
@@ -129,8 +135,6 @@ class QuantumState:
     @classmethod
     def fock(cls, space: FockSpace, occupations) -> "QuantumState":
         """Product number state |n_0, n_1, ...>."""
-        if np.isscalar(occupations):
-            occupations = (occupations,)
         vec = np.zeros(space.dimension, dtype=complex)
         vec[space.basis_index(occupations)] = 1.0
         return cls(space, vec, 0.0, "fock")
@@ -171,8 +175,6 @@ class QuantumState:
         vec = np.zeros(space.dimension, dtype=complex)
         count = 0
         for coefficient, occupations in terms:
-            if np.isscalar(occupations):
-                occupations = (occupations,)
             vec[space.basis_index(occupations)] += complex(coefficient)
             count += 1
         if count == 0:
@@ -232,24 +234,20 @@ def single_mode_hamiltonian(
     include_cross: bool = True,
     hbar: float = 1.0,
 ) -> np.ndarray:
-    """Energy operator of N phase-shifted waves sharing one mode.
+    """Diagonal of the energy operator of N phase-shifted waves sharing one mode.
 
     The self part contributes N * hbar*omega*(N_hat + 1/2); each unordered
-    wave pair (n, m) adds the Hermitian cross block
+    wave pair (n, m) adds the cross term
 
         canonical: hbar*omega * (2 N_hat + 1) * cos(phi_n - phi_m)
         phased:    hbar*omega * (2 N_hat * cos(phi_n - phi_m) + sign)
 
     With ``include_cross`` False only the self part is returned (the
-    uncorrelated-wave reference). The result is exactly Hermitian.
-
-    Raises ValueError if the dense levels x levels result would need more
-    than MEMORY_BUDGET_BYTES.
+    uncorrelated-wave reference). The operator is number-diagonal and is
+    returned as its diagonal: float64, shape (space.levels,), entry n <n|H|n>.
     """
     if space.mode_count != 1:
         raise ValueError("single_mode_hamiltonian needs a one-mode space")
-    # peak: the float64 np.diag table and its complex copy
-    _check_budget(24 * space.levels ** 2, f"Hamiltonian of {space.levels} levels")
     if not (math.isfinite(omega) and omega > 0.0):
         raise ValueError("omega must be positive and finite")
     phases = np.asarray(list(phases), dtype=float)
@@ -259,7 +257,6 @@ def single_mode_hamiltonian(
         convention = CommutatorConvention.canonical()
 
     n_waves = phases.size
-    # every term is number-diagonal: build the diagonal, embed it once
     number = np.arange(space.levels, dtype=float)
     diagonal = n_waves * hbar * omega * (number + 0.5)
     if include_cross:
@@ -270,18 +267,19 @@ def single_mode_hamiltonian(
                     diagonal = diagonal + hbar * omega * cos_delta * (2.0 * number + 1.0)
                 else:
                     diagonal = diagonal + hbar * omega * (2.0 * cos_delta * number + convention.sign)
-    return np.diag(diagonal).astype(complex)
+    return diagonal
 
 
-def expectation_energy(state: QuantumState, hamiltonian: np.ndarray) -> float:
-    """Real part of <psi|H|psi>, asserting the imaginary residue is noise."""
-    matrix = np.asarray(hamiltonian)
-    if matrix.shape != (state.vector.size, state.vector.size):
+def expectation_energy(state: QuantumState, diagonal: np.ndarray) -> float:
+    """Real part of <psi|H|psi> in O(d) for H given by its diagonal (one entry
+    per basis state), asserting the imaginary residue is noise."""
+    diagonal = np.asarray(diagonal)
+    if diagonal.shape != state.vector.shape:
         raise ValueError(
-            f"operator shape {matrix.shape} does not match state dimension {state.vector.size}"
+            f"diagonal shape {diagonal.shape} does not match state dimension {state.vector.size}"
         )
-    value = complex(np.vdot(state.vector, matrix @ state.vector))
-    scale = float(np.linalg.norm(matrix))
+    value = complex(np.vdot(state.vector, diagonal * state.vector))
+    scale = float(np.linalg.norm(diagonal))
     if abs(value.imag) > _RESIDUE_TOL * max(scale, 1e-300):
         raise ValueError(
             f"imaginary expectation residue {value.imag} exceeds {_RESIDUE_TOL} * |H|"

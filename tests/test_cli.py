@@ -1,6 +1,7 @@
 import argparse
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,18 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def traced_cli(capsys, *argv):
+    """run_cli plus the tracemalloc peak of the call."""
+    tracemalloc.start()
+    try:
+        code = main(list(argv))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err, peak
 
 
 def split_csv(text):
@@ -143,11 +156,60 @@ class TestExitCodes:
         assert out == ""
 
     def test_hamiltonian_over_memory_budget_is_runtime_failure(self, capsys):
-        code, out, err = run_cli(capsys, "quantum", "--n-max", "20000", "--n-waves", "2")
+        # 16 bytes per level of this state vector alone exceed the 1 GiB budget
+        code, out, err = run_cli(capsys, "quantum", "--n-max", "67108864", "--n-waves", "2")
         assert code == 1
-        assert "Hamiltonian of 20001 levels" in err
+        assert "state vector of 67108865 basis states" in err
         assert "budget" in err
         assert out == ""
+
+    def test_quantum_route_holds_no_levels_squared_array(self, capsys):
+        """A dense levels x levels Hamiltonian would take 24 * 2001^2 bytes
+        (~96 MB) here; the diagonal route stays linear in the levels."""
+        code, out, _, peak = traced_cli(
+            capsys, "quantum", "--n-max", "2000", "--n-waves", "3", "--n", "7"
+        )
+        assert code == 0
+        # in-phase waves: |S|^2 (n + 1/2) = 9 * 7.5
+        assert quantity_map(split_csv(out)[2])["total"] == "67.5"
+        assert peak < 2 ** 20
+
+    @pytest.mark.parametrize(
+        "argv, request_",
+        [
+            (("classical", "--n-waves", "10000000000"), "phase set of 10000000000 waves"),
+            (("quantum", "--n-waves", "10000000000"), "phase set of 10000000000 waves"),
+            (("spectrum", "--n-sources", "10000000000", "--spacing", "0.5",
+              "--wavelength-min", "1", "--wavelength-max", "2"),
+             "linear array of 10000000000 sources"),
+            (("spectrum", "--n-sources", "4", "--spacing", "0.5", "--wavelength-min", "1",
+              "--wavelength-max", "2", "--steps", "10000000000"),
+             "far-field sweep of 10000000000 steps x 4 sources"),
+            (("sweep", "--target", "classical_energy", "--parameter", "phase_delta",
+              "--start", "0", "--stop", "1", "--steps", "10000000000", "--n-waves", "2"),
+             "sweep of 10000000000 steps"),
+            (("sweep", "--target", "classical_energy", "--parameter", "phase_delta",
+              "--start", "0", "--stop", "1", "--steps", "3", "--n-waves", "10000000000"),
+             "phase set of 10000000000 waves"),
+            (("sweep", "--target", "quantum_energy", "--parameter", "source_count",
+              "--start", "1", "--stop", "1e10", "--steps", "2", "--phase-profile", "random"),
+             "phase set of 10000000000 waves"),
+            (("sweep", "--target", "farfield_power", "--parameter", "source_count",
+              "--start", "1", "--stop", "1e8", "--steps", "3", "--spacing", "0.3",
+              "--wavelength", "1"),
+             "far-field sweep of 3 steps x 100000000 sources"),
+            (("dicke", "--n-values", "2,4,10000000000"), "phase set of 10000000000 waves"),
+        ],
+    )
+    def test_request_over_memory_budget_is_refused_before_allocation(
+        self, capsys, argv, request_
+    ):
+        code, out, err, peak = traced_cli(capsys, *argv)
+        assert code == 1
+        assert f"error: {request_} needs " in err
+        assert "over the budget of 1073741824 bytes" in err
+        assert out == ""
+        assert peak < 2 ** 20
 
     def test_runtime_failure(self, capsys):
         # detector parked well inside the near field

@@ -15,6 +15,7 @@ from coherray import (
     phase_sum,
     reduce_phase,
 )
+from coherray.core import MEMORY_BUDGET_BYTES
 from coherray.experiments import XorShift64Star
 
 TWO_PI = 2.0 * math.pi
@@ -88,6 +89,20 @@ class TestWaveMode:
         assert math.isclose(mode.omega, 1.0, rel_tol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "omega, amplitude, light_speed",
+    [(2.0, math.nan, 1.0), (2.0, complex(1.0, math.inf), 1.0), (2.0, 1.0, math.nan),
+     (2.0, 1.0, math.inf), (math.inf, 1.0, 1.0)],
+)
+def test_wave_mode_rejects_non_finite_input(omega, amplitude, light_speed):
+    k = np.array([2.0, 0.0, 0.0])
+    with pytest.raises(ValueError):
+        WaveMode(k, omega, amplitude, np.array([0.0, 1.0, 0.0]), light_speed=light_speed)
+    if math.isfinite(omega):
+        with pytest.raises(ValueError):
+            WaveMode.plane(k, amplitude=amplitude, light_speed=light_speed)
+
+
 def test_phased_wave_set_reduces_phases():
     mode = WaveMode.plane(np.array([TWO_PI, 0.0, 0.0]))
     waves = PhasedWaveSet(mode, (-math.pi, 3 * math.pi))
@@ -121,6 +136,21 @@ class TestSourceArray:
             tracemalloc.stop()
         assert arr.extent == 999.5
         assert peak < 8 * 2 ** 20
+
+    def test_linear_array_over_budget_is_refused_before_allocation(self):
+        tracemalloc.start()
+        try:
+            for n_sources in (2 ** 25, 10 ** 12):
+                with pytest.raises(ValueError) as refused:
+                    make_linear_array(n_sources, 0.5, 1.0)
+                assert str(refused.value) == (
+                    f"linear array of {n_sources} sources needs {40 * n_sources} bytes,"
+                    f" over the budget of {MEMORY_BUDGET_BYTES} bytes"
+                )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
     def test_extent_and_wavenumber(self):
         arr = make_linear_array(4, 0.5, 2.0)

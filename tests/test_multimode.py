@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,13 +14,13 @@ from coherray import (
     box_overlap,
     build_operators,
     classify_overlap,
-    expectation_energy,
     multimode_energy,
     overlap_integral,
     overlap_integral_quadrature,
     single_wave_energy,
     wavepacket_energy,
 )
+from coherray.core import MEMORY_BUDGET_BYTES
 from coherray.experiments import XorShift64Star
 
 TWO_PI = 2.0 * math.pi
@@ -65,6 +66,12 @@ class TestBoxOverlap:
         assert shifted == pytest.approx(centered * np.exp(1j * 0.45), rel=1e-12)
 
 
+@pytest.mark.parametrize("phi1, phi2", [(math.nan, 0.0), (0.0, math.inf), (-math.inf, 1.0)])
+def test_mode_pair_rejects_non_finite_phases(phi1, phi2):
+    with pytest.raises(ValueError):
+        ModePair(mode_along_x(TWO_PI), mode_along_x(TWO_PI), phi1, phi2)
+
+
 def test_overlap_integral_carries_source_phase_difference():
     pair = ModePair(mode_along_x(TWO_PI), mode_along_x(TWO_PI), phi1=0.25, phi2=1.0)
     value = overlap_integral(pair)
@@ -100,6 +107,22 @@ class TestOverlapQuadrature:
         coarse = abs(exact - overlap_integral_quadrature(pair, 50))
         fine = abs(exact - overlap_integral_quadrature(pair, 100))
         assert fine < coarse / 3.5
+
+    def test_sample_count_over_budget_is_refused_before_allocation(self):
+        pair = ModePair(mode_along_x(TWO_PI), mode_along_x(3.0 * math.pi))
+        tracemalloc.start()
+        try:
+            for n in (2 ** 25, 10 ** 12):
+                with pytest.raises(ValueError) as refused:
+                    overlap_integral_quadrature(pair, n)
+                assert str(refused.value) == (
+                    f"quadrature of {n} samples per axis needs {40 * n} bytes,"
+                    f" over the budget of {MEMORY_BUDGET_BYTES} bytes"
+                )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
     def test_rejects_degenerate_grid(self):
         pair = ModePair(mode_along_x(TWO_PI), mode_along_x(TWO_PI))
@@ -166,6 +189,14 @@ class TestOverlapRegimes:
                 assert abs(box_overlap(dk, box)) < 0.1
 
 
+def dense_expectation(state, matrix):
+    """Reference: <psi|M|psi> for a dense matrix M, with the imaginary
+    residue held to noise."""
+    value = complex(np.vdot(state.vector, matrix @ state.vector))
+    assert abs(value.imag) <= 1e-10 * max(float(np.linalg.norm(matrix)), 1e-300)
+    return value.real
+
+
 def dense_two_mode_parts(pair, space, hbar=1.0):
     """Reference operators: the self and cross blocks of the two-mode energy
     as dense matrices, the four exchange terms as literal ladder products."""
@@ -219,8 +250,8 @@ class TestTwoModeOperator:
             hbar = 0.5 + rng.uniform()
             diagonal_op, cross_op = dense_two_mode_parts(pair, space, hbar)
             report = multimode_energy(state, pair, hbar)
-            diagonal = expectation_energy(state, diagonal_op)
-            cross = expectation_energy(state, cross_op)
+            diagonal = dense_expectation(state, diagonal_op)
+            cross = dense_expectation(state, cross_op)
             assert abs(report.diagonal - diagonal) <= 1e-12 * abs(diagonal)
             assert abs(report.cross - cross) <= 1e-12 * abs(cross)
 
