@@ -18,17 +18,26 @@ Far-field power of point-source arrays is integrated over a detector
 surface: the default geometry is the forward hemisphere (array along x in
 the z=0 plane, cap around +z, theta measured from +z), with a 1-D arc in
 the x-z plane as the fast mode for sweeps over linear arrays. One engine,
-`farfield_powers`, evaluates a list of arrays on one detector, sharing the
-quadrature and the distance table across a sweep; `farfield_power`,
-`transmission_spectrum` and the far-field sweeps of `experiments` all go
-through it.
+`farfield_powers`, evaluates a list of arrays on one detector;
+`farfield_power`, `transmission_spectrum` and the far-field sweeps of
+`experiments` all go through it. It sums the brute-force field of every
+source at every detector point, with one rearrangement: a source at
+distance r = |p| + d from the point p contributes e^{i(k d + phi)} / r,
+since the row's common phase e^{ik|p|} drops out of |field|^2 exactly.
+The path differences d are small and exact to full precision, so real
+cos/sin of k d replace the complex exponential of k r. The table of d is
+shared across a sweep while the positions hold still, one cos/sin pass is
+shared by consecutive steps that change only the phases, and the
+origin-centered reference source, whose intensity 1/|p|^2 does not depend
+on k, is summed once per detector.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -45,6 +54,7 @@ from .core import (
     _check_budget,
     _readonly,
     _sinc,
+    _swept,
     phase_sum,
 )
 
@@ -62,13 +72,22 @@ _COMMENSURATE_TOL = 1e-9
 # table and the product are released, and need less)
 _GRID_COMPLEX_ARRAYS = 4
 
-# detector rows per block of the field sum; blocks bound the complex
-# temporaries, and the intensity is still summed over all rows at once
+# detector rows per block of the far-field sum
 _BLOCK_ROWS = 4096
 
-# float columns per detector point besides the distance table: the point
-# (3), its weight, its origin distance and its intensity
-_QUADRATURE_COLUMNS = 6
+# (block, N) float arrays one far-field block holds besides the path table:
+# cos(k d)/r, sin(k d)/r and 1/r (the table's build holds two)
+_BLOCK_ARRAYS = 3
+
+# float columns per detector point besides the path table: the quadrature
+# build's temporaries (the hemisphere holds its angle grids, sines and the
+# direction stack at once), then the points (3), weights, origin distances
+# and the reference source's weighted intensity
+_QUADRATURE_COLUMNS = 12
+
+# float columns per block row besides the block arrays: the matvec results
+# of the phase set in hand and of the one before it, still referenced
+_FIELD_COLUMNS = 6
 
 # bytes per step of a far-field sweep besides the sources: the step's
 # SourceArray object (~400 measured with tracemalloc) and the curve columns
@@ -319,34 +338,97 @@ def _detector_quadrature(detector: DetectorGrid) -> tuple[np.ndarray, np.ndarray
     return radius * directions, weights
 
 
-def _distances(points: np.ndarray, positions: np.ndarray) -> np.ndarray:
-    """Point-to-source distances (S, N), summed one coordinate at a time."""
-    squared = np.zeros((points.shape[0], positions.shape[0]))
-    for axis in range(3):
-        delta = points[:, axis:axis + 1] - positions[:, axis]
-        delta *= delta
-        squared += delta
-    return np.sqrt(squared, out=squared)
+def _path_differences(points: np.ndarray, norms: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """Path differences d = r - |p| (S, N) from each source x to each
+    detector point p, where r = |p - x|.
+
+    r is summed one coordinate at a time; d is then formed as
+    (|x|^2 - 2 p.x) / (r + |p|), the same quantity with no cancellation
+    between r and |p|, so d keeps full relative precision however far the
+    detector is. The table is filled a block of rows at a time, so the
+    build holds two block-sized temporaries besides the table.
+    """
+    table = np.empty((points.shape[0], positions.shape[0]))
+    squares = np.einsum("ij,ij->i", positions, positions)
+    distances, scratches = _block_buffers(table, 2)
+    for rows in _row_blocks(points.shape[0]):
+        block, near = points[rows], table[rows]
+        distance, scratch = distances[:len(block)], scratches[:len(block)]
+        distance.fill(0.0)
+        near.fill(0.0)
+        for axis in range(3):
+            np.subtract(block[:, axis:axis + 1], positions[:, axis], out=scratch)
+            scratch *= scratch
+            distance += scratch
+            np.multiply(block[:, axis:axis + 1], positions[:, axis], out=scratch)
+            near += scratch
+        np.sqrt(distance, out=distance)
+        distance += norms[rows, None]
+        near *= -2.0
+        near += squares
+        near /= distance
+    return table
 
 
-def _raw_power(
-    distances: np.ndarray, weights: np.ndarray, phases: np.ndarray, wavenumber: float
-) -> float:
-    intensity = np.empty(weights.size)
-    for start in range(0, weights.size, _BLOCK_ROWS):
-        block = distances[start:start + _BLOCK_ROWS]
-        field = (np.exp(1j * (wavenumber * block + phases)) / block).sum(axis=1)
-        intensity[start:start + _BLOCK_ROWS] = field.real ** 2 + field.imag ** 2
-    return float((intensity * weights).sum())
+def _row_blocks(count: int):
+    """Slices of ``count`` detector rows, _BLOCK_ROWS at a time."""
+    return (slice(start, start + _BLOCK_ROWS) for start in range(0, count, _BLOCK_ROWS))
+
+
+def _block_buffers(table: np.ndarray, count: int) -> list[np.ndarray]:
+    """``count`` uninitialised arrays the shape of one block of ``table``'s
+    rows, allocated once per table walk and sliced for a shorter last block."""
+    shape = (min(_BLOCK_ROWS, table.shape[0]), table.shape[1])
+    return [np.empty(shape) for _ in range(count)]
+
+
+def _run_powers(
+    table: np.ndarray, norms: np.ndarray, weights: np.ndarray, wavenumber: float, phase_sets
+) -> list[float]:
+    """Detected power of each phase set for the sources of ``table``.
+
+    The detector rows are walked once in blocks. A block's cos(k d)/r and
+    sin(k d)/r are shared by every phase set; each set then takes four
+    real matvecs with its cos(phi) and sin(phi), and sums its intensity
+    times the weights. A set's power is the same float whether it shares
+    the walk with other sets or not. The matvecs use einsum rather than
+    BLAS, so the bits do not depend on the BLAS kernel that the machine
+    selects, and each block's weighted intensity is summed pairwise.
+    """
+    phasors = [(np.cos(phases), np.sin(phases)) for phases in phase_sets]
+    powers = [0.0] * len(phasors)
+    cosines, sines, inverses = _block_buffers(table, 3)
+    for rows in _row_blocks(weights.size):
+        block = table[rows]
+        cosine, sine, inverse = cosines[:len(block)], sines[:len(block)], inverses[:len(block)]
+        np.add(block, norms[rows, None], out=inverse)
+        np.reciprocal(inverse, out=inverse)
+        np.multiply(block, wavenumber, out=cosine)
+        np.sin(cosine, out=sine)
+        np.cos(cosine, out=cosine)
+        cosine *= inverse
+        sine *= inverse
+        for j, (cos_phi, sin_phi) in enumerate(phasors):
+            real = np.einsum("ij,j->i", cosine, cos_phi)
+            real -= np.einsum("ij,j->i", sine, sin_phi)
+            imag = np.einsum("ij,j->i", cosine, sin_phi)
+            imag += np.einsum("ij,j->i", sine, cos_phi)
+            real *= real
+            imag *= imag
+            real += imag
+            real *= weights[rows]
+            powers[j] += float(real.sum())
+    return powers
 
 
 def _check_farfield_budget(detector: DetectorGrid, n_sources: int):
-    """Refuse a far-field request whose distance table, its build temporary,
-    quadrature columns and two complex row-block temporaries exceed the
-    budget."""
+    """Refuse a far-field request whose peak exceeds the budget: the path
+    table, the quadrature columns, and the larger of one block's build
+    temporaries and its cos, sin and 1/r arrays and field columns."""
     points = detector.samples if detector.geometry == "arc" else detector.samples ** 2
-    needed = 8 * points * (2 * n_sources + _QUADRATURE_COLUMNS)
-    needed += 2 * 16 * min(points, _BLOCK_ROWS) * n_sources
+    rows = min(points, _BLOCK_ROWS)
+    needed = 8 * points * (n_sources + _QUADRATURE_COLUMNS)
+    needed += 8 * rows * (_BLOCK_ARRAYS * n_sources + _FIELD_COLUMNS)
     _check_budget(needed, f"far-field request of {points} detector points x {n_sources} sources")
 
 
@@ -362,12 +444,22 @@ def farfield_powers(arrays, detector: DetectorGrid) -> tuple[np.ndarray, np.ndar
 
     Each source radiates e^{i(k r + phi_n)} / r; the coherent intensity is
     integrated over the detector. Enhancement divides by N times the power
-    of one origin-centered source on the same detector, so a single source
-    scores exactly 1 and a subwavelength uniform-phase array approaches N.
+    of one origin-centered source on the same detector, so a single
+    origin-centered source of phase 0 scores exactly 1 and a subwavelength
+    uniform-phase array approaches N.
 
-    The quadrature is built once; the distance table is rebuilt only when
-    an array's positions differ from the previous array's, and the
-    single-source reference only when the wavenumber does.
+    Every source's distance to a detector point p is r = |p| + d, and the
+    common phase e^{ik|p|} of a detector row drops out of the intensity
+    exactly, so the field is summed as e^{i(k d + phi_n)} / r from a table
+    of path differences d (see _path_differences). This rearranges the
+    brute-force sum; it is not a Fraunhofer approximation. The reference
+    source has |e^{ikr}/r|^2 = 1/|p|^2 at every wavenumber, so it is summed
+    once per detector, with the engine's blocks, and with no exponential.
+
+    The quadrature is built once, and the path table again only when an
+    array's positions differ from the previous array's. Consecutive arrays
+    with the same positions and wavenumber share one cos/sin pass over the
+    table.
 
     Raises FarFieldViolationError unless the detector radius is at least
     100x both the wavelength and the extent of every array, and ValueError
@@ -382,23 +474,26 @@ def farfield_powers(arrays, detector: DetectorGrid) -> tuple[np.ndarray, np.ndar
             )
     _check_farfield_budget(detector, max((array.n_sources for array in arrays), default=0))
     points, weights = _detector_quadrature(detector)
-    origin = _distances(points, np.zeros((1, 3)))
-    powers = np.empty(len(arrays))
-    enhancements = np.empty(len(arrays))
-    positions = table = None
-    wavenumber = single = None
-    for i, array in enumerate(arrays):
-        if positions is None or not np.array_equal(array.positions, positions):
-            positions = array.positions
+    norms = np.sqrt(np.einsum("ij,ij->i", points, points))
+    # the reference source's intensity 1/|p|^2, summed as the engine sums
+    # an origin-centered source, whose field is exactly 1/|p| (d = 0)
+    reference = 1.0 / norms
+    reference *= reference
+    reference *= weights
+    single = sum(float(reference[rows].sum()) for rows in _row_blocks(weights.size))
+    powers = []
+    table = table_positions = None
+    runs = itertools.groupby(arrays, lambda array: (array.wavenumber, array.positions.tobytes()))
+    for (wavenumber, positions), run in runs:
+        run = list(run)
+        if positions != table_positions:
             table = None  # release the old table before building the new one
-            table = _distances(points, positions)
-        if array.wavenumber != wavenumber:
-            wavenumber = array.wavenumber
-            single = _raw_power(origin, weights, np.zeros(1), wavenumber)
-        power = _raw_power(table, weights, array.phases, wavenumber)
-        powers[i] = power
-        enhancements[i] = power / (array.n_sources * single)
-    return powers, enhancements
+            table = _path_differences(points, norms, run[0].positions)
+            table_positions = positions
+        powers += _run_powers(table, norms, weights, wavenumber, [array.phases for array in run])
+    powers = np.array(powers, dtype=float)
+    counts = np.array([array.n_sources for array in arrays], dtype=float)
+    return powers, powers / (counts * single)
 
 
 def farfield_power(array: SourceArray, detector: DetectorGrid) -> tuple[float, float]:
@@ -423,7 +518,7 @@ def transmission_spectrum(
         raise ValueError("need at least 2 steps")
     _check_sweep_budget(steps, array.n_sources)
     values = np.linspace(lo, hi, steps)
-    swept = [replace(array, wavelength=float(wavelength)) for wavelength in values]
+    swept = [_swept(array, wavelength=float(wavelength)) for wavelength in values]
     powers, enhancements = farfield_powers(swept, detector)
     meta = {
         "kind": "transmission_spectrum",

@@ -9,6 +9,7 @@ CLI offers an output-only energy scale for converting to physical units.
 from __future__ import annotations
 
 import cmath
+import copy
 import math
 from dataclasses import dataclass, field
 
@@ -194,8 +195,8 @@ class SourceArray:
 
     ``spacing`` is the uniform gap for linear arrays (None for free-form
     layouts). ``wavelength`` is the shared emission wavelength. ``extent``
-    is the largest pairwise source distance (0 for a single source), read
-    off the distance rows that the distinctness check builds.
+    is the largest pairwise source distance (0 for a single source),
+    computed by the distinctness check.
     """
 
     positions: np.ndarray
@@ -212,18 +213,13 @@ class SourceArray:
             raise ValueError("need at least one source")
         if not np.all(np.isfinite(pos)):
             raise ValueError("positions must be finite")
-        ph = np.asarray(self.phases, dtype=float)
-        if ph.shape != (pos.shape[0],):
-            raise ValueError("phases must match the number of sources")
-        if not np.all(np.isfinite(ph)):
-            raise ValueError("phases must be finite")
-        if not (math.isfinite(self.wavelength) and self.wavelength > 0.0):
-            raise ValueError("wavelength must be positive and finite")
+        phases = _checked_phases(self.phases, pos.shape[0])
+        _check_wavelength(self.wavelength)
         if self.spacing is not None and not (math.isfinite(self.spacing) and self.spacing > 0.0):
             raise ValueError("spacing must be positive and finite")
         object.__setattr__(self, "extent", _checked_extent(pos))
         object.__setattr__(self, "positions", _readonly(pos))
-        object.__setattr__(self, "phases", _readonly(ph % TWO_PI))
+        object.__setattr__(self, "phases", phases)
 
     @property
     def n_sources(self) -> int:
@@ -234,10 +230,49 @@ class SourceArray:
         return TWO_PI / self.wavelength
 
 
+def _checked_phases(phases, n_sources: int) -> np.ndarray:
+    """The phases as a read-only float array reduced mod 2*pi; raises
+    ValueError unless there are ``n_sources`` of them, all finite."""
+    ph = np.asarray(phases, dtype=float)
+    if ph.shape != (n_sources,):
+        raise ValueError("phases must match the number of sources")
+    if not np.all(np.isfinite(ph)):
+        raise ValueError("phases must be finite")
+    return _readonly(ph % TWO_PI)
+
+
+def _check_wavelength(wavelength: float):
+    if not (math.isfinite(wavelength) and wavelength > 0.0):
+        raise ValueError("wavelength must be positive and finite")
+
+
+def _swept(array: SourceArray, wavelength: float | None = None, phases=None) -> SourceArray:
+    """``array`` with a new wavelength and/or new phases, equal to what
+    SourceArray would build from them. The positions and extent are
+    already validated and are reused, so a sweep step checks only the
+    values it changes."""
+    step = copy.copy(array)
+    if wavelength is not None:
+        _check_wavelength(wavelength)
+        object.__setattr__(step, "wavelength", wavelength)
+    if phases is not None:
+        object.__setattr__(step, "phases", _checked_phases(phases, array.n_sources))
+    return step
+
+
 def _checked_extent(pos: np.ndarray) -> float:
     """Largest pairwise distance of the (N, 3) positions; raises ValueError
-    unless they are distinct. Rows of the distance table are built a block
-    at a time, so memory is O(N) rather than O(N^2)."""
+    unless they are distinct.
+
+    Sources in ascending order on the x axis (every linear array) take an
+    O(N) path: the positive gaps prove them distinct, and the extent is the
+    end-to-end gap, bit-equal to the pairwise maximum because rounding is
+    monotone and sqrt(x*x) == |x|. Any other layout builds rows of the
+    distance table a block at a time, so memory is O(N) rather than O(N^2).
+    """
+    x = pos[:, 0]
+    if not pos[:, 1:].any() and np.all(x[1:] > x[:-1]):
+        return float(x[-1] - x[0])
     n = pos.shape[0]
     rows = max(1, _PAIR_BLOCK // n)
     extent = 0.0
@@ -334,8 +369,7 @@ def make_linear_array(
     _check_budget(40 * n_sources, f"linear array of {n_sources} sources")
     if not (math.isfinite(spacing) and spacing > 0.0):
         raise ValueError("spacing must be positive and finite")
-    if not (math.isfinite(wavelength) and wavelength > 0.0):
-        raise ValueError("wavelength must be positive and finite")
+    _check_wavelength(wavelength)
     offsets = (np.arange(n_sources) - (n_sources - 1) / 2.0) * spacing
     positions = np.zeros((n_sources, 3))
     positions[:, 0] = offsets

@@ -24,6 +24,7 @@ from .core import (
     WaveMode,
     _check_budget,
     _check_wave_budget,
+    _swept,
     make_linear_array,
 )
 from .classical import DetectorGrid, SpectrumCurve, _check_sweep_budget, farfield_powers
@@ -261,7 +262,11 @@ def _sweep_farfield(spec: SweepSpec, values: np.ndarray):
             profile = _ramp(n, float(value))
         else:
             profile = _sweep_phase_profile(fixed, n, stream)
-        arrays.append(make_linear_array(n, spacing, wavelength, profile))
+        if arrays and spec.parameter in ("wavelength", "phase_delta"):
+            # the positions hold still: reuse the first step's validated array
+            arrays.append(_swept(arrays[0], wavelength, profile))
+        else:
+            arrays.append(make_linear_array(n, spacing, wavelength, profile))
 
     # one detector serves the whole sweep: size it for the worst case
     radius = fixed.get("radius")

@@ -1,6 +1,7 @@
 import argparse
 import json
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -153,6 +154,20 @@ class TestExitCodes:
         )
         assert code == 1
         assert "budget" in err
+        assert out == ""
+
+    def test_million_source_spectrum_is_refused_within_seconds(self, capsys):
+        """Validating a linear array is O(N): the request reaches the sweep
+        budget at once instead of spending hours on pairwise distances."""
+        started = time.perf_counter()
+        code, out, err = run_cli(
+            capsys, "spectrum", "--n-sources", "1000000", "--spacing", "0.5",
+            "--wavelength-min", "1", "--wavelength-max", "2",
+        )
+        assert time.perf_counter() - started < 5.0
+        assert code == 1
+        assert "error: far-field sweep of 200 steps x 1000000 sources needs " in err
+        assert "over the budget of 1073741824 bytes" in err
         assert out == ""
 
     def test_hamiltonian_over_memory_budget_is_runtime_failure(self, capsys):

@@ -15,6 +15,7 @@ from coherray import (
     phase_sum,
     reduce_phase,
 )
+from coherray import core
 from coherray.core import MEMORY_BUDGET_BYTES
 from coherray.experiments import XorShift64Star
 
@@ -183,6 +184,37 @@ def test_source_array_extent_is_stored_once_and_not_compared():
     assert "extent" not in repr(arr)
     with pytest.raises(ValueError):
         replace(arr, extent=1.0)
+
+
+@pytest.mark.parametrize("n", (300, 1000))
+def test_linear_array_extent_is_bit_equal_to_the_pairwise_path(n):
+    """Sources in ascending order on the x axis take the O(N) extent; the
+    same sources in descending order take the pairwise blocks, and both
+    give the same float."""
+    arr = make_linear_array(n, 0.37, 1.0)
+    descending = SourceArray(arr.positions[::-1], arr.phases, 1.0)
+    assert arr.extent == descending.extent
+    diff = arr.positions[:, None, :] - arr.positions[None, :, :]
+    assert arr.extent == float(np.sqrt((diff ** 2).sum(axis=2)).max())
+
+
+def test_swept_array_equals_a_freshly_validated_one():
+    arr = make_linear_array(6, 0.4, 1.0, [0.5, 7.0, -1.0, 2.0, 3.0, 4.0])
+    phases = [9.0, -2.0, 0.1, 0.2, 0.3, 0.4]
+    step = core._swept(arr, wavelength=2.5, phases=phases)
+    fresh = SourceArray(arr.positions, phases, 2.5, arr.spacing)
+    for name in ("positions", "phases"):
+        assert np.array_equal(getattr(step, name), getattr(fresh, name))
+        assert not getattr(step, name).flags.writeable
+    assert (step.wavelength, step.spacing, step.extent) == (2.5, 0.4, fresh.extent)
+    assert core._swept(arr, wavelength=3.0).phases is arr.phases
+    assert arr.wavelength == 1.0
+    with pytest.raises(ValueError, match="wavelength"):
+        core._swept(arr, wavelength=math.inf)
+    with pytest.raises(ValueError, match="phases must be finite"):
+        core._swept(arr, phases=[math.nan] * 6)
+    with pytest.raises(ValueError, match="number of sources"):
+        core._swept(arr, phases=[0.0] * 5)
 
 
 def test_make_linear_array_centers_on_origin():
