@@ -18,7 +18,6 @@ from .core import (
     FarFieldViolationError,
     MissingSettingError,
     PhasedWaveSet,
-    SingularityError,
     SourceArray,
     WaveMode,
     make_linear_array,
@@ -38,7 +37,6 @@ from .classical import (
     transmission_spectrum,
 )
 from .quantum import (
-    CommutatorConvention,
     FockSpace,
     QuantumState,
     biphoton_energy,
@@ -67,7 +65,6 @@ from .experiments import (
 
 __all__ = [
     "BoxVolume",
-    "CommutatorConvention",
     "ConfigError",
     "DetectorGrid",
     "EnergyReport",
@@ -78,7 +75,6 @@ __all__ = [
     "PhasedWaveSet",
     "QuantumState",
     "ScalingFit",
-    "SingularityError",
     "SourceArray",
     "SpectrumCurve",
     "SweepSpec",

@@ -5,8 +5,8 @@ Two independent routes to the same physics live here. The closed form
 for N phase-shifted copies of one mode the total energy is E1*|S|^2 with
 S the coherent phase sum, so it ranges from 0 (destructive) to N^2*E1
 (constructive). The brute-force route (`field_energy_grid`) integrates
-the energy density (E^2 + H^2)/8pi on a grid, with E = -(1/c) dA/dt and
-H = curl A evaluated pointwise; over a box commensurate with the
+the energy density (E^2 + H^2)/8pi on a grid, with E = -dA/dt (c = 1)
+and H = curl A evaluated pointwise; over a box commensurate with the
 wavelength the two agree to quadrature accuracy. It never forms the phase
 sum: each wave's field is laid onto the grid and summed there. Because
 e^{ik.r} = e^{ik_x x} e^{ik_y y} e^{ik_z z} on the midpoint grid, the
@@ -48,7 +48,6 @@ from .core import (
     BoxVolume,
     FarFieldViolationError,
     PhasedWaveSet,
-    SingularityError,
     SourceArray,
     WaveMode,
     _check_budget,
@@ -57,9 +56,6 @@ from .core import (
     _swept,
     phase_sum,
 )
-
-# sources closer than this fraction of a wavelength are treated as singular
-EXCLUSION_FRACTION = 0.1
 
 # far-field validity: detector radius must exceed this multiple of both the
 # wavelength and the array extent
@@ -90,8 +86,20 @@ _QUADRATURE_COLUMNS = 12
 _FIELD_COLUMNS = 6
 
 # bytes per step of a far-field sweep besides the sources: the step's
-# SourceArray object (~400 measured with tracemalloc) and the curve columns
+# SourceArray object and curve entries (~250 measured with tracemalloc)
 _SWEEP_STEP_BYTES = 512
+
+# bytes per source that a far-field sweep step holds or makes, by kind: the
+# engine makes each step the cos and sin of its phases (16; phase_delta
+# steps hold them together, other steps free them after their pass);
+# spectrum steps share their array's positions and phases, wavelength and
+# phase_delta steps hold new phases (8), and spacing and source_count steps
+# build new positions and phases (32)
+_SWEEP_SOURCE_BYTES = dict(spectrum=16, wavelength=24, phase_delta=24, spacing=48, source_count=48)
+
+# bytes per source of building one step: the array under construction and
+# its temporaries (at most ~50 measured)
+_SWEEP_BUILD_BYTES = 64
 
 
 @dataclass(frozen=True)
@@ -102,16 +110,13 @@ class DetectorGrid:
     solid-angle weighted, ``samples`` points per angular axis.
     geometry "arc": ``samples`` points on a circle arc in the x-z plane,
     line-measure weighted (a fast 1-D proxy whose absolute scale only
-    matters through enhancement ratios).
-
-    ``angular_extent`` is the polar range (hemisphere, default pi/2) or the
-    full arc opening (arc, default pi).
+    matters through enhancement ratios). The hemisphere spans polar angles
+    0..pi/2; the arc opens pi, from -pi/2 to pi/2 about +z.
     """
 
     radius: float
     geometry: str = "hemisphere"
     samples: int = 256
-    angular_extent: float | None = None
 
     def __post_init__(self):
         if self.geometry not in ("hemisphere", "arc"):
@@ -125,12 +130,6 @@ class DetectorGrid:
         object.__setattr__(self, "samples", samples)
         if samples < 64:
             raise ValueError("need at least 64 samples per angular axis")
-        extent = self.angular_extent
-        if extent is None:
-            extent = math.pi / 2 if self.geometry == "hemisphere" else math.pi
-            object.__setattr__(self, "angular_extent", extent)
-        if not 0.0 < extent <= math.pi:
-            raise ValueError("angular_extent must lie in (0, pi]")
 
 
 @dataclass(frozen=True)
@@ -171,12 +170,11 @@ class GridEnergy(NamedTuple):
 def single_wave_energy(mode: WaveMode, volume: BoxVolume | None = None) -> float:
     """Energy E1 of one wave of this mode in the given volume (default 1).
 
-    E1 = V * omega^2 * |a|^2 / (2 pi c^2); it is the unit in which array
-    energies are reported as enhancements.
+    E1 = V * omega^2 * |a|^2 / (2 pi) (c = 1); it is the unit in which
+    array energies are reported as enhancements.
     """
     vol = volume.volume if volume is not None else 1.0
-    c = mode.light_speed
-    return vol * mode.omega ** 2 * abs(mode.amplitude) ** 2 / (TWO_PI * c ** 2)
+    return vol * mode.omega ** 2 * abs(mode.amplitude) ** 2 / TWO_PI
 
 
 def canonical_coordinates(
@@ -184,13 +182,13 @@ def canonical_coordinates(
 ) -> tuple[float, float]:
     """Canonical pair (Q, P) of one phased wave at a point.
 
-    Q = sqrt(V/4 pi c^2) (a e^{i(k.r+phi)} + c.c.) and
-    P = -i omega sqrt(V/4 pi c^2) (a e^{i(k.r+phi)} - c.c.); both are real,
-    and (P^2 + omega^2 Q^2)/2 reproduces E1 independent of position.
+    Q = sqrt(V/4 pi) (a e^{i(k.r+phi)} + c.c.) and
+    P = -i omega sqrt(V/4 pi) (a e^{i(k.r+phi)} - c.c.) (c = 1); both are
+    real, and (P^2 + omega^2 Q^2)/2 reproduces E1 independent of position.
     """
     pos = np.asarray(position, dtype=float)
     vol = volume.volume if volume is not None else 1.0
-    prefactor = math.sqrt(vol / (4.0 * math.pi * mode.light_speed ** 2))
+    prefactor = math.sqrt(vol / (4.0 * math.pi))
     rotated = mode.amplitude * np.exp(1j * (float(np.dot(mode.wavevector, pos)) + phase))
     q = 2.0 * prefactor * rotated.real
     p = 2.0 * mode.omega * prefactor * rotated.imag
@@ -274,13 +272,12 @@ def field_energy_grid(
     fx, fy, fz = (np.exp(1j * k[i] * axes[i]) for i in range(3))
     plane = (fx[:, None] * fy)[:, :, None] * fz
 
-    c = mode.light_speed
     efield = np.zeros(res, dtype=complex)
     hfield = np.zeros(res, dtype=complex)
     product = np.empty(res, dtype=complex)
     for phi in waves.phases:
         analytic = mode.amplitude * np.exp(1j * phi)
-        efield += np.multiply(plane, (1j * mode.omega / c) * analytic, out=product)
+        efield += np.multiply(plane, (1j * mode.omega) * analytic, out=product)
         hfield += np.multiply(plane, 1j * analytic, out=product)
     del plane, product
     # E along the polarization; H along k x pol with |k x pol| = |k|; the
@@ -293,38 +290,19 @@ def field_energy_grid(
     return GridEnergy(energy, commensurate)
 
 
-def spherical_field_amplitude(source, phase: float, observation, wavenumber: float) -> complex:
-    """Outgoing spherical-wave amplitude e^{i(k r + phi)} / r.
-
-    Raises SingularityError when the observation point is closer to the
-    source than one tenth of a wavelength.
-    """
-    if wavenumber <= 0.0:
-        raise ValueError("wavenumber must be positive")
-    src = np.asarray(source, dtype=float)
-    obs = np.asarray(observation, dtype=float)
-    distance = float(np.linalg.norm(obs - src))
-    exclusion = EXCLUSION_FRACTION * (TWO_PI / wavenumber)
-    if distance < exclusion:
-        raise SingularityError(
-            f"observation at distance {distance} is inside the exclusion radius {exclusion}"
-        )
-    return complex(np.exp(1j * (wavenumber * distance + phase)) / distance)
-
-
 def _detector_quadrature(detector: DetectorGrid) -> tuple[np.ndarray, np.ndarray]:
     """Midpoint sample points (S, 3) and integration weights (S,)."""
     n = detector.samples
     radius = detector.radius
     if detector.geometry == "arc":
-        step = detector.angular_extent / n
-        theta = -detector.angular_extent / 2.0 + (np.arange(n) + 0.5) * step
+        step = math.pi / n
+        theta = -math.pi / 2.0 + (np.arange(n) + 0.5) * step
         directions = np.stack(
             [np.sin(theta), np.zeros_like(theta), np.cos(theta)], axis=1
         )
         weights = np.full(n, radius * step)
         return radius * directions, weights
-    theta_step = detector.angular_extent / n
+    theta_step = (math.pi / 2) / n
     phi_step = TWO_PI / n
     theta = (np.arange(n) + 0.5) * theta_step
     phi = (np.arange(n) + 0.5) * phi_step
@@ -432,10 +410,11 @@ def _check_farfield_budget(detector: DetectorGrid, n_sources: int):
     _check_budget(needed, f"far-field request of {points} detector points x {n_sources} sources")
 
 
-def _check_sweep_budget(steps: int, n_sources: int):
-    """Refuse a far-field sweep whose per-step arrays, each holding positions
-    and phases of up to ``n_sources`` sources, exceed the budget."""
-    needed = steps * (_SWEEP_STEP_BYTES + 32 * n_sources)
+def _check_sweep_budget(steps: int, n_sources: int, kind: str):
+    """Refuse a far-field sweep of ``kind`` (a _SWEEP_SOURCE_BYTES key) whose
+    steps of up to ``n_sources`` sources exceed the budget."""
+    per_step = _SWEEP_STEP_BYTES + _SWEEP_SOURCE_BYTES[kind] * n_sources
+    needed = steps * per_step + _SWEEP_BUILD_BYTES * n_sources
     _check_budget(needed, f"far-field sweep of {steps} steps x {n_sources} sources")
 
 
@@ -516,7 +495,7 @@ def transmission_spectrum(
         raise ValueError("wavelength range must satisfy 0 < lo < hi, both finite")
     if steps < 2:
         raise ValueError("need at least 2 steps")
-    _check_sweep_budget(steps, array.n_sources)
+    _check_sweep_budget(steps, array.n_sources, "spectrum")
     values = np.linspace(lo, hi, steps)
     swept = [_swept(array, wavelength=float(wavelength)) for wavelength in values]
     powers, enhancements = farfield_powers(swept, detector)

@@ -13,7 +13,7 @@ keys are rejected.
 
 Exit codes: 0 success; 1 runtime failure (far-field violation, bad
 physics input, unwritable output); 2 usage or unknown subcommand;
-3 type mismatch or invalid value; 4 missing required key; 5 unknown key.
+3 type mismatch or invalid value; 4 missing required key; 5 unknown flag or key.
 """
 
 from __future__ import annotations
@@ -274,24 +274,15 @@ class RunConfig:
         object.__setattr__(self, "parameters", dict(self.parameters))
 
 
-class _ClassifyingParser(argparse.ArgumentParser):
-    """argparse that reports failures as typed errors instead of exiting."""
+class _RaisingParser(argparse.ArgumentParser):
+    """argparse that raises every usage failure as exit code 2 instead of
+    exiting; no flag has argparse choices or is argparse-required."""
 
     def error(self, message):
-        raise _CliError(_classify_usage_error(message), message)
+        raise _CliError(2, message)
 
 
-def _classify_usage_error(message: str) -> int:
-    if "invalid choice" in message:
-        return 2 if "argument command" in message else 3
-    if "unrecognized arguments" in message:
-        return 5
-    if "required" in message:
-        return 2 if "command" in message else 4
-    return 2
-
-
-def _build_parser(argv) -> _ClassifyingParser:
+def _build_parser(argv) -> _RaisingParser:
     """Parser for ``argv``: the named subcommand's subparser only, else all eight.
 
     A run parses with exactly one subparser, so building the other seven
@@ -299,12 +290,12 @@ def _build_parser(argv) -> _ClassifyingParser:
     first need the full parser, whose usage and choice list are unchanged.
     """
     names = [argv[0]] if argv and argv[0] in _SUBCOMMAND_FIELDS else _SUBCOMMAND_FIELDS
-    shared = _ClassifyingParser(add_help=False)
+    shared = _RaisingParser(add_help=False)
     for field_spec in _GLOBAL_FIELDS:
         shared.add_argument(f"--{field_spec.name}", default=None, help=field_spec.help)
     shared.add_argument("--config", default=None, help="config file path")
 
-    parser = _ClassifyingParser(
+    parser = _RaisingParser(
         prog="coherray",
         description="Collective energy of N phase-coherent waves",
         epilog=(
@@ -387,7 +378,9 @@ def parse_config(argv, config_path: str | None = None) -> RunConfig:
     Raises _CliError with the documented exit code on any failure.
     """
     argv = list(argv)
-    namespace = _build_parser(argv).parse_args(argv)
+    namespace, unknown = _build_parser(argv).parse_known_args(argv)
+    if unknown:
+        raise _CliError(5, f"unrecognized arguments: {' '.join(unknown)}")
     flag_values = vars(namespace)
     subcommand = flag_values.pop("command")
 
@@ -455,9 +448,7 @@ def _report_table(report: EnergyReport, meta: dict) -> ResultTable:
 
 def _curve_table(curve: SpectrumCurve) -> ResultTable:
     meta = dict(curve.metadata)
-    name = meta.get("parameter")
-    if not isinstance(name, str):
-        name = "wavelength" if meta.get("kind") == "transmission_spectrum" else "parameter"
+    name = meta.get("parameter", "wavelength")
     rows = tuple(
         (float(p), float(pw), float(e))
         for p, pw, e in zip(curve.parameter, curve.power, curve.enhancement)
@@ -496,12 +487,7 @@ def _run_quantum(config: RunConfig) -> ResultTable:
     occupation = params["n"]
     if not 0 <= occupation <= config.n_max:
         raise ConfigError(f"occupation n = {occupation} outside 0..n-max = {config.n_max}")
-    conventions = {
-        "canonical": quantum.CommutatorConvention.canonical(),
-        "phased-plus": quantum.CommutatorConvention.phased(1),
-        "phased-minus": quantum.CommutatorConvention.phased(-1),
-    }
-    convention = conventions[params["convention"]]
+    convention = params["convention"]
     space = quantum.FockSpace(n_max=config.n_max)
     state = quantum.QuantumState.fock(space, occupation)
     full = quantum.single_mode_hamiltonian(phases, params["omega"], space, convention)
@@ -520,7 +506,7 @@ def _run_quantum(config: RunConfig) -> ResultTable:
         "kind": "quantum_energy",
         "n_waves": params["n_waves"],
         "n": occupation,
-        "convention": params["convention"],
+        "convention": convention,
     }
     return ResultTable(("quantity", "value"), rows, meta, scaled_rows=_ENERGY_QUANTITIES)
 

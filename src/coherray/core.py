@@ -1,9 +1,9 @@
 """Shared value types and the phase-sum kernel.
 
 Everything in this module is an immutable value object; instances can be
-shared freely across threads or worker processes. Natural units are used
-throughout (c = 1 by default, and hbar = 1 in the quantum modules); the
-CLI offers an output-only energy scale for converting to physical units.
+shared freely across threads or worker processes. Natural units are fixed:
+c = 1 throughout and hbar = 1 in the quantum modules. The CLI's output-only
+energy scale is the one conversion to physical units.
 """
 
 from __future__ import annotations
@@ -31,10 +31,6 @@ _WAVE_BYTES = 80
 # source pairs per block of SourceArray's distinctness check and extent:
 # 32 bytes of temporaries per pair, so ~2 MB per block
 _PAIR_BLOCK = 1 << 16
-
-
-class SingularityError(ValueError):
-    """An observation point fell inside a source's exclusion radius."""
 
 
 class FarFieldViolationError(ValueError):
@@ -92,64 +88,49 @@ def reduce_phase(phi: float) -> float:
 
 @dataclass(frozen=True)
 class WaveMode:
-    """A single plane or spherical wave mode.
+    """A single plane-wave mode.
 
     Parameters
     ----------
     wavevector : array_like, shape (3,)
         Propagation vector k.
     omega : float
-        Angular frequency; must equal ``light_speed * |k|``.
+        Angular frequency; must equal ``|k|`` (c = 1).
     amplitude : complex
         Complex amplitude of the analytic-signal part of the vector
         potential.
     polarization : array_like, shape (3,)
         Real unit vector orthogonal to ``wavevector``.
-    kind : {"plane", "spherical"}
-        Spatial profile of the wave.
-    light_speed : float
-        Wave speed c; defaults to 1 (natural units).
     """
 
     wavevector: np.ndarray
     omega: float
     amplitude: complex
     polarization: np.ndarray
-    kind: str = "plane"
-    light_speed: float = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "wavevector", _vec3(self.wavevector, "wavevector"))
         object.__setattr__(self, "polarization", _vec3(self.polarization, "polarization"))
         object.__setattr__(self, "amplitude", complex(self.amplitude))
-        if self.kind not in ("plane", "spherical"):
-            raise ValueError(f"kind must be 'plane' or 'spherical', got {self.kind!r}")
         if not cmath.isfinite(self.amplitude):
             raise ValueError("amplitude must be finite")
-        if not (math.isfinite(self.light_speed) and self.light_speed > 0.0):
-            raise ValueError("light_speed must be positive and finite")
         if not (math.isfinite(self.omega) and self.omega > 0.0):
             raise ValueError("omega must be positive and finite")
         k_norm = float(np.linalg.norm(self.wavevector))
         if k_norm <= 0.0:
             raise ValueError("wavevector must be nonzero")
-        if abs(self.omega - self.light_speed * k_norm) > _VEC_TOL * self.omega:
-            raise ValueError(
-                f"omega={self.omega} inconsistent with light_speed*|k|={self.light_speed * k_norm}"
-            )
+        if abs(self.omega - k_norm) > _VEC_TOL * self.omega:
+            raise ValueError(f"omega={self.omega} inconsistent with |k|={k_norm}")
         if abs(float(np.dot(self.polarization, self.wavevector))) > _VEC_TOL * k_norm:
             raise ValueError("polarization must be orthogonal to wavevector")
         if abs(float(np.linalg.norm(self.polarization)) - 1.0) > _VEC_TOL:
             raise ValueError("polarization must be a unit vector")
 
     @classmethod
-    def plane(cls, wavevector, amplitude=1.0, polarization=None, light_speed=1.0) -> "WaveMode":
-        """Build a plane mode, deriving omega and (optionally) a polarization."""
+    def plane(cls, wavevector, amplitude=1.0) -> "WaveMode":
+        """Build a plane mode, deriving omega and a transverse polarization."""
         k = _vec3(wavevector, "wavevector")
-        if polarization is None:
-            polarization = _default_polarization(k)
-        omega = light_speed * float(np.linalg.norm(k))
-        return cls(k, omega, amplitude, polarization, "plane", light_speed)
+        return cls(k, float(np.linalg.norm(k)), amplitude, _default_polarization(k))
 
     @property
     def wavenumber(self) -> float:

@@ -251,7 +251,7 @@ def _sweep_farfield(spec: SweepSpec, values: np.ndarray):
     _require(fixed, needed, spec.target)
     # values ascend, so a source-count sweep's last array is its largest
     largest = int(fixed["n_sources"]) if "n_sources" in needed else int(round(values[-1]))
-    _check_sweep_budget(values.size, largest)
+    _check_sweep_budget(values.size, largest, spec.parameter)
 
     arrays = []
     for value in values:

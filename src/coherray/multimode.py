@@ -10,6 +10,7 @@ with dk = k2 - k1 and sinc(x) = sin(x)/x. |I| <= 1, the same-mode limit
 gives |I| = 1, and large dk . L products drive I to zero, which is why
 widely separated modes contribute no interference energy. The two-mode
 energy is read off the state's amplitude table, never a dense operator.
+Units are natural: c = hbar = 1.
 """
 
 from __future__ import annotations
@@ -163,18 +164,18 @@ def classify_overlap(delta_k, box: BoxVolume) -> str:
     return "small_volume"
 
 
-def multimode_energy(state: QuantumState, pair: ModePair, hbar: float = 1.0) -> EnergyReport:
+def multimode_energy(state: QuantumState, pair: ModePair) -> EnergyReport:
     """Expectation of the two-mode energy, split into self and cross parts.
 
-    H = hbar w1 (N1 + 1/2) + hbar w2 (N2 + 1/2) + hbar sqrt(w1 w2) (a1+ a2 I + h.c.)
+    H = w1 (N1 + 1/2) + w2 (N2 + 1/2) + sqrt(w1 w2) (a1+ a2 I + h.c.)
 
     with I = overlap_integral(pair); the four symmetrized exchange terms
     collapse to one pair because the modes commute. Both parts are read
     off the amplitude table psi[n1, n2] in O(d): the self part from the
-    occupation marginals, the cross part as 2 hbar sqrt(w1 w2) Re(I <a1+ a2>)
+    occupation marginals, the cross part as 2 sqrt(w1 w2) Re(I <a1+ a2>)
     with <a1+ a2> = sum conj(psi[i+1, j]) sqrt((i+1)(j+1)) psi[i, j+1].
     Product number states carry no cross energy; coherent states pick up
-    2 hbar sqrt(w1 w2) Re(conj(a1) a2 I).
+    2 sqrt(w1 w2) Re(conj(a1) a2 I).
     """
     space = state.space
     if space.mode_count != 2:
@@ -184,33 +185,30 @@ def multimode_energy(state: QuantumState, pair: ModePair, hbar: float = 1.0) -> 
     shifted = np.arange(space.levels) + 0.5
     omega1, omega2 = pair.mode1.omega, pair.mode2.omega
     marginal1, marginal2 = occupation.sum(axis=1), occupation.sum(axis=0)
-    diagonal = hbar * float(omega1 * marginal1 @ shifted + omega2 * marginal2 @ shifted)
+    diagonal = float(omega1 * marginal1 @ shifted + omega2 * marginal2 @ shifted)
     root = np.sqrt(np.arange(1.0, space.levels))
     exchange = complex(np.vdot(psi[1:, :-1], np.outer(root, root) * psi[:-1, 1:]))
-    cross = 2.0 * hbar * math.sqrt(omega1 * omega2) * (overlap_integral(pair) * exchange).real
+    cross = 2.0 * math.sqrt(omega1 * omega2) * (overlap_integral(pair) * exchange).real
     return EnergyReport.from_parts(diagonal, cross)
 
 
-def wavepacket_energy(spectrum: WavepacketSpectrum, light_speed: float = 1.0) -> EnergyReport:
+def wavepacket_energy(spectrum: WavepacketSpectrum) -> EnergyReport:
     """Classical energy of a collinear multi-frequency wavepacket in a box.
 
-    Self terms add the single-wave energies V w_n^2 |a_n|^2 / (2 pi c^2).
-    Each component pair (n, m) exchanges energy weighted by the overlap at
-    dk = (k_n - k_m) * direction and the geometric-mean frequency:
+    Self terms add the single-wave energies V w_n^2 |a_n|^2 / (2 pi), with
+    w_n = k_n. Each component pair (n, m) exchanges energy weighted by the
+    overlap at dk = (k_n - k_m) * direction and the geometric-mean frequency:
 
-        2 (V / 2 pi c^2) w_n w_m Re(a_n conj(a_m) e^{i(phi_n-phi_m)} I_nm)
+        2 (V / 2 pi) w_n w_m Re(a_n conj(a_m) e^{i(phi_n-phi_m)} I_nm)
 
     Because the overlap matrix is a Gram matrix the total is never
     negative, for any amplitudes and phases.
     """
-    if light_speed <= 0.0:
-        raise ValueError("light_speed must be positive")
     box = spectrum.box
-    vol = box.volume
-    scale = vol / (TWO_PI * light_speed ** 2)
+    scale = box.volume / TWO_PI
 
     parts = spectrum.components
-    omegas = np.array([light_speed * k for k, _, _ in parts])
+    omegas = np.array([k for k, _, _ in parts])
     amplitudes = np.array([a for _, a, _ in parts], dtype=complex)
     phases = np.array([p for _, _, p in parts])
 

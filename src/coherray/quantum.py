@@ -3,17 +3,18 @@
 The N waves share one field mode; their interference enters the
 Hamiltonian through cross terms carrying e^{i(phi_n - phi_m)} factors.
 Every term is a multiple of N_hat or of 1, so the operator is kept as its
-diagonal, hbar*omega*|S|^2*(n + 1/2) on |n>, and an expectation costs
+diagonal, omega*|S|^2*(n + 1/2) on |n> (hbar = 1), and an expectation costs
 O(d): the quantum enhancement reproduces the classical |S|^2/N ratio
 exactly for every occupation, and opposite phases annihilate the energy
 operator including its vacuum part. The state vector is the only array
 that grows with the request; FockSpace checks it against the budget.
 
-Normal ordering of the cross terms admits two bookkeeping conventions:
-the canonical one keeps the (N_hat + 1) form, while the "phased" one
-folds the phase factor into the commutator so each cross term's vacuum
-piece becomes the real value +-hbar*omega/2. The two Hamiltonians differ
-by a multiple of the identity only.
+Normal ordering of the cross terms admits three bookkeeping conventions,
+chosen by name: "canonical" keeps the (N_hat + 1) form, while
+"phased-plus" and "phased-minus" fold the phase factor into the
+commutator so each cross term's vacuum piece becomes the real value
++omega/2 or -omega/2. The Hamiltonians differ by a multiple of the
+identity only.
 """
 
 from __future__ import annotations
@@ -29,6 +30,9 @@ from .core import _check_budget
 COHERENT_TAIL_LIMIT = 1e-8
 
 _RESIDUE_TOL = 1e-10
+
+# vacuum constant of each phased cross term, in units of omega
+_PHASED_SIGNS = {"phased-plus": 1, "phased-minus": -1}
 
 
 @dataclass(frozen=True)
@@ -79,34 +83,6 @@ class ModeOperators:
 
 
 @dataclass(frozen=True)
-class CommutatorConvention:
-    """Normal-ordering bookkeeping for the interference cross terms.
-
-    kind "canonical": a a^dag -> N_hat + 1, leaving the cross term's
-    vacuum piece with its phase factor. kind "phased": the commutator
-    absorbs the phase factor, making each cross vacuum piece the real
-    constant sign * hbar*omega/2.
-    """
-
-    kind: str = "canonical"
-    sign: int = 1
-
-    def __post_init__(self):
-        if self.kind not in ("canonical", "phased"):
-            raise ValueError(f"kind must be 'canonical' or 'phased', got {self.kind!r}")
-        if self.sign not in (-1, 1):
-            raise ValueError("sign must be +1 or -1")
-
-    @classmethod
-    def canonical(cls) -> "CommutatorConvention":
-        return cls("canonical", 1)
-
-    @classmethod
-    def phased(cls, sign: int = 1) -> "CommutatorConvention":
-        return cls("phased", sign)
-
-
-@dataclass(frozen=True)
 class QuantumState:
     """Normalized state vector over a FockSpace.
 
@@ -117,7 +93,6 @@ class QuantumState:
     space: FockSpace
     vector: np.ndarray
     tail_mass: float = 0.0
-    label: str = "custom"
 
     def __post_init__(self):
         vec = np.asarray(self.vector, dtype=complex)
@@ -137,7 +112,7 @@ class QuantumState:
         """Product number state |n_0, n_1, ...>."""
         vec = np.zeros(space.dimension, dtype=complex)
         vec[space.basis_index(occupations)] = 1.0
-        return cls(space, vec, 0.0, "fock")
+        return cls(space, vec)
 
     @classmethod
     def coherent(cls, space: FockSpace, alphas) -> "QuantumState":
@@ -164,7 +139,7 @@ class QuantumState:
                 " raise n_max or shrink |alpha|"
             )
         vec = vec / np.linalg.norm(vec)
-        return cls(space, vec, tail, "coherent")
+        return cls(space, vec, tail)
 
     @classmethod
     def superposition(cls, space: FockSpace, terms) -> "QuantumState":
@@ -182,7 +157,7 @@ class QuantumState:
         norm = float(np.linalg.norm(vec))
         if norm <= 0.0:
             raise ValueError("superposition terms cancel to the zero vector")
-        return cls(space, vec / norm, 0.0, "superposition")
+        return cls(space, vec / norm)
 
 
 def _coherent_column(alpha: complex, n_max: int) -> np.ndarray:
@@ -230,21 +205,21 @@ def single_mode_hamiltonian(
     phases,
     omega: float,
     space: FockSpace,
-    convention: CommutatorConvention | None = None,
+    convention: str = "canonical",
     include_cross: bool = True,
-    hbar: float = 1.0,
 ) -> np.ndarray:
     """Diagonal of the energy operator of N phase-shifted waves sharing one mode.
 
-    The self part contributes N * hbar*omega*(N_hat + 1/2); each unordered
-    wave pair (n, m) adds the cross term
+    The self part contributes N * omega*(N_hat + 1/2) (hbar = 1); each
+    unordered wave pair (n, m) adds the cross term
 
-        canonical: hbar*omega * (2 N_hat + 1) * cos(phi_n - phi_m)
-        phased:    hbar*omega * (2 N_hat * cos(phi_n - phi_m) + sign)
+        "canonical":                   omega * (2 N_hat + 1) * cos(phi_n - phi_m)
+        "phased-plus", "phased-minus": omega * (2 N_hat * cos(phi_n - phi_m) +- 1)
 
-    With ``include_cross`` False only the self part is returned (the
-    uncorrelated-wave reference). The operator is number-diagonal and is
-    returned as its diagonal: float64, shape (space.levels,), entry n <n|H|n>.
+    Any other ``convention`` raises ValueError. With ``include_cross``
+    False only the self part is returned (the uncorrelated-wave
+    reference). The operator is number-diagonal and is returned as its
+    diagonal: float64, shape (space.levels,), entry n <n|H|n>.
     """
     if space.mode_count != 1:
         raise ValueError("single_mode_hamiltonian needs a one-mode space")
@@ -253,20 +228,21 @@ def single_mode_hamiltonian(
     phases = np.asarray(list(phases), dtype=float)
     if phases.size == 0 or not np.all(np.isfinite(phases)):
         raise ValueError("phase list must be nonempty and finite")
-    if convention is None:
-        convention = CommutatorConvention.canonical()
+    sign = _PHASED_SIGNS.get(convention)
+    if sign is None and convention != "canonical":
+        raise ValueError(f"convention {convention!r} is not canonical, phased-plus or phased-minus")
 
     n_waves = phases.size
     number = np.arange(space.levels, dtype=float)
-    diagonal = n_waves * hbar * omega * (number + 0.5)
+    diagonal = n_waves * omega * (number + 0.5)
     if include_cross:
         for i in range(n_waves):
             for j in range(i + 1, n_waves):
                 cos_delta = math.cos(phases[i] - phases[j])
-                if convention.kind == "canonical":
-                    diagonal = diagonal + hbar * omega * cos_delta * (2.0 * number + 1.0)
+                if sign is None:
+                    diagonal = diagonal + omega * cos_delta * (2.0 * number + 1.0)
                 else:
-                    diagonal = diagonal + hbar * omega * (2.0 * cos_delta * number + convention.sign)
+                    diagonal = diagonal + omega * (2.0 * cos_delta * number + sign)
     return diagonal
 
 
@@ -287,12 +263,12 @@ def expectation_energy(state: QuantumState, diagonal: np.ndarray) -> float:
     return value.real
 
 
-def biphoton_energy(delta_phi: float, overlap: complex, omega: float, hbar: float = 1.0) -> float:
+def biphoton_energy(delta_phi: float, overlap: complex, omega: float) -> float:
     """Photon energy of a phase-correlated photon pair from two sources.
 
-    energy = 2 hbar omega (1 + Re(I e^{i delta_phi})) with I the mode
-    overlap: 4 hbar omega at full overlap in phase, 0 at full overlap in
-    antiphase, and 2 hbar omega (two independent photons) at I = 0. The
+    energy = 2 omega (1 + Re(I e^{i delta_phi})) (hbar = 1) with I the mode
+    overlap: 4 omega at full overlap in phase, 0 at full overlap in
+    antiphase, and 2 omega (two independent photons) at I = 0. The
     vacuum contribution is excluded; it is half the returned value.
     """
     overlap = complex(overlap)
@@ -302,4 +278,4 @@ def biphoton_energy(delta_phi: float, overlap: complex, omega: float, hbar: floa
         raise ValueError("omega must be positive and finite")
     if not math.isfinite(delta_phi):
         raise ValueError("delta_phi must be finite")
-    return 2.0 * hbar * omega * (1.0 + (overlap * np.exp(1j * delta_phi)).real)
+    return 2.0 * omega * (1.0 + (overlap * np.exp(1j * delta_phi)).real)

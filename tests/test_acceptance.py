@@ -12,7 +12,6 @@ import numpy as np
 
 from coherray import (
     BoxVolume,
-    CommutatorConvention,
     DetectorGrid,
     FockSpace,
     ModePair,
@@ -73,8 +72,8 @@ def test_03_biphoton_energy_spans_zero_to_four_quanta():
     assert abs(biphoton_energy(0.0, 1.0, 1.0) - 4.0) <= 1e-12
     assert abs(biphoton_energy(math.pi, 1.0, 1.0)) <= 1e-12
     assert abs(biphoton_energy(math.pi / 2.0, 1.0, 1.0) - 2.0) <= 1e-12
-    # scales linearly in hbar * omega
-    assert abs(biphoton_energy(0.0, 1.0, 2.0, hbar=3.0) - 24.0) <= 1e-12
+    # scales linearly in omega (hbar = 1)
+    assert abs(biphoton_energy(0.0, 1.0, 2.0) - 8.0) <= 1e-12
     assert time.monotonic() - start < 1.0
 
 
@@ -160,13 +159,9 @@ def test_09_commutator_conventions_differ_by_constant_shift():
     space = FockSpace(12)
     for _ in range(3):
         phases = stream.phases(4)
-        canonical = single_mode_hamiltonian(
-            phases, 1.0, space, CommutatorConvention.canonical()
-        )
-        for sign in (1, -1):
-            phased = single_mode_hamiltonian(
-                phases, 1.0, space, CommutatorConvention.phased(sign)
-            )
+        canonical = single_mode_hamiltonian(phases, 1.0, space, "canonical")
+        for convention in ("phased-plus", "phased-minus"):
+            phased = single_mode_hamiltonian(phases, 1.0, space, convention)
             difference = canonical - phased
             shift = difference[0]
             residue = difference - shift

@@ -94,6 +94,23 @@ class TestExitCodes:
         code, _, _ = run_cli(capsys, "classical", "--n-waves", "2", "--bogus", "1")
         assert code == 5
 
+    def test_exit_codes_do_not_depend_on_argparse_wording(self, capsys, monkeypatch):
+        """argparse's messages go through gettext; a translated argparse
+        must give the same exit codes."""
+        german = {
+            "unrecognized arguments: %s": "nicht erkannte Argumente: %s",
+            "argument %(argument_name)s: %(message)s": "Argument %(argument_name)s: %(message)s",
+            "invalid choice: %(value)r (choose from %(choices)s)":
+                "ungültige Auswahl: %(value)r (wähle aus %(choices)s)",
+            "the following arguments are required: %s": "folgende Argumente fehlen: %s",
+        }
+        monkeypatch.setattr(argparse, "_", lambda text: german.get(text, text))
+        code, _, err = run_cli(capsys, "classical", "--n-waves", "2", "--bogus", "1")
+        assert code == 5
+        assert "--bogus 1" in err
+        assert run_cli(capsys, "frobnicate")[0] == 2
+        assert run_cli(capsys)[0] == 2
+
     def test_missing_required_key(self, capsys):
         code, _, err = run_cli(capsys, "classical")
         assert code == 4

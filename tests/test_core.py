@@ -84,24 +84,18 @@ class TestWaveMode:
         assert math.isclose(mode.wavelength, 0.37, rel_tol=1e-12)
         assert math.isclose(mode.wavenumber * mode.wavelength, TWO_PI, rel_tol=1e-12)
 
-    def test_slower_light_speed_scales_omega(self):
-        k = np.array([2.0, 0.0, 0.0])
-        mode = WaveMode.plane(k, light_speed=0.5)
-        assert math.isclose(mode.omega, 1.0, rel_tol=1e-12)
-
 
 @pytest.mark.parametrize(
-    "omega, amplitude, light_speed",
-    [(2.0, math.nan, 1.0), (2.0, complex(1.0, math.inf), 1.0), (2.0, 1.0, math.nan),
-     (2.0, 1.0, math.inf), (math.inf, 1.0, 1.0)],
+    "omega, amplitude",
+    [(2.0, math.nan), (2.0, complex(1.0, math.inf)), (math.inf, 1.0)],
 )
-def test_wave_mode_rejects_non_finite_input(omega, amplitude, light_speed):
+def test_wave_mode_rejects_non_finite_input(omega, amplitude):
     k = np.array([2.0, 0.0, 0.0])
     with pytest.raises(ValueError):
-        WaveMode(k, omega, amplitude, np.array([0.0, 1.0, 0.0]), light_speed=light_speed)
+        WaveMode(k, omega, amplitude, np.array([0.0, 1.0, 0.0]))
     if math.isfinite(omega):
         with pytest.raises(ValueError):
-            WaveMode.plane(k, amplitude=amplitude, light_speed=light_speed)
+            WaveMode.plane(k, amplitude=amplitude)
 
 
 def test_phased_wave_set_reduces_phases():

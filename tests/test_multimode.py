@@ -197,7 +197,7 @@ def dense_expectation(state, matrix):
     return value.real
 
 
-def dense_two_mode_parts(pair, space, hbar=1.0):
+def dense_two_mode_parts(pair, space):
     """Reference operators: the self and cross blocks of the two-mode energy
     as dense matrices, the four exchange terms as literal ladder products."""
     ops1 = build_operators(space, 0)
@@ -206,10 +206,8 @@ def dense_two_mode_parts(pair, space, hbar=1.0):
     omega1 = pair.mode1.omega
     omega2 = pair.mode2.omega
     overlap = overlap_integral(pair)
-    diagonal = hbar * omega1 * (ops1.number + eye / 2.0) + hbar * omega2 * (
-        ops2.number + eye / 2.0
-    )
-    coupling = hbar * math.sqrt(omega1 * omega2) / 2.0
+    diagonal = omega1 * (ops1.number + eye / 2.0) + omega2 * (ops2.number + eye / 2.0)
+    coupling = math.sqrt(omega1 * omega2) / 2.0
     cross = coupling * (
         ops1.create @ ops2.destroy * overlap
         + ops1.destroy @ ops2.create * np.conj(overlap)
@@ -247,9 +245,8 @@ class TestTwoModeOperator:
                  for _ in range(space.dimension)]
             )
             state = QuantumState(space, amplitudes / np.linalg.norm(amplitudes))
-            hbar = 0.5 + rng.uniform()
-            diagonal_op, cross_op = dense_two_mode_parts(pair, space, hbar)
-            report = multimode_energy(state, pair, hbar)
+            diagonal_op, cross_op = dense_two_mode_parts(pair, space)
+            report = multimode_energy(state, pair)
             diagonal = dense_expectation(state, diagonal_op)
             cross = dense_expectation(state, cross_op)
             assert abs(report.diagonal - diagonal) <= 1e-12 * abs(diagonal)
@@ -292,7 +289,7 @@ class TestTwoModeOperator:
             assert report.diagonal == pytest.approx(expected, rel=1e-12)
 
     def test_coherent_cross_term_matches_analytic_form(self):
-        """Matrix expectation must land on 2 hbar sqrt(w1 w2) Re(a1* a2 I)."""
+        """Matrix expectation must land on 2 sqrt(w1 w2) Re(a1* a2 I)."""
         pair = ModePair(
             mode_along_x(TWO_PI), mode_along_x(TWO_PI + 0.4), 0.0, 0.3, UNIT_BOX
         )

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from coherray import (
-    CommutatorConvention,
     FockSpace,
     QuantumState,
     biphoton_energy,
@@ -130,7 +129,7 @@ class TestQuantumState:
 
 
 def test_hamiltonian_expectation_matches_phase_sum_oracle():
-    """<n|H|n> must equal hbar w |S|^2 (n + 1/2) for any phases.
+    """<n|H|n> must equal w |S|^2 (n + 1/2) for any phases.
 
     The matrix route builds the operator pair by pair; the oracle comes
     straight from the closed-form coherent sum.
@@ -154,44 +153,40 @@ def test_hamiltonian_is_hermitian():
     Hermitian by construction."""
     rng = XorShift64Star(8)
     phases = rng.phases(4)
-    for convention in (CommutatorConvention.canonical(), CommutatorConvention.phased(1)):
+    for convention in ("canonical", "phased-plus"):
         operator = single_mode_hamiltonian(phases, 1.3, FockSpace(n_max=6), convention)
         assert operator.dtype == np.float64
         assert operator.shape == (7,)
 
 
-def dense_pairwise_hamiltonian(phases, omega, space, convention, hbar=1.0):
+CONVENTIONS = ("canonical", "phased-plus", "phased-minus")
+
+
+def dense_pairwise_hamiltonian(phases, omega, space, convention):
     """Reference: the N-wave operator summed pair by pair as dense matrices."""
     number = np.diag(np.arange(space.levels, dtype=float))
     eye = np.eye(space.levels)
-    hamiltonian = len(phases) * hbar * omega * (number + eye / 2.0)
+    hamiltonian = len(phases) * omega * (number + eye / 2.0)
     for i in range(len(phases)):
         for j in range(i + 1, len(phases)):
             cos_delta = math.cos(phases[i] - phases[j])
-            if convention.kind == "canonical":
-                hamiltonian = hamiltonian + hbar * omega * cos_delta * (2.0 * number + eye)
+            if convention == "canonical":
+                hamiltonian = hamiltonian + omega * cos_delta * (2.0 * number + eye)
             else:
-                hamiltonian = hamiltonian + hbar * omega * (
-                    2.0 * cos_delta * number + convention.sign * eye
-                )
+                sign = 1 if convention == "phased-plus" else -1
+                hamiltonian = hamiltonian + omega * (2.0 * cos_delta * number + sign * eye)
     return hamiltonian.astype(complex)
 
 
 def test_hamiltonian_matches_dense_pairwise_sum_bit_for_bit():
     rng = XorShift64Star(77)
-    conventions = (
-        CommutatorConvention.canonical(),
-        CommutatorConvention.phased(1),
-        CommutatorConvention.phased(-1),
-    )
-    for convention in conventions:
+    for convention in CONVENTIONS:
         for n_waves in (1, 2, 5, 9):
             phases = [float(p) for p in rng.phases(n_waves)]
             omega = 0.3 + 2.0 * rng.uniform()
-            hbar = 0.5 + rng.uniform()
             space = FockSpace(n_max=3 + n_waves)
-            operator = single_mode_hamiltonian(phases, omega, space, convention, hbar=hbar)
-            reference = dense_pairwise_hamiltonian(phases, omega, space, convention, hbar)
+            operator = single_mode_hamiltonian(phases, omega, space, convention)
+            reference = dense_pairwise_hamiltonian(phases, omega, space, convention)
             assert operator.dtype == np.float64
             assert operator.shape == (space.levels,)
             assert np.array_equal(operator, np.diag(reference))
@@ -247,12 +242,19 @@ def test_convention_difference_is_identity_multiple():
     rng = XorShift64Star(11)
     phases = rng.phases(4)
     space = FockSpace(n_max=12)
-    canonical = single_mode_hamiltonian(phases, 1.0, space, CommutatorConvention.canonical())
-    for sign in (1, -1):
-        phased = single_mode_hamiltonian(phases, 1.0, space, CommutatorConvention.phased(sign))
+    canonical = single_mode_hamiltonian(phases, 1.0, space, "canonical")
+    for convention in ("phased-plus", "phased-minus"):
+        phased = single_mode_hamiltonian(phases, 1.0, space, convention)
         difference = canonical - phased
         residue = difference - difference[0]
         assert np.abs(residue).max() <= 1e-12 * max(1.0, abs(difference[0]))
+
+
+def test_unknown_convention_is_refused():
+    # the old (kind, sign) pairs and near misses of the three names
+    for convention in ("phased", "Canonical", "phased_plus", None):
+        with pytest.raises(ValueError, match="convention"):
+            single_mode_hamiltonian([0.0, 1.0], 1.0, FockSpace(n_max=3), convention)
 
 
 def test_uniform_phases_maximize_expectation():
@@ -282,11 +284,6 @@ def test_expectation_rejects_shape_mismatch():
 
 def test_expectation_matches_dense_operator_on_random_states():
     rng = XorShift64Star(31)
-    conventions = (
-        CommutatorConvention.canonical(),
-        CommutatorConvention.phased(1),
-        CommutatorConvention.phased(-1),
-    )
     for trial in range(30):
         space = FockSpace(n_max=2 + trial % 13)
         amplitudes = np.array(
@@ -295,7 +292,7 @@ def test_expectation_matches_dense_operator_on_random_states():
         )
         state = QuantumState(space, amplitudes / np.linalg.norm(amplitudes))
         phases = [float(p) for p in rng.phases(1 + trial % 5)]
-        convention = conventions[trial % 3]
+        convention = CONVENTIONS[trial % 3]
         omega = 0.5 + rng.uniform()
         operator = single_mode_hamiltonian(phases, omega, space, convention)
         reference = dense_pairwise_hamiltonian(phases, omega, space, convention)
@@ -355,7 +352,8 @@ class TestBiphoton:
         assert abs(value - 1.0) <= 1e-12
 
     def test_hbar_and_omega_scaling(self):
-        assert abs(biphoton_energy(0.0, 1.0, 2.0, hbar=3.0) - 24.0) <= 1e-12
+        # linear in the quantum hbar * omega, with hbar = 1
+        assert abs(biphoton_energy(0.0, 1.0, 2.0) - 8.0) <= 1e-12
 
     def test_overlap_magnitude_capped(self):
         with pytest.raises(ValueError):
