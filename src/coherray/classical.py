@@ -46,6 +46,7 @@ from .core import (
     MEMORY_BUDGET_BYTES,  # classical.MEMORY_BUDGET_BYTES names the budget its routes check
     TWO_PI,
     BoxVolume,
+    EnergyReport,
     FarFieldViolationError,
     PhasedWaveSet,
     SourceArray,
@@ -202,8 +203,6 @@ def classical_energy(waves: PhasedWaveSet, volume: BoxVolume | None = None):
     total = E1*|S|^2 where S is the coherent phase sum. Uniform phases give
     the N^2 maximum; opposite phases cancel exactly.
     """
-    from .core import EnergyReport
-
     unit = single_wave_energy(waves.mode, volume)
     n = waves.n_waves
     _, magnitude_sq = phase_sum(waves.phases)

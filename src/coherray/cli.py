@@ -1,9 +1,13 @@
 """Command-line front end: config resolution, dispatch, CSV/JSON emission.
 
+The field tables (``_GLOBAL_FIELDS``, ``_UNITS_FIELDS`` and one table
+per subcommand) are the only list of settings: they define the flags,
+the config keys, the resolved settings and the ``config.*`` metadata.
 Resolution order for every setting: built-in default, then the config
 file (section ``global`` for shared flags, one section per subcommand),
-then command-line flags. Outputs carry the full resolved configuration
-in their metadata and are byte-identical for identical configurations.
+then command-line flags. Outputs echo every field of the global, units
+and subcommand tables as ``config.<name>`` metadata and are
+byte-identical for identical configurations.
 
 Config file grammar: flat text, one ``section.key = value`` per line,
 ``#`` comments and blank lines ignored. Sections are ``global``,
@@ -257,21 +261,24 @@ _SUBCOMMAND_HELP = {
 }
 
 
+def _sections(subcommand: str | None) -> dict:
+    """Field tables by config section: global, units and the subcommand's
+    (every subcommand's when ``subcommand`` is None)."""
+    sections = {"global": _GLOBAL_FIELDS, "units": _UNITS_FIELDS}
+    if subcommand is None:
+        sections.update(_SUBCOMMAND_FIELDS)
+    else:
+        sections[subcommand] = _SUBCOMMAND_FIELDS[subcommand]
+    return sections
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved run settings: subcommand, typed parameters, output."""
+    """Fully resolved run: the subcommand and every setting of its
+    sections, keyed by field dest."""
 
     subcommand: str
-    parameters: dict
-    output_format: str = "csv"
-    output_path: str | None = None
-    seed: int = 0
-    samples: int | None = None
-    n_max: int = 32
-    energy_scale: float = 1.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "parameters", dict(self.parameters))
+    settings: dict
 
 
 class _RaisingParser(argparse.ArgumentParser):
@@ -336,8 +343,7 @@ def _read_config_file(path: str) -> dict:
 
 
 def _validate_config_keys(path: str, entries: dict):
-    tables = {"global": _GLOBAL_FIELDS, "units": _UNITS_FIELDS}
-    tables.update(_SUBCOMMAND_FIELDS)
+    tables = _sections(None)
     for section, key in entries:
         if section not in tables:
             raise _CliError(5, f"{path}: unknown config section {section!r}")
@@ -371,10 +377,9 @@ def _resolve(fields, flag_values: dict, file_section: dict, origin: str) -> dict
     return resolved
 
 
-def parse_config(argv, config_path: str | None = None) -> RunConfig:
-    """Resolve argv plus an optional config file into a RunConfig.
+def parse_config(argv) -> RunConfig:
+    """Resolve argv plus an optional --config file into a RunConfig.
 
-    ``config_path`` is a fallback used when no --config flag is present.
     Raises _CliError with the documented exit code on any failure.
     """
     argv = list(argv)
@@ -384,35 +389,21 @@ def parse_config(argv, config_path: str | None = None) -> RunConfig:
     flag_values = vars(namespace)
     subcommand = flag_values.pop("command")
 
-    path = flag_values.pop("config", None) or config_path
+    path = flag_values.pop("config")
     file_entries = _read_config_file(path) if path else {}
 
-    def section(name: str) -> dict:
-        return {key: value for (sec, key), value in file_entries.items() if sec == name}
+    # no flag has a units dest, so that section reads only the file
+    settings = {}
+    for name, fields in _sections(subcommand).items():
+        file_section = {key: value for (sec, key), value in file_entries.items() if sec == name}
+        origin = "" if name == subcommand else f"{name}."
+        settings.update(_resolve(fields, flag_values, file_section, origin))
 
-    global_values = _resolve(_GLOBAL_FIELDS, flag_values, section("global"), "global.")
-    units_values = _resolve(_UNITS_FIELDS, {}, section("units"), "units.")
-    parameters = _resolve(
-        _SUBCOMMAND_FIELDS[subcommand], flag_values, section(subcommand), ""
-    )
-
-    energy_scale = units_values["energy_scale"]
-    if not energy_scale > 0.0:
+    if not settings["energy_scale"] > 0.0:
         raise _CliError(3, "type mismatch for key 'units.energy-scale': must be positive")
-    n_max = global_values["n_max"]
-    if n_max < 1:
+    if settings["n_max"] < 1:
         raise _CliError(3, "type mismatch for key 'global.n-max': must be at least 1")
-
-    return RunConfig(
-        subcommand=subcommand,
-        parameters=parameters,
-        output_format=global_values["format"],
-        output_path=global_values["output"],
-        seed=global_values["seed"],
-        samples=global_values["samples"],
-        n_max=n_max,
-        energy_scale=energy_scale,
-    )
+    return RunConfig(subcommand, settings)
 
 
 @dataclass(frozen=True)
@@ -469,8 +460,7 @@ def _ramp_or_phases(params: dict) -> np.ndarray:
     return np.arange(n) * params["delta_phi"]
 
 
-def _run_classical(config: RunConfig) -> ResultTable:
-    params = config.parameters
+def _run_classical(params: dict) -> ResultTable:
     phases = _ramp_or_phases(params)
     if params["wavelength"] <= 0.0:
         raise ConfigError("wavelength must be positive")
@@ -481,14 +471,13 @@ def _run_classical(config: RunConfig) -> ResultTable:
     return _report_table(report, {"kind": "classical_energy", "n_waves": params["n_waves"]})
 
 
-def _run_quantum(config: RunConfig) -> ResultTable:
-    params = config.parameters
+def _run_quantum(params: dict) -> ResultTable:
     phases = _ramp_or_phases(params)
-    occupation = params["n"]
-    if not 0 <= occupation <= config.n_max:
-        raise ConfigError(f"occupation n = {occupation} outside 0..n-max = {config.n_max}")
+    occupation, n_max = params["n"], params["n_max"]
+    if not 0 <= occupation <= n_max:
+        raise ConfigError(f"occupation n = {occupation} outside 0..n-max = {n_max}")
     convention = params["convention"]
-    space = quantum.FockSpace(n_max=config.n_max)
+    space = quantum.FockSpace(n_max=n_max)
     state = quantum.QuantumState.fock(space, occupation)
     full = quantum.single_mode_hamiltonian(phases, params["omega"], space, convention)
     self_only = quantum.single_mode_hamiltonian(
@@ -511,8 +500,7 @@ def _run_quantum(config: RunConfig) -> ResultTable:
     return ResultTable(("quantity", "value"), rows, meta, scaled_rows=_ENERGY_QUANTITIES)
 
 
-def _run_overlap(config: RunConfig) -> ResultTable:
-    params = config.parameters
+def _run_overlap(params: dict) -> ResultTable:
     box = BoxVolume(np.asarray(params["box"]), np.asarray(params["center"]))
     delta_k = np.asarray(params["dk"], dtype=float)
     value = multimode.box_overlap(delta_k, box) * np.exp(
@@ -528,8 +516,7 @@ def _run_overlap(config: RunConfig) -> ResultTable:
     return ResultTable(("quantity", "value"), rows, {"kind": "overlap"})
 
 
-def _run_biphoton(config: RunConfig) -> ResultTable:
-    params = config.parameters
+def _run_biphoton(params: dict) -> ResultTable:
     photon = quantum.biphoton_energy(
         params["delta_phi"], params["overlap"], params["omega"]
     )
@@ -543,8 +530,7 @@ def _run_biphoton(config: RunConfig) -> ResultTable:
     )
 
 
-def _run_wavepacket(config: RunConfig) -> ResultTable:
-    params = config.parameters
+def _run_wavepacket(params: dict) -> ResultTable:
     spectrum = multimode.WavepacketSpectrum(
         np.asarray(params["direction"], dtype=float),
         params["components"],
@@ -555,18 +541,17 @@ def _run_wavepacket(config: RunConfig) -> ResultTable:
     return _report_table(report, meta)
 
 
-def _run_sweep(config: RunConfig) -> ResultTable:
-    params = config.parameters
+def _run_sweep(params: dict) -> ResultTable:
     # every optional sweep flag is a fixed setting; "box" is spelled box_lengths there
     fixed = {
         ("box_lengths" if field_spec.dest == "box" else field_spec.dest): params[field_spec.dest]
         for field_spec in _SUBCOMMAND_FIELDS["sweep"]
         if field_spec.default is not _REQUIRED and params[field_spec.dest] is not None
     }
-    if params["target"] == "farfield_power" and config.samples is not None:
-        fixed["samples"] = config.samples
+    if params["target"] == "farfield_power" and params["samples"] is not None:
+        fixed["samples"] = params["samples"]
     if params["target"] == "quantum_energy":
-        fixed["n_max"] = config.n_max
+        fixed["n_max"] = params["n_max"]
     spec = SweepSpec(
         target=params["target"],
         parameter=params["parameter"],
@@ -574,20 +559,19 @@ def _run_sweep(config: RunConfig) -> ResultTable:
         stop=params["stop"],
         steps=params["steps"],
         fixed=fixed,
-        seed=config.seed,
+        seed=params["seed"],
     )
     return _curve_table(experiments.run_sweep(spec))
 
 
-def _run_dicke(config: RunConfig) -> ResultTable:
-    params = config.parameters
+def _run_dicke(params: dict) -> ResultTable:
     fit = experiments.dicke_scaling_check(
         params["n_values"],
         regime=params["regime"],
         spacing_ratio=params["spacing_ratio"],
-        detector_samples=config.samples if config.samples is not None else 1024,
+        detector_samples=params["samples"] if params["samples"] is not None else 1024,
         jitter=params["jitter"],
-        seed=config.seed,
+        seed=params["seed"],
     )
     meta = {
         "kind": "dicke_scaling",
@@ -599,8 +583,7 @@ def _run_dicke(config: RunConfig) -> ResultTable:
     return ResultTable(("n", "energy"), rows, meta, scaled_columns={"energy"})
 
 
-def _run_spectrum(config: RunConfig) -> ResultTable:
-    params = config.parameters
+def _run_spectrum(params: dict) -> ResultTable:
     lo, hi = params["wavelength_min"], params["wavelength_max"]
     array = make_linear_array(params["n_sources"], params["spacing"], lo)
     radius = params["radius"]
@@ -609,7 +592,7 @@ def _run_spectrum(config: RunConfig) -> ResultTable:
     detector = DetectorGrid(
         radius=radius,
         geometry=params["geometry"],
-        samples=config.samples if config.samples is not None else 256,
+        samples=params["samples"] if params["samples"] is not None else 256,
     )
     curve = classical.transmission_spectrum(array, (lo, hi), params["steps"], detector)
     return _curve_table(curve)
@@ -638,33 +621,19 @@ def _format_meta_value(value) -> str:
         return f"{_fmt_float(value.real)},{_fmt_float(value.imag)}"
     if isinstance(value, (int, str)):
         return str(value)
-    if isinstance(value, (tuple, list, np.ndarray)):
-        items = list(value)
-        parts = []
-        for item in items:
-            if isinstance(item, (tuple, list, np.ndarray)):
-                parts.append(",".join(_format_meta_value(sub) for sub in item))
-            else:
-                parts.append(_format_meta_value(item))
-        nested = bool(items) and isinstance(items[0], (tuple, list, np.ndarray))
-        return (";" if nested else ",").join(parts)
+    if isinstance(value, tuple):
+        # a tuple of tuples (wavepacket components) joins its rows with ';'
+        nested = bool(value) and isinstance(value[0], tuple)
+        return (";" if nested else ",").join(_format_meta_value(item) for item in value)
     return str(value)
 
 
 def _config_echo(config: RunConfig) -> dict:
-    echo = {
-        "config.subcommand": config.subcommand,
-        "config.format": config.output_format,
-        "config.output": _format_meta_value(config.output_path),
-        "config.seed": str(config.seed),
-        "config.samples": _format_meta_value(config.samples),
-        "config.n-max": str(config.n_max),
-        "config.energy-scale": _fmt_float(config.energy_scale),
-    }
-    for field_spec in _SUBCOMMAND_FIELDS[config.subcommand]:
-        echo[f"config.{field_spec.name}"] = _format_meta_value(
-            config.parameters[field_spec.dest]
-        )
+    echo = {"config.subcommand": config.subcommand}
+    for fields in _sections(config.subcommand).values():
+        for field_spec in fields:
+            value = config.settings[field_spec.dest]
+            echo[f"config.{field_spec.name}"] = _format_meta_value(value)
     return echo
 
 
@@ -684,12 +653,6 @@ def _scaled_rows(table: ResultTable, scale: float) -> list:
     return rows
 
 
-def _csv_cell(value) -> str:
-    if isinstance(value, float):
-        return _fmt_float(value)
-    return str(value)
-
-
 def _json_scalar(value) -> str:
     if isinstance(value, float):
         text = _fmt_float(value)
@@ -707,7 +670,7 @@ def _render_csv(meta: dict, columns, rows) -> str:
     lines = [f"# {key} = {meta[key]}" for key in sorted(meta)]
     lines.append(",".join(columns))
     for row in rows:
-        lines.append(",".join(_csv_cell(cell) for cell in row))
+        lines.append(",".join(_format_meta_value(cell) for cell in row))
     return "\n".join(lines) + "\n"
 
 
@@ -738,15 +701,16 @@ def emit_results(result: ResultTable, config: RunConfig) -> int:
     """
     meta = {key: _format_meta_value(value) for key, value in result.meta.items()}
     meta.update(_config_echo(config))
-    rows = _scaled_rows(result, config.energy_scale)
-    if config.output_format == "json":
+    settings = config.settings
+    rows = _scaled_rows(result, settings["energy_scale"])
+    if settings["format"] == "json":
         text = _render_json(meta, result.columns, rows)
     else:
         text = _render_csv(meta, result.columns, rows)
-    if config.output_path is None:
+    if settings["output"] is None:
         sys.stdout.write(text)
     else:
-        with open(config.output_path, "w", encoding="utf-8") as handle:
+        with open(settings["output"], "w", encoding="utf-8") as handle:
             handle.write(text)
     return 0
 
@@ -759,7 +723,7 @@ def main(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return err.code
     try:
-        table = _RUNNERS[config.subcommand](config)
+        table = _RUNNERS[config.subcommand](config.settings)
         return emit_results(table, config)
     except _CliError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -99,18 +99,14 @@ class WaveMode:
     amplitude : complex
         Complex amplitude of the analytic-signal part of the vector
         potential.
-    polarization : array_like, shape (3,)
-        Real unit vector orthogonal to ``wavevector``.
     """
 
     wavevector: np.ndarray
     omega: float
     amplitude: complex
-    polarization: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "wavevector", _vec3(self.wavevector, "wavevector"))
-        object.__setattr__(self, "polarization", _vec3(self.polarization, "polarization"))
         object.__setattr__(self, "amplitude", complex(self.amplitude))
         if not cmath.isfinite(self.amplitude):
             raise ValueError("amplitude must be finite")
@@ -121,16 +117,12 @@ class WaveMode:
             raise ValueError("wavevector must be nonzero")
         if abs(self.omega - k_norm) > _VEC_TOL * self.omega:
             raise ValueError(f"omega={self.omega} inconsistent with |k|={k_norm}")
-        if abs(float(np.dot(self.polarization, self.wavevector))) > _VEC_TOL * k_norm:
-            raise ValueError("polarization must be orthogonal to wavevector")
-        if abs(float(np.linalg.norm(self.polarization)) - 1.0) > _VEC_TOL:
-            raise ValueError("polarization must be a unit vector")
 
     @classmethod
     def plane(cls, wavevector, amplitude=1.0) -> "WaveMode":
-        """Build a plane mode, deriving omega and a transverse polarization."""
+        """Build a plane mode, deriving omega = |k|."""
         k = _vec3(wavevector, "wavevector")
-        return cls(k, float(np.linalg.norm(k)), amplitude, _default_polarization(k))
+        return cls(k, float(np.linalg.norm(k)), amplitude)
 
     @property
     def wavenumber(self) -> float:
@@ -139,15 +131,6 @@ class WaveMode:
     @property
     def wavelength(self) -> float:
         return TWO_PI / self.wavenumber
-
-
-def _default_polarization(k: np.ndarray) -> np.ndarray:
-    k_hat = k / np.linalg.norm(k)
-    trial = np.array([0.0, 1.0, 0.0])
-    if abs(float(np.dot(k_hat, trial))) > 0.9:
-        trial = np.array([0.0, 0.0, 1.0])
-    pol = trial - float(np.dot(trial, k_hat)) * k_hat
-    return pol / np.linalg.norm(pol)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from coherray import SweepSpec, run_sweep
-from coherray.cli import _SUBCOMMAND_FIELDS, main, parse_config
+from coherray.cli import _SUBCOMMAND_FIELDS, _sections, main, parse_config
 
 TWO_PI = 2.0 * math.pi
 UNIT_ENERGY = TWO_PI  # unit-amplitude wave at unit wavelength, unit box
@@ -115,6 +115,22 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "classical")
         assert code == 4
         assert "n-waves" in err
+
+    @pytest.mark.parametrize(
+        "argv, expected_code, key",
+        [
+            (("classical", "--n-waves", "2", "--seed", "many"), 3, "'global.seed'"),
+            (("classical", "--n-waves", "2", "--n-max", "0"), 3, "'global.n-max'"),
+            # every section resolves before the n-max range check
+            (("classical", "--n-max", "0"), 4, "n-waves"),
+        ],
+        ids=("seed", "n-max", "missing-key-first"),
+    )
+    def test_global_setting_error_names_its_section(self, capsys, argv, expected_code, key):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == expected_code
+        assert key in err
+        assert out == ""
 
     @pytest.mark.parametrize(
         "argv, key",
@@ -311,6 +327,13 @@ class TestConfigFile:
         assert key in err
         assert out == ""
 
+    def test_global_file_value_names_its_section(self, tmp_path, capsys):
+        path = self.write(tmp_path, "global.samples = x\nclassical.n-waves = 2\n")
+        code, out, err = run_cli(capsys, "classical", "--config", path)
+        assert code == 3
+        assert "'global.samples'" in err
+        assert out == ""
+
     def test_unknown_key_and_section_rejected(self, tmp_path, capsys):
         path = self.write(tmp_path, "classical.warp = 9\n")
         assert run_cli(capsys, "classical", "--config", path)[0] == 5
@@ -397,6 +420,27 @@ class TestOutputShape:
         assert run_cli(capsys, *argv)[0] == 0
         assert out_path.read_bytes() == first
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("classical", "--n-waves", "3"),
+            ("biphoton", "--overlap", "0.8,0.1", "--delta-phi", "1.2", "--format", "json"),
+        ],
+        ids=("csv", "json"),
+    )
+    def test_output_file_holds_what_stdout_would(self, tmp_path, capsys, argv):
+        """Only the config.output echo line tells the file from stdout."""
+        out_path = tmp_path / "result.txt"
+        code, stdout_text, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert run_cli(capsys, *argv, "--output", str(out_path)) == (0, "", "")
+        written = out_path.read_text(encoding="utf-8").splitlines()
+        echoed = [line for line in written if "config.output" in line]
+        assert len(echoed) == 1 and str(out_path) in echoed[0]
+        assert [line for line in written if "config.output" not in line] == [
+            line for line in stdout_text.splitlines() if "config.output" not in line
+        ]
+
     def test_seed_changes_random_profile_output(self, capsys):
         argv = (
             "sweep", "--target", "classical_energy", "--parameter", "source_count",
@@ -436,6 +480,14 @@ MINIMAL_ARGV = {
     "spectrum": ("--n-sources", "2", "--spacing", "1", "--wavelength-min", "1",
                  "--wavelength-max", "2"),
 }
+
+
+def test_section_dests_do_not_collide():
+    """A run's settings are one dict keyed by dest: a shared dest would
+    silently overwrite one section's value with another's."""
+    for name in _SUBCOMMAND_FIELDS:
+        dests = [field_spec.dest for fields in _sections(name).values() for field_spec in fields]
+        assert len(dests) == len(set(dests)), name
 
 
 class TestParserBuild:

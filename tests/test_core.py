@@ -62,22 +62,15 @@ def test_reduce_phase_lands_in_principal_interval():
 
 
 class TestWaveMode:
-    def test_plane_fixes_dispersion_and_polarization(self):
+    def test_plane_fixes_dispersion(self):
         k = np.array([3.0, 4.0, 0.0])
         mode = WaveMode.plane(k, amplitude=0.5)
         assert math.isclose(mode.omega, 5.0, rel_tol=1e-12)
-        assert abs(float(np.dot(mode.polarization, k))) < 1e-9
-        assert math.isclose(float(np.linalg.norm(mode.polarization)), 1.0, rel_tol=1e-12)
 
     def test_dispersion_mismatch_rejected(self):
         k = np.array([2.0, 0.0, 0.0])
         with pytest.raises(ValueError):
-            WaveMode(wavevector=k, omega=3.0, amplitude=1.0, polarization=np.array([0.0, 1.0, 0.0]))
-
-    def test_polarization_must_be_transverse(self):
-        k = np.array([2.0, 0.0, 0.0])
-        with pytest.raises(ValueError):
-            WaveMode(wavevector=k, omega=2.0, amplitude=1.0, polarization=np.array([1.0, 0.0, 0.0]))
+            WaveMode(wavevector=k, omega=3.0, amplitude=1.0)
 
     def test_wavelength_wavenumber_roundtrip(self):
         mode = WaveMode.plane(np.array([0.0, 0.0, TWO_PI / 0.37]))
@@ -92,7 +85,7 @@ class TestWaveMode:
 def test_wave_mode_rejects_non_finite_input(omega, amplitude):
     k = np.array([2.0, 0.0, 0.0])
     with pytest.raises(ValueError):
-        WaveMode(k, omega, amplitude, np.array([0.0, 1.0, 0.0]))
+        WaveMode(k, omega, amplitude)
     if math.isfinite(omega):
         with pytest.raises(ValueError):
             WaveMode.plane(k, amplitude=amplitude)

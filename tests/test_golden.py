@@ -3,13 +3,14 @@
 Each case in ``golden/cli_corpus.json`` is an argv list (plus, for some,
 a config file from ``golden/``) and the SHA-256 of the standard output
 it produced when the corpus was recorded. The cases cover all eight
-subcommands, both output formats, the three quantum conventions, a
-config file with an output energy scale, far-field sweeps over every
-parameter, a jittered far-field Dicke fit and arc and hemisphere
-spectra, three of them with more than 4096 detector points and N >= 8
-(the far-field engine's row blocks and numpy's pairwise summation both
-change shape there). A refactor that claims to change no behaviour must leave every
-hash as it is.
+subcommands, both output formats (JSON for every subcommand), the three
+quantum conventions, a config file with an output energy scale, a
+config file that sets the format, samples, n-max and sweep keys,
+far-field sweeps over every parameter, a jittered far-field Dicke fit
+and arc and hemisphere spectra, three of them with more than 4096
+detector points and N >= 8 (the far-field engine's row blocks and
+numpy's pairwise summation both change shape there). A refactor that
+claims to change no behaviour must leave every hash as it is.
 
 ``golden/usage_corpus.json`` does the same for the usage surface:
 top-level and per-subcommand ``--help``, no command, an unknown command,
