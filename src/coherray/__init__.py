@@ -27,7 +27,6 @@ from .core import (
 from .classical import (
     DetectorGrid,
     SpectrumCurve,
-    canonical_coordinates,
     classical_energy,
     commensurate_box,
     farfield_power,
@@ -84,7 +83,6 @@ __all__ = [
     "biphoton_energy",
     "box_overlap",
     "build_operators",
-    "canonical_coordinates",
     "classical_energy",
     "classify_overlap",
     "commensurate_box",

@@ -178,24 +178,6 @@ def single_wave_energy(mode: WaveMode, volume: BoxVolume | None = None) -> float
     return vol * mode.omega ** 2 * abs(mode.amplitude) ** 2 / TWO_PI
 
 
-def canonical_coordinates(
-    mode: WaveMode, phase: float, position, volume: BoxVolume | None = None
-) -> tuple[float, float]:
-    """Canonical pair (Q, P) of one phased wave at a point.
-
-    Q = sqrt(V/4 pi) (a e^{i(k.r+phi)} + c.c.) and
-    P = -i omega sqrt(V/4 pi) (a e^{i(k.r+phi)} - c.c.) (c = 1); both are
-    real, and (P^2 + omega^2 Q^2)/2 reproduces E1 independent of position.
-    """
-    pos = np.asarray(position, dtype=float)
-    vol = volume.volume if volume is not None else 1.0
-    prefactor = math.sqrt(vol / (4.0 * math.pi))
-    rotated = mode.amplitude * np.exp(1j * (float(np.dot(mode.wavevector, pos)) + phase))
-    q = 2.0 * prefactor * rotated.real
-    p = 2.0 * mode.omega * prefactor * rotated.imag
-    return q, p
-
-
 def classical_energy(waves: PhasedWaveSet, volume: BoxVolume | None = None):
     """Closed-form interference energy of N phased copies of one mode.
 

@@ -152,10 +152,8 @@ _UNITS_FIELDS = (
     _Field("energy-scale", _parse_float, 1.0, "multiplies emitted energies (outputs only)"),
 )
 
-_SWEEP_TARGETS = _choice(
-    "classical_energy", "quantum_energy", "farfield_power", "biphoton", "wavepacket"
-)
-_SWEEP_PARAMETERS = _choice("phase_delta", "spacing", "wavelength", "source_count")
+_SWEEP_TARGETS = _choice(*dict.fromkeys(target for target, _ in experiments._SWEEPS))
+_SWEEP_PARAMETERS = _choice(*dict.fromkeys(parameter for _, parameter in experiments._SWEEPS))
 
 _SUBCOMMAND_FIELDS = {
     "classical": (
@@ -408,22 +406,18 @@ def parse_config(argv) -> RunConfig:
 
 @dataclass(frozen=True)
 class ResultTable:
-    """Serialized-result shape: columns, rows, metadata, scaling hints.
-
-    ``scaled_columns`` names columns whose cells are energies (multiplied
-    by the unit scale on emission); ``scaled_rows`` does the same for
-    quantity/value tables keyed by the quantity cell.
-    """
+    """Serialized-result shape: columns, rows and metadata."""
 
     columns: tuple
     rows: tuple
     meta: dict
-    scaled_columns: frozenset = frozenset()
-    scaled_rows: frozenset = frozenset()
 
 
-_ENERGY_QUANTITIES = frozenset(
-    {"diagonal", "cross", "total", "photon_energy", "vacuum_energy", "total_energy"}
+# energy quantities (first cell of a quantity/value row) and energy
+# columns: the cells they name are multiplied by the unit scale on emission
+_ENERGIES = frozenset(
+    {"diagonal", "cross", "total", "photon_energy", "vacuum_energy", "total_energy",
+     "power", "energy"}
 )
 
 
@@ -434,7 +428,7 @@ def _report_table(report: EnergyReport, meta: dict) -> ResultTable:
         ("total", report.total),
         ("enhancement", report.enhancement),
     )
-    return ResultTable(("quantity", "value"), rows, meta, scaled_rows=_ENERGY_QUANTITIES)
+    return ResultTable(("quantity", "value"), rows, meta)
 
 
 def _curve_table(curve: SpectrumCurve) -> ResultTable:
@@ -444,7 +438,7 @@ def _curve_table(curve: SpectrumCurve) -> ResultTable:
         (float(p), float(pw), float(e))
         for p, pw, e in zip(curve.parameter, curve.power, curve.enhancement)
     )
-    return ResultTable((name, "power", "enhancement"), rows, meta, scaled_columns={"power"})
+    return ResultTable((name, "power", "enhancement"), rows, meta)
 
 
 def _ramp_or_phases(params: dict) -> np.ndarray:
@@ -479,12 +473,10 @@ def _run_quantum(params: dict) -> ResultTable:
     convention = params["convention"]
     space = quantum.FockSpace(n_max=n_max)
     state = quantum.QuantumState.fock(space, occupation)
-    full = quantum.single_mode_hamiltonian(phases, params["omega"], space, convention)
-    self_only = quantum.single_mode_hamiltonian(
-        phases, params["omega"], space, convention, include_cross=False
-    )
-    diagonal = quantum.expectation_energy(state, self_only)
-    total = quantum.expectation_energy(state, full)
+    operator = quantum.single_mode_hamiltonian(phases, params["omega"], space, convention)
+    total = quantum.expectation_energy(state, operator)
+    # the self part on |n>: N uncorrelated waves of omega * (n + 1/2) each
+    diagonal = params["n_waves"] * params["omega"] * (occupation + 0.5)
     rows = (
         ("diagonal", diagonal),
         ("cross", total - diagonal),
@@ -497,7 +489,7 @@ def _run_quantum(params: dict) -> ResultTable:
         "n": occupation,
         "convention": convention,
     }
-    return ResultTable(("quantity", "value"), rows, meta, scaled_rows=_ENERGY_QUANTITIES)
+    return ResultTable(("quantity", "value"), rows, meta)
 
 
 def _run_overlap(params: dict) -> ResultTable:
@@ -525,9 +517,7 @@ def _run_biphoton(params: dict) -> ResultTable:
         ("vacuum_energy", photon / 2.0),
         ("total_energy", 1.5 * photon),
     )
-    return ResultTable(
-        ("quantity", "value"), rows, {"kind": "biphoton"}, scaled_rows=_ENERGY_QUANTITIES
-    )
+    return ResultTable(("quantity", "value"), rows, {"kind": "biphoton"})
 
 
 def _run_wavepacket(params: dict) -> ResultTable:
@@ -542,16 +532,12 @@ def _run_wavepacket(params: dict) -> ResultTable:
 
 
 def _run_sweep(params: dict) -> ResultTable:
-    # every optional sweep flag is a fixed setting; "box" is spelled box_lengths there
+    # run_sweep keeps only the keys the sweep reads; "box" is spelled box_lengths there
     fixed = {
-        ("box_lengths" if field_spec.dest == "box" else field_spec.dest): params[field_spec.dest]
-        for field_spec in _SUBCOMMAND_FIELDS["sweep"]
-        if field_spec.default is not _REQUIRED and params[field_spec.dest] is not None
+        ("box_lengths" if key == "box" else key): value
+        for key, value in params.items()
+        if value is not None
     }
-    if params["target"] == "farfield_power" and params["samples"] is not None:
-        fixed["samples"] = params["samples"]
-    if params["target"] == "quantum_energy":
-        fixed["n_max"] = params["n_max"]
     spec = SweepSpec(
         target=params["target"],
         parameter=params["parameter"],
@@ -580,7 +566,7 @@ def _run_dicke(params: dict) -> ResultTable:
         "r_squared": fit.r_squared,
     }
     rows = tuple((int(n), float(e)) for n, e in fit.points)
-    return ResultTable(("n", "energy"), rows, meta, scaled_columns={"energy"})
+    return ResultTable(("n", "energy"), rows, meta)
 
 
 def _run_spectrum(params: dict) -> ResultTable:
@@ -638,19 +624,16 @@ def _config_echo(config: RunConfig) -> dict:
 
 
 def _scaled_rows(table: ResultTable, scale: float) -> list:
-    rows = []
-    quantity_table = table.columns[:1] == ("quantity",)
-    for row in table.rows:
-        cells = list(row)
-        if quantity_table:
-            if cells[0] in table.scaled_rows and isinstance(cells[1], float):
-                cells[1] *= scale
-        else:
-            for i, column in enumerate(table.columns):
-                if column in table.scaled_columns and isinstance(cells[i], float):
-                    cells[i] *= scale
-        rows.append(cells)
-    return rows
+    """Rows with every float cell whose column or row label is an energy scaled."""
+    return [
+        [
+            cell * scale
+            if isinstance(cell, float) and (column in _ENERGIES or row[0] in _ENERGIES)
+            else cell
+            for column, cell in zip(table.columns, row)
+        ]
+        for row in table.rows
+    ]
 
 
 def _json_scalar(value) -> str:

@@ -9,7 +9,7 @@ assembled in parameter order; nothing depends on evaluation timing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -70,8 +70,8 @@ class SweepSpec:
     """Declarative description of a 1-D parameter sweep.
 
     ``target`` picks the observable, ``parameter`` the swept knob, and
-    ``fixed`` everything else the target needs. See run_sweep for the
-    supported target x parameter matrix and the fixed keys per target.
+    ``fixed`` everything else the target needs. ``_SWEEPS`` lists the
+    supported target x parameter pairs and the fixed keys each reads.
     """
 
     target: str
@@ -103,21 +103,24 @@ class ScalingFit:
             raise ValueError(f"r_squared {self.r_squared} outside [0, 1]")
 
 
-_SUPPORTED = {
-    "classical_energy": ("phase_delta", "source_count"),
-    "quantum_energy": ("phase_delta", "source_count"),
-    "farfield_power": ("wavelength", "spacing", "source_count", "phase_delta"),
-    "biphoton": ("phase_delta",),
-    "wavepacket": ("phase_delta",),
+# (target, parameter) -> (fixed keys it requires, optional fixed keys it
+# reads). run_sweep hands a runner only these keys and echoes only them.
+_PROFILE = ("phase", "phase_profile")
+_QUANTUM = ("n", "n_max", "omega")
+_DETECTOR = ("geometry", "samples", "radius")
+_SWEEPS = {
+    ("classical_energy", "phase_delta"): (("n_waves",), ()),
+    ("classical_energy", "source_count"): ((), _PROFILE),
+    ("quantum_energy", "phase_delta"): (("n_waves",), _QUANTUM),
+    ("quantum_energy", "source_count"): ((), _PROFILE + _QUANTUM),
+    ("farfield_power", "wavelength"): (("n_sources", "spacing"), _DETECTOR + _PROFILE),
+    ("farfield_power", "spacing"): (("n_sources", "wavelength"), _DETECTOR + _PROFILE),
+    ("farfield_power", "source_count"): (("spacing", "wavelength"), _DETECTOR + _PROFILE),
+    # a phase sweep sets the phases by its ramp
+    ("farfield_power", "phase_delta"): (("n_sources", "spacing", "wavelength"), _DETECTOR),
+    ("biphoton", "phase_delta"): (("overlap",), ("omega",)),
+    ("wavepacket", "phase_delta"): (("components", "box_lengths"), ("direction", "component")),
 }
-
-
-def _require(fixed: dict, keys: tuple, target: str):
-    missing = [key for key in keys if key not in fixed]
-    if missing:
-        raise MissingSettingError(
-            f"target {target!r} is missing fixed settings: {', '.join(missing)}"
-        )
 
 
 def _default_mode() -> WaveMode:
@@ -142,40 +145,45 @@ def _sweep_phase_profile(fixed: dict, n: int, stream: XorShift64Star) -> np.ndar
 def run_sweep(spec: SweepSpec) -> SpectrumCurve:
     """Evaluate a sweep and return its curve with full metadata attached.
 
-    Supported combinations (anything else raises ConfigError):
+    ``_SWEEPS`` lists the supported (target, parameter) pairs with the
+    fixed keys each requires and the optional ones it reads; any other
+    pair raises ConfigError and a missing key MissingSettingError. The
+    runner sees only those keys, and only those are echoed as ``fixed.*``.
 
-    - classical_energy x phase_delta: N waves with the progressive ramp
-      phi_n = n * delta. fixed: n_waves.
-    - classical_energy x source_count: integer N sweep. fixed optional:
-      phase (constant) or phase_profile='random'.
-    - quantum_energy x {phase_delta, source_count}: same phase handling,
-      expectation on a number state. fixed: n_waves (for phase_delta);
-      optional n (occupation, default 0), n_max, omega.
-    - farfield_power x {wavelength, spacing, source_count, phase_delta}:
-      linear array, arc detector by default. fixed: the two of
-      (n_sources, spacing, wavelength) not being swept; optional geometry,
-      samples, radius (default: far-field minimum over the swept arrays),
-      phase or phase_profile (phase_delta sweeps use the ramp instead).
-    - biphoton x phase_delta: fixed: overlap; optional omega.
-    - wavepacket x phase_delta: the delta replaces the phase of one
-      component. fixed: components, box_lengths; optional direction,
-      component (index, default last).
+    - classical_energy / quantum_energy: a phase_delta sweep uses the
+      progressive ramp phi_n = n * delta; a source_count sweep uses a
+      constant phase or phase_profile='random'. quantum_energy takes the
+      expectation on the number state n (default 0).
+    - farfield_power: a linear array seen by an arc detector by default;
+      the radius defaults to the far-field minimum over the swept arrays.
+    - wavepacket: the delta replaces the phase of one component (default
+      the last).
 
     The power column carries the raw observable (energy, expectation, or
     detected power); enhancement is its uncorrelated-reference ratio.
     """
-    if spec.target not in _SUPPORTED:
+    targets = {target for target, _ in _SWEEPS}
+    if spec.target not in targets:
         raise ConfigError(
-            f"unknown sweep target {spec.target!r}; expected one of {sorted(_SUPPORTED)}"
+            f"unknown sweep target {spec.target!r}; expected one of {sorted(targets)}"
         )
-    if spec.parameter not in _SUPPORTED[spec.target]:
+    entry = _SWEEPS.get((spec.target, spec.parameter))
+    if entry is None:
+        supported = [parameter for target, parameter in _SWEEPS if target == spec.target]
         raise ConfigError(
             f"target {spec.target!r} cannot sweep {spec.parameter!r};"
-            f" supported: {', '.join(_SUPPORTED[spec.target])}"
+            f" supported: {', '.join(supported)}"
         )
     # seven float64 columns: values, power, enhancement, linspace's
     # temporary and the curve's read-only copies of the first three
     _check_budget(56 * spec.steps, f"sweep of {spec.steps} steps")
+    required, optional = entry
+    missing = [key for key in required if key not in spec.fixed]
+    if missing:
+        raise MissingSettingError(
+            f"target {spec.target!r} is missing fixed settings: {', '.join(missing)}"
+        )
+    fixed = {key: value for key, value in spec.fixed.items() if key in required + optional}
     values = np.linspace(spec.start, spec.stop, spec.steps)
     runner = {
         "classical_energy": _sweep_closed_form,
@@ -184,7 +192,7 @@ def run_sweep(spec: SweepSpec) -> SpectrumCurve:
         "biphoton": _sweep_biphoton,
         "wavepacket": _sweep_wavepacket,
     }[spec.target]
-    power, enhancement = runner(spec, values)
+    power, enhancement = runner(replace(spec, fixed=fixed), values)
     meta = {
         "target": spec.target,
         "parameter": spec.parameter,
@@ -194,8 +202,8 @@ def run_sweep(spec: SweepSpec) -> SpectrumCurve:
         "seed": spec.seed,
         "version": __version__,
     }
-    for key in sorted(spec.fixed):
-        meta[f"fixed.{key}"] = _meta_scalar(spec.fixed[key])
+    for key in sorted(fixed):
+        meta[f"fixed.{key}"] = _meta_scalar(fixed[key])
     return SpectrumCurve(values, power, enhancement, meta)
 
 
@@ -225,7 +233,6 @@ def _sweep_closed_form(spec: SweepSpec, values: np.ndarray):
     power = np.empty(values.size)
     enhancement = np.empty(values.size)
     if spec.parameter == "phase_delta":
-        _require(spec.fixed, ("n_waves",), spec.target)
         n = int(spec.fixed["n_waves"])
         for i, delta in enumerate(values):
             power[i], enhancement[i] = _closed_form_observables(spec, _ramp(n, float(delta)))
@@ -242,15 +249,8 @@ def _sweep_closed_form(spec: SweepSpec, values: np.ndarray):
 def _sweep_farfield(spec: SweepSpec, values: np.ndarray):
     fixed = spec.fixed
     stream = XorShift64Star(spec.seed)
-    needed = {
-        "wavelength": ("n_sources", "spacing"),
-        "spacing": ("n_sources", "wavelength"),
-        "source_count": ("spacing", "wavelength"),
-        "phase_delta": ("n_sources", "spacing", "wavelength"),
-    }[spec.parameter]
-    _require(fixed, needed, spec.target)
     # values ascend, so a source-count sweep's last array is its largest
-    largest = int(fixed["n_sources"]) if "n_sources" in needed else int(round(values[-1]))
+    largest = int(round(values[-1]) if spec.parameter == "source_count" else fixed["n_sources"])
     _check_sweep_budget(values.size, largest, spec.parameter)
 
     arrays = []
@@ -283,7 +283,6 @@ def _sweep_farfield(spec: SweepSpec, values: np.ndarray):
 
 
 def _sweep_biphoton(spec: SweepSpec, values: np.ndarray):
-    _require(spec.fixed, ("overlap",), spec.target)
     overlap = complex(spec.fixed["overlap"])
     omega = float(spec.fixed.get("omega", 1.0))
     power = np.array(
@@ -293,7 +292,6 @@ def _sweep_biphoton(spec: SweepSpec, values: np.ndarray):
 
 
 def _sweep_wavepacket(spec: SweepSpec, values: np.ndarray):
-    _require(spec.fixed, ("components", "box_lengths"), spec.target)
     direction = np.asarray(spec.fixed.get("direction", (1.0, 0.0, 0.0)), dtype=float)
     box = BoxVolume(np.asarray(spec.fixed["box_lengths"], dtype=float))
     base = [tuple(component) for component in spec.fixed["components"]]

@@ -206,7 +206,6 @@ def single_mode_hamiltonian(
     omega: float,
     space: FockSpace,
     convention: str = "canonical",
-    include_cross: bool = True,
 ) -> np.ndarray:
     """Diagonal of the energy operator of N phase-shifted waves sharing one mode.
 
@@ -216,10 +215,9 @@ def single_mode_hamiltonian(
         "canonical":                   omega * (2 N_hat + 1) * cos(phi_n - phi_m)
         "phased-plus", "phased-minus": omega * (2 N_hat * cos(phi_n - phi_m) +- 1)
 
-    Any other ``convention`` raises ValueError. With ``include_cross``
-    False only the self part is returned (the uncorrelated-wave
-    reference). The operator is number-diagonal and is returned as its
-    diagonal: float64, shape (space.levels,), entry n <n|H|n>.
+    Any other ``convention`` raises ValueError. The operator is
+    number-diagonal and is returned as its diagonal: float64, shape
+    (space.levels,), entry n <n|H|n>.
     """
     if space.mode_count != 1:
         raise ValueError("single_mode_hamiltonian needs a one-mode space")
@@ -235,14 +233,13 @@ def single_mode_hamiltonian(
     n_waves = phases.size
     number = np.arange(space.levels, dtype=float)
     diagonal = n_waves * omega * (number + 0.5)
-    if include_cross:
-        for i in range(n_waves):
-            for j in range(i + 1, n_waves):
-                cos_delta = math.cos(phases[i] - phases[j])
-                if sign is None:
-                    diagonal = diagonal + omega * cos_delta * (2.0 * number + 1.0)
-                else:
-                    diagonal = diagonal + omega * (2.0 * cos_delta * number + sign)
+    for i in range(n_waves):
+        for j in range(i + 1, n_waves):
+            cos_delta = math.cos(phases[i] - phases[j])
+            if sign is None:
+                diagonal = diagonal + omega * cos_delta * (2.0 * number + 1.0)
+            else:
+                diagonal = diagonal + omega * (2.0 * cos_delta * number + sign)
     return diagonal
 
 

@@ -14,7 +14,6 @@ from coherray import (
     SourceArray,
     SweepSpec,
     WaveMode,
-    canonical_coordinates,
     classical_energy,
     commensurate_box,
     dicke_scaling_check,
@@ -45,19 +44,6 @@ def test_single_wave_energy_formula():
 
     box = BoxVolume((2.0, 1.0, 3.0))
     assert math.isclose(single_wave_energy(mode, box), 6.0 * expected, rel_tol=1e-12)
-
-
-def test_canonical_pair_energy_is_position_independent():
-    """(P^2 + w^2 Q^2)/2 must equal E1 wherever the pair is evaluated."""
-    mode = unit_mode(amplitude=0.8)
-    e1 = single_wave_energy(mode)
-    rng = XorShift64Star(3)
-    for _ in range(30):
-        position = np.array([rng.uniform() * 4 - 2 for _ in range(3)])
-        phase = rng.uniform() * TWO_PI
-        q, p = canonical_coordinates(mode, phase, position)
-        energy = 0.5 * (p ** 2 + mode.omega ** 2 * q ** 2)
-        assert abs(energy - e1) <= 1e-12 * e1
 
 
 def test_classical_energy_uniform_phases():

@@ -9,6 +9,7 @@ import pytest
 
 from coherray import SweepSpec, run_sweep
 from coherray.cli import _SUBCOMMAND_FIELDS, _sections, main, parse_config
+from coherray.experiments import _SWEEPS
 
 TWO_PI = 2.0 * math.pi
 UNIT_ENERGY = TWO_PI  # unit-amplitude wave at unit wavelength, unit box
@@ -62,6 +63,12 @@ class TestWorkedExamples:
         values = quantity_map(split_csv(out)[2])
         assert float(values["diagonal"]) == pytest.approx(3.0, rel=1e-12)
         assert abs(float(values["total"])) < 1e-12
+        # the diagonal row is the uncorrelated reference N * omega * (n + 1/2)
+        _, out, _ = run_cli(
+            capsys, "quantum", "--n-waves", "3", "--phases", "0.1,0.9,2.2",
+            "--omega", "2", "--n", "3",
+        )
+        assert quantity_map(split_csv(out)[2])["diagonal"] == "21"
 
     def test_overlap_half_period_shift(self, capsys):
         code, out, _ = run_cli(
@@ -460,12 +467,15 @@ class TestOutputShape:
         code, out, _ = run_cli(
             capsys, "sweep", "--target", "quantum_energy",
             "--parameter", "source_count", "--start", "1", "--stop", "4",
-            "--steps", "4", "--n", "1", "--omega", "1.0",
+            "--steps", "4", "--n", "1", "--omega", "1.0", "--spacing", "0.4",
         )
         assert code == 0
-        rows = split_csv(out)[2]
+        meta, _, rows = split_csv(out)
         for row, n in zip(rows, (1, 2, 3, 4)):
             assert float(row[1]) == pytest.approx(n * n * 1.5, rel=1e-12)
+        # the spacing shapes nothing here: echoed as a flag, not as a fixed setting
+        assert meta["config.spacing"] == "0.40000000000000002"
+        assert "fixed.spacing" not in meta
 
 
 MINIMAL_ARGV = {
@@ -488,6 +498,49 @@ def test_section_dests_do_not_collide():
     for name in _SUBCOMMAND_FIELDS:
         dests = [field_spec.dest for fields in _sections(name).values() for field_spec in fields]
         assert len(dests) == len(set(dests)), name
+
+
+# a valid value, other than the default, for every fixed key the CLI can set
+SWEEP_KEY_VALUES = {
+    "n_waves": 3, "n_sources": 3, "spacing": 0.4, "wavelength": 1.2, "n": 2, "omega": 1.7,
+    "overlap": 0.5 + 0.2j, "phase": 0.9, "phase_profile": "random", "geometry": "hemisphere",
+    "radius": 300.0, "components": ((6.28, 1.0, 0.0), (7.85, 0.5, 0.3)),
+    "box_lengths": (2.0, 1.0, 1.0), "direction": (0.0, 0.6, 0.8), "component": 0,
+    "samples": 24, "n_max": 9,
+}
+
+
+def test_every_sweep_key_is_settable_from_the_cli():
+    sweep_fields = _SUBCOMMAND_FIELDS["sweep"]
+    settable = {
+        "box_lengths" if field_spec.dest == "box" else field_spec.dest
+        for field_spec in sweep_fields
+        if field_spec.default is None
+    } | {"samples", "n_max"}
+    assert set(SWEEP_KEY_VALUES) == settable
+    for required, optional in _SWEEPS.values():
+        assert set(required + optional) <= settable
+    targets = list(dict.fromkeys(target for target, _ in _SWEEPS))
+    target_field = next(field_spec for field_spec in sweep_fields if field_spec.name == "target")
+    assert [target_field.convert(target) for target in targets] == targets
+    with pytest.raises(ValueError, match=f"expected one of {', '.join(targets)};"):
+        target_field.convert("warp_drive")
+
+
+@pytest.mark.parametrize("target, parameter", list(_SWEEPS))
+def test_sweep_ignores_and_hides_keys_it_does_not_read(target, parameter):
+    required, optional = _SWEEPS[target, parameter]
+    start, stop = (1.0, 3.0) if parameter == "source_count" else (0.5, 2.0)
+    base = {key: SWEEP_KEY_VALUES[key] for key in required}
+    others = {
+        key: value for key, value in SWEEP_KEY_VALUES.items() if key not in required + optional
+    }
+    plain = run_sweep(SweepSpec(target, parameter, start, stop, 3, base))
+    loaded = run_sweep(SweepSpec(target, parameter, start, stop, 3, {**base, **others}))
+    assert np.array_equal(plain.power, loaded.power)
+    assert np.array_equal(plain.enhancement, loaded.enhancement)
+    fixed = {key[len("fixed."):] for key in loaded.metadata if key.startswith("fixed.")}
+    assert fixed <= set(required + optional)
 
 
 class TestParserBuild:

@@ -4,7 +4,9 @@ Each case in ``golden/cli_corpus.json`` is an argv list (plus, for some,
 a config file from ``golden/``) and the SHA-256 of the standard output
 it produced when the corpus was recorded. The cases cover all eight
 subcommands, both output formats (JSON for every subcommand), the three
-quantum conventions, a config file with an output energy scale, a
+quantum conventions, a config file with an output energy scale (run by
+every subcommand but wavepacket, so each way a table marks its energy
+cells is pinned, and overlap shows that non-energies stay unscaled), a
 config file that sets the format, samples, n-max and sweep keys,
 far-field sweeps over every parameter, a jittered far-field Dicke fit
 and arc and hemisphere spectra, three of them with more than 4096

@@ -223,13 +223,6 @@ def test_hamiltonian_over_budget_is_refused_before_allocation():
     assert peak < 2 ** 20
 
 
-def test_self_part_is_uncorrelated_reference():
-    space = FockSpace(n_max=5)
-    operator = single_mode_hamiltonian([0.1, 0.9, 2.2], 2.0, space, include_cross=False)
-    state = QuantumState.fock(space, 3)
-    assert abs(expectation_energy(state, operator) - 3 * 2.0 * 3.5) < 1e-12
-
-
 def test_antiphase_pair_has_zero_energy():
     space = FockSpace(n_max=8)
     operator = single_mode_hamiltonian([0.0, math.pi], 1.0, space)
