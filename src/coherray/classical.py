@@ -9,10 +9,12 @@ the energy density (E^2 + H^2)/8pi on a grid, with E = -dA/dt (c = 1)
 and H = curl A evaluated pointwise; over a box commensurate with the
 wavelength the two agree to quadrature accuracy. It never forms the phase
 sum: each wave's field is laid onto the grid and summed there. Because
-e^{ik.r} = e^{ik_x x} e^{ik_y y} e^{ik_z z} on the midpoint grid, the
-plane-wave table is the outer product of three 1-D factors, so the
-exponential is evaluated once per axis point and once per wave, not once
-per cell per wave.
+e^{ik.r} = e^{ik_x x} e^{ik_y y} e^{ik_z z} on the midpoint grid, a cell's
+plane-wave value is the product of three 1-D factors, so the exponential
+is evaluated once per axis point and once per wave, not once per cell per
+wave. The grid is walked in cache-sized slabs of consecutive z-lines and
+holds no res^3 array; before it starts, its memory is checked against
+MEMORY_BUDGET_BYTES and its cells x waves updates against WORK_BUDGET.
 
 Far-field power of point-source arrays is integrated over a detector
 surface: the default geometry is the forward hemisphere (array along x in
@@ -52,6 +54,7 @@ from .core import (
     SourceArray,
     WaveMode,
     _check_budget,
+    _check_work,
     _readonly,
     _sinc,
     _swept,
@@ -64,10 +67,26 @@ FAR_FIELD_FACTOR = 100.0
 
 _COMMENSURATE_TOL = 1e-9
 
-# complex res^3 arrays the grid holds at its peak: the plane-wave table,
-# E, H and the product of one wave (the real density arrays come after the
-# table and the product are released, and need less)
-_GRID_COMPLEX_ARRAYS = 4
+# cells per slab of the grid walk; a slab is a run of consecutive z-lines,
+# so it holds max(_SLAB_CELLS, res_z) cells, and its six arrays (640 KB)
+# stay in cache while every wave is added onto them
+_SLAB_CELLS = 8192
+
+# bytes the grid walk holds per slab cell: the plane-wave values, E, H and
+# one wave's product (complex), and the density and its H term (float)
+_SLAB_CELL_BYTES = 80
+
+# bytes per slab line: the line's x-y factor, and the two index arrays and
+# the two gathered factors that build it
+_SLAB_LINE_BYTES = 64
+
+# bytes per axis point: the midpoint axis, its factor e^{ik x}, and the two
+# complex temporaries of the factor's build
+_AXIS_POINT_BYTES = 56
+
+# bytes a grid call holds whatever its size: array headers, the wave
+# coefficients and their list (about 4 KB measured)
+_GRID_CALL_BYTES = 8192
 
 # detector rows per block of the far-field sum
 _BLOCK_ROWS = 4096
@@ -90,17 +109,19 @@ _FIELD_COLUMNS = 6
 # SourceArray object and curve entries (~250 measured with tracemalloc)
 _SWEEP_STEP_BYTES = 512
 
-# bytes per source that a far-field sweep step holds or makes, by kind: the
-# engine makes each step the cos and sin of its phases (16; phase_delta
-# steps hold them together, other steps free them after their pass);
-# spectrum steps share their array's positions and phases, wavelength and
+# bytes per source that a far-field sweep step holds, by kind: spectrum
+# steps share their array's positions and phases, wavelength and
 # phase_delta steps hold new phases (8), and spacing and source_count steps
-# build new positions and phases (32)
-_SWEEP_SOURCE_BYTES = dict(spectrum=16, wavelength=24, phase_delta=24, spacing=48, source_count=48)
+# build new positions and phases (32). phase_delta steps share one engine
+# pass, which holds the cos and sin of every step's phases at once (16)
+_SWEEP_SOURCE_BYTES = dict(spectrum=0, wavelength=8, phase_delta=24, spacing=32, source_count=32)
 
-# bytes per source of building one step: the array under construction and
-# its temporaries (at most ~50 measured)
-_SWEEP_BUILD_BYTES = 64
+# bytes per source held once per sweep: the first array under construction
+# and its temporaries (72 measured at 20 000 sources, more per source at a
+# few hundred, where a call's fixed overhead counts), and the cos and sin
+# (16) of one step's phases, which the engine makes and frees a step at a
+# time (phase_delta steps, which share one pass, are charged theirs per step)
+_SWEEP_BUILD_BYTES = 96
 
 
 @dataclass(frozen=True)
@@ -220,14 +241,17 @@ def field_energy_grid(
     the brute-force twin of `classical_energy` and never forms the phase
     sum: every wave adds its own field to E and to H on the grid.
 
-    e^{ik.r} separates over the axes of the midpoint grid, so the
-    plane-wave table is the outer product of three 1-D factors and each
-    wave is that table times a e^{i phi}: 3*res + N exponentials in place
-    of N*res^3.
+    e^{ik.r} separates over the axes of the midpoint grid, so a cell's
+    plane-wave value is the product of three 1-D factors and each wave is
+    that value times a e^{i phi}: 3*res + N exponentials in place of
+    N*res^3. The grid is walked in slabs of consecutive z-lines (see
+    _slab_walk), so the memory held grows with one slab and the axes, not
+    with the cell count.
 
     ``resolution`` is the number of cells per axis, one integer or three.
     Raises TypeError for non-integers, and ValueError below 8 cells per
-    axis or when the grid would need more than MEMORY_BUDGET_BYTES.
+    axis, when the walk would need more than MEMORY_BUDGET_BYTES, or when
+    its cells x waves updates exceed WORK_BUDGET.
     """
     try:
         res = tuple(operator.index(r) for r in np.broadcast_to(np.asarray(resolution), (3,)))
@@ -236,7 +260,11 @@ def field_energy_grid(
     if min(res) < 8:
         raise ValueError("resolution must be at least 8 per axis")
     cells = math.prod(res)
-    _check_budget(_GRID_COMPLEX_ARRAYS * 16 * cells, f"grid request of {cells} cells")
+    lines = min(res[0] * res[1], max(1, _SLAB_CELLS // res[2]))
+    needed = _SLAB_CELL_BYTES * lines * res[2] + _SLAB_LINE_BYTES * lines
+    needed += _AXIS_POINT_BYTES * sum(res) + _GRID_CALL_BYTES
+    _check_budget(needed, f"grid request of {cells} cells")
+    _check_work(cells * waves.n_waves, f"grid request of {cells} cells x {waves.n_waves} waves")
 
     mode = waves.mode
     k = mode.wavevector
@@ -251,24 +279,60 @@ def field_energy_grid(
         for i in range(3)
     ]
     fx, fy, fz = (np.exp(1j * k[i] * axes[i]) for i in range(3))
-    plane = (fx[:, None] * fy)[:, :, None] * fz
-
-    efield = np.zeros(res, dtype=complex)
-    hfield = np.zeros(res, dtype=complex)
-    product = np.empty(res, dtype=complex)
+    coefficients = []
     for phi in waves.phases:
         analytic = mode.amplitude * np.exp(1j * phi)
-        efield += np.multiply(plane, (1j * mode.omega) * analytic, out=product)
-        hfield += np.multiply(plane, 1j * analytic, out=product)
-    del plane, product
+        coefficients.append(((1j * mode.omega) * analytic, 1j * analytic))
     # E along the polarization; H along k x pol with |k x pol| = |k|; the
     # real fields are 2 Re E and 2 Re H, so (E^2 + H^2)/8pi is this sum / 2pi
-    density = np.square(efield.real)
-    density += mode.wavenumber ** 2 * np.square(hfield.real)
+    total = _slab_walk(fx, fy, fz, coefficients, mode.wavenumber ** 2, lines)
 
     cell = volume.volume / cells
-    energy = float(density.sum() / TWO_PI * cell)
+    energy = float(total / TWO_PI * cell)
     return GridEnergy(energy, commensurate)
+
+
+def _slab_walk(fx, fy, fz, coefficients, k_sq: float, lines: int) -> float:
+    """Sum of Re(E)^2 + k_sq Re(H)^2 over the grid of the 1-D factors.
+
+    The cells are walked in slabs of ``lines`` consecutive z-lines, whose
+    arrays are allocated once and sliced for the last slab. In a slab, a
+    cell's plane-wave value is (fx*fy)*fz, the products the whole-grid
+    outer product forms; E and H start at zero, and each wave's (E, H)
+    pair of ``coefficients`` adds the plane times that coefficient to
+    them, so each cell's density has the bits of a whole-grid walk. Only
+    the grouping of the final sum differs: each slab is summed and added
+    to the total in slab order.
+    """
+    ry = fy.size
+    count = fx.size * ry
+    shape = (lines, fz.size)
+    plane, efield, hfield, product = (np.empty(shape, dtype=complex) for _ in range(4))
+    density, magnetic = np.empty(shape), np.empty(shape)
+    rows = np.empty(lines, dtype=complex)
+    total = 0.0
+    for start in range(0, count, lines):
+        n = min(lines, count - start)
+        x, y = np.divmod(np.arange(start, start + n), ry)
+        xy = np.multiply(fx[x], fy[y], out=rows[:n])
+        p, e, h, wave = plane[:n], efield[:n], hfield[:n], product[:n]
+        # both factors are spread into slab arrays first: a broadcasting
+        # multiply would allocate numpy's operand buffers (2 x 8192 cells)
+        p[...] = xy[:, None]
+        wave[...] = fz
+        np.multiply(p, wave, out=p)
+        e.fill(0.0)
+        h.fill(0.0)
+        for e_coefficient, h_coefficient in coefficients:
+            e += np.multiply(p, e_coefficient, out=wave)
+            h += np.multiply(p, h_coefficient, out=wave)
+        d, m = density[:n], magnetic[:n]
+        np.square(e.real, out=d)
+        np.square(h.real, out=m)
+        m *= k_sq
+        d += m
+        total += float(d.sum())
+    return total
 
 
 def _detector_quadrature(detector: DetectorGrid) -> tuple[np.ndarray, np.ndarray]:

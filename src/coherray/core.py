@@ -23,6 +23,12 @@ _VEC_TOL = 1e-9
 # array checks its own count against it before allocating
 MEMORY_BUDGET_BYTES = 1 << 30
 
+# operations one request may perform; a route whose time grows faster than
+# its memory counts its dominant operation against this before it starts.
+# The grid's slab walk takes 5-8 ns per cell update with 8 waves on a 2-vCPU
+# VM (13-19 ns with one wave), so this is one to three minutes of it
+WORK_BUDGET = 10 ** 10
+
 # peak bytes per wave of the closed-form route: the phase tuple and
 # PhasedWaveSet's reduced copy (a float object per entry) and phase_sum's
 # arrays; measured with tracemalloc at 80 bytes per wave
@@ -62,6 +68,15 @@ def _check_budget(needed: int, request: str):
     if needed > MEMORY_BUDGET_BYTES:
         raise ValueError(
             f"{request} needs {needed} bytes, over the budget of {MEMORY_BUDGET_BYTES} bytes"
+        )
+
+
+def _check_work(count: int, request: str):
+    """Refuse ``request`` (a description naming its size) if it needs more
+    than WORK_BUDGET operations."""
+    if count > WORK_BUDGET:
+        raise ValueError(
+            f"{request} needs {count} operations, over the work budget of {WORK_BUDGET} operations"
         )
 
 
@@ -137,7 +152,8 @@ class WaveMode:
 class PhasedWaveSet:
     """N copies of one mode, distinguished only by their phase offsets.
 
-    Phases are reduced mod 2*pi at construction and stored as a tuple.
+    Phases are reduced mod 2*pi at construction and stored as a tuple;
+    a non-finite phase raises ValueError.
     """
 
     mode: WaveMode
@@ -146,7 +162,13 @@ class PhasedWaveSet:
     def __post_init__(self):
         if len(self.phases) < 1:
             raise ValueError("a wave set needs at least one phase")
-        object.__setattr__(self, "phases", tuple(reduce_phase(p) for p in self.phases))
+        reduced = []
+        for phase in self.phases:
+            phase = reduce_phase(phase)
+            if not math.isfinite(phase):
+                raise ValueError("phases must be finite")
+            reduced.append(phase)
+        object.__setattr__(self, "phases", tuple(reduced))
 
     @property
     def n_waves(self) -> int:

@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -146,7 +147,32 @@ def direct_exp_grid(waves, volume, resolution):
     return float(((e_sq + h_sq) / (8.0 * math.pi)).sum() * cell), commensurate
 
 
-def random_grid_case(rng, case):
+def whole_grid_reference(waves, volume, resolution):
+    """Reference: the grid energy with the whole res^3 plane-wave table, E
+    and H held at once, as field_energy_grid computed it before the slab
+    walk."""
+    res = tuple(np.broadcast_to(np.asarray(resolution, dtype=int), (3,)))
+    mode = waves.mode
+    k = mode.wavevector
+    lengths = volume.lengths
+    axes = [
+        volume.center[i] - lengths[i] / 2.0 + (np.arange(res[i]) + 0.5) * (lengths[i] / res[i])
+        for i in range(3)
+    ]
+    fx, fy, fz = (np.exp(1j * k[i] * axes[i]) for i in range(3))
+    plane = (fx[:, None] * fy)[:, :, None] * fz
+    efield = np.zeros(res, dtype=complex)
+    hfield = np.zeros(res, dtype=complex)
+    for phi in waves.phases:
+        analytic = mode.amplitude * np.exp(1j * phi)
+        efield += plane * ((1j * mode.omega) * analytic)
+        hfield += plane * (1j * analytic)
+    density = np.square(efield.real)
+    density += mode.wavenumber ** 2 * np.square(hfield.real)
+    return float(density.sum() / TWO_PI * (volume.volume / math.prod(res)))
+
+
+def random_grid_case(rng, case, resolutions=(8, 12, (8, 13, 21), (16, 9, 11), 20, (24, 16, 8))):
     """One seeded wave set, box and resolution: axis-aligned k on a
     commensurate box, axis-aligned k on a free box, or off-axis k."""
     n = 1 + case % 8
@@ -165,7 +191,7 @@ def random_grid_case(rng, case):
         box = commensurate_box(mode, lengths, center)
     else:
         box = BoxVolume(lengths, center)
-    resolution = (8, 12, (8, 13, 21), (16, 9, 11), 20, (24, 16, 8))[case % 6]
+    resolution = resolutions[case % len(resolutions)]
     return PhasedWaveSet(mode, tuple(rng.phases(n))), box, resolution
 
 
@@ -181,6 +207,57 @@ def test_field_energy_grid_matches_direct_exp_reference():
         assert grid.commensurate == commensurate
         commensurate_cases += commensurate
     assert 0 < commensurate_cases < 30
+
+
+def test_slab_walk_matches_the_whole_grid_walk():
+    """The slab walk keeps every cell's arithmetic; only the grouping of the
+    final sum moves. The shapes put slab edges inside an x row (24 x 40 x 24,
+    37 x 29 x 13, 16 x 600 x 8), make z-lines longer than one slab
+    (9 x 8 x 8200), fit the grid in one slab (8 x 13 x 21), or align the
+    edges with x rows (48^3)."""
+    resolutions = ((24, 40, 24), (9, 8, 8200), (37, 29, 13), (8, 13, 21), (16, 600, 8), 48)
+    assert classical._SLAB_CELLS < 8200
+    rng = XorShift64Star(1991)
+    for case in range(30):
+        waves, box, resolution = random_grid_case(rng, case, resolutions)
+        energy = whole_grid_reference(waves, box, resolution)
+        scale = max(abs(energy), single_wave_energy(waves.mode, box))
+        assert abs(field_energy_grid(waves, box, resolution).energy - energy) <= 1e-14 * scale
+
+
+def test_field_energy_grid_adds_every_wave_onto_every_slab(monkeypatch):
+    """Each slab takes one product per wave for E and one for H, each with
+    that wave's own coefficient: summing the coefficients first would form
+    the phase sum by hand, and would show here as two products per slab."""
+    mode = WaveMode.plane(np.array([0.0, 3.0, 0.0]), amplitude=0.7 - 0.2j)
+    waves = PhasedWaveSet(mode, (0.3, 1.9, 4.0, 5.5, 5.5))
+    box = BoxVolume((1.1, 0.8, 2.5))
+    analytic = [mode.amplitude * np.exp(1j * phi) for phi in waves.phases]
+    expected = sorted([(1j * mode.omega) * a for a in analytic] + [1j * a for a in analytic],
+                      key=lambda c: (c.real, c.imag))
+    # 130 z-lines of 64 cells: a slab of 128 lines, then one of 2
+    slabs = {128 * 64: [], 2 * 64: []}
+    original = np.multiply
+
+    class Recording:
+        """np.multiply, noting each array-times-scalar product by size."""
+
+        def __call__(self, a, b, *args, **kwargs):
+            if np.ndim(b) == 0:
+                slabs.setdefault(np.size(a), []).append(complex(b))
+            return original(a, b, *args, **kwargs)
+
+        def __getattr__(self, name):
+            return getattr(original, name)
+
+    monkeypatch.setattr(np, "multiply", Recording())
+    field_energy_grid(waves, box, (10, 13, 64))
+    assert sorted(slabs) == [2 * 64, 128 * 64]
+    for products in slabs.values():
+        assert len(products) == 2 * waves.n_waves
+        products.sort(key=lambda c: (c.real, c.imag))
+        for got, want in zip(products, expected):
+            assert abs(got - want) <= 1e-14 * abs(want)
 
 
 def test_field_energy_grid_never_forms_the_phase_sum(monkeypatch):
@@ -235,23 +312,59 @@ def test_field_energy_grid_resolution_must_be_integers():
 
 
 def test_grid_request_over_budget_is_refused_before_allocation():
+    """The walk holds one slab (80 bytes per cell; a slab is one z-line when
+    that is longer than 8192 cells), 64 bytes per slab line, 56 per axis
+    point and 8 KB per call; it performs cells x waves updates. A request
+    over either budget is refused at once, before it allocates."""
     waves = PhasedWaveSet(unit_mode(), (0.0, 1.0))
     box = BoxVolume((1.0, 1.0, 1.0))
+    work = f" operations, over the work budget of {core.WORK_BUDGET} operations"
+    memory = f" bytes, over the budget of {classical.MEMORY_BUDGET_BYTES} bytes"
+    requests = (
+        (10_000, f"grid request of {10 ** 12} cells x 2 waves needs {2 * 10 ** 12}{work}"),
+        ((1_000_000, 100, 100), f"grid request of {10 ** 10} cells x 2 waves needs {2 * 10 ** 10}{work}"),
+        ((8, 8, 2 ** 24), f"grid request of {2 ** 30} cells needs"
+                          f" {80 * 2 ** 24 + 64 + 56 * (16 + 2 ** 24) + 8192}{memory}"),
+        ((8, 8, 2 ** 62), f"grid request of {2 ** 68} cells needs"
+                          f" {80 * 2 ** 62 + 64 + 56 * (16 + 2 ** 62) + 8192}{memory}"),
+    )
     tracemalloc.start()
     try:
-        for resolution, cells in ((10_000, 10 ** 12), ((256, 256, 257), 256 * 256 * 257),
-                                  ((8, 8, 2 ** 62), 2 ** 68)):
-            message = (
-                f"grid request of {cells} cells needs {64 * cells} bytes,"
-                f" over the budget of {classical.MEMORY_BUDGET_BYTES} bytes"
-            )
+        for resolution, message in requests:
+            started = time.perf_counter()
             with pytest.raises(ValueError) as refused:
                 field_energy_grid(waves, box, resolution)
+            assert time.perf_counter() - started < 1.0
             assert str(refused.value) == message
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 20
+
+
+@pytest.mark.parametrize("resolution", [8, 64, (40, 30, 24), (9, 300, 50), (8, 13, 20_000)])
+def test_grid_budget_covers_the_measured_peak(monkeypatch, resolution):
+    """The memory charge covers what the slab walk really holds, for
+    isotropic and anisotropic grids and z-lines longer than one slab."""
+    mode = WaveMode.plane(np.array([1.0, -2.0, 0.5]))
+    waves = PhasedWaveSet(mode, (0.1, 2.0, 3.3))
+    box = BoxVolume((1.0, 2.0, 0.7), (0.1, 0.0, -0.2))
+    charged = []
+    original = classical._check_budget
+
+    def recording(needed, request):
+        charged.append(needed)
+        return original(needed, request)
+
+    monkeypatch.setattr(classical, "_check_budget", recording)
+    tracemalloc.start()
+    try:
+        field_energy_grid(waves, box, resolution)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(charged) == 1
+    assert peak <= charged[0]
 
 
 class TestDetectorGrid:

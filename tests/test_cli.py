@@ -197,8 +197,11 @@ class TestExitCodes:
         assert out == ""
 
     def test_million_source_spectrum_is_refused_within_seconds(self, capsys):
-        """Validating a linear array is O(N): the request reaches the sweep
-        budget at once instead of spending hours on pairwise distances."""
+        """Validating a linear array is O(N): the request reaches the
+        far-field budget at once instead of spending hours on pairwise
+        distances. A spectrum's steps share their array, so the sweep check
+        charges its 200 steps 512 bytes each plus 96 bytes per source once,
+        and passes it on."""
         started = time.perf_counter()
         code, out, err = run_cli(
             capsys, "spectrum", "--n-sources", "1000000", "--spacing", "0.5",
@@ -206,7 +209,7 @@ class TestExitCodes:
         )
         assert time.perf_counter() - started < 5.0
         assert code == 1
-        assert "error: far-field sweep of 200 steps x 1000000 sources needs " in err
+        assert "error: far-field request of 256 detector points x 1000000 sources needs " in err
         assert "over the budget of 1073741824 bytes" in err
         assert out == ""
 

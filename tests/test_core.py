@@ -11,6 +11,8 @@ from coherray import (
     PhasedWaveSet,
     SourceArray,
     WaveMode,
+    classical_energy,
+    field_energy_grid,
     make_linear_array,
     phase_sum,
     reduce_phase,
@@ -99,6 +101,18 @@ def test_phased_wave_set_reduces_phases():
     # both reduce to pi
     assert abs(waves.phases[0] - math.pi) < 1e-12
     assert abs(waves.phases[1] - math.pi) < 1e-12
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_phased_wave_set_rejects_non_finite_phases(bad):
+    """A non-finite phase is refused where the set is built, so neither the
+    grid (which would integrate nan) nor the closed form gets one."""
+    mode = WaveMode.plane(np.array([TWO_PI, 0.0, 0.0]))
+    box = BoxVolume((1.0, 1.0, 1.0))
+    for route in (lambda waves: waves, lambda waves: field_energy_grid(waves, box, 8),
+                  lambda waves: classical_energy(waves, box)):
+        with pytest.raises(ValueError, match="phases must be finite"):
+            route(PhasedWaveSet(mode, (0.0, bad)))
 
 
 class TestSourceArray:

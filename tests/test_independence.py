@@ -122,6 +122,8 @@ def test_the_walk_follows_helpers_modules_and_methods(graph):
     farfield = reached_names(graph, ("classical", "farfield_powers"))
     assert {"_path_differences", "_run_powers", "_detector_quadrature", "_check_budget",
             "wavenumber", "n_sources"} <= farfield
+    grid = reached_names(graph, ("classical", "field_energy_grid"))
+    assert {"_slab_walk", "_check_budget", "_check_work", "wavenumber", "n_waves"} <= grid
     # positive controls: closed forms reached through a module attribute,
     # through a name imported from another module and through a helper
     assert "classical_energy" in reached_names(graph, ("experiments", "dicke_scaling_check"))
