@@ -14,7 +14,7 @@ plane-wave value is the product of three 1-D factors, so the exponential
 is evaluated once per axis point and once per wave, not once per cell per
 wave. The grid is walked in cache-sized slabs of consecutive z-lines and
 holds no res^3 array; before it starts, its memory is checked against
-MEMORY_BUDGET_BYTES and its cells x waves updates against WORK_BUDGET.
+MEMORY_BUDGET_BYTES and its cell updates against WORK_BUDGET.
 
 Far-field power of point-source arrays is integrated over a detector
 surface: the default geometry is the forward hemisphere (array along x in
@@ -62,10 +62,17 @@ from .core import (
 )
 
 # far-field validity: detector radius must exceed this multiple of both the
-# wavelength and the array extent
+# wavelength and the array extent; _far_field_radius is its one reader
 FAR_FIELD_FACTOR = 100.0
 
+# the detector geometries DetectorGrid accepts
+GEOMETRIES = ("hemisphere", "arc")
+
 _COMMENSURATE_TOL = 1e-9
+
+# grid operations per cell besides one per wave: the plane-wave values, E and
+# H zeroed, the density (c of t = a (N + c) fitted at 128^3, N = 1, 8, 32)
+_GRID_CELL_WORK = 3
 
 # cells per slab of the grid walk; a slab is a run of consecutive z-lines,
 # so it holds max(_SLAB_CELLS, res_z) cells, and its six arrays (640 KB)
@@ -141,7 +148,7 @@ class DetectorGrid:
     samples: int = 256
 
     def __post_init__(self):
-        if self.geometry not in ("hemisphere", "arc"):
+        if self.geometry not in GEOMETRIES:
             raise ValueError(f"geometry must be 'hemisphere' or 'arc', got {self.geometry!r}")
         if not (math.isfinite(self.radius) and self.radius > 0.0):
             raise ValueError("radius must be positive and finite")
@@ -211,7 +218,7 @@ def classical_energy(waves: PhasedWaveSet, volume: BoxVolume | None = None):
     _, magnitude_sq = phase_sum(waves.phases)
     diagonal = n * unit
     cross = unit * (magnitude_sq - n)
-    return EnergyReport.from_parts(diagonal, cross)
+    return EnergyReport(diagonal, cross)
 
 
 def commensurate_box(mode: WaveMode, lengths, center=(0.0, 0.0, 0.0)) -> BoxVolume:
@@ -251,7 +258,7 @@ def field_energy_grid(
     ``resolution`` is the number of cells per axis, one integer or three.
     Raises TypeError for non-integers, and ValueError below 8 cells per
     axis, when the walk would need more than MEMORY_BUDGET_BYTES, or when
-    its cells x waves updates exceed WORK_BUDGET.
+    its cells x (waves + _GRID_CELL_WORK) operations exceed WORK_BUDGET.
     """
     try:
         res = tuple(operator.index(r) for r in np.broadcast_to(np.asarray(resolution), (3,)))
@@ -264,7 +271,8 @@ def field_energy_grid(
     needed = _SLAB_CELL_BYTES * lines * res[2] + _SLAB_LINE_BYTES * lines
     needed += _AXIS_POINT_BYTES * sum(res) + _GRID_CALL_BYTES
     _check_budget(needed, f"grid request of {cells} cells")
-    _check_work(cells * waves.n_waves, f"grid request of {cells} cells x {waves.n_waves} waves")
+    work = cells * (waves.n_waves + _GRID_CELL_WORK)
+    _check_work(work, f"grid request of {cells} cells x {waves.n_waves} waves")
 
     mode = waves.mode
     k = mode.wavevector
@@ -463,6 +471,11 @@ def _check_sweep_budget(steps: int, n_sources: int, kind: str):
     _check_budget(needed, f"far-field sweep of {steps} steps x {n_sources} sources")
 
 
+def _far_field_radius(wavelength: float, extent: float) -> float:
+    """The far-field threshold: FAR_FIELD_FACTOR times the larger of the two."""
+    return FAR_FIELD_FACTOR * max(wavelength, extent)
+
+
 def farfield_powers(arrays, detector: DetectorGrid) -> tuple[np.ndarray, np.ndarray]:
     """Detected power and enhancement of each array on one detector.
 
@@ -491,7 +504,7 @@ def farfield_powers(arrays, detector: DetectorGrid) -> tuple[np.ndarray, np.ndar
     """
     arrays = list(arrays)
     for array in arrays:
-        threshold = FAR_FIELD_FACTOR * max(array.wavelength, array.extent)
+        threshold = _far_field_radius(array.wavelength, array.extent)
         if detector.radius < threshold:
             raise FarFieldViolationError(
                 f"detector radius {detector.radius} below far-field threshold {threshold}"

@@ -7,7 +7,9 @@ Resolution order for every setting: built-in default, then the config
 file (section ``global`` for shared flags, one section per subcommand),
 then command-line flags. Outputs echo every field of the global, units
 and subcommand tables as ``config.<name>`` metadata and are
-byte-identical for identical configurations.
+byte-identical for identical configurations. The choices of the
+enumerated flags and the far-field default radius come from the library
+modules that check them.
 
 Config file grammar: flat text, one ``section.key = value`` per line,
 ``#`` comments and blank lines ignored. Sections are ``global``,
@@ -26,7 +28,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -67,11 +69,18 @@ def _parse_float(text: str) -> float:
     return value
 
 
-def _parse_floats(text: str) -> tuple:
-    parts = [p for p in text.split(",") if p.strip() != ""]
-    if not parts:
-        raise ValueError("expected a comma-separated list of numbers")
-    return tuple(_parse_float(p) for p in parts)
+def _parse_list(convert, kind: str):
+    def parse(text: str) -> tuple:
+        parts = [p for p in text.split(",") if p.strip() != ""]
+        if not parts:
+            raise ValueError(f"expected a comma-separated list of {kind}")
+        return tuple(convert(p) for p in parts)
+
+    return parse
+
+
+_parse_floats = _parse_list(_parse_float, "numbers")
+_parse_ints = _parse_list(int, "integers")
 
 
 def _parse_vec3(text: str) -> tuple:
@@ -79,13 +88,6 @@ def _parse_vec3(text: str) -> tuple:
     if len(values) != 3:
         raise ValueError(f"expected 3 comma-separated numbers, got {len(values)}")
     return values
-
-
-def _parse_ints(text: str) -> tuple:
-    parts = [p for p in text.split(",") if p.strip() != ""]
-    if not parts:
-        raise ValueError("expected a comma-separated list of integers")
-    return tuple(int(p) for p in parts)
 
 
 def _parse_complex(text: str) -> complex:
@@ -171,8 +173,8 @@ _SUBCOMMAND_FIELDS = {
         _Field("omega", _parse_float, 1.0, "mode frequency"),
         _Field(
             "convention",
-            _choice("canonical", "phased-plus", "phased-minus"),
-            "canonical",
+            _choice(*quantum.CONVENTIONS),
+            quantum.CONVENTIONS[0],
             "cross-term commutator convention",
         ),
     ),
@@ -214,11 +216,11 @@ _SUBCOMMAND_FIELDS = {
         _Field("phase", _parse_float, None, "fixed: constant phase offset"),
         _Field(
             "phase-profile",
-            _choice("uniform", "random"),
+            _choice(*experiments.PHASE_PROFILES),
             None,
             "fixed: phase profile for source_count sweeps",
         ),
-        _Field("geometry", _choice("hemisphere", "arc"), None, "fixed: detector geometry"),
+        _Field("geometry", _choice(*classical.GEOMETRIES), None, "fixed: detector geometry"),
         _Field("radius", _parse_float, None, "fixed: detector radius"),
         _Field("components", _parse_components, None, "fixed: wavepacket components"),
         _Field("box", _parse_vec3, None, "fixed: box side lengths"),
@@ -229,8 +231,8 @@ _SUBCOMMAND_FIELDS = {
         _Field("n-values", _parse_ints, _REQUIRED, "source counts to fit, e.g. '2,4,8'"),
         _Field(
             "regime",
-            _choice("closed_form", "farfield"),
-            "closed_form",
+            _choice(*experiments.REGIMES),
+            experiments.REGIMES[0],
             "closed-form energies or detected far-field power",
         ),
         _Field("spacing-ratio", _parse_float, 0.01, "array spacing over wavelength"),
@@ -242,7 +244,7 @@ _SUBCOMMAND_FIELDS = {
         _Field("wavelength-min", _parse_float, _REQUIRED, "sweep start wavelength"),
         _Field("wavelength-max", _parse_float, _REQUIRED, "sweep stop wavelength"),
         _Field("steps", int, 200, "number of wavelengths"),
-        _Field("geometry", _choice("hemisphere", "arc"), "arc", "detector geometry"),
+        _Field("geometry", _choice(*classical.GEOMETRIES), "arc", "detector geometry"),
         _Field("radius", _parse_float, None, "detector radius (default: far-field minimum)"),
     ),
 }
@@ -421,14 +423,10 @@ _ENERGIES = frozenset(
 )
 
 
-def _report_table(report: EnergyReport, meta: dict) -> ResultTable:
-    rows = (
-        ("diagonal", report.diagonal),
-        ("cross", report.cross),
-        ("total", report.total),
-        ("enhancement", report.enhancement),
-    )
-    return ResultTable(("quantity", "value"), rows, meta)
+def _report_table(values, meta: dict) -> ResultTable:
+    """One quantity/value row per EnergyReport field, in field order."""
+    names = (field_spec.name for field_spec in fields(EnergyReport))
+    return ResultTable(("quantity", "value"), tuple(zip(names, values)), meta)
 
 
 def _curve_table(curve: SpectrumCurve) -> ResultTable:
@@ -462,7 +460,8 @@ def _run_classical(params: dict) -> ResultTable:
         np.array([TWO_PI / params["wavelength"], 0.0, 0.0]), amplitude=params["amplitude"]
     )
     report = classical.classical_energy(PhasedWaveSet(mode, tuple(phases)))
-    return _report_table(report, {"kind": "classical_energy", "n_waves": params["n_waves"]})
+    meta = {"kind": "classical_energy", "n_waves": params["n_waves"]}
+    return _report_table(astuple(report), meta)
 
 
 def _run_quantum(params: dict) -> ResultTable:
@@ -477,19 +476,13 @@ def _run_quantum(params: dict) -> ResultTable:
     total = quantum.expectation_energy(state, operator)
     # the self part on |n>: N uncorrelated waves of omega * (n + 1/2) each
     diagonal = params["n_waves"] * params["omega"] * (occupation + 0.5)
-    rows = (
-        ("diagonal", diagonal),
-        ("cross", total - diagonal),
-        ("total", total),
-        ("enhancement", total / diagonal),
-    )
     meta = {
         "kind": "quantum_energy",
         "n_waves": params["n_waves"],
         "n": occupation,
         "convention": convention,
     }
-    return ResultTable(("quantity", "value"), rows, meta)
+    return _report_table((diagonal, total - diagonal, total, total / diagonal), meta)
 
 
 def _run_overlap(params: dict) -> ResultTable:
@@ -528,7 +521,7 @@ def _run_wavepacket(params: dict) -> ResultTable:
     )
     report = multimode.wavepacket_energy(spectrum)
     meta = {"kind": "wavepacket", "n_components": spectrum.n_components}
-    return _report_table(report, meta)
+    return _report_table(astuple(report), meta)
 
 
 def _run_sweep(params: dict) -> ResultTable:
@@ -574,7 +567,7 @@ def _run_spectrum(params: dict) -> ResultTable:
     array = make_linear_array(params["n_sources"], params["spacing"], lo)
     radius = params["radius"]
     if radius is None:
-        radius = classical.FAR_FIELD_FACTOR * max(hi, array.extent)
+        radius = classical._far_field_radius(hi, array.extent)
     detector = DetectorGrid(
         radius=radius,
         geometry=params["geometry"],
@@ -708,9 +701,6 @@ def main(argv=None) -> int:
     try:
         table = _RUNNERS[config.subcommand](config.settings)
         return emit_results(table, config)
-    except _CliError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return err.code
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return 4 if isinstance(err, MissingSettingError) else 3

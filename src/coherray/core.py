@@ -1,9 +1,11 @@
 """Shared value types and the phase-sum kernel.
 
 Everything in this module is an immutable value object; instances can be
-shared freely across threads or worker processes. Natural units are fixed:
-c = 1 throughout and hbar = 1 in the quantum modules. The CLI's output-only
-energy scale is the one conversion to physical units.
+shared freely across threads or worker processes. A value that follows
+from others is derived, never passed: a WaveMode's omega, an
+EnergyReport's total and enhancement, a SourceArray's extent. Natural
+units are fixed: c = 1 throughout and hbar = 1 in the quantum modules.
+The CLI's output-only energy scale is the one conversion to physical units.
 """
 
 from __future__ import annotations
@@ -17,16 +19,14 @@ import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
-_VEC_TOL = 1e-9
-
 # bytes one request may hold at its peak; each route that builds a large
 # array checks its own count against it before allocating
 MEMORY_BUDGET_BYTES = 1 << 30
 
 # operations one request may perform; a route whose time grows faster than
 # its memory counts its dominant operation against this before it starts.
-# The grid's slab walk takes 5-8 ns per cell update with 8 waves on a 2-vCPU
-# VM (13-19 ns with one wave), so this is one to three minutes of it
+# The grid's slab walk takes about 3 ns per counted operation on a 2-vCPU
+# VM, with one wave or with 32, so this is about half a minute of it
 WORK_BUDGET = 10 ** 10
 
 # peak bytes per wave of the closed-form route: the phase tuple and
@@ -52,14 +52,13 @@ class MissingSettingError(ConfigError):
 
 
 def _vec3(value, name: str) -> np.ndarray:
-    # a copy, so freezing it never freezes the caller's array
-    arr = np.array(value, dtype=float)
+    arr = np.asarray(value, dtype=float)
     if arr.shape != (3,):
         raise ValueError(f"{name} must be a 3-vector, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} must be finite")
-    arr.flags.writeable = False
-    return arr
+    # a copy, so freezing it never freezes the caller's array
+    return _readonly(arr)
 
 
 def _check_budget(needed: int, request: str):
@@ -108,40 +107,34 @@ class WaveMode:
     Parameters
     ----------
     wavevector : array_like, shape (3,)
-        Propagation vector k.
-    omega : float
-        Angular frequency; must equal ``|k|`` (c = 1).
+        Propagation vector k, nonzero; it fixes ``omega = |k|`` (c = 1).
     amplitude : complex
         Complex amplitude of the analytic-signal part of the vector
         potential.
     """
 
     wavevector: np.ndarray
-    omega: float
     amplitude: complex
+    omega: float = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "wavevector", _vec3(self.wavevector, "wavevector"))
         object.__setattr__(self, "amplitude", complex(self.amplitude))
         if not cmath.isfinite(self.amplitude):
             raise ValueError("amplitude must be finite")
-        if not (math.isfinite(self.omega) and self.omega > 0.0):
-            raise ValueError("omega must be positive and finite")
-        k_norm = float(np.linalg.norm(self.wavevector))
-        if k_norm <= 0.0:
-            raise ValueError("wavevector must be nonzero")
-        if abs(self.omega - k_norm) > _VEC_TOL * self.omega:
-            raise ValueError(f"omega={self.omega} inconsistent with |k|={k_norm}")
+        omega = float(np.linalg.norm(self.wavevector))
+        if not 0.0 < omega < math.inf:
+            raise ValueError("wavevector must be nonzero, with a finite norm")
+        object.__setattr__(self, "omega", omega)
 
     @classmethod
     def plane(cls, wavevector, amplitude=1.0) -> "WaveMode":
-        """Build a plane mode, deriving omega = |k|."""
-        k = _vec3(wavevector, "wavevector")
-        return cls(k, float(np.linalg.norm(k)), amplitude)
+        """Build a plane mode of unit amplitude unless one is given."""
+        return cls(wavevector, amplitude)
 
     @property
     def wavenumber(self) -> float:
-        return float(np.linalg.norm(self.wavevector))
+        return self.omega
 
     @property
     def wavelength(self) -> float:
@@ -297,27 +290,27 @@ class BoxVolume:
 class EnergyReport:
     """Energy split into self terms, interference terms, and their sum.
 
-    ``enhancement`` is the ratio of the total to the uncorrelated energy
-    (N times the single-wave unit, which equals ``diagonal``); it lies in
-    [0, N] for N equal-amplitude waves.
+    ``total = diagonal + cross`` and ``enhancement`` are derived; the latter
+    is the total over the uncorrelated energy (N times the single-wave unit,
+    which equals ``diagonal``), in [0, N] for N equal-amplitude waves.
     """
 
     diagonal: float
     cross: float
-    total: float
-    enhancement: float
+    total: float = field(init=False)
+    enhancement: float = field(init=False)
 
-    @classmethod
-    def from_parts(cls, diagonal: float, cross: float) -> "EnergyReport":
-        if not (math.isfinite(diagonal) and diagonal > 0.0):
+    def __post_init__(self):
+        if not (math.isfinite(self.diagonal) and self.diagonal > 0.0):
             raise ValueError("diagonal energy must be positive and finite")
-        if not math.isfinite(cross):
+        if not math.isfinite(self.cross):
             raise ValueError("cross energy must be finite")
-        total = diagonal + cross
+        total = self.diagonal + self.cross
         # rounding may leave a tiny negative; anything worse is a real bug
-        if total < -1e-9 * diagonal:
+        if total < -1e-9 * self.diagonal:
             raise ValueError(f"total energy {total} is negative beyond tolerance")
-        return cls(diagonal, cross, total, total / diagonal)
+        object.__setattr__(self, "total", total)
+        object.__setattr__(self, "enhancement", total / self.diagonal)
 
 
 def phase_sum(phases) -> tuple[complex, float]:

@@ -4,6 +4,9 @@ Every randomized draw comes from the xorshift64* generator defined here,
 so runs are reproducible bit-for-bit from the seed alone, in any
 implementation language. Sweep points are independent pure evaluations
 assembled in parameter order; nothing depends on evaluation timing.
+
+``_SWEEPS`` maps each (target, parameter) pair to its runner and fixed
+keys; it, ``PHASE_PROFILES`` and ``REGIMES`` are the CLI's choice lists.
 """
 
 from __future__ import annotations
@@ -71,7 +74,7 @@ class SweepSpec:
 
     ``target`` picks the observable, ``parameter`` the swept knob, and
     ``fixed`` everything else the target needs. ``_SWEEPS`` lists the
-    supported target x parameter pairs and the fixed keys each reads.
+    supported target x parameter pairs, their runners and fixed keys.
     """
 
     target: str
@@ -103,24 +106,10 @@ class ScalingFit:
             raise ValueError(f"r_squared {self.r_squared} outside [0, 1]")
 
 
-# (target, parameter) -> (fixed keys it requires, optional fixed keys it
-# reads). run_sweep hands a runner only these keys and echoes only them.
-_PROFILE = ("phase", "phase_profile")
-_QUANTUM = ("n", "n_max", "omega")
-_DETECTOR = ("geometry", "samples", "radius")
-_SWEEPS = {
-    ("classical_energy", "phase_delta"): (("n_waves",), ()),
-    ("classical_energy", "source_count"): ((), _PROFILE),
-    ("quantum_energy", "phase_delta"): (("n_waves",), _QUANTUM),
-    ("quantum_energy", "source_count"): ((), _PROFILE + _QUANTUM),
-    ("farfield_power", "wavelength"): (("n_sources", "spacing"), _DETECTOR + _PROFILE),
-    ("farfield_power", "spacing"): (("n_sources", "wavelength"), _DETECTOR + _PROFILE),
-    ("farfield_power", "source_count"): (("spacing", "wavelength"), _DETECTOR + _PROFILE),
-    # a phase sweep sets the phases by its ramp
-    ("farfield_power", "phase_delta"): (("n_sources", "spacing", "wavelength"), _DETECTOR),
-    ("biphoton", "phase_delta"): (("overlap",), ("omega",)),
-    ("wavepacket", "phase_delta"): (("components", "box_lengths"), ("direction", "component")),
-}
+# the phase profiles of source_count sweeps and the regimes of
+# dicke_scaling_check; the first of each is the default
+PHASE_PROFILES = ("uniform", "random")
+REGIMES = ("closed_form", "farfield")
 
 
 def _default_mode() -> WaveMode:
@@ -134,83 +123,12 @@ def _ramp(n: int, delta: float) -> np.ndarray:
 
 def _sweep_phase_profile(fixed: dict, n: int, stream: XorShift64Star) -> np.ndarray:
     _check_wave_budget(n)
-    profile = fixed.get("phase_profile", "uniform")
-    if profile == "uniform":
-        return np.full(n, float(fixed.get("phase", 0.0)))
+    profile = fixed.get("phase_profile", PHASE_PROFILES[0])
+    if profile not in PHASE_PROFILES:
+        raise ConfigError(f"unknown phase_profile {profile!r} (use 'uniform' or 'random')")
     if profile == "random":
         return stream.phases(n)
-    raise ConfigError(f"unknown phase_profile {profile!r} (use 'uniform' or 'random')")
-
-
-def run_sweep(spec: SweepSpec) -> SpectrumCurve:
-    """Evaluate a sweep and return its curve with full metadata attached.
-
-    ``_SWEEPS`` lists the supported (target, parameter) pairs with the
-    fixed keys each requires and the optional ones it reads; any other
-    pair raises ConfigError and a missing key MissingSettingError. The
-    runner sees only those keys, and only those are echoed as ``fixed.*``.
-
-    - classical_energy / quantum_energy: a phase_delta sweep uses the
-      progressive ramp phi_n = n * delta; a source_count sweep uses a
-      constant phase or phase_profile='random'. quantum_energy takes the
-      expectation on the number state n (default 0).
-    - farfield_power: a linear array seen by an arc detector by default;
-      the radius defaults to the far-field minimum over the swept arrays.
-    - wavepacket: the delta replaces the phase of one component (default
-      the last).
-
-    The power column carries the raw observable (energy, expectation, or
-    detected power); enhancement is its uncorrelated-reference ratio.
-    """
-    targets = {target for target, _ in _SWEEPS}
-    if spec.target not in targets:
-        raise ConfigError(
-            f"unknown sweep target {spec.target!r}; expected one of {sorted(targets)}"
-        )
-    entry = _SWEEPS.get((spec.target, spec.parameter))
-    if entry is None:
-        supported = [parameter for target, parameter in _SWEEPS if target == spec.target]
-        raise ConfigError(
-            f"target {spec.target!r} cannot sweep {spec.parameter!r};"
-            f" supported: {', '.join(supported)}"
-        )
-    # seven float64 columns: values, power, enhancement, linspace's
-    # temporary and the curve's read-only copies of the first three
-    _check_budget(56 * spec.steps, f"sweep of {spec.steps} steps")
-    required, optional = entry
-    missing = [key for key in required if key not in spec.fixed]
-    if missing:
-        raise MissingSettingError(
-            f"target {spec.target!r} is missing fixed settings: {', '.join(missing)}"
-        )
-    fixed = {key: value for key, value in spec.fixed.items() if key in required + optional}
-    values = np.linspace(spec.start, spec.stop, spec.steps)
-    runner = {
-        "classical_energy": _sweep_closed_form,
-        "quantum_energy": _sweep_closed_form,
-        "farfield_power": _sweep_farfield,
-        "biphoton": _sweep_biphoton,
-        "wavepacket": _sweep_wavepacket,
-    }[spec.target]
-    power, enhancement = runner(replace(spec, fixed=fixed), values)
-    meta = {
-        "target": spec.target,
-        "parameter": spec.parameter,
-        "start": spec.start,
-        "stop": spec.stop,
-        "steps": spec.steps,
-        "seed": spec.seed,
-        "version": __version__,
-    }
-    for key in sorted(fixed):
-        meta[f"fixed.{key}"] = _meta_scalar(fixed[key])
-    return SpectrumCurve(values, power, enhancement, meta)
-
-
-def _meta_scalar(value):
-    if isinstance(value, (list, tuple, np.ndarray)):
-        return ",".join(str(item) for item in np.asarray(value).ravel())
-    return value
+    return np.full(n, float(fixed.get("phase", 0.0)))
 
 
 def _closed_form_observables(spec: SweepSpec, phases) -> tuple[float, float]:
@@ -232,17 +150,14 @@ def _sweep_closed_form(spec: SweepSpec, values: np.ndarray):
     stream = XorShift64Star(spec.seed)
     power = np.empty(values.size)
     enhancement = np.empty(values.size)
-    if spec.parameter == "phase_delta":
-        n = int(spec.fixed["n_waves"])
-        for i, delta in enumerate(values):
-            power[i], enhancement[i] = _closed_form_observables(spec, _ramp(n, float(delta)))
-    else:
-        for i, value in enumerate(values):
-            n = int(round(value))
-            if n < 1:
-                raise ConfigError("source_count sweep values must round to N >= 1")
-            phases = _sweep_phase_profile(spec.fixed, n, stream)
-            power[i], enhancement[i] = _closed_form_observables(spec, phases)
+    for i, value in enumerate(values):
+        if spec.parameter == "phase_delta":
+            phases = _ramp(int(spec.fixed["n_waves"]), float(value))
+        elif round(value) < 1:
+            raise ConfigError("source_count sweep values must round to N >= 1")
+        else:
+            phases = _sweep_phase_profile(spec.fixed, int(round(value)), stream)
+        power[i], enhancement[i] = _closed_form_observables(spec, phases)
     return power, enhancement
 
 
@@ -271,9 +186,7 @@ def _sweep_farfield(spec: SweepSpec, values: np.ndarray):
     # one detector serves the whole sweep: size it for the worst case
     radius = fixed.get("radius")
     if radius is None:
-        radius = classical.FAR_FIELD_FACTOR * max(
-            max(array.wavelength, array.extent) for array in arrays
-        )
+        radius = max(classical._far_field_radius(a.wavelength, a.extent) for a in arrays)
     detector = DetectorGrid(
         radius=float(radius),
         geometry=fixed.get("geometry", "arc"),
@@ -310,9 +223,96 @@ def _sweep_wavepacket(spec: SweepSpec, values: np.ndarray):
     return power, enhancement
 
 
+# (target, parameter) -> (runner, required fixed keys, optional fixed keys);
+# run_sweep hands the runner only these keys and echoes only them
+_PROFILE = ("phase", "phase_profile")
+_QUANTUM = ("n", "n_max", "omega")
+_DETECTOR = ("geometry", "samples", "radius")
+_FARFIELD = _DETECTOR + _PROFILE
+_SWEEPS = {
+    ("classical_energy", "phase_delta"): (_sweep_closed_form, ("n_waves",), ()),
+    ("classical_energy", "source_count"): (_sweep_closed_form, (), _PROFILE),
+    ("quantum_energy", "phase_delta"): (_sweep_closed_form, ("n_waves",), _QUANTUM),
+    ("quantum_energy", "source_count"): (_sweep_closed_form, (), _PROFILE + _QUANTUM),
+    ("farfield_power", "wavelength"): (_sweep_farfield, ("n_sources", "spacing"), _FARFIELD),
+    ("farfield_power", "spacing"): (_sweep_farfield, ("n_sources", "wavelength"), _FARFIELD),
+    ("farfield_power", "source_count"): (_sweep_farfield, ("spacing", "wavelength"), _FARFIELD),
+    # a phase sweep sets the phases by its ramp
+    ("farfield_power", "phase_delta"): (
+        _sweep_farfield, ("n_sources", "spacing", "wavelength"), _DETECTOR),
+    ("biphoton", "phase_delta"): (_sweep_biphoton, ("overlap",), ("omega",)),
+    ("wavepacket", "phase_delta"): (
+        _sweep_wavepacket, ("components", "box_lengths"), ("direction", "component")),
+}
+
+
+def run_sweep(spec: SweepSpec) -> SpectrumCurve:
+    """Evaluate a sweep and return its curve with full metadata attached.
+
+    ``_SWEEPS`` lists each supported (target, parameter) pair with its
+    runner, the fixed keys it requires and the optional ones it reads;
+    any other pair raises ConfigError, a missing key MissingSettingError.
+    The runner sees only those keys, and only they are echoed as ``fixed.*``.
+
+    - classical_energy / quantum_energy: a phase_delta sweep uses the
+      progressive ramp phi_n = n * delta; a source_count sweep uses a
+      constant phase or phase_profile='random'. quantum_energy takes the
+      expectation on the number state n (default 0).
+    - farfield_power: a linear array seen by an arc detector by default;
+      the radius defaults to the far-field minimum over the swept arrays.
+    - wavepacket: the delta replaces the phase of one component (default
+      the last).
+
+    The power column carries the raw observable (energy, expectation, or
+    detected power); enhancement is its uncorrelated-reference ratio.
+    """
+    targets = {target for target, _ in _SWEEPS}
+    if spec.target not in targets:
+        raise ConfigError(
+            f"unknown sweep target {spec.target!r}; expected one of {sorted(targets)}"
+        )
+    entry = _SWEEPS.get((spec.target, spec.parameter))
+    if entry is None:
+        supported = [parameter for target, parameter in _SWEEPS if target == spec.target]
+        raise ConfigError(
+            f"target {spec.target!r} cannot sweep {spec.parameter!r};"
+            f" supported: {', '.join(supported)}"
+        )
+    # seven float64 columns: values, power, enhancement, linspace's
+    # temporary and the curve's read-only copies of the first three
+    _check_budget(56 * spec.steps, f"sweep of {spec.steps} steps")
+    runner, required, optional = entry
+    missing = [key for key in required if key not in spec.fixed]
+    if missing:
+        raise MissingSettingError(
+            f"target {spec.target!r} is missing fixed settings: {', '.join(missing)}"
+        )
+    fixed = {key: value for key, value in spec.fixed.items() if key in required + optional}
+    values = np.linspace(spec.start, spec.stop, spec.steps)
+    power, enhancement = runner(replace(spec, fixed=fixed), values)
+    meta = {
+        "target": spec.target,
+        "parameter": spec.parameter,
+        "start": spec.start,
+        "stop": spec.stop,
+        "steps": spec.steps,
+        "seed": spec.seed,
+        "version": __version__,
+    }
+    for key in sorted(fixed):
+        meta[f"fixed.{key}"] = _meta_scalar(fixed[key])
+    return SpectrumCurve(values, power, enhancement, meta)
+
+
+def _meta_scalar(value):
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return ",".join(str(item) for item in np.asarray(value).ravel())
+    return value
+
+
 def dicke_scaling_check(
     n_values,
-    regime: str = "closed_form",
+    regime: str = REGIMES[0],
     spacing_ratio: float = 0.01,
     detector_samples: int = 1024,
     jitter: float = 0.0,
@@ -335,7 +335,7 @@ def dicke_scaling_check(
         raise ValueError("need at least three distinct N values")
     if any(n < 1 for n in ns):
         raise ValueError("N values must be positive")
-    if regime not in ("closed_form", "farfield"):
+    if regime not in REGIMES:
         raise ValueError(f"regime must be 'closed_form' or 'farfield', got {regime!r}")
     if not (math.isfinite(jitter) and jitter >= 0.0):
         raise ValueError("jitter must be nonnegative and finite")
@@ -351,7 +351,7 @@ def dicke_scaling_check(
         wavelength = 1.0
         spacing = spacing_ratio * wavelength
         max_extent = (ns[-1] - 1) * spacing * (1.0 + 2.0 * jitter)
-        radius = classical.FAR_FIELD_FACTOR * max(wavelength, max_extent)
+        radius = classical._far_field_radius(wavelength, max_extent)
         detector = DetectorGrid(radius=radius, geometry="arc", samples=detector_samples)
         arrays = []
         for n in ns:

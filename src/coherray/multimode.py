@@ -189,7 +189,7 @@ def multimode_energy(state: QuantumState, pair: ModePair) -> EnergyReport:
     root = np.sqrt(np.arange(1.0, space.levels))
     exchange = complex(np.vdot(psi[1:, :-1], np.outer(root, root) * psi[:-1, 1:]))
     cross = 2.0 * math.sqrt(omega1 * omega2) * (overlap_integral(pair) * exchange).real
-    return EnergyReport.from_parts(diagonal, cross)
+    return EnergyReport(diagonal, cross)
 
 
 def wavepacket_energy(spectrum: WavepacketSpectrum) -> EnergyReport:
@@ -225,4 +225,4 @@ def wavepacket_energy(spectrum: WavepacketSpectrum) -> EnergyReport:
                 * overlap
             )
             cross += 2.0 * scale * omegas[n] * omegas[m] * coherence.real
-    return EnergyReport.from_parts(diagonal, float(cross))
+    return EnergyReport(diagonal, float(cross))

@@ -31,8 +31,10 @@ COHERENT_TAIL_LIMIT = 1e-8
 
 _RESIDUE_TOL = 1e-10
 
-# vacuum constant of each phased cross term, in units of omega
+# vacuum constant of each phased cross term, in units of omega, and the
+# conventions single_mode_hamiltonian accepts; the first is its default
 _PHASED_SIGNS = {"phased-plus": 1, "phased-minus": -1}
+CONVENTIONS = ("canonical", *_PHASED_SIGNS)
 
 
 @dataclass(frozen=True)
@@ -205,7 +207,7 @@ def single_mode_hamiltonian(
     phases,
     omega: float,
     space: FockSpace,
-    convention: str = "canonical",
+    convention: str = CONVENTIONS[0],
 ) -> np.ndarray:
     """Diagonal of the energy operator of N phase-shifted waves sharing one mode.
 
@@ -226,9 +228,9 @@ def single_mode_hamiltonian(
     phases = np.asarray(list(phases), dtype=float)
     if phases.size == 0 or not np.all(np.isfinite(phases)):
         raise ValueError("phase list must be nonempty and finite")
-    sign = _PHASED_SIGNS.get(convention)
-    if sign is None and convention != "canonical":
+    if convention not in CONVENTIONS:
         raise ValueError(f"convention {convention!r} is not canonical, phased-plus or phased-minus")
+    sign = _PHASED_SIGNS.get(convention)
 
     n_waves = phases.size
     number = np.arange(space.levels, dtype=float)

@@ -314,15 +314,16 @@ def test_field_energy_grid_resolution_must_be_integers():
 def test_grid_request_over_budget_is_refused_before_allocation():
     """The walk holds one slab (80 bytes per cell; a slab is one z-line when
     that is longer than 8192 cells), 64 bytes per slab line, 56 per axis
-    point and 8 KB per call; it performs cells x waves updates. A request
-    over either budget is refused at once, before it allocates."""
+    point and 8 KB per call; it counts cells x (waves + 3) operations, one
+    update per wave and three for the per-slab work. A request over either
+    budget is refused at once, before it allocates."""
     waves = PhasedWaveSet(unit_mode(), (0.0, 1.0))
     box = BoxVolume((1.0, 1.0, 1.0))
     work = f" operations, over the work budget of {core.WORK_BUDGET} operations"
     memory = f" bytes, over the budget of {classical.MEMORY_BUDGET_BYTES} bytes"
     requests = (
-        (10_000, f"grid request of {10 ** 12} cells x 2 waves needs {2 * 10 ** 12}{work}"),
-        ((1_000_000, 100, 100), f"grid request of {10 ** 10} cells x 2 waves needs {2 * 10 ** 10}{work}"),
+        (10_000, f"grid request of {10 ** 12} cells x 2 waves needs {5 * 10 ** 12}{work}"),
+        ((1_000_000, 100, 100), f"grid request of {10 ** 10} cells x 2 waves needs {5 * 10 ** 10}{work}"),
         ((8, 8, 2 ** 24), f"grid request of {2 ** 30} cells needs"
                           f" {80 * 2 ** 24 + 64 + 56 * (16 + 2 ** 24) + 8192}{memory}"),
         ((8, 8, 2 ** 62), f"grid request of {2 ** 68} cells needs"
@@ -340,6 +341,21 @@ def test_grid_request_over_budget_is_refused_before_allocation():
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 20
+
+
+def test_one_wave_grid_counts_its_per_slab_work(monkeypatch):
+    """A one-wave grid just under WORK_BUDGET cells costs about four times
+    its cell count, since building the plane, zeroing E and H and summing
+    the density do not scale with the waves; it is refused before the walk."""
+    def walk(*args):
+        raise AssertionError("the walk started")
+
+    monkeypatch.setattr(classical, "_slab_walk", walk)
+    waves = PhasedWaveSet(unit_mode(), (0.0,))
+    cells = 2154 ** 3
+    assert cells < core.WORK_BUDGET
+    with pytest.raises(ValueError, match=f"{cells} cells x 1 waves needs {4 * cells} operations"):
+        field_energy_grid(waves, BoxVolume((1.0, 1.0, 1.0)), 2154)
 
 
 @pytest.mark.parametrize("resolution", [8, 64, (40, 30, 24), (9, 300, 50), (8, 13, 20_000)])
@@ -499,6 +515,13 @@ def test_transmission_spectrum_rejects_infinite_upper_wavelength():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="wavelength range"):
             transmission_spectrum(arr, (0.5, math.inf), 5, det)
+
+
+def test_transmission_spectrum_needs_two_steps():
+    arr = make_linear_array(3, 2.0, 0.5)
+    det = DetectorGrid(radius=1e4, geometry="arc", samples=256)
+    with pytest.raises(ValueError, match="at least 2 steps"):
+        transmission_spectrum(arr, (0.5, 3.0), 1, det)
 
 
 def separation_tensor_power(points, weights, positions, phases, wavenumber):

@@ -145,10 +145,32 @@ class TestExitCodes:
             (("classical", "--n-waves", "2", "--delta-phi", "nan"), "'delta-phi'"),
             (("biphoton", "--overlap", "0.5", "--omega", "nan"), "'omega'"),
             (("overlap", "--dk", "inf,0,0", "--box", "1,1,1"), "'dk'"),
+            (("overlap", "--dk", "1,2", "--box", "1,1,1"), "'dk'"),
+            (("dicke", "--n-values", "2,four"), "'n-values'"),
+            (("biphoton", "--overlap", "1,2,3"), "'overlap'"),
+            (("wavepacket", "--components", "1,2"), "'components'"),
         ],
-        ids=("classical", "biphoton", "overlap"),
+        ids=("classical", "biphoton", "overlap", "dk-length", "n-values", "overlap-length",
+             "components"),
     )
     def test_non_finite_number_is_type_mismatch(self, capsys, argv, key):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert key in err
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (("classical", "--n-waves", "2", "--wavelength", "0"), "wavelength"),
+            (("classical", "--n-waves", "0"), "n-waves"),
+            (("classical", "--n-waves", "3", "--phases", "0,1"), "phases"),
+            (("quantum", "--n-waves", "2", "--n", "9", "--n-max", "8"), "n-max"),
+        ],
+        ids=("wavelength", "n-waves", "phases", "n-above-n-max"),
+    )
+    def test_out_of_range_value_is_type_mismatch(self, capsys, argv, key):
+        """The runners' own range checks exit 3, like a value that does not parse."""
         code, out, err = run_cli(capsys, *argv)
         assert code == 3
         assert key in err
@@ -327,8 +349,9 @@ class TestConfigFile:
         [
             ("biphoton.overlap = 0.5\nunits.energy-scale = inf\n", "'units.energy-scale'"),
             ("biphoton.overlap = nan\n", "'overlap'"),
+            ("biphoton.overlap = 0.5\nunits.energy-scale = 0\n", "'units.energy-scale'"),
         ],
-        ids=("energy-scale", "overlap"),
+        ids=("energy-scale", "overlap", "energy-scale-zero"),
     )
     def test_non_finite_file_value_is_type_mismatch(self, tmp_path, capsys, text, key):
         path = self.write(tmp_path, text)
@@ -348,6 +371,8 @@ class TestConfigFile:
         path = self.write(tmp_path, "classical.warp = 9\n")
         assert run_cli(capsys, "classical", "--config", path)[0] == 5
         path = self.write(tmp_path, "engine.n-waves = 2\n")
+        assert run_cli(capsys, "classical", "--config", path)[0] == 5
+        path = self.write(tmp_path, "n-waves = 2\n")
         assert run_cli(capsys, "classical", "--config", path)[0] == 5
 
     def test_malformed_line(self, tmp_path, capsys):
@@ -521,7 +546,7 @@ def test_every_sweep_key_is_settable_from_the_cli():
         if field_spec.default is None
     } | {"samples", "n_max"}
     assert set(SWEEP_KEY_VALUES) == settable
-    for required, optional in _SWEEPS.values():
+    for _, required, optional in _SWEEPS.values():
         assert set(required + optional) <= settable
     targets = list(dict.fromkeys(target for target, _ in _SWEEPS))
     target_field = next(field_spec for field_spec in sweep_fields if field_spec.name == "target")
@@ -532,7 +557,7 @@ def test_every_sweep_key_is_settable_from_the_cli():
 
 @pytest.mark.parametrize("target, parameter", list(_SWEEPS))
 def test_sweep_ignores_and_hides_keys_it_does_not_read(target, parameter):
-    required, optional = _SWEEPS[target, parameter]
+    _, required, optional = _SWEEPS[target, parameter]
     start, stop = (1.0, 3.0) if parameter == "source_count" else (0.5, 2.0)
     base = {key: SWEEP_KEY_VALUES[key] for key in required}
     others = {

@@ -69,10 +69,15 @@ class TestWaveMode:
         mode = WaveMode.plane(k, amplitude=0.5)
         assert math.isclose(mode.omega, 5.0, rel_tol=1e-12)
 
-    def test_dispersion_mismatch_rejected(self):
-        k = np.array([2.0, 0.0, 0.0])
-        with pytest.raises(ValueError):
-            WaveMode(wavevector=k, omega=3.0, amplitude=1.0)
+    def test_omega_is_derived_not_passed(self):
+        k = np.array([3.0, 4.0, 0.0])
+        mode = WaveMode(k, 0.5)
+        assert mode.omega == mode.wavenumber == WaveMode.plane(k, 0.5).omega == 5.0
+        assert mode.amplitude == 0.5
+        with pytest.raises(TypeError):
+            WaveMode(k, 5.0, 0.5)
+        with pytest.raises(TypeError):
+            WaveMode(wavevector=k, omega=5.0, amplitude=0.5)
 
     def test_wavelength_wavenumber_roundtrip(self):
         mode = WaveMode.plane(np.array([0.0, 0.0, TWO_PI / 0.37]))
@@ -80,17 +85,13 @@ class TestWaveMode:
         assert math.isclose(mode.wavenumber * mode.wavelength, TWO_PI, rel_tol=1e-12)
 
 
-@pytest.mark.parametrize(
-    "omega, amplitude",
-    [(2.0, math.nan), (2.0, complex(1.0, math.inf)), (math.inf, 1.0)],
-)
-def test_wave_mode_rejects_non_finite_input(omega, amplitude):
+@pytest.mark.parametrize("amplitude", [math.nan, complex(1.0, math.inf)])
+def test_wave_mode_rejects_non_finite_input(amplitude):
     k = np.array([2.0, 0.0, 0.0])
     with pytest.raises(ValueError):
-        WaveMode(k, omega, amplitude)
-    if math.isfinite(omega):
-        with pytest.raises(ValueError):
-            WaveMode.plane(k, amplitude=amplitude)
+        WaveMode(k, amplitude)
+    with pytest.raises(ValueError):
+        WaveMode.plane(k, amplitude=amplitude)
 
 
 def test_phased_wave_set_reduces_phases():
@@ -254,6 +255,24 @@ def test_make_linear_array_rejects_non_finite_input(spacing, wavelength, profile
         make_linear_array(3, spacing, wavelength, profile)
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: make_linear_array(0, 0.5, 1.0), "n_sources must be at least 1"),
+        (lambda: SourceArray(np.zeros((2, 2)), np.zeros(2), 1.0), "shape"),
+        (lambda: SourceArray(np.zeros((0, 3)), np.zeros(0), 1.0), "at least one source"),
+        (lambda: SourceArray(np.zeros((1, 3)), np.zeros(1), 1.0, 0.0), "spacing"),
+        (lambda: PhasedWaveSet(WaveMode.plane((TWO_PI, 0.0, 0.0)), ()), "at least one phase"),
+        (lambda: WaveMode.plane(np.zeros(3)), "wavevector must be nonzero"),
+    ],
+    ids=["no-linear-sources", "positions-shape", "no-sources", "spacing", "no-phases",
+         "zero-wavevector"],
+)
+def test_degenerate_input_is_refused(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def test_source_array_rejects_non_finite_positions():
     positions = np.array([[0.0, 0.0, 0.0], [math.nan, 0.0, 0.0]])
     with pytest.raises(ValueError):
@@ -274,18 +293,20 @@ class TestBoxVolume:
             BoxVolume((1.0, 1.0))
 
 
-def test_energy_report_from_parts():
-    report = EnergyReport.from_parts(2.0, 6.0)
+def test_energy_report_derives_total_and_enhancement():
+    report = EnergyReport(2.0, 6.0)
     assert report.total == 8.0
     assert report.enhancement == 4.0
 
-    cancelled = EnergyReport.from_parts(2.0, -2.0)
+    cancelled = EnergyReport(2.0, -2.0)
     assert cancelled.total == 0.0
 
     with pytest.raises(ValueError):
-        EnergyReport.from_parts(2.0, -2.1)
+        EnergyReport(2.0, -2.1)
     with pytest.raises(ValueError):
-        EnergyReport.from_parts(0.0, 1.0)
+        EnergyReport(0.0, 1.0)
+    with pytest.raises(TypeError):
+        EnergyReport(2.0, 6.0, 8.0, 4.0)
 
 
 @pytest.mark.parametrize(
@@ -293,7 +314,7 @@ def test_energy_report_from_parts():
 )
 def test_energy_report_rejects_non_finite_parts(diagonal, cross):
     with pytest.raises(ValueError):
-        EnergyReport.from_parts(diagonal, cross)
+        EnergyReport(diagonal, cross)
 
 
 def test_frozen_dataclasses_are_immutable():

@@ -275,6 +275,9 @@ class TestDickeScaling:
             dicke_scaling_check([4, 8])
         with pytest.raises(ValueError):
             dicke_scaling_check([2, 4, 8], regime="telepathy")
+        for counts in ([0, 2, 4], [-3, 2, 4]):
+            with pytest.raises(ValueError, match="positive"):
+                dicke_scaling_check(counts)
 
     @pytest.mark.parametrize("jitter", [-0.3, math.nan, math.inf])
     def test_rejects_negative_or_non_finite_jitter(self, jitter):

@@ -3,12 +3,14 @@
 Each case in ``golden/cli_corpus.json`` is an argv list (plus, for some,
 a config file from ``golden/``) and the SHA-256 of the standard output
 it produced when the corpus was recorded. The cases cover all eight
-subcommands, both output formats (JSON for every subcommand), the three
-quantum conventions, a config file with an output energy scale (run by
-every subcommand but wavepacket, so each way a table marks its energy
-cells is pinned, and overlap shows that non-energies stay unscaled), a
-config file that sets the format, samples, n-max and sweep keys,
-far-field sweeps over every parameter, a jittered far-field Dicke fit
+subcommands and every sweep (target, parameter) pair (checked below on
+the resolved settings, so a key set in a config file counts), both
+output formats (JSON for every subcommand), the three quantum
+conventions, a config file with an output energy scale (run by every
+subcommand but wavepacket, so each way a table marks its energy cells
+is pinned, and overlap shows that non-energies stay unscaled), a
+config file that sets the format, samples, n-max and sweep keys, a
+jittered far-field Dicke fit
 and arc and hemisphere spectra, three of them with more than 4096
 detector points and N >= 8 (the far-field engine's row blocks and
 numpy's pairwise summation both change shape there). A refactor that
@@ -34,7 +36,8 @@ import pathlib
 
 import pytest
 
-from coherray.cli import main
+from coherray.cli import _SUBCOMMAND_FIELDS, main, parse_config
+from coherray.experiments import _SWEEPS
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 CASES = json.loads((GOLDEN / "cli_corpus.json").read_text(encoding="utf-8"))["cases"]
@@ -43,6 +46,14 @@ USAGE_CASES = json.loads((GOLDEN / "usage_corpus.json").read_text(encoding="utf-
 
 def _sha256(text):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def case_argv(case):
+    """The case's argv, with its config file when it has one."""
+    argv = list(case["argv"])
+    if "config" in case:
+        argv += ["--config", str(GOLDEN / case["config"])]
+    return argv
 
 
 def run_usage_case(argv):
@@ -65,9 +76,7 @@ def run_usage_case(argv):
     "case", CASES, ids=[f"{i:02d}-{case['argv'][0]}" for i, case in enumerate(CASES)]
 )
 def test_cli_output_matches_recorded_hash(case):
-    argv = list(case["argv"])
-    if "config" in case:
-        argv += ["--config", str(GOLDEN / case["config"])]
+    argv = case_argv(case)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(argv)
@@ -83,3 +92,14 @@ def test_usage_output_matches_recorded_hashes(case, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
     recorded = {key: case[key] for key in ("exit", "stdout_sha256", "stderr_sha256")}
     assert run_usage_case(case["argv"]) == recorded, f"usage output changed for {case['argv']}"
+
+
+def test_corpus_reaches_every_subcommand_and_sweep_pair():
+    subcommands, sweeps = set(), set()
+    for case in CASES:
+        config = parse_config(case_argv(case))
+        subcommands.add(config.subcommand)
+        if config.subcommand == "sweep":
+            sweeps.add((config.settings["target"], config.settings["parameter"]))
+    assert subcommands == set(_SUBCOMMAND_FIELDS)
+    assert sweeps == set(_SWEEPS)

@@ -366,6 +366,10 @@ class TestWavepacket:
         with pytest.raises(ValueError):
             WavepacketSpectrum((0.0, 0.0, 0.0), ((1.0, 1.0, 0.0),), UNIT_BOX)
 
+    def test_rejects_empty_components(self):
+        with pytest.raises(ValueError, match="at least one component"):
+            WavepacketSpectrum((1.0, 0.0, 0.0), (), UNIT_BOX)
+
     def test_direction_is_normalized(self):
         spectrum = WavepacketSpectrum((3.0, 0.0, 4.0), ((1.0, 1.0, 0.0),), UNIT_BOX)
         assert np.linalg.norm(spectrum.direction) == pytest.approx(1.0, rel=1e-12)

@@ -112,6 +112,11 @@ class TestQuantumState:
         assert abs(mean_n - abs(alpha) ** 2) < 1e-8
         assert state.tail_mass < 1e-8
 
+    def test_coherent_at_zero_is_the_vacuum(self):
+        state = QuantumState.coherent(FockSpace(n_max=4), 0)
+        assert np.array_equal(state.vector, QuantumState.fock(FockSpace(n_max=4), 0).vector)
+        assert state.tail_mass == 0.0
+
     def test_coherent_rejects_heavy_truncation_tail(self):
         with pytest.raises(ValueError):
             QuantumState.coherent(FockSpace(n_max=4), (3.0,))
@@ -273,6 +278,17 @@ def test_expectation_rejects_shape_mismatch():
     # a dense matrix is not a diagonal, even at the state's dimension
     with pytest.raises(ValueError):
         expectation_energy(state, np.eye(4))
+
+
+def test_expectation_rejects_complex_diagonal():
+    state = QuantumState.fock(FockSpace(n_max=3), 1)
+    with pytest.raises(ValueError, match="imaginary expectation residue"):
+        expectation_energy(state, np.full(4, 1.0 + 0.5j))
+
+
+def test_hamiltonian_needs_a_one_mode_space():
+    with pytest.raises(ValueError, match="one-mode space"):
+        single_mode_hamiltonian([0.0, 1.0], 1.0, FockSpace(n_max=3, mode_count=2))
 
 
 def test_expectation_matches_dense_operator_on_random_states():
