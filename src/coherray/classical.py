@@ -12,9 +12,10 @@ sum: each wave's field is laid onto the grid and summed there. Because
 e^{ik.r} = e^{ik_x x} e^{ik_y y} e^{ik_z z} on the midpoint grid, a cell's
 plane-wave value is the product of three 1-D factors, so the exponential
 is evaluated once per axis point and once per wave, not once per cell per
-wave. The grid is walked in cache-sized slabs of consecutive z-lines and
-holds no res^3 array; before it starts, its memory is checked against
-MEMORY_BUDGET_BYTES and its cell updates against WORK_BUDGET.
+wave. The grid is walked in cache-sized slabs of consecutive z-lines (or
+of one z-line's chunks, when it is longer) and holds no res^3 array;
+before it starts, its memory is checked against MEMORY_BUDGET_BYTES and
+its cell updates against WORK_BUDGET.
 
 Far-field power of point-source arrays is integrated over a detector
 surface: the default geometry is the forward hemisphere (array along x in
@@ -27,16 +28,19 @@ source at every detector point, with one rearrangement: a source at
 distance r = |p| + d from the point p contributes e^{i(k d + phi)} / r,
 since the row's common phase e^{ik|p|} drops out of |field|^2 exactly.
 The path differences d are small and exact to full precision, so real
-cos/sin of k d replace the complex exponential of k r. The table of d is
-shared across a sweep while the positions hold still, one cos/sin pass is
-shared by consecutive steps that change only the phases, and the
-origin-centered reference source, whose intensity 1/|p|^2 does not depend
-on k, is summed once per detector.
+cos/sin of k d replace the complex exponential of k r. The detector rows
+are walked in blocks, and the engine holds one block of d, never the whole
+points x N table: each block's d is built once for every run of steps
+that keep their positions, one cos/sin pass over it is shared by
+consecutive steps that change only the phases, and the origin-centered
+reference source, whose intensity 1/|p|^2 does not depend on k, is summed
+once per detector. Before it builds anything, the engine checks what the
+walk holds against MEMORY_BUDGET_BYTES and its trig and matvec work
+against WORK_BUDGET.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -68,6 +72,11 @@ FAR_FIELD_FACTOR = 100.0
 # the detector geometries DetectorGrid accepts
 GEOMETRIES = ("hemisphere", "arc")
 
+# the detector geometry of spectra, far-field sweeps and the far-field
+# scaling fit when none is chosen: the fast arc (a DetectorGrid built
+# without one is a hemisphere)
+DRIVER_GEOMETRY = "arc"
+
 _COMMENSURATE_TOL = 1e-9
 
 # grid operations per cell besides one per wave: the plane-wave values, E and
@@ -75,8 +84,9 @@ _COMMENSURATE_TOL = 1e-9
 _GRID_CELL_WORK = 3
 
 # cells per slab of the grid walk; a slab is a run of consecutive z-lines,
-# so it holds max(_SLAB_CELLS, res_z) cells, and its six arrays (640 KB)
-# stay in cache while every wave is added onto them
+# or a chunk of one z-line when that is longer, so it holds at most this
+# many cells, and its six arrays (640 KB) stay in cache while every wave
+# is added onto them
 _SLAB_CELLS = 8192
 
 # bytes the grid walk holds per slab cell: the plane-wave values, E, H and
@@ -95,21 +105,33 @@ _AXIS_POINT_BYTES = 56
 # coefficients and their list (about 4 KB measured)
 _GRID_CALL_BYTES = 8192
 
-# detector rows per block of the far-field sum
+# detector rows per block of the far-field sum: each block's weighted
+# intensities are summed pairwise, and the block partials added in order
 _BLOCK_ROWS = 4096
 
-# (block, N) float arrays one far-field block holds besides the path table:
-# cos(k d)/r, sin(k d)/r and 1/r (the table's build holds two)
-_BLOCK_ARRAYS = 3
+# path differences per sub-block of a far-field block: 1/r, cos and sin are
+# taken about this many at a time (at least two rows), so the three
+# sub-block arrays (384 KB) stay in cache while every phase set reads them
+_SUB_BLOCK_CELLS = 1 << 14
 
-# float columns per detector point besides the path table: the quadrature
-# build's temporaries (the hemisphere holds its angle grids, sines and the
-# direction stack at once), then the points (3), weights, origin distances
-# and the reference source's weighted intensity
+# far-field work per detector point and source, in the grid's operations
+# (WORK_BUDGET): building the path difference (once per positions group),
+# the 1/r, cos and sin of a trig pass (once per run of equal wavenumber),
+# and one phase set's four matvecs. Timed on a 2-vCPU VM at N = 64 and 300,
+# these took about 14.5, 16 and 1.7 ns, against 2.2 ns per grid operation
+_PATH_WORK = 7
+_TRIG_WORK = 7
+_MATVEC_WORK = 1
+
+# float columns per detector point: the quadrature build's temporaries (the
+# hemisphere holds its angle grids, sines and the direction stack at once),
+# then the points (3), weights, origin distances and the reference source's
+# weighted intensity
 _QUADRATURE_COLUMNS = 12
 
-# float columns per block row besides the block arrays: the matvec results
-# of the phase set in hand and of the one before it, still referenced
+# float columns per block row besides the path table and the intensities:
+# the matvec results of the phase set in hand and of the one before it,
+# still referenced
 _FIELD_COLUMNS = 6
 
 # bytes per step of a far-field sweep besides the sources: the step's
@@ -251,9 +273,9 @@ def field_energy_grid(
     e^{ik.r} separates over the axes of the midpoint grid, so a cell's
     plane-wave value is the product of three 1-D factors and each wave is
     that value times a e^{i phi}: 3*res + N exponentials in place of
-    N*res^3. The grid is walked in slabs of consecutive z-lines (see
-    _slab_walk), so the memory held grows with one slab and the axes, not
-    with the cell count.
+    N*res^3. The grid is walked in slabs of at most _SLAB_CELLS cells (see
+    _slab_walk), so the memory held grows with the axes, not with the cell
+    count.
 
     ``resolution`` is the number of cells per axis, one integer or three.
     Raises TypeError for non-integers, and ValueError below 8 cells per
@@ -267,8 +289,9 @@ def field_energy_grid(
     if min(res) < 8:
         raise ValueError("resolution must be at least 8 per axis")
     cells = math.prod(res)
-    lines = min(res[0] * res[1], max(1, _SLAB_CELLS // res[2]))
-    needed = _SLAB_CELL_BYTES * lines * res[2] + _SLAB_LINE_BYTES * lines
+    width = min(res[2], _SLAB_CELLS)
+    lines = min(res[0] * res[1], _SLAB_CELLS // width)
+    needed = _SLAB_CELL_BYTES * lines * width + _SLAB_LINE_BYTES * lines
     needed += _AXIS_POINT_BYTES * sum(res) + _GRID_CALL_BYTES
     _check_budget(needed, f"grid request of {cells} cells")
     work = cells * (waves.n_waves + _GRID_CELL_WORK)
@@ -293,28 +316,29 @@ def field_energy_grid(
         coefficients.append(((1j * mode.omega) * analytic, 1j * analytic))
     # E along the polarization; H along k x pol with |k x pol| = |k|; the
     # real fields are 2 Re E and 2 Re H, so (E^2 + H^2)/8pi is this sum / 2pi
-    total = _slab_walk(fx, fy, fz, coefficients, mode.wavenumber ** 2, lines)
+    total = _slab_walk(fx, fy, fz, coefficients, mode.wavenumber ** 2, lines, width)
 
     cell = volume.volume / cells
     energy = float(total / TWO_PI * cell)
     return GridEnergy(energy, commensurate)
 
 
-def _slab_walk(fx, fy, fz, coefficients, k_sq: float, lines: int) -> float:
+def _slab_walk(fx, fy, fz, coefficients, k_sq: float, lines: int, width: int) -> float:
     """Sum of Re(E)^2 + k_sq Re(H)^2 over the grid of the 1-D factors.
 
-    The cells are walked in slabs of ``lines`` consecutive z-lines, whose
-    arrays are allocated once and sliced for the last slab. In a slab, a
-    cell's plane-wave value is (fx*fy)*fz, the products the whole-grid
-    outer product forms; E and H start at zero, and each wave's (E, H)
-    pair of ``coefficients`` adds the plane times that coefficient to
-    them, so each cell's density has the bits of a whole-grid walk. Only
-    the grouping of the final sum differs: each slab is summed and added
-    to the total in slab order.
+    The cells are walked in slabs of ``lines`` consecutive z-lines, each
+    cut into chunks of ``width`` cells (one chunk unless the z-lines are
+    longer than that); the slab arrays are allocated once and sliced for
+    the last slab and the last chunk. In a slab, a cell's plane-wave value
+    is (fx*fy)*fz, the products the whole-grid outer product forms; E and
+    H start at zero, and each wave's (E, H) pair of ``coefficients`` adds
+    the plane times that coefficient to them, so each cell's density has
+    the bits of a whole-grid walk. Only the grouping of the final sum
+    differs: each slab is summed and added to the total in slab order.
     """
     ry = fy.size
     count = fx.size * ry
-    shape = (lines, fz.size)
+    shape = (lines, width)
     plane, efield, hfield, product = (np.empty(shape, dtype=complex) for _ in range(4))
     density, magnetic = np.empty(shape), np.empty(shape)
     rows = np.empty(lines, dtype=complex)
@@ -323,23 +347,26 @@ def _slab_walk(fx, fy, fz, coefficients, k_sq: float, lines: int) -> float:
         n = min(lines, count - start)
         x, y = np.divmod(np.arange(start, start + n), ry)
         xy = np.multiply(fx[x], fy[y], out=rows[:n])
-        p, e, h, wave = plane[:n], efield[:n], hfield[:n], product[:n]
-        # both factors are spread into slab arrays first: a broadcasting
-        # multiply would allocate numpy's operand buffers (2 x 8192 cells)
-        p[...] = xy[:, None]
-        wave[...] = fz
-        np.multiply(p, wave, out=p)
-        e.fill(0.0)
-        h.fill(0.0)
-        for e_coefficient, h_coefficient in coefficients:
-            e += np.multiply(p, e_coefficient, out=wave)
-            h += np.multiply(p, h_coefficient, out=wave)
-        d, m = density[:n], magnetic[:n]
-        np.square(e.real, out=d)
-        np.square(h.real, out=m)
-        m *= k_sq
-        d += m
-        total += float(d.sum())
+        for chunk in range(0, fz.size, width):
+            z = fz[chunk:chunk + width]
+            cells = (slice(n), slice(z.size))
+            p, e, h, wave = plane[cells], efield[cells], hfield[cells], product[cells]
+            # both factors are spread into slab arrays first: a broadcasting
+            # multiply would allocate numpy's operand buffers (2 x 8192 cells)
+            p[...] = xy[:, None]
+            wave[...] = z
+            np.multiply(p, wave, out=p)
+            e.fill(0.0)
+            h.fill(0.0)
+            for e_coefficient, h_coefficient in coefficients:
+                e += np.multiply(p, e_coefficient, out=wave)
+                h += np.multiply(p, h_coefficient, out=wave)
+            d, m = density[cells], magnetic[cells]
+            np.square(e.real, out=d)
+            np.square(h.real, out=m)
+            m *= k_sq
+            d += m
+            total += float(d.sum())
     return total
 
 
@@ -369,20 +396,19 @@ def _detector_quadrature(detector: DetectorGrid) -> tuple[np.ndarray, np.ndarray
     return radius * directions, weights
 
 
-def _path_differences(points: np.ndarray, norms: np.ndarray, positions: np.ndarray) -> np.ndarray:
-    """Path differences d = r - |p| (S, N) from each source x to each
-    detector point p, where r = |p - x|.
+def _path_differences(points, norms, positions, table, scratch):
+    """Path differences d = r - |p| from each source x to each detector
+    point p of one block, where r = |p - x|, written into ``table`` (rows, N).
 
     r is summed one coordinate at a time; d is then formed as
     (|x|^2 - 2 p.x) / (r + |p|), the same quantity with no cancellation
     between r and |p|, so d keeps full relative precision however far the
-    detector is. The table is filled a block of rows at a time, so the
-    build holds two block-sized temporaries besides the table.
+    detector is. The rows are filled a sub-block at a time, with the two
+    sub-block arrays of ``scratch`` as temporaries.
     """
-    table = np.empty((points.shape[0], positions.shape[0]))
     squares = np.einsum("ij,ij->i", positions, positions)
-    distances, scratches = _block_buffers(table, 2)
-    for rows in _row_blocks(points.shape[0]):
+    distances, scratches = scratch
+    for rows in _sub_blocks(table.shape[0], _sub_block_rows(table.shape[1])):
         block, near = points[rows], table[rows]
         distance, scratch = distances[:len(block)], scratches[:len(block)]
         distance.fill(0.0)
@@ -398,7 +424,6 @@ def _path_differences(points: np.ndarray, norms: np.ndarray, positions: np.ndarr
         near *= -2.0
         near += squares
         near /= distance
-    return table
 
 
 def _row_blocks(count: int):
@@ -406,30 +431,52 @@ def _row_blocks(count: int):
     return (slice(start, start + _BLOCK_ROWS) for start in range(0, count, _BLOCK_ROWS))
 
 
-def _block_buffers(table: np.ndarray, count: int) -> list[np.ndarray]:
-    """``count`` uninitialised arrays the shape of one block of ``table``'s
-    rows, allocated once per table walk and sliced for a shorter last block."""
-    shape = (min(_BLOCK_ROWS, table.shape[0]), table.shape[1])
-    return [np.empty(shape) for _ in range(count)]
+def _sub_blocks(count: int, rows: int):
+    """Slices of ``count`` rows, ``rows`` at a time, with a lone last row
+    joined to the slice before it. einsum sums a one-row operand longer
+    than its 8192-element buffer in chunks, so a lone row would not get the
+    bits that the same row gets in a taller block."""
+    if count <= rows:
+        return (slice(0, count),)
+    ends = list(range(rows, count, rows))
+    if count - ends[-1] == 1:
+        ends.pop()
+    return (slice(start, end) for start, end in zip([0] + ends, ends + [count]))
 
 
-def _run_powers(
-    table: np.ndarray, norms: np.ndarray, weights: np.ndarray, wavenumber: float, phase_sets
-) -> list[float]:
-    """Detected power of each phase set for the sources of ``table``.
+def _sub_block_rows(n_sources: int) -> int:
+    """Rows per sub-block of a block of ``n_sources`` columns: about
+    _SUB_BLOCK_CELLS cells, and at least two rows (see _sub_blocks)."""
+    return max(2, _SUB_BLOCK_CELLS // n_sources)
 
-    The detector rows are walked once in blocks. A block's cos(k d)/r and
-    sin(k d)/r are shared by every phase set; each set then takes four
-    real matvecs with its cos(phi) and sin(phi), and sums its intensity
-    times the weights. A set's power is the same float whether it shares
-    the walk with other sets or not. The matvecs use einsum rather than
-    BLAS, so the bits do not depend on the BLAS kernel that the machine
-    selects, and each block's weighted intensity is summed pairwise.
+
+def _sub_block_cells(rows: int, groups) -> int:
+    """Cells of the sub-block arrays that serve every group of ``groups``:
+    a sub-block and the lone row it may take on."""
+    return max(
+        (min(rows, _sub_block_rows(n) + 1) * n
+         for n in (positions.shape[0] for positions, _ in groups)),
+        default=0,
+    )
+
+
+def _run_powers(table, norms, weights, wavenumber, phase_sets, buffers, intensities) -> list[float]:
+    """One block's partial power of each phase set, for the sources of the
+    block's path ``table``.
+
+    The block is walked in sub-blocks (see _sub_blocks), whose cos(k d)/r,
+    sin(k d)/r and 1/r are taken into ``buffers`` and shared by every phase
+    set. Each set then takes four real matvecs with its cos(phi) and
+    sin(phi) and writes its weighted intensity into its row of
+    ``intensities``, which is summed pairwise once the block is done. A
+    set's partial is the same float whether it shares the pass with other
+    sets or not. The matvecs use einsum rather than BLAS, so the bits do
+    not depend on the BLAS kernel that the machine selects.
     """
     phasors = [(np.cos(phases), np.sin(phases)) for phases in phase_sets]
-    powers = [0.0] * len(phasors)
-    cosines, sines, inverses = _block_buffers(table, 3)
-    for rows in _row_blocks(weights.size):
+    cosines, sines, inverses = buffers
+    fields = intensities[:len(phasors), :table.shape[0]]
+    for rows in _sub_blocks(table.shape[0], _sub_block_rows(table.shape[1])):
         block = table[rows]
         cosine, sine, inverse = cosines[:len(block)], sines[:len(block)], inverses[:len(block)]
         np.add(block, norms[rows, None], out=inverse)
@@ -439,7 +486,8 @@ def _run_powers(
         np.cos(cosine, out=cosine)
         cosine *= inverse
         sine *= inverse
-        for j, (cos_phi, sin_phi) in enumerate(phasors):
+        weight = weights[rows]
+        for (cos_phi, sin_phi), intensity in zip(phasors, fields):
             real = np.einsum("ij,j->i", cosine, cos_phi)
             real -= np.einsum("ij,j->i", sine, sin_phi)
             imag = np.einsum("ij,j->i", cosine, sin_phi)
@@ -447,20 +495,98 @@ def _run_powers(
             real *= real
             imag *= imag
             real += imag
-            real *= weights[rows]
-            powers[j] += float(real.sum())
+            np.multiply(real, weight, out=intensity[rows])
+    return [float(intensity.sum()) for intensity in fields]
+
+
+def _block_walk(points, norms, weights, groups) -> list[float]:
+    """Detected power of every phase set of ``groups`` (see _position_groups),
+    in order.
+
+    The detector rows are walked once, _BLOCK_ROWS at a time. In each
+    block, every positions group builds the block's path differences once,
+    and every run of the group takes one cos/sin pass over them (see
+    _run_powers); a power is the sum of its block partials in block order.
+    The walk holds one block's path table, three sub-block arrays and one
+    block of intensities per phase set of the longest run, allocated once
+    and reshaped for each group's source count.
+    """
+    rows = min(points.shape[0], _BLOCK_ROWS)
+    n_sources, sets, arrays = _walk_shape(groups)
+    tables = np.empty(rows * n_sources)
+    flats = [np.empty(_sub_block_cells(rows, groups)) for _ in range(3)]
+    intensities = np.empty((sets, rows))
+    powers = [0.0] * arrays
+    for block in _row_blocks(points.shape[0]):
+        block_norms, block_weights = norms[block], weights[block]
+        count = block_norms.size
+        first = 0
+        for positions, runs in groups:
+            n = positions.shape[0]
+            height = min(rows, _sub_block_rows(n) + 1)
+            buffers = [flat[:height * n].reshape(height, n) for flat in flats]
+            table = tables[:count * n].reshape(count, n)
+            _path_differences(points[block], block_norms, positions, table, buffers[:2])
+            for wavenumber, phase_sets in runs:
+                partials = _run_powers(
+                    table, block_norms, block_weights, wavenumber, phase_sets, buffers, intensities
+                )
+                for index, partial in enumerate(partials, first):
+                    powers[index] += partial
+                first += len(partials)
     return powers
 
 
-def _check_farfield_budget(detector: DetectorGrid, n_sources: int):
-    """Refuse a far-field request whose peak exceeds the budget: the path
-    table, the quadrature columns, and the larger of one block's build
-    temporaries and its cos, sin and 1/r arrays and field columns."""
+def _position_groups(arrays) -> list:
+    """The arrays as consecutive groups of equal positions, each split into
+    consecutive runs of equal wavenumber:
+    [(positions, [(wavenumber, [phases, ...]), ...]), ...]. Sweep steps
+    share their array's positions object, so most steps join a group
+    without comparing their positions."""
+    groups = []
+    for array in arrays:
+        positions, wavenumber = array.positions, array.wavenumber
+        if not groups or (
+            groups[-1][0] is not positions and groups[-1][0].tobytes() != positions.tobytes()
+        ):
+            groups.append((positions, []))
+        runs = groups[-1][1]
+        if not runs or runs[-1][0] != wavenumber:
+            runs.append((wavenumber, []))
+        runs[-1][1].append(array.phases)
+    return groups
+
+
+def _walk_shape(groups) -> tuple[int, int, int]:
+    """The largest source count, the longest run and the number of arrays
+    of ``groups``."""
+    n_sources = max((positions.shape[0] for positions, _ in groups), default=0)
+    runs = [len(phase_sets) for _, group_runs in groups for _, phase_sets in group_runs]
+    return n_sources, max(runs, default=0), sum(runs)
+
+
+def _check_farfield_budget(detector: DetectorGrid, groups):
+    """Refuse a far-field request over either budget, before anything is
+    built. Memory: the quadrature columns, and what _block_walk holds (one
+    block's path table, the three sub-block arrays, one block of
+    intensities per phase set of the longest run, and the field columns);
+    no term grows as points x sources. Work: per detector point and
+    source, _PATH_WORK for each group, _TRIG_WORK for each run and
+    _MATVEC_WORK for each phase set."""
     points = detector.samples if detector.geometry == "arc" else detector.samples ** 2
     rows = min(points, _BLOCK_ROWS)
-    needed = 8 * points * (n_sources + _QUADRATURE_COLUMNS)
-    needed += 8 * rows * (_BLOCK_ARRAYS * n_sources + _FIELD_COLUMNS)
-    _check_budget(needed, f"far-field request of {points} detector points x {n_sources} sources")
+    n_sources, sets, arrays = _walk_shape(groups)
+    needed = 8 * points * _QUADRATURE_COLUMNS + 8 * rows * (n_sources + sets + _FIELD_COLUMNS)
+    needed += 8 * 3 * _sub_block_cells(rows, groups)
+    request = f"far-field request of {points} detector points x {n_sources} sources"
+    _check_budget(needed, request)
+    work = sum(
+        positions.shape[0] * (_PATH_WORK + sum(
+            _TRIG_WORK + _MATVEC_WORK * len(phase_sets) for _, phase_sets in runs
+        ))
+        for positions, runs in groups
+    )
+    _check_work(points * work, f"{request} x {arrays} arrays")
 
 
 def _check_sweep_budget(steps: int, n_sources: int, kind: str):
@@ -493,14 +619,16 @@ def farfield_powers(arrays, detector: DetectorGrid) -> tuple[np.ndarray, np.ndar
     source has |e^{ikr}/r|^2 = 1/|p|^2 at every wavenumber, so it is summed
     once per detector, with the engine's blocks, and with no exponential.
 
-    The quadrature is built once, and the path table again only when an
-    array's positions differ from the previous array's. Consecutive arrays
-    with the same positions and wavenumber share one cos/sin pass over the
-    table.
+    The quadrature is built once. The detector rows are then walked in
+    blocks (see _block_walk): each block builds its rows of the path table
+    once for every run of consecutive arrays with the same positions, and
+    consecutive arrays that also share the wavenumber share one cos/sin
+    pass over them. The walk holds one block of the table, not all of it.
 
     Raises FarFieldViolationError unless the detector radius is at least
     100x both the wavelength and the extent of every array, and ValueError
-    if the request would need more than MEMORY_BUDGET_BYTES.
+    if the request would need more than MEMORY_BUDGET_BYTES or more than
+    WORK_BUDGET operations (see _check_farfield_budget).
     """
     arrays = list(arrays)
     for array in arrays:
@@ -509,7 +637,8 @@ def farfield_powers(arrays, detector: DetectorGrid) -> tuple[np.ndarray, np.ndar
             raise FarFieldViolationError(
                 f"detector radius {detector.radius} below far-field threshold {threshold}"
             )
-    _check_farfield_budget(detector, max((array.n_sources for array in arrays), default=0))
+    groups = _position_groups(arrays)
+    _check_farfield_budget(detector, groups)
     points, weights = _detector_quadrature(detector)
     norms = np.sqrt(np.einsum("ij,ij->i", points, points))
     # the reference source's intensity 1/|p|^2, summed as the engine sums
@@ -518,17 +647,7 @@ def farfield_powers(arrays, detector: DetectorGrid) -> tuple[np.ndarray, np.ndar
     reference *= reference
     reference *= weights
     single = sum(float(reference[rows].sum()) for rows in _row_blocks(weights.size))
-    powers = []
-    table = table_positions = None
-    runs = itertools.groupby(arrays, lambda array: (array.wavenumber, array.positions.tobytes()))
-    for (wavenumber, positions), run in runs:
-        run = list(run)
-        if positions != table_positions:
-            table = None  # release the old table before building the new one
-            table = _path_differences(points, norms, run[0].positions)
-            table_positions = positions
-        powers += _run_powers(table, norms, weights, wavenumber, [array.phases for array in run])
-    powers = np.array(powers, dtype=float)
+    powers = np.array(_block_walk(points, norms, weights, groups), dtype=float)
     counts = np.array([array.n_sources for array in arrays], dtype=float)
     return powers, powers / (counts * single)
 

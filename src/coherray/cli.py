@@ -244,7 +244,12 @@ _SUBCOMMAND_FIELDS = {
         _Field("wavelength-min", _parse_float, _REQUIRED, "sweep start wavelength"),
         _Field("wavelength-max", _parse_float, _REQUIRED, "sweep stop wavelength"),
         _Field("steps", int, 200, "number of wavelengths"),
-        _Field("geometry", _choice(*classical.GEOMETRIES), "arc", "detector geometry"),
+        _Field(
+            "geometry",
+            _choice(*classical.GEOMETRIES),
+            classical.DRIVER_GEOMETRY,
+            "detector geometry",
+        ),
         _Field("radius", _parse_float, None, "detector radius (default: far-field minimum)"),
     ),
 }
@@ -456,6 +461,8 @@ def _run_classical(params: dict) -> ResultTable:
     phases = _ramp_or_phases(params)
     if params["wavelength"] <= 0.0:
         raise ConfigError("wavelength must be positive")
+    if params["amplitude"] == 0.0:
+        raise ConfigError("amplitude must be nonzero")
     mode = WaveMode.plane(
         np.array([TWO_PI / params["wavelength"], 0.0, 0.0]), amplitude=params["amplitude"]
     )
@@ -464,8 +471,14 @@ def _run_classical(params: dict) -> ResultTable:
     return _report_table(astuple(report), meta)
 
 
+def _check_omega(params: dict):
+    if params["omega"] <= 0.0:
+        raise ConfigError("omega must be positive")
+
+
 def _run_quantum(params: dict) -> ResultTable:
     phases = _ramp_or_phases(params)
+    _check_omega(params)
     occupation, n_max = params["n"], params["n_max"]
     if not 0 <= occupation <= n_max:
         raise ConfigError(f"occupation n = {occupation} outside 0..n-max = {n_max}")
@@ -502,6 +515,7 @@ def _run_overlap(params: dict) -> ResultTable:
 
 
 def _run_biphoton(params: dict) -> ResultTable:
+    _check_omega(params)
     photon = quantum.biphoton_energy(
         params["delta_phi"], params["overlap"], params["omega"]
     )

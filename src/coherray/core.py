@@ -25,8 +25,9 @@ MEMORY_BUDGET_BYTES = 1 << 30
 
 # operations one request may perform; a route whose time grows faster than
 # its memory counts its dominant operation against this before it starts.
-# The grid's slab walk takes about 3 ns per counted operation on a 2-vCPU
-# VM, with one wave or with 32, so this is about half a minute of it
+# The grid's slab walk takes 2-3 ns per counted operation on a 2-vCPU VM,
+# with one wave or with 32, so this is about half a minute of it; the
+# far-field engine weights its counts to the same time per operation
 WORK_BUDGET = 10 ** 10
 
 # peak bytes per wave of the closed-form route: the phase tuple and

@@ -189,7 +189,7 @@ def _sweep_farfield(spec: SweepSpec, values: np.ndarray):
         radius = max(classical._far_field_radius(a.wavelength, a.extent) for a in arrays)
     detector = DetectorGrid(
         radius=float(radius),
-        geometry=fixed.get("geometry", "arc"),
+        geometry=fixed.get("geometry", classical.DRIVER_GEOMETRY),
         samples=int(fixed.get("samples", 1024)),
     )
     return farfield_powers(arrays, detector)
@@ -352,7 +352,9 @@ def dicke_scaling_check(
         spacing = spacing_ratio * wavelength
         max_extent = (ns[-1] - 1) * spacing * (1.0 + 2.0 * jitter)
         radius = classical._far_field_radius(wavelength, max_extent)
-        detector = DetectorGrid(radius=radius, geometry="arc", samples=detector_samples)
+        detector = DetectorGrid(
+            radius=radius, geometry=classical.DRIVER_GEOMETRY, samples=detector_samples
+        )
         arrays = []
         for n in ns:
             array = make_linear_array(n, spacing, wavelength)

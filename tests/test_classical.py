@@ -312,11 +312,12 @@ def test_field_energy_grid_resolution_must_be_integers():
 
 
 def test_grid_request_over_budget_is_refused_before_allocation():
-    """The walk holds one slab (80 bytes per cell; a slab is one z-line when
-    that is longer than 8192 cells), 64 bytes per slab line, 56 per axis
-    point and 8 KB per call; it counts cells x (waves + 3) operations, one
-    update per wave and three for the per-slab work. A request over either
-    budget is refused at once, before it allocates."""
+    """The walk holds one slab (80 bytes per cell, at most 8192 cells: a
+    z-line longer than that is cut into chunks), 64 bytes per slab line, 56
+    per axis point and 8 KB per call, so only the axes grow with res_z; it
+    counts cells x (waves + 3) operations, one update per wave and three
+    for the per-slab work. A request over either budget is refused at
+    once, before it allocates."""
     waves = PhasedWaveSet(unit_mode(), (0.0, 1.0))
     box = BoxVolume((1.0, 1.0, 1.0))
     work = f" operations, over the work budget of {core.WORK_BUDGET} operations"
@@ -324,10 +325,10 @@ def test_grid_request_over_budget_is_refused_before_allocation():
     requests = (
         (10_000, f"grid request of {10 ** 12} cells x 2 waves needs {5 * 10 ** 12}{work}"),
         ((1_000_000, 100, 100), f"grid request of {10 ** 10} cells x 2 waves needs {5 * 10 ** 10}{work}"),
-        ((8, 8, 2 ** 24), f"grid request of {2 ** 30} cells needs"
-                          f" {80 * 2 ** 24 + 64 + 56 * (16 + 2 ** 24) + 8192}{memory}"),
+        ((8, 8, 2 ** 25), f"grid request of {2 ** 31} cells needs"
+                          f" {80 * 8192 + 64 + 56 * (16 + 2 ** 25) + 8192}{memory}"),
         ((8, 8, 2 ** 62), f"grid request of {2 ** 68} cells needs"
-                          f" {80 * 2 ** 62 + 64 + 56 * (16 + 2 ** 62) + 8192}{memory}"),
+                          f" {80 * 8192 + 64 + 56 * (16 + 2 ** 62) + 8192}{memory}"),
     )
     tracemalloc.start()
     try:
@@ -689,9 +690,11 @@ def test_sweeps_build_the_quadrature_once(monkeypatch):
 
     arr = make_linear_array(3, 2.0, 0.5)
     det = DetectorGrid(radius=1e3, geometry="arc", samples=256)
-    # one path table while the positions hold still; the reference source
-    # needs none
+    # each block's path rows are built once per group of equal positions;
+    # the reference source needs none
     assert run(lambda: transmission_spectrum(arr, (0.5, 3.0), 9, det)) == (1, 1)
+    two_blocks = DetectorGrid(radius=1e3, geometry="arc", samples=5000)
+    assert run(lambda: transmission_spectrum(arr, (0.5, 3.0), 9, two_blocks)) == (1, 2)
     fixed = {"n_sources": 4, "spacing": 0.3, "wavelength": 1.0, "samples": 256}
     phase_sweep = SweepSpec("farfield_power", "phase_delta", 0.0, 3.0, 6, fixed)
     assert run(lambda: run_sweep(phase_sweep)) == (1, 1)
@@ -702,14 +705,14 @@ def test_sweeps_build_the_quadrature_once(monkeypatch):
 
 def test_phase_steps_share_one_trig_pass(monkeypatch):
     """Consecutive arrays with the same positions and wavenumber share one
-    walk over the path table (one cos/sin pass); a new wavenumber or new
-    positions start another."""
+    cos/sin pass over each block's path rows; a new wavenumber or new
+    positions start another. 5000 arc points make two blocks."""
     runs = []
     original = classical._run_powers
 
-    def recording(table, norms, weights, wavenumber, phase_sets):
+    def recording(table, norms, weights, wavenumber, phase_sets, *buffers):
         runs.append(len(phase_sets))
-        return original(table, norms, weights, wavenumber, phase_sets)
+        return original(table, norms, weights, wavenumber, phase_sets, *buffers)
 
     monkeypatch.setattr(classical, "_run_powers", recording)
     fixed = {"n_sources": 4, "spacing": 0.3, "wavelength": 1.0, "samples": 256}
@@ -718,6 +721,158 @@ def test_phase_steps_share_one_trig_pass(monkeypatch):
     runs.clear()
     run_sweep(SweepSpec("farfield_power", "wavelength", 1.0, 2.0, 4, fixed))
     assert runs == [1, 1, 1, 1]
+    runs.clear()
+    run_sweep(SweepSpec("farfield_power", "phase_delta", 0.0, 3.0, 6, {**fixed, "samples": 5000}))
+    assert runs == [6, 6]
+
+
+def block_intensities(table, norms, weights, phases, wavenumber):
+    """Weighted intensity of each row of one block of path differences,
+    taken from the whole block at once, with the streamed walk's float
+    operations in the same order."""
+    inverse = 1.0 / (table + norms[:, None])
+    cosine = np.cos(table * wavenumber) * inverse
+    sine = np.sin(table * wavenumber) * inverse
+    cos_phi, sin_phi = np.cos(phases), np.sin(phases)
+    real = np.einsum("ij,j->i", cosine, cos_phi) - np.einsum("ij,j->i", sine, sin_phi)
+    imag = np.einsum("ij,j->i", cosine, sin_phi) + np.einsum("ij,j->i", sine, cos_phi)
+    return (real * real + imag * imag) * weights
+
+
+def whole_table_power(points, weights, positions, phases, wavenumber):
+    """Reference: the engine before it streamed. It builds the whole S x N
+    path table, then sums the weighted intensities of each 4096-row block
+    pairwise and adds the block partials in order."""
+    norms = np.sqrt(np.einsum("ij,ij->i", points, points))
+    squares = np.einsum("ij,ij->i", positions, positions)
+    distance = np.zeros((len(points), len(positions)))
+    near = np.zeros_like(distance)
+    for axis in range(3):
+        offset = points[:, axis:axis + 1] - positions[:, axis]
+        distance += offset * offset
+        near += points[:, axis:axis + 1] * positions[:, axis]
+    table = (near * -2.0 + squares) / (np.sqrt(distance) + norms[:, None])
+    power = 0.0
+    for start in range(0, len(points), 4096):
+        rows = slice(start, start + 4096)
+        power += float(block_intensities(table[rows], norms[rows], weights[rows], phases,
+                                         wavenumber).sum())
+    return power
+
+
+@pytest.mark.parametrize("n_sources, count", [(20_000, 5), (20_000, 4), (9000, 3), (12, 4096)])
+def test_sub_blocks_give_every_row_the_bits_of_the_whole_block(n_sources, count):
+    """einsum sums a one-row operand longer than its 8192-element buffer in
+    chunks, so the walk takes rows at least two at a time and joins a lone
+    last row to the sub-block before it (here after two-row sub-blocks, and
+    after three sub-blocks of 1365 rows at N = 12). Every row's weighted
+    intensity is then the one that the whole block gives."""
+    rng = XorShift64Star(n_sources + count)
+    table = np.array([rng.phases(n_sources) * 1e-3 for _ in range(count)])
+    norms = 1e3 * (1.0 + rng.phases(count))
+    weights = rng.phases(count)
+    phases = rng.phases(n_sources)
+    height = min(count, classical._sub_block_rows(n_sources) + 1)
+    buffers = [np.empty((height, n_sources)) for _ in range(3)]
+    intensities = np.empty((1, count))
+    classical._run_powers(table, norms, weights, 2.5, [phases], buffers, intensities)
+    assert np.array_equal(intensities[0], block_intensities(table, norms, weights, phases, 2.5))
+
+
+# (geometry, samples, source counts): sub-blocks of 2340 rows and a last
+# block of one row (arc 4097, N = 7); three sub-blocks and a lone last row
+# (4096 points, N = 12); two-row sub-blocks of rows longer than einsum's
+# 8192-element buffer, with a lone last row (arc 65, N = 20 000); 16
+# sub-blocks per block, three blocks (hemisphere 96^2, N = 64); and groups
+# of different source counts sharing one call
+@pytest.mark.parametrize(
+    "geometry, samples, counts",
+    [("arc", 4097, (7, 7, 3)), ("arc", 4096, (12, 1, 12)), ("arc", 65, (20_000, 5)),
+     ("hemisphere", 96, (64, 9, 64))],
+)
+def test_streamed_engine_is_bit_equal_to_the_whole_table_walk(geometry, samples, counts):
+    """Each array's power is still the sum of its 4096-row block partials in
+    block order, and each row's matvecs and each block's pairwise sum are
+    unchanged, so streaming moves no bit. Runs of equal positions and
+    wavenumber share a pass here, and each group holds several runs."""
+    rng = XorShift64Star(samples + sum(counts))
+    arrays = []
+    for n in counts:
+        # a random layout of 20 000 sources would spend seconds on its O(N^2)
+        # distinctness check; a linear array takes the O(N) path
+        array = (random_array(rng, n) if n < 1000
+                 else make_linear_array(n, 1e-4, 0.5 + rng.uniform(), rng.phases(n)))
+        arrays += [array, replace(array, phases=rng.phases(n)),
+                   replace(array, wavelength=array.wavelength * 1.25)]
+    detector = far_detector(rng, arrays, geometry, samples)
+    points, weights = _detector_quadrature(detector)
+    powers, _ = farfield_powers(arrays, detector)
+    for power, array in zip(powers, arrays):
+        assert power == whole_table_power(
+            points, weights, array.positions, array.phases, array.wavenumber
+        )
+
+
+def test_streamed_engine_holds_one_block_of_the_path_table(monkeypatch):
+    """At N = 64, going from 96^2 to 192^2 hemisphere points grows the peak
+    by no more than the quadrature's O(S) columns: the walk holds one block
+    of path differences, not the points x N table. The charge grows by
+    exactly those columns, so it has no points x N term, and the measured
+    peak stays below it."""
+    rng = XorShift64Star(6464)
+    array = random_array(rng, 64)
+    charged, peaks = [], []
+    original = classical._check_budget
+
+    def recording(needed, request):
+        charged.append(needed)
+        return original(needed, request)
+
+    monkeypatch.setattr(classical, "_check_budget", recording)
+    for samples in (96, 192):
+        detector = far_detector(rng, [array], "hemisphere", samples)
+        tracemalloc.start()
+        try:
+            farfield_power(array, detector)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    columns = 8 * classical._QUADRATURE_COLUMNS * (192 ** 2 - 96 ** 2)
+    assert peaks[1] - peaks[0] <= columns
+    assert charged[1] - charged[0] == columns
+    assert peaks[0] <= charged[0] and peaks[1] <= charged[1]
+
+
+def over_work(points, n_sources, arrays, operations):
+    return (f"far-field request of {points} detector points x {n_sources} sources x {arrays}"
+            f" arrays needs {operations} operations, over the work budget of"
+            f" {core.WORK_BUDGET} operations")
+
+
+def test_far_field_request_over_work_budget_is_refused_before_the_walk(monkeypatch):
+    """Per detector point and source the engine counts 7 operations for each
+    positions group's path differences, 7 for each trig pass and 1 for each
+    phase set's matvecs. A hemisphere spectrum of 10 000 steps fits in memory
+    but would take hours; a 200-step phase sweep passes on its trig passes
+    alone and is refused for its matvecs. Both are refused at once, before
+    the quadrature is built."""
+    def build(detector):
+        raise AssertionError("the quadrature was built")
+
+    monkeypatch.setattr(classical, "_detector_quadrature", build)
+    array = make_linear_array(64, 0.01, 1.0)
+    detector = DetectorGrid(radius=1e3, geometry="hemisphere", samples=1024)
+    points = 1024 ** 2
+    spectrum = [core._swept(array, wavelength=1.0 + i / 10_000) for i in range(10_000)]
+    phases = [core._swept(array, phases=np.arange(64) * (i / 200)) for i in range(200)]
+    assert points * 64 * (7 + 7) < core.WORK_BUDGET
+    for arrays, operations in ((spectrum, points * 64 * (7 + 10_000 * 8)),
+                               (phases, points * 64 * (7 + 7 + 200))):
+        started = time.perf_counter()
+        with pytest.raises(ValueError) as refused:
+            farfield_powers(arrays, detector)
+        assert time.perf_counter() - started < 1.0
+        assert str(refused.value) == over_work(points, 64, len(arrays), operations)
 
 
 @pytest.mark.parametrize(
@@ -725,8 +880,8 @@ def test_phase_steps_share_one_trig_pass(monkeypatch):
     [("arc", 9000, 64), ("arc", 5000, 9), ("hemisphere", 96, 64), ("hemisphere", 128, 8)],
 )
 def test_far_field_budget_covers_the_measured_peak(monkeypatch, geometry, samples, n_sources):
-    """The budget charges the path table, the quadrature columns and one
-    block's temporaries; what one request really holds stays below it."""
+    """The budget charges the quadrature columns and what the block walk
+    holds; what one request really holds stays below it."""
     rng = XorShift64Star(samples + n_sources)
     array = random_array(rng, n_sources)
     detector = far_detector(rng, [array], geometry, samples)
@@ -800,8 +955,8 @@ def test_sweep_budget_covers_the_measured_peak_of_building_the_steps(
 def test_spectrum_steps_are_not_charged_for_positions_they_share():
     """A spectrum's steps share their array's positions and phases, so 20 000
     steps of 2000 sources pass the sweep check (which once charged them 32
-    bytes per source each) and reach the far-field budget, which refuses
-    this hemisphere at once."""
+    bytes per source each) and reach the far-field budgets, whose work
+    budget refuses this hemisphere at once."""
     array = make_linear_array(2000, 0.5, 1.0)
     detector = DetectorGrid(radius=1e6, geometry="hemisphere", samples=512)
     with pytest.raises(ValueError, match="far-field request of 262144 detector points x 2000"):

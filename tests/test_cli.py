@@ -166,8 +166,12 @@ class TestExitCodes:
             (("classical", "--n-waves", "0"), "n-waves"),
             (("classical", "--n-waves", "3", "--phases", "0,1"), "phases"),
             (("quantum", "--n-waves", "2", "--n", "9", "--n-max", "8"), "n-max"),
+            (("classical", "--n-waves", "2", "--amplitude", "0"), "amplitude"),
+            (("quantum", "--n-waves", "2", "--omega", "0"), "omega"),
+            (("biphoton", "--overlap", "0.5", "--omega", "-1"), "omega"),
         ],
-        ids=("wavelength", "n-waves", "phases", "n-above-n-max"),
+        ids=("wavelength", "n-waves", "phases", "n-above-n-max", "amplitude", "quantum-omega",
+             "biphoton-omega"),
     )
     def test_out_of_range_value_is_type_mismatch(self, capsys, argv, key):
         """The runners' own range checks exit 3, like a value that does not parse."""
@@ -233,6 +237,24 @@ class TestExitCodes:
         assert code == 1
         assert "error: far-field request of 256 detector points x 1000000 sources needs " in err
         assert "over the budget of 1073741824 bytes" in err
+        assert out == ""
+
+    def test_far_field_request_over_work_budget_is_runtime_failure(self, capsys):
+        """A hemisphere spectrum of 10 000 steps holds a few MB but would run
+        for hours; the work budget refuses it at once, naming the count."""
+        started = time.perf_counter()
+        code, out, err = run_cli(
+            capsys, "spectrum", "--n-sources", "64", "--spacing", "0.01", "--wavelength-min", "1",
+            "--wavelength-max", "2", "--geometry", "hemisphere", "--samples", "1024",
+            "--steps", "10000",
+        )
+        assert time.perf_counter() - started < 1.0
+        assert code == 1
+        assert err == (
+            "error: far-field request of 1048576 detector points x 64 sources x 10000 arrays"
+            f" needs {1048576 * 64 * (7 + 10000 * 8)} operations, over the work budget of"
+            " 10000000000 operations\n"
+        )
         assert out == ""
 
     def test_hamiltonian_over_memory_budget_is_runtime_failure(self, capsys):
