@@ -29,14 +29,14 @@ distance r = |p| + d from the point p contributes e^{i(k d + phi)} / r,
 since the row's common phase e^{ik|p|} drops out of |field|^2 exactly.
 The path differences d are small and exact to full precision, so real
 cos/sin of k d replace the complex exponential of k r. The detector rows
-are walked in blocks, and the engine holds one block of d, never the whole
-points x N table: each block's d is built once for every run of steps
-that keep their positions, one cos/sin pass over it is shared by
-consecutive steps that change only the phases, and the origin-centered
-reference source, whose intensity 1/|p|^2 does not depend on k, is summed
-once per detector. Before it builds anything, the engine checks what the
-walk holds against MEMORY_BUDGET_BYTES and its trig and matvec work
-against WORK_BUDGET.
+are walked in blocks, and the engine holds nothing that grows with the
+detector: each block builds its own quadrature points and weights, its d
+is built once for every run of steps that keep their positions, one
+cos/sin pass over it is shared by consecutive steps that change only the
+phases, and it adds its partial of the origin-centered reference source,
+whose intensity 1/|p|^2 does not depend on k. Before it builds anything,
+the engine checks what the walk holds against MEMORY_BUDGET_BYTES and its
+trig and matvec work against WORK_BUDGET.
 """
 
 from __future__ import annotations
@@ -123,16 +123,11 @@ _PATH_WORK = 7
 _TRIG_WORK = 7
 _MATVEC_WORK = 1
 
-# float columns per detector point: the quadrature build's temporaries (the
-# hemisphere holds its angle grids, sines and the direction stack at once),
-# then the points (3), weights, origin distances and the reference source's
-# weighted intensity
-_QUADRATURE_COLUMNS = 12
-
 # float columns per block row besides the path table and the intensities:
-# the matvec results of the phase set in hand and of the one before it,
-# still referenced
-_FIELD_COLUMNS = 6
+# the block's quadrature and its build's temporaries, the previous block's
+# quadrature (still referenced while the next is built) and the matvec
+# results; a hemisphere block peaks at 19.2 (tracemalloc, N = 8)
+_ROW_COLUMNS = 20
 
 # bytes per step of a far-field sweep besides the sources: the step's
 # SourceArray object and curve entries (~250 measured with tracemalloc)
@@ -162,7 +157,8 @@ class DetectorGrid:
     geometry "arc": ``samples`` points on a circle arc in the x-z plane,
     line-measure weighted (a fast 1-D proxy whose absolute scale only
     matters through enhancement ratios). The hemisphere spans polar angles
-    0..pi/2; the arc opens pi, from -pi/2 to pi/2 about +z.
+    0..pi/2; the arc opens pi, from -pi/2 to pi/2 about +z. ``n_points``
+    is ``samples`` on the arc and ``samples``^2 on the hemisphere.
     """
 
     radius: float
@@ -181,6 +177,10 @@ class DetectorGrid:
         object.__setattr__(self, "samples", samples)
         if samples < 64:
             raise ValueError("need at least 64 samples per angular axis")
+
+    @property
+    def n_points(self) -> int:
+        return self.samples if self.geometry == "arc" else self.samples ** 2
 
 
 @dataclass(frozen=True)
@@ -370,29 +370,28 @@ def _slab_walk(fx, fy, fz, coefficients, k_sq: float, lines: int, width: int) ->
     return total
 
 
-def _detector_quadrature(detector: DetectorGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Midpoint sample points (S, 3) and integration weights (S,)."""
+def _detector_quadrature(detector: DetectorGrid, rows: slice) -> tuple[np.ndarray, np.ndarray]:
+    """Midpoint sample points (rows, 3) and integration weights (rows,) of
+    the detector ``rows``, a slice of its point indices. The hemisphere's
+    index runs over phi within each theta, as a (theta, phi) meshgrid
+    flattens, and each point takes the floats that meshgrid gave it."""
     n = detector.samples
     radius = detector.radius
+    index = np.arange(*rows.indices(detector.n_points))
     if detector.geometry == "arc":
         step = math.pi / n
-        theta = -math.pi / 2.0 + (np.arange(n) + 0.5) * step
-        directions = np.stack(
-            [np.sin(theta), np.zeros_like(theta), np.cos(theta)], axis=1
-        )
-        weights = np.full(n, radius * step)
+        theta = -math.pi / 2.0 + (index + 0.5) * step
+        directions = np.stack([np.sin(theta), np.zeros_like(theta), np.cos(theta)], axis=1)
+        weights = np.full(index.size, radius * step)
         return radius * directions, weights
     theta_step = (math.pi / 2) / n
     phi_step = TWO_PI / n
-    theta = (np.arange(n) + 0.5) * theta_step
-    phi = (np.arange(n) + 0.5) * phi_step
-    theta_grid, phi_grid = np.meshgrid(theta, phi, indexing="ij")
-    sin_t = np.sin(theta_grid)
-    directions = np.stack(
-        [sin_t * np.cos(phi_grid), sin_t * np.sin(phi_grid), np.cos(theta_grid)],
-        axis=-1,
-    ).reshape(-1, 3)
-    weights = (radius ** 2 * sin_t * theta_step * phi_step).reshape(-1)
+    theta_index, phi_index = np.divmod(index, n)
+    theta = (theta_index + 0.5) * theta_step
+    phi = (phi_index + 0.5) * phi_step
+    sin_t = np.sin(theta)
+    directions = np.stack([sin_t * np.cos(phi), sin_t * np.sin(phi), np.cos(theta)], axis=1)
+    weights = radius ** 2 * sin_t * theta_step * phi_step
     return radius * directions, weights
 
 
@@ -450,16 +449,6 @@ def _sub_block_rows(n_sources: int) -> int:
     return max(2, _SUB_BLOCK_CELLS // n_sources)
 
 
-def _sub_block_cells(rows: int, groups) -> int:
-    """Cells of the sub-block arrays that serve every group of ``groups``:
-    a sub-block and the lone row it may take on."""
-    return max(
-        (min(rows, _sub_block_rows(n) + 1) * n
-         for n in (positions.shape[0] for positions, _ in groups)),
-        default=0,
-    )
-
-
 def _run_powers(table, norms, weights, wavenumber, phase_sets, buffers, intensities) -> list[float]:
     """One block's partial power of each phase set, for the sources of the
     block's path ``table``.
@@ -499,42 +488,52 @@ def _run_powers(table, norms, weights, wavenumber, phase_sets, buffers, intensit
     return [float(intensity.sum()) for intensity in fields]
 
 
-def _block_walk(points, norms, weights, groups) -> list[float]:
+def _block_walk(detector: DetectorGrid, groups, sizes) -> tuple[list[float], float]:
     """Detected power of every phase set of ``groups`` (see _position_groups),
-    in order.
+    in order, and of the origin-centered reference source; ``sizes`` are
+    the groups' sizes that _check_farfield_budget charged.
 
-    The detector rows are walked once, _BLOCK_ROWS at a time. In each
-    block, every positions group builds the block's path differences once,
-    and every run of the group takes one cos/sin pass over them (see
+    The detector rows are walked once, _BLOCK_ROWS at a time. Each block
+    builds its own points and weights (see _detector_quadrature) and their
+    distances |p| from the origin, and adds its partial of the reference
+    source. Then every positions group builds the block's path differences
+    once, and every run of the group takes one cos/sin pass over them (see
     _run_powers); a power is the sum of its block partials in block order.
-    The walk holds one block's path table, three sub-block arrays and one
-    block of intensities per phase set of the longest run, allocated once
-    and reshaped for each group's source count.
+    The walk holds one block's quadrature, its path table, three sub-block
+    arrays and one block of intensities per phase set of the longest run,
+    allocated once and reshaped for each group's source count.
     """
-    rows = min(points.shape[0], _BLOCK_ROWS)
-    n_sources, sets, arrays = _walk_shape(groups)
+    rows = min(detector.n_points, _BLOCK_ROWS)
+    n_sources, sets, arrays, cells = _walk_shape(rows, sizes)
     tables = np.empty(rows * n_sources)
-    flats = [np.empty(_sub_block_cells(rows, groups)) for _ in range(3)]
+    flats = [np.empty(cells) for _ in range(3)]
     intensities = np.empty((sets, rows))
     powers = [0.0] * arrays
-    for block in _row_blocks(points.shape[0]):
-        block_norms, block_weights = norms[block], weights[block]
-        count = block_norms.size
+    single = 0.0
+    for block in _row_blocks(detector.n_points):
+        points, weights = _detector_quadrature(detector, block)
+        norms = np.sqrt(np.einsum("ij,ij->i", points, points))
+        # the reference source's intensity 1/|p|^2, summed as the engine sums
+        # an origin-centered source, whose field is exactly 1/|p| (d = 0)
+        reference = 1.0 / norms
+        reference *= reference
+        reference *= weights
+        single += float(reference.sum())
         first = 0
         for positions, runs in groups:
             n = positions.shape[0]
             height = min(rows, _sub_block_rows(n) + 1)
             buffers = [flat[:height * n].reshape(height, n) for flat in flats]
-            table = tables[:count * n].reshape(count, n)
-            _path_differences(points[block], block_norms, positions, table, buffers[:2])
+            table = tables[:norms.size * n].reshape(norms.size, n)
+            _path_differences(points, norms, positions, table, buffers[:2])
             for wavenumber, phase_sets in runs:
                 partials = _run_powers(
-                    table, block_norms, block_weights, wavenumber, phase_sets, buffers, intensities
+                    table, norms, weights, wavenumber, phase_sets, buffers, intensities
                 )
                 for index, partial in enumerate(partials, first):
                     powers[index] += partial
                 first += len(partials)
-    return powers
+    return powers, single
 
 
 def _position_groups(arrays) -> list:
@@ -557,34 +556,34 @@ def _position_groups(arrays) -> list:
     return groups
 
 
-def _walk_shape(groups) -> tuple[int, int, int]:
+def _walk_shape(rows: int, sizes) -> tuple[int, int, int, int]:
     """The largest source count, the longest run and the number of arrays
-    of ``groups``."""
-    n_sources = max((positions.shape[0] for positions, _ in groups), default=0)
-    runs = [len(phase_sets) for _, group_runs in groups for _, phase_sets in group_runs]
-    return n_sources, max(runs, default=0), sum(runs)
+    of ``sizes`` (see _check_farfield_budget), and the cells of the
+    sub-block arrays that serve all its groups in blocks of ``rows`` rows:
+    a sub-block and the lone row it may take on."""
+    runs = [sets for _, lengths in sizes for sets in lengths]
+    cells = max((min(rows, _sub_block_rows(n) + 1) * n for n, _ in sizes), default=0)
+    return max((n for n, _ in sizes), default=0), max(runs, default=0), sum(runs), cells
 
 
-def _check_farfield_budget(detector: DetectorGrid, groups):
+def _check_farfield_budget(detector: DetectorGrid, sizes):
     """Refuse a far-field request over either budget, before anything is
-    built. Memory: the quadrature columns, and what _block_walk holds (one
-    block's path table, the three sub-block arrays, one block of
-    intensities per phase set of the longest run, and the field columns);
-    no term grows as points x sources. Work: per detector point and
-    source, _PATH_WORK for each group, _TRIG_WORK for each run and
+    built; ``sizes`` gives each positions group's source count and run
+    lengths, [(n_sources, [phase sets, ...]), ...]. Memory: what _block_walk
+    holds, that is one block's path table, the three sub-block arrays, one
+    block of intensities per phase set of the longest run, and _ROW_COLUMNS;
+    no term grows with the detector's point count. Work: per detector point
+    and source, _PATH_WORK for each group, _TRIG_WORK for each run and
     _MATVEC_WORK for each phase set."""
-    points = detector.samples if detector.geometry == "arc" else detector.samples ** 2
+    points = detector.n_points
     rows = min(points, _BLOCK_ROWS)
-    n_sources, sets, arrays = _walk_shape(groups)
-    needed = 8 * points * _QUADRATURE_COLUMNS + 8 * rows * (n_sources + sets + _FIELD_COLUMNS)
-    needed += 8 * 3 * _sub_block_cells(rows, groups)
+    n_sources, sets, arrays, cells = _walk_shape(rows, sizes)
+    needed = 8 * rows * (n_sources + sets + _ROW_COLUMNS) + 8 * 3 * cells
     request = f"far-field request of {points} detector points x {n_sources} sources"
     _check_budget(needed, request)
     work = sum(
-        positions.shape[0] * (_PATH_WORK + sum(
-            _TRIG_WORK + _MATVEC_WORK * len(phase_sets) for _, phase_sets in runs
-        ))
-        for positions, runs in groups
+        n * (_PATH_WORK + sum(_TRIG_WORK + _MATVEC_WORK * sets for sets in lengths))
+        for n, lengths in sizes
     )
     _check_work(points * work, f"{request} x {arrays} arrays")
 
@@ -617,13 +616,14 @@ def farfield_powers(arrays, detector: DetectorGrid) -> tuple[np.ndarray, np.ndar
     of path differences d (see _path_differences). This rearranges the
     brute-force sum; it is not a Fraunhofer approximation. The reference
     source has |e^{ikr}/r|^2 = 1/|p|^2 at every wavenumber, so it is summed
-    once per detector, with the engine's blocks, and with no exponential.
+    once per detector row, in the engine's blocks, and with no exponential.
 
-    The quadrature is built once. The detector rows are then walked in
-    blocks (see _block_walk): each block builds its rows of the path table
-    once for every run of consecutive arrays with the same positions, and
+    The detector rows are walked in blocks (see _block_walk): each block
+    builds its own quadrature rows, then its rows of the path table once
+    for every run of consecutive arrays with the same positions, and
     consecutive arrays that also share the wavenumber share one cos/sin
-    pass over them. The walk holds one block of the table, not all of it.
+    pass over them. The walk holds one block of each, never the whole
+    detector.
 
     Raises FarFieldViolationError unless the detector radius is at least
     100x both the wavelength and the extent of every array, and ValueError
@@ -638,16 +638,10 @@ def farfield_powers(arrays, detector: DetectorGrid) -> tuple[np.ndarray, np.ndar
                 f"detector radius {detector.radius} below far-field threshold {threshold}"
             )
     groups = _position_groups(arrays)
-    _check_farfield_budget(detector, groups)
-    points, weights = _detector_quadrature(detector)
-    norms = np.sqrt(np.einsum("ij,ij->i", points, points))
-    # the reference source's intensity 1/|p|^2, summed as the engine sums
-    # an origin-centered source, whose field is exactly 1/|p| (d = 0)
-    reference = 1.0 / norms
-    reference *= reference
-    reference *= weights
-    single = sum(float(reference[rows].sum()) for rows in _row_blocks(weights.size))
-    powers = np.array(_block_walk(points, norms, weights, groups), dtype=float)
+    sizes = [(positions.shape[0], [len(sets) for _, sets in runs]) for positions, runs in groups]
+    _check_farfield_budget(detector, sizes)
+    powers, single = _block_walk(detector, groups, sizes)
+    powers = np.array(powers, dtype=float)
     counts = np.array([array.n_sources for array in arrays], dtype=float)
     return powers, powers / (counts * single)
 

@@ -127,6 +127,21 @@ def _choice(*options):
     return convert
 
 
+def _bounded(convert, holds, rule: str):
+    """``convert``, refusing a value for which ``holds`` is false."""
+    def parse(text: str):
+        value = convert(text)
+        if not holds(value):
+            raise ValueError(f"must be {rule}, got {text!r}")
+        return value
+
+    return parse
+
+
+_positive = _bounded(_parse_float, lambda value: value > 0.0, "positive")
+_nonzero = _bounded(_parse_float, lambda value: value != 0.0, "nonzero")
+_count = _bounded(int, lambda value: value >= 1, "at least 1")
+
 _REQUIRED = object()
 
 
@@ -145,13 +160,13 @@ class _Field:
 _GLOBAL_FIELDS = (
     _Field("seed", int, 0, "seed for randomized phase draws"),
     _Field("samples", int, None, "quadrature density (detector points per axis)"),
-    _Field("n-max", int, 32, "number-state truncation of the quantum space"),
+    _Field("n-max", _count, 32, "number-state truncation of the quantum space"),
     _Field("format", _choice("csv", "json"), "csv", "output format"),
     _Field("output", str, None, "output path (default: standard output)"),
 )
 
 _UNITS_FIELDS = (
-    _Field("energy-scale", _parse_float, 1.0, "multiplies emitted energies (outputs only)"),
+    _Field("energy-scale", _positive, 1.0, "multiplies emitted energies (outputs only)"),
 )
 
 _SWEEP_TARGETS = _choice(*dict.fromkeys(target for target, _ in experiments._SWEEPS))
@@ -159,18 +174,18 @@ _SWEEP_PARAMETERS = _choice(*dict.fromkeys(parameter for _, parameter in experim
 
 _SUBCOMMAND_FIELDS = {
     "classical": (
-        _Field("n-waves", int, _REQUIRED, "number of phase-coherent waves"),
+        _Field("n-waves", _count, _REQUIRED, "number of phase-coherent waves"),
         _Field("delta-phi", _parse_float, 0.0, "progressive phase step phi_n = n * delta"),
         _Field("phases", _parse_floats, None, "explicit phase list (overrides delta-phi)"),
-        _Field("amplitude", _parse_float, 1.0, "common wave amplitude"),
-        _Field("wavelength", _parse_float, 1.0, "wavelength of the shared mode"),
+        _Field("amplitude", _nonzero, 1.0, "common wave amplitude"),
+        _Field("wavelength", _positive, 1.0, "wavelength of the shared mode"),
     ),
     "quantum": (
-        _Field("n-waves", int, _REQUIRED, "number of phase-coherent waves"),
+        _Field("n-waves", _count, _REQUIRED, "number of phase-coherent waves"),
         _Field("delta-phi", _parse_float, 0.0, "progressive phase step phi_n = n * delta"),
         _Field("phases", _parse_floats, None, "explicit phase list (overrides delta-phi)"),
         _Field("n", int, 0, "occupation of the number state"),
-        _Field("omega", _parse_float, 1.0, "mode frequency"),
+        _Field("omega", _positive, 1.0, "mode frequency"),
         _Field(
             "convention",
             _choice(*quantum.CONVENTIONS),
@@ -188,7 +203,7 @@ _SUBCOMMAND_FIELDS = {
     "biphoton": (
         _Field("overlap", _parse_complex, _REQUIRED, "mode overlap I as 're' or 're,im'"),
         _Field("delta-phi", _parse_float, 0.0, "phase difference of the two sources"),
-        _Field("omega", _parse_float, 1.0, "photon frequency"),
+        _Field("omega", _positive, 1.0, "photon frequency"),
     ),
     "wavepacket": (
         _Field(
@@ -206,12 +221,12 @@ _SUBCOMMAND_FIELDS = {
         _Field("start", _parse_float, _REQUIRED, "first parameter value"),
         _Field("stop", _parse_float, _REQUIRED, "last parameter value"),
         _Field("steps", int, _REQUIRED, "number of sweep points"),
-        _Field("n-waves", int, None, "fixed: wave count (phase_delta sweeps)"),
+        _Field("n-waves", _count, None, "fixed: wave count (phase_delta sweeps)"),
         _Field("n-sources", int, None, "fixed: source count (farfield)"),
         _Field("spacing", _parse_float, None, "fixed: array spacing"),
-        _Field("wavelength", _parse_float, None, "fixed: wavelength"),
+        _Field("wavelength", _positive, None, "fixed: wavelength"),
         _Field("n", int, None, "fixed: occupation (quantum_energy)"),
-        _Field("omega", _parse_float, None, "fixed: frequency"),
+        _Field("omega", _positive, None, "fixed: frequency"),
         _Field("overlap", _parse_complex, None, "fixed: mode overlap (biphoton)"),
         _Field("phase", _parse_float, None, "fixed: constant phase offset"),
         _Field(
@@ -267,13 +282,12 @@ _SUBCOMMAND_HELP = {
 
 
 def _sections(subcommand: str | None) -> dict:
-    """Field tables by config section: global, units and the subcommand's
-    (every subcommand's when ``subcommand`` is None)."""
-    sections = {"global": _GLOBAL_FIELDS, "units": _UNITS_FIELDS}
-    if subcommand is None:
-        sections.update(_SUBCOMMAND_FIELDS)
-    else:
-        sections[subcommand] = _SUBCOMMAND_FIELDS[subcommand]
+    """Field tables by config section: the subcommand's (every subcommand's
+    when ``subcommand`` is None), then global and units. A missing
+    subcommand key is thus reported before a global value out of range."""
+    names = _SUBCOMMAND_FIELDS if subcommand is None else (subcommand,)
+    sections = {name: _SUBCOMMAND_FIELDS[name] for name in names}
+    sections.update({"global": _GLOBAL_FIELDS, "units": _UNITS_FIELDS})
     return sections
 
 
@@ -403,11 +417,6 @@ def parse_config(argv) -> RunConfig:
         file_section = {key: value for (sec, key), value in file_entries.items() if sec == name}
         origin = "" if name == subcommand else f"{name}."
         settings.update(_resolve(fields, flag_values, file_section, origin))
-
-    if not settings["energy_scale"] > 0.0:
-        raise _CliError(3, "type mismatch for key 'units.energy-scale': must be positive")
-    if settings["n_max"] < 1:
-        raise _CliError(3, "type mismatch for key 'global.n-max': must be at least 1")
     return RunConfig(subcommand, settings)
 
 
@@ -446,8 +455,6 @@ def _curve_table(curve: SpectrumCurve) -> ResultTable:
 
 def _ramp_or_phases(params: dict) -> np.ndarray:
     n = params["n_waves"]
-    if n < 1:
-        raise ConfigError("n-waves must be at least 1")
     _check_wave_budget(n)
     if params.get("phases") is not None:
         phases = np.asarray(params["phases"], dtype=float)
@@ -459,10 +466,6 @@ def _ramp_or_phases(params: dict) -> np.ndarray:
 
 def _run_classical(params: dict) -> ResultTable:
     phases = _ramp_or_phases(params)
-    if params["wavelength"] <= 0.0:
-        raise ConfigError("wavelength must be positive")
-    if params["amplitude"] == 0.0:
-        raise ConfigError("amplitude must be nonzero")
     mode = WaveMode.plane(
         np.array([TWO_PI / params["wavelength"], 0.0, 0.0]), amplitude=params["amplitude"]
     )
@@ -471,14 +474,8 @@ def _run_classical(params: dict) -> ResultTable:
     return _report_table(astuple(report), meta)
 
 
-def _check_omega(params: dict):
-    if params["omega"] <= 0.0:
-        raise ConfigError("omega must be positive")
-
-
 def _run_quantum(params: dict) -> ResultTable:
     phases = _ramp_or_phases(params)
-    _check_omega(params)
     occupation, n_max = params["n"], params["n_max"]
     if not 0 <= occupation <= n_max:
         raise ConfigError(f"occupation n = {occupation} outside 0..n-max = {n_max}")
@@ -515,7 +512,6 @@ def _run_overlap(params: dict) -> ResultTable:
 
 
 def _run_biphoton(params: dict) -> ResultTable:
-    _check_omega(params)
     photon = quantum.biphoton_energy(
         params["delta_phi"], params["overlap"], params["omega"]
     )

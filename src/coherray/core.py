@@ -345,8 +345,10 @@ def make_linear_array(
     """
     if n_sources < 1:
         raise ValueError("n_sources must be at least 1")
-    # peak: the offsets, positions and phases (8 + 24 + 8 bytes per source)
-    _check_budget(40 * n_sources, f"linear array of {n_sources} sources")
+    # peak: the offsets, positions and phases (8 + 24 + 8 bytes per source),
+    # SourceArray's read-only copies of the positions and phases (24 + 8),
+    # and a call's array headers and objects (1.0-1.3 KB measured)
+    _check_budget(72 * n_sources + 2048, f"linear array of {n_sources} sources")
     if not (math.isfinite(spacing) and spacing > 0.0):
         raise ValueError("spacing must be positive and finite")
     _check_wavelength(wavelength)

@@ -355,6 +355,11 @@ def dicke_scaling_check(
         detector = DetectorGrid(
             radius=radius, geometry=classical.DRIVER_GEOMETRY, samples=detector_samples
         )
+        # refuse the fit before any array is built: each N is one array of its
+        # own positions, held like a source_count sweep's step (a jittered
+        # build peaks at 96 bytes per source, measured)
+        classical._check_farfield_budget(detector, [(n, [1]) for n in ns])
+        _check_sweep_budget(len(ns), ns[-1], "source_count")
         arrays = []
         for n in ns:
             array = make_linear_array(n, spacing, wavelength)

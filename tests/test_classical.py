@@ -536,7 +536,7 @@ def separation_tensor_power(points, weights, positions, phases, wavenumber):
 
 
 def reference_farfield_power(array, detector):
-    points, weights = _detector_quadrature(detector)
+    points, weights = _detector_quadrature(detector, slice(None))
     k = array.wavenumber
     power = separation_tensor_power(points, weights, array.positions, array.phases, k)
     single = separation_tensor_power(points, weights, np.zeros((1, 3)), np.zeros(1), k)
@@ -608,7 +608,7 @@ def test_engine_is_at_least_as_accurate_as_the_old_engine():
             n = 24  # keeps this test to about two seconds
         array = random_array(rng, n)
         detector = far_detector(rng, [array], geometry, samples)
-        points, weights = _detector_quadrature(detector)
+        points, weights = _detector_quadrature(detector, slice(None))
         k = array.wavenumber
         exact = long_double_power(points, weights, array.positions, array.phases, k)
         exact_single = long_double_power(points, weights, np.zeros((1, 3)), np.zeros(1), k)
@@ -672,35 +672,43 @@ def test_far_field_request_over_budget_is_refused_before_allocation():
 
 
 def test_sweeps_build_the_quadrature_once(monkeypatch):
-    calls = {"_detector_quadrature": 0, "_path_differences": 0}
-    for name in calls:
-        original = getattr(classical, name)
+    """Each detector row's point and weight are built once per call, not
+    once per step or per group; each block's path rows are built once per
+    group of equal positions, and the reference source needs none."""
+    calls = {"rows": 0, "_path_differences": 0}
+    build, paths = classical._detector_quadrature, classical._path_differences
 
-        def counted(*args, _original=original, _name=name):
-            calls[_name] += 1
-            return _original(*args)
+    def counted_build(detector, rows):
+        points, weights = build(detector, rows)
+        calls["rows"] += weights.size
+        return points, weights
 
-        monkeypatch.setattr(classical, name, counted)
+    def counted_paths(*args):
+        calls["_path_differences"] += 1
+        return paths(*args)
+
+    monkeypatch.setattr(classical, "_detector_quadrature", counted_build)
+    monkeypatch.setattr(classical, "_path_differences", counted_paths)
 
     def run(action):
         for name in calls:
             calls[name] = 0
         action()
-        return calls["_detector_quadrature"], calls["_path_differences"]
+        return calls["rows"], calls["_path_differences"]
 
     arr = make_linear_array(3, 2.0, 0.5)
     det = DetectorGrid(radius=1e3, geometry="arc", samples=256)
-    # each block's path rows are built once per group of equal positions;
-    # the reference source needs none
-    assert run(lambda: transmission_spectrum(arr, (0.5, 3.0), 9, det)) == (1, 1)
+    assert run(lambda: transmission_spectrum(arr, (0.5, 3.0), 9, det)) == (256, 1)
     two_blocks = DetectorGrid(radius=1e3, geometry="arc", samples=5000)
-    assert run(lambda: transmission_spectrum(arr, (0.5, 3.0), 9, two_blocks)) == (1, 2)
+    assert run(lambda: transmission_spectrum(arr, (0.5, 3.0), 9, two_blocks)) == (5000, 2)
+    hemisphere = DetectorGrid(radius=1e3, geometry="hemisphere", samples=96)
+    assert run(lambda: transmission_spectrum(arr, (0.5, 3.0), 3, hemisphere)) == (96 ** 2, 3)
     fixed = {"n_sources": 4, "spacing": 0.3, "wavelength": 1.0, "samples": 256}
     phase_sweep = SweepSpec("farfield_power", "phase_delta", 0.0, 3.0, 6, fixed)
-    assert run(lambda: run_sweep(phase_sweep)) == (1, 1)
+    assert run(lambda: run_sweep(phase_sweep)) == (256, 1)
     spacing_sweep = SweepSpec("farfield_power", "spacing", 0.1, 1.0, 6, fixed)
-    assert run(lambda: run_sweep(spacing_sweep)) == (1, 6)
-    assert run(lambda: dicke_scaling_check([2, 4, 8], "farfield", detector_samples=256)) == (1, 3)
+    assert run(lambda: run_sweep(spacing_sweep)) == (256, 6)
+    assert run(lambda: dicke_scaling_check([2, 4, 8], "farfield", detector_samples=256)) == (256, 3)
 
 
 def test_phase_steps_share_one_trig_pass(monkeypatch):
@@ -724,6 +732,45 @@ def test_phase_steps_share_one_trig_pass(monkeypatch):
     runs.clear()
     run_sweep(SweepSpec("farfield_power", "phase_delta", 0.0, 3.0, 6, {**fixed, "samples": 5000}))
     assert runs == [6, 6]
+
+
+def whole_detector_quadrature(detector):
+    """Reference: the quadrature as the engine built it before its walk built
+    each block's rows, every point at once (a meshgrid for the hemisphere)."""
+    n, radius = detector.samples, detector.radius
+    if detector.geometry == "arc":
+        step = math.pi / n
+        theta = -math.pi / 2.0 + (np.arange(n) + 0.5) * step
+        directions = np.stack([np.sin(theta), np.zeros_like(theta), np.cos(theta)], axis=1)
+        return radius * directions, np.full(n, radius * step)
+    theta_step, phi_step = (math.pi / 2) / n, 2.0 * math.pi / n
+    theta = (np.arange(n) + 0.5) * theta_step
+    phi = (np.arange(n) + 0.5) * phi_step
+    theta_grid, phi_grid = np.meshgrid(theta, phi, indexing="ij")
+    sin_t = np.sin(theta_grid)
+    directions = np.stack(
+        [sin_t * np.cos(phi_grid), sin_t * np.sin(phi_grid), np.cos(theta_grid)], axis=-1
+    ).reshape(-1, 3)
+    weights = (radius ** 2 * sin_t * theta_step * phi_step).reshape(-1)
+    return radius * directions, weights
+
+
+@pytest.mark.parametrize(
+    "geometry, samples",
+    [("arc", 640), ("arc", 9000), ("hemisphere", 64), ("hemisphere", 96), ("hemisphere", 186)],
+)
+def test_block_quadrature_is_bit_equal_to_the_whole_detector_build(geometry, samples):
+    """The walk builds each block's points and weights from the block's row
+    indices; every float has the bits that the whole-detector build gave
+    that row, in every block and for a slice of all rows."""
+    detector = DetectorGrid(radius=1234.5, geometry=geometry, samples=samples)
+    points, weights = whole_detector_quadrature(detector)
+    blocks = list(classical._row_blocks(weights.size))
+    assert len(blocks) == -(-weights.size // 4096)
+    for rows in blocks + [slice(None)]:
+        block_points, block_weights = _detector_quadrature(detector, rows)
+        assert block_points.tobytes() == points[rows].tobytes()
+        assert block_weights.tobytes() == weights[rows].tobytes()
 
 
 def block_intensities(table, norms, weights, phases, wavenumber):
@@ -805,7 +852,7 @@ def test_streamed_engine_is_bit_equal_to_the_whole_table_walk(geometry, samples,
         arrays += [array, replace(array, phases=rng.phases(n)),
                    replace(array, wavelength=array.wavelength * 1.25)]
     detector = far_detector(rng, arrays, geometry, samples)
-    points, weights = _detector_quadrature(detector)
+    points, weights = _detector_quadrature(detector, slice(None))
     powers, _ = farfield_powers(arrays, detector)
     for power, array in zip(powers, arrays):
         assert power == whole_table_power(
@@ -814,11 +861,12 @@ def test_streamed_engine_is_bit_equal_to_the_whole_table_walk(geometry, samples,
 
 
 def test_streamed_engine_holds_one_block_of_the_path_table(monkeypatch):
-    """At N = 64, going from 96^2 to 192^2 hemisphere points grows the peak
-    by no more than the quadrature's O(S) columns: the walk holds one block
-    of path differences, not the points x N table. The charge grows by
-    exactly those columns, so it has no points x N term, and the measured
-    peak stays below it."""
+    """At N = 64, going from 96^2 to 192^2 hemisphere points grows neither
+    the charge nor the peak: the walk holds one block of path differences
+    and builds one block of the quadrature at a time, so nothing it holds
+    grows with the detector. The peak may move by a few hundred bytes of
+    Python objects, far less than one float column of a block (32 KB), and
+    stays below the charge."""
     rng = XorShift64Star(6464)
     array = random_array(rng, 64)
     charged, peaks = [], []
@@ -837,9 +885,8 @@ def test_streamed_engine_holds_one_block_of_the_path_table(monkeypatch):
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    columns = 8 * classical._QUADRATURE_COLUMNS * (192 ** 2 - 96 ** 2)
-    assert peaks[1] - peaks[0] <= columns
-    assert charged[1] - charged[0] == columns
+    assert charged[1] == charged[0]
+    assert peaks[1] - peaks[0] < 8 * 4096
     assert peaks[0] <= charged[0] and peaks[1] <= charged[1]
 
 
@@ -856,7 +903,7 @@ def test_far_field_request_over_work_budget_is_refused_before_the_walk(monkeypat
     but would take hours; a 200-step phase sweep passes on its trig passes
     alone and is refused for its matvecs. Both are refused at once, before
     the quadrature is built."""
-    def build(detector):
+    def build(detector, rows):
         raise AssertionError("the quadrature was built")
 
     monkeypatch.setattr(classical, "_detector_quadrature", build)

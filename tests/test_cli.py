@@ -128,7 +128,7 @@ class TestExitCodes:
         [
             (("classical", "--n-waves", "2", "--seed", "many"), 3, "'global.seed'"),
             (("classical", "--n-waves", "2", "--n-max", "0"), 3, "'global.n-max'"),
-            # every section resolves before the n-max range check
+            # the subcommand's section resolves before global and its n-max range
             (("classical", "--n-max", "0"), 4, "n-waves"),
         ],
         ids=("seed", "n-max", "missing-key-first"),
@@ -169,12 +169,18 @@ class TestExitCodes:
             (("classical", "--n-waves", "2", "--amplitude", "0"), "amplitude"),
             (("quantum", "--n-waves", "2", "--omega", "0"), "omega"),
             (("biphoton", "--overlap", "0.5", "--omega", "-1"), "omega"),
+            (("sweep", "--target", "quantum_energy", "--parameter", "phase_delta", "--start", "0",
+              "--stop", "1", "--steps", "3", "--n-waves", "2", "--omega", "0"), "'omega'"),
+            (("sweep", "--target", "biphoton", "--parameter", "phase_delta", "--start", "0",
+              "--stop", "1", "--steps", "3", "--overlap", "0.5", "--omega", "-1"), "'omega'"),
         ],
         ids=("wavelength", "n-waves", "phases", "n-above-n-max", "amplitude", "quantum-omega",
-             "biphoton-omega"),
+             "biphoton-omega", "sweep-quantum-omega", "sweep-biphoton-omega"),
     )
     def test_out_of_range_value_is_type_mismatch(self, capsys, argv, key):
-        """The runners' own range checks exit 3, like a value that does not parse."""
+        """A value out of its key's range exits 3, like a value that does not
+        parse, whichever subcommand takes it; so do the runners' checks
+        across keys (the phase count, n above n-max)."""
         code, out, err = run_cli(capsys, *argv)
         assert code == 3
         assert key in err
@@ -213,7 +219,33 @@ class TestExitCodes:
         assert "jitter" in err
         assert out == ""
 
-    def test_far_field_request_over_memory_budget_is_runtime_failure(self, capsys):
+    @pytest.mark.parametrize(
+        "n_values, extra",
+        [("1000000,1100000,1200000,1300000", ()), ("2,3,2000000", ("--jitter", "0.3"))],
+        ids=("million-sources", "jittered"),
+    )
+    def test_far_field_dicke_is_refused_before_its_arrays_are_built(self, capsys, n_values, extra):
+        """The far-field fit checks the engine's budgets on its source counts
+        before it builds, validates or jitters any array."""
+        tracemalloc.start()
+        try:
+            started = time.perf_counter()
+            code, out, err = run_cli(
+                capsys, "dicke", "--n-values", n_values, "--regime", "farfield", *extra
+            )
+            elapsed = time.perf_counter() - started
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert "error: far-field request of 1024 detector points x " in err
+        assert out == ""
+        assert elapsed < 1.0
+        assert peak < 2 ** 20
+
+    def test_huge_hemisphere_is_runtime_failure(self, capsys):
+        """A 20 000^2-point hemisphere is refused by the work budget; the
+        engine's memory no longer grows with the detector."""
         code, out, err = run_cli(
             capsys, "spectrum", "--n-sources", "4", "--spacing", "0.5", "--wavelength-min", "1",
             "--wavelength-max", "2", "--geometry", "hemisphere", "--samples", "20000",

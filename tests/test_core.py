@@ -147,13 +147,25 @@ class TestSourceArray:
                 with pytest.raises(ValueError) as refused:
                     make_linear_array(n_sources, 0.5, 1.0)
                 assert str(refused.value) == (
-                    f"linear array of {n_sources} sources needs {40 * n_sources} bytes,"
+                    f"linear array of {n_sources} sources needs {72 * n_sources + 2048} bytes,"
                     f" over the budget of {MEMORY_BUDGET_BYTES} bytes"
                 )
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2 ** 20
+
+    @pytest.mark.parametrize("n_sources", [1, 300, 20_000, 200_000])
+    def test_linear_array_budget_covers_the_measured_peak(self, n_sources):
+        """The charge covers the offsets, positions and phases and the
+        read-only copies SourceArray makes of the positions and phases."""
+        tracemalloc.start()
+        try:
+            make_linear_array(n_sources, 0.5, 1.0, 0.25)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 72 * n_sources + 2048
 
     def test_extent_and_wavenumber(self):
         arr = make_linear_array(4, 0.5, 2.0)

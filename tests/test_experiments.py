@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from coherray import (
     single_wave_energy,
     wavepacket_energy,
 )
+from coherray import classical, experiments
 from coherray.multimode import WavepacketSpectrum
 from coherray.core import BoxVolume
 
@@ -284,6 +286,35 @@ class TestDickeScaling:
         for regime in ("closed_form", "farfield"):
             with pytest.raises(ValueError):
                 dicke_scaling_check([2, 4, 8], regime=regime, jitter=jitter)
+
+    @pytest.mark.parametrize("jitter", [0.0, 0.3])
+    @pytest.mark.parametrize("counts", [(2, 3, 20_000), (10_000, 15_000, 20_000)])
+    def test_farfield_arrays_stay_within_their_charge(self, monkeypatch, counts, jitter):
+        """The far-field fit charges its arrays as a source_count sweep's
+        steps before it builds them; the tracemalloc peak of building them,
+        jittered or not, stays below that charge. The engine is stubbed out;
+        its own peak has its own budget."""
+        charged, peaks = [], []
+        original = classical._check_budget
+
+        def recording(needed, request):
+            if request.startswith("far-field sweep"):
+                charged.append(needed)
+            return original(needed, request)
+
+        def stub(arrays, detector):
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            return np.arange(1.0, len(arrays) + 1) ** 2, None
+
+        monkeypatch.setattr(classical, "_check_budget", recording)
+        monkeypatch.setattr(experiments, "farfield_powers", stub)
+        tracemalloc.start()
+        try:
+            dicke_scaling_check(counts, "farfield", detector_samples=64, jitter=jitter)
+        finally:
+            tracemalloc.stop()
+        assert len(charged) == 1 and len(peaks) == 1
+        assert peaks[0] <= charged[0]
 
     def test_scaling_fit_validates_r_squared(self):
         with pytest.raises(ValueError):
