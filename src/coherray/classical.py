@@ -129,6 +129,12 @@ _MATVEC_WORK = 1
 # results; a hemisphere block peaks at 19.2 (tracemalloc, N = 8)
 _ROW_COLUMNS = 20
 
+# bytes the far-field walk holds whatever its size: the buffers numpy's
+# ufuncs and einsum take, up to 8192 elements (64 KB) for each of an einsum's
+# three operands; tracemalloc peaks exceeded the other terms by at most 125 KB
+# (arcs of 64-1024 points, N = 20-3000)
+_WALK_BUFFER_BYTES = 3 << 16
+
 # bytes per step of a far-field sweep besides the sources: the step's
 # SourceArray object and curve entries (~250 measured with tracemalloc)
 _SWEEP_STEP_BYTES = 512
@@ -571,14 +577,18 @@ def _check_farfield_budget(detector: DetectorGrid, sizes):
     built; ``sizes`` gives each positions group's source count and run
     lengths, [(n_sources, [phase sets, ...]), ...]. Memory: what _block_walk
     holds, that is one block's path table, the three sub-block arrays, one
-    block of intensities per phase set of the longest run, and _ROW_COLUMNS;
-    no term grows with the detector's point count. Work: per detector point
+    block of intensities per phase set of the longest run, _ROW_COLUMNS,
+    _path_differences' squares of the largest group, the cos and sin of the
+    phase sets of the largest run and _WALK_BUFFER_BYTES; no term grows with
+    the detector's point count. Work: per detector point
     and source, _PATH_WORK for each group, _TRIG_WORK for each run and
     _MATVEC_WORK for each phase set."""
     points = detector.n_points
     rows = min(points, _BLOCK_ROWS)
     n_sources, sets, arrays, cells = _walk_shape(rows, sizes)
-    needed = 8 * rows * (n_sources + sets + _ROW_COLUMNS) + 8 * 3 * cells
+    phasors = max((n * sets for n, lengths in sizes for sets in lengths), default=0)
+    needed = (8 * rows * (n_sources + sets + _ROW_COLUMNS) + 8 * 3 * cells
+              + 8 * n_sources + 16 * phasors + _WALK_BUFFER_BYTES)
     request = f"far-field request of {points} detector points x {n_sources} sources"
     _check_budget(needed, request)
     work = sum(

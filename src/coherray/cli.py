@@ -222,8 +222,8 @@ _SUBCOMMAND_FIELDS = {
         _Field("stop", _parse_float, _REQUIRED, "last parameter value"),
         _Field("steps", int, _REQUIRED, "number of sweep points"),
         _Field("n-waves", _count, None, "fixed: wave count (phase_delta sweeps)"),
-        _Field("n-sources", int, None, "fixed: source count (farfield)"),
-        _Field("spacing", _parse_float, None, "fixed: array spacing"),
+        _Field("n-sources", _count, None, "fixed: source count (farfield)"),
+        _Field("spacing", _positive, None, "fixed: array spacing"),
         _Field("wavelength", _positive, None, "fixed: wavelength"),
         _Field("n", int, None, "fixed: occupation (quantum_energy)"),
         _Field("omega", _positive, None, "fixed: frequency"),
@@ -254,8 +254,8 @@ _SUBCOMMAND_FIELDS = {
         _Field("jitter", _parse_float, 0.0, "position jitter as a fraction of spacing"),
     ),
     "spectrum": (
-        _Field("n-sources", int, _REQUIRED, "source count of the linear array"),
-        _Field("spacing", _parse_float, _REQUIRED, "array spacing"),
+        _Field("n-sources", _count, _REQUIRED, "source count of the linear array"),
+        _Field("spacing", _positive, _REQUIRED, "array spacing"),
         _Field("wavelength-min", _parse_float, _REQUIRED, "sweep start wavelength"),
         _Field("wavelength-max", _parse_float, _REQUIRED, "sweep stop wavelength"),
         _Field("steps", int, 200, "number of wavelengths"),

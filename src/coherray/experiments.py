@@ -148,15 +148,27 @@ def _closed_form_observables(spec: SweepSpec, phases) -> tuple[float, float]:
 
 def _sweep_closed_form(spec: SweepSpec, values: np.ndarray):
     stream = XorShift64Star(spec.seed)
+    if spec.parameter == "phase_delta":
+        counts = [int(spec.fixed["n_waves"])] * values.size
+    else:
+        counts = [int(round(value)) for value in values]
+        # values ascend, so the first step has the fewest waves
+        if counts[0] < 1:
+            raise ConfigError("source_count sweep values must round to N >= 1")
+    # the largest step's phases are refused for their memory before any work
+    _check_wave_budget(counts[-1])
+    if spec.target == "quantum_energy":
+        # every step builds a Hamiltonian: charge all their wave pairs at once
+        quantum._check_pair_work(
+            counts, f"quantum sweep of {values.size} steps x up to {counts[-1]} waves"
+        )
     power = np.empty(values.size)
     enhancement = np.empty(values.size)
-    for i, value in enumerate(values):
+    for i, (value, n) in enumerate(zip(values, counts)):
         if spec.parameter == "phase_delta":
-            phases = _ramp(int(spec.fixed["n_waves"]), float(value))
-        elif round(value) < 1:
-            raise ConfigError("source_count sweep values must round to N >= 1")
+            phases = _ramp(n, float(value))
         else:
-            phases = _sweep_phase_profile(spec.fixed, int(round(value)), stream)
+            phases = _sweep_phase_profile(spec.fixed, n, stream)
         power[i], enhancement[i] = _closed_form_observables(spec, phases)
     return power, enhancement
 

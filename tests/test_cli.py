@@ -173,9 +173,18 @@ class TestExitCodes:
               "--stop", "1", "--steps", "3", "--n-waves", "2", "--omega", "0"), "'omega'"),
             (("sweep", "--target", "biphoton", "--parameter", "phase_delta", "--start", "0",
               "--stop", "1", "--steps", "3", "--overlap", "0.5", "--omega", "-1"), "'omega'"),
+            (("spectrum", "--n-sources", "0", "--spacing", "0.5", "--wavelength-min", "1",
+              "--wavelength-max", "2"), "'n-sources'"),
+            (("spectrum", "--n-sources", "3", "--spacing", "0", "--wavelength-min", "1",
+              "--wavelength-max", "2"), "'spacing'"),
+            (("sweep", "--target", "farfield_power", "--parameter", "wavelength", "--start", "0.5",
+              "--stop", "2", "--steps", "3", "--n-sources", "0", "--spacing", "1"), "'n-sources'"),
+            (("sweep", "--target", "farfield_power", "--parameter", "wavelength", "--start", "0.5",
+              "--stop", "2", "--steps", "3", "--n-sources", "4", "--spacing", "0"), "'spacing'"),
         ],
         ids=("wavelength", "n-waves", "phases", "n-above-n-max", "amplitude", "quantum-omega",
-             "biphoton-omega", "sweep-quantum-omega", "sweep-biphoton-omega"),
+             "biphoton-omega", "sweep-quantum-omega", "sweep-biphoton-omega",
+             "spectrum-n-sources", "spectrum-spacing", "sweep-n-sources", "sweep-spacing"),
     )
     def test_out_of_range_value_is_type_mismatch(self, capsys, argv, key):
         """A value out of its key's range exits 3, like a value that does not
@@ -286,6 +295,19 @@ class TestExitCodes:
             "error: far-field request of 1048576 detector points x 64 sources x 10000 arrays"
             f" needs {1048576 * 64 * (7 + 10000 * 8)} operations, over the work budget of"
             " 10000000000 operations\n"
+        )
+        assert out == ""
+
+    def test_hamiltonian_over_work_budget_is_runtime_failure(self, capsys):
+        """100 000 waves fit the wave budget, but their 5 * 10^9 wave pairs at
+        10 operations each would run for minutes; they are refused at once."""
+        started = time.perf_counter()
+        code, out, err = run_cli(capsys, "quantum", "--n-waves", "100000", "--n-max", "64")
+        assert time.perf_counter() - started < 1.0
+        assert code == 1
+        assert err == (
+            "error: Hamiltonian of 100000 waves (4999950000 wave pairs) needs 49999500000"
+            " operations, over the work budget of 10000000000 operations\n"
         )
         assert out == ""
 

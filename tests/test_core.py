@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 from dataclasses import fields, replace
 
@@ -210,6 +211,25 @@ def test_linear_array_extent_is_bit_equal_to_the_pairwise_path(n):
     assert arr.extent == descending.extent
     diff = arr.positions[:, None, :] - arr.positions[None, :, :]
     assert arr.extent == float(np.sqrt((diff ** 2).sum(axis=2)).max())
+
+
+def test_jittered_array_over_work_budget_is_refused_at_once():
+    """Sources out of order on the x axis take the pairwise distance check,
+    charged 13 operations per ordered source pair: 200 000 jittered sources
+    (4 * 10^10 pairs) are refused before any block of distances is built."""
+    n = 200_000
+    positions = make_linear_array(n, 0.5, 1.0).positions.copy()
+    # jitter of up to 0.8 spacings, so neighbours change places
+    positions[:, 0] += 0.8 * 0.5 * np.sin(2.0 * np.arange(n))
+    assert not np.all(positions[1:, 0] > positions[:-1, 0])
+    started = time.perf_counter()
+    with pytest.raises(ValueError) as refused:
+        SourceArray(positions, np.zeros(n), 1.0)
+    assert time.perf_counter() - started < 1.0
+    assert str(refused.value) == (
+        f"pairwise distance check of {n} sources needs {13 * n * n} operations,"
+        f" over the work budget of {core.WORK_BUDGET} operations"
+    )
 
 
 def test_swept_array_equals_a_freshly_validated_one():

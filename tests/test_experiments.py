@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -139,6 +140,35 @@ def test_quantum_phase_sweep_matches_closed_form():
         _, mag_sq = phase_sum([i * delta for i in range(3)])
         expected = 1.5 * mag_sq * 2.5
         assert abs(power - expected) <= 1e-10 * max(1.0, expected)
+
+
+@pytest.mark.parametrize(
+    "parameter, start, stop, fixed, pairs",
+    [
+        ("source_count", 30_000, 40_000, {"phase_profile": "random"},
+         30_000 * 29_999 // 2 + 35_000 * 34_999 // 2 + 40_000 * 39_999 // 2),
+        ("phase_delta", 0.0, 1.0, {"n_waves": 40_000}, 3 * (40_000 * 39_999 // 2)),
+    ],
+)
+def test_quantum_sweep_over_work_budget_is_refused_before_its_first_step(
+    monkeypatch, parameter, start, stop, fixed, pairs
+):
+    """Each step's Hamiltonian fits the work budget on its own (40 000 waves
+    are 8 * 10^9 operations), but the three together do not: the sweep
+    charges all its wave pairs, 10 operations each, before its first step."""
+    def build(*args, **kwargs):
+        raise AssertionError("a step was evaluated")
+
+    monkeypatch.setattr(experiments.quantum, "single_mode_hamiltonian", build)
+    spec = SweepSpec("quantum_energy", parameter, start, stop, 3, fixed)
+    started = time.perf_counter()
+    with pytest.raises(ValueError) as refused:
+        run_sweep(spec)
+    assert time.perf_counter() - started < 1.0
+    assert str(refused.value) == (
+        f"quantum sweep of 3 steps x up to 40000 waves ({pairs} wave pairs) needs"
+        f" {10 * pairs} operations, over the work budget of 10000000000 operations"
+    )
 
 
 def test_farfield_source_count_sweep_is_monotone_when_subwavelength():

@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -13,7 +14,7 @@ from coherray import (
     phase_sum,
     single_mode_hamiltonian,
 )
-from coherray.core import MEMORY_BUDGET_BYTES
+from coherray.core import MEMORY_BUDGET_BYTES, WORK_BUDGET
 from coherray.experiments import XorShift64Star
 
 TWO_PI = 2.0 * math.pi
@@ -183,18 +184,92 @@ def dense_pairwise_hamiltonian(phases, omega, space, convention):
     return hamiltonian.astype(complex)
 
 
-def test_hamiltonian_matches_dense_pairwise_sum_bit_for_bit():
-    rng = XorShift64Star(77)
-    for convention in CONVENTIONS:
-        for n_waves in (1, 2, 5, 9):
-            phases = [float(p) for p in rng.phases(n_waves)]
-            omega = 0.3 + 2.0 * rng.uniform()
-            space = FockSpace(n_max=3 + n_waves)
-            operator = single_mode_hamiltonian(phases, omega, space, convention)
-            reference = dense_pairwise_hamiltonian(phases, omega, space, convention)
-            assert operator.dtype == np.float64
-            assert operator.shape == (space.levels,)
-            assert np.array_equal(operator, np.diag(reference))
+def looped_hamiltonian(phases, omega, space, convention):
+    """Reference: the diagonal summed pair by pair, one levels-length update
+    per wave pair, as single_mode_hamiltonian did before its coupling sum."""
+    sign = {"phased-plus": 1, "phased-minus": -1}.get(convention)
+    number = np.arange(space.levels, dtype=float)
+    diagonal = len(phases) * omega * (number + 0.5)
+    for i in range(len(phases)):
+        for j in range(i + 1, len(phases)):
+            cos_delta = math.cos(phases[i] - phases[j])
+            if sign is None:
+                diagonal = diagonal + omega * cos_delta * (2.0 * number + 1.0)
+            else:
+                diagonal = diagonal + omega * (2.0 * cos_delta * number + sign)
+    return diagonal
+
+
+def long_double_hamiltonian(phases, omega, space, convention):
+    """Reference: the same diagonal carried in np.longdouble (64-bit mantissa
+    on x86-64) from the float64 cosines that both routes take, so what is
+    left of a route's error is the rounding of its sums."""
+    cosines = np.array([math.cos(phases[i] - phases[j])
+                        for i in range(len(phases)) for j in range(i + 1, len(phases))],
+                       dtype=np.longdouble)
+    coupling = cosines.sum()
+    number = np.arange(space.levels, dtype=np.longdouble)
+    omega = np.longdouble(omega)
+    diagonal = len(phases) * omega * (number + np.longdouble(0.5))
+    if convention == "canonical":
+        return diagonal + omega * coupling * (2 * number + 1)
+    sign = 1 if convention == "phased-plus" else -1
+    return diagonal + omega * (2 * coupling * number + sign * cosines.size)
+
+
+def test_hamiltonian_is_at_least_as_accurate_as_the_pair_loop():
+    """The coupling sum rounds differently from the pair loop it replaced.
+    On every seeded case (the three conventions, up to 200 waves, n_max 64)
+    its largest error against the long-double reference is no larger than
+    the loop's."""
+    rng = XorShift64Star(200)
+    space = FockSpace(n_max=64)
+    for case in range(24):
+        convention = CONVENTIONS[case % 3]
+        n_waves = 2 + int(rng.next_uint64() % 199)
+        phases = [float(p) for p in rng.phases(n_waves)]
+        omega = 0.3 + 2.0 * rng.uniform()
+        operator = single_mode_hamiltonian(phases, omega, space, convention)
+        assert operator.dtype == np.float64
+        assert operator.shape == (space.levels,)
+        reference = long_double_hamiltonian(phases, omega, space, convention)
+        error = np.abs(operator - reference).max()
+        looped = np.abs(looped_hamiltonian(phases, omega, space, convention) - reference).max()
+        assert error <= looped, (convention, n_waves)
+
+
+def test_hamiltonian_takes_one_cosine_call_per_wave(monkeypatch):
+    """The wave pairs are summed one row per wave: N - 1 array calls of np.cos
+    that together take each of the N(N-1)/2 pairs once, not a call per pair."""
+    phases = XorShift64Star(12).phases(40)
+    space = FockSpace(n_max=8)
+    expected = single_mode_hamiltonian(phases, 1.0, space)
+    evaluated = []
+    original = np.cos
+
+    def counted(x, *args, **kwargs):
+        evaluated.append(np.size(x))
+        return original(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "cos", counted)
+    assert np.array_equal(single_mode_hamiltonian(phases, 1.0, space), expected)
+    assert len(evaluated) <= 40
+    assert sum(evaluated) == 40 * 39 // 2
+
+
+def test_hamiltonian_over_work_budget_is_refused_at_once():
+    """Each wave pair is charged 10 operations: 44 722 waves are the first
+    count over WORK_BUDGET, and they are refused before any cosine."""
+    started = time.perf_counter()
+    with pytest.raises(ValueError) as refused:
+        single_mode_hamiltonian(np.zeros(44_722), 1.0, FockSpace(n_max=4))
+    assert time.perf_counter() - started < 1.0
+    pairs = 44_722 * 44_721 // 2
+    assert 10 * (44_721 * 44_720 // 2) <= WORK_BUDGET < 10 * pairs
+    assert str(refused.value) == (
+        f"Hamiltonian of 44722 waves ({pairs} wave pairs) needs {10 * pairs} operations,"
+        f" over the work budget of {WORK_BUDGET} operations"
+    )
 
 
 @pytest.mark.parametrize(
