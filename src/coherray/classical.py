@@ -37,10 +37,25 @@ phases, and it adds its partial of the origin-centered reference source,
 whose intensity 1/|p|^2 does not depend on k. Before it builds anything,
 the engine checks what the walk holds against MEMORY_BUDGET_BYTES and its
 trig and matvec work against WORK_BUDGET.
+
+Both detectors are mirror-symmetric: the arc under x -> -x, the hemisphere
+under y -> -y and, when its samples are even, under x -> -x. When a mirror
+also maps an array's positions onto themselves, exactly (every linear
+array is centered, so it qualifies), the walk folds: it builds one
+fundamental node per orbit of the mirrors, and takes path differences and
+cos/sin only there. An image node is the exact sign flip of its
+fundamental node, so its row is the fundamental row with the sources
+permuted; it is materialized as a column-permuted copy for the matvecs,
+or, when the permutation is the identity, adds its weight to the
+fundamental row. A linear array takes cos/sin over half the arc, a quarter
+of an even hemisphere and half an odd one; on the hemisphere its y -> -y
+images merge, so it takes half the matvecs. An array with no exact mirror
+symmetry (a jittered one) takes every row, with the nodes as listed.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -123,10 +138,12 @@ _PATH_WORK = 7
 _TRIG_WORK = 7
 _MATVEC_WORK = 1
 
-# float columns per block row besides the path table and the intensities:
-# the block's quadrature and its build's temporaries, the previous block's
-# quadrature (still referenced while the next is built) and the matvec
-# results; a hemisphere block peaks at 19.2 (tracemalloc, N = 8)
+# float columns per materialized block row besides the path table and the
+# intensities: the block's quadrature (of its fundamental rows) and its
+# build's temporaries, the previous block's quadrature (still referenced
+# while the next is built), the row weights and reference intensities and
+# the matvec results; an unfolded hemisphere block peaks at 19.2
+# (tracemalloc, N = 8)
 _ROW_COLUMNS = 20
 
 # bytes the far-field walk holds whatever its size: the buffers numpy's
@@ -134,6 +151,12 @@ _ROW_COLUMNS = 20
 # three operands; tracemalloc peaks exceeded the other terms by at most 125 KB
 # (arcs of 64-1024 points, N = 20-3000)
 _WALK_BUFFER_BYTES = 3 << 16
+
+# bytes per source of the fold check (see _source_mirror): the mirrored
+# copy, two lexsort orders and the two sorted copies. The check runs before
+# the budget check, like the positions it reads, and holds about four times
+# what they hold
+_FOLD_SOURCE_BYTES = 112
 
 # bytes per step of a far-field sweep besides the sources: the step's
 # SourceArray object and curve entries (~250 measured with tracemalloc)
@@ -165,6 +188,13 @@ class DetectorGrid:
     matters through enhancement ratios). The hemisphere spans polar angles
     0..pi/2; the arc opens pi, from -pi/2 to pi/2 about +z. ``n_points``
     is ``samples`` on the arc and ``samples``^2 on the hemisphere.
+
+    The nodes come in mirror pairs of equal weight: the arc's theta and
+    -theta under x -> -x, the hemisphere's phi and -phi under y -> -y and,
+    for even ``samples``, phi and pi - phi under x -> -x. Where the engine
+    folds an array onto a mirror, it builds each image node as the exact
+    sign flip of its fundamental node, which may differ from the node as
+    listed in its last bit.
     """
 
     radius: float
@@ -376,14 +406,13 @@ def _slab_walk(fx, fy, fz, coefficients, k_sq: float, lines: int, width: int) ->
     return total
 
 
-def _detector_quadrature(detector: DetectorGrid, rows: slice) -> tuple[np.ndarray, np.ndarray]:
+def _detector_quadrature(detector: DetectorGrid, index) -> tuple[np.ndarray, np.ndarray]:
     """Midpoint sample points (rows, 3) and integration weights (rows,) of
-    the detector ``rows``, a slice of its point indices. The hemisphere's
+    the detector points of the integer array ``index``. The hemisphere's
     index runs over phi within each theta, as a (theta, phi) meshgrid
     flattens, and each point takes the floats that meshgrid gave it."""
     n = detector.samples
     radius = detector.radius
-    index = np.arange(*rows.indices(detector.n_points))
     if detector.geometry == "arc":
         step = math.pi / n
         theta = -math.pi / 2.0 + (index + 0.5) * step
@@ -399,6 +428,135 @@ def _detector_quadrature(detector: DetectorGrid, rows: slice) -> tuple[np.ndarra
     directions = np.stack([sin_t * np.cos(phi), sin_t * np.sin(phi), np.cos(theta)], axis=1)
     weights = radius ** 2 * sin_t * theta_step * phi_step
     return radius * directions, weights
+
+
+def _detector_mirrors(detector: DetectorGrid) -> tuple[int, ...]:
+    """The axes (0 for x -> -x, 1 for y -> -y) whose mirror maps the
+    detector's nodes onto nodes of the same weight, other than every node
+    onto itself. The arc takes x -> -x; the hemisphere takes y -> -y, and
+    x -> -x when its phi samples are even."""
+    if detector.geometry == "arc":
+        return (0,)
+    return (0, 1) if detector.samples % 2 == 0 else (1,)
+
+
+def _mirror_node(detector: DetectorGrid, axis: int, node):
+    """Index of the mirror under ``axis`` of each ``node`` within its ring:
+    the arc is one ring of ``samples`` nodes, and each hemisphere theta a
+    ring of ``samples`` phi nodes. x -> -x takes the arc's theta to -theta
+    and y -> -y the hemisphere's phi to -phi, both index n - 1 - i; x -> -x
+    takes the hemisphere's phi to pi - phi, index (n/2 - 1 - i) mod n."""
+    n = detector.samples
+    if detector.geometry == "hemisphere" and axis == 0:
+        return (n // 2 - 1 - node) % n
+    return n - 1 - node
+
+
+def _fundamental_rows(detector: DetectorGrid, mirrors) -> tuple[int, int, int, int]:
+    """The fundamental nodes under ``mirrors``, a run of consecutive nodes
+    of each ring that holds one node of every orbit: the run's first index
+    and length, the fundamental rows of the whole detector, and the rows of
+    one block of the walk, which materializes at most _BLOCK_ROWS rows."""
+    n = detector.samples
+    half = n // 2
+    if not mirrors:
+        start, count = 0, n
+    elif detector.geometry == "hemisphere" and mirrors == (0,):
+        start, count = half // 2, 2 * ((half + 1) // 2)
+    else:
+        start, count = 0, ((half if len(mirrors) == 2 else n) + 1) // 2
+    return start, count, detector.n_points // n * count, _BLOCK_ROWS >> len(mirrors)
+
+
+class _Fold(NamedTuple):
+    """How a positions group folds onto the detector's mirrors (see _fold).
+
+    ``mirrors``: the axes whose mirror maps both the detector's nodes and
+    the positions onto themselves. ``elements``: the products of those
+    mirrors, the identity first, each as a tuple of axes. ``classes``: the
+    elements' indices grouped by their source permutation, the identity's
+    class first; each class is one materialized row per fundamental node.
+    ``images``: the source permutation of every class after the first."""
+
+    mirrors: tuple
+    elements: tuple
+    classes: tuple
+    images: tuple
+
+
+# a group that no mirror folds: the walk over every detector row
+_UNFOLDED = _Fold((), ((),), ((0,),), ())
+
+_SAME = slice(None)
+_REVERSED = slice(None, None, -1)
+
+
+def _source_mirror(positions: np.ndarray, axis: int):
+    """The permutation pi that takes the mirror of source n under ``axis``
+    to source pi[n], bit for bit up to the sign of a zero, or None when the
+    positions are not mirror-symmetric: _SAME, _REVERSED (a linear array
+    under x -> -x) or an index array. The positions are compared as a set:
+    the identity and the reversal are tried first, in O(N), and then the
+    lexsorted rows of both sets, in O(N log N)."""
+    mirrored = positions.copy()
+    np.negative(mirrored[:, axis], out=mirrored[:, axis])
+    for perm in (_SAME, _REVERSED):
+        if np.array_equal(mirrored, positions[perm]):
+            return perm
+    order, image = np.lexsort(positions.T), np.lexsort(mirrored.T)
+    if not np.array_equal(positions[order], mirrored[image]):
+        return None
+    perm = np.empty(len(positions), dtype=np.intp)
+    perm[image] = order
+    return perm
+
+
+def _fold(detector: DetectorGrid, positions: np.ndarray) -> _Fold:
+    """The mirrors of ``detector`` that also map ``positions`` onto
+    themselves, and what each product of them does to the sources.
+
+    With p' the exact mirror of a node p, |p'| = |p| and d(p', x_n) =
+    d(p, x_pi(n)) hold bit for bit, so the image row's cos/sin are the
+    fundamental row's, permuted by pi. Images whose permutation is the
+    identity add their weight to the fundamental row; the others share one
+    materialized row per permutation. A group with no mirror is one class
+    of one element, which is the unfolded walk."""
+    perms = {}
+    for axis in _detector_mirrors(detector):
+        perm = _source_mirror(positions, axis)
+        if perm is not None:
+            perms[axis] = perm
+    mirrors = tuple(perms)
+    elements = tuple(
+        tuple(axis for bit, axis in enumerate(mirrors) if k >> bit & 1)
+        for k in range(1 << len(mirrors))
+    )
+    classes = {}
+    for index, element in enumerate(elements):
+        moved = tuple(axis for axis in element if perms[axis] is not _SAME)
+        classes.setdefault(moved, []).append(index)
+    # the product of both mirrors takes source n to pi_x[pi_y[n]]
+    images = [perms[moved[0]] if len(moved) == 1
+              else np.arange(len(positions))[perms[moved[0]]][perms[moved[1]]]
+              for moved in list(classes)[1:]]
+    return _Fold(mirrors, elements, tuple(map(tuple, classes.values())), tuple(images))
+
+
+def _distinct_images(detector: DetectorGrid, elements, nodes) -> list:
+    """For each element, whether its image of each fundamental node is a
+    node that no earlier element's image already is (the identity's always
+    is). A node that is its own mirror stays a lone row."""
+    images, distinct = [], []
+    for element in elements:
+        image = nodes
+        for axis in element:
+            image = _mirror_node(detector, axis, image)
+        first = np.ones(nodes.shape, dtype=bool)
+        for other in images:
+            first &= image != other
+        distinct.append(first)
+        images.append(image)
+    return distinct
 
 
 def _path_differences(points, norms, positions, table, scratch):
@@ -431,9 +589,9 @@ def _path_differences(points, norms, positions, table, scratch):
         near /= distance
 
 
-def _row_blocks(count: int):
-    """Slices of ``count`` detector rows, _BLOCK_ROWS at a time."""
-    return (slice(start, start + _BLOCK_ROWS) for start in range(0, count, _BLOCK_ROWS))
+def _row_blocks(count: int, rows: int = _BLOCK_ROWS):
+    """Slices of ``count`` detector rows, ``rows`` at a time."""
+    return (slice(start, min(start + rows, count)) for start in range(0, count, rows))
 
 
 def _sub_blocks(count: int, rows: int):
@@ -449,39 +607,68 @@ def _sub_blocks(count: int, rows: int):
     return (slice(start, end) for start, end in zip([0] + ends, ends + [count]))
 
 
-def _sub_block_rows(n_sources: int) -> int:
-    """Rows per sub-block of a block of ``n_sources`` columns: about
-    _SUB_BLOCK_CELLS cells, and at least two rows (see _sub_blocks)."""
-    return max(2, _SUB_BLOCK_CELLS // n_sources)
+def _sub_block_rows(n_sources: int, classes: int = 1) -> int:
+    """Fundamental rows per sub-block of a block of ``n_sources`` columns
+    that materializes ``classes`` rows for each: about _SUB_BLOCK_CELLS
+    materialized cells, and at least two rows (see _sub_blocks)."""
+    return max(2, _SUB_BLOCK_CELLS // (classes * n_sources))
 
 
-def _run_powers(table, norms, weights, wavenumber, phase_sets, buffers, intensities) -> list[float]:
+def _sub_block_height(rows: int, n_sources: int, classes: int) -> int:
+    """Rows of the sub-block arrays for a block of ``rows`` fundamental rows:
+    every class of a sub-block and the lone row it may take on. These are
+    at least the rows _path_differences takes at a time."""
+    return classes * min(rows, _sub_block_rows(n_sources, classes) + 1)
+
+
+def _permute_columns(source, perm, out):
+    """``source`` with its columns taken in the order ``perm`` (a slice or
+    an index array), written into ``out``."""
+    if isinstance(perm, slice):
+        np.copyto(out, source[:, perm])
+    else:
+        np.take(source, perm, axis=1, out=out, mode="clip")
+
+
+def _run_powers(table, norms, weights, wavenumber, phase_sets, buffers, intensities,
+                images) -> list[float]:
     """One block's partial power of each phase set, for the sources of the
-    block's path ``table``.
+    block's path ``table`` of fundamental rows.
 
-    The block is walked in sub-blocks (see _sub_blocks), whose cos(k d)/r,
-    sin(k d)/r and 1/r are taken into ``buffers`` and shared by every phase
-    set. Each set then takes four real matvecs with its cos(phi) and
-    sin(phi) and writes its weighted intensity into its row of
-    ``intensities``, which is summed pairwise once the block is done. A
-    set's partial is the same float whether it shares the pass with other
-    sets or not. The matvecs use einsum rather than BLAS, so the bits do
-    not depend on the BLAS kernel that the machine selects.
+    ``weights`` (classes, rows) holds each materialized row's weight, and
+    ``images`` the source permutation of every class after the first (see
+    _Fold). The block is walked in sub-blocks (see _sub_blocks), whose
+    cos(k d)/r and sin(k d)/r are taken into ``buffers`` (the third holds
+    1/r) once for the fundamental rows and copied, columns permuted, for
+    every other class, and shared by every phase set. Each set then takes
+    four real matvecs over all the classes with its cos(phi) and sin(phi)
+    and writes its weighted intensities into its row of ``intensities``,
+    which is summed pairwise once the block is done. A set's partial is the
+    same float whether it shares the pass with other sets or not. The
+    matvecs use einsum rather than BLAS, so the bits do not depend on the
+    BLAS kernel that the machine selects.
     """
     phasors = [(np.cos(phases), np.sin(phases)) for phases in phase_sets]
     cosines, sines, inverses = buffers
-    fields = intensities[:len(phasors), :table.shape[0]]
-    for rows in _sub_blocks(table.shape[0], _sub_block_rows(table.shape[1])):
+    classes, count = weights.shape
+    fields = [row[:classes * count].reshape(classes, count) for row in intensities[:len(phasors)]]
+    for rows in _sub_blocks(count, _sub_block_rows(table.shape[1], classes)):
         block = table[rows]
-        cosine, sine, inverse = cosines[:len(block)], sines[:len(block)], inverses[:len(block)]
+        height = len(block)
+        cosine, sine = cosines[:classes * height], sines[:classes * height]
+        inverse = inverses[:height]
         np.add(block, norms[rows, None], out=inverse)
         np.reciprocal(inverse, out=inverse)
-        np.multiply(block, wavenumber, out=cosine)
-        np.sin(cosine, out=sine)
-        np.cos(cosine, out=cosine)
-        cosine *= inverse
-        sine *= inverse
-        weight = weights[rows]
+        fundamental_cos, fundamental_sin = cosine[:height], sine[:height]
+        np.multiply(block, wavenumber, out=fundamental_cos)
+        np.sin(fundamental_cos, out=fundamental_sin)
+        np.cos(fundamental_cos, out=fundamental_cos)
+        fundamental_cos *= inverse
+        fundamental_sin *= inverse
+        for image, perm in enumerate(images, 1):
+            for buffer in (cosine, sine):
+                _permute_columns(buffer[:height], perm, buffer[image * height:(image + 1) * height])
+        weight = weights[:, rows]
         for (cos_phi, sin_phi), intensity in zip(phasors, fields):
             real = np.einsum("ij,j->i", cosine, cos_phi)
             real -= np.einsum("ij,j->i", sine, sin_phi)
@@ -490,56 +677,69 @@ def _run_powers(table, norms, weights, wavenumber, phase_sets, buffers, intensit
             real *= real
             imag *= imag
             real += imag
-            np.multiply(real, weight, out=intensity[rows])
+            np.multiply(real.reshape(classes, height), weight, out=intensity[:, rows])
     return [float(intensity.sum()) for intensity in fields]
 
 
-def _block_walk(detector: DetectorGrid, groups, sizes) -> tuple[list[float], float]:
+def _block_walk(detector: DetectorGrid, groups, sizes) -> tuple[list[float], list[float]]:
     """Detected power of every phase set of ``groups`` (see _position_groups),
-    in order, and of the origin-centered reference source; ``sizes`` are
-    the groups' sizes that _check_farfield_budget charged.
+    in order, and of the origin-centered reference source on each group's
+    rows; ``sizes`` are the groups' sizes and folds that
+    _check_farfield_budget charged.
 
-    The detector rows are walked once, _BLOCK_ROWS at a time. Each block
-    builds its own points and weights (see _detector_quadrature) and their
-    distances |p| from the origin, and adds its partial of the reference
-    source. Then every positions group builds the block's path differences
-    once, and every run of the group takes one cos/sin pass over them (see
-    _run_powers); a power is the sum of its block partials in block order.
-    The walk holds one block's quadrature, its path table, three sub-block
-    arrays and one block of intensities per phase set of the longest run,
-    allocated once and reshaped for each group's source count.
+    The groups are walked by their mirrors, the groups that share them
+    together, and their fundamental rows (see _fundamental_rows) _BLOCK_ROWS
+    materialized rows at a time. Each block builds its own points and
+    weights (see _detector_quadrature) and their distances |p| from the
+    origin. Then every group of the block adds its partial of the reference
+    source on its rows, builds the block's path differences once, and every
+    run of the group takes one cos/sin pass over them (see _run_powers); a
+    power is the sum of its block partials in block order. The walk holds
+    one block's quadrature, its path table, three sub-block arrays and one
+    block of intensities per phase set of the longest run, allocated once
+    and reshaped for each group.
     """
-    rows = min(detector.n_points, _BLOCK_ROWS)
-    n_sources, sets, arrays, cells = _walk_shape(rows, sizes)
-    tables = np.empty(rows * n_sources)
-    flats = [np.empty(cells) for _ in range(3)]
-    intensities = np.empty((sets, rows))
-    powers = [0.0] * arrays
-    single = 0.0
-    for block in _row_blocks(detector.n_points):
-        points, weights = _detector_quadrature(detector, block)
-        norms = np.sqrt(np.einsum("ij,ij->i", points, points))
-        # the reference source's intensity 1/|p|^2, summed as the engine sums
-        # an origin-centered source, whose field is exactly 1/|p| (d = 0)
-        reference = 1.0 / norms
-        reference *= reference
-        reference *= weights
-        single += float(reference.sum())
-        first = 0
-        for positions, runs in groups:
-            n = positions.shape[0]
-            height = min(rows, _sub_block_rows(n) + 1)
-            buffers = [flat[:height * n].reshape(height, n) for flat in flats]
-            table = tables[:norms.size * n].reshape(norms.size, n)
-            _path_differences(points, norms, positions, table, buffers[:2])
-            for wavenumber, phase_sets in runs:
-                partials = _run_powers(
-                    table, norms, weights, wavenumber, phase_sets, buffers, intensities
-                )
-                for index, partial in enumerate(partials, first):
-                    powers[index] += partial
-                first += len(partials)
-    return powers, single
+    shape = _walk_shape(detector, sizes)
+    tables = np.empty(shape.table)
+    flats = [np.empty(shape.cells) for _ in range(3)]
+    intensities = np.empty((shape.sets, shape.rows))
+    firsts = list(itertools.accumulate((sum(lengths) for _, lengths, _ in sizes), initial=0))
+    powers = [0.0] * shape.arrays
+    singles = [0.0] * len(groups)
+    for mirrors in dict.fromkeys(fold.mirrors for _, _, fold in sizes):
+        members = [g for g, (_, _, fold) in enumerate(sizes) if fold.mirrors == mirrors]
+        start, count, fundamental, rows = _fundamental_rows(detector, mirrors)
+        elements = sizes[members[0]][2].elements
+        for block in _row_blocks(fundamental, rows):
+            rings, nodes = np.divmod(np.arange(block.start, block.stop), count)
+            nodes += start
+            points, weights = _detector_quadrature(detector, rings * detector.samples + nodes)
+            norms = np.sqrt(np.einsum("ij,ij->i", points, points))
+            distinct = _distinct_images(detector, elements, nodes)
+            # the reference source's intensity 1/|p|^2, summed on each group's
+            # rows as the engine sums an origin-centered source there, whose
+            # field is exactly 1/|p| (d = 0)
+            reference = 1.0 / norms
+            reference *= reference
+            for g in members:
+                positions, runs = groups[g]
+                fold = sizes[g][2]
+                n = positions.shape[0]
+                counts = np.array([np.sum([distinct[e] for e in c], axis=0) for c in fold.classes])
+                row_weights = counts * weights
+                singles[g] += float(np.multiply(reference, row_weights).sum())
+                height = _sub_block_height(norms.size, n, len(fold.classes))
+                buffers = [flat[:height * n].reshape(height, n) for flat in flats]
+                table = tables[:norms.size * n].reshape(norms.size, n)
+                _path_differences(points, norms, positions, table, buffers[:2])
+                first = firsts[g]
+                for wavenumber, phase_sets in runs:
+                    partials = _run_powers(table, norms, row_weights, wavenumber, phase_sets,
+                                           buffers, intensities, fold.images)
+                    for index, partial in enumerate(partials, first):
+                        powers[index] += partial
+                    first += len(partials)
+    return powers, singles
 
 
 def _position_groups(arrays) -> list:
@@ -562,40 +762,65 @@ def _position_groups(arrays) -> list:
     return groups
 
 
-def _walk_shape(rows: int, sizes) -> tuple[int, int, int, int]:
-    """The largest source count, the longest run and the number of arrays
-    of ``sizes`` (see _check_farfield_budget), and the cells of the
-    sub-block arrays that serve all its groups in blocks of ``rows`` rows:
-    a sub-block and the lone row it may take on."""
-    runs = [sets for _, lengths in sizes for sets in lengths]
-    cells = max((min(rows, _sub_block_rows(n) + 1) * n for n, _ in sizes), default=0)
-    return max((n for n, _ in sizes), default=0), max(runs, default=0), sum(runs), cells
+class _WalkShape(NamedTuple):
+    """What _block_walk allocates for its groups, and what it walks."""
+
+    table: int  # cells of one block's path table, the largest group's
+    cells: int  # cells of each sub-block array
+    rows: int  # materialized rows of one block
+    sets: int  # phase sets of the longest run
+    arrays: int  # phase sets of all runs
+    n_sources: int  # sources of the largest group
+
+
+def _walk_shape(detector: DetectorGrid, sizes) -> _WalkShape:
+    """The allocations of _block_walk for the groups of ``sizes`` (see
+    _check_farfield_budget)."""
+    table = cells = rows = 0
+    for n, _, fold in sizes:
+        _, _, fundamental, block_rows = _fundamental_rows(detector, fold.mirrors)
+        fundamental = min(fundamental, block_rows)
+        classes = len(fold.classes)
+        table = max(table, fundamental * n)
+        cells = max(cells, _sub_block_height(fundamental, n, classes) * n)
+        rows = max(rows, classes * fundamental)
+    runs = [sets for _, lengths, _ in sizes for sets in lengths]
+    n_sources = max((n for n, _, _ in sizes), default=0)
+    return _WalkShape(table, cells, rows, max(runs, default=0), sum(runs), n_sources)
 
 
 def _check_farfield_budget(detector: DetectorGrid, sizes):
     """Refuse a far-field request over either budget, before anything is
-    built; ``sizes`` gives each positions group's source count and run
-    lengths, [(n_sources, [phase sets, ...]), ...]. Memory: what _block_walk
-    holds, that is one block's path table, the three sub-block arrays, one
-    block of intensities per phase set of the longest run, _ROW_COLUMNS,
-    _path_differences' squares of the largest group, the cos and sin of the
-    phase sets of the largest run and _WALK_BUFFER_BYTES; no term grows with
-    the detector's point count. Work: per detector point
-    and source, _PATH_WORK for each group, _TRIG_WORK for each run and
+    built; ``sizes`` gives each positions group's source count, run lengths
+    and fold, [(n_sources, [phase sets, ...], _Fold), ...]. Memory: what
+    _block_walk holds (see _walk_shape), that is one block's path table of
+    fundamental rows, the three sub-block arrays, one block of materialized
+    intensities per phase set of the longest run, _ROW_COLUMNS per
+    materialized row, _path_differences' squares of the largest group, the
+    cos and sin of the phase sets of the largest run, the source
+    permutations of the folds, the fold check's temporaries and
+    _WALK_BUFFER_BYTES; no term grows with the detector's point count.
+    Work: per fundamental row and source, _PATH_WORK for each group and
+    _TRIG_WORK for each run, and per materialized row and source
     _MATVEC_WORK for each phase set."""
     points = detector.n_points
-    rows = min(points, _BLOCK_ROWS)
-    n_sources, sets, arrays, cells = _walk_shape(rows, sizes)
-    phasors = max((n * sets for n, lengths in sizes for sets in lengths), default=0)
-    needed = (8 * rows * (n_sources + sets + _ROW_COLUMNS) + 8 * 3 * cells
-              + 8 * n_sources + 16 * phasors + _WALK_BUFFER_BYTES)
-    request = f"far-field request of {points} detector points x {n_sources} sources"
+    shape = _walk_shape(detector, sizes)
+    phasors = max((n * sets for n, lengths, _ in sizes for sets in lengths), default=0)
+    permutations = sum(n * sum(not isinstance(perm, slice) for perm in fold.images)
+                       for n, _, fold in sizes)
+    needed = (8 * (shape.table + 3 * shape.cells + shape.rows * (shape.sets + _ROW_COLUMNS)
+                   + shape.n_sources + permutations) + 16 * phasors
+              + _FOLD_SOURCE_BYTES * shape.n_sources + _WALK_BUFFER_BYTES)
+    request = f"far-field request of {points} detector points x {shape.n_sources} sources"
     _check_budget(needed, request)
-    work = sum(
-        n * (_PATH_WORK + sum(_TRIG_WORK + _MATVEC_WORK * sets for sets in lengths))
-        for n, lengths in sizes
-    )
-    _check_work(points * work, f"{request} x {arrays} arrays")
+    work = 0
+    for n, lengths, fold in sizes:
+        fundamental = _fundamental_rows(detector, fold.mirrors)[2]
+        classes = len(fold.classes)
+        work += fundamental * n * (
+            _PATH_WORK + sum(_TRIG_WORK + _MATVEC_WORK * classes * sets for sets in lengths)
+        )
+    _check_work(work, f"{request} x {shape.arrays} arrays")
 
 
 def _check_sweep_budget(steps: int, n_sources: int, kind: str):
@@ -626,14 +851,17 @@ def farfield_powers(arrays, detector: DetectorGrid) -> tuple[np.ndarray, np.ndar
     of path differences d (see _path_differences). This rearranges the
     brute-force sum; it is not a Fraunhofer approximation. The reference
     source has |e^{ikr}/r|^2 = 1/|p|^2 at every wavenumber, so it is summed
-    once per detector row, in the engine's blocks, and with no exponential.
+    with no exponential, on the same rows and weights as each group of
+    equal positions, in the engine's blocks.
 
     The detector rows are walked in blocks (see _block_walk): each block
     builds its own quadrature rows, then its rows of the path table once
     for every run of consecutive arrays with the same positions, and
     consecutive arrays that also share the wavenumber share one cos/sin
     pass over them. The walk holds one block of each, never the whole
-    detector.
+    detector. Positions that a detector mirror maps onto themselves fold
+    (see _fold): the walk takes only one node of each mirror orbit through
+    the path table and the cos/sin pass.
 
     Raises FarFieldViolationError unless the detector radius is at least
     100x both the wavelength and the extent of every array, and ValueError
@@ -648,12 +876,14 @@ def farfield_powers(arrays, detector: DetectorGrid) -> tuple[np.ndarray, np.ndar
                 f"detector radius {detector.radius} below far-field threshold {threshold}"
             )
     groups = _position_groups(arrays)
-    sizes = [(positions.shape[0], [len(sets) for _, sets in runs]) for positions, runs in groups]
+    sizes = [(positions.shape[0], [len(sets) for _, sets in runs], _fold(detector, positions))
+             for positions, runs in groups]
     _check_farfield_budget(detector, sizes)
-    powers, single = _block_walk(detector, groups, sizes)
+    powers, singles = _block_walk(detector, groups, sizes)
     powers = np.array(powers, dtype=float)
+    references = np.repeat(singles, [sum(lengths) for _, lengths, _ in sizes])
     counts = np.array([array.n_sources for array in arrays], dtype=float)
-    return powers, powers / (counts * single)
+    return powers, powers / (counts * references)
 
 
 def farfield_power(array: SourceArray, detector: DetectorGrid) -> tuple[float, float]:

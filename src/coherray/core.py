@@ -35,16 +35,12 @@ WORK_BUDGET = 10 ** 10
 # arrays; measured with tracemalloc at 80 bytes per wave
 _WAVE_BYTES = 80
 
-# source pairs per block of SourceArray's distinctness check and extent:
-# 32 bytes of temporaries per pair, so ~2 MB per block
-_PAIR_BLOCK = 1 << 16
-
-# work per ordered source pair of the distinctness check and extent, in the
-# grid's operations (WORK_BUDGET): the blocks take each pair's three
-# differences, their squares and sum, the sqrt, the max and the min. Timed on
-# a 2-vCPU VM at 32-68 ns per ordered pair (N = 300 to 6000), against ~2.5 ns
-# per grid operation
-_EXTENT_PAIR_WORK = 13
+# work per unordered source pair of the distinctness check and extent, in
+# the grid's operations (WORK_BUDGET): each pair's three differences, their
+# squares and sum, and its share of the row's max and min. Timed on a 2-vCPU
+# VM at 5.0-9.9 ns per pair for N = 6000 to 20 000, where a request nears the
+# budget, against ~2.5 ns per grid operation
+_EXTENT_PAIR_WORK = 4
 
 
 class FarFieldViolationError(ValueError):
@@ -254,27 +250,34 @@ def _checked_extent(pos: np.ndarray) -> float:
     Sources in ascending order on the x axis (every linear array) take an
     O(N) path: the positive gaps prove them distinct, and the extent is the
     end-to-end gap, bit-equal to the pairwise maximum because rounding is
-    monotone and sqrt(x*x) == |x|. Any other layout builds rows of the
-    distance table a block at a time, so memory is O(N) rather than O(N^2);
-    its N^2 entries are checked against WORK_BUDGET first.
+    monotone and sqrt(x*x) == |x|. Any other layout takes each source's
+    squared distances to the sources after it, one coordinate column at a
+    time, so every unordered pair is formed once and memory is O(N); the
+    N (N - 1) / 2 pairs are checked against WORK_BUDGET first. Each squared
+    distance has the bits of the full table's, since (a - b)^2 == (b - a)^2,
+    and the extent is the sqrt of the largest, as sqrt is monotone.
     """
     x = pos[:, 0]
     if not pos[:, 1:].any() and np.all(x[1:] > x[:-1]):
         return float(x[-1] - x[0])
     n = pos.shape[0]
-    _check_work(_EXTENT_PAIR_WORK * n * n, f"pairwise distance check of {n} sources")
-    rows = max(1, _PAIR_BLOCK // n)
-    extent = 0.0
-    for start in range(0, n, rows):
-        diff = pos[start:start + rows, None, :] - pos[None, :, :]
-        np.square(diff, out=diff)
-        dist = np.sqrt(diff.sum(axis=2))
-        extent = max(extent, float(dist.max()))
-        # a source's distance to itself is the one zero allowed
-        dist[np.arange(dist.shape[0]), np.arange(start, start + dist.shape[0])] = np.inf
-        if dist.min() <= 0.0:
-            raise ValueError("source positions must be distinct")
-    return extent
+    _check_work(_EXTENT_PAIR_WORK * (n * (n - 1) // 2), f"pairwise distance check of {n} sources")
+    first, *others = (np.ascontiguousarray(pos[:, axis]) for axis in range(3))
+    squares, terms = np.empty(n), np.empty(n)
+    largest, smallest = 0.0, math.inf
+    for i in range(n - 1):
+        square, term = squares[:n - 1 - i], terms[:n - 1 - i]
+        np.subtract(first[i + 1:], first[i], out=square)
+        square *= square
+        for column in others:
+            np.subtract(column[i + 1:], column[i], out=term)
+            term *= term
+            square += term
+        largest = max(largest, float(square.max()))
+        smallest = min(smallest, float(square.min()))
+    if smallest <= 0.0:
+        raise ValueError("source positions must be distinct")
+    return math.sqrt(largest)
 
 
 @dataclass(frozen=True)

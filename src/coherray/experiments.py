@@ -369,8 +369,10 @@ def dicke_scaling_check(
         )
         # refuse the fit before any array is built: each N is one array of its
         # own positions, held like a source_count sweep's step (a jittered
-        # build peaks at 96 bytes per source, measured)
-        classical._check_farfield_budget(detector, [(n, [1]) for n in ns])
+        # build peaks at 96 bytes per source, measured), and charged the
+        # unfolded walk's work, the most any fold does (farfield_powers then
+        # charges each array's own fold)
+        classical._check_farfield_budget(detector, [(n, [1], classical._UNFOLDED) for n in ns])
         _check_sweep_budget(len(ns), ns[-1], "source_count")
         arrays = []
         for n in ns:

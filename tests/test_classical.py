@@ -536,7 +536,7 @@ def separation_tensor_power(points, weights, positions, phases, wavenumber):
 
 
 def reference_farfield_power(array, detector):
-    points, weights = _detector_quadrature(detector, slice(None))
+    points, weights = _detector_quadrature(detector, np.arange(detector.n_points))
     k = array.wavenumber
     power = separation_tensor_power(points, weights, array.positions, array.phases, k)
     single = separation_tensor_power(points, weights, np.zeros((1, 3)), np.zeros(1), k)
@@ -608,7 +608,7 @@ def test_engine_is_at_least_as_accurate_as_the_old_engine():
             n = 24  # keeps this test to about two seconds
         array = random_array(rng, n)
         detector = far_detector(rng, [array], geometry, samples)
-        points, weights = _detector_quadrature(detector, slice(None))
+        points, weights = _detector_quadrature(detector, np.arange(detector.n_points))
         k = array.wavenumber
         exact = long_double_power(points, weights, array.positions, array.phases, k)
         exact_single = long_double_power(points, weights, np.zeros((1, 3)), np.zeros(1), k)
@@ -672,9 +672,11 @@ def test_far_field_request_over_budget_is_refused_before_allocation():
 
 
 def test_sweeps_build_the_quadrature_once(monkeypatch):
-    """Each detector row's point and weight are built once per call, not
-    once per step or per group; each block's path rows are built once per
-    group of equal positions, and the reference source needs none."""
+    """Each fundamental detector row's point and weight are built once per
+    call, not once per step or per group; each block's path rows are built
+    once per group of equal positions, and the reference source needs none.
+    Linear arrays fold: the arc builds half its rows (two blocks of 2048 at
+    5000 points), and the 96^2 hemisphere a quarter (three blocks of 1024)."""
     calls = {"rows": 0, "_path_differences": 0}
     build, paths = classical._detector_quadrature, classical._path_differences
 
@@ -698,40 +700,76 @@ def test_sweeps_build_the_quadrature_once(monkeypatch):
 
     arr = make_linear_array(3, 2.0, 0.5)
     det = DetectorGrid(radius=1e3, geometry="arc", samples=256)
-    assert run(lambda: transmission_spectrum(arr, (0.5, 3.0), 9, det)) == (256, 1)
+    assert run(lambda: transmission_spectrum(arr, (0.5, 3.0), 9, det)) == (128, 1)
     two_blocks = DetectorGrid(radius=1e3, geometry="arc", samples=5000)
-    assert run(lambda: transmission_spectrum(arr, (0.5, 3.0), 9, two_blocks)) == (5000, 2)
+    assert run(lambda: transmission_spectrum(arr, (0.5, 3.0), 9, two_blocks)) == (2500, 2)
     hemisphere = DetectorGrid(radius=1e3, geometry="hemisphere", samples=96)
-    assert run(lambda: transmission_spectrum(arr, (0.5, 3.0), 3, hemisphere)) == (96 ** 2, 3)
+    assert run(lambda: transmission_spectrum(arr, (0.5, 3.0), 3, hemisphere)) == (96 ** 2 // 4, 3)
     fixed = {"n_sources": 4, "spacing": 0.3, "wavelength": 1.0, "samples": 256}
     phase_sweep = SweepSpec("farfield_power", "phase_delta", 0.0, 3.0, 6, fixed)
-    assert run(lambda: run_sweep(phase_sweep)) == (256, 1)
+    assert run(lambda: run_sweep(phase_sweep)) == (128, 1)
     spacing_sweep = SweepSpec("farfield_power", "spacing", 0.1, 1.0, 6, fixed)
-    assert run(lambda: run_sweep(spacing_sweep)) == (256, 6)
-    assert run(lambda: dicke_scaling_check([2, 4, 8], "farfield", detector_samples=256)) == (256, 3)
+    assert run(lambda: run_sweep(spacing_sweep)) == (128, 6)
+    assert run(lambda: dicke_scaling_check([2, 4, 8], "farfield", detector_samples=256)) == (128, 3)
 
 
 def test_phase_steps_share_one_trig_pass(monkeypatch):
     """Consecutive arrays with the same positions and wavenumber share one
-    cos/sin pass over each block's path rows; a new wavenumber or new
-    positions start another. 5000 arc points make two blocks."""
+    cos/sin pass over each block's fundamental path rows; a new wavenumber
+    or new positions start another. Each pass covers the fundamental rows
+    of the folded arc, half its points: 5000 points make blocks of 2048 and
+    452 rows."""
     runs = []
     original = classical._run_powers
 
     def recording(table, norms, weights, wavenumber, phase_sets, *buffers):
-        runs.append(len(phase_sets))
+        runs.append((len(phase_sets), table.shape[0]))
         return original(table, norms, weights, wavenumber, phase_sets, *buffers)
 
     monkeypatch.setattr(classical, "_run_powers", recording)
     fixed = {"n_sources": 4, "spacing": 0.3, "wavelength": 1.0, "samples": 256}
     run_sweep(SweepSpec("farfield_power", "phase_delta", 0.0, 3.0, 6, fixed))
-    assert runs == [6]
+    assert runs == [(6, 128)]
     runs.clear()
     run_sweep(SweepSpec("farfield_power", "wavelength", 1.0, 2.0, 4, fixed))
-    assert runs == [1, 1, 1, 1]
+    assert runs == [(1, 128)] * 4
     runs.clear()
     run_sweep(SweepSpec("farfield_power", "phase_delta", 0.0, 3.0, 6, {**fixed, "samples": 5000}))
-    assert runs == [6, 6]
+    assert runs == [(6, 2048), (6, 452)]
+
+
+@pytest.mark.parametrize(
+    "geometry, samples, layout, rows",
+    [("arc", 257, "linear", 129), ("arc", 256, "linear", 128),
+     ("hemisphere", 96, "linear", 96 ** 2 // 4), ("hemisphere", 65, "linear", 65 * 33),
+     ("arc", 257, "x-jittered", 257), ("hemisphere", 64, "x-jittered", 64 * 32),
+     ("hemisphere", 64, "jittered", 64 ** 2)],
+)
+def test_trig_passes_take_one_node_per_orbit(monkeypatch, geometry, samples, layout, rows):
+    """cos and sin are taken over the fundamental rows only, N of them per
+    row and run: ceil(n/2) rows on the arc for a mirror-symmetric array,
+    n^2/4 on a hemisphere whose n is divisible by 4, n * ceil(n/2) on an
+    odd hemisphere (y -> -y only), and every row for a jittered array. An
+    array jittered along x only keeps y -> -y on the hemisphere, with the
+    identity permutation: half the rows."""
+    elements = []
+    original = classical._run_powers
+
+    def counting(table, *rest):
+        elements.append(table.size)
+        return original(table, *rest)
+
+    monkeypatch.setattr(classical, "_run_powers", counting)
+    array = make_linear_array(5, 0.3, 1.0, [0.1, 2.0, 0.4, 5.0, 1.3])
+    if layout != "linear":
+        positions = array.positions.copy()
+        positions[:, 0] += [0.02, -0.01, 0.03, 0.0, -0.02]
+        if layout == "jittered":
+            positions[:, 1] += [0.01, 0.0, -0.02, 0.03, 0.0]
+        array = SourceArray(positions, array.phases, 1.0)
+    detector = DetectorGrid(radius=1e3, geometry=geometry, samples=samples)
+    transmission_spectrum(array, (0.8, 1.2), 3, detector)
+    assert sum(elements) == 3 * rows * 5
 
 
 def whole_detector_quadrature(detector):
@@ -768,7 +806,7 @@ def test_block_quadrature_is_bit_equal_to_the_whole_detector_build(geometry, sam
     blocks = list(classical._row_blocks(weights.size))
     assert len(blocks) == -(-weights.size // 4096)
     for rows in blocks + [slice(None)]:
-        block_points, block_weights = _detector_quadrature(detector, rows)
+        block_points, block_weights = _detector_quadrature(detector, np.arange(weights.size)[rows])
         assert block_points.tobytes() == points[rows].tobytes()
         assert block_weights.tobytes() == weights[rows].tobytes()
 
@@ -822,7 +860,7 @@ def test_sub_blocks_give_every_row_the_bits_of_the_whole_block(n_sources, count)
     height = min(count, classical._sub_block_rows(n_sources) + 1)
     buffers = [np.empty((height, n_sources)) for _ in range(3)]
     intensities = np.empty((1, count))
-    classical._run_powers(table, norms, weights, 2.5, [phases], buffers, intensities)
+    classical._run_powers(table, norms, weights[None], 2.5, [phases], buffers, intensities, ())
     assert np.array_equal(intensities[0], block_intensities(table, norms, weights, phases, 2.5))
 
 
@@ -846,13 +884,16 @@ def test_streamed_engine_is_bit_equal_to_the_whole_table_walk(geometry, samples,
     arrays = []
     for n in counts:
         # a random layout of 20 000 sources would spend seconds on its O(N^2)
-        # distinctness check; a linear array takes the O(N) path
+        # distinctness check; a linear array takes the O(N) path, and one
+        # off the origin has no mirror to fold onto, so it takes the
+        # unfolded walk whose bits this test pins
+        linear = make_linear_array(n, 1e-4, 0.5 + rng.uniform(), rng.phases(n))
         array = (random_array(rng, n) if n < 1000
-                 else make_linear_array(n, 1e-4, 0.5 + rng.uniform(), rng.phases(n)))
+                 else replace(linear, positions=linear.positions + [1e-4 / 3, 0.0, 0.0]))
         arrays += [array, replace(array, phases=rng.phases(n)),
                    replace(array, wavelength=array.wavelength * 1.25)]
     detector = far_detector(rng, arrays, geometry, samples)
-    points, weights = _detector_quadrature(detector, slice(None))
+    points, weights = _detector_quadrature(detector, np.arange(detector.n_points))
     powers, _ = farfield_powers(arrays, detector)
     for power, array in zip(powers, arrays):
         assert power == whole_table_power(
@@ -897,12 +938,16 @@ def over_work(points, n_sources, arrays, operations):
 
 
 def test_far_field_request_over_work_budget_is_refused_before_the_walk(monkeypatch):
-    """Per detector point and source the engine counts 7 operations for each
-    positions group's path differences, 7 for each trig pass and 1 for each
-    phase set's matvecs. A hemisphere spectrum of 10 000 steps fits in memory
-    but would take hours; a 200-step phase sweep passes on its trig passes
-    alone and is refused for its matvecs. Both are refused at once, before
-    the quadrature is built."""
+    """Per fundamental detector row and source the engine counts 7
+    operations for each positions group's path differences and 7 for each
+    trig pass, and per materialized row and source 1 for each phase set's
+    matvecs. This linear array folds onto both mirrors of the 1024^2
+    hemisphere: a quarter of its points are fundamental rows, and half are
+    materialized (the y -> -y images add their weight to their fundamental
+    rows). A hemisphere spectrum of 10 000 steps fits in memory but would
+    take hours; a 400-step phase sweep passes on its trig passes alone and
+    is refused for its matvecs. Both are refused at once, before the
+    quadrature is built."""
     def build(detector, rows):
         raise AssertionError("the quadrature was built")
 
@@ -911,10 +956,10 @@ def test_far_field_request_over_work_budget_is_refused_before_the_walk(monkeypat
     detector = DetectorGrid(radius=1e3, geometry="hemisphere", samples=1024)
     points = 1024 ** 2
     spectrum = [core._swept(array, wavelength=1.0 + i / 10_000) for i in range(10_000)]
-    phases = [core._swept(array, phases=np.arange(64) * (i / 200)) for i in range(200)]
-    assert points * 64 * (7 + 7) < core.WORK_BUDGET
-    for arrays, operations in ((spectrum, points * 64 * (7 + 10_000 * 8)),
-                               (phases, points * 64 * (7 + 7 + 200))):
+    phases = [core._swept(array, phases=np.arange(64) * (i / 400)) for i in range(400)]
+    assert points // 4 * 64 * (7 + 7) < core.WORK_BUDGET
+    for arrays, operations in ((spectrum, points // 4 * 64 * (7 + 10_000 * (7 + 2))),
+                               (phases, points // 4 * 64 * (7 + 7 + 400 * 2))):
         started = time.perf_counter()
         with pytest.raises(ValueError) as refused:
             farfield_powers(arrays, detector)
@@ -922,18 +967,45 @@ def test_far_field_request_over_work_budget_is_refused_before_the_walk(monkeypat
         assert str(refused.value) == over_work(points, 64, len(arrays), operations)
 
 
+# (geometry, samples, sources, layout): random layouts take the unfolded
+# walk; linear arrays fold onto the arc's mirror and onto both of an
+# even hemisphere's, and a centered lattice in the x-y plane onto both with
+# index permutations
+BUDGET_CASES = [
+    ("arc", 9000, 64, "random"), ("arc", 5000, 9, "random"), ("hemisphere", 96, 64, "random"),
+    ("hemisphere", 128, 8, "random"), ("arc", 200, 300, "random"), ("arc", 64, 2000, "random"),
+    ("hemisphere", 96, 64, "linear"), ("hemisphere", 66, 49, "lattice"),
+    ("arc", 201, 300, "linear"), ("arc", 5000, 9, "linear"),
+]
+
+
+def budget_case_array(rng, n_sources, layout):
+    if layout == "random":
+        return random_array(rng, n_sources)
+    if layout == "linear":
+        return make_linear_array(n_sources, 0.3, 1.0, rng.phases(n_sources))
+    side = math.isqrt(n_sources)
+    x, y = np.meshgrid(np.arange(side) - (side - 1) / 2, np.arange(side) - (side - 1) / 2)
+    positions = np.stack([x.ravel(), y.ravel(), np.zeros(side * side)], axis=1) * 0.3
+    return SourceArray(positions, rng.phases(side * side), 1.0)
+
+
 @pytest.mark.parametrize(
-    "geometry, samples, n_sources",
-    [("arc", 9000, 64), ("arc", 5000, 9), ("hemisphere", 96, 64), ("hemisphere", 128, 8),
-     ("arc", 200, 300), ("arc", 64, 2000)],
+    "geometry, samples, n_sources, layout", BUDGET_CASES,
+    ids=[f"{g}-{s}-{n}" + ("" if layout == "random" else f"-{layout}")
+         for g, s, n, layout in BUDGET_CASES],
 )
-def test_far_field_budget_covers_the_measured_peak(monkeypatch, geometry, samples, n_sources):
+def test_far_field_budget_covers_the_measured_peak(
+    monkeypatch, geometry, samples, n_sources, layout
+):
     """The budget charges the quadrature columns and what the block walk
     holds; what one request really holds stays below it. Small detectors
     with many sources are held mostly by the per-source terms and numpy's
-    operand buffers."""
+    operand buffers. A folded walk holds a path table of fundamental rows,
+    sub-block arrays of every materialized row and, for a lattice, its
+    source permutations."""
     rng = XorShift64Star(samples + n_sources)
-    array = random_array(rng, n_sources)
+    array = budget_case_array(rng, n_sources, layout)
     detector = far_detector(rng, [array], geometry, samples)
     charged = []
     original = classical._check_budget

@@ -213,10 +213,27 @@ def test_linear_array_extent_is_bit_equal_to_the_pairwise_path(n):
     assert arr.extent == float(np.sqrt((diff ** 2).sum(axis=2)).max())
 
 
+def test_pairwise_extent_is_bit_equal_to_the_full_table_maximum():
+    """The pairwise path forms each unordered pair once; on 20 seeded
+    jittered arrays its extent has the bits of the full distance table's
+    maximum, and a repeated source is still refused."""
+    rng = XorShift64Star(20)
+    for case in range(20):
+        n = 2 + 7 * case
+        positions = make_linear_array(n, 0.3 + rng.uniform(), 1.0).positions.copy()
+        positions += [[rng.uniform() - 0.5 for _ in range(3)] for _ in range(n)]
+        diff = positions[:, None, :] - positions[None, :, :]
+        full = float(np.sqrt((diff ** 2).sum(axis=2)).max())
+        assert SourceArray(positions, np.zeros(n), 1.0).extent == full
+        positions[-1] = positions[case % (n - 1)]
+        with pytest.raises(ValueError, match="distinct"):
+            SourceArray(positions, np.zeros(n), 1.0)
+
+
 def test_jittered_array_over_work_budget_is_refused_at_once():
     """Sources out of order on the x axis take the pairwise distance check,
-    charged 13 operations per ordered source pair: 200 000 jittered sources
-    (4 * 10^10 pairs) are refused before any block of distances is built."""
+    charged 4 operations per unordered source pair: 200 000 jittered sources
+    (2 * 10^10 pairs) are refused before any row of distances is built."""
     n = 200_000
     positions = make_linear_array(n, 0.5, 1.0).positions.copy()
     # jitter of up to 0.8 spacings, so neighbours change places
@@ -227,7 +244,7 @@ def test_jittered_array_over_work_budget_is_refused_at_once():
         SourceArray(positions, np.zeros(n), 1.0)
     assert time.perf_counter() - started < 1.0
     assert str(refused.value) == (
-        f"pairwise distance check of {n} sources needs {13 * n * n} operations,"
+        f"pairwise distance check of {n} sources needs {4 * (n * (n - 1) // 2)} operations,"
         f" over the work budget of {core.WORK_BUDGET} operations"
     )
 
