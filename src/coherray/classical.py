@@ -40,17 +40,18 @@ trig and matvec work against WORK_BUDGET.
 
 Both detectors are mirror-symmetric: the arc under x -> -x, the hemisphere
 under y -> -y and, when its samples are even, under x -> -x. When a mirror
-also maps an array's positions onto themselves, exactly (every linear
-array is centered, so it qualifies), the walk folds: it builds one
-fundamental node per orbit of the mirrors, and takes path differences and
-cos/sin only there. An image node is the exact sign flip of its
-fundamental node, so its row is the fundamental row with the sources
-permuted; it is materialized as a column-permuted copy for the matvecs,
-or, when the permutation is the identity, adds its weight to the
-fundamental row. A linear array takes cos/sin over half the arc, a quarter
-of an even hemisphere and half an odd one; on the hemisphere its y -> -y
-images merge, so it takes half the matvecs. An array with no exact mirror
-symmetry (a jittered one) takes every row, with the nodes as listed.
+also maps an array's positions onto themselves, exactly, in order or
+reversed (a linear array is centered on the x axis, so x -> -x reverses it
+and y -> -y keeps its order), the walk folds: it builds one fundamental
+node per orbit of the mirrors, and takes path differences and cos/sin only
+there. An image node is the exact sign flip of its fundamental node, so
+its row is the fundamental row with the sources in order or reversed. The
+in-order images add their weight to the fundamental row; the reversed ones
+share one column-reversed copy of it for the matvecs. A linear array takes
+cos/sin over half the arc, a quarter of an even hemisphere and half an odd
+one; on the hemisphere its y -> -y images merge, so it takes half the
+matvecs. Any other array (a jittered one, or one symmetric only under some
+other order of its sources) takes every row, with the nodes as listed.
 """
 
 from __future__ import annotations
@@ -153,10 +154,10 @@ _ROW_COLUMNS = 20
 _WALK_BUFFER_BYTES = 3 << 16
 
 # bytes per source of the fold check (see _source_mirror): the mirrored
-# copy, two lexsort orders and the two sorted copies. The check runs before
-# the budget check, like the positions it reads, and holds about four times
-# what they hold
-_FOLD_SOURCE_BYTES = 112
+# copy (24) and the booleans of one comparison (3); tracemalloc peaked at
+# 27.7 at N = 10^5, for linear and jittered arrays alike. The check runs
+# before the budget check, like the positions it reads
+_FOLD_SOURCE_BYTES = 32
 
 # bytes per step of a far-field sweep besides the sources: the step's
 # SourceArray object and curve entries (~250 measured with tracemalloc)
@@ -474,72 +475,57 @@ class _Fold(NamedTuple):
     ``mirrors``: the axes whose mirror maps both the detector's nodes and
     the positions onto themselves. ``elements``: the products of those
     mirrors, the identity first, each as a tuple of axes. ``classes``: the
-    elements' indices grouped by their source permutation, the identity's
-    class first; each class is one materialized row per fundamental node.
-    ``images``: the source permutation of every class after the first."""
+    elements' indices grouped by whether they take the sources in order or
+    reversed, the in-order class first; each class is one materialized row
+    per fundamental node, the second the first's columns reversed."""
 
     mirrors: tuple
     elements: tuple
     classes: tuple
-    images: tuple
 
 
 # a group that no mirror folds: the walk over every detector row
-_UNFOLDED = _Fold((), ((),), ((0,),), ())
-
-_SAME = slice(None)
-_REVERSED = slice(None, None, -1)
+_UNFOLDED = _Fold((), ((),), ((0,),))
 
 
 def _source_mirror(positions: np.ndarray, axis: int):
-    """The permutation pi that takes the mirror of source n under ``axis``
-    to source pi[n], bit for bit up to the sign of a zero, or None when the
-    positions are not mirror-symmetric: _SAME, _REVERSED (a linear array
-    under x -> -x) or an index array. The positions are compared as a set:
-    the identity and the reversal are tried first, in O(N), and then the
-    lexsorted rows of both sets, in O(N log N)."""
+    """Whether the mirror under ``axis`` takes source n to source N - 1 - n
+    (True, a linear array under x -> -x) or to itself (False), bit for bit
+    up to the sign of a zero, or None when it does neither."""
     mirrored = positions.copy()
     np.negative(mirrored[:, axis], out=mirrored[:, axis])
-    for perm in (_SAME, _REVERSED):
-        if np.array_equal(mirrored, positions[perm]):
-            return perm
-    order, image = np.lexsort(positions.T), np.lexsort(mirrored.T)
-    if not np.array_equal(positions[order], mirrored[image]):
-        return None
-    perm = np.empty(len(positions), dtype=np.intp)
-    perm[image] = order
-    return perm
+    for reversed_ in (False, True):
+        if np.array_equal(mirrored, positions[::-1] if reversed_ else positions):
+            return reversed_
+    return None
 
 
 def _fold(detector: DetectorGrid, positions: np.ndarray) -> _Fold:
     """The mirrors of ``detector`` that also map ``positions`` onto
-    themselves, and what each product of them does to the sources.
+    themselves, in order or reversed, and which products of them reverse
+    the sources.
 
     With p' the exact mirror of a node p, |p'| = |p| and d(p', x_n) =
-    d(p, x_pi(n)) hold bit for bit, so the image row's cos/sin are the
-    fundamental row's, permuted by pi. Images whose permutation is the
-    identity add their weight to the fundamental row; the others share one
-    materialized row per permutation. A group with no mirror is one class
-    of one element, which is the unfolded walk."""
-    perms = {}
+    d(p, x_m) hold bit for bit, where m is n or N - 1 - n, so the image
+    row's cos/sin are the fundamental row's, in order or reversed. A product
+    of mirrors reverses the sources when an odd number of its mirrors do.
+    The in-order images add their weight to the fundamental row; the
+    reversed ones share one materialized row. A group with no mirror is one
+    class of one element, which is the unfolded walk."""
+    reverses = {}
     for axis in _detector_mirrors(detector):
-        perm = _source_mirror(positions, axis)
-        if perm is not None:
-            perms[axis] = perm
-    mirrors = tuple(perms)
+        reversed_ = _source_mirror(positions, axis)
+        if reversed_ is not None:
+            reverses[axis] = reversed_
+    mirrors = tuple(reverses)
     elements = tuple(
         tuple(axis for bit, axis in enumerate(mirrors) if k >> bit & 1)
         for k in range(1 << len(mirrors))
     )
     classes = {}
     for index, element in enumerate(elements):
-        moved = tuple(axis for axis in element if perms[axis] is not _SAME)
-        classes.setdefault(moved, []).append(index)
-    # the product of both mirrors takes source n to pi_x[pi_y[n]]
-    images = [perms[moved[0]] if len(moved) == 1
-              else np.arange(len(positions))[perms[moved[0]]][perms[moved[1]]]
-              for moved in list(classes)[1:]]
-    return _Fold(mirrors, elements, tuple(map(tuple, classes.values())), tuple(images))
+        classes.setdefault(sum(reverses[axis] for axis in element) % 2, []).append(index)
+    return _Fold(mirrors, elements, tuple(map(tuple, classes.values())))
 
 
 def _distinct_images(detector: DetectorGrid, elements, nodes) -> list:
@@ -621,29 +607,19 @@ def _sub_block_height(rows: int, n_sources: int, classes: int) -> int:
     return classes * min(rows, _sub_block_rows(n_sources, classes) + 1)
 
 
-def _permute_columns(source, perm, out):
-    """``source`` with its columns taken in the order ``perm`` (a slice or
-    an index array), written into ``out``."""
-    if isinstance(perm, slice):
-        np.copyto(out, source[:, perm])
-    else:
-        np.take(source, perm, axis=1, out=out, mode="clip")
-
-
-def _run_powers(table, norms, weights, wavenumber, phase_sets, buffers, intensities,
-                images) -> list[float]:
+def _run_powers(table, norms, weights, wavenumber, phase_sets, buffers, intensities) -> list[float]:
     """One block's partial power of each phase set, for the sources of the
     block's path ``table`` of fundamental rows.
 
-    ``weights`` (classes, rows) holds each materialized row's weight, and
-    ``images`` the source permutation of every class after the first (see
-    _Fold). The block is walked in sub-blocks (see _sub_blocks), whose
-    cos(k d)/r and sin(k d)/r are taken into ``buffers`` (the third holds
-    1/r) once for the fundamental rows and copied, columns permuted, for
-    every other class, and shared by every phase set. Each set then takes
-    four real matvecs over all the classes with its cos(phi) and sin(phi)
-    and writes its weighted intensities into its row of ``intensities``,
-    which is summed pairwise once the block is done. A set's partial is the
+    ``weights`` (classes, rows) holds each materialized row's weight: one
+    class, or two when the second takes the sources reversed (see _Fold).
+    The block is walked in sub-blocks (see _sub_blocks), whose cos(k d)/r
+    and sin(k d)/r are taken into ``buffers`` (the third holds 1/r) once
+    for the fundamental rows and copied, columns reversed, for the second
+    class, and shared by every phase set. Each set then takes four real
+    matvecs over all the classes with its cos(phi) and sin(phi) and writes
+    its weighted intensities into its row of ``intensities``, which is
+    summed pairwise once the block is done. A set's partial is the
     same float whether it shares the pass with other sets or not. The
     matvecs use einsum rather than BLAS, so the bits do not depend on the
     BLAS kernel that the machine selects.
@@ -665,9 +641,9 @@ def _run_powers(table, norms, weights, wavenumber, phase_sets, buffers, intensit
         np.cos(fundamental_cos, out=fundamental_cos)
         fundamental_cos *= inverse
         fundamental_sin *= inverse
-        for image, perm in enumerate(images, 1):
+        if classes == 2:
             for buffer in (cosine, sine):
-                _permute_columns(buffer[:height], perm, buffer[image * height:(image + 1) * height])
+                np.copyto(buffer[height:], buffer[:height, ::-1])
         weight = weights[:, rows]
         for (cos_phi, sin_phi), intensity in zip(phasors, fields):
             real = np.einsum("ij,j->i", cosine, cos_phi)
@@ -735,7 +711,7 @@ def _block_walk(detector: DetectorGrid, groups, sizes) -> tuple[list[float], lis
                 first = firsts[g]
                 for wavenumber, phase_sets in runs:
                     partials = _run_powers(table, norms, row_weights, wavenumber, phase_sets,
-                                           buffers, intensities, fold.images)
+                                           buffers, intensities)
                     for index, partial in enumerate(partials, first):
                         powers[index] += partial
                     first += len(partials)
@@ -797,19 +773,16 @@ def _check_farfield_budget(detector: DetectorGrid, sizes):
     fundamental rows, the three sub-block arrays, one block of materialized
     intensities per phase set of the longest run, _ROW_COLUMNS per
     materialized row, _path_differences' squares of the largest group, the
-    cos and sin of the phase sets of the largest run, the source
-    permutations of the folds, the fold check's temporaries and
-    _WALK_BUFFER_BYTES; no term grows with the detector's point count.
-    Work: per fundamental row and source, _PATH_WORK for each group and
+    cos and sin of the phase sets of the largest run, the fold check's
+    temporaries and _WALK_BUFFER_BYTES; no term grows with the detector's
+    point count. Work: per fundamental row and source, _PATH_WORK for each group and
     _TRIG_WORK for each run, and per materialized row and source
     _MATVEC_WORK for each phase set."""
     points = detector.n_points
     shape = _walk_shape(detector, sizes)
     phasors = max((n * sets for n, lengths, _ in sizes for sets in lengths), default=0)
-    permutations = sum(n * sum(not isinstance(perm, slice) for perm in fold.images)
-                       for n, _, fold in sizes)
     needed = (8 * (shape.table + 3 * shape.cells + shape.rows * (shape.sets + _ROW_COLUMNS)
-                   + shape.n_sources + permutations) + 16 * phasors
+                   + shape.n_sources) + 16 * phasors
               + _FOLD_SOURCE_BYTES * shape.n_sources + _WALK_BUFFER_BYTES)
     request = f"far-field request of {points} detector points x {shape.n_sources} sources"
     _check_budget(needed, request)

@@ -141,6 +141,7 @@ def _bounded(convert, holds, rule: str):
 _positive = _bounded(_parse_float, lambda value: value > 0.0, "positive")
 _nonzero = _bounded(_parse_float, lambda value: value != 0.0, "nonzero")
 _count = _bounded(int, lambda value: value >= 1, "at least 1")
+_steps = _bounded(int, lambda value: value >= 2, "at least 2")
 
 _REQUIRED = object()
 
@@ -164,6 +165,9 @@ _GLOBAL_FIELDS = (
     _Field("format", _choice("csv", "json"), "csv", "output format"),
     _Field("output", str, None, "output path (default: standard output)"),
 )
+
+# the flags of _GLOBAL_FIELDS and --config, which every subcommand takes
+_GLOBAL_FLAGS = frozenset([f"--{field_spec.name}" for field_spec in _GLOBAL_FIELDS] + ["--config"])
 
 _UNITS_FIELDS = (
     _Field("energy-scale", _positive, 1.0, "multiplies emitted energies (outputs only)"),
@@ -236,7 +240,7 @@ _SUBCOMMAND_FIELDS = {
             "fixed: phase profile for source_count sweeps",
         ),
         _Field("geometry", _choice(*classical.GEOMETRIES), None, "fixed: detector geometry"),
-        _Field("radius", _parse_float, None, "fixed: detector radius"),
+        _Field("radius", _positive, None, "fixed: detector radius"),
         _Field("components", _parse_components, None, "fixed: wavepacket components"),
         _Field("box", _parse_vec3, None, "fixed: box side lengths"),
         _Field("direction", _parse_vec3, None, "fixed: wavepacket direction"),
@@ -250,22 +254,22 @@ _SUBCOMMAND_FIELDS = {
             experiments.REGIMES[0],
             "closed-form energies or detected far-field power",
         ),
-        _Field("spacing-ratio", _parse_float, 0.01, "array spacing over wavelength"),
+        _Field("spacing-ratio", _positive, 0.01, "array spacing over wavelength"),
         _Field("jitter", _parse_float, 0.0, "position jitter as a fraction of spacing"),
     ),
     "spectrum": (
         _Field("n-sources", _count, _REQUIRED, "source count of the linear array"),
         _Field("spacing", _positive, _REQUIRED, "array spacing"),
-        _Field("wavelength-min", _parse_float, _REQUIRED, "sweep start wavelength"),
-        _Field("wavelength-max", _parse_float, _REQUIRED, "sweep stop wavelength"),
-        _Field("steps", int, 200, "number of wavelengths"),
+        _Field("wavelength-min", _positive, _REQUIRED, "sweep start wavelength"),
+        _Field("wavelength-max", _positive, _REQUIRED, "sweep stop wavelength"),
+        _Field("steps", _steps, 200, "number of wavelengths"),
         _Field(
             "geometry",
             _choice(*classical.GEOMETRIES),
             classical.DRIVER_GEOMETRY,
             "detector geometry",
         ),
-        _Field("radius", _parse_float, None, "detector radius (default: far-field minimum)"),
+        _Field("radius", _positive, None, "detector radius (default: far-field minimum)"),
     ),
 }
 
@@ -312,8 +316,9 @@ def _build_parser(argv) -> _RaisingParser:
     """Parser for ``argv``: the named subcommand's subparser only, else all eight.
 
     A run parses with exactly one subparser, so building the other seven
-    is wasted work. Help, a missing command, an unknown command or a flag
-    first need the full parser, whose usage and choice list are unchanged.
+    is wasted work. Help, a missing command, an unknown command or an
+    unknown flag first need the full parser, whose usage and choice list
+    are unchanged.
     """
     names = [argv[0]] if argv and argv[0] in _SUBCOMMAND_FIELDS else _SUBCOMMAND_FIELDS
     shared = _RaisingParser(add_help=False)
@@ -402,6 +407,13 @@ def parse_config(argv) -> RunConfig:
     Raises _CliError with the documented exit code on any failure.
     """
     argv = list(argv)
+    # argparse reads the global flags only after the subcommand; before it,
+    # it would take the flag's value for the subcommand
+    flag = argv[0].partition("=")[0] if argv else ""
+    if flag in _GLOBAL_FLAGS:
+        raise _CliError(
+            2, f"global flag {flag} goes after the subcommand: coherray COMMAND {flag} ..."
+        )
     namespace, unknown = _build_parser(argv).parse_known_args(argv)
     if unknown:
         raise _CliError(5, f"unrecognized arguments: {' '.join(unknown)}")

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -84,8 +85,10 @@ def numeric_drift(new: str, old: str) -> tuple[bool, int, float]:
         if a == b or (a != a and b != b):
             continue
         moved += 1
-        scale = max(abs(a), abs(b))
-        largest = max(largest, abs(a - b) / scale if scale < float("inf") else float("inf"))
+        if math.isfinite(a) and math.isfinite(b):
+            largest = max(largest, abs(a - b) / max(abs(a), abs(b)))
+        else:
+            largest = float("inf")
     return True, moved, largest
 
 

@@ -860,7 +860,7 @@ def test_sub_blocks_give_every_row_the_bits_of_the_whole_block(n_sources, count)
     height = min(count, classical._sub_block_rows(n_sources) + 1)
     buffers = [np.empty((height, n_sources)) for _ in range(3)]
     intensities = np.empty((1, count))
-    classical._run_powers(table, norms, weights[None], 2.5, [phases], buffers, intensities, ())
+    classical._run_powers(table, norms, weights[None], 2.5, [phases], buffers, intensities)
     assert np.array_equal(intensities[0], block_intensities(table, norms, weights, phases, 2.5))
 
 
@@ -968,14 +968,15 @@ def test_far_field_request_over_work_budget_is_refused_before_the_walk(monkeypat
 
 
 # (geometry, samples, sources, layout): random layouts take the unfolded
-# walk; linear arrays fold onto the arc's mirror and onto both of an
-# even hemisphere's, and a centered lattice in the x-y plane onto both with
-# index permutations
+# walk, and so does a centered lattice in the x-y plane, which the mirrors
+# map onto itself in neither order nor reversed; linear arrays fold onto the
+# arc's mirror and onto both of an even hemisphere's, and on a small arc
+# with many sources the fold check's per-source term shows
 BUDGET_CASES = [
     ("arc", 9000, 64, "random"), ("arc", 5000, 9, "random"), ("hemisphere", 96, 64, "random"),
     ("hemisphere", 128, 8, "random"), ("arc", 200, 300, "random"), ("arc", 64, 2000, "random"),
     ("hemisphere", 96, 64, "linear"), ("hemisphere", 66, 49, "lattice"),
-    ("arc", 201, 300, "linear"), ("arc", 5000, 9, "linear"),
+    ("arc", 201, 300, "linear"), ("arc", 5000, 9, "linear"), ("arc", 64, 2000, "linear"),
 ]
 
 
@@ -1001,9 +1002,8 @@ def test_far_field_budget_covers_the_measured_peak(
     """The budget charges the quadrature columns and what the block walk
     holds; what one request really holds stays below it. Small detectors
     with many sources are held mostly by the per-source terms and numpy's
-    operand buffers. A folded walk holds a path table of fundamental rows,
-    sub-block arrays of every materialized row and, for a lattice, its
-    source permutations."""
+    operand buffers. A folded walk holds a path table of fundamental rows
+    and sub-block arrays of every materialized row."""
     rng = XorShift64Star(samples + n_sources)
     array = budget_case_array(rng, n_sources, layout)
     detector = far_detector(rng, [array], geometry, samples)

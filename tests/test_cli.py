@@ -118,6 +118,20 @@ class TestExitCodes:
         assert run_cli(capsys, "frobnicate")[0] == 2
         assert run_cli(capsys)[0] == 2
 
+    @pytest.mark.parametrize(
+        "argv", [("--seed", "1", "classical", "--n-waves", "2"),
+                 ("--format=json", "classical", "--n-waves", "2"),
+                 ("--config", "run.cfg", "classical"), ("--n-max", "4")],
+    )
+    def test_global_flag_before_the_subcommand_is_usage_error(self, capsys, argv):
+        """argparse would take the flag's value for the subcommand and
+        report an invalid choice; the message says where the flag goes."""
+        code, out, err = run_cli(capsys, *argv)
+        flag = argv[0].partition("=")[0]
+        assert code == 2
+        assert f"global flag {flag} goes after the subcommand" in err
+        assert out == ""
+
     def test_missing_required_key(self, capsys):
         code, _, err = run_cli(capsys, "classical")
         assert code == 4
@@ -181,10 +195,24 @@ class TestExitCodes:
               "--stop", "2", "--steps", "3", "--n-sources", "0", "--spacing", "1"), "'n-sources'"),
             (("sweep", "--target", "farfield_power", "--parameter", "wavelength", "--start", "0.5",
               "--stop", "2", "--steps", "3", "--n-sources", "4", "--spacing", "0"), "'spacing'"),
+            (("spectrum", "--n-sources", "2", "--spacing", "0.5", "--wavelength-min", "1",
+              "--wavelength-max", "2", "--radius", "-5"), "'radius'"),
+            (("sweep", "--target", "farfield_power", "--parameter", "wavelength", "--start", "0.5",
+              "--stop", "2", "--steps", "3", "--n-sources", "4", "--spacing", "1",
+              "--radius", "-5"), "'radius'"),
+            (("spectrum", "--n-sources", "2", "--spacing", "0.5", "--wavelength-min", "-1",
+              "--wavelength-max", "2"), "'wavelength-min'"),
+            (("spectrum", "--n-sources", "2", "--spacing", "0.5", "--wavelength-min", "1",
+              "--wavelength-max", "0"), "'wavelength-max'"),
+            (("spectrum", "--n-sources", "2", "--spacing", "0.5", "--wavelength-min", "1",
+              "--wavelength-max", "2", "--steps", "1"), "'steps'"),
+            (("dicke", "--n-values", "2,4,8", "--spacing-ratio", "0"), "'spacing-ratio'"),
         ],
         ids=("wavelength", "n-waves", "phases", "n-above-n-max", "amplitude", "quantum-omega",
              "biphoton-omega", "sweep-quantum-omega", "sweep-biphoton-omega",
-             "spectrum-n-sources", "spectrum-spacing", "sweep-n-sources", "sweep-spacing"),
+             "spectrum-n-sources", "spectrum-spacing", "sweep-n-sources", "sweep-spacing",
+             "spectrum-radius", "sweep-radius", "spectrum-wavelength-min",
+             "spectrum-wavelength-max", "spectrum-steps", "dicke-spacing-ratio"),
     )
     def test_out_of_range_value_is_type_mismatch(self, capsys, argv, key):
         """A value out of its key's range exits 3, like a value that does not

@@ -30,8 +30,10 @@ refactor pass.
 
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
+import math
 import pathlib
 
 import pytest
@@ -42,6 +44,11 @@ from coherray.experiments import _SWEEPS
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 CASES = json.loads((GOLDEN / "cli_corpus.json").read_text(encoding="utf-8"))["cases"]
 USAGE_CASES = json.loads((GOLDEN / "usage_corpus.json").read_text(encoding="utf-8"))["cases"]
+
+# compare.py is a script, not a test module, so it is loaded from its path
+_COMPARE_SPEC = importlib.util.spec_from_file_location("compare", GOLDEN / "compare.py")
+compare = importlib.util.module_from_spec(_COMPARE_SPEC)
+_COMPARE_SPEC.loader.exec_module(compare)
 
 
 def _sha256(text):
@@ -103,3 +110,37 @@ def test_corpus_reaches_every_subcommand_and_sweep_pair():
             sweeps.add((config.settings["target"], config.settings["parameter"]))
     assert subcommands == set(_SUBCOMMAND_FIELDS)
     assert sweeps == set(_SWEEPS)
+
+
+CSV = "# config.seed = 0\nquantity,value\ntotal,56.548667764616276\nenhancement,3\n"
+
+
+def test_numeric_drift_of_identical_texts_is_none():
+    assert compare.numeric_drift(CSV, CSV) == (True, 0, 0.0)
+
+
+def test_numeric_drift_counts_a_moved_number_and_its_relative_move():
+    moved = CSV.replace("56.548667764616276", "56.548667764616283")
+    numeric, count, largest = compare.numeric_drift(moved, CSV)
+    assert (numeric, count) == (True, 1)
+    assert largest == abs(56.548667764616283 - 56.548667764616276) / 56.548667764616283
+    assert 0.0 < largest < 2e-16
+
+
+@pytest.mark.parametrize(
+    "changed", [CSV.replace("total,", "totals,"), CSV.replace("enhancement,3", "enhancement,3,4"),
+                CSV.replace("# config.seed = 0\n", "")],
+    ids=("label", "extra-number", "dropped-line"),
+)
+def test_numeric_drift_refuses_changed_text(changed):
+    assert compare.numeric_drift(changed, CSV) == (False, 0, 0.0)
+    assert compare.numeric_drift(CSV, changed) == (False, 0, 0.0)
+
+
+def test_numeric_drift_of_nan():
+    """nan against nan has not moved; nan against a number has moved
+    without bound, whichever side holds the nan."""
+    nan = CSV.replace("enhancement,3", "enhancement,nan")
+    assert compare.numeric_drift(nan, nan) == (True, 0, 0.0)
+    assert compare.numeric_drift(nan, CSV) == (True, 1, math.inf)
+    assert compare.numeric_drift(CSV, nan) == (True, 1, math.inf)
