@@ -28,7 +28,6 @@ from .classical import (
     DetectorGrid,
     SpectrumCurve,
     classical_energy,
-    commensurate_box,
     farfield_power,
     farfield_powers,
     field_energy_grid,
@@ -85,7 +84,6 @@ __all__ = [
     "build_operators",
     "classical_energy",
     "classify_overlap",
-    "commensurate_box",
     "dicke_scaling_check",
     "expectation_energy",
     "farfield_power",

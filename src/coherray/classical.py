@@ -29,14 +29,16 @@ distance r = |p| + d from the point p contributes e^{i(k d + phi)} / r,
 since the row's common phase e^{ik|p|} drops out of |field|^2 exactly.
 The path differences d are small and exact to full precision, so real
 cos/sin of k d replace the complex exponential of k r. The detector rows
-are walked in blocks, and the engine holds nothing that grows with the
-detector: each block builds its own quadrature points and weights, its d
-is built once for every run of steps that keep their positions, one
-cos/sin pass over it is shared by consecutive steps that change only the
-phases, and it adds its partial of the origin-centered reference source,
-whose intensity 1/|p|^2 does not depend on k. Before it builds anything,
-the engine checks what the walk holds against MEMORY_BUDGET_BYTES and its
-trig and matvec work against WORK_BUDGET.
+are walked in blocks, and each block in chunks of about 2^16 path
+differences, so the engine holds nothing that grows with the detector and
+nothing that couples its rows to the source count: each block builds its
+own quadrature points and weights and adds its partial of the
+origin-centered reference source, whose intensity 1/|p|^2 does not depend
+on k; each chunk's d is built once for every run of steps that keep their
+positions, and one cos/sin pass over it is shared by consecutive steps
+that change only the phases. Before it builds anything, the engine checks
+what the walk holds against MEMORY_BUDGET_BYTES and its trig and matvec
+work against WORK_BUDGET.
 
 Both detectors are mirror-symmetric: the arc under x -> -x, the hemisphere
 under y -> -y and, when its samples are even, under x -> -x. When a mirror
@@ -121,14 +123,20 @@ _AXIS_POINT_BYTES = 56
 # coefficients and their list (about 4 KB measured)
 _GRID_CALL_BYTES = 8192
 
-# detector rows per block of the far-field sum: each block's weighted
-# intensities are summed pairwise, and the block partials added in order
+# detector rows per block of the far-field walk: each block builds its own
+# quadrature, shared by every positions group that folds onto the same mirrors
 _BLOCK_ROWS = 4096
 
-# path differences per sub-block of a far-field block: 1/r, cos and sin are
-# taken about this many at a time (at least two rows), so the three
-# sub-block arrays (384 KB) stay in cache while every phase set reads them
-_SUB_BLOCK_CELLS = 1 << 14
+# materialized path differences per chunk of a far-field block: each group
+# walks a block's rows in chunks of about this many cells and at least
+# _CHUNK_MIN_ROWS rows, so a block of up to 16 sources is one chunk, and the
+# four chunk arrays (512 KB each) stay in cache while every phase set reads
+# them. Each chunk's weighted intensities are summed pairwise, and the chunk
+# partials added in order. The floor of two rows was timed on arc spectra
+# at N = 4000 and 20 000 (2-vCPU VM): at 20 000, chunks of 16 rows ran 9%
+# slower, since their arrays (5 MB each) no longer stay in cache
+_CHUNK_CELLS = 1 << 16
+_CHUNK_MIN_ROWS = 2
 
 # far-field work per detector point and source, in the grid's operations
 # (WORK_BUDGET): building the path difference (once per positions group),
@@ -139,12 +147,11 @@ _PATH_WORK = 7
 _TRIG_WORK = 7
 _MATVEC_WORK = 1
 
-# float columns per materialized block row besides the path table and the
-# intensities: the block's quadrature (of its fundamental rows) and its
-# build's temporaries, the previous block's quadrature (still referenced
-# while the next is built), the row weights and reference intensities and
-# the matvec results; an unfolded hemisphere block peaks at 19.2
-# (tracemalloc, N = 8)
+# float columns per materialized block row: the block's quadrature (of its
+# fundamental rows) and its build's temporaries, the previous block's
+# quadrature (still referenced while the next is built), the row weights and
+# reference intensities, and the matvec results of a chunk, which is at most
+# the block; an unfolded hemisphere block peaks at 19.2 (tracemalloc, N = 8)
 _ROW_COLUMNS = 20
 
 # bytes the far-field walk holds whatever its size: the buffers numpy's
@@ -173,8 +180,8 @@ _SWEEP_SOURCE_BYTES = dict(spectrum=0, wavelength=8, phase_delta=24, spacing=32,
 # bytes per source held once per sweep: the first array under construction
 # and its temporaries (72 measured at 20 000 sources, more per source at a
 # few hundred, where a call's fixed overhead counts), and the cos and sin
-# (16) of one step's phases, which the engine makes and frees a step at a
-# time (phase_delta steps, which share one pass, are charged theirs per step)
+# (16) of one step's phases (the engine's budget charges the cos and sin it
+# holds, those of one positions group's distinct phases)
 _SWEEP_BUILD_BYTES = 96
 
 
@@ -278,22 +285,6 @@ def classical_energy(waves: PhasedWaveSet, volume: BoxVolume | None = None):
     diagonal = n * unit
     cross = unit * (magnitude_sq - n)
     return EnergyReport(diagonal, cross)
-
-
-def commensurate_box(mode: WaveMode, lengths, center=(0.0, 0.0, 0.0)) -> BoxVolume:
-    """Round the box edge along an axis-aligned wavevector to whole
-    wavelengths (at least one), so grid energies are placement-independent.
-    """
-    k = mode.wavevector
-    axis = int(np.argmax(np.abs(k)))
-    off_axis = np.delete(np.abs(k), axis)
-    if np.any(off_axis > 1e-9 * abs(k[axis])):
-        raise ValueError("commensurate_box requires an axis-aligned wavevector")
-    adjusted = np.array(lengths, dtype=float)
-    wavelength = mode.wavelength
-    periods = max(1, round(adjusted[axis] / wavelength))
-    adjusted[axis] = periods * wavelength
-    return BoxVolume(adjusted, np.asarray(center, dtype=float))
 
 
 def field_energy_grid(
@@ -457,7 +448,8 @@ def _fundamental_rows(detector: DetectorGrid, mirrors) -> tuple[int, int, int, i
     """The fundamental nodes under ``mirrors``, a run of consecutive nodes
     of each ring that holds one node of every orbit: the run's first index
     and length, the fundamental rows of the whole detector, and the rows of
-    one block of the walk, which materializes at most _BLOCK_ROWS rows."""
+    one block of the walk: no more than those, and no more than
+    _BLOCK_ROWS materialized rows."""
     n = detector.samples
     half = n // 2
     if not mirrors:
@@ -466,7 +458,8 @@ def _fundamental_rows(detector: DetectorGrid, mirrors) -> tuple[int, int, int, i
         start, count = half // 2, 2 * ((half + 1) // 2)
     else:
         start, count = 0, ((half if len(mirrors) == 2 else n) + 1) // 2
-    return start, count, detector.n_points // n * count, _BLOCK_ROWS >> len(mirrors)
+    fundamental = detector.n_points // n * count
+    return start, count, fundamental, min(fundamental, _BLOCK_ROWS >> len(mirrors))
 
 
 class _Fold(NamedTuple):
@@ -545,34 +538,30 @@ def _distinct_images(detector: DetectorGrid, elements, nodes) -> list:
     return distinct
 
 
-def _path_differences(points, norms, positions, table, scratch):
+def _path_differences(points, norms, positions, squares, table, scratch):
     """Path differences d = r - |p| from each source x to each detector
-    point p of one block, where r = |p - x|, written into ``table`` (rows, N).
+    point p of one chunk, where r = |p - x|, written into ``table`` (rows, N).
 
     r is summed one coordinate at a time; d is then formed as
     (|x|^2 - 2 p.x) / (r + |p|), the same quantity with no cancellation
     between r and |p|, so d keeps full relative precision however far the
-    detector is. The rows are filled a sub-block at a time, with the two
-    sub-block arrays of ``scratch`` as temporaries.
+    detector is; ``squares`` holds each |x|^2. The two arrays of
+    ``scratch``, shaped like ``table``, are its temporaries.
     """
-    squares = np.einsum("ij,ij->i", positions, positions)
-    distances, scratches = scratch
-    for rows in _sub_blocks(table.shape[0], _sub_block_rows(table.shape[1])):
-        block, near = points[rows], table[rows]
-        distance, scratch = distances[:len(block)], scratches[:len(block)]
-        distance.fill(0.0)
-        near.fill(0.0)
-        for axis in range(3):
-            np.subtract(block[:, axis:axis + 1], positions[:, axis], out=scratch)
-            scratch *= scratch
-            distance += scratch
-            np.multiply(block[:, axis:axis + 1], positions[:, axis], out=scratch)
-            near += scratch
-        np.sqrt(distance, out=distance)
-        distance += norms[rows, None]
-        near *= -2.0
-        near += squares
-        near /= distance
+    distance, product = scratch
+    distance.fill(0.0)
+    table.fill(0.0)
+    for axis in range(3):
+        np.subtract(points[:, axis:axis + 1], positions[:, axis], out=product)
+        product *= product
+        distance += product
+        np.multiply(points[:, axis:axis + 1], positions[:, axis], out=product)
+        table += product
+    np.sqrt(distance, out=distance)
+    distance += norms[:, None]
+    table *= -2.0
+    table += squares
+    table /= distance
 
 
 def _row_blocks(count: int, rows: int = _BLOCK_ROWS):
@@ -580,81 +569,57 @@ def _row_blocks(count: int, rows: int = _BLOCK_ROWS):
     return (slice(start, min(start + rows, count)) for start in range(0, count, rows))
 
 
-def _sub_blocks(count: int, rows: int):
-    """Slices of ``count`` rows, ``rows`` at a time, with a lone last row
-    joined to the slice before it. einsum sums a one-row operand longer
-    than its 8192-element buffer in chunks, so a lone row would not get the
-    bits that the same row gets in a taller block."""
-    if count <= rows:
-        return (slice(0, count),)
-    ends = list(range(rows, count, rows))
-    if count - ends[-1] == 1:
-        ends.pop()
-    return (slice(start, end) for start, end in zip([0] + ends, ends + [count]))
+def _chunk_rows(block_rows: int, n_sources: int, classes: int) -> int:
+    """Fundamental rows per chunk of a block of ``block_rows`` rows, for a
+    group of ``n_sources`` columns that materializes ``classes`` rows for
+    each: about _CHUNK_CELLS materialized cells, at least _CHUNK_MIN_ROWS
+    rows and at most the block."""
+    return min(block_rows, max(_CHUNK_MIN_ROWS, _CHUNK_CELLS // (classes * n_sources)))
 
 
-def _sub_block_rows(n_sources: int, classes: int = 1) -> int:
-    """Fundamental rows per sub-block of a block of ``n_sources`` columns
-    that materializes ``classes`` rows for each: about _SUB_BLOCK_CELLS
-    materialized cells, and at least two rows (see _sub_blocks)."""
-    return max(2, _SUB_BLOCK_CELLS // (classes * n_sources))
-
-
-def _sub_block_height(rows: int, n_sources: int, classes: int) -> int:
-    """Rows of the sub-block arrays for a block of ``rows`` fundamental rows:
-    every class of a sub-block and the lone row it may take on. These are
-    at least the rows _path_differences takes at a time."""
-    return classes * min(rows, _sub_block_rows(n_sources, classes) + 1)
-
-
-def _run_powers(table, norms, weights, wavenumber, phase_sets, buffers, intensities) -> list[float]:
-    """One block's partial power of each phase set, for the sources of the
-    block's path ``table`` of fundamental rows.
+def _run_powers(table, norms, weights, wavenumber, phasors, buffers, intensities) -> list[float]:
+    """One chunk's partial power of each phase set, given as its cos(phi) and
+    sin(phi) in ``phasors``, for the sources of the chunk's path ``table`` of
+    fundamental rows.
 
     ``weights`` (classes, rows) holds each materialized row's weight: one
     class, or two when the second takes the sources reversed (see _Fold).
-    The block is walked in sub-blocks (see _sub_blocks), whose cos(k d)/r
-    and sin(k d)/r are taken into ``buffers`` (the third holds 1/r) once
-    for the fundamental rows and copied, columns reversed, for the second
-    class, and shared by every phase set. Each set then takes four real
-    matvecs over all the classes with its cos(phi) and sin(phi) and writes
-    its weighted intensities into its row of ``intensities``, which is
-    summed pairwise once the block is done. A set's partial is the
-    same float whether it shares the pass with other sets or not. The
-    matvecs use einsum rather than BLAS, so the bits do not depend on the
-    BLAS kernel that the machine selects.
+    cos(k d)/r and sin(k d)/r are taken into the first two ``buffers`` (the
+    third holds 1/r) once for the fundamental rows and copied, columns
+    reversed, for the second class, and shared by every phase set. Each set
+    then takes four real matvecs over all the classes, writes its weighted
+    intensities into its row of ``intensities`` and sums them pairwise. A
+    set's partial is the same float whether it shares the pass with other
+    sets or not. The matvecs use einsum rather than BLAS, so the bits do not
+    depend on the BLAS kernel that the machine selects.
     """
-    phasors = [(np.cos(phases), np.sin(phases)) for phases in phase_sets]
-    cosines, sines, inverses = buffers
-    classes, count = weights.shape
-    fields = [row[:classes * count].reshape(classes, count) for row in intensities[:len(phasors)]]
-    for rows in _sub_blocks(count, _sub_block_rows(table.shape[1], classes)):
-        block = table[rows]
-        height = len(block)
-        cosine, sine = cosines[:classes * height], sines[:classes * height]
-        inverse = inverses[:height]
-        np.add(block, norms[rows, None], out=inverse)
-        np.reciprocal(inverse, out=inverse)
-        fundamental_cos, fundamental_sin = cosine[:height], sine[:height]
-        np.multiply(block, wavenumber, out=fundamental_cos)
-        np.sin(fundamental_cos, out=fundamental_sin)
-        np.cos(fundamental_cos, out=fundamental_cos)
-        fundamental_cos *= inverse
-        fundamental_sin *= inverse
-        if classes == 2:
-            for buffer in (cosine, sine):
-                np.copyto(buffer[height:], buffer[:height, ::-1])
-        weight = weights[:, rows]
-        for (cos_phi, sin_phi), intensity in zip(phasors, fields):
-            real = np.einsum("ij,j->i", cosine, cos_phi)
-            real -= np.einsum("ij,j->i", sine, sin_phi)
-            imag = np.einsum("ij,j->i", cosine, sin_phi)
-            imag += np.einsum("ij,j->i", sine, cos_phi)
-            real *= real
-            imag *= imag
-            real += imag
-            np.multiply(real.reshape(classes, height), weight, out=intensity[:, rows])
-    return [float(intensity.sum()) for intensity in fields]
+    classes, height = weights.shape
+    cosine, sine = (buffer[:classes * height] for buffer in buffers[:2])
+    inverse = buffers[2][:height]
+    np.add(table, norms[:, None], out=inverse)
+    np.reciprocal(inverse, out=inverse)
+    fundamental_cos, fundamental_sin = cosine[:height], sine[:height]
+    np.multiply(table, wavenumber, out=fundamental_cos)
+    np.sin(fundamental_cos, out=fundamental_sin)
+    np.cos(fundamental_cos, out=fundamental_cos)
+    fundamental_cos *= inverse
+    fundamental_sin *= inverse
+    if classes == 2:
+        for buffer in (cosine, sine):
+            np.copyto(buffer[height:], buffer[:height, ::-1])
+    partials = []
+    for (cos_phi, sin_phi), row in zip(phasors, intensities):
+        real = np.einsum("ij,j->i", cosine, cos_phi)
+        real -= np.einsum("ij,j->i", sine, sin_phi)
+        imag = np.einsum("ij,j->i", cosine, sin_phi)
+        imag += np.einsum("ij,j->i", sine, cos_phi)
+        real *= real
+        imag *= imag
+        real += imag
+        intensity = row[:classes * height].reshape(classes, height)
+        np.multiply(real.reshape(classes, height), weights, out=intensity)
+        partials.append(float(intensity.sum()))
+    return partials
 
 
 def _block_walk(detector: DetectorGrid, groups, sizes) -> tuple[list[float], list[float]]:
@@ -668,24 +633,25 @@ def _block_walk(detector: DetectorGrid, groups, sizes) -> tuple[list[float], lis
     materialized rows at a time. Each block builds its own points and
     weights (see _detector_quadrature) and their distances |p| from the
     origin. Then every group of the block adds its partial of the reference
-    source on its rows, builds the block's path differences once, and every
-    run of the group takes one cos/sin pass over them (see _run_powers); a
-    power is the sum of its block partials in block order. The walk holds
-    one block's quadrature, its path table, three sub-block arrays and one
-    block of intensities per phase set of the longest run, allocated once
-    and reshaped for each group.
+    source on its rows and walks the block in chunks (see _chunk_rows): each
+    chunk builds its path differences once, and every run of the group takes
+    one cos/sin pass over them (see _run_powers). A power is the sum of its
+    chunk partials in walk order. The walk holds one block's quadrature,
+    four chunk arrays and one chunk of intensities per phase set of the
+    longest run, allocated once and reshaped for each group, and the
+    group's |x|^2 and the cos and sin of its distinct phase arrays, taken
+    once per block.
     """
     shape = _walk_shape(detector, sizes)
-    tables = np.empty(shape.table)
-    flats = [np.empty(shape.cells) for _ in range(3)]
-    intensities = np.empty((shape.sets, shape.rows))
-    firsts = list(itertools.accumulate((sum(lengths) for _, lengths, _ in sizes), initial=0))
+    flats = [np.empty(shape.cells) for _ in range(4)]
+    intensities = np.empty((shape.sets, shape.chunk))
+    firsts = list(itertools.accumulate((sum(lengths) for _, lengths, _, _ in sizes), initial=0))
     powers = [0.0] * shape.arrays
     singles = [0.0] * len(groups)
-    for mirrors in dict.fromkeys(fold.mirrors for _, _, fold in sizes):
-        members = [g for g, (_, _, fold) in enumerate(sizes) if fold.mirrors == mirrors]
+    for mirrors in dict.fromkeys(fold.mirrors for *_, fold in sizes):
+        members = [g for g, (*_, fold) in enumerate(sizes) if fold.mirrors == mirrors]
         start, count, fundamental, rows = _fundamental_rows(detector, mirrors)
-        elements = sizes[members[0]][2].elements
+        elements = sizes[members[0]][3].elements
         for block in _row_blocks(fundamental, rows):
             rings, nodes = np.divmod(np.arange(block.start, block.stop), count)
             nodes += start
@@ -698,51 +664,59 @@ def _block_walk(detector: DetectorGrid, groups, sizes) -> tuple[list[float], lis
             reference = 1.0 / norms
             reference *= reference
             for g in members:
-                positions, runs = groups[g]
-                fold = sizes[g][2]
-                n = positions.shape[0]
+                positions, phases, runs = groups[g]
+                fold = sizes[g][3]
+                n, classes = positions.shape[0], len(fold.classes)
                 counts = np.array([np.sum([distinct[e] for e in c], axis=0) for c in fold.classes])
                 row_weights = counts * weights
                 singles[g] += float(np.multiply(reference, row_weights).sum())
-                height = _sub_block_height(norms.size, n, len(fold.classes))
-                buffers = [flat[:height * n].reshape(height, n) for flat in flats]
-                table = tables[:norms.size * n].reshape(norms.size, n)
-                _path_differences(points, norms, positions, table, buffers[:2])
-                first = firsts[g]
-                for wavenumber, phase_sets in runs:
-                    partials = _run_powers(table, norms, row_weights, wavenumber, phase_sets,
-                                           buffers, intensities)
-                    for index, partial in enumerate(partials, first):
-                        powers[index] += partial
-                    first += len(partials)
+                squares = np.einsum("ij,ij->i", positions, positions)
+                phasors = {key: (np.cos(p), np.sin(p)) for key, p in phases.items()}
+                height = _chunk_rows(rows, n, classes)
+                table, *buffers = (flat[:classes * height * n].reshape(classes * height, n)
+                                   for flat in flats)
+                for chunk in _row_blocks(norms.size, height):
+                    paths = table[:chunk.stop - chunk.start]
+                    _path_differences(points[chunk], norms[chunk], positions, squares, paths,
+                                      [buffer[:len(paths)] for buffer in buffers[:2]])
+                    first = firsts[g]
+                    for wavenumber, keys in runs:
+                        run = [phasors[key] for key in keys]
+                        partials = _run_powers(paths, norms[chunk], row_weights[:, chunk],
+                                               wavenumber, run, buffers, intensities)
+                        for index, partial in enumerate(partials, first):
+                            powers[index] += partial
+                        first += len(partials)
     return powers, singles
 
 
 def _position_groups(arrays) -> list:
-    """The arrays as consecutive groups of equal positions, each split into
-    consecutive runs of equal wavenumber:
-    [(positions, [(wavenumber, [phases, ...]), ...]), ...]. Sweep steps
-    share their array's positions object, so most steps join a group
-    without comparing their positions."""
+    """The arrays as consecutive groups of equal positions, each with its
+    distinct phase arrays by id and split into consecutive runs of equal
+    wavenumber: [(positions, {id: phases}, [(wavenumber, [id, ...]), ...]),
+    ...]. Sweep steps share their array's positions object, so most steps
+    join a group without comparing their positions, and a spectrum's steps
+    share one phases object too."""
     groups = []
     for array in arrays:
         positions, wavenumber = array.positions, array.wavenumber
         if not groups or (
             groups[-1][0] is not positions and groups[-1][0].tobytes() != positions.tobytes()
         ):
-            groups.append((positions, []))
-        runs = groups[-1][1]
+            groups.append((positions, {}, []))
+        _, phases, runs = groups[-1]
+        phases.setdefault(id(array.phases), array.phases)
         if not runs or runs[-1][0] != wavenumber:
             runs.append((wavenumber, []))
-        runs[-1][1].append(array.phases)
+        runs[-1][1].append(id(array.phases))
     return groups
 
 
 class _WalkShape(NamedTuple):
     """What _block_walk allocates for its groups, and what it walks."""
 
-    table: int  # cells of one block's path table, the largest group's
-    cells: int  # cells of each sub-block array
+    cells: int  # cells of each chunk array, the largest group's
+    chunk: int  # materialized rows of one chunk
     rows: int  # materialized rows of one block
     sets: int  # phase sets of the longest run
     arrays: int  # phase sets of all runs
@@ -752,42 +726,44 @@ class _WalkShape(NamedTuple):
 def _walk_shape(detector: DetectorGrid, sizes) -> _WalkShape:
     """The allocations of _block_walk for the groups of ``sizes`` (see
     _check_farfield_budget)."""
-    table = cells = rows = 0
-    for n, _, fold in sizes:
-        _, _, fundamental, block_rows = _fundamental_rows(detector, fold.mirrors)
-        fundamental = min(fundamental, block_rows)
+    cells = chunk = rows = 0
+    for n, _, _, fold in sizes:
+        block_rows = _fundamental_rows(detector, fold.mirrors)[3]
         classes = len(fold.classes)
-        table = max(table, fundamental * n)
-        cells = max(cells, _sub_block_height(fundamental, n, classes) * n)
-        rows = max(rows, classes * fundamental)
-    runs = [sets for _, lengths, _ in sizes for sets in lengths]
-    n_sources = max((n for n, _, _ in sizes), default=0)
-    return _WalkShape(table, cells, rows, max(runs, default=0), sum(runs), n_sources)
+        height = classes * _chunk_rows(block_rows, n, classes)
+        cells = max(cells, height * n)
+        chunk = max(chunk, height)
+        rows = max(rows, classes * block_rows)
+    runs = [sets for _, lengths, _, _ in sizes for sets in lengths]
+    n_sources = max((n for n, *_ in sizes), default=0)
+    return _WalkShape(cells, chunk, rows, max(runs, default=0), sum(runs), n_sources)
 
 
 def _check_farfield_budget(detector: DetectorGrid, sizes):
     """Refuse a far-field request over either budget, before anything is
-    built; ``sizes`` gives each positions group's source count, run lengths
-    and fold, [(n_sources, [phase sets, ...], _Fold), ...]. Memory: what
-    _block_walk holds (see _walk_shape), that is one block's path table of
-    fundamental rows, the three sub-block arrays, one block of materialized
-    intensities per phase set of the longest run, _ROW_COLUMNS per
-    materialized row, _path_differences' squares of the largest group, the
-    cos and sin of the phase sets of the largest run, the fold check's
-    temporaries and _WALK_BUFFER_BYTES; no term grows with the detector's
-    point count. Work: per fundamental row and source, _PATH_WORK for each group and
-    _TRIG_WORK for each run, and per materialized row and source
-    _MATVEC_WORK for each phase set."""
+    built; ``sizes`` gives each positions group's source count, run lengths,
+    distinct phase arrays and fold,
+    [(n_sources, [phase sets, ...], phase arrays, _Fold), ...]. Memory: what
+    _block_walk holds (see _walk_shape), that is the four chunk arrays, one
+    chunk of materialized intensities per phase set of the longest run, and
+    _ROW_COLUMNS per materialized row of one block for its quadrature; and
+    per source, the squares |x|^2 of the largest group, the cos and sin of
+    each group's distinct phase arrays and the fold check's temporaries;
+    and _WALK_BUFFER_BYTES. No term grows with the detector's
+    point count, and none couples a block's rows to the source count. Work:
+    per fundamental row and source, _PATH_WORK for each group and _TRIG_WORK
+    for each run, and per materialized row and source _MATVEC_WORK for each
+    phase set."""
     points = detector.n_points
     shape = _walk_shape(detector, sizes)
-    phasors = max((n * sets for n, lengths, _ in sizes for sets in lengths), default=0)
-    needed = (8 * (shape.table + 3 * shape.cells + shape.rows * (shape.sets + _ROW_COLUMNS)
+    phasors = max((n * distinct for n, _, distinct, _ in sizes), default=0)
+    needed = (8 * (4 * shape.cells + shape.chunk * shape.sets + shape.rows * _ROW_COLUMNS
                    + shape.n_sources) + 16 * phasors
               + _FOLD_SOURCE_BYTES * shape.n_sources + _WALK_BUFFER_BYTES)
     request = f"far-field request of {points} detector points x {shape.n_sources} sources"
     _check_budget(needed, request)
     work = 0
-    for n, lengths, fold in sizes:
+    for n, lengths, _, fold in sizes:
         fundamental = _fundamental_rows(detector, fold.mirrors)[2]
         classes = len(fold.classes)
         work += fundamental * n * (
@@ -828,10 +804,11 @@ def farfield_powers(arrays, detector: DetectorGrid) -> tuple[np.ndarray, np.ndar
     equal positions, in the engine's blocks.
 
     The detector rows are walked in blocks (see _block_walk): each block
-    builds its own quadrature rows, then its rows of the path table once
-    for every run of consecutive arrays with the same positions, and
-    consecutive arrays that also share the wavenumber share one cos/sin
-    pass over them. The walk holds one block of each, never the whole
+    builds its own quadrature rows and is walked in chunks, each of which
+    builds its rows of the path table once for every run of consecutive
+    arrays with the same positions, and consecutive arrays that also share
+    the wavenumber share one cos/sin pass over them. The walk holds one
+    block of quadrature and one chunk of path differences, never the whole
     detector. Positions that a detector mirror maps onto themselves fold
     (see _fold): the walk takes only one node of each mirror orbit through
     the path table and the cos/sin pass.
@@ -849,12 +826,12 @@ def farfield_powers(arrays, detector: DetectorGrid) -> tuple[np.ndarray, np.ndar
                 f"detector radius {detector.radius} below far-field threshold {threshold}"
             )
     groups = _position_groups(arrays)
-    sizes = [(positions.shape[0], [len(sets) for _, sets in runs], _fold(detector, positions))
-             for positions, runs in groups]
+    sizes = [(positions.shape[0], [len(keys) for _, keys in runs], len(phases),
+              _fold(detector, positions)) for positions, phases, runs in groups]
     _check_farfield_budget(detector, sizes)
     powers, singles = _block_walk(detector, groups, sizes)
     powers = np.array(powers, dtype=float)
-    references = np.repeat(singles, [sum(lengths) for _, lengths, _ in sizes])
+    references = np.repeat(singles, [sum(lengths) for _, lengths, _, _ in sizes])
     counts = np.array([array.n_sources for array in arrays], dtype=float)
     return powers, powers / (counts * references)
 

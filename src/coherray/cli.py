@@ -586,6 +586,8 @@ def _run_dicke(params: dict) -> ResultTable:
 
 def _run_spectrum(params: dict) -> ResultTable:
     lo, hi = params["wavelength_min"], params["wavelength_max"]
+    if not lo < hi:
+        raise ConfigError(f"wavelength-min = {lo} must be below wavelength-max = {hi}")
     array = make_linear_array(params["n_sources"], params["spacing"], lo)
     radius = params["radius"]
     if radius is None:

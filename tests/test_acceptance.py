@@ -21,7 +21,6 @@ from coherray import (
     XorShift64Star,
     biphoton_energy,
     classical_energy,
-    commensurate_box,
     dicke_scaling_check,
     expectation_energy,
     farfield_power,
@@ -35,6 +34,7 @@ from coherray import (
     single_wave_energy,
     transmission_spectrum,
 )
+from helpers import commensurate_box
 
 TWO_PI = 2.0 * math.pi
 UNIT_MODE = WaveMode.plane(np.array([TWO_PI, 0.0, 0.0]))

@@ -1,4 +1,6 @@
+import json
 import math
+import pathlib
 import time
 import tracemalloc
 import warnings
@@ -16,7 +18,6 @@ from coherray import (
     SweepSpec,
     WaveMode,
     classical_energy,
-    commensurate_box,
     dicke_scaling_check,
     farfield_power,
     farfield_powers,
@@ -27,9 +28,10 @@ from coherray import (
     single_wave_energy,
     transmission_spectrum,
 )
-from coherray import classical, core, experiments
+from coherray import classical, cli, core, experiments
 from coherray.classical import SpectrumCurve, _detector_quadrature
 from coherray.experiments import XorShift64Star
+from helpers import commensurate_box
 
 TWO_PI = 2.0 * math.pi
 
@@ -624,6 +626,12 @@ def test_engine_is_at_least_as_accurate_as_the_old_engine():
 
 
 def test_farfield_powers_equals_one_call_per_array():
+    """An array's power has the same bits whether it shares its call with
+    other arrays or not, on an arc and a hemisphere: its chunk rows depend
+    only on its own source count and fold, not on the largest group of the
+    call. The last three arrays are groups of 40, 300 and 2000 sources (a
+    linear array, which folds), whose chunks are shorter than a block; the
+    reference sum checks the arrays of up to 40 sources."""
     rng = XorShift64Star(77)
     first = random_array(rng, 9)
     second = random_array(rng, 9)
@@ -637,15 +645,55 @@ def test_farfield_powers_equals_one_call_per_array():
         second,
         replace(second, wavelength=0.5 + rng.uniform()),
         random_array(rng, 8),
+        random_array(rng, 40),
+        random_array(rng, 300),
+        make_linear_array(2000, 1e-3, 0.5 + rng.uniform(), rng.phases(2000)),
     ]
-    detector = far_detector(rng, arrays, "arc", 4500)
-    powers, enhancements = farfield_powers(arrays, detector)
-    for i, array in enumerate(arrays):
-        expected = farfield_power(array, detector)
-        assert (powers[i], enhancements[i]) == expected
-        reference = reference_farfield_power(array, detector)
-        assert math.isclose(expected[0], reference[0], rel_tol=1e-12)
-        assert math.isclose(expected[1], reference[1], rel_tol=1e-12)
+    for geometry, samples in (("arc", 4500), ("hemisphere", 66)):
+        detector = far_detector(rng, arrays, geometry, samples)
+        powers, enhancements = farfield_powers(arrays, detector)
+        for i, array in enumerate(arrays):
+            expected = farfield_power(array, detector)
+            assert (powers[i], enhancements[i]) == expected
+            if array.n_sources < 100:
+                reference = reference_farfield_power(array, detector)
+                assert math.isclose(expected[0], reference[0], rel_tol=1e-12)
+                assert math.isclose(expected[1], reference[1], rel_tol=1e-12)
+
+
+def test_golden_far_field_blocks_are_one_chunk(monkeypatch, capsys):
+    """Every far-field request of the golden corpus has at most 16 sources,
+    and up to 16 sources a block is one chunk, on every detector and fold
+    that the corpus reaches and on every block size, so the corpus keeps
+    its block partials and its bits. Rows fall only above 16 sources: at 17
+    a full unfolded block (4096 rows) and a full folded one of two classes
+    (2048 rows) are cut, and more sources never take more rows."""
+    calls = set()
+    original = classical._chunk_rows
+
+    def recording(block_rows, n_sources, classes):
+        calls.add((block_rows, n_sources, classes))
+        return original(block_rows, n_sources, classes)
+
+    monkeypatch.setattr(classical, "_chunk_rows", recording)
+    golden = pathlib.Path(__file__).parent / "golden"
+    for case in json.loads((golden / "cli_corpus.json").read_text(encoding="utf-8"))["cases"]:
+        config = ["--config", str(golden / case["config"])] if "config" in case else []
+        assert cli.main(case["argv"] + config) == 0
+    capsys.readouterr()
+    assert {(rows, classes) for rows, _, classes in calls} >= {(128, 2), (2048, 2), (256, 1)}
+    for rows, n_sources, classes in calls:
+        assert n_sources <= 16
+        assert original(rows, n_sources, classes) == rows
+    for rows, classes in {(rows, classes) for rows, _, classes in calls} | {
+        (4096, 1), (2048, 1), (2048, 2), (1024, 1), (1024, 2)
+    }:
+        chunks = [original(rows, n, classes)
+                  for n in [*range(1, 18), 40, 300, 2000, 20_000, 1 << 17]]
+        assert chunks[:16] == [rows] * 16
+        assert all(a >= b for a, b in zip(chunks, chunks[1:]))
+        assert chunks[-1] == min(rows, classical._CHUNK_MIN_ROWS)
+    assert original(4096, 17, 1) < 4096 and original(2048, 17, 2) < 2048
 
 
 def test_farfield_powers_checks_every_array_against_the_threshold():
@@ -825,9 +873,10 @@ def block_intensities(table, norms, weights, phases, wavenumber):
 
 
 def whole_table_power(points, weights, positions, phases, wavenumber):
-    """Reference: the engine before it streamed. It builds the whole S x N
-    path table, then sums the weighted intensities of each 4096-row block
-    pairwise and adds the block partials in order."""
+    """Reference: the engine before it streamed, on its unfolded walk. It
+    builds the whole S x N path table, then walks each 4096-row block in
+    chunks of the engine's rows, sums each chunk's weighted intensities
+    pairwise and adds the chunk partials in order."""
     norms = np.sqrt(np.einsum("ij,ij->i", points, points))
     squares = np.einsum("ij,ij->i", positions, positions)
     distance = np.zeros((len(points), len(positions)))
@@ -837,48 +886,31 @@ def whole_table_power(points, weights, positions, phases, wavenumber):
         distance += offset * offset
         near += points[:, axis:axis + 1] * positions[:, axis]
     table = (near * -2.0 + squares) / (np.sqrt(distance) + norms[:, None])
+    block = min(len(points), 4096)
+    chunk = classical._chunk_rows(block, len(positions), 1)
     power = 0.0
-    for start in range(0, len(points), 4096):
-        rows = slice(start, start + 4096)
-        power += float(block_intensities(table[rows], norms[rows], weights[rows], phases,
-                                         wavenumber).sum())
+    for start in range(0, len(points), block):
+        for first in range(start, min(start + block, len(points)), chunk):
+            rows = slice(first, min(first + chunk, start + block))
+            power += float(block_intensities(table[rows], norms[rows], weights[rows], phases,
+                                             wavenumber).sum())
     return power
 
 
-@pytest.mark.parametrize("n_sources, count", [(20_000, 5), (20_000, 4), (9000, 3), (12, 4096)])
-def test_sub_blocks_give_every_row_the_bits_of_the_whole_block(n_sources, count):
-    """einsum sums a one-row operand longer than its 8192-element buffer in
-    chunks, so the walk takes rows at least two at a time and joins a lone
-    last row to the sub-block before it (here after two-row sub-blocks, and
-    after three sub-blocks of 1365 rows at N = 12). Every row's weighted
-    intensity is then the one that the whole block gives."""
-    rng = XorShift64Star(n_sources + count)
-    table = np.array([rng.phases(n_sources) * 1e-3 for _ in range(count)])
-    norms = 1e3 * (1.0 + rng.phases(count))
-    weights = rng.phases(count)
-    phases = rng.phases(n_sources)
-    height = min(count, classical._sub_block_rows(n_sources) + 1)
-    buffers = [np.empty((height, n_sources)) for _ in range(3)]
-    intensities = np.empty((1, count))
-    classical._run_powers(table, norms, weights[None], 2.5, [phases], buffers, intensities)
-    assert np.array_equal(intensities[0], block_intensities(table, norms, weights, phases, 2.5))
-
-
-# (geometry, samples, source counts): sub-blocks of 2340 rows and a last
-# block of one row (arc 4097, N = 7); three sub-blocks and a lone last row
-# (4096 points, N = 12); two-row sub-blocks of rows longer than einsum's
-# 8192-element buffer, with a lone last row (arc 65, N = 20 000); 16
-# sub-blocks per block, three blocks (hemisphere 96^2, N = 64); and groups
-# of different source counts sharing one call
+# (geometry, samples, source counts): a last block of one row (arc 4097,
+# N = 7); one chunk per block (4096 points, N = 12); chunks of three rows
+# longer than einsum's 8192-element buffer, the last of two rows (arc 65,
+# N = 20 000); chunks of 1024 rows in three blocks (hemisphere 96^2,
+# N = 64); and groups of different source counts sharing one call
 @pytest.mark.parametrize(
     "geometry, samples, counts",
     [("arc", 4097, (7, 7, 3)), ("arc", 4096, (12, 1, 12)), ("arc", 65, (20_000, 5)),
      ("hemisphere", 96, (64, 9, 64))],
 )
 def test_streamed_engine_is_bit_equal_to_the_whole_table_walk(geometry, samples, counts):
-    """Each array's power is still the sum of its 4096-row block partials in
-    block order, and each row's matvecs and each block's pairwise sum are
-    unchanged, so streaming moves no bit. Runs of equal positions and
+    """Each array's power is the sum of its chunk partials in walk order,
+    and each row's matvecs and each chunk's pairwise sum are those of the
+    whole table, so streaming moves no bit. Runs of equal positions and
     wavenumber share a pass here, and each group holds several runs."""
     rng = XorShift64Star(samples + sum(counts))
     arrays = []
@@ -903,7 +935,7 @@ def test_streamed_engine_is_bit_equal_to_the_whole_table_walk(geometry, samples,
 
 def test_streamed_engine_holds_one_block_of_the_path_table(monkeypatch):
     """At N = 64, going from 96^2 to 192^2 hemisphere points grows neither
-    the charge nor the peak: the walk holds one block of path differences
+    the charge nor the peak: the walk holds one chunk of path differences
     and builds one block of the quadrature at a time, so nothing it holds
     grows with the detector. The peak may move by a few hundred bytes of
     Python objects, far less than one float column of a block (32 KB), and
@@ -970,13 +1002,15 @@ def test_far_field_request_over_work_budget_is_refused_before_the_walk(monkeypat
 # (geometry, samples, sources, layout): random layouts take the unfolded
 # walk, and so does a centered lattice in the x-y plane, which the mirrors
 # map onto itself in neither order nor reversed; linear arrays fold onto the
-# arc's mirror and onto both of an even hemisphere's, and on a small arc
-# with many sources the fold check's per-source term shows
+# arc's mirror and onto both of an even hemisphere's; on a small arc with
+# many sources the fold check's per-source term shows, and on 8192-point
+# arcs with 1000 and 4000 sources the chunks are shorter than the block
 BUDGET_CASES = [
     ("arc", 9000, 64, "random"), ("arc", 5000, 9, "random"), ("hemisphere", 96, 64, "random"),
     ("hemisphere", 128, 8, "random"), ("arc", 200, 300, "random"), ("arc", 64, 2000, "random"),
     ("hemisphere", 96, 64, "linear"), ("hemisphere", 66, 49, "lattice"),
     ("arc", 201, 300, "linear"), ("arc", 5000, 9, "linear"), ("arc", 64, 2000, "linear"),
+    ("arc", 8192, 1000, "linear"), ("arc", 8192, 4000, "linear"),
 ]
 
 
@@ -1003,7 +1037,7 @@ def test_far_field_budget_covers_the_measured_peak(
     holds; what one request really holds stays below it. Small detectors
     with many sources are held mostly by the per-source terms and numpy's
     operand buffers. A folded walk holds a path table of fundamental rows
-    and sub-block arrays of every materialized row."""
+    and trig arrays of every materialized row, one chunk of each."""
     rng = XorShift64Star(samples + n_sources)
     array = budget_case_array(rng, n_sources, layout)
     detector = far_detector(rng, [array], geometry, samples)
@@ -1023,6 +1057,23 @@ def test_far_field_budget_covers_the_measured_peak(
         tracemalloc.stop()
     assert len(charged) == 1
     assert peak <= charged[0]
+
+
+def test_spectrum_of_four_thousand_sources_peaks_under_sixteen_megabytes():
+    """The walk holds one chunk of path differences, not a block of them: a
+    two-step spectrum of a 4000-source line on an 8192-point arc (two blocks
+    of 2048 fundamental rows, which once held a 64 MB path table) peaks
+    under 16 MB."""
+    array = make_linear_array(4000, 0.3, 1.0)
+    detector = DetectorGrid(radius=classical._far_field_radius(2.0, array.extent),
+                            geometry="arc", samples=8192)
+    tracemalloc.start()
+    try:
+        transmission_spectrum(array, (1.0, 2.0), 2, detector)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
 
 
 @pytest.mark.parametrize("n_sources, steps", [(300, 2), (2000, 2), (300, 30), (20, 300)])

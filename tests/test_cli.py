@@ -223,6 +223,22 @@ class TestExitCodes:
         assert key in err
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("spectrum", "--n-sources", "4", "--spacing", "0.5", "--wavelength-min", "2",
+          "--wavelength-max", "1"),
+         ("spectrum", "--n-sources", "4", "--spacing", "0.5", "--wavelength-min", "1.5",
+          "--wavelength-max", "1.5")],
+        ids=("reversed", "empty"),
+    )
+    def test_spectrum_range_across_keys_is_type_mismatch(self, capsys, argv):
+        """A wavelength range that does not rise exits 3 and names both
+        keys, as a sweep's start and stop do."""
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert "wavelength-min" in err and "wavelength-max" in err
+        assert out == ""
+
     def test_farfield_sweep_without_source_count_is_missing_key(self, capsys):
         code, _, err = run_cli(
             capsys, "sweep", "--target", "farfield_power", "--parameter", "wavelength",
@@ -293,10 +309,13 @@ class TestExitCodes:
 
     def test_million_source_spectrum_is_refused_within_seconds(self, capsys):
         """Validating a linear array is O(N): the request reaches the
-        far-field budget at once instead of spending hours on pairwise
+        far-field budgets at once instead of spending hours on pairwise
         distances. A spectrum's steps share their array, so the sweep check
         charges its 200 steps 512 bytes each plus 96 bytes per source once,
-        and passes it on."""
+        and passes it on. The walk's chunks of two rows fit in memory, and
+        the work budget refuses the 128 fundamental rows of the folded arc:
+        7 operations per source for the path differences, and 7 for the
+        trig pass and 2 for the matvecs of each step."""
         started = time.perf_counter()
         code, out, err = run_cli(
             capsys, "spectrum", "--n-sources", "1000000", "--spacing", "0.5",
@@ -304,8 +323,11 @@ class TestExitCodes:
         )
         assert time.perf_counter() - started < 5.0
         assert code == 1
-        assert "error: far-field request of 256 detector points x 1000000 sources needs " in err
-        assert "over the budget of 1073741824 bytes" in err
+        assert err == (
+            "error: far-field request of 256 detector points x 1000000 sources x 200 arrays"
+            f" needs {128 * 1_000_000 * (7 + 200 * (7 + 2))} operations, over the work budget"
+            " of 10000000000 operations\n"
+        )
         assert out == ""
 
     def test_far_field_request_over_work_budget_is_runtime_failure(self, capsys):

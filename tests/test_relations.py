@@ -10,7 +10,9 @@ move, beyond rounding, when:
 - every phase is shifted by the same amount;
 - the positions are mirrored by a mirror of the detector: x -> -x on the
   arc and on a hemisphere with even samples, y -> -y on every hemisphere
-  (an odd hemisphere has no x -> -x mirror).
+  (an odd hemisphere has no x -> -x mirror);
+- the array is rotated about z by a multiple of 2 pi / samples, which maps
+  the hemisphere's phi nodes onto nodes of the same weight.
 
 The folded walk must also agree with the unfolded walk on the same
 request. Each relation runs on the arc and on the hemisphere with odd and
@@ -47,7 +49,6 @@ from coherray import (
     WaveMode,
     classical,
     classical_energy,
-    commensurate_box,
     farfield_power,
     field_energy_grid,
     make_linear_array,
@@ -57,6 +58,7 @@ from coherray import (
 )
 from coherray.core import TWO_PI
 from coherray.experiments import XorShift64Star
+from helpers import commensurate_box
 
 DETECTORS = [("arc", 64), ("arc", 65), ("arc", 66),
              ("hemisphere", 64), ("hemisphere", 65), ("hemisphere", 66)]
@@ -145,6 +147,38 @@ def test_folded_walk_agrees_with_the_unfolded_walk(monkeypatch, geometry, sample
     assert classical._fold(detector, array.positions).mirrors == ()
     assert_close(folded, farfield_power(array, detector), 1e-13)
     assert not math.isclose(folded[1], 1.0)
+
+
+def rotated_about_z(array, angle):
+    x, y, z = array.positions.T
+    cos, sin = math.cos(angle), math.sin(angle)
+    return SourceArray(np.stack([cos * x - sin * y, sin * x + cos * y, z], axis=1),
+                       array.phases, array.wavelength)
+
+
+@pytest.mark.parametrize("samples", [64, 65, 66])
+def test_hemisphere_power_is_invariant_under_a_rotation_about_z(samples):
+    """A line of 40 sources half a wavelength apart (k L = 122, more than
+    the phi nodes resolve, so a rotation by half a node step moves the
+    power by about 1%) keeps its power when rotated by m 2 pi / samples.
+    It folds onto the hemisphere's mirrors and, rotated off the axes, onto
+    none, so the relation also checks the folded walk against the unfolded
+    one where both walk a block in several chunks."""
+    rng = XorShift64Star(4000 + samples)
+    array = make_linear_array(40, 0.5, 1.0, rng.phases(40))
+    detector = detector_for(rng, array, "hemisphere", samples)
+    fold = classical._fold(detector, array.positions)
+    assert fold.mirrors == ((0, 1) if samples % 2 == 0 else (1,))
+    for mirrors, classes in ((fold.mirrors, len(fold.classes)), ((), 1)):
+        rows = classical._fundamental_rows(detector, mirrors)[3]
+        assert classical._chunk_rows(rows, 40, classes) < rows
+    expected = farfield_power(array, detector)
+    for m in (1, 3, samples // 2 - 1):
+        rotated = rotated_about_z(array, m * TWO_PI / samples)
+        assert classical._fold(detector, rotated.positions).mirrors == ()
+        assert_close(farfield_power(rotated, detector), expected, 1e-14)
+    off_node = farfield_power(rotated_about_z(array, 1.5 * TWO_PI / samples), detector)
+    assert abs(off_node[0] - expected[0]) > 1e-3 * expected[0]
 
 
 class WaveCase:
