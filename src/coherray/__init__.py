@@ -57,7 +57,6 @@ from .experiments import (
     SweepSpec,
     XorShift64Star,
     dicke_scaling_check,
-    find_resonances,
     run_sweep,
 )
 
@@ -89,7 +88,6 @@ __all__ = [
     "farfield_power",
     "farfield_powers",
     "field_energy_grid",
-    "find_resonances",
     "make_linear_array",
     "multimode_energy",
     "overlap_integral",

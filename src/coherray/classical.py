@@ -31,14 +31,14 @@ The path differences d are small and exact to full precision, so real
 cos/sin of k d replace the complex exponential of k r. The detector rows
 are walked in blocks, and each block in chunks of about 2^16 path
 differences, so the engine holds nothing that grows with the detector and
-nothing that couples its rows to the source count: each block builds its
-own quadrature points and weights and adds its partial of the
-origin-centered reference source, whose intensity 1/|p|^2 does not depend
-on k; each chunk's d is built once for every run of steps that keep their
-positions, and one cos/sin pass over it is shared by consecutive steps
-that change only the phases. Before it builds anything, the engine checks
-what the walk holds against MEMORY_BUDGET_BYTES and its trig and matvec
-work against WORK_BUDGET.
+nothing that couples its rows to the source count. Each block builds its
+quadrature points and weights once, and each group of arrays with equal
+positions walks it in turn, with arrays of its own: it adds its partial of
+the origin-centered reference source (1/|p|^2 at every k) and builds each
+chunk's d and 1/r once for every run of steps that keep their positions,
+and one cos/sin pass over them is shared by consecutive steps that change
+only the phases. Before it builds anything, the engine checks the largest
+group's walk against MEMORY_BUDGET_BYTES and its work against WORK_BUDGET.
 
 Both detectors are mirror-symmetric: the arc under x -> -x, the hemisphere
 under y -> -y and, when its samples are even, under x -> -x. When a mirror
@@ -58,7 +58,6 @@ other order of its sources) takes every row, with the nodes as listed.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -77,6 +76,7 @@ from .core import (
     WaveMode,
     _check_budget,
     _check_work,
+    _one_of,
     _readonly,
     _sinc,
     _swept,
@@ -130,19 +130,21 @@ _BLOCK_ROWS = 4096
 # materialized path differences per chunk of a far-field block: each group
 # walks a block's rows in chunks of about this many cells and at least
 # _CHUNK_MIN_ROWS rows, so a block of up to 16 sources is one chunk, and the
-# four chunk arrays (512 KB each) stay in cache while every phase set reads
-# them. Each chunk's weighted intensities are summed pairwise, and the chunk
-# partials added in order. The floor of two rows was timed on arc spectra
-# at N = 4000 and 20 000 (2-vCPU VM): at 20 000, chunks of 16 rows ran 9%
-# slower, since their arrays (5 MB each) no longer stay in cache
+# four chunk arrays (at most 512 KB each: the path differences and their 1/r
+# of the fundamental rows, the cos and sin of every materialized row) stay in
+# cache while every phase set reads them. Each chunk's weighted intensities
+# are summed pairwise, and the chunk partials added in order. The floor of
+# two rows was timed on arc spectra at N = 4000 and 20 000 (2-vCPU VM): at
+# 20 000, chunks of 16 rows ran 9% slower, since their arrays (5 MB each) no
+# longer stay in cache
 _CHUNK_CELLS = 1 << 16
 _CHUNK_MIN_ROWS = 2
 
 # far-field work per detector point and source, in the grid's operations
-# (WORK_BUDGET): building the path difference (once per positions group),
-# the 1/r, cos and sin of a trig pass (once per run of equal wavenumber),
-# and one phase set's four matvecs. Timed on a 2-vCPU VM at N = 64 and 300,
-# these took about 14.5, 16 and 1.7 ns, against 2.2 ns per grid operation
+# (WORK_BUDGET): the path difference and its 1/r (once per positions group),
+# the cos and sin of a trig pass (once per run of equal wavenumber) and one
+# phase set's four matvecs, timed at about 14.5, 16 and 1.7 ns (2-vCPU VM,
+# N = 64 and 300, 1/r then in the trig pass), 2.2 ns per grid operation
 _PATH_WORK = 7
 _TRIG_WORK = 7
 _MATVEC_WORK = 1
@@ -211,7 +213,8 @@ class DetectorGrid:
 
     def __post_init__(self):
         if self.geometry not in GEOMETRIES:
-            raise ValueError(f"geometry must be 'hemisphere' or 'arc', got {self.geometry!r}")
+            choices = _one_of(map(repr, GEOMETRIES))
+            raise ValueError(f"geometry must be {choices}, got {self.geometry!r}")
         if not (math.isfinite(self.radius) and self.radius > 0.0):
             raise ValueError("radius must be positive and finite")
         try:
@@ -577,27 +580,24 @@ def _chunk_rows(block_rows: int, n_sources: int, classes: int) -> int:
     return min(block_rows, max(_CHUNK_MIN_ROWS, _CHUNK_CELLS // (classes * n_sources)))
 
 
-def _run_powers(table, norms, weights, wavenumber, phasors, buffers, intensities) -> list[float]:
+def _run_powers(table, inverse, weights, wavenumber, phasors, buffers, intensities) -> list[float]:
     """One chunk's partial power of each phase set, given as its cos(phi) and
     sin(phi) in ``phasors``, for the sources of the chunk's path ``table`` of
-    fundamental rows.
+    fundamental rows, whose 1/r is ``inverse``.
 
     ``weights`` (classes, rows) holds each materialized row's weight: one
     class, or two when the second takes the sources reversed (see _Fold).
-    cos(k d)/r and sin(k d)/r are taken into the first two ``buffers`` (the
-    third holds 1/r) once for the fundamental rows and copied, columns
-    reversed, for the second class, and shared by every phase set. Each set
-    then takes four real matvecs over all the classes, writes its weighted
-    intensities into its row of ``intensities`` and sums them pairwise. A
-    set's partial is the same float whether it shares the pass with other
-    sets or not. The matvecs use einsum rather than BLAS, so the bits do not
-    depend on the BLAS kernel that the machine selects.
+    cos(k d)/r and sin(k d)/r are taken into the two ``buffers`` once for
+    the fundamental rows and copied, columns reversed, for the second class,
+    and shared by every phase set. Each set then takes four real matvecs
+    over all the classes, writes its weighted intensities into its row of
+    ``intensities`` and sums them pairwise. A set's partial is the same
+    float whether it shares the pass with other sets or not. The matvecs use
+    einsum rather than BLAS, so the bits do not depend on the BLAS kernel
+    that the machine selects.
     """
     classes, height = weights.shape
-    cosine, sine = (buffer[:classes * height] for buffer in buffers[:2])
-    inverse = buffers[2][:height]
-    np.add(table, norms[:, None], out=inverse)
-    np.reciprocal(inverse, out=inverse)
+    cosine, sine = (buffer[:classes * height] for buffer in buffers)
     fundamental_cos, fundamental_sin = cosine[:height], sine[:height]
     np.multiply(table, wavenumber, out=fundamental_cos)
     np.sin(fundamental_cos, out=fundamental_sin)
@@ -622,36 +622,67 @@ def _run_powers(table, norms, weights, wavenumber, phasors, buffers, intensities
     return partials
 
 
-def _block_walk(detector: DetectorGrid, groups, sizes) -> tuple[list[float], list[float]]:
-    """Detected power of every phase set of ``groups`` (see _position_groups),
-    in order, and of the origin-centered reference source on each group's
-    rows; ``sizes`` are the groups' sizes and folds that
-    _check_farfield_budget charged.
+class _Group(NamedTuple):
+    """The arrays of a far-field call that share positions (see _position_groups)."""
 
-    The groups are walked by their mirrors, the groups that share them
-    together, and their fundamental rows (see _fundamental_rows) _BLOCK_ROWS
-    materialized rows at a time. Each block builds its own points and
-    weights (see _detector_quadrature) and their distances |p| from the
-    origin. Then every group of the block adds its partial of the reference
-    source on its rows and walks the block in chunks (see _chunk_rows): each
-    chunk builds its path differences once, and every run of the group takes
-    one cos/sin pass over them (see _run_powers). A power is the sum of its
-    chunk partials in walk order. The walk holds one block's quadrature,
-    four chunk arrays and one chunk of intensities per phase set of the
-    longest run, allocated once and reshaped for each group, and the
-    group's |x|^2 and the cos and sin of its distinct phase arrays, taken
-    once per block.
+    positions: np.ndarray
+    phases: dict  # the distinct phase arrays, by id
+    runs: list  # consecutive runs of equal wavenumber, [(wavenumber, [id, ...]), ...]
+    fold: _Fold
+
+
+def _group_walk(group: _Group, rows: int, points, weights, norms, distinct, reference,
+                powers) -> float:
+    """Walk one block of _block_walk for ``group``, in chunks (see
+    _chunk_rows) of ``rows``, the fundamental rows of a whole block of its
+    mirrors: add each phase set's partial to ``powers``, in order, and
+    return the group's partial of the reference source, whose intensity on
+    each row is ``reference``. Each chunk builds its path differences and
+    their 1/r once, and each run of the group takes one cos/sin pass over
+    them (see _run_powers). The group's chunk arrays, intensities, |x|^2
+    and phasors are allocated here and freed on return."""
+    positions, phases, runs, fold = group
+    n, classes = positions.shape[0], len(fold.classes)
+    counts = np.array([np.sum([distinct[e] for e in c], axis=0) for c in fold.classes])
+    row_weights = counts * weights
+    squares = np.einsum("ij,ij->i", positions, positions)
+    phasors = {key: (np.cos(p), np.sin(p)) for key, p in phases.items()}
+    height = _chunk_rows(rows, n, classes)
+    table, inverse = np.empty((height, n)), np.empty((height, n))
+    buffers = np.empty((classes * height, n)), np.empty((classes * height, n))
+    intensities = np.empty((max(len(keys) for _, keys in runs), classes * height))
+    for chunk in _row_blocks(norms.size, height):
+        paths, inverses = (array[:chunk.stop - chunk.start] for array in (table, inverse))
+        _path_differences(points[chunk], norms[chunk], positions, squares, paths,
+                          [buffer[:len(paths)] for buffer in buffers])
+        np.add(paths, norms[chunk, None], out=inverses)
+        np.reciprocal(inverses, out=inverses)
+        partials = []
+        for wavenumber, keys in runs:
+            partials += _run_powers(paths, inverses, row_weights[:, chunk], wavenumber,
+                                    [phasors[key] for key in keys], buffers, intensities)
+        powers[:] = map(operator.add, powers, partials)
+    return float(np.multiply(reference, row_weights).sum())
+
+
+def _block_walk(detector: DetectorGrid, groups) -> tuple[list[float], list[float]]:
+    """Detected power of every phase set of ``groups`` (see _position_groups),
+    in order, and of the origin-centered reference source on the rows of
+    each set's group.
+
+    The groups that share their mirrors are walked together, _BLOCK_ROWS
+    materialized rows of their fundamental rows (see _fundamental_rows) at a
+    time. Each block builds its points, weights (see _detector_quadrature)
+    and distances |p| from the origin once per call, and each group walks
+    it in turn (see _group_walk); a power is the sum of its chunk partials
+    in walk order.
     """
-    shape = _walk_shape(detector, sizes)
-    flats = [np.empty(shape.cells) for _ in range(4)]
-    intensities = np.empty((shape.sets, shape.chunk))
-    firsts = list(itertools.accumulate((sum(lengths) for _, lengths, _, _ in sizes), initial=0))
-    powers = [0.0] * shape.arrays
+    powers = [[0.0] * sum(len(keys) for _, keys in group.runs) for group in groups]
     singles = [0.0] * len(groups)
-    for mirrors in dict.fromkeys(fold.mirrors for *_, fold in sizes):
-        members = [g for g, (*_, fold) in enumerate(sizes) if fold.mirrors == mirrors]
+    for mirrors in dict.fromkeys(group.fold.mirrors for group in groups):
+        members = [g for g, group in enumerate(groups) if group.fold.mirrors == mirrors]
         start, count, fundamental, rows = _fundamental_rows(detector, mirrors)
-        elements = sizes[members[0]][3].elements
+        elements = groups[members[0]].fold.elements
         for block in _row_blocks(fundamental, rows):
             rings, nodes = np.divmod(np.arange(block.start, block.stop), count)
             nodes += start
@@ -664,47 +695,27 @@ def _block_walk(detector: DetectorGrid, groups, sizes) -> tuple[list[float], lis
             reference = 1.0 / norms
             reference *= reference
             for g in members:
-                positions, phases, runs = groups[g]
-                fold = sizes[g][3]
-                n, classes = positions.shape[0], len(fold.classes)
-                counts = np.array([np.sum([distinct[e] for e in c], axis=0) for c in fold.classes])
-                row_weights = counts * weights
-                singles[g] += float(np.multiply(reference, row_weights).sum())
-                squares = np.einsum("ij,ij->i", positions, positions)
-                phasors = {key: (np.cos(p), np.sin(p)) for key, p in phases.items()}
-                height = _chunk_rows(rows, n, classes)
-                table, *buffers = (flat[:classes * height * n].reshape(classes * height, n)
-                                   for flat in flats)
-                for chunk in _row_blocks(norms.size, height):
-                    paths = table[:chunk.stop - chunk.start]
-                    _path_differences(points[chunk], norms[chunk], positions, squares, paths,
-                                      [buffer[:len(paths)] for buffer in buffers[:2]])
-                    first = firsts[g]
-                    for wavenumber, keys in runs:
-                        run = [phasors[key] for key in keys]
-                        partials = _run_powers(paths, norms[chunk], row_weights[:, chunk],
-                                               wavenumber, run, buffers, intensities)
-                        for index, partial in enumerate(partials, first):
-                            powers[index] += partial
-                        first += len(partials)
-    return powers, singles
+                singles[g] += _group_walk(groups[g], rows, points, weights, norms, distinct,
+                                          reference, powers[g])
+    return ([power for group_powers in powers for power in group_powers],
+            [single for group_powers, single in zip(powers, singles) for _ in group_powers])
 
 
-def _position_groups(arrays) -> list:
+def _position_groups(arrays, detector: DetectorGrid) -> list[_Group]:
     """The arrays as consecutive groups of equal positions, each with its
-    distinct phase arrays by id and split into consecutive runs of equal
-    wavenumber: [(positions, {id: phases}, [(wavenumber, [id, ...]), ...]),
-    ...]. Sweep steps share their array's positions object, so most steps
-    join a group without comparing their positions, and a spectrum's steps
-    share one phases object too."""
+    distinct phase arrays by id, its runs of equal wavenumber and its fold
+    onto ``detector`` (see _fold). Sweep steps share their array's positions
+    object, so most steps join a group without comparing their positions,
+    and a spectrum's steps share one phases object too."""
     groups = []
     for array in arrays:
         positions, wavenumber = array.positions, array.wavenumber
         if not groups or (
-            groups[-1][0] is not positions and groups[-1][0].tobytes() != positions.tobytes()
+            groups[-1].positions is not positions
+            and groups[-1].positions.tobytes() != positions.tobytes()
         ):
-            groups.append((positions, {}, []))
-        _, phases, runs = groups[-1]
+            groups.append(_Group(positions, {}, [], _fold(detector, positions)))
+        _, phases, runs, _ = groups[-1]
         phases.setdefault(id(array.phases), array.phases)
         if not runs or runs[-1][0] != wavenumber:
             runs.append((wavenumber, []))
@@ -712,64 +723,35 @@ def _position_groups(arrays) -> list:
     return groups
 
 
-class _WalkShape(NamedTuple):
-    """What _block_walk allocates for its groups, and what it walks."""
-
-    cells: int  # cells of each chunk array, the largest group's
-    chunk: int  # materialized rows of one chunk
-    rows: int  # materialized rows of one block
-    sets: int  # phase sets of the longest run
-    arrays: int  # phase sets of all runs
-    n_sources: int  # sources of the largest group
-
-
-def _walk_shape(detector: DetectorGrid, sizes) -> _WalkShape:
-    """The allocations of _block_walk for the groups of ``sizes`` (see
-    _check_farfield_budget)."""
-    cells = chunk = rows = 0
-    for n, _, _, fold in sizes:
-        block_rows = _fundamental_rows(detector, fold.mirrors)[3]
-        classes = len(fold.classes)
-        height = classes * _chunk_rows(block_rows, n, classes)
-        cells = max(cells, height * n)
-        chunk = max(chunk, height)
-        rows = max(rows, classes * block_rows)
-    runs = [sets for _, lengths, _, _ in sizes for sets in lengths]
-    n_sources = max((n for n, *_ in sizes), default=0)
-    return _WalkShape(cells, chunk, rows, max(runs, default=0), sum(runs), n_sources)
-
-
-def _check_farfield_budget(detector: DetectorGrid, sizes):
-    """Refuse a far-field request over either budget, before anything is
-    built; ``sizes`` gives each positions group's source count, run lengths,
-    distinct phase arrays and fold,
-    [(n_sources, [phase sets, ...], phase arrays, _Fold), ...]. Memory: what
-    _block_walk holds (see _walk_shape), that is the four chunk arrays, one
-    chunk of materialized intensities per phase set of the longest run, and
-    _ROW_COLUMNS per materialized row of one block for its quadrature; and
-    per source, the squares |x|^2 of the largest group, the cos and sin of
-    each group's distinct phase arrays and the fold check's temporaries;
-    and _WALK_BUFFER_BYTES. No term grows with the detector's
-    point count, and none couples a block's rows to the source count. Work:
-    per fundamental row and source, _PATH_WORK for each group and _TRIG_WORK
-    for each run, and per materialized row and source _MATVEC_WORK for each
-    phase set."""
-    points = detector.n_points
-    shape = _walk_shape(detector, sizes)
-    phasors = max((n * distinct for n, _, distinct, _ in sizes), default=0)
-    needed = (8 * (4 * shape.cells + shape.chunk * shape.sets + shape.rows * _ROW_COLUMNS
-                   + shape.n_sources) + 16 * phasors
-              + _FOLD_SOURCE_BYTES * shape.n_sources + _WALK_BUFFER_BYTES)
-    request = f"far-field request of {points} detector points x {shape.n_sources} sources"
-    _check_budget(needed, request)
-    work = 0
-    for n, lengths, _, fold in sizes:
-        fundamental = _fundamental_rows(detector, fold.mirrors)[2]
-        classes = len(fold.classes)
+def _check_farfield_budget(detector: DetectorGrid, groups):
+    """Refuse a far-field request for ``groups`` (see _position_groups) over
+    either budget, before anything is built. Memory: the most that one
+    group's walk of a block holds (see _group_walk): the path differences
+    and 1/r of a chunk's fundamental rows, the cos and sin of its
+    materialized rows, a chunk of intensities per phase set of the longest
+    run, _ROW_COLUMNS per materialized block row, and per source |x|^2, the
+    cos and sin of each distinct phase array and the fold check; plus
+    _WALK_BUFFER_BYTES. No term grows with the detector or couples a block's
+    rows to the source count. Work: per fundamental row and source,
+    _PATH_WORK for each group and _TRIG_WORK for each run, and per
+    materialized row and source _MATVEC_WORK for each phase set."""
+    needed = work = arrays = n_sources = 0
+    for positions, phases, runs, fold in groups:
+        n, classes = positions.shape[0], len(fold.classes)
+        fundamental, rows = _fundamental_rows(detector, fold.mirrors)[2:]
+        height = _chunk_rows(rows, n, classes)
+        sets = [len(keys) for _, keys in runs]
+        needed = max(needed, 8 * ((2 + 2 * classes) * height * n + classes * height * max(sets)
+                                  + classes * rows * _ROW_COLUMNS + n)
+                     + (16 * len(phases) + _FOLD_SOURCE_BYTES) * n)
         work += fundamental * n * (
-            _PATH_WORK + sum(_TRIG_WORK + _MATVEC_WORK * classes * sets for sets in lengths)
+            _PATH_WORK + sum(_TRIG_WORK + _MATVEC_WORK * classes * s for s in sets)
         )
-    _check_work(work, f"{request} x {shape.arrays} arrays")
+        arrays += sum(sets)
+        n_sources = max(n_sources, n)
+    request = f"far-field request of {detector.n_points} detector points x {n_sources} sources"
+    _check_budget(needed + _WALK_BUFFER_BYTES, request)
+    _check_work(work, f"{request} x {arrays} arrays")
 
 
 def _check_sweep_budget(steps: int, n_sources: int, kind: str):
@@ -808,8 +790,8 @@ def farfield_powers(arrays, detector: DetectorGrid) -> tuple[np.ndarray, np.ndar
     builds its rows of the path table once for every run of consecutive
     arrays with the same positions, and consecutive arrays that also share
     the wavenumber share one cos/sin pass over them. The walk holds one
-    block of quadrature and one chunk of path differences, never the whole
-    detector. Positions that a detector mirror maps onto themselves fold
+    block of quadrature and one group's chunk of path differences at a
+    time, never the whole detector. Positions that a detector mirror maps onto themselves fold
     (see _fold): the walk takes only one node of each mirror orbit through
     the path table and the cos/sin pass.
 
@@ -825,13 +807,9 @@ def farfield_powers(arrays, detector: DetectorGrid) -> tuple[np.ndarray, np.ndar
             raise FarFieldViolationError(
                 f"detector radius {detector.radius} below far-field threshold {threshold}"
             )
-    groups = _position_groups(arrays)
-    sizes = [(positions.shape[0], [len(keys) for _, keys in runs], len(phases),
-              _fold(detector, positions)) for positions, phases, runs in groups]
-    _check_farfield_budget(detector, sizes)
-    powers, singles = _block_walk(detector, groups, sizes)
-    powers = np.array(powers, dtype=float)
-    references = np.repeat(singles, [sum(lengths) for _, lengths, _, _ in sizes])
+    groups = _position_groups(arrays, detector)
+    _check_farfield_budget(detector, groups)
+    powers, references = (np.array(column, dtype=float) for column in _block_walk(detector, groups))
     counts = np.array([array.n_sources for array in arrays], dtype=float)
     return powers, powers / (counts * references)
 

@@ -88,6 +88,12 @@ def _check_wave_budget(n_waves: int):
     _check_budget(_WAVE_BYTES * n_waves, f"phase set of {n_waves} waves")
 
 
+def _one_of(names) -> str:
+    """The choices ``names`` as the text "a, b or c", for error messages."""
+    *rest, last = names
+    return f"{', '.join(rest)} or {last}"
+
+
 def _readonly(arr: np.ndarray) -> np.ndarray:
     arr = np.array(arr, copy=True)
     arr.flags.writeable = False

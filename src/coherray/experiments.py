@@ -1,4 +1,4 @@
-"""Deterministic parameter sweeps, scaling fits, and resonance detection.
+"""Deterministic parameter sweeps and scaling fits.
 
 Every randomized draw comes from the xorshift64* generator defined here,
 so runs are reproducible bit-for-bit from the seed alone, in any
@@ -27,6 +27,7 @@ from .core import (
     WaveMode,
     _check_budget,
     _check_wave_budget,
+    _one_of,
     _swept,
     make_linear_array,
 )
@@ -125,7 +126,8 @@ def _sweep_phase_profile(fixed: dict, n: int, stream: XorShift64Star) -> np.ndar
     _check_wave_budget(n)
     profile = fixed.get("phase_profile", PHASE_PROFILES[0])
     if profile not in PHASE_PROFILES:
-        raise ConfigError(f"unknown phase_profile {profile!r} (use 'uniform' or 'random')")
+        choices = _one_of(map(repr, PHASE_PROFILES))
+        raise ConfigError(f"unknown phase_profile {profile!r} (use {choices})")
     if profile == "random":
         return stream.phases(n)
     return np.full(n, float(fixed.get("phase", 0.0)))
@@ -348,7 +350,7 @@ def dicke_scaling_check(
     if any(n < 1 for n in ns):
         raise ValueError("N values must be positive")
     if regime not in REGIMES:
-        raise ValueError(f"regime must be 'closed_form' or 'farfield', got {regime!r}")
+        raise ValueError(f"regime must be {_one_of(map(repr, REGIMES))}, got {regime!r}")
     if not (math.isfinite(jitter) and jitter >= 0.0):
         raise ValueError("jitter must be nonnegative and finite")
 
@@ -371,8 +373,10 @@ def dicke_scaling_check(
         # own positions, held like a source_count sweep's step (a jittered
         # build peaks at 96 bytes per source, measured), and charged the
         # unfolded walk's work, the most any fold does (farfield_powers then
-        # charges each array's own fold)
-        classical._check_farfield_budget(detector, [(n, [1], 1, classical._UNFOLDED) for n in ns])
+        # charges each array's own fold), with no positions built
+        groups = [classical._Group(np.empty((n, 0)), {0: None}, [(None, [0])], classical._UNFOLDED)
+                  for n in ns]
+        classical._check_farfield_budget(detector, groups)
         _check_sweep_budget(len(ns), ns[-1], "source_count")
         arrays = []
         for n in ns:
@@ -396,32 +400,3 @@ def dicke_scaling_check(
     r_squared = 1.0 - ss_res / ss_tot if ss_tot > 0.0 else 1.0
     points = tuple((n, float(e)) for n, e in zip(ns, energies))
     return ScalingFit(float(slope), min(max(r_squared, 0.0), 1.0), points)
-
-
-def find_resonances(curve: SpectrumCurve) -> list[tuple[float, float]]:
-    """Detect interior enhancement peaks in a swept curve.
-
-    A resonance is a local maximum that strictly exceeds both neighbors
-    and exceeds 1.05x the curve's global minimum. A flat-topped peak is
-    reported once, at its smallest parameter value. Results are sorted by
-    parameter.
-    """
-    enhancement = curve.enhancement
-    parameter = curve.parameter
-    count = enhancement.size
-    if count < 3:
-        return []
-    threshold = 1.05 * float(enhancement.min())
-    peaks: list[tuple[float, float]] = []
-    i = 1
-    while i < count - 1:
-        if enhancement[i] > enhancement[i - 1]:
-            j = i
-            while j + 1 < count and enhancement[j + 1] == enhancement[i]:
-                j += 1
-            if j < count - 1 and enhancement[j + 1] < enhancement[i] and enhancement[i] > threshold:
-                peaks.append((float(parameter[i]), float(enhancement[i])))
-            i = j + 1
-        else:
-            i += 1
-    return peaks

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _check_budget, _check_work
+from .core import _check_budget, _check_work, _one_of
 
 # coherent states are rejected when the truncated tail carries more weight
 COHERENT_TAIL_LIMIT = 1e-8
@@ -246,7 +246,7 @@ def single_mode_hamiltonian(
     if phases.size == 0 or not np.all(np.isfinite(phases)):
         raise ValueError("phase list must be nonempty and finite")
     if convention not in CONVENTIONS:
-        raise ValueError(f"convention {convention!r} is not canonical, phased-plus or phased-minus")
+        raise ValueError(f"convention {convention!r} is not {_one_of(CONVENTIONS)}")
     sign = _PHASED_SIGNS.get(convention)
 
     n_waves = phases.size

@@ -2,12 +2,14 @@
 
 ``commensurate_box`` builds the boxes on which the grid route's energy does
 not depend on where the box sits, so the grid can be compared with the
-closed form at any placement.
+closed form at any placement. ``find_resonances`` finds the interior
+enhancement peaks of a swept curve, such as the grating lobes of a sparse
+array's spectrum.
 """
 
 import numpy as np
 
-from coherray import BoxVolume, WaveMode
+from coherray import BoxVolume, SpectrumCurve, WaveMode
 
 
 def commensurate_box(mode: WaveMode, lengths, center=(0.0, 0.0, 0.0)) -> BoxVolume:
@@ -24,3 +26,32 @@ def commensurate_box(mode: WaveMode, lengths, center=(0.0, 0.0, 0.0)) -> BoxVolu
     periods = max(1, round(adjusted[axis] / wavelength))
     adjusted[axis] = periods * wavelength
     return BoxVolume(adjusted, np.asarray(center, dtype=float))
+
+
+def find_resonances(curve: SpectrumCurve) -> list[tuple[float, float]]:
+    """Detect interior enhancement peaks in a swept curve.
+
+    A resonance is a local maximum that strictly exceeds both neighbors
+    and exceeds 1.05x the curve's global minimum. A flat-topped peak is
+    reported once, at its smallest parameter value. Results are sorted by
+    parameter.
+    """
+    enhancement = curve.enhancement
+    parameter = curve.parameter
+    count = enhancement.size
+    if count < 3:
+        return []
+    threshold = 1.05 * float(enhancement.min())
+    peaks: list[tuple[float, float]] = []
+    i = 1
+    while i < count - 1:
+        if enhancement[i] > enhancement[i - 1]:
+            j = i
+            while j + 1 < count and enhancement[j + 1] == enhancement[i]:
+                j += 1
+            if j < count - 1 and enhancement[j + 1] < enhancement[i] and enhancement[i] > threshold:
+                peaks.append((float(parameter[i]), float(enhancement[i])))
+            i = j + 1
+        else:
+            i += 1
+    return peaks

@@ -25,7 +25,6 @@ from coherray import (
     expectation_energy,
     farfield_power,
     field_energy_grid,
-    find_resonances,
     make_linear_array,
     overlap_integral,
     overlap_integral_quadrature,
@@ -34,7 +33,7 @@ from coherray import (
     single_wave_energy,
     transmission_spectrum,
 )
-from helpers import commensurate_box
+from helpers import commensurate_box, find_resonances
 
 TWO_PI = 2.0 * math.pi
 UNIT_MODE = WaveMode.plane(np.array([TWO_PI, 0.0, 0.0]))

@@ -9,7 +9,10 @@ import ast
 import importlib
 from pathlib import Path
 
+import pytest
+
 import coherray
+from coherray import classical, experiments, quantum
 
 TRACE_FILE = Path(__file__).resolve().parents[1] / "bench" / "trace.py"
 
@@ -40,3 +43,34 @@ def test_every_traced_function_exists():
         if not callable(getattr(importlib.import_module(f"coherray.{layer}"), name, None))
     ]
     assert not missing, f"bench/trace.py wraps functions that are gone: {missing}"
+
+
+# (module, choices tuple, call with an unknown choice, its message)
+CHOICE_ERRORS = [
+    (classical, "GEOMETRIES", lambda: classical.DetectorGrid(1.0, "disc"),
+     "geometry must be {}, got 'disc'", "'hemisphere' or 'arc'"),
+    (experiments, "REGIMES", lambda: experiments.dicke_scaling_check([2, 4, 8], regime="x"),
+     "regime must be {}, got 'x'", "'closed_form' or 'farfield'"),
+    (experiments, "PHASE_PROFILES",
+     lambda: experiments._sweep_phase_profile({"phase_profile": "x"}, 3, None),
+     "unknown phase_profile 'x' (use {})", "'uniform' or 'random'"),
+    (quantum, "CONVENTIONS",
+     lambda: quantum.single_mode_hamiltonian([0.0], 1.0, coherray.FockSpace(3), "x"),
+     "convention 'x' is not {}", "canonical, phased-plus or phased-minus"),
+]
+
+
+@pytest.mark.parametrize("module, name, call, message, choices", CHOICE_ERRORS,
+                         ids=[case[1] for case in CHOICE_ERRORS])
+def test_choice_errors_name_the_choices_of_their_tuple(monkeypatch, module, name, call,
+                                                       message, choices):
+    """Each message has its fixed text, and the choices it lists are the
+    tuple's: a choice added to the tuple shows up in the message."""
+    with pytest.raises((ValueError, coherray.ConfigError)) as refused:
+        call()
+    assert str(refused.value) == message.format(choices)
+    monkeypatch.setattr(module, name, (*getattr(module, name), "new"))
+    with pytest.raises((ValueError, coherray.ConfigError)) as refused:
+        call()
+    last = "'new'" if "'" in choices else "new"
+    assert str(refused.value) == message.format(choices.replace(" or ", ", ") + " or " + last)

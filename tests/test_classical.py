@@ -1025,6 +1025,26 @@ def budget_case_array(rng, n_sources, layout):
     return SourceArray(positions, rng.phases(side * side), 1.0)
 
 
+def peak_and_charge(monkeypatch, arrays, detector):
+    """The tracemalloc peak of one far-field call and the memory charges it
+    checked."""
+    charged = []
+    original = classical._check_budget
+
+    def recording(needed, request):
+        charged.append(needed)
+        return original(needed, request)
+
+    monkeypatch.setattr(classical, "_check_budget", recording)
+    tracemalloc.start()
+    try:
+        farfield_powers(arrays, detector)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, charged
+
+
 @pytest.mark.parametrize(
     "geometry, samples, n_sources, layout", BUDGET_CASES,
     ids=[f"{g}-{s}-{n}" + ("" if layout == "random" else f"-{layout}")
@@ -1041,20 +1061,44 @@ def test_far_field_budget_covers_the_measured_peak(
     rng = XorShift64Star(samples + n_sources)
     array = budget_case_array(rng, n_sources, layout)
     detector = far_detector(rng, [array], geometry, samples)
-    charged = []
-    original = classical._check_budget
+    peak, charged = peak_and_charge(monkeypatch, [array], detector)
+    assert len(charged) == 1
+    assert peak <= charged[0]
 
-    def recording(needed, request):
-        charged.append(needed)
-        return original(needed, request)
 
-    monkeypatch.setattr(classical, "_check_budget", recording)
-    tracemalloc.start()
-    try:
-        farfield_power(array, detector)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+# (geometry, samples, groups): four lines of rising N that fold onto the
+# arc's mirror and cut a block into fewer rows per chunk as N grows; and a
+# folded line, the same line jittered (unfolded) and a short line, on one
+# hemisphere, so groups of different folds share a call and each other's
+# blocks
+MULTI_GROUP_CASES = [
+    ("arc", 8192, [(9, "linear"), (40, "linear"), (300, "linear"), (4000, "linear")]),
+    ("hemisphere", 96, [(64, "linear"), (64, "jittered"), (8, "linear")]),
+]
+
+
+@pytest.mark.parametrize("geometry, samples, groups", MULTI_GROUP_CASES,
+                         ids=[f"{g}-{s}" for g, s, _ in MULTI_GROUP_CASES])
+def test_far_field_budget_covers_the_measured_peak_of_several_groups(
+    monkeypatch, geometry, samples, groups
+):
+    """A call of several positions groups holds one block's quadrature and
+    one group's walk of it at a time, and each group's arrays are freed
+    before the next group walks: the charge, the largest single group's
+    walk, covers the peak of the whole call."""
+    rng = XorShift64Star(samples + len(groups))
+    arrays = []
+    for n_sources, layout in groups:
+        array = budget_case_array(rng, n_sources, "linear")
+        if layout == "jittered":
+            positions = array.positions.copy()
+            positions[:, 0] += [0.01 * (rng.uniform() - 0.5) for _ in range(n_sources)]
+            array = SourceArray(positions, rng.phases(n_sources), array.wavelength)
+        arrays += [array, replace(array, phases=rng.phases(n_sources))]
+    detector = far_detector(rng, arrays, geometry, samples)
+    folds = {classical._fold(detector, array.positions).mirrors for array in arrays}
+    assert len(folds) == (1 if geometry == "arc" else 2)
+    peak, charged = peak_and_charge(monkeypatch, arrays, detector)
     assert len(charged) == 1
     assert peak <= charged[0]
 

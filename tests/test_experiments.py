@@ -17,7 +17,6 @@ from coherray import (
     biphoton_energy,
     dicke_scaling_check,
     farfield_power,
-    find_resonances,
     make_linear_array,
     phase_sum,
     run_sweep,
@@ -27,6 +26,7 @@ from coherray import (
 from coherray import classical, experiments
 from coherray.multimode import WavepacketSpectrum
 from coherray.core import BoxVolume
+from helpers import find_resonances
 
 TWO_PI = 2.0 * math.pi
 

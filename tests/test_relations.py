@@ -31,7 +31,18 @@ Hamiltonian's diagonal (`single_mode_hamiltonian`, which has no
 amplitude) must not move, beyond rounding, when the phases are permuted
 or shifted by one amount, and the two classical energies must scale by
 |c|^2 when the amplitude is multiplied by a complex c. Each tolerance is
-relative to the diagonal energy, the N uncoupled waves' share.
+relative to the diagonal energy, the N uncoupled waves' share. N waves of
+one phase reach the Dicke limit: N^2 E1 in the closed form and on the
+grid, and N times the uncoupled diagonal in the Hamiltonian (canonical
+convention).
+
+The CLI's ``units.energy-scale`` acts on emitted energies and nothing
+else: a scale of 2 doubles, exactly, the cells that ``cli._ENERGIES``
+names, in every subcommand, and leaves every other byte of the output as
+it was but the echo of the scale itself. A far-field sweep split into two
+sweeps gives the bits of the whole sweep at every step, since each step is
+a positions group of its own and its bits do not depend on the other
+arrays of the call.
 
 Inputs are seeded.
 """
@@ -46,13 +57,16 @@ from coherray import (
     FockSpace,
     PhasedWaveSet,
     SourceArray,
+    SweepSpec,
     WaveMode,
     classical,
+    cli,
     classical_energy,
     farfield_power,
     field_energy_grid,
     make_linear_array,
     quantum,
+    run_sweep,
     single_mode_hamiltonian,
     single_wave_energy,
 )
@@ -242,3 +256,102 @@ def test_hamiltonian_obeys_the_phase_relations(seed):
     for phases in (case.phases + case.shift, case.phases[case.order]):
         got = single_mode_hamiltonian(phases, case.omega, space, case.convention)
         assert np.all(np.abs(got - expected) <= 4e-14 * diagonal)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_equal_phases_reach_the_dicke_limit(seed):
+    """N waves of one common phase give N^2 E1: the closed form and the
+    grid within their relations' tolerance of the diagonal energy, and
+    each Hamiltonian entry N times the uncoupled diagonal, within 4e-14."""
+    case = WaveCase(seed)
+    n = case.n
+    phases = np.full(n, case.shift)
+    unit = single_wave_energy(case.mode)
+    assert abs(classical_energy(waves(case.mode, phases)).total - n * n * unit) <= (
+        1e-14 * n * unit)
+    unit = single_wave_energy(case.mode, case.box)
+    grid = field_energy_grid(waves(case.mode, phases), case.box, 24).energy
+    assert abs(grid - n * n * unit) <= 1e-14 * n * unit
+    space = FockSpace(n_max=8)
+    uncoupled = n * case.omega * (np.arange(space.levels) + 0.5)
+    diagonal = single_mode_hamiltonian(phases, case.omega, space)
+    assert np.all(np.abs(diagonal / uncoupled - n) <= 4e-14 * n)
+
+
+# one cheap run of each subcommand
+SUBCOMMAND_RUNS = [
+    ["classical", "--n-waves", "3", "--delta-phi", "0.4"],
+    ["quantum", "--n-waves", "3", "--delta-phi", "0.7", "--n", "2", "--n-max", "8"],
+    ["overlap", "--dk", "1,2,0.5", "--box", "2,1,1"],
+    ["biphoton", "--overlap", "0.8,0.1", "--delta-phi", "1.2"],
+    ["wavepacket", "--components", "6.28,1,0;7.85,0.5,0.3", "--box", "2,1,1"],
+    ["sweep", "--target", "farfield_power", "--parameter", "phase_delta", "--start", "0",
+     "--stop", "3", "--steps", "3", "--n-sources", "3", "--spacing", "0.25",
+     "--wavelength", "1", "--samples", "64"],
+    ["dicke", "--n-values", "2,3,5"],
+    ["spectrum", "--n-sources", "4", "--spacing", "0.5", "--wavelength-min", "0.5",
+     "--wavelength-max", "2", "--steps", "3", "--samples", "64"],
+]
+
+
+def emitted_rows(text):
+    """The CSV output's comment lines, columns and rows, every cell as its
+    text."""
+    lines = text.splitlines()
+    comments = [line for line in lines if line.startswith("#")]
+    body = [line.split(",") for line in lines[len(comments):]]
+    return comments, body[0], body[1:]
+
+
+def is_number(text):
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("argv", SUBCOMMAND_RUNS, ids=lambda argv: argv[0])
+def test_energy_scale_doubles_the_energy_cells_and_nothing_else(tmp_path, capsys, argv):
+    outputs = []
+    for scale in ("1.0", "2.0"):
+        path = tmp_path / f"scale-{scale}.ini"
+        path.write_text(f"units.energy-scale = {scale}\n", encoding="utf-8")
+        assert cli.main(argv + ["--config", str(path)]) == 0
+        outputs.append(emitted_rows(capsys.readouterr().out))
+    (plain_meta, columns, plain), (scaled_meta, scaled_columns, scaled) = outputs
+    echoes = [line for line in plain_meta if "config.energy-scale" in line]
+    assert len(echoes) == 1
+    assert scaled_meta == [line.replace("= 1", "= 2") if line in echoes else line
+                           for line in plain_meta]
+    assert scaled_columns == columns and len(scaled) == len(plain)
+    doubled = 0
+    for before, after in zip(plain, scaled):
+        assert len(after) == len(before)
+        energy_row = before[0] in cli._ENERGIES
+        for column, a, b in zip(columns, before, after):
+            if is_number(a) and (energy_row or column in cli._ENERGIES):
+                assert float(b) == 2.0 * float(a)
+                doubled += float(a) != 0.0
+            else:
+                assert b == a
+    assert doubled > 0 or argv[0] == "overlap"
+
+
+@pytest.mark.parametrize(
+    "parameter, start, stop, fixed",
+    [("spacing", 0.125, 1.0, {"n_sources": 5, "wavelength": 1.0}),
+     ("source_count", 1.0, 8.0, {"spacing": 0.375, "wavelength": 1.0, "phase": 0.5})],
+)
+def test_a_split_far_field_sweep_gives_the_bits_of_the_whole(parameter, start, stop, fixed):
+    """Eight dyadic steps against the same steps as two sweeps of four, on
+    one detector: its radius and samples are passed, since the default
+    radius depends on the arrays of the whole sweep."""
+    fixed = {**fixed, "radius": 1000.0, "samples": 256}
+    whole = run_sweep(SweepSpec("farfield_power", parameter, start, stop, 8, fixed))
+    middle = start + (stop - start) * 3 / 7
+    halves = [run_sweep(SweepSpec("farfield_power", parameter, lo, hi, 4, fixed))
+              for lo, hi in ((start, middle), (middle + (stop - start) / 7, stop))]
+    for column in ("parameter", "power", "enhancement"):
+        split = np.concatenate([getattr(half, column) for half in halves])
+        assert split.tobytes() == getattr(whole, column).tobytes()
