@@ -35,10 +35,12 @@ nothing that couples its rows to the source count. Each block builds its
 quadrature points and weights once, and each group of arrays with equal
 positions walks it in turn, with arrays of its own: it adds its partial of
 the origin-centered reference source (1/|p|^2 at every k) and builds each
-chunk's d and 1/r once for every run of steps that keep their positions,
-and one cos/sin pass over them is shared by consecutive steps that change
-only the phases. Before it builds anything, the engine checks the largest
-group's walk against MEMORY_BUDGET_BYTES and its work against WORK_BUDGET.
+chunk's d and 1/r once, source-major, for every run of steps that keep
+their positions. Steps that change only the phases share a run, and
+consecutive runs of as many steps a batch, with one cos and one sin pass
+and einsum matvecs that sum each row's sources in ascending order. Before
+it builds anything, the engine checks the largest group's walk against
+MEMORY_BUDGET_BYTES and its work against WORK_BUDGET.
 
 Both detectors are mirror-symmetric: the arc under x -> -x, the hemisphere
 under y -> -y and, when its samples are even, under x -> -x. When a mirror
@@ -49,7 +51,7 @@ node per orbit of the mirrors, and takes path differences and cos/sin only
 there. An image node is the exact sign flip of its fundamental node, so
 its row is the fundamental row with the sources in order or reversed. The
 in-order images add their weight to the fundamental row; the reversed ones
-share one column-reversed copy of it for the matvecs. A linear array takes
+sum the fundamental row against the phases reversed. A linear array takes
 cos/sin over half the arc, a quarter of an even hemisphere and half an odd
 one; on the hemisphere its y -> -y images merge, so it takes half the
 matvecs. Any other array (a jittered one, or one symmetric only under some
@@ -58,6 +60,7 @@ other order of its sources) takes every row, with the nodes as listed.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -127,16 +130,15 @@ _GRID_CALL_BYTES = 8192
 # quadrature, shared by every positions group that folds onto the same mirrors
 _BLOCK_ROWS = 4096
 
-# materialized path differences per chunk of a far-field block: each group
-# walks a block's rows in chunks of about this many cells and at least
-# _CHUNK_MIN_ROWS rows, so a block of up to 16 sources is one chunk, and the
-# four chunk arrays (at most 512 KB each: the path differences and their 1/r
-# of the fundamental rows, the cos and sin of every materialized row) stay in
-# cache while every phase set reads them. Each chunk's weighted intensities
-# are summed pairwise, and the chunk partials added in order. The floor of
-# two rows was timed on arc spectra at N = 4000 and 20 000 (2-vCPU VM): at
-# 20 000, chunks of 16 rows ran 9% slower, since their arrays (5 MB each) no
-# longer stay in cache
+# path differences per chunk of a far-field block, and runs x sources x
+# rows per batch of runs: each group walks a block's fundamental rows in
+# chunks of about this many cells and at least _CHUNK_MIN_ROWS rows, so a
+# block of up to 16 sources is one chunk, and the three chunk arrays (about
+# 512 KB at most: the path differences, their 1/r, a batch's cos or sin)
+# stay in cache. Each chunk's weighted intensities are summed pairwise, and
+# the chunk partials added in order. The floor of two rows was timed on arc
+# spectra at N = 4000 and 20 000 (2-vCPU VM): at 20 000, chunks of 16 rows
+# ran 9% slower, since their arrays (5 MB each) no longer stay in cache
 _CHUNK_CELLS = 1 << 16
 _CHUNK_MIN_ROWS = 2
 
@@ -152,8 +154,8 @@ _MATVEC_WORK = 1
 # float columns per materialized block row: the block's quadrature (of its
 # fundamental rows) and its build's temporaries, the previous block's
 # quadrature (still referenced while the next is built), the row weights and
-# reference intensities, and the matvec results of a chunk, which is at most
-# the block; an unfolded hemisphere block peaks at 19.2 (tracemalloc, N = 8)
+# reference intensities; an unfolded hemisphere block peaked at 19.2 with
+# one phase set's matvec results, now charged per batch (tracemalloc, N = 8)
 _ROW_COLUMNS = 20
 
 # bytes the far-field walk holds whatever its size: the buffers numpy's
@@ -473,7 +475,7 @@ class _Fold(NamedTuple):
     mirrors, the identity first, each as a tuple of axes. ``classes``: the
     elements' indices grouped by whether they take the sources in order or
     reversed, the in-order class first; each class is one materialized row
-    per fundamental node, the second the first's columns reversed."""
+    per fundamental node; the second sums it against the phases reversed."""
 
     mirrors: tuple
     elements: tuple
@@ -506,7 +508,7 @@ def _fold(detector: DetectorGrid, positions: np.ndarray) -> _Fold:
     row's cos/sin are the fundamental row's, in order or reversed. A product
     of mirrors reverses the sources when an odd number of its mirrors do.
     The in-order images add their weight to the fundamental row; the
-    reversed ones share one materialized row. A group with no mirror is one
+    reversed ones share one row of intensities. A group with no mirror is one
     class of one element, which is the unfolded walk."""
     reverses = {}
     for axis in _detector_mirrors(detector):
@@ -541,85 +543,90 @@ def _distinct_images(detector: DetectorGrid, elements, nodes) -> list:
     return distinct
 
 
-def _path_differences(points, norms, positions, squares, table, scratch):
+def _path_differences(points, norms, positions, squares, table, inverse, scratch):
     """Path differences d = r - |p| from each source x to each detector
-    point p of one chunk, where r = |p - x|, written into ``table`` (rows, N).
+    point p of one chunk, r = |p - x|, into ``table`` (N, rows), and 1/r
+    into ``inverse``.
 
     r is summed one coordinate at a time; d is then formed as
     (|x|^2 - 2 p.x) / (r + |p|), the same quantity with no cancellation
     between r and |p|, so d keeps full relative precision however far the
-    detector is; ``squares`` holds each |x|^2. The two arrays of
-    ``scratch``, shaped like ``table``, are its temporaries.
+    detector is; ``squares`` holds each |x|^2. ``inverse`` holds r + |p|
+    until then, and ``scratch``, shaped like ``table``, each coordinate's.
     """
-    distance, product = scratch
-    distance.fill(0.0)
+    inverse.fill(0.0)
     table.fill(0.0)
     for axis in range(3):
-        np.subtract(points[:, axis:axis + 1], positions[:, axis], out=product)
-        product *= product
-        distance += product
-        np.multiply(points[:, axis:axis + 1], positions[:, axis], out=product)
-        table += product
-    np.sqrt(distance, out=distance)
-    distance += norms[:, None]
+        np.subtract(points[:, axis], positions[:, axis:axis + 1], out=scratch)
+        scratch *= scratch
+        inverse += scratch
+        np.multiply(points[:, axis], positions[:, axis:axis + 1], out=scratch)
+        table += scratch
+    np.sqrt(inverse, out=inverse)
+    inverse += norms
     table *= -2.0
-    table += squares
-    table /= distance
+    table += squares[:, None]
+    table /= inverse
+    np.add(table, norms, out=inverse)
+    np.reciprocal(inverse, out=inverse)
 
 
 def _row_blocks(count: int, rows: int = _BLOCK_ROWS):
-    """Slices of ``count`` detector rows, ``rows`` at a time."""
-    return (slice(start, min(start + rows, count)) for start in range(0, count, rows))
+    """Slices of ``count`` detector rows, ``rows`` at a time; a last row that
+    would stand alone joins the slice before it, since einsum sums a lone
+    row's sources in an order of its own (see _run_powers)."""
+    stops = [*range(rows, count - 1, rows), count]
+    return map(slice, [0, *stops[:-1]], stops)
 
 
-def _chunk_rows(block_rows: int, n_sources: int, classes: int) -> int:
+def _chunk_rows(block_rows: int, n_sources: int) -> int:
     """Fundamental rows per chunk of a block of ``block_rows`` rows, for a
-    group of ``n_sources`` columns that materializes ``classes`` rows for
-    each: about _CHUNK_CELLS materialized cells, at least _CHUNK_MIN_ROWS
-    rows and at most the block."""
-    return min(block_rows, max(_CHUNK_MIN_ROWS, _CHUNK_CELLS // (classes * n_sources)))
+    group of ``n_sources`` sources: about _CHUNK_CELLS path differences, at
+    least _CHUNK_MIN_ROWS rows and at most the block."""
+    return min(block_rows, max(_CHUNK_MIN_ROWS, _CHUNK_CELLS // n_sources))
 
 
-def _run_powers(table, inverse, weights, wavenumber, phasors, buffers, intensities) -> list[float]:
-    """One chunk's partial power of each phase set, given as its cos(phi) and
-    sin(phi) in ``phasors``, for the sources of the chunk's path ``table`` of
-    fundamental rows, whose 1/r is ``inverse``.
+def _batches(runs, cells: int) -> list:
+    """The runs of a group (see _Group) in batches of consecutive runs with
+    the same number of phase sets, at most _CHUNK_CELLS // ``cells`` runs
+    and at least one each, where ``cells`` is a chunk's sources x rows."""
+    most = max(1, _CHUNK_CELLS // cells)
+    alike = [list(same) for _, same in itertools.groupby(runs, lambda run: len(run[1]))]
+    return [same[i:i + most] for same in alike for i in range(0, len(same), most)]
 
-    ``weights`` (classes, rows) holds each materialized row's weight: one
-    class, or two when the second takes the sources reversed (see _Fold).
-    cos(k d)/r and sin(k d)/r are taken into the two ``buffers`` once for
-    the fundamental rows and copied, columns reversed, for the second class,
-    and shared by every phase set. Each set then takes four real matvecs
-    over all the classes, writes its weighted intensities into its row of
-    ``intensities`` and sums them pairwise. A set's partial is the same
-    float whether it shares the pass with other sets or not. The matvecs use
-    einsum rather than BLAS, so the bits do not depend on the BLAS kernel
-    that the machine selects.
+
+def _run_powers(table, inverse, weights, wavenumbers, phasors, trig) -> list[float]:
+    """One chunk's partial power of each phase set of a batch of runs (see
+    _batches), in order, for the sources of the chunk's path ``table`` (N,
+    rows), whose 1/r is ``inverse``.
+
+    ``wavenumbers`` holds each run's k, ``phasors`` (runs, sets, 2, classes,
+    N) each set's cos(phi) and sin(phi), reversed for a second class (see
+    _Fold), and ``weights`` (classes, rows) each class's row weights.
+    cos(k d)/r of every run is taken into ``trig`` (runs, N, rows) in one
+    pass and matvec'd with every phasor, then sin(k d)/r likewise. The
+    matvecs are einsums, not BLAS, whose inner loop runs over a chunk's rows
+    (at least two, see _row_blocks), so every row sums its sources in
+    ascending order on any machine. Each set's weighted intensities, class
+    by class, are summed pairwise, so its partial is the same float whether
+    it shares the batch or not.
     """
-    classes, height = weights.shape
-    cosine, sine = (buffer[:classes * height] for buffer in buffers)
-    fundamental_cos, fundamental_sin = cosine[:height], sine[:height]
-    np.multiply(table, wavenumber, out=fundamental_cos)
-    np.sin(fundamental_cos, out=fundamental_sin)
-    np.cos(fundamental_cos, out=fundamental_cos)
-    fundamental_cos *= inverse
-    fundamental_sin *= inverse
-    if classes == 2:
-        for buffer in (cosine, sine):
-            np.copyto(buffer[height:], buffer[:height, ::-1])
-    partials = []
-    for (cos_phi, sin_phi), row in zip(phasors, intensities):
-        real = np.einsum("ij,j->i", cosine, cos_phi)
-        real -= np.einsum("ij,j->i", sine, sin_phi)
-        imag = np.einsum("ij,j->i", cosine, sin_phi)
-        imag += np.einsum("ij,j->i", sine, cos_phi)
-        real *= real
-        imag *= imag
-        real += imag
-        intensity = row[:classes * height].reshape(classes, height)
-        np.multiply(real.reshape(classes, height), weights, out=intensity)
-        partials.append(float(intensity.sum()))
-    return partials
+    cos_phi, sin_phi = phasors[:, :, 0], phasors[:, :, 1]
+    np.multiply(table, wavenumbers[:, None, None], out=trig)
+    np.cos(trig, out=trig)
+    trig *= inverse
+    real = np.einsum("bjh,bmcj->bmch", trig, cos_phi)
+    imag = np.einsum("bjh,bmcj->bmch", trig, sin_phi)
+    np.multiply(table, wavenumbers[:, None, None], out=trig)
+    np.sin(trig, out=trig)
+    trig *= inverse
+    real -= np.einsum("bjh,bmcj->bmch", trig, sin_phi)
+    imag += np.einsum("bjh,bmcj->bmch", trig, cos_phi)
+    real *= real
+    imag *= imag
+    real += imag
+    real *= weights
+    return real.reshape(-1, weights.size).sum(axis=1).tolist()
 
 
 class _Group(NamedTuple):
@@ -638,29 +645,37 @@ def _group_walk(group: _Group, rows: int, points, weights, norms, distinct, refe
     mirrors: add each phase set's partial to ``powers``, in order, and
     return the group's partial of the reference source, whose intensity on
     each row is ``reference``. Each chunk builds its path differences and
-    their 1/r once, and each run of the group takes one cos/sin pass over
-    them (see _run_powers). The group's chunk arrays, intensities, |x|^2
-    and phasors are allocated here and freed on return."""
+    their 1/r once, and each batch of runs (see _batches) takes one cos and
+    one sin pass over them (see _run_powers), with its phasors gathered as
+    it is walked. The group's chunk arrays, |x|^2 and the cos and sin of its
+    distinct phase arrays are allocated here and freed on return."""
     positions, phases, runs, fold = group
     n, classes = positions.shape[0], len(fold.classes)
     counts = np.array([np.sum([distinct[e] for e in c], axis=0) for c in fold.classes])
     row_weights = counts * weights
     squares = np.einsum("ij,ij->i", positions, positions)
-    phasors = {key: (np.cos(p), np.sin(p)) for key, p in phases.items()}
-    height = _chunk_rows(rows, n, classes)
-    table, inverse = np.empty((height, n)), np.empty((height, n))
-    buffers = np.empty((classes * height, n)), np.empty((classes * height, n))
-    intensities = np.empty((max(len(keys) for _, keys in runs), classes * height))
-    for chunk in _row_blocks(norms.size, height):
-        paths, inverses = (array[:chunk.stop - chunk.start] for array in (table, inverse))
-        _path_differences(points[chunk], norms[chunk], positions, squares, paths,
-                          [buffer[:len(paths)] for buffer in buffers])
-        np.add(paths, norms[chunk, None], out=inverses)
-        np.reciprocal(inverses, out=inverses)
+    phasors = np.empty((len(phases), 2, classes, n))
+    for row, values in zip(phasors, phases.values()):
+        np.cos([values, values[::-1]][:classes], out=row[0])
+        np.sin([values, values[::-1]][:classes], out=row[1])
+    index = {key: i for i, key in enumerate(phases)}
+    height = _chunk_rows(rows, n)
+    batches = [(np.array([k for k, _ in batch]), [index[key] for _, keys in batch for key in keys])
+               for batch in _batches(runs, n * height)]
+    chunks = list(_row_blocks(norms.size, height))
+    height = max(chunk.stop - chunk.start for chunk in chunks)
+    table, inverse = np.empty((n, height)), np.empty((n, height))
+    trig = np.empty((max(len(wavenumbers) for wavenumbers, _ in batches), n, height))
+    for chunk in chunks:
+        size = chunk.stop - chunk.start
+        paths, inverses = table[:, :size], inverse[:, :size]
+        _path_differences(points[chunk], norms[chunk], positions, squares, paths, inverses,
+                          trig[0, :, :size])
         partials = []
-        for wavenumber, keys in runs:
-            partials += _run_powers(paths, inverses, row_weights[:, chunk], wavenumber,
-                                    [phasors[key] for key in keys], buffers, intensities)
+        for wavenumbers, keys in batches:
+            partials += _run_powers(paths, inverses, row_weights[:, chunk], wavenumbers,
+                                    phasors[keys].reshape(len(wavenumbers), -1, 2, classes, n),
+                                    trig[:len(wavenumbers), :, :size])
         powers[:] = map(operator.add, powers, partials)
     return float(np.multiply(reference, row_weights).sum())
 
@@ -726,11 +741,12 @@ def _position_groups(arrays, detector: DetectorGrid) -> list[_Group]:
 def _check_farfield_budget(detector: DetectorGrid, groups):
     """Refuse a far-field request for ``groups`` (see _position_groups) over
     either budget, before anything is built. Memory: the most that one
-    group's walk of a block holds (see _group_walk): the path differences
-    and 1/r of a chunk's fundamental rows, the cos and sin of its
-    materialized rows, a chunk of intensities per phase set of the longest
-    run, _ROW_COLUMNS per materialized block row, and per source |x|^2, the
-    cos and sin of each distinct phase array and the fold check; plus
+    group's walk of a block holds (see _group_walk): a chunk's path
+    differences and 1/r, and the trig array, gathered phasors and three
+    matvec outputs per set of its largest batch (see _batches), each chunk
+    and block a row more for a last lone row (see _row_blocks); _ROW_COLUMNS
+    per materialized block row; per source |x|^2, the fold check and the
+    cos and sin of each distinct phase array in each class; plus
     _WALK_BUFFER_BYTES. No term grows with the detector or couples a block's
     rows to the source count. Work: per fundamental row and source,
     _PATH_WORK for each group and _TRIG_WORK for each run, and per
@@ -739,11 +755,14 @@ def _check_farfield_budget(detector: DetectorGrid, groups):
     for positions, phases, runs, fold in groups:
         n, classes = positions.shape[0], len(fold.classes)
         fundamental, rows = _fundamental_rows(detector, fold.mirrors)[2:]
-        height = _chunk_rows(rows, n, classes)
+        height = _chunk_rows(rows, n)
+        batches = _batches(runs, n * height)
+        steps, batch_sets = max(map(len, batches)), max(len(b) * len(b[0][1]) for b in batches)
+        height, rows = height + 1, rows + 1
+        needed = max(needed, 8 * ((2 + steps) * height * n + n + classes * (
+            rows * _ROW_COLUMNS + (2 * n + 3 * height) * batch_sets))
+                     + (16 * classes * len(phases) + _FOLD_SOURCE_BYTES) * n)
         sets = [len(keys) for _, keys in runs]
-        needed = max(needed, 8 * ((2 + 2 * classes) * height * n + classes * height * max(sets)
-                                  + classes * rows * _ROW_COLUMNS + n)
-                     + (16 * len(phases) + _FOLD_SOURCE_BYTES) * n)
         work += fundamental * n * (
             _PATH_WORK + sum(_TRIG_WORK + _MATVEC_WORK * classes * s for s in sets)
         )
@@ -788,10 +807,10 @@ def farfield_powers(arrays, detector: DetectorGrid) -> tuple[np.ndarray, np.ndar
     The detector rows are walked in blocks (see _block_walk): each block
     builds its own quadrature rows and is walked in chunks, each of which
     builds its rows of the path table once for every run of consecutive
-    arrays with the same positions, and consecutive arrays that also share
-    the wavenumber share one cos/sin pass over them. The walk holds one
-    block of quadrature and one group's chunk of path differences at a
-    time, never the whole detector. Positions that a detector mirror maps onto themselves fold
+    arrays with the same positions, and consecutive runs of arrays share one
+    cos/sin pass over them (see _group_walk). The walk holds one block of
+    quadrature and one group's chunk of path differences at a time, never
+    the whole detector. Positions that a detector mirror maps onto themselves fold
     (see _fold): the walk takes only one node of each mirror orbit through
     the path table and the cos/sin pass.
 

@@ -666,14 +666,14 @@ def test_golden_far_field_blocks_are_one_chunk(monkeypatch, capsys):
     and up to 16 sources a block is one chunk, on every detector and fold
     that the corpus reaches and on every block size, so the corpus keeps
     its block partials and its bits. Rows fall only above 16 sources: at 17
-    a full unfolded block (4096 rows) and a full folded one of two classes
-    (2048 rows) are cut, and more sources never take more rows."""
+    a full unfolded block (4096 rows) is cut, above 32 a full folded arc
+    block (2048 rows), and more sources never take more rows."""
     calls = set()
     original = classical._chunk_rows
 
-    def recording(block_rows, n_sources, classes):
-        calls.add((block_rows, n_sources, classes))
-        return original(block_rows, n_sources, classes)
+    def recording(block_rows, n_sources):
+        calls.add((block_rows, n_sources))
+        return original(block_rows, n_sources)
 
     monkeypatch.setattr(classical, "_chunk_rows", recording)
     golden = pathlib.Path(__file__).parent / "golden"
@@ -681,19 +681,16 @@ def test_golden_far_field_blocks_are_one_chunk(monkeypatch, capsys):
         config = ["--config", str(golden / case["config"])] if "config" in case else []
         assert cli.main(case["argv"] + config) == 0
     capsys.readouterr()
-    assert {(rows, classes) for rows, _, classes in calls} >= {(128, 2), (2048, 2), (256, 1)}
-    for rows, n_sources, classes in calls:
+    assert {rows for rows, _ in calls} >= {128, 2048, 256}
+    for rows, n_sources in calls:
         assert n_sources <= 16
-        assert original(rows, n_sources, classes) == rows
-    for rows, classes in {(rows, classes) for rows, _, classes in calls} | {
-        (4096, 1), (2048, 1), (2048, 2), (1024, 1), (1024, 2)
-    }:
-        chunks = [original(rows, n, classes)
-                  for n in [*range(1, 18), 40, 300, 2000, 20_000, 1 << 17]]
+        assert original(rows, n_sources) == rows
+    for rows in {rows for rows, _ in calls} | {4096, 2048, 1024}:
+        chunks = [original(rows, n) for n in [*range(1, 18), 40, 300, 2000, 20_000, 1 << 17]]
         assert chunks[:16] == [rows] * 16
         assert all(a >= b for a, b in zip(chunks, chunks[1:]))
         assert chunks[-1] == min(rows, classical._CHUNK_MIN_ROWS)
-    assert original(4096, 17, 1) < 4096 and original(2048, 17, 2) < 2048
+    assert original(4096, 17) < 4096 and original(2048, 32) == 2048 > original(2048, 33)
 
 
 def test_farfield_powers_checks_every_array_against_the_threshold():
@@ -763,27 +760,39 @@ def test_sweeps_build_the_quadrature_once(monkeypatch):
 
 def test_phase_steps_share_one_trig_pass(monkeypatch):
     """Consecutive arrays with the same positions and wavenumber share one
-    cos/sin pass over each block's fundamental path rows; a new wavenumber
-    or new positions start another. Each pass covers the fundamental rows
-    of the folded arc, half its points: 5000 points make blocks of 2048 and
-    452 rows."""
-    runs = []
+    cos/sin pass over each chunk's fundamental path rows, and consecutive
+    runs of as many arrays share one batch, so a wavelength sweep takes one
+    pass too; new positions start another. Each pass covers the fundamental
+    rows of the folded arc, half its points: 5000 points make blocks of 2048
+    and 452 rows. A batch holds at most 2^16 steps x sources x rows, so a
+    200-step spectrum of 3 sources on 175 fundamental rows takes two passes."""
+    passes = []
     original = classical._run_powers
 
-    def recording(table, norms, weights, wavenumber, phase_sets, *buffers):
-        runs.append((len(phase_sets), table.shape[0]))
-        return original(table, norms, weights, wavenumber, phase_sets, *buffers)
+    def recording(table, inverse, weights, wavenumbers, phasors, trig):
+        passes.append((len(wavenumbers), phasors.shape[1], table.shape[1]))
+        return original(table, inverse, weights, wavenumbers, phasors, trig)
 
     monkeypatch.setattr(classical, "_run_powers", recording)
     fixed = {"n_sources": 4, "spacing": 0.3, "wavelength": 1.0, "samples": 256}
     run_sweep(SweepSpec("farfield_power", "phase_delta", 0.0, 3.0, 6, fixed))
-    assert runs == [(6, 128)]
-    runs.clear()
+    assert passes == [(1, 6, 128)]
+    passes.clear()
     run_sweep(SweepSpec("farfield_power", "wavelength", 1.0, 2.0, 4, fixed))
-    assert runs == [(1, 128)] * 4
-    runs.clear()
+    assert passes == [(4, 1, 128)]
+    passes.clear()
     run_sweep(SweepSpec("farfield_power", "phase_delta", 0.0, 3.0, 6, {**fixed, "samples": 5000}))
-    assert runs == [(6, 2048), (6, 452)]
+    assert passes == [(1, 6, 2048), (1, 6, 452)]
+    passes.clear()
+    run_sweep(SweepSpec("farfield_power", "spacing", 0.1, 1.0, 3, fixed))
+    assert passes == [(1, 1, 128)] * 3
+    passes.clear()
+    array = make_linear_array(3, 2.0, 0.5)
+    transmission_spectrum(array, (0.5, 3.0), 200, DetectorGrid(radius=1e3, geometry="arc",
+                                                                samples=350))
+    assert len(passes) == -(-200 * 175 * 3 // (1 << 16)) == 2
+    assert sum(steps for steps, _, _ in passes) == 200
+    assert all(steps * 3 * rows <= 1 << 16 for steps, _, rows in passes)
 
 
 @pytest.mark.parametrize(
@@ -803,9 +812,9 @@ def test_trig_passes_take_one_node_per_orbit(monkeypatch, geometry, samples, lay
     elements = []
     original = classical._run_powers
 
-    def counting(table, *rest):
-        elements.append(table.size)
-        return original(table, *rest)
+    def counting(table, inverse, weights, wavenumbers, *rest):
+        elements.append(len(wavenumbers) * table.size)
+        return original(table, inverse, weights, wavenumbers, *rest)
 
     monkeypatch.setattr(classical, "_run_powers", counting)
     array = make_linear_array(5, 0.3, 1.0, [0.1, 2.0, 0.4, 5.0, 1.3])
@@ -859,24 +868,43 @@ def test_block_quadrature_is_bit_equal_to_the_whole_detector_build(geometry, sam
         assert block_weights.tobytes() == weights[rows].tobytes()
 
 
-def block_intensities(table, norms, weights, phases, wavenumber):
-    """Weighted intensity of each row of one block of path differences,
-    taken from the whole block at once, with the streamed walk's float
-    operations in the same order."""
+def row_intensities(table, norms, weights, phases, wavenumber):
+    """Weighted intensity (classes, rows) of each row of a path table (rows,
+    N), its field summed over the sources one at a time in ascending order,
+    as real = sum cos(k d)/r cos(phi) - sum sin(k d)/r sin(phi) and imag =
+    sum cos(k d)/r sin(phi) + sum sin(k d)/r cos(phi). A second row of
+    ``weights`` is the reversed class: the same rows summed against the
+    phases reversed."""
     inverse = 1.0 / (table + norms[:, None])
     cosine = np.cos(table * wavenumber) * inverse
     sine = np.sin(table * wavenumber) * inverse
-    cos_phi, sin_phi = np.cos(phases), np.sin(phases)
-    real = np.einsum("ij,j->i", cosine, cos_phi) - np.einsum("ij,j->i", sine, sin_phi)
-    imag = np.einsum("ij,j->i", cosine, sin_phi) + np.einsum("ij,j->i", sine, cos_phi)
-    return (real * real + imag * imag) * weights
+    intensities = []
+    for order in (slice(None), slice(None, None, -1))[:len(weights)]:
+        cos_phi, sin_phi = np.cos(phases)[order], np.sin(phases)[order]
+        sums = np.zeros((4, len(table)))
+        for j in range(len(phases)):
+            sums[0] += cosine[:, j] * cos_phi[j]
+            sums[1] += sine[:, j] * sin_phi[j]
+            sums[2] += cosine[:, j] * sin_phi[j]
+            sums[3] += sine[:, j] * cos_phi[j]
+        real, imag = sums[0] - sums[1], sums[2] + sums[3]
+        intensities.append(real * real + imag * imag)
+    return np.array(intensities) * weights
 
 
-def whole_table_power(points, weights, positions, phases, wavenumber):
-    """Reference: the engine before it streamed, on its unfolded walk. It
-    builds the whole S x N path table, then walks each 4096-row block in
-    chunks of the engine's rows, sums each chunk's weighted intensities
-    pairwise and adds the chunk partials in order."""
+def whole_table_power(detector, positions, phases, wavenumber):
+    """Reference: the engine before it streamed. It builds the path table of
+    every fundamental row of the positions' fold at once, sums each row's
+    field source by source (see row_intensities), then cuts the rows into
+    the engine's blocks and chunks, sums each chunk's weighted intensities
+    pairwise, class by class, and adds the chunk partials in order."""
+    fold = classical._fold(detector, positions)
+    start, count, fundamental, block = classical._fundamental_rows(detector, fold.mirrors)
+    rings, nodes = np.divmod(np.arange(fundamental), count)
+    nodes += start
+    points, weights = _detector_quadrature(detector, rings * detector.samples + nodes)
+    distinct = classical._distinct_images(detector, fold.elements, nodes)
+    weights = np.array([np.sum([distinct[e] for e in c], axis=0) for c in fold.classes]) * weights
     norms = np.sqrt(np.einsum("ij,ij->i", points, points))
     squares = np.einsum("ij,ij->i", positions, positions)
     distance = np.zeros((len(points), len(positions)))
@@ -886,51 +914,55 @@ def whole_table_power(points, weights, positions, phases, wavenumber):
         distance += offset * offset
         near += points[:, axis:axis + 1] * positions[:, axis]
     table = (near * -2.0 + squares) / (np.sqrt(distance) + norms[:, None])
-    block = min(len(points), 4096)
-    chunk = classical._chunk_rows(block, len(positions), 1)
+    intensities = row_intensities(table, norms, weights, phases, wavenumber)
+    chunk = classical._chunk_rows(block, len(positions))
     power = 0.0
-    for start in range(0, len(points), block):
-        for first in range(start, min(start + block, len(points)), chunk):
-            rows = slice(first, min(first + chunk, start + block))
-            power += float(block_intensities(table[rows], norms[rows], weights[rows], phases,
-                                             wavenumber).sum())
+    for rows in classical._row_blocks(fundamental, block):
+        for part in classical._row_blocks(rows.stop - rows.start, chunk):
+            assert part.stop - part.start >= 2
+            power += float(intensities[:, rows][:, part].sum())
     return power
 
 
-# (geometry, samples, source counts): a last block of one row (arc 4097,
-# N = 7); one chunk per block (4096 points, N = 12); chunks of three rows
-# longer than einsum's 8192-element buffer, the last of two rows (arc 65,
-# N = 20 000); chunks of 1024 rows in three blocks (hemisphere 96^2,
-# N = 64); and groups of different source counts sharing one call
+# (geometry, samples, source counts): a last row of the arc joining the
+# block before it (arc 4097, N = 7); one chunk per block (4096 points,
+# N = 12); chunks of three rows longer than einsum's 8192-element buffer,
+# the last of two rows (arc 65, N = 20 000); chunks of 1024 rows in three
+# blocks (hemisphere 96^2, N = 64); a last chunk of four rows, a lone row
+# joined to three, at N = 20 000 (arc 64); and groups of different source
+# counts sharing one call. Every group below 1000 sources comes twice: in
+# a random layout, which takes the unfolded walk, and as a line, which
+# folds with a reversed class
 @pytest.mark.parametrize(
     "geometry, samples, counts",
     [("arc", 4097, (7, 7, 3)), ("arc", 4096, (12, 1, 12)), ("arc", 65, (20_000, 5)),
-     ("hemisphere", 96, (64, 9, 64))],
+     ("hemisphere", 96, (64, 9, 64)), ("arc", 64, (20_000,))],
 )
 def test_streamed_engine_is_bit_equal_to_the_whole_table_walk(geometry, samples, counts):
     """Each array's power is the sum of its chunk partials in walk order,
-    and each row's matvecs and each chunk's pairwise sum are those of the
-    whole table, so streaming moves no bit. Runs of equal positions and
-    wavenumber share a pass here, and each group holds several runs."""
+    each row's field sums the sources in ascending order, and the reversed
+    class sums them against the phases reversed, so neither streaming nor
+    batching moves a bit. Runs of equal positions and wavenumber share a
+    pass here, and each group holds several runs."""
     rng = XorShift64Star(samples + sum(counts))
     arrays = []
     for n in counts:
         # a random layout of 20 000 sources would spend seconds on its O(N^2)
         # distinctness check; a linear array takes the O(N) path, and one
-        # off the origin has no mirror to fold onto, so it takes the
-        # unfolded walk whose bits this test pins
+        # off the origin has no mirror to fold onto
         linear = make_linear_array(n, 1e-4, 0.5 + rng.uniform(), rng.phases(n))
-        array = (random_array(rng, n) if n < 1000
-                 else replace(linear, positions=linear.positions + [1e-4 / 3, 0.0, 0.0]))
-        arrays += [array, replace(array, phases=rng.phases(n)),
-                   replace(array, wavelength=array.wavelength * 1.25)]
+        layouts = ([random_array(rng, n), linear] if n < 1000
+                   else [replace(linear, positions=linear.positions + [1e-4 / 3, 0.0, 0.0])])
+        for array in layouts:
+            arrays += [array, replace(array, phases=rng.phases(n)),
+                       replace(array, wavelength=array.wavelength * 1.25)]
     detector = far_detector(rng, arrays, geometry, samples)
-    points, weights = _detector_quadrature(detector, np.arange(detector.n_points))
     powers, _ = farfield_powers(arrays, detector)
+    classes = {len(classical._fold(detector, array.positions).classes) for array in arrays}
+    assert classes == ({1, 2} if min(counts) < 1000 else {1})
     for power, array in zip(powers, arrays):
-        assert power == whole_table_power(
-            points, weights, array.positions, array.phases, array.wavenumber
-        )
+        assert power == whole_table_power(detector, array.positions, array.phases,
+                                          array.wavenumber)
 
 
 def test_streamed_engine_holds_one_block_of_the_path_table(monkeypatch):
@@ -1098,6 +1130,37 @@ def test_far_field_budget_covers_the_measured_peak_of_several_groups(
     detector = far_detector(rng, arrays, geometry, samples)
     folds = {classical._fold(detector, array.positions).mirrors for array in arrays}
     assert len(folds) == (1 if geometry == "arc" else 2)
+    peak, charged = peak_and_charge(monkeypatch, arrays, detector)
+    assert len(charged) == 1
+    assert peak <= charged[0]
+
+
+# (steps, sources, samples, swept): the largest batch of runs, a 200-step
+# spectrum of a 3-source line whose 175 fundamental arc rows take 124 runs
+# a batch; and the most phase sets in one run, a 117-step phase sweep
+BATCH_CASES = [(200, 3, 350, "wavelength"), (117, 10, 1024, "phases")]
+
+
+@pytest.mark.parametrize("steps, n_sources, samples, swept", BATCH_CASES,
+                         ids=[f"{swept}-{steps}" for steps, _, _, swept in BATCH_CASES])
+def test_far_field_budget_covers_the_measured_peak_of_a_batch(
+    monkeypatch, steps, n_sources, samples, swept
+):
+    """A batch of runs holds a trig array of all its runs and the matvec
+    outputs of all its phase sets at once; the charge covers the peak at
+    both extremes, many runs of one set and one run of many sets."""
+    rng = XorShift64Star(steps + n_sources)
+    array = make_linear_array(n_sources, 0.3, 1.0, rng.phases(n_sources))
+    if swept == "wavelength":
+        arrays = [core._swept(array, wavelength=float(w)) for w in np.linspace(0.5, 3.0, steps)]
+    else:
+        arrays = [core._swept(array, phases=np.arange(n_sources) * delta)
+                  for delta in np.linspace(0.0, 3.0, steps)]
+    detector = far_detector(rng, arrays, "arc", samples)
+    [group] = classical._position_groups(arrays, detector)
+    rows = classical._fundamental_rows(detector, group.fold.mirrors)[3]
+    batch = max(classical._batches(group.runs, n_sources * rows), key=len)
+    assert (len(batch), len(batch[0][1])) == ((124, 1) if swept == "wavelength" else (1, 117))
     peak, charged = peak_and_charge(monkeypatch, arrays, detector)
     assert len(charged) == 1
     assert peak <= charged[0]

@@ -34,7 +34,10 @@ import importlib.util
 import io
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -90,6 +93,37 @@ def test_cli_output_matches_recorded_hash(case):
     assert code == 0
     digest = _sha256(out.getvalue())
     assert digest == case["sha256"], f"stdout changed for {argv}:\n{out.getvalue()}"
+
+
+# numpy's SIMD dispatch narrowed for the replay below: without its AVX-512
+# targets, and without AVX2 too
+DISPATCH_SETTINGS = ("X86_V4 AVX512_ICL AVX512_SPR", "X86_V4 AVX512_ICL AVX512_SPR X86_V3")
+
+# compare.py's child, which then reports numpy's enabled CPU features on stderr
+REPLAY = compare.CHILD + """
+from numpy._core._multiarray_umath import __cpu_features__
+print(json.dumps([name for name, on in __cpu_features__.items() if on]), file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("disabled", DISPATCH_SETTINGS)
+def test_cli_hashes_hold_under_narrower_numpy_dispatch(disabled):
+    """Every stdout case keeps its recorded hash when numpy runs without
+    the SIMD targets named in NPY_DISABLE_CPU_FEATURES. The corpus is
+    replayed in one child process, the only one that sees the variable,
+    since numpy reads it at import. The child's numpy reports the targets
+    off, on machines that have them and on machines that do not."""
+    env = dict(os.environ, PYTHONPATH=str(compare.ROOT / "src"), COLUMNS="80",
+               NPY_DISABLE_CPU_FEATURES=disabled)
+    done = subprocess.run(
+        [sys.executable, "-c", REPLAY], input=json.dumps([case_argv(case) for case in CASES]),
+        env=env, cwd=compare.ROOT, capture_output=True, text=True, check=True,
+    )
+    enabled = set(json.loads(done.stderr.splitlines()[-1]))
+    assert not enabled & set(disabled.split())
+    for case, result in zip(CASES, json.loads(done.stdout), strict=True):
+        assert result["exit"] == 0
+        assert _sha256(result["stdout"]) == case["sha256"], f"stdout changed for {case['argv']}"
 
 
 @pytest.mark.parametrize(
