@@ -32,15 +32,15 @@ cos/sin of k d replace the complex exponential of k r. The detector rows
 are walked in blocks, and each block in chunks of about 2^16 path
 differences, so the engine holds nothing that grows with the detector and
 nothing that couples its rows to the source count. Each block builds its
-quadrature points and weights once, and each group of arrays with equal
-positions walks it in turn, with arrays of its own: it adds its partial of
-the origin-centered reference source (1/|p|^2 at every k) and builds each
-chunk's d and 1/r once, source-major, for every run of steps that keep
-their positions. Steps that change only the phases share a run, and
-consecutive runs of as many steps a batch, with one cos and one sin pass
-and einsum matvecs that sum each row's sources in ascending order. Before
-it builds anything, the engine checks the largest group's walk against
-MEMORY_BUDGET_BYTES and its work against WORK_BUDGET.
+quadrature points and weights once, and each stack of consecutive arrays
+of one source count, fold and run shape (a spacing sweep) walks it in
+turn: it adds its partial of the origin-centered reference source
+(1/|p|^2 at every k) once, and each chunk builds the source-major d and
+1/r of several of its position groups in one pass. Steps that change only
+the phases share a run, and runs of as many steps a batch, with one cos
+and one sin pass and einsum matvecs that sum each row's sources in
+ascending order. Before it builds anything, the engine checks the largest
+stack's walk against MEMORY_BUDGET_BYTES and its work against WORK_BUDGET.
 
 Both detectors are mirror-symmetric: the arc under x -> -x, the hemisphere
 under y -> -y and, when its samples are even, under x -> -x. When a mirror
@@ -51,11 +51,12 @@ node per orbit of the mirrors, and takes path differences and cos/sin only
 there. An image node is the exact sign flip of its fundamental node, so
 its row is the fundamental row with the sources in order or reversed. The
 in-order images add their weight to the fundamental row; the reversed ones
-sum the fundamental row against the phases reversed. A linear array takes
-cos/sin over half the arc, a quarter of an even hemisphere and half an odd
-one; on the hemisphere its y -> -y images merge, so it takes half the
-matvecs. Any other array (a jittered one, or one symmetric only under some
-other order of its sources) takes every row, with the nodes as listed.
+sum it against the phases reversed, or reuse the in-order intensities
+when the phases equal their reversal. A linear array takes cos/sin over
+half the arc, a quarter of an even hemisphere and half an odd one; on the
+hemisphere its y -> -y images merge, so it takes half the matvecs. Any
+other array (a jittered one, or one symmetric only under some other order
+of its sources) takes every row, with the nodes as listed.
 """
 
 from __future__ import annotations
@@ -130,17 +131,21 @@ _GRID_CALL_BYTES = 8192
 # quadrature, shared by every positions group that folds onto the same mirrors
 _BLOCK_ROWS = 4096
 
-# path differences per chunk of a far-field block, and runs x sources x
-# rows per batch of runs: each group walks a block's fundamental rows in
-# chunks of about this many cells and at least _CHUNK_MIN_ROWS rows, so a
-# block of up to 16 sources is one chunk, and the three chunk arrays (about
-# 512 KB at most: the path differences, their 1/r, a batch's cos or sin)
-# stay in cache. Each chunk's weighted intensities are summed pairwise, and
-# the chunk partials added in order. The floor of two rows was timed on arc
-# spectra at N = 4000 and 20 000 (2-vCPU VM): at 20 000, chunks of 16 rows
-# ran 9% slower, since their arrays (5 MB each) no longer stay in cache
+# path differences per chunk of a far-field block: each group walks a
+# block's fundamental rows in chunks of about this many cells and at least
+# _CHUNK_MIN_ROWS rows, so a block of up to 16 sources is one chunk, and
+# its path differences and 1/r (about 512 KB each at most) stay in cache.
+# Each chunk's weighted intensities are summed pairwise, and the chunk
+# partials added in order. The floor of two rows was timed on arc spectra
+# at N = 4000 and 20 000 (2-vCPU VM): at 20 000, chunks of 16 rows ran 9%
+# slower, since their arrays (5 MB each) no longer stay in cache
 _CHUNK_CELLS = 1 << 16
 _CHUNK_MIN_ROWS = 2
+
+# cells per matvec output array of a batch (see _batches): with no cap, a
+# 200-step spectrum of 3 sources on a 2048-point arc, whose outputs outnumber
+# its cos or sin, peaked at 1.70 MB; with it, under 0.5 MB
+_OUTPUT_CELLS = 1 << 12
 
 # far-field work per detector point and source, in the grid's operations
 # (WORK_BUDGET): the path difference and its 1/r (once per positions group),
@@ -185,7 +190,7 @@ _SWEEP_SOURCE_BYTES = dict(spectrum=0, wavelength=8, phase_delta=24, spacing=32,
 # and its temporaries (72 measured at 20 000 sources, more per source at a
 # few hundred, where a call's fixed overhead counts), and the cos and sin
 # (16) of one step's phases (the engine's budget charges the cos and sin it
-# holds, those of one positions group's distinct phases)
+# holds, those of one sub-stack's distinct phases)
 _SWEEP_BUILD_BYTES = 96
 
 
@@ -544,9 +549,9 @@ def _distinct_images(detector: DetectorGrid, elements, nodes) -> list:
 
 
 def _path_differences(points, norms, positions, squares, table, inverse, scratch):
-    """Path differences d = r - |p| from each source x to each detector
-    point p of one chunk, r = |p - x|, into ``table`` (N, rows), and 1/r
-    into ``inverse``.
+    """Path differences d = r - |p| from each source x of each group of
+    ``positions`` (groups, N, 3) to each detector point p of one chunk,
+    r = |p - x|, into ``table`` (groups, N, rows), and 1/r into ``inverse``.
 
     r is summed one coordinate at a time; d is then formed as
     (|x|^2 - 2 p.x) / (r + |p|), the same quantity with no cancellation
@@ -557,15 +562,15 @@ def _path_differences(points, norms, positions, squares, table, inverse, scratch
     inverse.fill(0.0)
     table.fill(0.0)
     for axis in range(3):
-        np.subtract(points[:, axis], positions[:, axis:axis + 1], out=scratch)
+        np.subtract(points[:, axis], positions[..., axis, None], out=scratch)
         scratch *= scratch
         inverse += scratch
-        np.multiply(points[:, axis], positions[:, axis:axis + 1], out=scratch)
+        np.multiply(points[:, axis], positions[..., axis, None], out=scratch)
         table += scratch
     np.sqrt(inverse, out=inverse)
     inverse += norms
     table *= -2.0
-    table += squares[:, None]
+    table += squares[..., None]
     table /= inverse
     np.add(table, norms, out=inverse)
     np.reciprocal(inverse, out=inverse)
@@ -586,191 +591,229 @@ def _chunk_rows(block_rows: int, n_sources: int) -> int:
     return min(block_rows, max(_CHUNK_MIN_ROWS, _CHUNK_CELLS // n_sources))
 
 
-def _batches(runs, cells: int) -> list:
-    """The runs of a group (see _Group) in batches of consecutive runs with
-    the same number of phase sets, at most _CHUNK_CELLS // ``cells`` runs
-    and at least one each, where ``cells`` is a chunk's sources x rows."""
-    most = max(1, _CHUNK_CELLS // cells)
-    alike = [list(same) for _, same in itertools.groupby(runs, lambda run: len(run[1]))]
-    return [same[i:i + most] for same in alike for i in range(0, len(same), most)]
+def _batches(shape, n_sources: int, width: int, height: int, groups: int) -> tuple[int, list]:
+    """The groups per sub-stack and the batches (slices of consecutive runs
+    with as many phase sets) of a stack of ``groups`` (see _Stack) walking a
+    chunk of ``height`` rows. A run of s sets holds N cos or sin and s width
+    cells of each matvec output per group and row: at most _CHUNK_CELLS and
+    _OUTPUT_CELLS in a sub-stack's longest run and in a batch, or one run."""
+    def most(count, sets):
+        return max(1, min(_CHUNK_CELLS // (count * n_sources * height),
+                          _OUTPUT_CELLS // (count * sets * width * height)))
+
+    sub = min(groups, most(1, max(shape)))
+    batches, start = [], 0
+    for sets, same in itertools.groupby(shape):
+        stop, step = start + len(list(same)), most(sub, sets)
+        batches += map(slice, range(start, stop, step), [*range(start + step, stop, step), stop])
+        start = stop
+    return sub, batches
 
 
-def _run_powers(table, inverse, weights, wavenumbers, phasors, trig) -> list[float]:
-    """One chunk's partial power of each phase set of a batch of runs (see
-    _batches), in order, for the sources of the chunk's path ``table`` (N,
-    rows), whose 1/r is ``inverse``.
-
-    ``wavenumbers`` holds each run's k, ``phasors`` (runs, sets, 2, classes,
-    N) each set's cos(phi) and sin(phi), reversed for a second class (see
-    _Fold), and ``weights`` (classes, rows) each class's row weights.
-    cos(k d)/r of every run is taken into ``trig`` (runs, N, rows) in one
-    pass and matvec'd with every phasor, then sin(k d)/r likewise. The
-    matvecs are einsums, not BLAS, whose inner loop runs over a chunk's rows
-    (at least two, see _row_blocks), so every row sums its sources in
-    ascending order on any machine. Each set's weighted intensities, class
-    by class, are summed pairwise, so its partial is the same float whether
-    it shares the batch or not.
-    """
+def _run_powers(table, inverse, weights, wavenumbers, phasors, trig, outputs) -> np.ndarray:
+    """One chunk's partial power (groups, runs x sets) of each phase set of
+    a batch (see _batches), from the path ``table`` (groups, N, rows), its
+    1/r, each run's k, each set's cos(phi) and sin(phi) ``phasors`` (groups
+    x runs, sets, 2, width, N; reversed for a second class, see _Fold) and
+    each class's row ``weights``. cos(k d)/r, then sin(k d)/r, of every run
+    takes one ``trig`` pass, matvec'd into three ``outputs`` by einsums (not
+    BLAS) whose inner loop runs over the rows (two or more, see _row_blocks),
+    so every row sums its sources in ascending order on any machine. One
+    class's phasors give both classes its intensities. Each set's weighted
+    intensities are summed pairwise: its partial is the same in any batch."""
     cos_phi, sin_phi = phasors[:, :, 0], phasors[:, :, 1]
-    np.multiply(table, wavenumbers[:, None, None], out=trig)
+    real, imag, product = outputs
+    runs = trig.reshape(-1, *trig.shape[2:])
+    table, inverse, scaled = table[:, None], inverse[:, None], wavenumbers[:, :, None, None]
+    np.multiply(table, scaled, out=trig)
     np.cos(trig, out=trig)
     trig *= inverse
-    real = np.einsum("bjh,bmcj->bmch", trig, cos_phi)
-    imag = np.einsum("bjh,bmcj->bmch", trig, sin_phi)
-    np.multiply(table, wavenumbers[:, None, None], out=trig)
+    np.einsum("bjh,bmcj->bmch", runs, cos_phi, out=real)
+    np.einsum("bjh,bmcj->bmch", runs, sin_phi, out=imag)
+    np.multiply(table, scaled, out=trig)
     np.sin(trig, out=trig)
     trig *= inverse
-    real -= np.einsum("bjh,bmcj->bmch", trig, sin_phi)
-    imag += np.einsum("bjh,bmcj->bmch", trig, cos_phi)
+    real -= np.einsum("bjh,bmcj->bmch", runs, sin_phi, out=product)
+    imag += np.einsum("bjh,bmcj->bmch", runs, cos_phi, out=product)
     real *= real
     imag *= imag
     real += imag
+    if len(weights) > real.shape[2]:
+        real = np.concatenate((real, real), 2, outputs[1:].reshape(*real.shape[:2], 2, -1))
     real *= weights
-    return real.reshape(-1, weights.size).sum(axis=1).tolist()
+    return real.reshape(-1, weights.size).sum(axis=1).reshape(len(wavenumbers), -1)
 
 
-class _Group(NamedTuple):
-    """The arrays of a far-field call that share positions (see _position_groups)."""
+class _Stack(NamedTuple):
+    """Consecutive positions groups of one N, fold, run shape and width (see _position_groups)."""
 
-    positions: np.ndarray
-    phases: dict  # the distinct phase arrays, by id
-    runs: list  # consecutive runs of equal wavenumber, [(wavenumber, [id, ...]), ...]
+    positions: list  # each group's positions, (N, 3)
+    runs: list  # each group's runs of equal wavenumber, [(wavenumber, [phases, ...]), ...]
     fold: _Fold
+    width: int  # the fold classes its matvecs take: 1 when all its phases are palindromic
 
 
-def _group_walk(group: _Group, rows: int, points, weights, norms, distinct, reference,
+def _distinct_phases(runs) -> dict:
+    """The distinct phase arrays of some groups' ``runs``, by id."""
+    return {id(phases): phases for group in runs for _, sets in group for phases in sets}
+
+
+def _stack_walk(stack: _Stack, rows: int, points, weights, norms, distinct, reference,
                 powers) -> float:
-    """Walk one block of _block_walk for ``group``, in chunks (see
-    _chunk_rows) of ``rows``, the fundamental rows of a whole block of its
-    mirrors: add each phase set's partial to ``powers``, in order, and
-    return the group's partial of the reference source, whose intensity on
-    each row is ``reference``. Each chunk builds its path differences and
-    their 1/r once, and each batch of runs (see _batches) takes one cos and
-    one sin pass over them (see _run_powers), with its phasors gathered as
-    it is walked. The group's chunk arrays, |x|^2 and the cos and sin of its
-    distinct phase arrays are allocated here and freed on return."""
-    positions, phases, runs, fold = group
-    n, classes = positions.shape[0], len(fold.classes)
-    counts = np.array([np.sum([distinct[e] for e in c], axis=0) for c in fold.classes])
-    row_weights = counts * weights
-    squares = np.einsum("ij,ij->i", positions, positions)
-    phasors = np.empty((len(phases), 2, classes, n))
-    for row, values in zip(phasors, phases.values()):
-        np.cos([values, values[::-1]][:classes], out=row[0])
-        np.sin([values, values[::-1]][:classes], out=row[1])
-    index = {key: i for i, key in enumerate(phases)}
+    """Walk a block of ``rows`` fundamental rows for ``stack`` in chunks
+    (see _chunk_rows): add each phase set's partial to ``powers`` (groups,
+    sets) and return the reference source's partial (intensity
+    ``reference``) on the rows its groups share. Each chunk builds the path
+    differences and 1/r of a sub-stack (see _batches) in one pass, and each
+    batch of runs takes one cos and one sin pass (see _run_powers)."""
+    n, width = stack.positions[0].shape[0], stack.width
+    row_weights = np.array([np.sum([distinct[e] for e in c], axis=0)
+                            for c in stack.fold.classes]) * weights
+    shape = [len(sets) for _, sets in stack.runs[0]]
+    offsets = [0, *itertools.accumulate(shape)]
     height = _chunk_rows(rows, n)
-    batches = [(np.array([k for k, _ in batch]), [index[key] for _, keys in batch for key in keys])
-               for batch in _batches(runs, n * height)]
+    sub, batches = _batches(shape, n, width, height, len(stack.positions))
     chunks = list(_row_blocks(norms.size, height))
     height = max(chunk.stop - chunk.start for chunk in chunks)
-    table, inverse = np.empty((n, height)), np.empty((n, height))
-    trig = np.empty((max(len(wavenumbers) for wavenumbers, _ in batches), n, height))
-    for chunk in chunks:
-        size = chunk.stop - chunk.start
-        paths, inverses = table[:, :size], inverse[:, :size]
-        _path_differences(points[chunk], norms[chunk], positions, squares, paths, inverses,
-                          trig[0, :, :size])
-        partials = []
-        for wavenumbers, keys in batches:
-            partials += _run_powers(paths, inverses, row_weights[:, chunk], wavenumbers,
-                                    phasors[keys].reshape(len(wavenumbers), -1, 2, classes, n),
-                                    trig[:len(wavenumbers), :, :size])
-        powers[:] = map(operator.add, powers, partials)
+    most = max(batch.stop - batch.start for batch in batches)
+    most_sets = max(offsets[batch.stop] - offsets[batch.start] for batch in batches)
+    table, inverse, trig, outputs = (np.empty(sub * height * k)
+                                     for k in (n, n, most * n, 3 * most_sets * width))
+    for first in range(0, len(stack.positions), sub):
+        group = slice(first, first + sub)
+        positions, runs = np.array(stack.positions[group]), stack.runs[group]
+        g = len(runs)
+        squares = np.einsum("gij,gij->gi", positions, positions)
+        phases = _distinct_phases(runs)
+        phasors = np.empty((len(phases), 2, width, n))
+        for row, values in zip(phasors, phases.values()):
+            np.cos([values, values[::-1]][:width], out=row[0])
+            np.sin([values, values[::-1]][:width], out=row[1])
+        index = {key: i for i, key in enumerate(phases)}
+        keys = np.array([[index[id(values)] for _, sets in group_runs for values in sets]
+                         for group_runs in runs])
+        wavenumbers = np.array([[k for k, _ in group_runs] for group_runs in runs])
+        for chunk in chunks:
+            size = chunk.stop - chunk.start
+            cells, chunk_weights = g * n * size, row_weights[:, chunk]
+            paths, inverses = (np.reshape(a[:cells], (g, n, size)) for a in (table, inverse))
+            _path_differences(points[chunk], norms[chunk], positions, squares, paths, inverses,
+                              np.reshape(trig[:cells], (g, n, size)))
+            for batch in batches:
+                sets = slice(offsets[batch.start], offsets[batch.stop])
+                ids, steps = keys[:, sets].ravel(), batch.stop - batch.start
+                powers[group, sets] += _run_powers(
+                    paths, inverses, chunk_weights, wavenumbers[:, batch],
+                    phasors[ids].reshape(g * steps, -1, 2, width, n),
+                    np.reshape(trig[:cells * steps], (g, steps, n, size)),
+                    np.reshape(outputs[:3 * ids.size * width * size],
+                               (3, g * steps, -1, width, size)))
     return float(np.multiply(reference, row_weights).sum())
 
 
-def _block_walk(detector: DetectorGrid, groups) -> tuple[list[float], list[float]]:
-    """Detected power of every phase set of ``groups`` (see _position_groups),
-    in order, and of the origin-centered reference source on the rows of
-    each set's group.
-
-    The groups that share their mirrors are walked together, _BLOCK_ROWS
+def _block_walk(detector: DetectorGrid, stacks) -> tuple[np.ndarray, np.ndarray]:
+    """Detected power of every phase set of ``stacks`` (see _position_groups),
+    in order, and of the reference source on the rows of each set's group.
+    The stacks that share their mirrors are walked together, _BLOCK_ROWS
     materialized rows of their fundamental rows (see _fundamental_rows) at a
-    time. Each block builds its points, weights (see _detector_quadrature)
-    and distances |p| from the origin once per call, and each group walks
-    it in turn (see _group_walk); a power is the sum of its chunk partials
-    in walk order.
-    """
-    powers = [[0.0] * sum(len(keys) for _, keys in group.runs) for group in groups]
-    singles = [0.0] * len(groups)
-    for mirrors in dict.fromkeys(group.fold.mirrors for group in groups):
-        members = [g for g, group in enumerate(groups) if group.fold.mirrors == mirrors]
+    time: each block builds its points, weights and |p| once per call, and
+    each stack walks it in turn (see _stack_walk); a power is the sum of its
+    chunk partials in walk order."""
+    powers = [np.zeros((len(stack.runs), sum(len(sets) for _, sets in stack.runs[0])))
+              for stack in stacks]
+    singles = [0.0] * len(stacks)
+    for mirrors in dict.fromkeys(stack.fold.mirrors for stack in stacks):
+        members = [s for s, stack in enumerate(stacks) if stack.fold.mirrors == mirrors]
         start, count, fundamental, rows = _fundamental_rows(detector, mirrors)
-        elements = groups[members[0]].fold.elements
+        elements = stacks[members[0]].fold.elements
         for block in _row_blocks(fundamental, rows):
             rings, nodes = np.divmod(np.arange(block.start, block.stop), count)
             nodes += start
             points, weights = _detector_quadrature(detector, rings * detector.samples + nodes)
             norms = np.sqrt(np.einsum("ij,ij->i", points, points))
             distinct = _distinct_images(detector, elements, nodes)
-            # the reference source's intensity 1/|p|^2, summed on each group's
+            # the reference source's intensity 1/|p|^2, summed on each stack's
             # rows as the engine sums an origin-centered source there, whose
             # field is exactly 1/|p| (d = 0)
             reference = 1.0 / norms
             reference *= reference
-            for g in members:
-                singles[g] += _group_walk(groups[g], rows, points, weights, norms, distinct,
-                                          reference, powers[g])
-    return ([power for group_powers in powers for power in group_powers],
-            [single for group_powers, single in zip(powers, singles) for _ in group_powers])
+            for s in members:
+                singles[s] += _stack_walk(stacks[s], rows, points, weights, norms, distinct,
+                                          reference, powers[s])
+    return (np.concatenate([np.empty(0), *(power.ravel() for power in powers)]),
+            np.repeat(singles, [power.size for power in powers]))
 
 
-def _position_groups(arrays, detector: DetectorGrid) -> list[_Group]:
+def _position_groups(arrays, detector: DetectorGrid) -> list[_Stack]:
     """The arrays as consecutive groups of equal positions, each with its
-    distinct phase arrays by id, its runs of equal wavenumber and its fold
-    onto ``detector`` (see _fold). Sweep steps share their array's positions
-    object, so most steps join a group without comparing their positions,
-    and a spectrum's steps share one phases object too."""
+    runs of equal wavenumber, and the groups as consecutive stacks of the
+    same source count, fold onto ``detector`` (see _fold), run shape and
+    matvec width: one class when every phase array equals its reversal bit
+    for bit (an in-phase array), as both classes then have its intensities.
+    Sweep steps share their array's positions object, so most steps join a
+    group without comparing their positions."""
     groups = []
     for array in arrays:
         positions, wavenumber = array.positions, array.wavenumber
         if not groups or (
-            groups[-1].positions is not positions
-            and groups[-1].positions.tobytes() != positions.tobytes()
+            groups[-1][0] is not positions and groups[-1][0].tobytes() != positions.tobytes()
         ):
-            groups.append(_Group(positions, {}, [], _fold(detector, positions)))
-        _, phases, runs, _ = groups[-1]
-        phases.setdefault(id(array.phases), array.phases)
+            groups.append((positions, []))
+        runs = groups[-1][1]
         if not runs or runs[-1][0] != wavenumber:
             runs.append((wavenumber, []))
-        runs[-1][1].append(id(array.phases))
-    return groups
+        runs[-1][1].append(array.phases)
+
+    def shape(group):
+        fold = _fold(detector, group[0])
+        width = len(fold.classes) if any(phases.tobytes() != phases[::-1].tobytes() for phases
+                                         in _distinct_phases([group[1]]).values()) else 1
+        return len(group[0]), fold, width, [len(sets) for _, sets in group[1]]
+
+    return [_Stack(*map(list, zip(*same)), fold, width)
+            for (_, fold, width, _), same in itertools.groupby(groups, shape)]
 
 
-def _check_farfield_budget(detector: DetectorGrid, groups):
-    """Refuse a far-field request for ``groups`` (see _position_groups) over
-    either budget, before anything is built. Memory: the most that one
-    group's walk of a block holds (see _group_walk): a chunk's path
-    differences and 1/r, and the trig array, gathered phasors and three
-    matvec outputs per set of its largest batch (see _batches), each chunk
-    and block a row more for a last lone row (see _row_blocks); _ROW_COLUMNS
-    per materialized block row; per source |x|^2, the fold check and the
-    cos and sin of each distinct phase array in each class; plus
-    _WALK_BUFFER_BYTES. No term grows with the detector or couples a block's
-    rows to the source count. Work: per fundamental row and source,
-    _PATH_WORK for each group and _TRIG_WORK for each run, and per
-    materialized row and source _MATVEC_WORK for each phase set."""
+def _check_farfield_budget(detector: DetectorGrid, stacks):
+    """Refuse a far-field request for ``stacks`` (see _position_groups) over
+    either budget, before anything is built. Memory: the most one stack's
+    walk of a block holds (see _stack_walk): a sub-stack's path differences,
+    1/r, positions, |x|^2, phase ids, wavenumbers and phasors, and its
+    largest batch's trig, phasors and matvec outputs (a chunk and block one
+    row more, see _row_blocks); _ROW_COLUMNS per materialized block row; the
+    fold check; _WALK_BUFFER_BYTES. None grows with the detector. Work: per
+    fundamental row and source, _PATH_WORK for each group and _TRIG_WORK for
+    each run, and per materialized row and source _MATVEC_WORK for each set."""
     needed = work = arrays = n_sources = 0
-    for positions, phases, runs, fold in groups:
-        n, classes = positions.shape[0], len(fold.classes)
+    for positions, runs, fold, width in stacks:
+        n, classes, groups = positions[0].shape[0], len(fold.classes), len(runs)
+        shape = [len(sets) for _, sets in runs[0]]
         fundamental, rows = _fundamental_rows(detector, fold.mirrors)[2:]
         height = _chunk_rows(rows, n)
-        batches = _batches(runs, n * height)
-        steps, batch_sets = max(map(len, batches)), max(len(b) * len(b[0][1]) for b in batches)
+        sub, batches = _batches(shape, n, width, height, groups)
+        steps = max(batch.stop - batch.start for batch in batches)
+        batch_sets = max(sum(shape[batch]) for batch in batches)
+        phases = max(len(_distinct_phases(runs[i:i + sub])) for i in range(0, groups, sub))
         height, rows = height + 1, rows + 1
-        needed = max(needed, 8 * ((2 + steps) * height * n + n + classes * (
-            rows * _ROW_COLUMNS + (2 * n + 3 * height) * batch_sets))
-                     + (16 * classes * len(phases) + _FOLD_SOURCE_BYTES) * n)
-        sets = [len(keys) for _, keys in runs]
-        work += fundamental * n * (
-            _PATH_WORK + sum(_TRIG_WORK + _MATVEC_WORK * classes * s for s in sets)
+        needed = max(needed, 8 * (sub * n * ((2 + steps) * height + 4 + 2 * width * batch_sets)
+                                  + sub * (len(shape) + sum(shape)) + classes * rows * _ROW_COLUMNS
+                                  + width * (3 * height * sub * batch_sets + 2 * n * phases))
+                     + _FOLD_SOURCE_BYTES * n)
+        work += groups * fundamental * n * (
+            _PATH_WORK + sum(_TRIG_WORK + _MATVEC_WORK * classes * s for s in shape)
         )
-        arrays += sum(sets)
+        arrays += groups * sum(shape)
         n_sources = max(n_sources, n)
     request = f"far-field request of {detector.n_points} detector points x {n_sources} sources"
     _check_budget(needed + _WALK_BUFFER_BYTES, request)
     _check_work(work, f"{request} x {arrays} arrays")
+
+
+def _check_farfield_sources(detector: DetectorGrid, counts):
+    """_check_farfield_budget for one array of each of ``counts`` sources,
+    charged as unfolded (the most any fold does), with no positions built."""
+    stacks = [_Stack([np.empty((n, 0))], [[(None, [None])]], _UNFOLDED, 1) for n in counts]
+    _check_farfield_budget(detector, stacks)
 
 
 def _check_sweep_budget(steps: int, n_sources: int, kind: str):
@@ -804,15 +847,13 @@ def farfield_powers(arrays, detector: DetectorGrid) -> tuple[np.ndarray, np.ndar
     with no exponential, on the same rows and weights as each group of
     equal positions, in the engine's blocks.
 
-    The detector rows are walked in blocks (see _block_walk): each block
-    builds its own quadrature rows and is walked in chunks, each of which
-    builds its rows of the path table once for every run of consecutive
-    arrays with the same positions, and consecutive runs of arrays share one
-    cos/sin pass over them (see _group_walk). The walk holds one block of
-    quadrature and one group's chunk of path differences at a time, never
-    the whole detector. Positions that a detector mirror maps onto themselves fold
-    (see _fold): the walk takes only one node of each mirror orbit through
-    the path table and the cos/sin pass.
+    The detector rows are walked in blocks, each of which builds its own
+    quadrature rows and is walked in chunks by each stack of equal-N groups
+    (see _block_walk and _stack_walk), so the walk holds one block of
+    quadrature and one stack's chunk of path differences at a time, never
+    the whole detector. Positions that a detector mirror maps onto
+    themselves fold (see _fold): only one node of each orbit takes path
+    differences and cos/sin.
 
     Raises FarFieldViolationError unless the detector radius is at least
     100x both the wavelength and the extent of every array, and ValueError
@@ -826,9 +867,9 @@ def farfield_powers(arrays, detector: DetectorGrid) -> tuple[np.ndarray, np.ndar
             raise FarFieldViolationError(
                 f"detector radius {detector.radius} below far-field threshold {threshold}"
             )
-    groups = _position_groups(arrays, detector)
-    _check_farfield_budget(detector, groups)
-    powers, references = (np.array(column, dtype=float) for column in _block_walk(detector, groups))
+    stacks = _position_groups(arrays, detector)
+    _check_farfield_budget(detector, stacks)
+    powers, references = _block_walk(detector, stacks)
     counts = np.array([array.n_sources for array in arrays], dtype=float)
     return powers, powers / (counts * references)
 

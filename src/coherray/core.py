@@ -11,7 +11,6 @@ The CLI's output-only energy scale is the one conversion to physical units.
 from __future__ import annotations
 
 import cmath
-import copy
 import math
 from dataclasses import dataclass, field
 
@@ -240,12 +239,14 @@ def _swept(array: SourceArray, wavelength: float | None = None, phases=None) -> 
     SourceArray would build from them. The positions and extent are
     already validated and are reused, so a sweep step checks only the
     values it changes."""
-    step = copy.copy(array)
+    changes = {}
     if wavelength is not None:
         _check_wavelength(wavelength)
-        object.__setattr__(step, "wavelength", wavelength)
+        changes["wavelength"] = wavelength
     if phases is not None:
-        object.__setattr__(step, "phases", _checked_phases(phases, array.n_sources))
+        changes["phases"] = _checked_phases(phases, array.n_sources)
+    step = object.__new__(SourceArray)
+    step.__dict__.update(array.__dict__, **changes)
     return step
 
 

@@ -374,9 +374,7 @@ def dicke_scaling_check(
         # build peaks at 96 bytes per source, measured), and charged the
         # unfolded walk's work, the most any fold does (farfield_powers then
         # charges each array's own fold), with no positions built
-        groups = [classical._Group(np.empty((n, 0)), {0: None}, [(None, [0])], classical._UNFOLDED)
-                  for n in ns]
-        classical._check_farfield_budget(detector, groups)
+        classical._check_farfield_sources(detector, ns)
         _check_sweep_budget(len(ns), ns[-1], "source_count")
         arrays = []
         for n in ns:

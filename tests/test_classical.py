@@ -718,10 +718,11 @@ def test_far_field_request_over_budget_is_refused_before_allocation():
 
 def test_sweeps_build_the_quadrature_once(monkeypatch):
     """Each fundamental detector row's point and weight are built once per
-    call, not once per step or per group; each block's path rows are built
-    once per group of equal positions, and the reference source needs none.
-    Linear arrays fold: the arc builds half its rows (two blocks of 2048 at
-    5000 points), and the 96^2 hemisphere a quarter (three blocks of 1024)."""
+    call, not once per step or per group; each chunk's path rows are built
+    in one pass for a sub-stack of equal-N groups (the six lines of a
+    spacing sweep take one), and the reference source needs none. Linear
+    arrays fold: the arc builds half its rows (two blocks of 2048 at 5000
+    points), and the 96^2 hemisphere a quarter (three blocks of 1024)."""
     calls = {"rows": 0, "_path_differences": 0}
     build, paths = classical._detector_quadrature, classical._path_differences
 
@@ -754,7 +755,7 @@ def test_sweeps_build_the_quadrature_once(monkeypatch):
     phase_sweep = SweepSpec("farfield_power", "phase_delta", 0.0, 3.0, 6, fixed)
     assert run(lambda: run_sweep(phase_sweep)) == (128, 1)
     spacing_sweep = SweepSpec("farfield_power", "spacing", 0.1, 1.0, 6, fixed)
-    assert run(lambda: run_sweep(spacing_sweep)) == (128, 6)
+    assert run(lambda: run_sweep(spacing_sweep)) == (128, 1)
     assert run(lambda: dicke_scaling_check([2, 4, 8], "farfield", detector_samples=256)) == (128, 3)
 
 
@@ -762,37 +763,43 @@ def test_phase_steps_share_one_trig_pass(monkeypatch):
     """Consecutive arrays with the same positions and wavenumber share one
     cos/sin pass over each chunk's fundamental path rows, and consecutive
     runs of as many arrays share one batch, so a wavelength sweep takes one
-    pass too; new positions start another. Each pass covers the fundamental
-    rows of the folded arc, half its points: 5000 points make blocks of 2048
-    and 452 rows. A batch holds at most 2^16 steps x sources x rows, so a
-    200-step spectrum of 3 sources on 175 fundamental rows takes two passes."""
-    passes = []
+    pass too; so do the steps of a spacing sweep, whose lines of equal N
+    stack. Each pass covers the fundamental rows of the folded arc, half
+    its points: 5000 points make blocks of 2048 and 452 rows. A batch holds
+    at most 2^16 cells of cos or sin, N per step and row, and 2^12 in each
+    matvec output, sets x classes per step and row, where palindromic
+    phases (uniform ones here) take their matvecs over the in-order class
+    only and a phase ramp over both: a 200-step spectrum of 3 sources on
+    175 fundamental rows takes nine passes."""
+    passes, widths = [], []
     original = classical._run_powers
 
-    def recording(table, inverse, weights, wavenumbers, phasors, trig):
-        passes.append((len(wavenumbers), phasors.shape[1], table.shape[1]))
-        return original(table, inverse, weights, wavenumbers, phasors, trig)
+    def recording(table, inverse, weights, wavenumbers, phasors, trig, outputs):
+        passes.append((wavenumbers.size, phasors.shape[1], table.shape[2]))
+        widths.append(phasors.shape[3])
+        return original(table, inverse, weights, wavenumbers, phasors, trig, outputs)
 
     monkeypatch.setattr(classical, "_run_powers", recording)
     fixed = {"n_sources": 4, "spacing": 0.3, "wavelength": 1.0, "samples": 256}
     run_sweep(SweepSpec("farfield_power", "phase_delta", 0.0, 3.0, 6, fixed))
-    assert passes == [(1, 6, 128)]
+    assert passes == [(1, 6, 128)] and widths == [2]
     passes.clear()
+    widths.clear()
     run_sweep(SweepSpec("farfield_power", "wavelength", 1.0, 2.0, 4, fixed))
-    assert passes == [(4, 1, 128)]
+    assert passes == [(4, 1, 128)] and widths == [1]
     passes.clear()
     run_sweep(SweepSpec("farfield_power", "phase_delta", 0.0, 3.0, 6, {**fixed, "samples": 5000}))
     assert passes == [(1, 6, 2048), (1, 6, 452)]
     passes.clear()
     run_sweep(SweepSpec("farfield_power", "spacing", 0.1, 1.0, 3, fixed))
-    assert passes == [(1, 1, 128)] * 3
+    assert passes == [(3, 1, 128)]
     passes.clear()
     array = make_linear_array(3, 2.0, 0.5)
     transmission_spectrum(array, (0.5, 3.0), 200, DetectorGrid(radius=1e3, geometry="arc",
                                                                 samples=350))
-    assert len(passes) == -(-200 * 175 * 3 // (1 << 16)) == 2
-    assert sum(steps for steps, _, _ in passes) == 200
-    assert all(steps * 3 * rows <= 1 << 16 for steps, _, rows in passes)
+    assert len(passes) == -(-200 // ((1 << 12) // 175)) == 9
+    assert sum(steps for steps, _, _ in passes) == 200 and set(widths[-9:]) == {1}
+    assert all(steps * rows <= 1 << 12 for steps, _, rows in passes)
 
 
 @pytest.mark.parametrize(
@@ -813,7 +820,7 @@ def test_trig_passes_take_one_node_per_orbit(monkeypatch, geometry, samples, lay
     original = classical._run_powers
 
     def counting(table, inverse, weights, wavenumbers, *rest):
-        elements.append(len(wavenumbers) * table.size)
+        elements.append(wavenumbers.size * table[0].size)
         return original(table, inverse, weights, wavenumbers, *rest)
 
     monkeypatch.setattr(classical, "_run_powers", counting)
@@ -924,26 +931,41 @@ def whole_table_power(detector, positions, phases, wavenumber):
     return power
 
 
-# (geometry, samples, source counts): a last row of the arc joining the
-# block before it (arc 4097, N = 7); one chunk per block (4096 points,
+# (geometry, samples, source counts, stacks): a last row of the arc joining
+# the block before it (arc 4097, N = 7); one chunk per block (4096 points,
 # N = 12); chunks of three rows longer than einsum's 8192-element buffer,
 # the last of two rows (arc 65, N = 20 000); chunks of 1024 rows in three
 # blocks (hemisphere 96^2, N = 64); a last chunk of four rows, a lone row
 # joined to three, at N = 20 000 (arc 64); and groups of different source
 # counts sharing one call. Every group below 1000 sources comes twice: in
 # a random layout, which takes the unfolded walk, and as a line, which
-# folds with a reversed class
+# folds with a reversed class. The stacks cases add equal-N groups (see
+# stack_arrays): lines of three spacings as one stack of three sub-stacks,
+# each cut into two chunks (arc 4097, N = 40), or in sub-stacks of two
+# groups (hemisphere 96^2, N = 5); palindromic phases on folded lines; and
+# a stack whose next array is jittered, so the stack splits at the fold
+STREAMED_CASES = [
+    ("arc", 4097, (7, 7, 3), None), ("arc", 4096, (12, 1, 12), None),
+    ("arc", 65, (20_000, 5), None), ("hemisphere", 96, (64, 9, 64), None),
+    ("arc", 64, (20_000,), None), ("arc", 4097, (), "spacings"),
+    ("hemisphere", 96, (), "spacings"), ("arc", 257, (), "palindromes"),
+    ("hemisphere", 66, (), "palindromes"), ("arc", 513, (), "jittered"),
+]
+
+
 @pytest.mark.parametrize(
-    "geometry, samples, counts",
-    [("arc", 4097, (7, 7, 3)), ("arc", 4096, (12, 1, 12)), ("arc", 65, (20_000, 5)),
-     ("hemisphere", 96, (64, 9, 64)), ("arc", 64, (20_000,))],
+    "geometry, samples, counts, stacks", STREAMED_CASES,
+    ids=[f"{geometry}-{samples}-{stacks or f'counts{i}'}"
+         for i, (geometry, samples, _, stacks) in enumerate(STREAMED_CASES)],
 )
-def test_streamed_engine_is_bit_equal_to_the_whole_table_walk(geometry, samples, counts):
+def test_streamed_engine_is_bit_equal_to_the_whole_table_walk(geometry, samples, counts, stacks):
     """Each array's power is the sum of its chunk partials in walk order,
     each row's field sums the sources in ascending order, and the reversed
     class sums them against the phases reversed, so neither streaming nor
-    batching moves a bit. Runs of equal positions and wavenumber share a
-    pass here, and each group holds several runs."""
+    batching moves a bit, nor stacking equal-N groups into one path pass,
+    nor sharing one class's intensities between both classes of palindromic
+    phases. Runs of equal positions and wavenumber share a pass here, and
+    each group holds several runs."""
     rng = XorShift64Star(samples + sum(counts))
     arrays = []
     for n in counts:
@@ -956,13 +978,62 @@ def test_streamed_engine_is_bit_equal_to_the_whole_table_walk(geometry, samples,
         for array in layouts:
             arrays += [array, replace(array, phases=rng.phases(n)),
                        replace(array, wavelength=array.wavelength * 1.25)]
+    if stacks:
+        arrays += stack_arrays(rng, stacks, 40 if geometry == "arc" else 5)
     detector = far_detector(rng, arrays, geometry, samples)
     powers, _ = farfield_powers(arrays, detector)
     classes = {len(classical._fold(detector, array.positions).classes) for array in arrays}
-    assert classes == ({1, 2} if min(counts) < 1000 else {1})
+    assert classes == ({2} if stacks in ("spacings", "palindromes")
+                       else {1, 2} if min(counts, default=0) < 1000 else {1})
+    if stacks:
+        check_stacks(classical._position_groups(arrays, detector), stacks, detector)
     for power, array in zip(powers, arrays):
         assert power == whole_table_power(detector, array.positions, array.phases,
                                           array.wavenumber)
+
+
+def stack_arrays(rng, kind, n):
+    """Equal-N groups for the stacks cases: lines of three spacings, each at
+    two wavelengths; a line at uniform phases and at a mirrored random set,
+    each at three wavelengths; or two lines of N = 9 and the second line
+    jittered along x."""
+    wavelength = 0.5 + rng.uniform()
+    if kind == "palindromes":
+        half = rng.phases(n // 2)
+        mirrored = [*half, *([rng.uniform()] if n % 2 else []), *half[::-1]]
+        arrays = [make_linear_array(n, 1e-4, wavelength, phases)
+                  for phases in ([rng.uniform()] * n, mirrored)]
+        return [replace(array, wavelength=wavelength * scale)
+                for array in arrays for scale in (1.0, 1.1, 1.25)]
+    if kind == "spacings":
+        lines = [make_linear_array(n, spacing, wavelength, rng.phases(n))
+                 for spacing in (1e-4, 2e-4, 3e-4)]
+        return [replace(line, wavelength=wavelength * scale)
+                for line in lines for scale in (1.0, 1.25)]
+    lines = [make_linear_array(9, spacing, wavelength, rng.phases(9)) for spacing in (1e-4, 2e-4)]
+    jittered = lines[1].positions + np.outer(rng.phases(9) * 1e-6, [1.0, 0.0, 0.0])
+    return [*lines, replace(lines[1], positions=jittered)]
+
+
+def check_stacks(stacks, kind, detector):
+    """The stacks cases walk the stacks they are built for (see
+    stack_arrays)."""
+    shapes = []
+    for stack in stacks:
+        n = stack.positions[0].shape[0]
+        rows = classical._fundamental_rows(detector, stack.fold.mirrors)[3]
+        height = classical._chunk_rows(rows, n)
+        shape = [len(sets) for _, sets in stack.runs[0]]
+        sub, _ = classical._batches(shape, n, stack.width, height, len(stack.runs))
+        chunks = len(list(classical._row_blocks(rows, height)))
+        shapes.append((n, len(stack.runs), sub, chunks, len(stack.fold.classes), stack.width))
+    if kind == "spacings":
+        arc = detector.geometry == "arc"
+        assert shapes == [(40, 3, 1, 2, 2, 2) if arc else (5, 3, 2, 1, 2, 2)]
+    elif kind == "palindromes":
+        assert shapes[-1][4:] == (2, 1)
+    else:
+        assert shapes == [(9, 2, 2, 1, 2, 2), (9, 1, 1, 1, 1, 1)]
 
 
 def test_streamed_engine_holds_one_block_of_the_path_table(monkeypatch):
@@ -1135,20 +1206,25 @@ def test_far_field_budget_covers_the_measured_peak_of_several_groups(
     assert peak <= charged[0]
 
 
-# (steps, sources, samples, swept): the largest batch of runs, a 200-step
-# spectrum of a 3-source line whose 175 fundamental arc rows take 124 runs
-# a batch; and the most phase sets in one run, a 117-step phase sweep
-BATCH_CASES = [(200, 3, 350, "wavelength"), (117, 10, 1024, "phases")]
+# (steps, sources, samples, swept, batch): the most runs in one batch, a
+# 200-step spectrum of a 3-source line whose 175 fundamental arc rows take
+# 11 runs a batch; the same spectrum on a 2048-point arc, whose 1024 rows
+# take 2 runs a batch and whose walk holds under 0.5 MB; and the most phase
+# sets in one run, a 117-step phase sweep
+BATCH_CASES = [(200, 3, 350, "wavelength", (11, 1)), (200, 3, 2048, "wavelength", (2, 1)),
+               (117, 10, 1024, "phases", (1, 117))]
 
 
-@pytest.mark.parametrize("steps, n_sources, samples, swept", BATCH_CASES,
-                         ids=[f"{swept}-{steps}" for steps, _, _, swept in BATCH_CASES])
+@pytest.mark.parametrize("steps, n_sources, samples, swept, batch", BATCH_CASES,
+                         ids=["wavelength-200", "wavelength-200-2048", "phases-117"])
 def test_far_field_budget_covers_the_measured_peak_of_a_batch(
-    monkeypatch, steps, n_sources, samples, swept
+    monkeypatch, steps, n_sources, samples, swept, batch
 ):
     """A batch of runs holds a trig array of all its runs and the matvec
     outputs of all its phase sets at once; the charge covers the peak at
-    both extremes, many runs of one set and one run of many sets."""
+    both extremes, many runs of one set and one run of many sets. A batch
+    caps its matvec outputs as well as its cos or sin, so a spectrum of a
+    few sources on a large arc holds under 0.5 MB."""
     rng = XorShift64Star(steps + n_sources)
     array = make_linear_array(n_sources, 0.3, 1.0, rng.phases(n_sources))
     if swept == "wavelength":
@@ -1157,13 +1233,17 @@ def test_far_field_budget_covers_the_measured_peak_of_a_batch(
         arrays = [core._swept(array, phases=np.arange(n_sources) * delta)
                   for delta in np.linspace(0.0, 3.0, steps)]
     detector = far_detector(rng, arrays, "arc", samples)
-    [group] = classical._position_groups(arrays, detector)
-    rows = classical._fundamental_rows(detector, group.fold.mirrors)[3]
-    batch = max(classical._batches(group.runs, n_sources * rows), key=len)
-    assert (len(batch), len(batch[0][1])) == ((124, 1) if swept == "wavelength" else (1, 117))
+    [stack] = classical._position_groups(arrays, detector)
+    rows = classical._fundamental_rows(detector, stack.fold.mirrors)[3]
+    shape = [len(sets) for _, sets in stack.runs[0]]
+    _, batches = classical._batches(shape, n_sources, stack.width, rows, 1)
+    longest = max(batches, key=lambda runs: runs.stop - runs.start)
+    assert (longest.stop - longest.start, shape[longest.start]) == batch
     peak, charged = peak_and_charge(monkeypatch, arrays, detector)
     assert len(charged) == 1
     assert peak <= charged[0]
+    if samples == 2048:
+        assert peak < 2 ** 19
 
 
 def test_spectrum_of_four_thousand_sources_peaks_under_sixteen_megabytes():
