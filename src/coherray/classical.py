@@ -28,19 +28,22 @@ source at every detector point, with one rearrangement: a source at
 distance r = |p| + d from the point p contributes e^{i(k d + phi)} / r,
 since the row's common phase e^{ik|p|} drops out of |field|^2 exactly.
 The path differences d are small and exact to full precision, so real
-cos/sin of k d replace the complex exponential of k r. The detector rows
-are walked in blocks, and each block in chunks of about 2^16 path
-differences, so the engine holds nothing that grows with the detector and
-nothing that couples its rows to the source count. Each block builds its
-quadrature points and weights once, and each stack of consecutive arrays
-of one source count, fold and run shape (a spacing sweep) walks it in
-turn: it adds its partial of the origin-centered reference source
-(1/|p|^2 at every k) once, and each chunk builds the source-major d and
-1/r of several of its position groups in one pass. Steps that change only
-the phases share a run, and runs of as many steps a batch, with one cos
-and one sin pass and einsum matvecs that sum each row's sources in
-ascending order. Before it builds anything, the engine checks the largest
-stack's walk against MEMORY_BUDGET_BYTES and its work against WORK_BUDGET.
+cos/sin of k d replace the complex exponential of k r. Arrays of equal
+positions form a group, and consecutive groups of one source count, fold,
+run shape and matvec width a stack (every step of a spacing sweep), which
+is planned once, when it is formed: its rows per chunk (about 2^16 path
+differences), its sub-stacks (the groups whose source-major d and 1/r a
+chunk builds in one pass) and its batches (consecutive runs of as many
+phase sets, a run being the steps that change only the phases, with one
+cos and one sin pass and einsum matvecs that sum each row's sources in
+ascending order). The walk and the budget check both read that plan. The
+detector rows are walked in blocks, whose quadrature is built once for
+every stack folded onto the block's mirrors (see below); each stack walks
+a block in its chunks and adds its partial of the origin-centered
+reference source (1/|p|^2 at every k) once. Nothing the engine holds grows
+with the detector or couples its rows to the source count, and before it
+builds anything it checks the largest stack's walk against
+MEMORY_BUDGET_BYTES and its work against WORK_BUDGET.
 
 Both detectors are mirror-symmetric: the arc under x -> -x, the hemisphere
 under y -> -y and, when its samples are even, under x -> -x. When a mirror
@@ -70,7 +73,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (
-    MEMORY_BUDGET_BYTES,  # classical.MEMORY_BUDGET_BYTES names the budget its routes check
     TWO_PI,
     BoxVolume,
     EnergyReport,
@@ -142,9 +144,9 @@ _BLOCK_ROWS = 4096
 _CHUNK_CELLS = 1 << 16
 _CHUNK_MIN_ROWS = 2
 
-# cells per matvec output array of a batch (see _batches): with no cap, a
-# 200-step spectrum of 3 sources on a 2048-point arc, whose outputs outnumber
-# its cos or sin, peaked at 1.70 MB; with it, under 0.5 MB
+# cells per matvec output array of a batch (see _planned_stack): with no
+# cap, a 200-step spectrum of 3 sources on a 2048-point arc, whose outputs
+# outnumber its cos or sin, peaked at 1.70 MB; with it, under 0.5 MB
 _OUTPUT_CELLS = 1 << 12
 
 # far-field work per detector point and source, in the grid's operations
@@ -557,11 +559,13 @@ def _path_differences(points, norms, positions, squares, table, inverse, scratch
     (|x|^2 - 2 p.x) / (r + |p|), the same quantity with no cancellation
     between r and |p|, so d keeps full relative precision however far the
     detector is; ``squares`` holds each |x|^2. ``inverse`` holds r + |p|
-    until then, and ``scratch``, shaped like ``table``, each coordinate's.
+    until then. The x terms are written into ``inverse`` and ``table``, and
+    ``scratch``, shaped like ``table``, holds the y and z terms added on.
     """
-    inverse.fill(0.0)
-    table.fill(0.0)
-    for axis in range(3):
+    np.subtract(points[:, 0], positions[..., 0, None], out=inverse)
+    inverse *= inverse
+    np.multiply(points[:, 0], positions[..., 0, None], out=table)
+    for axis in (1, 2):
         np.subtract(points[:, axis], positions[..., axis, None], out=scratch)
         scratch *= scratch
         inverse += scratch
@@ -591,36 +595,18 @@ def _chunk_rows(block_rows: int, n_sources: int) -> int:
     return min(block_rows, max(_CHUNK_MIN_ROWS, _CHUNK_CELLS // n_sources))
 
 
-def _batches(shape, n_sources: int, width: int, height: int, groups: int) -> tuple[int, list]:
-    """The groups per sub-stack and the batches (slices of consecutive runs
-    with as many phase sets) of a stack of ``groups`` (see _Stack) walking a
-    chunk of ``height`` rows. A run of s sets holds N cos or sin and s width
-    cells of each matvec output per group and row: at most _CHUNK_CELLS and
-    _OUTPUT_CELLS in a sub-stack's longest run and in a batch, or one run."""
-    def most(count, sets):
-        return max(1, min(_CHUNK_CELLS // (count * n_sources * height),
-                          _OUTPUT_CELLS // (count * sets * width * height)))
-
-    sub = min(groups, most(1, max(shape)))
-    batches, start = [], 0
-    for sets, same in itertools.groupby(shape):
-        stop, step = start + len(list(same)), most(sub, sets)
-        batches += map(slice, range(start, stop, step), [*range(start + step, stop, step), stop])
-        start = stop
-    return sub, batches
-
-
 def _run_powers(table, inverse, weights, wavenumbers, phasors, trig, outputs) -> np.ndarray:
     """One chunk's partial power (groups, runs x sets) of each phase set of
-    a batch (see _batches), from the path ``table`` (groups, N, rows), its
-    1/r, each run's k, each set's cos(phi) and sin(phi) ``phasors`` (groups
-    x runs, sets, 2, width, N; reversed for a second class, see _Fold) and
-    each class's row ``weights``. cos(k d)/r, then sin(k d)/r, of every run
-    takes one ``trig`` pass, matvec'd into three ``outputs`` by einsums (not
-    BLAS) whose inner loop runs over the rows (two or more, see _row_blocks),
-    so every row sums its sources in ascending order on any machine. One
-    class's phasors give both classes its intensities. Each set's weighted
-    intensities are summed pairwise: its partial is the same in any batch."""
+    a batch (see _planned_stack), from the path ``table`` (groups, N, rows),
+    its 1/r, each run's k, each set's cos(phi) and sin(phi) ``phasors``
+    (groups x runs, sets, 2, width, N; reversed for a second class, see
+    _Fold) and each class's row ``weights``. cos(k d)/r, then sin(k d)/r,
+    of every run takes one ``trig`` pass, matvec'd into three ``outputs`` by
+    einsums (not BLAS) whose inner loop runs over the rows (two or more, see
+    _row_blocks), so every row sums its sources in ascending order on any
+    machine. One class's phasors give both classes its intensities. Each
+    set's weighted intensities are summed pairwise: its partial is the same
+    in any batch."""
     cos_phi, sin_phi = phasors[:, :, 0], phasors[:, :, 1]
     real, imag, product = outputs
     runs = trig.reshape(-1, *trig.shape[2:])
@@ -645,12 +631,44 @@ def _run_powers(table, inverse, weights, wavenumbers, phasors, trig, outputs) ->
 
 
 class _Stack(NamedTuple):
-    """Consecutive positions groups of one N, fold, run shape and width (see _position_groups)."""
+    """Consecutive positions groups of one N, fold, run shape and width (see
+    _position_groups), and the plan of their walk of a block (see
+    _planned_stack), which the walk and the budget check both read."""
 
     positions: list  # each group's positions, (N, 3)
     runs: list  # each group's runs of equal wavenumber, [(wavenumber, [phases, ...]), ...]
     fold: _Fold
     width: int  # the fold classes its matvecs take: 1 when all its phases are palindromic
+    height: int  # fundamental rows per chunk
+    sub: int  # groups per sub-stack
+    batches: list  # slices of consecutive runs with as many phase sets
+    offsets: list  # each run's first phase set, and the sets per group last
+
+
+def _planned_stack(detector: DetectorGrid, positions, runs, fold: _Fold, width: int) -> _Stack:
+    """A _Stack of these groups with the plan of its walk of a block of its
+    fold's mirrors (see _fundamental_rows): the rows per chunk (see
+    _chunk_rows), the groups per sub-stack, the batches (slices of
+    consecutive runs with as many phase sets) and each run's first phase
+    set, the sets per group last. A run of s sets holds N cos or sin and s
+    width cells of each matvec output per group and row: at most
+    _CHUNK_CELLS and _OUTPUT_CELLS in a sub-stack's longest run and in a
+    batch, or one run."""
+    n, shape = positions[0].shape[0], [len(sets) for _, sets in runs[0]]
+    height = _chunk_rows(_fundamental_rows(detector, fold.mirrors)[3], n)
+
+    def most(count, sets):
+        return max(1, min(_CHUNK_CELLS // (count * n * height),
+                          _OUTPUT_CELLS // (count * sets * width * height)))
+
+    sub = min(len(runs), most(1, max(shape)))
+    batches, start = [], 0
+    for sets, same in itertools.groupby(shape):
+        stop, step = start + len(list(same)), most(sub, sets)
+        batches += map(slice, range(start, stop, step), [*range(start + step, stop, step), stop])
+        start = stop
+    return _Stack(positions, runs, fold, width, height, sub, batches,
+                  [0, *itertools.accumulate(shape)])
 
 
 def _distinct_phases(runs) -> dict:
@@ -658,25 +676,20 @@ def _distinct_phases(runs) -> dict:
     return {id(phases): phases for group in runs for _, sets in group for phases in sets}
 
 
-def _stack_walk(stack: _Stack, rows: int, points, weights, norms, distinct, reference,
-                powers) -> float:
-    """Walk a block of ``rows`` fundamental rows for ``stack`` in chunks
-    (see _chunk_rows): add each phase set's partial to ``powers`` (groups,
-    sets) and return the reference source's partial (intensity
-    ``reference``) on the rows its groups share. Each chunk builds the path
-    differences and 1/r of a sub-stack (see _batches) in one pass, and each
-    batch of runs takes one cos and one sin pass (see _run_powers)."""
-    n, width = stack.positions[0].shape[0], stack.width
+def _stack_walk(stack: _Stack, points, weights, norms, distinct, reference, powers) -> float:
+    """Walk a block's fundamental rows for ``stack`` in the chunks of its
+    plan: add each phase set's partial to ``powers`` (groups, sets) and
+    return the reference source's partial (intensity ``reference``) on the
+    rows its groups share. Each chunk builds the path differences and 1/r of
+    a sub-stack in one pass, and each batch of runs takes one cos and one
+    sin pass (see _run_powers)."""
+    n, width, sub, offsets = stack.positions[0].shape[0], stack.width, stack.sub, stack.offsets
     row_weights = np.array([np.sum([distinct[e] for e in c], axis=0)
                             for c in stack.fold.classes]) * weights
-    shape = [len(sets) for _, sets in stack.runs[0]]
-    offsets = [0, *itertools.accumulate(shape)]
-    height = _chunk_rows(rows, n)
-    sub, batches = _batches(shape, n, width, height, len(stack.positions))
-    chunks = list(_row_blocks(norms.size, height))
+    chunks = list(_row_blocks(norms.size, stack.height))
     height = max(chunk.stop - chunk.start for chunk in chunks)
-    most = max(batch.stop - batch.start for batch in batches)
-    most_sets = max(offsets[batch.stop] - offsets[batch.start] for batch in batches)
+    most = max(batch.stop - batch.start for batch in stack.batches)
+    most_sets = max(offsets[batch.stop] - offsets[batch.start] for batch in stack.batches)
     table, inverse, trig, outputs = (np.empty(sub * height * k)
                                      for k in (n, n, most * n, 3 * most_sets * width))
     for first in range(0, len(stack.positions), sub):
@@ -699,7 +712,7 @@ def _stack_walk(stack: _Stack, rows: int, points, weights, norms, distinct, refe
             paths, inverses = (np.reshape(a[:cells], (g, n, size)) for a in (table, inverse))
             _path_differences(points[chunk], norms[chunk], positions, squares, paths, inverses,
                               np.reshape(trig[:cells], (g, n, size)))
-            for batch in batches:
+            for batch in stack.batches:
                 sets = slice(offsets[batch.start], offsets[batch.stop])
                 ids, steps = keys[:, sets].ravel(), batch.stop - batch.start
                 powers[group, sets] += _run_powers(
@@ -709,39 +722,6 @@ def _stack_walk(stack: _Stack, rows: int, points, weights, norms, distinct, refe
                     np.reshape(outputs[:3 * ids.size * width * size],
                                (3, g * steps, -1, width, size)))
     return float(np.multiply(reference, row_weights).sum())
-
-
-def _block_walk(detector: DetectorGrid, stacks) -> tuple[np.ndarray, np.ndarray]:
-    """Detected power of every phase set of ``stacks`` (see _position_groups),
-    in order, and of the reference source on the rows of each set's group.
-    The stacks that share their mirrors are walked together, _BLOCK_ROWS
-    materialized rows of their fundamental rows (see _fundamental_rows) at a
-    time: each block builds its points, weights and |p| once per call, and
-    each stack walks it in turn (see _stack_walk); a power is the sum of its
-    chunk partials in walk order."""
-    powers = [np.zeros((len(stack.runs), sum(len(sets) for _, sets in stack.runs[0])))
-              for stack in stacks]
-    singles = [0.0] * len(stacks)
-    for mirrors in dict.fromkeys(stack.fold.mirrors for stack in stacks):
-        members = [s for s, stack in enumerate(stacks) if stack.fold.mirrors == mirrors]
-        start, count, fundamental, rows = _fundamental_rows(detector, mirrors)
-        elements = stacks[members[0]].fold.elements
-        for block in _row_blocks(fundamental, rows):
-            rings, nodes = np.divmod(np.arange(block.start, block.stop), count)
-            nodes += start
-            points, weights = _detector_quadrature(detector, rings * detector.samples + nodes)
-            norms = np.sqrt(np.einsum("ij,ij->i", points, points))
-            distinct = _distinct_images(detector, elements, nodes)
-            # the reference source's intensity 1/|p|^2, summed on each stack's
-            # rows as the engine sums an origin-centered source there, whose
-            # field is exactly 1/|p| (d = 0)
-            reference = 1.0 / norms
-            reference *= reference
-            for s in members:
-                singles[s] += _stack_walk(stacks[s], rows, points, weights, norms, distinct,
-                                          reference, powers[s])
-    return (np.concatenate([np.empty(0), *(power.ravel() for power in powers)]),
-            np.repeat(singles, [power.size for power in powers]))
 
 
 def _position_groups(arrays, detector: DetectorGrid) -> list[_Stack]:
@@ -764,14 +744,14 @@ def _position_groups(arrays, detector: DetectorGrid) -> list[_Stack]:
             runs.append((wavenumber, []))
         runs[-1][1].append(array.phases)
 
-    def shape(group):
+    def key(group):
         fold = _fold(detector, group[0])
         width = len(fold.classes) if any(phases.tobytes() != phases[::-1].tobytes() for phases
                                          in _distinct_phases([group[1]]).values()) else 1
         return len(group[0]), fold, width, [len(sets) for _, sets in group[1]]
 
-    return [_Stack(*map(list, zip(*same)), fold, width)
-            for (_, fold, width, _), same in itertools.groupby(groups, shape)]
+    return [_planned_stack(detector, *map(list, zip(*same)), fold, width)
+            for (_, fold, width, _), same in itertools.groupby(groups, key)]
 
 
 def _check_farfield_budget(detector: DetectorGrid, stacks):
@@ -785,24 +765,21 @@ def _check_farfield_budget(detector: DetectorGrid, stacks):
     fundamental row and source, _PATH_WORK for each group and _TRIG_WORK for
     each run, and per materialized row and source _MATVEC_WORK for each set."""
     needed = work = arrays = n_sources = 0
-    for positions, runs, fold, width in stacks:
-        n, classes, groups = positions[0].shape[0], len(fold.classes), len(runs)
-        shape = [len(sets) for _, sets in runs[0]]
-        fundamental, rows = _fundamental_rows(detector, fold.mirrors)[2:]
-        height = _chunk_rows(rows, n)
-        sub, batches = _batches(shape, n, width, height, groups)
-        steps = max(batch.stop - batch.start for batch in batches)
-        batch_sets = max(sum(shape[batch]) for batch in batches)
+    for stack in stacks:
+        runs, sub, offsets, width = stack.runs, stack.sub, stack.offsets, stack.width
+        n, classes, groups = stack.positions[0].shape[0], len(stack.fold.classes), len(runs)
+        fundamental, rows = _fundamental_rows(detector, stack.fold.mirrors)[2:]
+        steps = max(batch.stop - batch.start for batch in stack.batches)
+        batch_sets = max(offsets[batch.stop] - offsets[batch.start] for batch in stack.batches)
         phases = max(len(_distinct_phases(runs[i:i + sub])) for i in range(0, groups, sub))
-        height, rows = height + 1, rows + 1
+        height, rows, sets = stack.height + 1, rows + 1, offsets[-1]
         needed = max(needed, 8 * (sub * n * ((2 + steps) * height + 4 + 2 * width * batch_sets)
-                                  + sub * (len(shape) + sum(shape)) + classes * rows * _ROW_COLUMNS
+                                  + sub * (len(offsets) - 1 + sets) + classes * rows * _ROW_COLUMNS
                                   + width * (3 * height * sub * batch_sets + 2 * n * phases))
                      + _FOLD_SOURCE_BYTES * n)
         work += groups * fundamental * n * (
-            _PATH_WORK + sum(_TRIG_WORK + _MATVEC_WORK * classes * s for s in shape)
-        )
-        arrays += groups * sum(shape)
+            _PATH_WORK + _TRIG_WORK * (len(offsets) - 1) + _MATVEC_WORK * classes * sets)
+        arrays += groups * sets
         n_sources = max(n_sources, n)
     request = f"far-field request of {detector.n_points} detector points x {n_sources} sources"
     _check_budget(needed + _WALK_BUFFER_BYTES, request)
@@ -812,7 +789,8 @@ def _check_farfield_budget(detector: DetectorGrid, stacks):
 def _check_farfield_sources(detector: DetectorGrid, counts):
     """_check_farfield_budget for one array of each of ``counts`` sources,
     charged as unfolded (the most any fold does), with no positions built."""
-    stacks = [_Stack([np.empty((n, 0))], [[(None, [None])]], _UNFOLDED, 1) for n in counts]
+    stacks = [_planned_stack(detector, [np.empty((n, 0))], [[(None, [None])]], _UNFOLDED, 1)
+              for n in counts]
     _check_farfield_budget(detector, stacks)
 
 
@@ -847,13 +825,15 @@ def farfield_powers(arrays, detector: DetectorGrid) -> tuple[np.ndarray, np.ndar
     with no exponential, on the same rows and weights as each group of
     equal positions, in the engine's blocks.
 
-    The detector rows are walked in blocks, each of which builds its own
-    quadrature rows and is walked in chunks by each stack of equal-N groups
-    (see _block_walk and _stack_walk), so the walk holds one block of
-    quadrature and one stack's chunk of path differences at a time, never
-    the whole detector. Positions that a detector mirror maps onto
-    themselves fold (see _fold): only one node of each orbit takes path
-    differences and cos/sin.
+    The arrays form stacks of equal-N groups, each planned once (see
+    _position_groups). Stacks that fold onto the same detector mirrors (see
+    _fold) share their fundamental rows, which are walked in blocks of at
+    most _BLOCK_ROWS materialized rows (see _fundamental_rows): each block
+    builds its quadrature points, weights and |p| once, and each of those
+    stacks walks it in the chunks of its plan (see _stack_walk). A power is
+    the sum of its chunk partials in walk order. The call holds one block
+    of quadrature and one stack's chunk of path differences at a time,
+    never the whole detector.
 
     Raises FarFieldViolationError unless the detector radius is at least
     100x both the wavelength and the extent of every array, and ValueError
@@ -869,9 +849,27 @@ def farfield_powers(arrays, detector: DetectorGrid) -> tuple[np.ndarray, np.ndar
             )
     stacks = _position_groups(arrays, detector)
     _check_farfield_budget(detector, stacks)
-    powers, references = _block_walk(detector, stacks)
-    counts = np.array([array.n_sources for array in arrays], dtype=float)
-    return powers, powers / (counts * references)
+    powers = [np.zeros((len(stack.runs), stack.offsets[-1])) for stack in stacks]
+    singles = [0.0] * len(stacks)
+    for mirrors in dict.fromkeys(stack.fold.mirrors for stack in stacks):
+        members = [s for s, stack in enumerate(stacks) if stack.fold.mirrors == mirrors]
+        start, count, fundamental, rows = _fundamental_rows(detector, mirrors)
+        for block in _row_blocks(fundamental, rows):
+            rings, nodes = np.divmod(np.arange(block.start, block.stop), count)
+            nodes += start
+            points, weights = _detector_quadrature(detector, rings * detector.samples + nodes)
+            norms = np.sqrt(np.einsum("ij,ij->i", points, points))
+            distinct = _distinct_images(detector, stacks[members[0]].fold.elements, nodes)
+            # the reference source's intensity 1/|p|^2: an origin-centered
+            # source's field is exactly 1/|p| (d = 0) on each stack's rows
+            reference = 1.0 / norms
+            reference *= reference
+            for s in members:
+                singles[s] += _stack_walk(stacks[s], points, weights, norms, distinct, reference,
+                                          powers[s])
+    scale = np.repeat(singles, [power.size for power in powers]) * [a.n_sources for a in arrays]
+    powers = np.concatenate([np.empty(0), *(power.ravel() for power in powers)])
+    return powers, powers / scale
 
 
 def farfield_power(array: SourceArray, detector: DetectorGrid) -> tuple[float, float]:

@@ -7,6 +7,7 @@ names are checked here. The tracer file is parsed, not imported.
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,11 @@ import coherray
 from coherray import classical, experiments, quantum
 
 TRACE_FILE = Path(__file__).resolve().parents[1] / "bench" / "trace.py"
+
+PACKAGE = Path(coherray.__file__).resolve().parent
+
+# a docstring or comment pointing at a private helper: "see _name"
+SEE_PRIVATE = re.compile(r"\bsee\s+(_\w+)")
 
 
 def traced_spans():
@@ -74,3 +80,28 @@ def test_choice_errors_name_the_choices_of_their_tuple(monkeypatch, module, name
         call()
     last = "'new'" if "'" in choices else "new"
     assert str(refused.value) == message.format(choices.replace(" or ", ", ") + " or " + last)
+
+
+def top_level_names(tree):
+    """The names a module's top-level statements define or assign."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(target.id for target in targets if isinstance(target, ast.Name))
+    return names
+
+
+def test_every_see_pointer_names_a_top_level_definition():
+    """Each "see _name" in the package's source names a function, class or
+    constant defined at the top of one of its modules, so a helper that is
+    renamed or folded away leaves no pointer to it behind."""
+    sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
+    defined = set().union(*(top_level_names(ast.parse(text)) for text in sources.values()))
+    pointers = [(name, target) for name, text in sources.items()
+                for target in SEE_PRIVATE.findall(text)]
+    assert len(pointers) >= 20
+    dangling = [f"{name}: see {target}" for name, target in pointers if target not in defined]
+    assert not dangling, f"pointers to no top-level definition: {dangling}"

@@ -323,7 +323,7 @@ def test_grid_request_over_budget_is_refused_before_allocation():
     waves = PhasedWaveSet(unit_mode(), (0.0, 1.0))
     box = BoxVolume((1.0, 1.0, 1.0))
     work = f" operations, over the work budget of {core.WORK_BUDGET} operations"
-    memory = f" bytes, over the budget of {classical.MEMORY_BUDGET_BYTES} bytes"
+    memory = f" bytes, over the budget of {core.MEMORY_BUDGET_BYTES} bytes"
     requests = (
         (10_000, f"grid request of {10 ** 12} cells x 2 waves needs {5 * 10 ** 12}{work}"),
         ((1_000_000, 100, 100), f"grid request of {10 ** 10} cells x 2 waves needs {5 * 10 ** 10}{work}"),
@@ -1022,11 +1022,9 @@ def check_stacks(stacks, kind, detector):
     for stack in stacks:
         n = stack.positions[0].shape[0]
         rows = classical._fundamental_rows(detector, stack.fold.mirrors)[3]
-        height = classical._chunk_rows(rows, n)
-        shape = [len(sets) for _, sets in stack.runs[0]]
-        sub, _ = classical._batches(shape, n, stack.width, height, len(stack.runs))
-        chunks = len(list(classical._row_blocks(rows, height)))
-        shapes.append((n, len(stack.runs), sub, chunks, len(stack.fold.classes), stack.width))
+        chunks = len(list(classical._row_blocks(rows, stack.height)))
+        shapes.append((n, len(stack.runs), stack.sub, chunks, len(stack.fold.classes),
+                       stack.width))
     if kind == "spacings":
         arc = detector.geometry == "arc"
         assert shapes == [(40, 3, 1, 2, 2, 2) if arc else (5, 3, 2, 1, 2, 2)]
@@ -1234,11 +1232,9 @@ def test_far_field_budget_covers_the_measured_peak_of_a_batch(
                   for delta in np.linspace(0.0, 3.0, steps)]
     detector = far_detector(rng, arrays, "arc", samples)
     [stack] = classical._position_groups(arrays, detector)
-    rows = classical._fundamental_rows(detector, stack.fold.mirrors)[3]
-    shape = [len(sets) for _, sets in stack.runs[0]]
-    _, batches = classical._batches(shape, n_sources, stack.width, rows, 1)
-    longest = max(batches, key=lambda runs: runs.stop - runs.start)
-    assert (longest.stop - longest.start, shape[longest.start]) == batch
+    longest = max(stack.batches, key=lambda runs: runs.stop - runs.start)
+    sets = stack.offsets[longest.start + 1] - stack.offsets[longest.start]
+    assert (longest.stop - longest.start, sets) == batch
     peak, charged = peak_and_charge(monkeypatch, arrays, detector)
     assert len(charged) == 1
     assert peak <= charged[0]
