@@ -30,20 +30,20 @@ since the row's common phase e^{ik|p|} drops out of |field|^2 exactly.
 The path differences d are small and exact to full precision, so real
 cos/sin of k d replace the complex exponential of k r. Arrays of equal
 positions form a group, and consecutive groups of one source count, fold,
-run shape and matvec width a stack (every step of a spacing sweep), which
+run shape and matvec width a stack (every step of a spacing sweep), cut to
+the groups whose source-major d and 1/r one chunk pass builds. Each stack
 is planned once, when it is formed: its rows per chunk (about 2^16 path
-differences), its sub-stacks (the groups whose source-major d and 1/r a
-chunk builds in one pass) and its batches (consecutive runs of as many
-phase sets, a run being the steps that change only the phases, with one
-cos and one sin pass and einsum matvecs that sum each row's sources in
-ascending order). The walk and the budget check both read that plan. The
-detector rows are walked in blocks, whose quadrature is built once for
-every stack folded onto the block's mirrors (see below); each stack walks
-a block in its chunks and adds its partial of the origin-centered
-reference source (1/|p|^2 at every k) once. Nothing the engine holds grows
-with the detector or couples its rows to the source count, and before it
-builds anything it checks the largest stack's walk against
-MEMORY_BUDGET_BYTES and its work against WORK_BUDGET.
+differences) and its batches (consecutive runs of as many phase sets, a
+run being the steps that change only the phases, with one cos and one sin
+pass and einsum matvecs that sum each row's sources in ascending order).
+The walk and the budget check both read that plan. The detector rows are
+walked in blocks, whose quadrature is built once for every stack folded
+onto the block's mirrors (see below); each block weighs each fold's rows
+once, with its partial of the origin-centered reference source (1/|p|^2
+at every k), and each stack of the fold walks the block in its chunks.
+Nothing the engine holds grows with the detector or couples its rows to
+the source count, and before it builds anything it checks the largest
+stack's walk against MEMORY_BUDGET_BYTES and its work against WORK_BUDGET.
 
 Both detectors are mirror-symmetric: the arc under x -> -x, the hemisphere
 under y -> -y and, when its samples are even, under x -> -x. When a mirror
@@ -101,6 +101,13 @@ GEOMETRIES = ("hemisphere", "arc")
 # without one is a hemisphere)
 DRIVER_GEOMETRY = "arc"
 
+# the detector samples of far-field sweeps and the far-field scaling fit
+# when none are chosen (a spectrum takes DetectorGrid's own default)
+DRIVER_SAMPLES = 1024
+
+# the fewest samples per angular axis a DetectorGrid takes
+MIN_SAMPLES = 64
+
 _COMMENSURATE_TOL = 1e-9
 
 # grid operations per cell besides one per wave: the plane-wave values, E and
@@ -144,7 +151,7 @@ _BLOCK_ROWS = 4096
 _CHUNK_CELLS = 1 << 16
 _CHUNK_MIN_ROWS = 2
 
-# cells per matvec output array of a batch (see _planned_stack): with no
+# cells per matvec output array of a batch (see _planned_stacks): with no
 # cap, a 200-step spectrum of 3 sources on a 2048-point arc, whose outputs
 # outnumber its cos or sin, peaked at 1.70 MB; with it, under 0.5 MB
 _OUTPUT_CELLS = 1 << 12
@@ -192,7 +199,7 @@ _SWEEP_SOURCE_BYTES = dict(spectrum=0, wavelength=8, phase_delta=24, spacing=32,
 # and its temporaries (72 measured at 20 000 sources, more per source at a
 # few hundred, where a call's fixed overhead counts), and the cos and sin
 # (16) of one step's phases (the engine's budget charges the cos and sin it
-# holds, those of one sub-stack's distinct phases)
+# holds, those of one stack's distinct phases)
 _SWEEP_BUILD_BYTES = 96
 
 
@@ -231,8 +238,8 @@ class DetectorGrid:
         except TypeError:
             raise TypeError(f"samples must be an integer, got {self.samples!r}") from None
         object.__setattr__(self, "samples", samples)
-        if samples < 64:
-            raise ValueError("need at least 64 samples per angular axis")
+        if samples < MIN_SAMPLES:
+            raise ValueError(f"need at least {MIN_SAMPLES} samples per angular axis")
 
     @property
     def n_points(self) -> int:
@@ -533,21 +540,21 @@ def _fold(detector: DetectorGrid, positions: np.ndarray) -> _Fold:
     return _Fold(mirrors, elements, tuple(map(tuple, classes.values())))
 
 
-def _distinct_images(detector: DetectorGrid, elements, nodes) -> list:
-    """For each element, whether its image of each fundamental node is a
-    node that no earlier element's image already is (the identity's always
-    is). A node that is its own mirror stays a lone row."""
-    images, distinct = [], []
-    for element in elements:
+def _row_weights(detector: DetectorGrid, fold: _Fold, nodes, weights) -> np.ndarray:
+    """Each class of ``fold``'s weight on each fundamental node of ``nodes``
+    (classes, rows): the quadrature ``weights`` times the count of the
+    class's elements whose image of the node is a node that no earlier
+    element's image already is (the identity's always is), so a node that
+    is its own mirror stays a lone row."""
+    images = []
+    for element in fold.elements:
         image = nodes
         for axis in element:
             image = _mirror_node(detector, axis, image)
-        first = np.ones(nodes.shape, dtype=bool)
-        for other in images:
-            first &= image != other
-        distinct.append(first)
         images.append(image)
-    return distinct
+    images = np.array(images)
+    distinct = np.array([np.all(image != images[:e], axis=0) for e, image in enumerate(images)])
+    return np.array([distinct[list(c)].sum(axis=0) for c in fold.classes]) * weights
 
 
 def _path_differences(points, norms, positions, squares, table, inverse, scratch):
@@ -597,7 +604,7 @@ def _chunk_rows(block_rows: int, n_sources: int) -> int:
 
 def _run_powers(table, inverse, weights, wavenumbers, phasors, trig, outputs) -> np.ndarray:
     """One chunk's partial power (groups, runs x sets) of each phase set of
-    a batch (see _planned_stack), from the path ``table`` (groups, N, rows),
+    a batch (see _planned_stacks), from the path ``table`` (groups, N, rows),
     its 1/r, each run's k, each set's cos(phi) and sin(phi) ``phasors``
     (groups x runs, sets, 2, width, N; reversed for a second class, see
     _Fold) and each class's row ``weights``. cos(k d)/r, then sin(k d)/r,
@@ -631,29 +638,29 @@ def _run_powers(table, inverse, weights, wavenumbers, phasors, trig, outputs) ->
 
 
 class _Stack(NamedTuple):
-    """Consecutive positions groups of one N, fold, run shape and width (see
-    _position_groups), and the plan of their walk of a block (see
-    _planned_stack), which the walk and the budget check both read."""
+    """Consecutive positions groups of one N, fold, run shape and width, no
+    more than one chunk pass builds (see _position_groups), and the plan of
+    their walk of a block (see _planned_stacks), which the walk and the
+    budget check both read."""
 
     positions: list  # each group's positions, (N, 3)
     runs: list  # each group's runs of equal wavenumber, [(wavenumber, [phases, ...]), ...]
     fold: _Fold
     width: int  # the fold classes its matvecs take: 1 when all its phases are palindromic
     height: int  # fundamental rows per chunk
-    sub: int  # groups per sub-stack
     batches: list  # slices of consecutive runs with as many phase sets
     offsets: list  # each run's first phase set, and the sets per group last
 
 
-def _planned_stack(detector: DetectorGrid, positions, runs, fold: _Fold, width: int) -> _Stack:
-    """A _Stack of these groups with the plan of its walk of a block of its
-    fold's mirrors (see _fundamental_rows): the rows per chunk (see
-    _chunk_rows), the groups per sub-stack, the batches (slices of
-    consecutive runs with as many phase sets) and each run's first phase
-    set, the sets per group last. A run of s sets holds N cos or sin and s
-    width cells of each matvec output per group and row: at most
-    _CHUNK_CELLS and _OUTPUT_CELLS in a sub-stack's longest run and in a
-    batch, or one run."""
+def _planned_stacks(detector: DetectorGrid, positions, runs, fold: _Fold, width: int) -> list:
+    """These groups as _Stacks of as many groups as one chunk pass builds,
+    each with the plan of its walk of a block of its fold's mirrors (see
+    _fundamental_rows): the rows per chunk (see _chunk_rows), the batches
+    (slices of consecutive runs with as many phase sets) and each run's
+    first phase set, the sets per group last. A run of s sets holds N cos or
+    sin and s width cells of each matvec output per group and row: at most
+    _CHUNK_CELLS and _OUTPUT_CELLS in a full stack's longest run and in a
+    batch, or one run. A last, shorter stack keeps a full one's plan."""
     n, shape = positions[0].shape[0], [len(sets) for _, sets in runs[0]]
     height = _chunk_rows(_fundamental_rows(detector, fold.mirrors)[3], n)
 
@@ -661,14 +668,15 @@ def _planned_stack(detector: DetectorGrid, positions, runs, fold: _Fold, width: 
         return max(1, min(_CHUNK_CELLS // (count * n * height),
                           _OUTPUT_CELLS // (count * sets * width * height)))
 
-    sub = min(len(runs), most(1, max(shape)))
+    size = min(len(runs), most(1, max(shape)))
     batches, start = [], 0
     for sets, same in itertools.groupby(shape):
-        stop, step = start + len(list(same)), most(sub, sets)
+        stop, step = start + len(list(same)), most(size, sets)
         batches += map(slice, range(start, stop, step), [*range(start + step, stop, step), stop])
         start = stop
-    return _Stack(positions, runs, fold, width, height, sub, batches,
-                  [0, *itertools.accumulate(shape)])
+    offsets = [0, *itertools.accumulate(shape)]
+    return [_Stack(positions[i:i + size], runs[i:i + size], fold, width, height, batches, offsets)
+            for i in range(0, len(runs), size)]
 
 
 def _distinct_phases(runs) -> dict:
@@ -676,62 +684,57 @@ def _distinct_phases(runs) -> dict:
     return {id(phases): phases for group in runs for _, sets in group for phases in sets}
 
 
-def _stack_walk(stack: _Stack, points, weights, norms, distinct, reference, powers) -> float:
+def _stack_walk(stack: _Stack, points, norms, row_weights, powers):
     """Walk a block's fundamental rows for ``stack`` in the chunks of its
-    plan: add each phase set's partial to ``powers`` (groups, sets) and
-    return the reference source's partial (intensity ``reference``) on the
-    rows its groups share. Each chunk builds the path differences and 1/r of
-    a sub-stack in one pass, and each batch of runs takes one cos and one
-    sin pass (see _run_powers)."""
-    n, width, sub, offsets = stack.positions[0].shape[0], stack.width, stack.sub, stack.offsets
-    row_weights = np.array([np.sum([distinct[e] for e in c], axis=0)
-                            for c in stack.fold.classes]) * weights
+    plan, and add each phase set's partial, its intensities weighted by its
+    fold class's ``row_weights`` (see _row_weights), to ``powers`` (groups,
+    sets). Each chunk builds the path differences and 1/r of every group in
+    one pass, and each batch of runs takes one cos and one sin pass (see
+    _run_powers)."""
+    runs, width, offsets = stack.runs, stack.width, stack.offsets
+    positions = np.array(stack.positions)
+    g, n = positions.shape[:2]
     chunks = list(_row_blocks(norms.size, stack.height))
     height = max(chunk.stop - chunk.start for chunk in chunks)
     most = max(batch.stop - batch.start for batch in stack.batches)
     most_sets = max(offsets[batch.stop] - offsets[batch.start] for batch in stack.batches)
-    table, inverse, trig, outputs = (np.empty(sub * height * k)
+    table, inverse, trig, outputs = (np.empty(g * height * k)
                                      for k in (n, n, most * n, 3 * most_sets * width))
-    for first in range(0, len(stack.positions), sub):
-        group = slice(first, first + sub)
-        positions, runs = np.array(stack.positions[group]), stack.runs[group]
-        g = len(runs)
-        squares = np.einsum("gij,gij->gi", positions, positions)
-        phases = _distinct_phases(runs)
-        phasors = np.empty((len(phases), 2, width, n))
-        for row, values in zip(phasors, phases.values()):
-            np.cos([values, values[::-1]][:width], out=row[0])
-            np.sin([values, values[::-1]][:width], out=row[1])
-        index = {key: i for i, key in enumerate(phases)}
-        keys = np.array([[index[id(values)] for _, sets in group_runs for values in sets]
-                         for group_runs in runs])
-        wavenumbers = np.array([[k for k, _ in group_runs] for group_runs in runs])
-        for chunk in chunks:
-            size = chunk.stop - chunk.start
-            cells, chunk_weights = g * n * size, row_weights[:, chunk]
-            paths, inverses = (np.reshape(a[:cells], (g, n, size)) for a in (table, inverse))
-            _path_differences(points[chunk], norms[chunk], positions, squares, paths, inverses,
-                              np.reshape(trig[:cells], (g, n, size)))
-            for batch in stack.batches:
-                sets = slice(offsets[batch.start], offsets[batch.stop])
-                ids, steps = keys[:, sets].ravel(), batch.stop - batch.start
-                powers[group, sets] += _run_powers(
-                    paths, inverses, chunk_weights, wavenumbers[:, batch],
-                    phasors[ids].reshape(g * steps, -1, 2, width, n),
-                    np.reshape(trig[:cells * steps], (g, steps, n, size)),
-                    np.reshape(outputs[:3 * ids.size * width * size],
-                               (3, g * steps, -1, width, size)))
-    return float(np.multiply(reference, row_weights).sum())
+    squares = np.einsum("gij,gij->gi", positions, positions)
+    phases = _distinct_phases(runs)
+    phasors = np.empty((len(phases), 2, width, n))
+    for row, values in zip(phasors, phases.values()):
+        np.cos([values, values[::-1]][:width], out=row[0])
+        np.sin([values, values[::-1]][:width], out=row[1])
+    index = {key: i for i, key in enumerate(phases)}
+    keys = np.array([[index[id(values)] for _, sets in group_runs for values in sets]
+                     for group_runs in runs])
+    wavenumbers = np.array([[k for k, _ in group_runs] for group_runs in runs])
+    for chunk in chunks:
+        size = chunk.stop - chunk.start
+        cells, chunk_weights = g * n * size, row_weights[:, chunk]
+        paths, inverses = (np.reshape(a[:cells], (g, n, size)) for a in (table, inverse))
+        _path_differences(points[chunk], norms[chunk], positions, squares, paths, inverses,
+                          np.reshape(trig[:cells], (g, n, size)))
+        for batch in stack.batches:
+            sets = slice(offsets[batch.start], offsets[batch.stop])
+            ids, steps = keys[:, sets].ravel(), batch.stop - batch.start
+            powers[:, sets] += _run_powers(
+                paths, inverses, chunk_weights, wavenumbers[:, batch],
+                phasors[ids].reshape(g * steps, -1, 2, width, n),
+                np.reshape(trig[:cells * steps], (g, steps, n, size)),
+                np.reshape(outputs[:3 * ids.size * width * size],
+                           (3, g * steps, -1, width, size)))
 
 
 def _position_groups(arrays, detector: DetectorGrid) -> list[_Stack]:
     """The arrays as consecutive groups of equal positions, each with its
-    runs of equal wavenumber, and the groups as consecutive stacks of the
-    same source count, fold onto ``detector`` (see _fold), run shape and
-    matvec width: one class when every phase array equals its reversal bit
-    for bit (an in-phase array), as both classes then have its intensities.
-    Sweep steps share their array's positions object, so most steps join a
-    group without comparing their positions."""
+    runs of equal wavenumber, and the groups as stacks of consecutive groups
+    of one source count, fold onto ``detector`` (see _fold), run shape and
+    matvec width (one class when every phase array equals its reversal bit
+    for bit, as both classes then have its intensities), each cut to the
+    groups one chunk pass builds (see _planned_stacks). Sweep steps share
+    their array's positions object, so most skip the positions comparison."""
     groups = []
     for array in arrays:
         positions, wavenumber = array.positions, array.wavenumber
@@ -750,36 +753,36 @@ def _position_groups(arrays, detector: DetectorGrid) -> list[_Stack]:
                                          in _distinct_phases([group[1]]).values()) else 1
         return len(group[0]), fold, width, [len(sets) for _, sets in group[1]]
 
-    return [_planned_stack(detector, *map(list, zip(*same)), fold, width)
-            for (_, fold, width, _), same in itertools.groupby(groups, key)]
+    return [stack for (_, fold, width, _), same in itertools.groupby(groups, key)
+            for stack in _planned_stacks(detector, *map(list, zip(*same)), fold, width)]
 
 
 def _check_farfield_budget(detector: DetectorGrid, stacks):
     """Refuse a far-field request for ``stacks`` (see _position_groups) over
     either budget, before anything is built. Memory: the most one stack's
-    walk of a block holds (see _stack_walk): a sub-stack's path differences,
-    1/r, positions, |x|^2, phase ids, wavenumbers and phasors, and its
-    largest batch's trig, phasors and matvec outputs (a chunk and block one
-    row more, see _row_blocks); _ROW_COLUMNS per materialized block row; the
+    walk of a block holds (see _stack_walk): its path differences, 1/r,
+    positions, |x|^2, phase ids, wavenumbers and phasors, and its largest
+    batch's trig, phasors and matvec outputs (a chunk and block one row
+    more, see _row_blocks); _ROW_COLUMNS per materialized block row; the
     fold check; _WALK_BUFFER_BYTES. None grows with the detector. Work: per
     fundamental row and source, _PATH_WORK for each group and _TRIG_WORK for
     each run, and per materialized row and source _MATVEC_WORK for each set."""
     needed = work = arrays = n_sources = 0
     for stack in stacks:
-        runs, sub, offsets, width = stack.runs, stack.sub, stack.offsets, stack.width
-        n, classes, groups = stack.positions[0].shape[0], len(stack.fold.classes), len(runs)
+        offsets, width, g = stack.offsets, stack.width, len(stack.runs)
+        n, classes = stack.positions[0].shape[0], len(stack.fold.classes)
         fundamental, rows = _fundamental_rows(detector, stack.fold.mirrors)[2:]
         steps = max(batch.stop - batch.start for batch in stack.batches)
         batch_sets = max(offsets[batch.stop] - offsets[batch.start] for batch in stack.batches)
-        phases = max(len(_distinct_phases(runs[i:i + sub])) for i in range(0, groups, sub))
+        phases = len(_distinct_phases(stack.runs))
         height, rows, sets = stack.height + 1, rows + 1, offsets[-1]
-        needed = max(needed, 8 * (sub * n * ((2 + steps) * height + 4 + 2 * width * batch_sets)
-                                  + sub * (len(offsets) - 1 + sets) + classes * rows * _ROW_COLUMNS
-                                  + width * (3 * height * sub * batch_sets + 2 * n * phases))
+        needed = max(needed, 8 * (g * n * ((2 + steps) * height + 4 + 2 * width * batch_sets)
+                                  + g * (len(offsets) - 1 + sets) + classes * rows * _ROW_COLUMNS
+                                  + width * (3 * height * g * batch_sets + 2 * n * phases))
                      + _FOLD_SOURCE_BYTES * n)
-        work += groups * fundamental * n * (
+        work += g * fundamental * n * (
             _PATH_WORK + _TRIG_WORK * (len(offsets) - 1) + _MATVEC_WORK * classes * sets)
-        arrays += groups * sets
+        arrays += g * sets
         n_sources = max(n_sources, n)
     request = f"far-field request of {detector.n_points} detector points x {n_sources} sources"
     _check_budget(needed + _WALK_BUFFER_BYTES, request)
@@ -789,7 +792,7 @@ def _check_farfield_budget(detector: DetectorGrid, stacks):
 def _check_farfield_sources(detector: DetectorGrid, counts):
     """_check_farfield_budget for one array of each of ``counts`` sources,
     charged as unfolded (the most any fold does), with no positions built."""
-    stacks = [_planned_stack(detector, [np.empty((n, 0))], [[(None, [None])]], _UNFOLDED, 1)
+    stacks = [_planned_stacks(detector, [np.empty((n, 0))], [[(None, [None])]], _UNFOLDED, 1)[0]
               for n in counts]
     _check_farfield_budget(detector, stacks)
 
@@ -829,11 +832,12 @@ def farfield_powers(arrays, detector: DetectorGrid) -> tuple[np.ndarray, np.ndar
     _position_groups). Stacks that fold onto the same detector mirrors (see
     _fold) share their fundamental rows, which are walked in blocks of at
     most _BLOCK_ROWS materialized rows (see _fundamental_rows): each block
-    builds its quadrature points, weights and |p| once, and each of those
-    stacks walks it in the chunks of its plan (see _stack_walk). A power is
-    the sum of its chunk partials in walk order. The call holds one block
-    of quadrature and one stack's chunk of path differences at a time,
-    never the whole detector.
+    builds its quadrature points, weights and |p| once, weighs each fold's
+    classes once (see _row_weights), and each stack of the fold walks it in
+    the chunks of its plan (see _stack_walk). A power is the sum of its
+    chunk partials in walk order. The call holds one block of quadrature
+    and one stack's chunk of path differences at a time, never the whole
+    detector.
 
     Raises FarFieldViolationError unless the detector radius is at least
     100x both the wavelength and the extent of every array, and ValueError
@@ -850,24 +854,26 @@ def farfield_powers(arrays, detector: DetectorGrid) -> tuple[np.ndarray, np.ndar
     stacks = _position_groups(arrays, detector)
     _check_farfield_budget(detector, stacks)
     powers = [np.zeros((len(stack.runs), stack.offsets[-1])) for stack in stacks]
-    singles = [0.0] * len(stacks)
-    for mirrors in dict.fromkeys(stack.fold.mirrors for stack in stacks):
-        members = [s for s, stack in enumerate(stacks) if stack.fold.mirrors == mirrors]
+    singles = dict.fromkeys((stack.fold for stack in stacks), 0.0)
+    for mirrors in dict.fromkeys(fold.mirrors for fold in singles):
         start, count, fundamental, rows = _fundamental_rows(detector, mirrors)
         for block in _row_blocks(fundamental, rows):
             rings, nodes = np.divmod(np.arange(block.start, block.stop), count)
             nodes += start
             points, weights = _detector_quadrature(detector, rings * detector.samples + nodes)
             norms = np.sqrt(np.einsum("ij,ij->i", points, points))
-            distinct = _distinct_images(detector, stacks[members[0]].fold.elements, nodes)
             # the reference source's intensity 1/|p|^2: an origin-centered
-            # source's field is exactly 1/|p| (d = 0) on each stack's rows
+            # source's field is exactly 1/|p| (d = 0) on each fold's rows
             reference = 1.0 / norms
             reference *= reference
-            for s in members:
-                singles[s] += _stack_walk(stacks[s], points, weights, norms, distinct, reference,
-                                          powers[s])
-    scale = np.repeat(singles, [power.size for power in powers]) * [a.n_sources for a in arrays]
+            for fold in [fold for fold in singles if fold.mirrors == mirrors]:
+                row_weights = _row_weights(detector, fold, nodes, weights)
+                singles[fold] += float(np.multiply(reference, row_weights).sum())
+                for stack, power in zip(stacks, powers):
+                    if stack.fold == fold:
+                        _stack_walk(stack, points, norms, row_weights, power)
+    scale = np.repeat([singles[stack.fold] for stack in stacks], [power.size for power in powers])
+    scale *= [a.n_sources for a in arrays]
     powers = np.concatenate([np.empty(0), *(power.ravel() for power in powers)])
     return powers, powers / scale
 

@@ -142,6 +142,8 @@ _positive = _bounded(_parse_float, lambda value: value > 0.0, "positive")
 _nonzero = _bounded(_parse_float, lambda value: value != 0.0, "nonzero")
 _count = _bounded(int, lambda value: value >= 1, "at least 1")
 _steps = _bounded(int, lambda value: value >= 2, "at least 2")
+_samples = _bounded(int, lambda value: value >= classical.MIN_SAMPLES,
+                    f"at least {classical.MIN_SAMPLES}")
 
 _REQUIRED = object()
 
@@ -160,7 +162,7 @@ class _Field:
 
 _GLOBAL_FIELDS = (
     _Field("seed", int, 0, "seed for randomized phase draws"),
-    _Field("samples", int, None, "quadrature density (detector points per axis)"),
+    _Field("samples", _samples, None, "quadrature density (detector points per axis)"),
     _Field("n-max", _count, 32, "number-state truncation of the quantum space"),
     _Field("format", _choice("csv", "json"), "csv", "output format"),
     _Field("output", str, None, "output path (default: standard output)"),
@@ -566,13 +568,15 @@ def _run_sweep(params: dict) -> ResultTable:
 
 
 def _run_dicke(params: dict) -> ResultTable:
+    # without --samples, the fit takes its own default detector size
+    samples = {} if params["samples"] is None else {"detector_samples": params["samples"]}
     fit = experiments.dicke_scaling_check(
         params["n_values"],
         regime=params["regime"],
         spacing_ratio=params["spacing_ratio"],
-        detector_samples=params["samples"] if params["samples"] is not None else 1024,
         jitter=params["jitter"],
         seed=params["seed"],
+        **samples,
     )
     meta = {
         "kind": "dicke_scaling",
@@ -592,11 +596,9 @@ def _run_spectrum(params: dict) -> ResultTable:
     radius = params["radius"]
     if radius is None:
         radius = classical._far_field_radius(hi, array.extent)
-    detector = DetectorGrid(
-        radius=radius,
-        geometry=params["geometry"],
-        samples=params["samples"] if params["samples"] is not None else 256,
-    )
+    # without --samples, the detector takes DetectorGrid's own default
+    samples = {} if params["samples"] is None else {"samples": params["samples"]}
+    detector = DetectorGrid(radius=radius, geometry=params["geometry"], **samples)
     curve = classical.transmission_spectrum(array, (lo, hi), params["steps"], detector)
     return _curve_table(curve)
 

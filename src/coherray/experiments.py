@@ -133,13 +133,19 @@ def _sweep_phase_profile(fixed: dict, n: int, stream: XorShift64Star) -> np.ndar
     return np.full(n, float(fixed.get("phase", 0.0)))
 
 
+def _occupation(fixed: dict) -> tuple[int, int]:
+    """A quantum sweep's occupation n and truncation n_max (default: room
+    for n, and at least 8)."""
+    occupation = int(fixed.get("n", 0))
+    return occupation, int(fixed.get("n_max", max(occupation + 1, 8)))
+
+
 def _closed_form_observables(spec: SweepSpec, phases) -> tuple[float, float]:
     if spec.target == "classical_energy":
         report = classical.classical_energy(PhasedWaveSet(_default_mode(), tuple(phases)))
         return report.total, report.enhancement
-    occupation = int(spec.fixed.get("n", 0))
+    occupation, n_max = _occupation(spec.fixed)
     omega = float(spec.fixed.get("omega", 1.0))
-    n_max = int(spec.fixed.get("n_max", max(occupation + 1, 8)))
     space = quantum.FockSpace(n_max=n_max)
     operator = quantum.single_mode_hamiltonian(phases, omega, space)
     state = quantum.QuantumState.fock(space, occupation)
@@ -160,6 +166,9 @@ def _sweep_closed_form(spec: SweepSpec, values: np.ndarray):
     # the largest step's phases are refused for their memory before any work
     _check_wave_budget(counts[-1])
     if spec.target == "quantum_energy":
+        occupation, n_max = _occupation(spec.fixed)
+        if not 0 <= occupation <= n_max:
+            raise ConfigError(f"occupation n = {occupation} outside 0..n-max = {n_max}")
         # every step builds a Hamiltonian: charge all their wave pairs at once
         quantum._check_pair_work(
             counts, f"quantum sweep of {values.size} steps x up to {counts[-1]} waves"
@@ -204,7 +213,7 @@ def _sweep_farfield(spec: SweepSpec, values: np.ndarray):
     detector = DetectorGrid(
         radius=float(radius),
         geometry=fixed.get("geometry", classical.DRIVER_GEOMETRY),
-        samples=int(fixed.get("samples", 1024)),
+        samples=int(fixed.get("samples", classical.DRIVER_SAMPLES)),
     )
     return farfield_powers(arrays, detector)
 
@@ -328,7 +337,7 @@ def dicke_scaling_check(
     n_values,
     regime: str = REGIMES[0],
     spacing_ratio: float = 0.01,
-    detector_samples: int = 1024,
+    detector_samples: int = classical.DRIVER_SAMPLES,
     jitter: float = 0.0,
     seed: int = 0,
 ) -> ScalingFit:

@@ -719,8 +719,8 @@ def test_far_field_request_over_budget_is_refused_before_allocation():
 def test_sweeps_build_the_quadrature_once(monkeypatch):
     """Each fundamental detector row's point and weight are built once per
     call, not once per step or per group; each chunk's path rows are built
-    in one pass for a sub-stack of equal-N groups (the six lines of a
-    spacing sweep take one), and the reference source needs none. Linear
+    in one pass for a stack of equal-N groups (the six lines of a spacing
+    sweep make one), and the reference source needs none. Linear
     arrays fold: the arc builds half its rows (two blocks of 2048 at 5000
     points), and the 96^2 hemisphere a quarter (three blocks of 1024)."""
     calls = {"rows": 0, "_path_differences": 0}
@@ -910,8 +910,7 @@ def whole_table_power(detector, positions, phases, wavenumber):
     rings, nodes = np.divmod(np.arange(fundamental), count)
     nodes += start
     points, weights = _detector_quadrature(detector, rings * detector.samples + nodes)
-    distinct = classical._distinct_images(detector, fold.elements, nodes)
-    weights = np.array([np.sum([distinct[e] for e in c], axis=0) for c in fold.classes]) * weights
+    weights = classical._row_weights(detector, fold, nodes, weights)
     norms = np.sqrt(np.einsum("ij,ij->i", points, points))
     squares = np.einsum("ij,ij->i", positions, positions)
     distance = np.zeros((len(points), len(positions)))
@@ -940,9 +939,9 @@ def whole_table_power(detector, positions, phases, wavenumber):
 # counts sharing one call. Every group below 1000 sources comes twice: in
 # a random layout, which takes the unfolded walk, and as a line, which
 # folds with a reversed class. The stacks cases add equal-N groups (see
-# stack_arrays): lines of three spacings as one stack of three sub-stacks,
-# each cut into two chunks (arc 4097, N = 40), or in sub-stacks of two
-# groups (hemisphere 96^2, N = 5); palindromic phases on folded lines; and
+# stack_arrays): lines of three spacings as three stacks of one group,
+# each cut into two chunks (arc 4097, N = 40), or as stacks of two groups
+# and one (hemisphere 96^2, N = 5); palindromic phases on folded lines; and
 # a stack whose next array is jittered, so the stack splits at the fold
 STREAMED_CASES = [
     ("arc", 4097, (7, 7, 3), None), ("arc", 4096, (12, 1, 12), None),
@@ -1023,15 +1022,14 @@ def check_stacks(stacks, kind, detector):
         n = stack.positions[0].shape[0]
         rows = classical._fundamental_rows(detector, stack.fold.mirrors)[3]
         chunks = len(list(classical._row_blocks(rows, stack.height)))
-        shapes.append((n, len(stack.runs), stack.sub, chunks, len(stack.fold.classes),
-                       stack.width))
+        shapes.append((n, len(stack.runs), chunks, len(stack.fold.classes), stack.width))
     if kind == "spacings":
         arc = detector.geometry == "arc"
-        assert shapes == [(40, 3, 1, 2, 2, 2) if arc else (5, 3, 2, 1, 2, 2)]
+        assert shapes == ([(40, 1, 2, 2, 2)] * 3 if arc else [(5, 2, 1, 2, 2), (5, 1, 1, 2, 2)])
     elif kind == "palindromes":
-        assert shapes[-1][4:] == (2, 1)
+        assert shapes[-1][3:] == (2, 1)
     else:
-        assert shapes == [(9, 2, 2, 1, 2, 2), (9, 1, 1, 1, 1, 1)]
+        assert shapes == [(9, 2, 1, 2, 2), (9, 1, 1, 1, 1)]
 
 
 def test_streamed_engine_holds_one_block_of_the_path_table(monkeypatch):
@@ -1306,6 +1304,92 @@ def test_sweep_budget_covers_the_measured_peak_of_building_the_steps(
         tracemalloc.stop()
     assert len(charged) == 1 and len(peaks) == 1
     assert peaks[0] <= charged[0]
+
+
+def run_charge_case(kind):
+    """One far-field call of PINNED_CHARGES."""
+    rng = XorShift64Star(len(kind))
+    if kind == "spacing-pieces":
+        fixed = {"n_sources": 40, "wavelength": 1.0, "phase_profile": "random", "samples": 1024}
+        run_sweep(SweepSpec("farfield_power", "spacing", 0.1, 0.5, 7, fixed, seed=3))
+    elif kind == "source-count":
+        fixed = {"spacing": 0.3, "wavelength": 1.0, "phase_profile": "random"}
+        run_sweep(SweepSpec("farfield_power", "source_count", 2, 7, 6, fixed, seed=4))
+    elif kind == "palindromes":
+        detector = DetectorGrid(radius=1e3, geometry="arc", samples=512)
+        transmission_spectrum(make_linear_array(5, 0.4, 1.0), (1.0, 2.0), 30, detector)
+    elif kind == "jittered":
+        line = make_linear_array(9, 0.2, 1.0, rng.phases(9))
+        jittered = line.positions + np.outer(rng.phases(9) * 1e-3, [1.0, 0.0, 0.0])
+        arrays = [line, replace(line, phases=rng.phases(9)), replace(line, positions=jittered)]
+        farfield_powers(arrays, DetectorGrid(radius=1e3, geometry="arc", samples=300))
+    elif kind == "hemisphere-blocks":
+        arrays = [make_linear_array(4, 0.3, 1.0, rng.phases(4)), random_array(rng, 4)]
+        farfield_powers(arrays, DetectorGrid(radius=1e3, geometry="hemisphere", samples=192))
+    else:
+        dicke_scaling_check([2, 4, 8], regime="farfield", detector_samples=256)
+
+
+# every memory and work charge of one far-field call, in order: a spacing
+# sweep of 40 sources on a 1024-point arc, whose seven groups walk as stacks
+# of three, three and one; a source_count sweep, one stack per N; a
+# spectrum of in-phase sources, which takes one fold class; a jittered line
+# after two straight ones, so the call walks two folds; a line and a random
+# layout on a hemisphere of nine blocks each; and the dicke pre-check ahead
+# of its walk
+FAR = "far-field request of"
+PINNED_CHARGES = {
+    "spacing-pieces": [
+        ("_check_budget", 392, "sweep of 7 steps"),
+        ("_check_budget", 16384, "far-field sweep of 7 steps x 40 sources"),
+        ("_check_budget", 1924928, f"{FAR} 1024 detector points x 40 sources"),
+        ("_check_work", 2293760, f"{FAR} 1024 detector points x 40 sources x 7 arrays"),
+    ],
+    "source-count": [
+        ("_check_budget", 336, "sweep of 6 steps"),
+        ("_check_budget", 5088, "far-field sweep of 6 steps x 7 sources"),
+        ("_check_budget", 472488, f"{FAR} 1024 detector points x 7 sources"),
+        ("_check_work", 221184, f"{FAR} 1024 detector points x 7 sources x 6 arrays"),
+    ],
+    "palindromes": [
+        ("_check_budget", 15840, "far-field sweep of 30 steps x 5 sources"),
+        ("_check_budget", 564736, f"{FAR} 512 detector points x 5 sources"),
+        ("_check_work", 354560, f"{FAR} 512 detector points x 5 sources x 30 arrays"),
+    ],
+    "jittered": [
+        ("_check_budget", 317888, f"{FAR} 300 detector points x 9 sources"),
+        ("_check_work", 64800, f"{FAR} 300 detector points x 9 sources x 3 arrays"),
+    ],
+    "hemisphere-blocks": [
+        ("_check_budget", 1344168, f"{FAR} 36864 detector points x 4 sources"),
+        ("_check_work", 2801664, f"{FAR} 36864 detector points x 4 sources x 2 arrays"),
+    ],
+    "dicke": [
+        ("_check_budget", 294024, f"{FAR} 256 detector points x 8 sources"),
+        ("_check_work", 53760, f"{FAR} 256 detector points x 8 sources x 3 arrays"),
+        ("_check_budget", 3072, "far-field sweep of 3 steps x 8 sources"),
+        ("_check_budget", 266536, f"{FAR} 256 detector points x 8 sources"),
+        ("_check_work", 28672, f"{FAR} 256 detector points x 8 sources x 3 arrays"),
+    ],
+}
+
+
+@pytest.mark.parametrize("kind", list(PINNED_CHARGES))
+def test_far_field_charges_are_pinned(monkeypatch, kind):
+    """The memory and work charges of these far-field calls stay fixed
+    however the walk cuts a run of equal-N groups into stacks: the charge is
+    the largest stack's walk, whose plan is that of a full stack, and the
+    work and array counts add up over the stacks."""
+    records = []
+    for module, name in ((classical, "_check_budget"), (classical, "_check_work"),
+                         (experiments, "_check_budget")):
+        def recording(amount, request, name=name, original=getattr(module, name)):
+            records.append((name, amount, request))
+            return original(amount, request)
+
+        monkeypatch.setattr(module, name, recording)
+    run_charge_case(kind)
+    assert records == PINNED_CHARGES[kind]
 
 
 def test_spectrum_steps_are_not_charged_for_positions_they_share():

@@ -207,12 +207,25 @@ class TestExitCodes:
             (("spectrum", "--n-sources", "2", "--spacing", "0.5", "--wavelength-min", "1",
               "--wavelength-max", "2", "--steps", "1"), "'steps'"),
             (("dicke", "--n-values", "2,4,8", "--spacing-ratio", "0"), "'spacing-ratio'"),
+            (("spectrum", "--n-sources", "2", "--spacing", "0.5", "--wavelength-min", "1",
+              "--wavelength-max", "2", "--samples", "10"), "'global.samples'"),
+            (("dicke", "--n-values", "2,4,8", "--regime", "farfield", "--samples", "10"),
+             "'global.samples'"),
+            (("sweep", "--target", "farfield_power", "--parameter", "wavelength", "--start", "0.5",
+              "--stop", "2", "--steps", "3", "--n-sources", "4", "--spacing", "1",
+              "--samples", "63"), "'global.samples'"),
+            (("sweep", "--target", "quantum_energy", "--parameter", "phase_delta", "--start", "0",
+              "--stop", "1", "--steps", "3", "--n-waves", "3", "--n", "40"), "0..n-max = 32"),
+            (("sweep", "--target", "quantum_energy", "--parameter", "phase_delta", "--start", "0",
+              "--stop", "1", "--steps", "3", "--n-waves", "3", "--n", "-2"), "occupation n = -2"),
         ],
         ids=("wavelength", "n-waves", "phases", "n-above-n-max", "amplitude", "quantum-omega",
              "biphoton-omega", "sweep-quantum-omega", "sweep-biphoton-omega",
              "spectrum-n-sources", "spectrum-spacing", "sweep-n-sources", "sweep-spacing",
              "spectrum-radius", "sweep-radius", "spectrum-wavelength-min",
-             "spectrum-wavelength-max", "spectrum-steps", "dicke-spacing-ratio"),
+             "spectrum-wavelength-max", "spectrum-steps", "dicke-spacing-ratio",
+             "spectrum-samples", "dicke-samples", "sweep-samples", "sweep-n-above-n-max",
+             "sweep-n-negative"),
     )
     def test_out_of_range_value_is_type_mismatch(self, capsys, argv, key):
         """A value out of its key's range exits 3, like a value that does not
