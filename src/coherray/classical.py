@@ -41,25 +41,35 @@ walked in blocks, whose quadrature is built once for every stack folded
 onto the block's mirrors (see below); each block weighs each fold's rows
 once, with its partial of the origin-centered reference source (1/|p|^2
 at every k), and each stack of the fold walks the block in its chunks.
-Nothing the engine holds grows with the detector or couples its rows to
-the source count, and before it builds anything it checks the largest
-stack's walk against MEMORY_BUDGET_BYTES and its work against WORK_BUDGET.
+Nothing the engine holds grows with the detector's points (but for the
+cosine table of a line's weights, two floats per sample) or couples its
+rows to the source count, and before it builds anything it checks the largest stack's
+walk against MEMORY_BUDGET_BYTES and its work against WORK_BUDGET.
+
+An array whose sources all lie on the x axis (every array the CLI builds)
+is a line: its field on the hemisphere depends only on u = p_x / R, so the
+hemisphere walks it on the arc's nodes, weighted by a 1-D rule in u (see
+_line_weights), not on its (theta, phi) nodes. Its stacks walk, fold and
+are planned as on the arc of the same radius and samples (see _walked);
+only the weights differ, and the reference source takes the same rows.
 
 Both detectors are mirror-symmetric: the arc under x -> -x, the hemisphere
 under y -> -y and, when its samples are even, under x -> -x. When a mirror
 also maps an array's positions onto themselves, exactly, in order or
-reversed (a linear array is centered on the x axis, so x -> -x reverses it
-and y -> -y keeps its order), the walk folds: it builds one fundamental
-node per orbit of the mirrors, and takes path differences and cos/sin only
-there. An image node is the exact sign flip of its fundamental node, so
-its row is the fundamental row with the sources in order or reversed. The
-in-order images add their weight to the fundamental row; the reversed ones
-sum it against the phases reversed, or reuse the in-order intensities
-when the phases equal their reversal. A linear array takes cos/sin over
-half the arc, a quarter of an even hemisphere and half an odd one; on the
-hemisphere its y -> -y images merge, so it takes half the matvecs. Any
-other array (a jittered one, or one symmetric only under some other order
-of its sources) takes every row, with the nodes as listed.
+reversed (a linear array is centered on the x axis, so x -> -x reverses it;
+lifted off the axis along z, y -> -y also keeps its order), the walk
+folds: it builds one fundamental node per orbit of the mirrors, and takes
+path differences and cos/sin only there. An image node is the exact sign
+flip of its fundamental node, so its row is the fundamental row with the
+sources in order or reversed. The in-order images add their weight to the
+fundamental row; the reversed ones sum it against the phases reversed, or
+reuse the in-order intensities when the phases equal their reversal. A
+centered line takes cos/sin over half the arc's nodes, on the arc and on
+the hemisphere; a line lifted off the axis takes them over a quarter of an
+even hemisphere and half an odd one, and its y -> -y images merge, so it
+takes half the matvecs. Any other array (a jittered one, or one symmetric
+only under some other order of its sources) takes every row, with the
+nodes as listed.
 """
 
 from __future__ import annotations
@@ -184,6 +194,16 @@ _WALK_BUFFER_BYTES = 3 << 16
 # before the budget check, like the positions it reads
 _FOLD_SOURCE_BYTES = 32
 
+# the cosine sum of a line's weights on the hemisphere (see _line_weights):
+# terms per chunk, and bytes per term of a chunk (its angles and their
+# cosines; 25 measured with tracemalloc) and per sample (the cosine table of
+# 2 samples entries); in the grid's operations per term (WORK_BUDGET), timed
+# at 8-9 ns from 1024 samples up (2-vCPU VM)
+_LINE_CELLS = 1 << 13
+_LINE_CELL_BYTES = 32
+_LINE_SAMPLE_BYTES = 16
+_LINE_WORK = 4
+
 # bytes per step of a far-field sweep besides the sources: the step's
 # SourceArray object and curve entries (~250 measured with tracemalloc)
 _SWEEP_STEP_BYTES = 512
@@ -213,7 +233,14 @@ class DetectorGrid:
     line-measure weighted (a fast 1-D proxy whose absolute scale only
     matters through enhancement ratios). The hemisphere spans polar angles
     0..pi/2; the arc opens pi, from -pi/2 to pi/2 about +z. ``n_points``
-    is ``samples`` on the arc and ``samples``^2 on the hemisphere.
+    is ``samples`` on the arc and ``samples``^2 on the hemisphere: the
+    nodes of its (theta, phi) rule.
+
+    An array whose sources all lie on the x axis radiates a field that
+    depends on a hemisphere point p only through u = p_x / R, so the
+    hemisphere integrates it as a 1-D rule in u (see _line_weights): its
+    ``samples`` u nodes are the arc's points, and no (theta, phi) node is
+    walked. Every array the CLI builds is such a line.
 
     The nodes come in mirror pairs of equal weight: the arc's theta and
     -theta under x -> -x, the hemisphere's phi and -phi under y -> -y and,
@@ -417,18 +444,20 @@ def _slab_walk(fx, fy, fz, coefficients, k_sq: float, lines: int, width: int) ->
     return total
 
 
-def _detector_quadrature(detector: DetectorGrid, index) -> tuple[np.ndarray, np.ndarray]:
+def _detector_quadrature(detector: DetectorGrid, index, line=False) -> tuple[np.ndarray, np.ndarray]:
     """Midpoint sample points (rows, 3) and integration weights (rows,) of
     the detector points of the integer array ``index``. The hemisphere's
     index runs over phi within each theta, as a (theta, phi) meshgrid
-    flattens, and each point takes the floats that meshgrid gave it."""
+    flattens, and each point takes the floats that meshgrid gave it. For a
+    ``line`` on the hemisphere, the index runs over its u nodes: the arc's
+    points, with the weights of _line_weights."""
     n = detector.samples
     radius = detector.radius
-    if detector.geometry == "arc":
+    if detector.geometry == "arc" or line:
         step = math.pi / n
         theta = -math.pi / 2.0 + (index + 0.5) * step
         directions = np.stack([np.sin(theta), np.zeros_like(theta), np.cos(theta)], axis=1)
-        weights = np.full(index.size, radius * step)
+        weights = _line_weights(detector, index) if line else np.full(index.size, radius * step)
         return radius * directions, weights
     theta_step = (math.pi / 2) / n
     phi_step = TWO_PI / n
@@ -439,6 +468,45 @@ def _detector_quadrature(detector: DetectorGrid, index) -> tuple[np.ndarray, np.
     directions = np.stack([sin_t * np.cos(phi), sin_t * np.sin(phi), np.cos(theta)], axis=1)
     weights = radius ** 2 * sin_t * theta_step * phi_step
     return radius * directions, weights
+
+
+def _line_weights(detector: DetectorGrid, index) -> np.ndarray:
+    """A line's weights on the hemisphere at its u nodes ``index``, the
+    arc's points, u_j = sin theta_j.
+
+    A line on the x axis has a field that depends on a hemisphere point p
+    only through u = p_x / R, and the hemisphere over u..u + du has area
+    pi R^2 du (Archimedes' hat-box theorem), so its power is pi R^2 times
+    the integral of |F(u)|^2 over -1..1. The u_j are Chebyshev points, on
+    which Fejer's first rule, w_j = (2/n) (1 - 2 sum_{k=1}^{n/2}
+    cos(k (2j + 1) pi / n) / (4k^2 - 1)), integrates every polynomial below
+    degree n exactly (Trefethen, SIAM Rev. 50, 2008); the (theta, phi) rule
+    errs as O(h^2). Gauss-Legendre would save a third of the nodes from
+    k L ~ 110 up (none at k L <= 36), but needs a node set and a Newton
+    iteration of its own. Each cosine is read from a table at the exact
+    integer k (2j + 1) mod 2n, in chunks of _LINE_CELLS terms: O(n) memory
+    and O(n) work per node (an FFT takes O(log n) per node, but loading
+    numpy.fft maps 0.5 MB more)."""
+    n = detector.samples
+    k = np.arange(1, n // 2 + 1)
+    coefficients = 1.0 / (4.0 * k * k - 1.0)
+    table = np.cos(np.arange(2 * n) * (math.pi / n))
+    sums = np.empty(index.size)
+    rows = max(1, _LINE_CELLS // k.size)
+    for start in range(0, index.size, rows):
+        angles = (2 * index[start:start + rows, None] + 1) * k
+        angles %= 2 * n
+        terms = table[angles]
+        terms *= coefficients
+        sums[start:start + rows] = terms.sum(axis=1)
+    return (2.0 * math.pi * detector.radius ** 2 / n) * (1.0 - 2.0 * sums)
+
+
+def _walked(detector: DetectorGrid, line: bool) -> DetectorGrid:
+    """The detector whose nodes the walk takes: the arc of the same radius
+    and samples for a line on the hemisphere (see _fold), whose rows are
+    the arc's u nodes folded by the arc's mirror, and else the detector."""
+    return DetectorGrid(detector.radius, "arc", detector.samples) if line else detector
 
 
 def _detector_mirrors(detector: DetectorGrid) -> tuple[int, ...]:
@@ -489,11 +557,14 @@ class _Fold(NamedTuple):
     mirrors, the identity first, each as a tuple of axes. ``classes``: the
     elements' indices grouped by whether they take the sources in order or
     reversed, the in-order class first; each class is one materialized row
-    per fundamental node; the second sums it against the phases reversed."""
+    per fundamental node; the second sums it against the phases reversed.
+    ``line``: whether the group is a line on the hemisphere, walked on the
+    arc's nodes (see _walked)."""
 
     mirrors: tuple
     elements: tuple
     classes: tuple
+    line: bool = False
 
 
 # a group that no mirror folds: the walk over every detector row
@@ -513,9 +584,11 @@ def _source_mirror(positions: np.ndarray, axis: int):
 
 
 def _fold(detector: DetectorGrid, positions: np.ndarray) -> _Fold:
-    """The mirrors of ``detector`` that also map ``positions`` onto
-    themselves, in order or reversed, and which products of them reverse
-    the sources.
+    """The mirrors of the walked detector (see _walked) that also map
+    ``positions`` onto themselves, in order or reversed, and which products
+    of them reverse the sources. Positions on the x axis (every y and z
+    zero) on the hemisphere are a line, walked on the arc's nodes, so a
+    line centered on the origin folds onto x -> -x, reversed.
 
     With p' the exact mirror of a node p, |p'| = |p| and d(p', x_n) =
     d(p, x_m) hold bit for bit, where m is n or N - 1 - n, so the image
@@ -524,8 +597,9 @@ def _fold(detector: DetectorGrid, positions: np.ndarray) -> _Fold:
     The in-order images add their weight to the fundamental row; the
     reversed ones share one row of intensities. A group with no mirror is one
     class of one element, which is the unfolded walk."""
+    line = detector.geometry == "hemisphere" and not positions[:, 1:].any()
     reverses = {}
-    for axis in _detector_mirrors(detector):
+    for axis in _detector_mirrors(_walked(detector, line)):
         reversed_ = _source_mirror(positions, axis)
         if reversed_ is not None:
             reverses[axis] = reversed_
@@ -537,7 +611,7 @@ def _fold(detector: DetectorGrid, positions: np.ndarray) -> _Fold:
     classes = {}
     for index, element in enumerate(elements):
         classes.setdefault(sum(reverses[axis] for axis in element) % 2, []).append(index)
-    return _Fold(mirrors, elements, tuple(map(tuple, classes.values())))
+    return _Fold(mirrors, elements, tuple(map(tuple, classes.values())), line)
 
 
 def _row_weights(detector: DetectorGrid, fold: _Fold, nodes, weights) -> np.ndarray:
@@ -754,7 +828,8 @@ def _position_groups(arrays, detector: DetectorGrid) -> list[_Stack]:
         return len(group[0]), fold, width, [len(sets) for _, sets in group[1]]
 
     return [stack for (_, fold, width, _), same in itertools.groupby(groups, key)
-            for stack in _planned_stacks(detector, *map(list, zip(*same)), fold, width)]
+            for stack in _planned_stacks(_walked(detector, fold.line), *map(list, zip(*same)),
+                                         fold, width)]
 
 
 def _check_farfield_budget(detector: DetectorGrid, stacks):
@@ -764,14 +839,20 @@ def _check_farfield_budget(detector: DetectorGrid, stacks):
     positions, |x|^2, phase ids, wavenumbers and phasors, and its largest
     batch's trig, phasors and matvec outputs (a chunk and block one row
     more, see _row_blocks); _ROW_COLUMNS per materialized block row; the
-    fold check; _WALK_BUFFER_BYTES. None grows with the detector. Work: per
-    fundamental row and source, _PATH_WORK for each group and _TRIG_WORK for
-    each run, and per materialized row and source _MATVEC_WORK for each set."""
+    fold check; _WALK_BUFFER_BYTES; for a line on the hemisphere, the build
+    of its block's weights (see _line_weights): _LINE_CELL_BYTES per term of
+    a chunk (_LINE_CELLS, or one node's samples/2 when more) and
+    _LINE_SAMPLE_BYTES per sample, which alone grow with the detector. Work: per fundamental row and source, _PATH_WORK for each
+    group and _TRIG_WORK for each run, per materialized row and source
+    _MATVEC_WORK for each set, and _LINE_WORK per term of each line fold's
+    weights, samples/2 per fundamental row. The request is named by the
+    nodes of the most that any stack walks (see _walked)."""
     needed = work = arrays = n_sources = 0
     for stack in stacks:
         offsets, width, g = stack.offsets, stack.width, len(stack.runs)
         n, classes = stack.positions[0].shape[0], len(stack.fold.classes)
-        fundamental, rows = _fundamental_rows(detector, stack.fold.mirrors)[2:]
+        walked = _walked(detector, stack.fold.line)
+        fundamental, rows = _fundamental_rows(walked, stack.fold.mirrors)[2:]
         steps = max(batch.stop - batch.start for batch in stack.batches)
         batch_sets = max(offsets[batch.stop] - offsets[batch.start] for batch in stack.batches)
         phases = len(_distinct_phases(stack.runs))
@@ -784,7 +865,15 @@ def _check_farfield_budget(detector: DetectorGrid, stacks):
             _PATH_WORK + _TRIG_WORK * (len(offsets) - 1) + _MATVEC_WORK * classes * sets)
         arrays += g * sets
         n_sources = max(n_sources, n)
-    request = f"far-field request of {detector.n_points} detector points x {n_sources} sources"
+    line_mirrors = {stack.fold.mirrors for stack in stacks if stack.fold.line}
+    if line_mirrors:
+        half = detector.samples // 2
+        needed += _LINE_CELL_BYTES * max(_LINE_CELLS, half) + _LINE_SAMPLE_BYTES * detector.samples
+        work += _LINE_WORK * half * sum(_fundamental_rows(_walked(detector, True), mirrors)[2]
+                                        for mirrors in line_mirrors)
+    points = max((_walked(detector, stack.fold.line).n_points for stack in stacks),
+                 default=detector.n_points)
+    request = f"far-field request of {points} detector points x {n_sources} sources"
     _check_budget(needed + _WALK_BUFFER_BYTES, request)
     _check_work(work, f"{request} x {arrays} arrays")
 
@@ -829,15 +918,16 @@ def farfield_powers(arrays, detector: DetectorGrid) -> tuple[np.ndarray, np.ndar
     equal positions, in the engine's blocks.
 
     The arrays form stacks of equal-N groups, each planned once (see
-    _position_groups). Stacks that fold onto the same detector mirrors (see
-    _fold) share their fundamental rows, which are walked in blocks of at
-    most _BLOCK_ROWS materialized rows (see _fundamental_rows): each block
-    builds its quadrature points, weights and |p| once, weighs each fold's
-    classes once (see _row_weights), and each stack of the fold walks it in
-    the chunks of its plan (see _stack_walk). A power is the sum of its
-    chunk partials in walk order. The call holds one block of quadrature
-    and one stack's chunk of path differences at a time, never the whole
-    detector.
+    _position_groups). Stacks that fold onto the same mirrors of the same
+    nodes (see _fold; lines on the hemisphere take the arc's nodes, with
+    the weights of _line_weights) share their fundamental rows, which are
+    walked in blocks of at most _BLOCK_ROWS materialized rows (see
+    _fundamental_rows): each block builds its quadrature points, weights
+    and |p| once, weighs each fold's classes once (see _row_weights), and
+    each stack of the fold walks it in the chunks of its plan (see
+    _stack_walk). A power is the sum of its chunk partials in walk order.
+    The call holds one block of quadrature and one stack's chunk of path
+    differences at a time, never the whole detector.
 
     Raises FarFieldViolationError unless the detector radius is at least
     100x both the wavelength and the extent of every array, and ValueError
@@ -855,19 +945,20 @@ def farfield_powers(arrays, detector: DetectorGrid) -> tuple[np.ndarray, np.ndar
     _check_farfield_budget(detector, stacks)
     powers = [np.zeros((len(stack.runs), stack.offsets[-1])) for stack in stacks]
     singles = dict.fromkeys((stack.fold for stack in stacks), 0.0)
-    for mirrors in dict.fromkeys(fold.mirrors for fold in singles):
-        start, count, fundamental, rows = _fundamental_rows(detector, mirrors)
+    for line, mirrors in dict.fromkeys((fold.line, fold.mirrors) for fold in singles):
+        walked = _walked(detector, line)
+        start, count, fundamental, rows = _fundamental_rows(walked, mirrors)
         for block in _row_blocks(fundamental, rows):
             rings, nodes = np.divmod(np.arange(block.start, block.stop), count)
             nodes += start
-            points, weights = _detector_quadrature(detector, rings * detector.samples + nodes)
+            points, weights = _detector_quadrature(detector, rings * detector.samples + nodes, line)
             norms = np.sqrt(np.einsum("ij,ij->i", points, points))
             # the reference source's intensity 1/|p|^2: an origin-centered
             # source's field is exactly 1/|p| (d = 0) on each fold's rows
             reference = 1.0 / norms
             reference *= reference
-            for fold in [fold for fold in singles if fold.mirrors == mirrors]:
-                row_weights = _row_weights(detector, fold, nodes, weights)
+            for fold in [fold for fold in singles if (fold.line, fold.mirrors) == (line, mirrors)]:
+                row_weights = _row_weights(walked, fold, nodes, weights)
                 singles[fold] += float(np.multiply(reference, row_weights).sum())
                 for stack, power in zip(stacks, powers):
                     if stack.fold == fold:

@@ -190,6 +190,14 @@ def _sweep_farfield(spec: SweepSpec, values: np.ndarray):
     # values ascend, so a source-count sweep's last array is its largest
     largest = int(round(values[-1]) if spec.parameter == "source_count" else fixed["n_sources"])
     _check_sweep_budget(values.size, largest, spec.parameter)
+    # one detector serves the whole sweep, refused before any array is built;
+    # without a radius it is sized for the worst case of the arrays below
+    radius = fixed.get("radius")
+    detector = DetectorGrid(
+        radius=1.0 if radius is None else float(radius),
+        geometry=fixed.get("geometry", classical.DRIVER_GEOMETRY),
+        samples=int(fixed.get("samples", classical.DRIVER_SAMPLES)),
+    )
 
     arrays = []
     for value in values:
@@ -206,15 +214,9 @@ def _sweep_farfield(spec: SweepSpec, values: np.ndarray):
         else:
             arrays.append(make_linear_array(n, spacing, wavelength, profile))
 
-    # one detector serves the whole sweep: size it for the worst case
-    radius = fixed.get("radius")
     if radius is None:
         radius = max(classical._far_field_radius(a.wavelength, a.extent) for a in arrays)
-    detector = DetectorGrid(
-        radius=float(radius),
-        geometry=fixed.get("geometry", classical.DRIVER_GEOMETRY),
-        samples=int(fixed.get("samples", classical.DRIVER_SAMPLES)),
-    )
+        detector = replace(detector, radius=radius)
     return farfield_powers(arrays, detector)
 
 

@@ -444,7 +444,9 @@ def test_farfield_hemisphere_matches_sinc_identity():
 
     The identity comes from integrating the pair interference term over
     the full sphere; the forward hemisphere gives the same value by
-    symmetry of the line array.
+    symmetry of the line array. It holds for an infinite radius: the 1-D
+    rule on the line's u nodes is exact to rounding here, so the gap, at
+    most 4.7e-6, is the finite radius's.
     """
     for n, spacing in ((2, 0.5), (5, 0.1), (4, 0.37)):
         arr = make_linear_array(n, spacing, 1.0)
@@ -457,7 +459,7 @@ def test_farfield_hemisphere_matches_sinc_identity():
             for j in range(i + 1, n)
         )
         identity = 1.0 + 2.0 * pair_sum / n
-        assert abs(enhancement - identity) <= 1e-4 * identity
+        assert abs(enhancement - identity) <= 1e-5 * identity
 
 
 def test_farfield_subwavelength_enhancement_grows_with_confinement():
@@ -559,6 +561,15 @@ def far_detector(rng, arrays, geometry, samples):
         geometry=geometry,
         samples=samples,
     )
+
+
+def lifted_line(*args):
+    """make_linear_array(*args) lifted off the x axis along z: the hemisphere
+    walks it on its (theta, phi) nodes, folded onto both mirrors of an even
+    hemisphere (x -> -x reversing the sources, y -> -y keeping their order)
+    and onto y -> -y of an odd one."""
+    array = make_linear_array(*args)
+    return replace(array, positions=array.positions + [0.0, 0.0, 0.2])
 
 
 def long_double_power(points, weights, positions, phases, wavenumber):
@@ -704,8 +715,20 @@ def test_farfield_powers_checks_every_array_against_the_threshold():
 
 
 def test_far_field_request_over_budget_is_refused_before_allocation():
-    array = make_linear_array(8, 0.2, 1.0)
-    detector = DetectorGrid(radius=1e3, geometry="hemisphere", samples=100_000)
+    """A 10^10-point (theta, phi) walk of a line lifted off the x axis is
+    refused before anything that grows with the detector is built."""
+    refused_before_allocation(lifted_line(8, 0.2, 1.0), 100_000)
+
+
+def test_a_line_request_over_budget_is_refused_before_its_weights_are_built():
+    """A line on the x axis takes the 1-D rule on the hemisphere's u nodes;
+    at 200 000 of them the cosine sums of their weights would take 10^10
+    terms, and the request is refused before any is summed."""
+    refused_before_allocation(make_linear_array(8, 0.2, 1.0), 200_000)
+
+
+def refused_before_allocation(array, samples):
+    detector = DetectorGrid(radius=1e3, geometry="hemisphere", samples=samples)
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="budget"):
@@ -722,12 +745,14 @@ def test_sweeps_build_the_quadrature_once(monkeypatch):
     in one pass for a stack of equal-N groups (the six lines of a spacing
     sweep make one), and the reference source needs none. Linear
     arrays fold: the arc builds half its rows (two blocks of 2048 at 5000
-    points), and the 96^2 hemisphere a quarter (three blocks of 1024)."""
+    points), and so does the 96^2 hemisphere's 1-D rule on its 96 u nodes
+    (one block of 48); a line lifted off the x axis takes a quarter of the
+    (theta, phi) nodes (three blocks of 1024)."""
     calls = {"rows": 0, "_path_differences": 0}
     build, paths = classical._detector_quadrature, classical._path_differences
 
-    def counted_build(detector, rows):
-        points, weights = build(detector, rows)
+    def counted_build(detector, rows, *line):
+        points, weights = build(detector, rows, *line)
         calls["rows"] += weights.size
         return points, weights
 
@@ -750,7 +775,10 @@ def test_sweeps_build_the_quadrature_once(monkeypatch):
     two_blocks = DetectorGrid(radius=1e3, geometry="arc", samples=5000)
     assert run(lambda: transmission_spectrum(arr, (0.5, 3.0), 9, two_blocks)) == (2500, 2)
     hemisphere = DetectorGrid(radius=1e3, geometry="hemisphere", samples=96)
-    assert run(lambda: transmission_spectrum(arr, (0.5, 3.0), 3, hemisphere)) == (96 ** 2 // 4, 3)
+    assert run(lambda: transmission_spectrum(arr, (0.5, 3.0), 3, hemisphere)) == (48, 1)
+    lifted = lifted_line(3, 2.0, 0.5)
+    assert run(lambda: transmission_spectrum(lifted, (0.5, 3.0), 3, hemisphere)) == (
+        96 ** 2 // 4, 3)
     fixed = {"n_sources": 4, "spacing": 0.3, "wavelength": 1.0, "samples": 256}
     phase_sweep = SweepSpec("farfield_power", "phase_delta", 0.0, 3.0, 6, fixed)
     assert run(lambda: run_sweep(phase_sweep)) == (128, 1)
@@ -805,17 +833,21 @@ def test_phase_steps_share_one_trig_pass(monkeypatch):
 @pytest.mark.parametrize(
     "geometry, samples, layout, rows",
     [("arc", 257, "linear", 129), ("arc", 256, "linear", 128),
-     ("hemisphere", 96, "linear", 96 ** 2 // 4), ("hemisphere", 65, "linear", 65 * 33),
-     ("arc", 257, "x-jittered", 257), ("hemisphere", 64, "x-jittered", 64 * 32),
-     ("hemisphere", 64, "jittered", 64 ** 2)],
+     ("hemisphere", 96, "linear", 48), ("hemisphere", 65, "linear", 33),
+     ("hemisphere", 96, "lifted", 96 ** 2 // 4), ("hemisphere", 65, "lifted", 65 * 33),
+     ("arc", 257, "x-jittered", 257), ("hemisphere", 64, "x-jittered", 64),
+     ("hemisphere", 64, "lifted-x-jittered", 64 * 32), ("hemisphere", 64, "jittered", 64 ** 2)],
 )
 def test_trig_passes_take_one_node_per_orbit(monkeypatch, geometry, samples, layout, rows):
     """cos and sin are taken over the fundamental rows only, N of them per
     row and run: ceil(n/2) rows on the arc for a mirror-symmetric array,
-    n^2/4 on a hemisphere whose n is divisible by 4, n * ceil(n/2) on an
-    odd hemisphere (y -> -y only), and every row for a jittered array. An
-    array jittered along x only keeps y -> -y on the hemisphere, with the
-    identity permutation: half the rows."""
+    and on the hemisphere for a centered line on the x axis, which takes
+    the 1-D rule on the arc's nodes; a line lifted off the axis takes n^2/4
+    (theta, phi) nodes on a hemisphere whose n is divisible by 4, n *
+    ceil(n/2) on an odd hemisphere (y -> -y only), and a jittered array
+    every row. An array jittered along x only is still a line on the
+    hemisphere, with no mirror: n rows; lifted, it keeps y -> -y, with the
+    identity permutation: half the (theta, phi) rows."""
     elements = []
     original = classical._run_powers
 
@@ -825,12 +857,14 @@ def test_trig_passes_take_one_node_per_orbit(monkeypatch, geometry, samples, lay
 
     monkeypatch.setattr(classical, "_run_powers", counting)
     array = make_linear_array(5, 0.3, 1.0, [0.1, 2.0, 0.4, 5.0, 1.3])
-    if layout != "linear":
-        positions = array.positions.copy()
+    positions = array.positions.copy()
+    if layout.endswith("jittered"):
         positions[:, 0] += [0.02, -0.01, 0.03, 0.0, -0.02]
-        if layout == "jittered":
-            positions[:, 1] += [0.01, 0.0, -0.02, 0.03, 0.0]
-        array = SourceArray(positions, array.phases, 1.0)
+    if layout == "jittered":
+        positions[:, 1] += [0.01, 0.0, -0.02, 0.03, 0.0]
+    if layout.startswith("lifted"):
+        positions[:, 2] += 0.2
+    array = SourceArray(positions, array.phases, 1.0)
     detector = DetectorGrid(radius=1e3, geometry=geometry, samples=samples)
     transmission_spectrum(array, (0.8, 1.2), 3, detector)
     assert sum(elements) == 3 * rows * 5
@@ -901,16 +935,18 @@ def row_intensities(table, norms, weights, phases, wavenumber):
 
 def whole_table_power(detector, positions, phases, wavenumber):
     """Reference: the engine before it streamed. It builds the path table of
-    every fundamental row of the positions' fold at once, sums each row's
+    every fundamental row of the positions' fold at once (of the 1-D rule
+    on the arc's nodes, for a line on the hemisphere), sums each row's
     field source by source (see row_intensities), then cuts the rows into
     the engine's blocks and chunks, sums each chunk's weighted intensities
     pairwise, class by class, and adds the chunk partials in order."""
     fold = classical._fold(detector, positions)
-    start, count, fundamental, block = classical._fundamental_rows(detector, fold.mirrors)
+    walked = classical._walked(detector, fold.line)
+    start, count, fundamental, block = classical._fundamental_rows(walked, fold.mirrors)
     rings, nodes = np.divmod(np.arange(fundamental), count)
     nodes += start
-    points, weights = _detector_quadrature(detector, rings * detector.samples + nodes)
-    weights = classical._row_weights(detector, fold, nodes, weights)
+    points, weights = _detector_quadrature(detector, rings * detector.samples + nodes, fold.line)
+    weights = classical._row_weights(walked, fold, nodes, weights)
     norms = np.sqrt(np.einsum("ij,ij->i", points, points))
     squares = np.einsum("ij,ij->i", positions, positions)
     distance = np.zeros((len(points), len(positions)))
@@ -938,9 +974,10 @@ def whole_table_power(detector, positions, phases, wavenumber):
 # joined to three, at N = 20 000 (arc 64); and groups of different source
 # counts sharing one call. Every group below 1000 sources comes twice: in
 # a random layout, which takes the unfolded walk, and as a line, which
-# folds with a reversed class. The stacks cases add equal-N groups (see
-# stack_arrays): lines of three spacings as three stacks of one group,
-# each cut into two chunks (arc 4097, N = 40), or as stacks of two groups
+# folds with a reversed class (on the hemisphere, on the u nodes of the 1-D
+# rule). The stacks cases add equal-N groups (see stack_arrays): lines of
+# three spacings as three stacks of one group, each cut into two chunks
+# (arc 4097, N = 40), or, lifted off the x axis, as stacks of two groups
 # and one (hemisphere 96^2, N = 5); palindromic phases on folded lines; and
 # a stack whose next array is jittered, so the stack splits at the fold
 STREAMED_CASES = [
@@ -993,9 +1030,10 @@ def test_streamed_engine_is_bit_equal_to_the_whole_table_walk(geometry, samples,
 
 def stack_arrays(rng, kind, n):
     """Equal-N groups for the stacks cases: lines of three spacings, each at
-    two wavelengths; a line at uniform phases and at a mirrored random set,
-    each at three wavelengths; or two lines of N = 9 and the second line
-    jittered along x."""
+    two wavelengths (lifted off the x axis for N = 5, which the hemisphere
+    then walks on its (theta, phi) nodes); a line at uniform phases and at a
+    mirrored random set, each at three wavelengths; or two lines of N = 9
+    and the second line jittered along x."""
     wavelength = 0.5 + rng.uniform()
     if kind == "palindromes":
         half = rng.phases(n // 2)
@@ -1005,8 +1043,8 @@ def stack_arrays(rng, kind, n):
         return [replace(array, wavelength=wavelength * scale)
                 for array in arrays for scale in (1.0, 1.1, 1.25)]
     if kind == "spacings":
-        lines = [make_linear_array(n, spacing, wavelength, rng.phases(n))
-                 for spacing in (1e-4, 2e-4, 3e-4)]
+        build = lifted_line if n == 5 else make_linear_array
+        lines = [build(n, spacing, wavelength, rng.phases(n)) for spacing in (1e-4, 2e-4, 3e-4)]
         return [replace(line, wavelength=wavelength * scale)
                 for line in lines for scale in (1.0, 1.25)]
     lines = [make_linear_array(9, spacing, wavelength, rng.phases(9)) for spacing in (1e-4, 2e-4)]
@@ -1020,7 +1058,8 @@ def check_stacks(stacks, kind, detector):
     shapes = []
     for stack in stacks:
         n = stack.positions[0].shape[0]
-        rows = classical._fundamental_rows(detector, stack.fold.mirrors)[3]
+        walked = classical._walked(detector, stack.fold.line)
+        rows = classical._fundamental_rows(walked, stack.fold.mirrors)[3]
         chunks = len(list(classical._row_blocks(rows, stack.height)))
         shapes.append((n, len(stack.runs), chunks, len(stack.fold.classes), stack.width))
     if kind == "spacings":
@@ -1072,18 +1111,18 @@ def test_far_field_request_over_work_budget_is_refused_before_the_walk(monkeypat
     """Per fundamental detector row and source the engine counts 7
     operations for each positions group's path differences and 7 for each
     trig pass, and per materialized row and source 1 for each phase set's
-    matvecs. This linear array folds onto both mirrors of the 1024^2
-    hemisphere: a quarter of its points are fundamental rows, and half are
-    materialized (the y -> -y images add their weight to their fundamental
-    rows). A hemisphere spectrum of 10 000 steps fits in memory but would
-    take hours; a 400-step phase sweep passes on its trig passes alone and
+    matvecs. This line, lifted off the x axis, folds onto both mirrors of
+    the 1024^2 hemisphere's (theta, phi) nodes: a quarter of its points are
+    fundamental rows, and half are materialized (the y -> -y images add
+    their weight to their fundamental rows). A hemisphere spectrum of
+    10 000 steps fits in memory but would take hours; a 400-step phase sweep passes on its trig passes alone and
     is refused for its matvecs. Both are refused at once, before the
     quadrature is built."""
-    def build(detector, rows):
+    def build(detector, rows, *line):
         raise AssertionError("the quadrature was built")
 
     monkeypatch.setattr(classical, "_detector_quadrature", build)
-    array = make_linear_array(64, 0.01, 1.0)
+    array = lifted_line(64, 0.01, 1.0)
     detector = DetectorGrid(radius=1e3, geometry="hemisphere", samples=1024)
     points = 1024 ** 2
     spectrum = [core._swept(array, wavelength=1.0 + i / 10_000) for i in range(10_000)]
@@ -1101,15 +1140,18 @@ def test_far_field_request_over_work_budget_is_refused_before_the_walk(monkeypat
 # (geometry, samples, sources, layout): random layouts take the unfolded
 # walk, and so does a centered lattice in the x-y plane, which the mirrors
 # map onto itself in neither order nor reversed; linear arrays fold onto the
-# arc's mirror and onto both of an even hemisphere's; on a small arc with
-# many sources the fold check's per-source term shows, and on 8192-point
-# arcs with 1000 and 4000 sources the chunks are shorter than the block
+# arc's mirror, on the arc and on a hemisphere's u nodes; on a small arc with
+# many sources the fold check's per-source term shows, on 8192-point
+# arcs with 1000 and 4000 sources the chunks are shorter than the block, and
+# a line on a hemisphere of 17 000 samples sums its weights' cosines one
+# node per chunk, since each node's 8500 terms exceed a chunk
 BUDGET_CASES = [
     ("arc", 9000, 64, "random"), ("arc", 5000, 9, "random"), ("hemisphere", 96, 64, "random"),
     ("hemisphere", 128, 8, "random"), ("arc", 200, 300, "random"), ("arc", 64, 2000, "random"),
     ("hemisphere", 96, 64, "linear"), ("hemisphere", 66, 49, "lattice"),
     ("arc", 201, 300, "linear"), ("arc", 5000, 9, "linear"), ("arc", 64, 2000, "linear"),
     ("arc", 8192, 1000, "linear"), ("arc", 8192, 4000, "linear"),
+    ("hemisphere", 17_000, 8, "linear"),
 ]
 
 
@@ -1324,8 +1366,13 @@ def run_charge_case(kind):
         arrays = [line, replace(line, phases=rng.phases(9)), replace(line, positions=jittered)]
         farfield_powers(arrays, DetectorGrid(radius=1e3, geometry="arc", samples=300))
     elif kind == "hemisphere-blocks":
-        arrays = [make_linear_array(4, 0.3, 1.0, rng.phases(4)), random_array(rng, 4)]
+        arrays = [lifted_line(4, 0.3, 1.0, rng.phases(4)), random_array(rng, 4)]
         farfield_powers(arrays, DetectorGrid(radius=1e3, geometry="hemisphere", samples=192))
+    elif kind == "hemisphere-line":
+        line = make_linear_array(9, 0.2, 1.0, rng.phases(9))
+        jittered = line.positions + np.outer(rng.phases(9) * 1e-3, [1.0, 0.0, 0.0])
+        arrays = [line, replace(line, phases=rng.phases(9)), replace(line, positions=jittered)]
+        farfield_powers(arrays, DetectorGrid(radius=1e3, geometry="hemisphere", samples=300))
     else:
         dicke_scaling_check([2, 4, 8], regime="farfield", detector_samples=256)
 
@@ -1334,9 +1381,14 @@ def run_charge_case(kind):
 # sweep of 40 sources on a 1024-point arc, whose seven groups walk as stacks
 # of three, three and one; a source_count sweep, one stack per N; a
 # spectrum of in-phase sources, which takes one fold class; a jittered line
-# after two straight ones, so the call walks two folds; a line and a random
-# layout on a hemisphere of nine blocks each; and the dicke pre-check ahead
-# of its walk
+# after two straight ones, so the call walks two folds; a line lifted off
+# the x axis and a random layout on a hemisphere of nine blocks each; the
+# jittered case's lines on a hemisphere, which walks them on the arc's
+# nodes: the arc's charges, plus a chunk of the weights' cosine sum (2^13
+# terms, 32 bytes each) and its table (16 bytes per sample), and 4
+# operations per term of the sum, 150 terms for each of the folded line's
+# 150 fundamental nodes and the jittered line's 300; and the dicke
+# pre-check ahead of its walk
 FAR = "far-field request of"
 PINNED_CHARGES = {
     "spacing-pieces": [
@@ -1363,6 +1415,11 @@ PINNED_CHARGES = {
     "hemisphere-blocks": [
         ("_check_budget", 1344168, f"{FAR} 36864 detector points x 4 sources"),
         ("_check_work", 2801664, f"{FAR} 36864 detector points x 4 sources x 2 arrays"),
+    ],
+    "hemisphere-line": [
+        ("_check_budget", 317888 + 32 * 8192 + 16 * 300, f"{FAR} 300 detector points x 9 sources"),
+        ("_check_work", 64800 + 4 * 150 * (150 + 300),
+         f"{FAR} 300 detector points x 9 sources x 3 arrays"),
     ],
     "dicke": [
         ("_check_budget", 294024, f"{FAR} 256 detector points x 8 sources"),
@@ -1396,8 +1453,8 @@ def test_spectrum_steps_are_not_charged_for_positions_they_share():
     """A spectrum's steps share their array's positions and phases, so 20 000
     steps of 2000 sources pass the sweep check (which once charged them 32
     bytes per source each) and reach the far-field budgets, whose work
-    budget refuses this hemisphere at once."""
-    array = make_linear_array(2000, 0.5, 1.0)
+    budget refuses this hemisphere's (theta, phi) walk at once."""
+    array = lifted_line(2000, 0.5, 1.0)
     detector = DetectorGrid(radius=1e6, geometry="hemisphere", samples=512)
     with pytest.raises(ValueError, match="far-field request of 262144 detector points x 2000"):
         transmission_spectrum(array, (1.0, 2.0), 20_000, detector)

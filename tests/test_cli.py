@@ -310,14 +310,16 @@ class TestExitCodes:
         assert peak < 2 ** 20
 
     def test_huge_hemisphere_is_runtime_failure(self, capsys):
-        """A 20 000^2-point hemisphere is refused by the work budget; the
-        engine's memory no longer grows with the detector."""
+        """A hemisphere of 200 000 samples is refused by the work budget: a
+        spectrum's line takes the 1-D rule on its u nodes, and the cosine
+        sums of their weights take samples^2 / 4 terms, while the walk
+        itself would fit."""
         code, out, err = run_cli(
             capsys, "spectrum", "--n-sources", "4", "--spacing", "0.5", "--wavelength-min", "1",
-            "--wavelength-max", "2", "--geometry", "hemisphere", "--samples", "20000",
+            "--wavelength-max", "2", "--geometry", "hemisphere", "--samples", "200000",
         )
         assert code == 1
-        assert "budget" in err
+        assert "over the work budget" in err
         assert out == ""
 
     def test_million_source_spectrum_is_refused_within_seconds(self, capsys):
@@ -346,20 +348,23 @@ class TestExitCodes:
     def test_far_field_request_over_work_budget_is_runtime_failure(self, capsys):
         """A hemisphere spectrum of 10 000 steps holds a few MB but would run
         for hours; the work budget refuses it at once, naming the count. The
-        linear array folds onto both mirrors of the detector, so its trig is
-        counted over a quarter of the points and its matvecs over half."""
+        linear array takes the 1-D rule on the detector's 4096 u nodes and
+        folds onto x -> -x, so its trig is counted over half of them and its
+        matvecs, one per fold class, over all; the rule's weights add 4
+        operations per term of their cosine sums, 2048 for each of the 2048
+        fundamental nodes."""
         started = time.perf_counter()
         code, out, err = run_cli(
             capsys, "spectrum", "--n-sources", "64", "--spacing", "0.01", "--wavelength-min", "1",
-            "--wavelength-max", "2", "--geometry", "hemisphere", "--samples", "1024",
+            "--wavelength-max", "2", "--geometry", "hemisphere", "--samples", "4096",
             "--steps", "10000",
         )
         assert time.perf_counter() - started < 1.0
         assert code == 1
         assert err == (
-            "error: far-field request of 1048576 detector points x 64 sources x 10000 arrays"
-            f" needs {1048576 // 4 * 64 * (7 + 10000 * (7 + 2))} operations, over the work budget of"
-            " 10000000000 operations\n"
+            "error: far-field request of 4096 detector points x 64 sources x 10000 arrays"
+            f" needs {2048 * 64 * (7 + 10000 * (7 + 2)) + 4 * 2048 * 2048} operations, over the"
+            " work budget of 10000000000 operations\n"
         )
         assert out == ""
 

@@ -171,6 +171,29 @@ def test_quantum_sweep_over_work_budget_is_refused_before_its_first_step(
     )
 
 
+@pytest.mark.parametrize("parameter", ["spacing", "source_count", "wavelength"])
+@pytest.mark.parametrize("bad", [{"samples": 10}, {"geometry": "disc"}, {"radius": -1.0}])
+def test_farfield_sweep_refuses_its_detector_before_building_an_array(
+    monkeypatch, parameter, bad
+):
+    """A far-field sweep's detector is checked before its first step is
+    built: a bad samples, geometry or radius is refused with no
+    make_linear_array call, however many steps the sweep has."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return make_linear_array(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "make_linear_array", counted)
+    fixed = {"n_sources": 200, "spacing": 0.3, "wavelength": 1.0}
+    with pytest.raises(ValueError):
+        run_sweep(SweepSpec("farfield_power", parameter, 1.0, 2.0, 3000, {**fixed, **bad}))
+    assert calls == []
+    run_sweep(SweepSpec("farfield_power", parameter, 1.0, 2.0, 3, {**fixed, "samples": 64}))
+    assert calls
+
+
 def test_farfield_source_count_sweep_is_monotone_when_subwavelength():
     spec = SweepSpec(
         "farfield_power",

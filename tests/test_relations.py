@@ -16,12 +16,21 @@ move, beyond rounding, when:
 
 The folded walk must also agree with the unfolded walk on the same
 request. Each relation runs on the arc and on the hemisphere with odd and
-even samples, including samples = 2 (mod 4), and on four layouts: a
-linear array (which folds with the reversal, and onto y -> -y with the
-identity), the same line moved off the x axis (which keeps only x -> -x), a
-centered lattice in the x-y plane (which the mirrors map onto itself, but
-neither in order nor reversed, so it does not fold) and a random layout
-(which does not fold either).
+even samples, including samples = 2 (mod 4), and on five layouts: a
+linear array on the x axis (which folds with the reversal; on the
+hemisphere it is walked as a 1-D rule on the arc's nodes, so it folds
+there as on the arc), the same line lifted off the axis along z (which
+the (theta, phi) walk folds with the reversal, and onto y -> -y with the
+identity), the line moved off the x axis along y (which keeps only
+x -> -x), a centered lattice in the x-y plane (which the mirrors map onto
+itself, but neither in order nor reversed, so it does not fold) and a
+random layout (which does not fold either).
+
+Only a line on the x axis takes the 1-D rule. A line rotated about z by
+any other angle takes the (theta, phi) walk, whose power approaches the
+1-D rule's at the midpoint rule's O(h^2) rate; an origin-centered source
+still scores exactly 1 on the 1-D rule; and the CLI's spectra, far-field
+sweeps and an x-jittered Dicke array build O(samples) hemisphere rows.
 
 The energy of N phased copies of one mode depends on the set of phases,
 only up to a common shift, and on the amplitude a only through |a|^2. So
@@ -62,7 +71,9 @@ from coherray import (
     classical,
     cli,
     classical_energy,
+    dicke_scaling_check,
     farfield_power,
+    farfield_powers,
     field_energy_grid,
     make_linear_array,
     quantum,
@@ -76,30 +87,38 @@ from helpers import commensurate_box
 
 DETECTORS = [("arc", 64), ("arc", 65), ("arc", 66),
              ("hemisphere", 64), ("hemisphere", 65), ("hemisphere", 66)]
-LAYOUTS = ("linear", "shifted", "lattice", "random")
+LAYOUTS = ("linear", "shifted", "lattice", "random", "lifted")
 # the mirrors each layout folds onto: on the arc, on an even hemisphere and
-# on an odd hemisphere (0 is x -> -x, 1 is y -> -y)
+# on an odd hemisphere (0 is x -> -x, 1 is y -> -y); a line on the x axis
+# folds onto the arc's mirror of the nodes its 1-D rule walks
 FOLDS = {
-    "linear": ((0,), (0, 1), (1,)),
+    "linear": ((0,), (0,), (0,)),
     "shifted": ((0,), (0,), ()),
     "lattice": ((), (), ()),
     "random": ((), (), ()),
+    "lifted": ((0,), (0, 1), (1,)),
 }
 CASES = [(geometry, samples, layout) for geometry, samples in DETECTORS for layout in LAYOUTS]
 
 
 def seeded_array(rng, layout):
-    if layout in ("linear", "shifted"):
+    if layout in ("linear", "lifted", "shifted"):
         array = make_linear_array(7, 0.35, 1.0, rng.phases(7))
         if layout == "linear":
             return array
-        return SourceArray(array.positions + [0.0, 0.2, 0.0], array.phases, 1.0)
+        return lifted(array, [0.0, 0.2, 0.0] if layout == "shifted" else [0.0, 0.0, 0.2])
     if layout == "lattice":
         x, y = np.meshgrid([-0.3, 0.0, 0.3], [-0.25, 0.0, 0.25])
         positions = np.stack([x.ravel(), y.ravel(), np.zeros(9)], axis=1)
         return SourceArray(positions, rng.phases(9), 0.8)
     positions = np.array([[rng.uniform() - 0.5 for _ in range(3)] for _ in range(6)])
     return SourceArray(positions, rng.phases(6), 0.9)
+
+
+def lifted(array, offset):
+    """The array moved by ``offset``, off the x axis, so that the
+    hemisphere walks it on its (theta, phi) nodes."""
+    return SourceArray(array.positions + offset, array.phases, array.wavelength)
 
 
 def detector_for(rng, array, geometry, samples):
@@ -149,16 +168,20 @@ def test_power_is_invariant_under_a_mirror_of_the_detector(geometry, samples, la
 @pytest.mark.parametrize("geometry, samples, layout", CASES)
 def test_folded_walk_agrees_with_the_unfolded_walk(monkeypatch, geometry, samples, layout):
     """With no detector mirror every group takes the unfolded walk over all
-    detector rows; the two lines fold by default (the shifted one only onto
-    x -> -x, so not on an odd hemisphere), and both walks agree to 1e-13 on
-    power and enhancement."""
+    detector rows, or all u nodes of a line on the hemisphere; the three
+    lines fold by default (the shifted one only onto x -> -x, so not on an
+    odd hemisphere), and both walks agree to 1e-13 on power and
+    enhancement."""
     _, array, detector = case_inputs(geometry, samples, layout)
     detector_kind = 0 if geometry == "arc" else 1 + samples % 2
     expected = FOLDS[layout][detector_kind]
-    assert classical._fold(detector, array.positions).mirrors == expected
+    fold = classical._fold(detector, array.positions)
+    assert fold.mirrors == expected
+    assert fold.line == (geometry == "hemisphere" and layout == "linear")
     folded = farfield_power(array, detector)
     monkeypatch.setattr(classical, "_detector_mirrors", lambda detector: ())
-    assert classical._fold(detector, array.positions).mirrors == ()
+    unfolded = classical._fold(detector, array.positions)
+    assert (unfolded.mirrors, unfolded.line) == ((), fold.line)
     assert_close(folded, farfield_power(array, detector), 1e-13)
     assert not math.isclose(folded[1], 1.0)
 
@@ -174,12 +197,13 @@ def rotated_about_z(array, angle):
 def test_hemisphere_power_is_invariant_under_a_rotation_about_z(samples):
     """A line of 80 sources half a wavelength apart (k L = 248, more than
     the phi nodes resolve, so a rotation by half a node step moves the
-    power by 1-12%) keeps its power when rotated by m 2 pi / samples.
-    It folds onto the hemisphere's mirrors and, rotated off the axes, onto
+    power by 1-12%), lifted off the x axis along z so that the (theta, phi)
+    walk takes it, keeps its power when rotated by m 2 pi / samples. It
+    folds onto the hemisphere's mirrors and, rotated off the axes, onto
     none, so the relation also checks the folded walk against the unfolded
     one where both walk a block in several chunks."""
     rng = XorShift64Star(4000 + samples)
-    array = make_linear_array(80, 0.5, 1.0, rng.phases(80))
+    array = lifted(make_linear_array(80, 0.5, 1.0, rng.phases(80)), [0.0, 0.0, 0.2])
     detector = detector_for(rng, array, "hemisphere", samples)
     fold = classical._fold(detector, array.positions)
     assert fold.mirrors == ((0, 1) if samples % 2 == 0 else (1,))
@@ -193,6 +217,74 @@ def test_hemisphere_power_is_invariant_under_a_rotation_about_z(samples):
         assert_close(farfield_power(rotated, detector), expected, 1e-14)
     off_node = farfield_power(rotated_about_z(array, 1.5 * TWO_PI / samples), detector)
     assert abs(off_node[0] - expected[0]) > 1e-3 * expected[0]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_a_line_rotated_off_the_x_axis_approaches_the_1d_rule_at_order_two(seed):
+    """The 1-D rule takes only lines on the x axis, where the test is exact
+    (every y and z zero): a line rotated about z by a generic angle lies on
+    its line only up to rounding, so it takes the (theta, phi) walk. That
+    walk approaches the 1-D power at the midpoint rule's O(h^2) rate: from
+    n^2 to (2n)^2 nodes the Richardson estimate (P_n - P_2n) / 3 of the
+    remaining gap is within 10% of the gap P_2n - P_line, while the 1-D
+    rule itself moves by less than 1e-14 from n to 2n nodes."""
+    rng = XorShift64Star(900 + seed)
+    n = 5 + seed
+    array = make_linear_array(n, 0.2 + 0.3 * rng.uniform(), 1.0, rng.phases(n))
+    rotated = rotated_about_z(array, TWO_PI * rng.uniform())
+    radius = classical.FAR_FIELD_FACTOR * max(1.0, array.extent) * (1.0 + rng.uniform())
+    for samples in (64, 65):
+        coarse, fine = (DetectorGrid(radius=radius, samples=s) for s in (samples, 2 * samples))
+        assert classical._fold(coarse, array.positions).line
+        assert not classical._fold(coarse, rotated.positions).line
+        line, line_fine = (farfield_power(array, d)[0] for d in (coarse, fine))
+        assert abs(line_fine - line) <= 1e-14 * line
+        p_coarse, p_fine = (farfield_power(rotated, d)[0] for d in (coarse, fine))
+        gap = p_fine - line
+        assert 1e-7 * line < abs(gap) < 1e-4 * line
+        assert abs((p_coarse - p_fine) / 3.0 - gap) <= 0.1 * abs(gap)
+
+
+@pytest.mark.parametrize("samples", [64, 65, 4097])
+def test_an_origin_source_scores_one_on_the_1d_rule(samples):
+    """One source at the origin lies on the x axis, so the hemisphere walks
+    it on the 1-D rule, as it does the reference source: it scores 1.0 to
+    the bit at every wavelength, in one block and, at 4097 samples (2049
+    fundamental rows), in two."""
+    arrays = [make_linear_array(1, 1.0, wavelength) for wavelength in (0.3, 1.0, 7.5)]
+    detector = DetectorGrid(radius=1e3, samples=samples)
+    assert classical._fold(detector, arrays[0].positions).line
+    assert farfield_powers(arrays, detector)[1].tolist() == [1.0, 1.0, 1.0]
+
+
+def test_lines_walk_the_hemisphere_on_its_u_nodes(monkeypatch, capsys):
+    """A CLI hemisphere spectrum, a far-field sweep on the hemisphere and
+    the x-jittered arrays of a far-field Dicke fit on the hemisphere build
+    O(samples) quadrature rows, not samples^2: a centered line ceil(n/2)
+    (folded onto x -> -x), and the jittered lines, which share one walk of
+    every u node, n."""
+    rows = []
+    build = classical._detector_quadrature
+
+    def counted(detector, index, *line):
+        points, weights = build(detector, index, *line)
+        rows.append(weights.size)
+        return points, weights
+
+    monkeypatch.setattr(classical, "_detector_quadrature", counted)
+    assert cli.main(["spectrum", "--n-sources", "6", "--spacing", "0.3", "--wavelength-min",
+                     "0.8", "--wavelength-max", "1.2", "--steps", "3",
+                     "--geometry", "hemisphere", "--samples", "65"]) == 0
+    capsys.readouterr()
+    assert sum(rows) == 33
+    rows.clear()
+    fixed = {"n_sources": 5, "wavelength": 1.0, "geometry": "hemisphere", "samples": 96}
+    run_sweep(SweepSpec("farfield_power", "spacing", 0.1, 0.5, 4, fixed))
+    assert sum(rows) == 48
+    rows.clear()
+    monkeypatch.setattr(classical, "DRIVER_GEOMETRY", "hemisphere")
+    dicke_scaling_check([2, 4, 8], "farfield", detector_samples=64, jitter=0.2, seed=4)
+    assert sum(rows) == 64
 
 
 class WaveCase:
