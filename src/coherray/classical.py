@@ -37,14 +37,15 @@ differences) and its batches (consecutive runs of as many phase sets, a
 run being the steps that change only the phases, with one cos and one sin
 pass and einsum matvecs that sum each row's sources in ascending order).
 The walk and the budget check both read that plan. The detector rows are
-walked in blocks, whose quadrature is built once for every stack folded
-onto the block's mirrors (see below); each block weighs each fold's rows
-once, with its partial of the origin-centered reference source (1/|p|^2
-at every k), and each stack of the fold walks the block in its chunks.
+walked in blocks, whose quadrature is built once for every stack that
+walks the same rows (see below); each block weighs each fold's rows once,
+with its partial of the origin-centered reference source (1/|p|^2 at
+every k), and each stack of the fold walks the block in its chunks.
 Nothing the engine holds grows with the detector's points (but for the
 cosine table of a line's weights, two floats per sample) or couples its
-rows to the source count, and before it builds anything it checks the largest stack's
-walk against MEMORY_BUDGET_BYTES and its work against WORK_BUDGET.
+rows to the source count, and before it builds anything it checks the
+largest stack's walk against MEMORY_BUDGET_BYTES and its work against
+WORK_BUDGET.
 
 An array whose sources all lie on the x axis (every array the CLI builds)
 is a line: its field on the hemisphere depends only on u = p_x / R, so the
@@ -53,23 +54,21 @@ _line_weights), not on its (theta, phi) nodes. Its stacks walk, fold and
 are planned as on the arc of the same radius and samples (see _walked);
 only the weights differ, and the reference source takes the same rows.
 
-Both detectors are mirror-symmetric: the arc under x -> -x, the hemisphere
-under y -> -y and, when its samples are even, under x -> -x. When a mirror
-also maps an array's positions onto themselves, exactly, in order or
-reversed (a linear array is centered on the x axis, so x -> -x reverses it;
-lifted off the axis along z, y -> -y also keeps its order), the walk
-folds: it builds one fundamental node per orbit of the mirrors, and takes
-path differences and cos/sin only there. An image node is the exact sign
-flip of its fundamental node, so its row is the fundamental row with the
-sources in order or reversed. The in-order images add their weight to the
-fundamental row; the reversed ones sum it against the phases reversed, or
-reuse the in-order intensities when the phases equal their reversal. A
-centered line takes cos/sin over half the arc's nodes, on the arc and on
-the hemisphere; a line lifted off the axis takes them over a quarter of an
-even hemisphere and half an odd one, and its y -> -y images merge, so it
-takes half the matvecs. Any other array (a jittered one, or one symmetric
-only under some other order of its sources) takes every row, with the
-nodes as listed.
+The arc is mirror-symmetric under x -> -x, and so are the u nodes on
+which the hemisphere walks a line. When the mirror also maps an array's
+positions onto themselves, exactly, in order or reversed (a linear array
+centered on the x axis is reversed by it), the walk folds: it builds one
+fundamental node of each mirror pair, and takes path differences and
+cos/sin only there. An image node is the exact sign flip of its
+fundamental node, so its row is the fundamental row with the sources in
+order or reversed. An in-order image adds its weight to the fundamental
+row; a reversed one sums it against the phases reversed, or reuses the
+in-order intensities when the phases equal their reversal. A centered
+line takes cos/sin over half the arc's nodes, on the arc and on the
+hemisphere. Any other array takes every row, with the nodes as listed: a
+jittered one, one symmetric only under some other order of its sources,
+and any array off the x axis on the hemisphere, which takes the (theta,
+phi) walk.
 """
 
 from __future__ import annotations
@@ -147,7 +146,7 @@ _AXIS_POINT_BYTES = 56
 _GRID_CALL_BYTES = 8192
 
 # detector rows per block of the far-field walk: each block builds its own
-# quadrature, shared by every positions group that folds onto the same mirrors
+# quadrature, shared by every positions group that walks the same rows
 _BLOCK_ROWS = 4096
 
 # path differences per chunk of a far-field block: each group walks a
@@ -242,12 +241,11 @@ class DetectorGrid:
     ``samples`` u nodes are the arc's points, and no (theta, phi) node is
     walked. Every array the CLI builds is such a line.
 
-    The nodes come in mirror pairs of equal weight: the arc's theta and
-    -theta under x -> -x, the hemisphere's phi and -phi under y -> -y and,
-    for even ``samples``, phi and pi - phi under x -> -x. Where the engine
-    folds an array onto a mirror, it builds each image node as the exact
-    sign flip of its fundamental node, which may differ from the node as
-    listed in its last bit.
+    The arc's nodes come in mirror pairs of equal weight, theta and -theta
+    under x -> -x, and so do the u nodes of a line on the hemisphere. Where
+    the engine folds an array onto that mirror, it builds each image node
+    as the exact sign flip of its fundamental node, which may differ from
+    the node as listed in its last bit.
     """
 
     radius: float
@@ -509,74 +507,40 @@ def _walked(detector: DetectorGrid, line: bool) -> DetectorGrid:
     return DetectorGrid(detector.radius, "arc", detector.samples) if line else detector
 
 
-def _detector_mirrors(detector: DetectorGrid) -> tuple[int, ...]:
-    """The axes (0 for x -> -x, 1 for y -> -y) whose mirror maps the
-    detector's nodes onto nodes of the same weight, other than every node
-    onto itself. The arc takes x -> -x; the hemisphere takes y -> -y, and
-    x -> -x when its phi samples are even."""
-    if detector.geometry == "arc":
-        return (0,)
-    return (0, 1) if detector.samples % 2 == 0 else (1,)
-
-
-def _mirror_node(detector: DetectorGrid, axis: int, node):
-    """Index of the mirror under ``axis`` of each ``node`` within its ring:
-    the arc is one ring of ``samples`` nodes, and each hemisphere theta a
-    ring of ``samples`` phi nodes. x -> -x takes the arc's theta to -theta
-    and y -> -y the hemisphere's phi to -phi, both index n - 1 - i; x -> -x
-    takes the hemisphere's phi to pi - phi, index (n/2 - 1 - i) mod n."""
-    n = detector.samples
-    if detector.geometry == "hemisphere" and axis == 0:
-        return (n // 2 - 1 - node) % n
-    return n - 1 - node
-
-
-def _fundamental_rows(detector: DetectorGrid, mirrors) -> tuple[int, int, int, int]:
-    """The fundamental nodes under ``mirrors``, a run of consecutive nodes
-    of each ring that holds one node of every orbit: the run's first index
-    and length, the fundamental rows of the whole detector, and the rows of
-    one block of the walk: no more than those, and no more than
-    _BLOCK_ROWS materialized rows."""
-    n = detector.samples
-    half = n // 2
-    if not mirrors:
-        start, count = 0, n
-    elif detector.geometry == "hemisphere" and mirrors == (0,):
-        start, count = half // 2, 2 * ((half + 1) // 2)
-    else:
-        start, count = 0, ((half if len(mirrors) == 2 else n) + 1) // 2
-    fundamental = detector.n_points // n * count
-    return start, count, fundamental, min(fundamental, _BLOCK_ROWS >> len(mirrors))
+def _fundamental_rows(detector: DetectorGrid, folded: bool) -> tuple[int, int]:
+    """The fundamental rows of the walked ``detector``: its first
+    ceil(samples/2) nodes, one of each mirror pair, when ``folded`` (only
+    an arc folds), and else every node; and the rows of one block of the
+    walk: no more than those, and no more than _BLOCK_ROWS nodes, a folded
+    row standing for two."""
+    fundamental = (detector.samples + 1) // 2 if folded else detector.n_points
+    return fundamental, min(fundamental, _BLOCK_ROWS >> folded)
 
 
 class _Fold(NamedTuple):
-    """How a positions group folds onto the detector's mirrors (see _fold).
+    """How a positions group folds onto the walked detector's mirror (see
+    _fold). ``folded``: whether the walk takes the fundamental rows of
+    x -> -x. ``classes``: the materialized rows per fundamental node, 2
+    when the mirror reverses the sources (the second sums the fundamental
+    row against the phases reversed) and else 1. ``line``: whether the
+    group is a line on the hemisphere, walked on the arc's nodes (see
+    _walked)."""
 
-    ``mirrors``: the axes whose mirror maps both the detector's nodes and
-    the positions onto themselves. ``elements``: the products of those
-    mirrors, the identity first, each as a tuple of axes. ``classes``: the
-    elements' indices grouped by whether they take the sources in order or
-    reversed, the in-order class first; each class is one materialized row
-    per fundamental node; the second sums it against the phases reversed.
-    ``line``: whether the group is a line on the hemisphere, walked on the
-    arc's nodes (see _walked)."""
-
-    mirrors: tuple
-    elements: tuple
-    classes: tuple
+    folded: bool
+    classes: int
     line: bool = False
 
 
 # a group that no mirror folds: the walk over every detector row
-_UNFOLDED = _Fold((), ((),), ((0,),))
+_UNFOLDED = _Fold(False, 1)
 
 
-def _source_mirror(positions: np.ndarray, axis: int):
-    """Whether the mirror under ``axis`` takes source n to source N - 1 - n
-    (True, a linear array under x -> -x) or to itself (False), bit for bit
-    up to the sign of a zero, or None when it does neither."""
+def _source_mirror(positions: np.ndarray):
+    """Whether x -> -x takes source n to source N - 1 - n (True, a linear
+    array) or to itself (False), bit for bit up to the sign of a zero, or
+    None when it does neither."""
     mirrored = positions.copy()
-    np.negative(mirrored[:, axis], out=mirrored[:, axis])
+    np.negative(mirrored[:, 0], out=mirrored[:, 0])
     for reversed_ in (False, True):
         if np.array_equal(mirrored, positions[::-1] if reversed_ else positions):
             return reversed_
@@ -584,51 +548,32 @@ def _source_mirror(positions: np.ndarray, axis: int):
 
 
 def _fold(detector: DetectorGrid, positions: np.ndarray) -> _Fold:
-    """The mirrors of the walked detector (see _walked) that also map
-    ``positions`` onto themselves, in order or reversed, and which products
-    of them reverse the sources. Positions on the x axis (every y and z
-    zero) on the hemisphere are a line, walked on the arc's nodes, so a
-    line centered on the origin folds onto x -> -x, reversed.
+    """Whether x -> -x, the mirror of the walked detector's nodes when it
+    is an arc (see _walked), also maps ``positions`` onto themselves, in
+    order or reversed. Positions on the x axis (every y and z zero) on the
+    hemisphere are a line, walked on the arc's nodes, so a line centered on
+    the origin folds there as on the arc, reversed; any other group on the
+    hemisphere takes the (theta, phi) walk, unfolded.
 
     With p' the exact mirror of a node p, |p'| = |p| and d(p', x_n) =
     d(p, x_m) hold bit for bit, where m is n or N - 1 - n, so the image
-    row's cos/sin are the fundamental row's, in order or reversed. A product
-    of mirrors reverses the sources when an odd number of its mirrors do.
-    The in-order images add their weight to the fundamental row; the
-    reversed ones share one row of intensities. A group with no mirror is one
-    class of one element, which is the unfolded walk."""
+    row's cos/sin are the fundamental row's, in order or reversed."""
     line = detector.geometry == "hemisphere" and not positions[:, 1:].any()
-    reverses = {}
-    for axis in _detector_mirrors(_walked(detector, line)):
-        reversed_ = _source_mirror(positions, axis)
-        if reversed_ is not None:
-            reverses[axis] = reversed_
-    mirrors = tuple(reverses)
-    elements = tuple(
-        tuple(axis for bit, axis in enumerate(mirrors) if k >> bit & 1)
-        for k in range(1 << len(mirrors))
-    )
-    classes = {}
-    for index, element in enumerate(elements):
-        classes.setdefault(sum(reverses[axis] for axis in element) % 2, []).append(index)
-    return _Fold(mirrors, elements, tuple(map(tuple, classes.values())), line)
+    arc = _walked(detector, line).geometry == "arc"
+    reversed_ = _source_mirror(positions) if arc else None
+    return _Fold(reversed_ is not None, 1 + bool(reversed_), line)
 
 
 def _row_weights(detector: DetectorGrid, fold: _Fold, nodes, weights) -> np.ndarray:
     """Each class of ``fold``'s weight on each fundamental node of ``nodes``
-    (classes, rows): the quadrature ``weights`` times the count of the
-    class's elements whose image of the node is a node that no earlier
-    element's image already is (the identity's always is), so a node that
-    is its own mirror stays a lone row."""
-    images = []
-    for element in fold.elements:
-        image = nodes
-        for axis in element:
-            image = _mirror_node(detector, axis, image)
-        images.append(image)
-    images = np.array(images)
-    distinct = np.array([np.all(image != images[:e], axis=0) for e, image in enumerate(images)])
-    return np.array([distinct[list(c)].sum(axis=0) for c in fold.classes]) * weights
+    (classes, rows): the quadrature ``weights`` and, when the group folds,
+    the same weight again for each node's image, added to the in-order
+    class or taken by the reversed one. The odd arc's middle node is its
+    own mirror, so it has no image and stays a lone row."""
+    if not fold.folded:
+        return weights[None]
+    images = np.where(nodes == detector.samples - 1 - nodes, 0.0, weights)
+    return np.array([weights + images] if fold.classes == 1 else [weights, images])
 
 
 def _path_differences(points, norms, positions, squares, table, inverse, scratch):
@@ -728,7 +673,7 @@ class _Stack(NamedTuple):
 
 def _planned_stacks(detector: DetectorGrid, positions, runs, fold: _Fold, width: int) -> list:
     """These groups as _Stacks of as many groups as one chunk pass builds,
-    each with the plan of its walk of a block of its fold's mirrors (see
+    each with the plan of its walk of a block of its fold's rows (see
     _fundamental_rows): the rows per chunk (see _chunk_rows), the batches
     (slices of consecutive runs with as many phase sets) and each run's
     first phase set, the sets per group last. A run of s sets holds N cos or
@@ -736,7 +681,7 @@ def _planned_stacks(detector: DetectorGrid, positions, runs, fold: _Fold, width:
     _CHUNK_CELLS and _OUTPUT_CELLS in a full stack's longest run and in a
     batch, or one run. A last, shorter stack keeps a full one's plan."""
     n, shape = positions[0].shape[0], [len(sets) for _, sets in runs[0]]
-    height = _chunk_rows(_fundamental_rows(detector, fold.mirrors)[3], n)
+    height = _chunk_rows(_fundamental_rows(detector, fold.folded)[1], n)
 
     def most(count, sets):
         return max(1, min(_CHUNK_CELLS // (count * n * height),
@@ -823,8 +768,8 @@ def _position_groups(arrays, detector: DetectorGrid) -> list[_Stack]:
 
     def key(group):
         fold = _fold(detector, group[0])
-        width = len(fold.classes) if any(phases.tobytes() != phases[::-1].tobytes() for phases
-                                         in _distinct_phases([group[1]]).values()) else 1
+        width = fold.classes if any(phases.tobytes() != phases[::-1].tobytes() for phases
+                                    in _distinct_phases([group[1]]).values()) else 1
         return len(group[0]), fold, width, [len(sets) for _, sets in group[1]]
 
     return [stack for (_, fold, width, _), same in itertools.groupby(groups, key)
@@ -842,17 +787,18 @@ def _check_farfield_budget(detector: DetectorGrid, stacks):
     fold check; _WALK_BUFFER_BYTES; for a line on the hemisphere, the build
     of its block's weights (see _line_weights): _LINE_CELL_BYTES per term of
     a chunk (_LINE_CELLS, or one node's samples/2 when more) and
-    _LINE_SAMPLE_BYTES per sample, which alone grow with the detector. Work: per fundamental row and source, _PATH_WORK for each
-    group and _TRIG_WORK for each run, per materialized row and source
+    _LINE_SAMPLE_BYTES per sample, which alone grow with the detector.
+    Work: per fundamental row and source, _PATH_WORK for each group and
+    _TRIG_WORK for each run, per materialized row and source
     _MATVEC_WORK for each set, and _LINE_WORK per term of each line fold's
     weights, samples/2 per fundamental row. The request is named by the
     nodes of the most that any stack walks (see _walked)."""
     needed = work = arrays = n_sources = 0
     for stack in stacks:
         offsets, width, g = stack.offsets, stack.width, len(stack.runs)
-        n, classes = stack.positions[0].shape[0], len(stack.fold.classes)
+        n, classes = stack.positions[0].shape[0], stack.fold.classes
         walked = _walked(detector, stack.fold.line)
-        fundamental, rows = _fundamental_rows(walked, stack.fold.mirrors)[2:]
+        fundamental, rows = _fundamental_rows(walked, stack.fold.folded)
         steps = max(batch.stop - batch.start for batch in stack.batches)
         batch_sets = max(offsets[batch.stop] - offsets[batch.start] for batch in stack.batches)
         phases = len(_distinct_phases(stack.runs))
@@ -865,12 +811,12 @@ def _check_farfield_budget(detector: DetectorGrid, stacks):
             _PATH_WORK + _TRIG_WORK * (len(offsets) - 1) + _MATVEC_WORK * classes * sets)
         arrays += g * sets
         n_sources = max(n_sources, n)
-    line_mirrors = {stack.fold.mirrors for stack in stacks if stack.fold.line}
-    if line_mirrors:
+    line_folds = {stack.fold.folded for stack in stacks if stack.fold.line}
+    if line_folds:
         half = detector.samples // 2
         needed += _LINE_CELL_BYTES * max(_LINE_CELLS, half) + _LINE_SAMPLE_BYTES * detector.samples
-        work += _LINE_WORK * half * sum(_fundamental_rows(_walked(detector, True), mirrors)[2]
-                                        for mirrors in line_mirrors)
+        work += _LINE_WORK * half * sum(_fundamental_rows(_walked(detector, True), folded)[0]
+                                        for folded in line_folds)
     points = max((_walked(detector, stack.fold.line).n_points for stack in stacks),
                  default=detector.n_points)
     request = f"far-field request of {points} detector points x {n_sources} sources"
@@ -918,10 +864,10 @@ def farfield_powers(arrays, detector: DetectorGrid) -> tuple[np.ndarray, np.ndar
     equal positions, in the engine's blocks.
 
     The arrays form stacks of equal-N groups, each planned once (see
-    _position_groups). Stacks that fold onto the same mirrors of the same
-    nodes (see _fold; lines on the hemisphere take the arc's nodes, with
-    the weights of _line_weights) share their fundamental rows, which are
-    walked in blocks of at most _BLOCK_ROWS materialized rows (see
+    _position_groups). Stacks that walk the same nodes (see _fold; lines
+    on the hemisphere take the arc's nodes, with the weights of
+    _line_weights) and all fold, or all do not, share their fundamental
+    rows, which are walked in blocks of at most _BLOCK_ROWS nodes (see
     _fundamental_rows): each block builds its quadrature points, weights
     and |p| once, weighs each fold's classes once (see _row_weights), and
     each stack of the fold walks it in the chunks of its plan (see
@@ -945,19 +891,17 @@ def farfield_powers(arrays, detector: DetectorGrid) -> tuple[np.ndarray, np.ndar
     _check_farfield_budget(detector, stacks)
     powers = [np.zeros((len(stack.runs), stack.offsets[-1])) for stack in stacks]
     singles = dict.fromkeys((stack.fold for stack in stacks), 0.0)
-    for line, mirrors in dict.fromkeys((fold.line, fold.mirrors) for fold in singles):
+    for line, folded in dict.fromkeys((fold.line, fold.folded) for fold in singles):
         walked = _walked(detector, line)
-        start, count, fundamental, rows = _fundamental_rows(walked, mirrors)
-        for block in _row_blocks(fundamental, rows):
-            rings, nodes = np.divmod(np.arange(block.start, block.stop), count)
-            nodes += start
-            points, weights = _detector_quadrature(detector, rings * detector.samples + nodes, line)
+        for block in _row_blocks(*_fundamental_rows(walked, folded)):
+            nodes = np.arange(block.start, block.stop)
+            points, weights = _detector_quadrature(detector, nodes, line)
             norms = np.sqrt(np.einsum("ij,ij->i", points, points))
             # the reference source's intensity 1/|p|^2: an origin-centered
             # source's field is exactly 1/|p| (d = 0) on each fold's rows
             reference = 1.0 / norms
             reference *= reference
-            for fold in [fold for fold in singles if (fold.line, fold.mirrors) == (line, mirrors)]:
+            for fold in [fold for fold in singles if (fold.line, fold.folded) == (line, folded)]:
                 row_weights = _row_weights(walked, fold, nodes, weights)
                 singles[fold] += float(np.multiply(reference, row_weights).sum())
                 for stack, power in zip(stacks, powers):
@@ -983,10 +927,15 @@ def transmission_spectrum(
     Geometry (positions, phases, detector) is held fixed; only the
     wavelength changes. Resonance-like maxima appear when the spacing
     exceeds the wavelength and grating lobes sweep across the detector.
+    Raises TypeError unless ``steps`` is an integer.
     """
     lo, hi = float(wavelength_range[0]), float(wavelength_range[1])
     if not (0.0 < lo < hi and math.isfinite(hi)):
         raise ValueError("wavelength range must satisfy 0 < lo < hi, both finite")
+    try:
+        steps = operator.index(steps)
+    except TypeError:
+        raise TypeError(f"steps must be an integer, got {steps!r}") from None
     if steps < 2:
         raise ValueError("need at least 2 steps")
     _check_sweep_budget(steps, array.n_sources, "spectrum")

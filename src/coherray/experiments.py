@@ -12,6 +12,7 @@ keys; it, ``PHASE_PROFILES`` and ``REGIMES`` are the CLI's choice lists.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -353,9 +354,18 @@ def dicke_scaling_check(
 
     ``jitter`` displaces each source by up to +-jitter * spacing along the
     array axis (xorshift-seeded), to show the scaling does not rely on
-    exact periodicity; it must be finite and nonnegative.
+    exact periodicity; it must be finite and nonnegative. Raises TypeError
+    for an N that is not an integer (a bool is not).
     """
-    ns = sorted({int(n) for n in n_values})
+    ns = set()
+    for n in n_values:
+        try:
+            if isinstance(n, bool):
+                raise TypeError
+            ns.add(operator.index(n))
+        except TypeError:
+            raise TypeError(f"N values must be integers, got {n!r}") from None
+    ns = sorted(ns)
     if len(ns) < 3:
         raise ValueError("need at least three distinct N values")
     if any(n < 1 for n in ns):

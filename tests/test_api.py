@@ -94,6 +94,30 @@ def top_level_names(tree):
     return names
 
 
+def read_names(node):
+    """The names that ``node`` reads: loaded names and attribute names."""
+    return {sub.id if isinstance(sub, ast.Name) else sub.attr for sub in ast.walk(node)
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)
+            or isinstance(sub, ast.Attribute)}
+
+
+def test_no_private_helper_is_left_unread():
+    """Each private top-level name of the package is read somewhere in its
+    source outside its own definition, so a helper whose last caller is
+    deleted goes with it. An import is not a read."""
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE.glob("*.py")]
+    private, read = set(), set()
+    for tree in trees:
+        for node in tree.body:
+            own = {name for name in top_level_names(ast.Module([node], []))
+                   if name.startswith("_") and not name.startswith("__")}
+            private |= own
+            read |= read_names(node) - own
+    assert len(private) >= 100
+    unread = sorted(private - read)
+    assert not unread, f"private top-level names read nowhere: {unread}"
+
+
 def test_every_see_pointer_names_a_top_level_definition():
     """Each "see _name" in the package's source names a function, class or
     constant defined at the top of one of its modules, so a helper that is

@@ -529,6 +529,16 @@ def test_transmission_spectrum_needs_two_steps():
         transmission_spectrum(arr, (0.5, 3.0), 1, det)
 
 
+@pytest.mark.parametrize("steps", [2.5, 3.0, "3", None])
+def test_transmission_spectrum_steps_must_be_an_integer(steps):
+    arr = make_linear_array(3, 2.0, 0.5)
+    det = DetectorGrid(radius=1e4, geometry="arc", samples=256)
+    with pytest.raises(TypeError) as refused:
+        transmission_spectrum(arr, (0.5, 3.0), steps, det)
+    assert str(refused.value) == f"steps must be an integer, got {steps!r}"
+    assert len(transmission_spectrum(arr, (0.5, 3.0), np.int64(3), det)) == 3
+
+
 def separation_tensor_power(points, weights, positions, phases, wavenumber):
     """Reference: the detected power through the full (S, N, 3) separation
     tensor, as the far-field kernel computed it before the engine."""
@@ -565,9 +575,8 @@ def far_detector(rng, arrays, geometry, samples):
 
 def lifted_line(*args):
     """make_linear_array(*args) lifted off the x axis along z: the hemisphere
-    walks it on its (theta, phi) nodes, folded onto both mirrors of an even
-    hemisphere (x -> -x reversing the sources, y -> -y keeping their order)
-    and onto y -> -y of an odd one."""
+    walks it on every (theta, phi) node, unfolded, and the arc folds it as
+    it does the line."""
     array = make_linear_array(*args)
     return replace(array, positions=array.positions + [0.0, 0.0, 0.2])
 
@@ -746,8 +755,8 @@ def test_sweeps_build_the_quadrature_once(monkeypatch):
     sweep make one), and the reference source needs none. Linear
     arrays fold: the arc builds half its rows (two blocks of 2048 at 5000
     points), and so does the 96^2 hemisphere's 1-D rule on its 96 u nodes
-    (one block of 48); a line lifted off the x axis takes a quarter of the
-    (theta, phi) nodes (three blocks of 1024)."""
+    (one block of 48); a line lifted off the x axis takes every (theta, phi)
+    node (blocks of 4096, 4096 and 1024)."""
     calls = {"rows": 0, "_path_differences": 0}
     build, paths = classical._detector_quadrature, classical._path_differences
 
@@ -777,8 +786,7 @@ def test_sweeps_build_the_quadrature_once(monkeypatch):
     hemisphere = DetectorGrid(radius=1e3, geometry="hemisphere", samples=96)
     assert run(lambda: transmission_spectrum(arr, (0.5, 3.0), 3, hemisphere)) == (48, 1)
     lifted = lifted_line(3, 2.0, 0.5)
-    assert run(lambda: transmission_spectrum(lifted, (0.5, 3.0), 3, hemisphere)) == (
-        96 ** 2 // 4, 3)
+    assert run(lambda: transmission_spectrum(lifted, (0.5, 3.0), 3, hemisphere)) == (96 ** 2, 3)
     fixed = {"n_sources": 4, "spacing": 0.3, "wavelength": 1.0, "samples": 256}
     phase_sweep = SweepSpec("farfield_power", "phase_delta", 0.0, 3.0, 6, fixed)
     assert run(lambda: run_sweep(phase_sweep)) == (128, 1)
@@ -834,20 +842,18 @@ def test_phase_steps_share_one_trig_pass(monkeypatch):
     "geometry, samples, layout, rows",
     [("arc", 257, "linear", 129), ("arc", 256, "linear", 128),
      ("hemisphere", 96, "linear", 48), ("hemisphere", 65, "linear", 33),
-     ("hemisphere", 96, "lifted", 96 ** 2 // 4), ("hemisphere", 65, "lifted", 65 * 33),
+     ("hemisphere", 96, "lifted", 96 ** 2), ("hemisphere", 65, "lifted", 65 ** 2),
      ("arc", 257, "x-jittered", 257), ("hemisphere", 64, "x-jittered", 64),
-     ("hemisphere", 64, "lifted-x-jittered", 64 * 32), ("hemisphere", 64, "jittered", 64 ** 2)],
+     ("hemisphere", 64, "lifted-x-jittered", 64 ** 2), ("hemisphere", 64, "jittered", 64 ** 2)],
 )
 def test_trig_passes_take_one_node_per_orbit(monkeypatch, geometry, samples, layout, rows):
     """cos and sin are taken over the fundamental rows only, N of them per
     row and run: ceil(n/2) rows on the arc for a mirror-symmetric array,
     and on the hemisphere for a centered line on the x axis, which takes
-    the 1-D rule on the arc's nodes; a line lifted off the axis takes n^2/4
-    (theta, phi) nodes on a hemisphere whose n is divisible by 4, n *
-    ceil(n/2) on an odd hemisphere (y -> -y only), and a jittered array
+    the 1-D rule on the arc's nodes; any array off the x axis takes every
+    one of the hemisphere's n^2 (theta, phi) nodes, and a jittered array
     every row. An array jittered along x only is still a line on the
-    hemisphere, with no mirror: n rows; lifted, it keeps y -> -y, with the
-    identity permutation: half the (theta, phi) rows."""
+    hemisphere, with no mirror: n rows."""
     elements = []
     original = classical._run_powers
 
@@ -942,10 +948,9 @@ def whole_table_power(detector, positions, phases, wavenumber):
     pairwise, class by class, and adds the chunk partials in order."""
     fold = classical._fold(detector, positions)
     walked = classical._walked(detector, fold.line)
-    start, count, fundamental, block = classical._fundamental_rows(walked, fold.mirrors)
-    rings, nodes = np.divmod(np.arange(fundamental), count)
-    nodes += start
-    points, weights = _detector_quadrature(detector, rings * detector.samples + nodes, fold.line)
+    fundamental, block = classical._fundamental_rows(walked, fold.folded)
+    nodes = np.arange(fundamental)
+    points, weights = _detector_quadrature(detector, nodes, fold.line)
     weights = classical._row_weights(walked, fold, nodes, weights)
     norms = np.sqrt(np.einsum("ij,ij->i", points, points))
     squares = np.einsum("ij,ij->i", positions, positions)
@@ -977,9 +982,11 @@ def whole_table_power(detector, positions, phases, wavenumber):
 # folds with a reversed class (on the hemisphere, on the u nodes of the 1-D
 # rule). The stacks cases add equal-N groups (see stack_arrays): lines of
 # three spacings as three stacks of one group, each cut into two chunks
-# (arc 4097, N = 40), or, lifted off the x axis, as stacks of two groups
-# and one (hemisphere 96^2, N = 5); palindromic phases on folded lines; and
-# a stack whose next array is jittered, so the stack splits at the fold
+# (arc 4097, N = 40), or, lifted off the x axis, unfolded, also as three
+# stacks of one group, since one group's matvec outputs on a full block of
+# 4096 rows fill _OUTPUT_CELLS (hemisphere 96^2, N = 5); palindromic phases
+# on folded lines; and a stack whose next array is jittered, so the stack
+# splits at the fold
 STREAMED_CASES = [
     ("arc", 4097, (7, 7, 3), None), ("arc", 4096, (12, 1, 12), None),
     ("arc", 65, (20_000, 5), None), ("hemisphere", 96, (64, 9, 64), None),
@@ -1018,8 +1025,9 @@ def test_streamed_engine_is_bit_equal_to_the_whole_table_walk(geometry, samples,
         arrays += stack_arrays(rng, stacks, 40 if geometry == "arc" else 5)
     detector = far_detector(rng, arrays, geometry, samples)
     powers, _ = farfield_powers(arrays, detector)
-    classes = {len(classical._fold(detector, array.positions).classes) for array in arrays}
-    assert classes == ({2} if stacks in ("spacings", "palindromes")
+    classes = {classical._fold(detector, array.positions).classes for array in arrays}
+    lifted = geometry == "hemisphere" and stacks == "spacings"
+    assert classes == ({1} if lifted else {2} if stacks in ("spacings", "palindromes")
                        else {1, 2} if min(counts, default=0) < 1000 else {1})
     if stacks:
         check_stacks(classical._position_groups(arrays, detector), stacks, detector)
@@ -1031,7 +1039,7 @@ def test_streamed_engine_is_bit_equal_to_the_whole_table_walk(geometry, samples,
 def stack_arrays(rng, kind, n):
     """Equal-N groups for the stacks cases: lines of three spacings, each at
     two wavelengths (lifted off the x axis for N = 5, which the hemisphere
-    then walks on its (theta, phi) nodes); a line at uniform phases and at a
+    then walks on every (theta, phi) node); a line at uniform phases and at a
     mirrored random set, each at three wavelengths; or two lines of N = 9
     and the second line jittered along x."""
     wavelength = 0.5 + rng.uniform()
@@ -1059,12 +1067,12 @@ def check_stacks(stacks, kind, detector):
     for stack in stacks:
         n = stack.positions[0].shape[0]
         walked = classical._walked(detector, stack.fold.line)
-        rows = classical._fundamental_rows(walked, stack.fold.mirrors)[3]
+        rows = classical._fundamental_rows(walked, stack.fold.folded)[1]
         chunks = len(list(classical._row_blocks(rows, stack.height)))
-        shapes.append((n, len(stack.runs), chunks, len(stack.fold.classes), stack.width))
+        shapes.append((n, len(stack.runs), chunks, stack.fold.classes, stack.width))
     if kind == "spacings":
         arc = detector.geometry == "arc"
-        assert shapes == ([(40, 1, 2, 2, 2)] * 3 if arc else [(5, 2, 1, 2, 2), (5, 1, 1, 2, 2)])
+        assert shapes == [(40, 1, 2, 2, 2) if arc else (5, 1, 1, 1, 1)] * 3
     elif kind == "palindromes":
         assert shapes[-1][3:] == (2, 1)
     else:
@@ -1111,13 +1119,12 @@ def test_far_field_request_over_work_budget_is_refused_before_the_walk(monkeypat
     """Per fundamental detector row and source the engine counts 7
     operations for each positions group's path differences and 7 for each
     trig pass, and per materialized row and source 1 for each phase set's
-    matvecs. This line, lifted off the x axis, folds onto both mirrors of
-    the 1024^2 hemisphere's (theta, phi) nodes: a quarter of its points are
-    fundamental rows, and half are materialized (the y -> -y images add
-    their weight to their fundamental rows). A hemisphere spectrum of
-    10 000 steps fits in memory but would take hours; a 400-step phase sweep passes on its trig passes alone and
-    is refused for its matvecs. Both are refused at once, before the
-    quadrature is built."""
+    matvecs. This line, lifted off the x axis, takes the 1024^2
+    hemisphere's (theta, phi) walk, unfolded: each of its points is a
+    fundamental row and one materialized row. A hemisphere spectrum of
+    10 000 steps fits in memory but would take hours; a 400-step phase
+    sweep passes on its trig passes alone and is refused for its matvecs.
+    Both are refused at once, before the quadrature is built."""
     def build(detector, rows, *line):
         raise AssertionError("the quadrature was built")
 
@@ -1127,9 +1134,9 @@ def test_far_field_request_over_work_budget_is_refused_before_the_walk(monkeypat
     points = 1024 ** 2
     spectrum = [core._swept(array, wavelength=1.0 + i / 10_000) for i in range(10_000)]
     phases = [core._swept(array, phases=np.arange(64) * (i / 400)) for i in range(400)]
-    assert points // 4 * 64 * (7 + 7) < core.WORK_BUDGET
-    for arrays, operations in ((spectrum, points // 4 * 64 * (7 + 10_000 * (7 + 2))),
-                               (phases, points // 4 * 64 * (7 + 7 + 400 * 2))):
+    assert points * 64 * (7 + 7) < core.WORK_BUDGET
+    for arrays, operations in ((spectrum, points * 64 * (7 + 10_000 * (7 + 1))),
+                               (phases, points * 64 * (7 + 7 + 400))):
         started = time.perf_counter()
         with pytest.raises(ValueError) as refused:
             farfield_powers(arrays, detector)
@@ -1237,7 +1244,7 @@ def test_far_field_budget_covers_the_measured_peak_of_several_groups(
             array = SourceArray(positions, rng.phases(n_sources), array.wavelength)
         arrays += [array, replace(array, phases=rng.phases(n_sources))]
     detector = far_detector(rng, arrays, geometry, samples)
-    folds = {classical._fold(detector, array.positions).mirrors for array in arrays}
+    folds = {classical._fold(detector, array.positions).folded for array in arrays}
     assert len(folds) == (1 if geometry == "arc" else 2)
     peak, charged = peak_and_charge(monkeypatch, arrays, detector)
     assert len(charged) == 1
@@ -1382,7 +1389,8 @@ def run_charge_case(kind):
 # of three, three and one; a source_count sweep, one stack per N; a
 # spectrum of in-phase sources, which takes one fold class; a jittered line
 # after two straight ones, so the call walks two folds; a line lifted off
-# the x axis and a random layout on a hemisphere of nine blocks each; the
+# the x axis and a random layout, both unfolded, on a hemisphere of nine
+# blocks (every one of its 36 864 points a row of each); the
 # jittered case's lines on a hemisphere, which walks them on the arc's
 # nodes: the arc's charges, plus a chunk of the weights' cosine sum (2^13
 # terms, 32 bytes each) and its table (16 bytes per sample), and 4
@@ -1414,7 +1422,7 @@ PINNED_CHARGES = {
     ],
     "hemisphere-blocks": [
         ("_check_budget", 1344168, f"{FAR} 36864 detector points x 4 sources"),
-        ("_check_work", 2801664, f"{FAR} 36864 detector points x 4 sources x 2 arrays"),
+        ("_check_work", 4423680, f"{FAR} 36864 detector points x 4 sources x 2 arrays"),
     ],
     "hemisphere-line": [
         ("_check_budget", 317888 + 32 * 8192 + 16 * 300, f"{FAR} 300 detector points x 9 sources"),

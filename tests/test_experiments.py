@@ -334,6 +334,21 @@ class TestDickeScaling:
             with pytest.raises(ValueError, match="positive"):
                 dicke_scaling_check(counts)
 
+    @pytest.mark.parametrize("counts, bad", [([2.7, 4, 8], 2.7), ([2, 4.0, 8], 4.0),
+                                             ([True, 2, 4, 8], True), ([2, "4", 8], "4"),
+                                             ([2, 4, np.float64(8.0)], np.float64(8.0))])
+    def test_counts_must_be_integers(self, counts, bad):
+        """A float is not truncated and a bool is not taken for 0 or 1: each
+        is refused, named in the message, in either regime."""
+        for regime in ("closed_form", "farfield"):
+            with pytest.raises(TypeError) as refused:
+                dicke_scaling_check(counts, regime=regime)
+            assert str(refused.value) == f"N values must be integers, got {bad!r}"
+
+    def test_numpy_integer_counts_are_taken(self):
+        fit = dicke_scaling_check(np.array([2, 4, 8]))
+        assert [n for n, _ in fit.points] == [2, 4, 8]
+
     @pytest.mark.parametrize("jitter", [-0.3, math.nan, math.inf])
     def test_rejects_negative_or_non_finite_jitter(self, jitter):
         for regime in ("closed_form", "farfield"):

@@ -121,8 +121,8 @@ def test_the_walk_follows_helpers_modules_and_methods(graph):
     above means something."""
     farfield = reached_names(graph, ("classical", "farfield_powers"))
     assert {"_stack_walk", "_planned_stacks", "_row_blocks", "_chunk_rows", "_path_differences",
-            "_run_powers", "_row_weights", "_detector_quadrature", "_check_budget",
-            "_check_work", "wavenumber", "n_sources"} <= farfield
+            "_run_powers", "_row_weights", "_fold", "_fundamental_rows", "_detector_quadrature",
+            "_check_budget", "_check_work", "wavenumber", "n_sources"} <= farfield
     grid = reached_names(graph, ("classical", "field_energy_grid"))
     assert {"_slab_walk", "_check_budget", "_check_work", "wavenumber", "n_waves"} <= grid
     # positive controls: closed forms reached through a module attribute,

@@ -17,20 +17,24 @@ move, beyond rounding, when:
 The folded walk must also agree with the unfolded walk on the same
 request. Each relation runs on the arc and on the hemisphere with odd and
 even samples, including samples = 2 (mod 4), and on five layouts: a
-linear array on the x axis (which folds with the reversal; on the
-hemisphere it is walked as a 1-D rule on the arc's nodes, so it folds
-there as on the arc), the same line lifted off the axis along z (which
-the (theta, phi) walk folds with the reversal, and onto y -> -y with the
-identity), the line moved off the x axis along y (which keeps only
-x -> -x), a centered lattice in the x-y plane (which the mirrors map onto
-itself, but neither in order nor reversed, so it does not fold) and a
-random layout (which does not fold either).
+linear array on the x axis (which folds onto the arc's x -> -x with the
+reversal; on the hemisphere it is walked as a 1-D rule on the arc's
+nodes, so it folds there as on the arc), the same line lifted off the
+axis along z and moved off it along y (which fold on the arc as it does,
+and take the unfolded (theta, phi) walk on the hemisphere), a centered
+lattice in the x-y plane (which x -> -x maps onto itself, but neither in
+order nor reversed, so it does not fold) and a random layout (which does
+not fold either). Only the arc's mirror folds a walk; the hemisphere's
+own mirrors, y -> -y and (for even samples) x -> -x, are relations here
+and nothing more.
 
 Only a line on the x axis takes the 1-D rule. A line rotated about z by
 any other angle takes the (theta, phi) walk, whose power approaches the
 1-D rule's at the midpoint rule's O(h^2) rate; an origin-centered source
 still scores exactly 1 on the 1-D rule; and the CLI's spectra, far-field
 sweeps and an x-jittered Dicke array build O(samples) hemisphere rows.
+Every positions group of every far-field case of the golden CLI corpus
+walks the arc's nodes, so no CLI request takes the (theta, phi) walk.
 
 The energy of N phased copies of one mode depends on the set of phases,
 only up to a common shift, and on the amplitude a only through |a|^2. So
@@ -56,7 +60,9 @@ arrays of the call.
 Inputs are seeded.
 """
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -85,18 +91,21 @@ from coherray.core import TWO_PI
 from coherray.experiments import XorShift64Star
 from helpers import commensurate_box
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
 DETECTORS = [("arc", 64), ("arc", 65), ("arc", 66),
              ("hemisphere", 64), ("hemisphere", 65), ("hemisphere", 66)]
 LAYOUTS = ("linear", "shifted", "lattice", "random", "lifted")
 # the mirrors each layout folds onto: on the arc, on an even hemisphere and
-# on an odd hemisphere (0 is x -> -x, 1 is y -> -y); a line on the x axis
-# folds onto the arc's mirror of the nodes its 1-D rule walks
+# on an odd hemisphere (0 is x -> -x); a line on the x axis folds onto the
+# arc's mirror of the nodes its 1-D rule walks, and the (theta, phi) walk
+# folds onto none
 FOLDS = {
     "linear": ((0,), (0,), (0,)),
-    "shifted": ((0,), (0,), ()),
+    "shifted": ((0,), (), ()),
     "lattice": ((), (), ()),
     "random": ((), (), ()),
-    "lifted": ((0,), (0, 1), (1,)),
+    "lifted": ((0,), (), ()),
 }
 CASES = [(geometry, samples, layout) for geometry, samples in DETECTORS for layout in LAYOUTS]
 
@@ -167,21 +176,21 @@ def test_power_is_invariant_under_a_mirror_of_the_detector(geometry, samples, la
 
 @pytest.mark.parametrize("geometry, samples, layout", CASES)
 def test_folded_walk_agrees_with_the_unfolded_walk(monkeypatch, geometry, samples, layout):
-    """With no detector mirror every group takes the unfolded walk over all
+    """With no source mirror every group takes the unfolded walk over all
     detector rows, or all u nodes of a line on the hemisphere; the three
-    lines fold by default (the shifted one only onto x -> -x, so not on an
-    odd hemisphere), and both walks agree to 1e-13 on power and
+    lines fold by default on the arc, and the line on the x axis on the
+    hemisphere too, and both walks agree to 1e-13 on power and
     enhancement."""
     _, array, detector = case_inputs(geometry, samples, layout)
     detector_kind = 0 if geometry == "arc" else 1 + samples % 2
     expected = FOLDS[layout][detector_kind]
     fold = classical._fold(detector, array.positions)
-    assert fold.mirrors == expected
+    assert ((0,) if fold.folded else ()) == expected
     assert fold.line == (geometry == "hemisphere" and layout == "linear")
     folded = farfield_power(array, detector)
-    monkeypatch.setattr(classical, "_detector_mirrors", lambda detector: ())
+    monkeypatch.setattr(classical, "_source_mirror", lambda positions: None)
     unfolded = classical._fold(detector, array.positions)
-    assert (unfolded.mirrors, unfolded.line) == ((), fold.line)
+    assert unfolded == (False, 1, fold.line)
     assert_close(folded, farfield_power(array, detector), 1e-13)
     assert not math.isclose(folded[1], 1.0)
 
@@ -198,22 +207,16 @@ def test_hemisphere_power_is_invariant_under_a_rotation_about_z(samples):
     """A line of 80 sources half a wavelength apart (k L = 248, more than
     the phi nodes resolve, so a rotation by half a node step moves the
     power by 1-12%), lifted off the x axis along z so that the (theta, phi)
-    walk takes it, keeps its power when rotated by m 2 pi / samples. It
-    folds onto the hemisphere's mirrors and, rotated off the axes, onto
-    none, so the relation also checks the folded walk against the unfolded
-    one where both walk a block in several chunks."""
+    walk takes it, keeps its power when rotated by m 2 pi / samples, where
+    the walk takes each block in several chunks."""
     rng = XorShift64Star(4000 + samples)
     array = lifted(make_linear_array(80, 0.5, 1.0, rng.phases(80)), [0.0, 0.0, 0.2])
     detector = detector_for(rng, array, "hemisphere", samples)
-    fold = classical._fold(detector, array.positions)
-    assert fold.mirrors == ((0, 1) if samples % 2 == 0 else (1,))
-    for mirrors in (fold.mirrors, ()):
-        rows = classical._fundamental_rows(detector, mirrors)[3]
-        assert classical._chunk_rows(rows, 80) < rows
+    rows = classical._fundamental_rows(detector, False)[1]
+    assert classical._chunk_rows(rows, 80) < rows
     expected = farfield_power(array, detector)
     for m in (1, 3, samples // 2 - 1):
         rotated = rotated_about_z(array, m * TWO_PI / samples)
-        assert classical._fold(detector, rotated.positions).mirrors == ()
         assert_close(farfield_power(rotated, detector), expected, 1e-14)
     off_node = farfield_power(rotated_about_z(array, 1.5 * TWO_PI / samples), detector)
     assert abs(off_node[0] - expected[0]) > 1e-3 * expected[0]
@@ -285,6 +288,37 @@ def test_lines_walk_the_hemisphere_on_its_u_nodes(monkeypatch, capsys):
     monkeypatch.setattr(classical, "DRIVER_GEOMETRY", "hemisphere")
     dicke_scaling_check([2, 4, 8], "farfield", detector_samples=64, jitter=0.2, seed=4)
     assert sum(rows) == 64
+
+
+def far_field_corpus():
+    """The golden CLI cases that reach the far-field engine, each as a
+    pytest param of its argv, labelled as tests/golden/compare.py labels it."""
+    cases = json.loads((GOLDEN / "cli_corpus.json").read_text(encoding="utf-8"))["cases"]
+    return [pytest.param(case["argv"] + (["--config", str(GOLDEN / case["config"])]
+                                         if "config" in case else []),
+                         id=f"{index:02d}-{case['argv'][0]}")
+            for index, case in enumerate(cases)
+            if case["argv"][0] == "spectrum" or {"farfield", "farfield_power"} & set(case["argv"])]
+
+
+@pytest.mark.parametrize("argv", far_field_corpus())
+def test_every_cli_far_field_group_walks_the_arcs_nodes(monkeypatch, capsys, argv):
+    """Every array the CLI builds is a line on the x axis, so every positions
+    group of every far-field case of the golden corpus walks the arc's
+    nodes, on the arc or as the 1-D rule on the hemisphere: the (theta, phi)
+    walk serves no CLI request."""
+    walked = []
+    fold = classical._fold
+
+    def recording(detector, positions):
+        result = fold(detector, positions)
+        walked.append(classical._walked(detector, result.line).geometry)
+        return result
+
+    monkeypatch.setattr(classical, "_fold", recording)
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert walked and set(walked) == {"arc"}
 
 
 class WaveCase:
