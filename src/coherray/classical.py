@@ -10,12 +10,14 @@ and H = curl A evaluated pointwise; over a box commensurate with the
 wavelength the two agree to quadrature accuracy. It never forms the phase
 sum: each wave's field is laid onto the grid and summed there. Because
 e^{ik.r} = e^{ik_x x} e^{ik_y y} e^{ik_z z} on the midpoint grid, a cell's
-plane-wave value is the product of three 1-D factors, so the exponential
-is evaluated once per axis point and once per wave, not once per cell per
-wave. The grid is walked in cache-sized slabs of consecutive z-lines (or
-of one z-line's chunks, when it is longer) and holds no res^3 array;
-before it starts, its memory is checked against MEMORY_BUDGET_BYTES and
-its cell updates against WORK_BUDGET.
+plane-wave value is fx[x] times a (y, z) table fy[y]*fz[z], so the
+exponential is evaluated once per axis point and once per wave, not once
+per cell per wave. The table is built once, in cache-sized chunks kept as
+real rows, and each chunk is walked in slabs of x-planes: every wave's
+coefficient times fx goes into a small real table, and one einsum per slab
+lays every wave's own Re E and Re H onto every cell. The walk holds no
+res^3 array and no complex field; before it starts, its memory is checked
+against MEMORY_BUDGET_BYTES and its cell updates against WORK_BUDGET.
 
 Far-field power of point-source arrays is integrated over a detector
 surface: the default geometry is the forward hemisphere (array along x in
@@ -119,30 +121,34 @@ MIN_SAMPLES = 64
 
 _COMMENSURATE_TOL = 1e-9
 
-# grid operations per cell besides one per wave: the plane-wave values, E and
-# H zeroed, the density (c of t = a (N + c) fitted at 128^3, N = 1, 8, 32)
+# grid operations per cell besides one per wave: the einsum's zeroed E and
+# H, and the density's squares, H weight and sum (c of t = a (N + c) fitted
+# at 128^3, N = 1, 8, 32: 2.7-2.9, at a = 1.25 ns on a 2-vCPU VM)
 _GRID_CELL_WORK = 3
 
-# cells per slab of the grid walk; a slab is a run of consecutive z-lines,
-# or a chunk of one z-line when that is longer, so it holds at most this
-# many cells, and its six arrays (640 KB) stay in cache while every wave
-# is added onto them
+# cells per chunk of the (y, z) table, and per slab of the grid walk; a chunk
+# is a run of consecutive z-lines, or a piece of one z-line when that is
+# longer, and a slab is as many x-planes as fit beside one chunk, so its
+# fields (128 KB) and the chunk's rows stay in cache while the waves are laid
 _SLAB_CELLS = 8192
 
-# bytes the grid walk holds per slab cell: the plane-wave values, E, H and
-# one wave's product (complex), and the density and its H term (float)
-_SLAB_CELL_BYTES = 80
+# bytes the grid walk holds per slab cell: Re E and Re H (float)
+_SLAB_CELL_BYTES = 16
 
-# bytes per slab line: the line's x-y factor, and the two index arrays and
-# the two gathered factors that build it
-_SLAB_LINE_BYTES = 64
+# bytes per (y, z) cell of a chunk: its Re and -Im rows (float) and the
+# complex fy*fz that builds them
+_TABLE_CELL_BYTES = 32
+
+# bytes per wave and slab x-plane: each wave's E and H coefficients times
+# fx (complex); the coefficients and their build count as two planes more
+_SLAB_PLANE_BYTES = 32
 
 # bytes per axis point: the midpoint axis, its factor e^{ik x}, and the two
 # complex temporaries of the factor's build
 _AXIS_POINT_BYTES = 56
 
-# bytes a grid call holds whatever its size: array headers, the wave
-# coefficients and their list (about 4 KB measured)
+# bytes a grid call holds whatever its size: array headers and the walk's
+# views and einsum calls (about 6 KB measured at res 8, one wave)
 _GRID_CALL_BYTES = 8192
 
 # detector rows per block of the far-field walk: each block builds its own
@@ -343,11 +349,11 @@ def field_energy_grid(
     sum: every wave adds its own field to E and to H on the grid.
 
     e^{ik.r} separates over the axes of the midpoint grid, so a cell's
-    plane-wave value is the product of three 1-D factors and each wave is
-    that value times a e^{i phi}: 3*res + N exponentials in place of
-    N*res^3. The grid is walked in slabs of at most _SLAB_CELLS cells (see
-    _slab_walk), so the memory held grows with the axes, not with the cell
-    count.
+    plane-wave value is fx[x] times the (y, z) table fy[y]*fz[z], and each
+    wave's field is that value times its coefficient: 3*res + N exponentials
+    in place of N*res^3. The table is built once, chunk by chunk, and each
+    chunk is walked in slabs of x-planes (see _slab_walk), so the memory held
+    grows with the axes and the waves, not with the cell count.
 
     ``resolution`` is the number of cells per axis, one integer or three.
     Raises TypeError for non-integers, and ValueError below 8 cells per
@@ -361,13 +367,16 @@ def field_energy_grid(
     if min(res) < 8:
         raise ValueError("resolution must be at least 8 per axis")
     cells = math.prod(res)
+    n_waves = waves.n_waves
     width = min(res[2], _SLAB_CELLS)
-    lines = min(res[0] * res[1], _SLAB_CELLS // width)
-    needed = _SLAB_CELL_BYTES * lines * width + _SLAB_LINE_BYTES * lines
+    lines = min(res[1], _SLAB_CELLS // width)
+    planes = min(res[0], _SLAB_CELLS // (lines * width))
+    needed = (_TABLE_CELL_BYTES + _SLAB_CELL_BYTES * planes) * lines * width
+    needed += _SLAB_PLANE_BYTES * (planes + 2) * n_waves
     needed += _AXIS_POINT_BYTES * sum(res) + _GRID_CALL_BYTES
     _check_budget(needed, f"grid request of {cells} cells")
-    work = cells * (waves.n_waves + _GRID_CELL_WORK)
-    _check_work(work, f"grid request of {cells} cells x {waves.n_waves} waves")
+    work = cells * (n_waves + _GRID_CELL_WORK)
+    _check_work(work, f"grid request of {cells} cells x {n_waves} waves")
 
     mode = waves.mode
     k = mode.wavevector
@@ -382,63 +391,56 @@ def field_energy_grid(
         for i in range(3)
     ]
     fx, fy, fz = (np.exp(1j * k[i] * axes[i]) for i in range(3))
-    coefficients = []
-    for phi in waves.phases:
-        analytic = mode.amplitude * np.exp(1j * phi)
-        coefficients.append(((1j * mode.omega) * analytic, 1j * analytic))
+    analytic = mode.amplitude * np.exp(1j * np.array(waves.phases))
     # E along the polarization; H along k x pol with |k x pol| = |k|; the
     # real fields are 2 Re E and 2 Re H, so (E^2 + H^2)/8pi is this sum / 2pi
-    total = _slab_walk(fx, fy, fz, coefficients, mode.wavenumber ** 2, lines, width)
+    coefficients = np.stack([(1j * mode.omega) * analytic, 1j * analytic])
+    total = _slab_walk(fx, fy, fz, coefficients, mode.wavenumber ** 2, lines, width, planes)
 
     cell = volume.volume / cells
     energy = float(total / TWO_PI * cell)
     return GridEnergy(energy, commensurate)
 
 
-def _slab_walk(fx, fy, fz, coefficients, k_sq: float, lines: int, width: int) -> float:
+def _slab_walk(fx, fy, fz, coefficients, k_sq: float, lines: int, width: int, planes: int) -> float:
     """Sum of Re(E)^2 + k_sq Re(H)^2 over the grid of the 1-D factors.
 
-    The cells are walked in slabs of ``lines`` consecutive z-lines, each
-    cut into chunks of ``width`` cells (one chunk unless the z-lines are
-    longer than that); the slab arrays are allocated once and sliced for
-    the last slab and the last chunk. In a slab, a cell's plane-wave value
-    is (fx*fy)*fz, the products the whole-grid outer product forms; E and
-    H start at zero, and each wave's (E, H) pair of ``coefficients`` adds
-    the plane times that coefficient to them, so each cell's density has
-    the bits of a whole-grid walk. Only the grouping of the final sum
-    differs: each slab is summed and added to the total in slab order.
+    The (y, z) table fy*fz is built once, in chunks of ``lines`` z-lines
+    cut to ``width`` cells, each kept as two real rows, Re and -Im. Each
+    chunk is walked in slabs of ``planes`` x-planes (fewer in the last).
+    A slab multiplies every wave's E and H coefficient, ``coefficients``
+    (2, N), by fx at each of its x-planes, a real (x, field, wave, Re/Im)
+    table, and one einsum lays every wave's own Re E and Re H onto every
+    cell: Re(c fx) Re(fy fz) - Im(c fx) Im(fy fz), added per cell in
+    einsum's own loop, with no contraction path to sum the coefficients
+    first. Each slab's density is summed and added to the total in order.
     """
-    ry = fy.size
-    count = fx.size * ry
-    shape = (lines, width)
-    plane, efield, hfield, product = (np.empty(shape, dtype=complex) for _ in range(4))
-    density, magnetic = np.empty(shape), np.empty(shape)
-    rows = np.empty(lines, dtype=complex)
+    scaled = np.empty((planes, 2, coefficients.shape[1]), dtype=complex)
+    # the complex products read as floats: their last axis is (Re, Im)
+    table = scaled.view(float).reshape(scaled.shape + (2,))
+    chunk = lines * width
+    plane, rows, slab = np.empty(chunk, dtype=complex), np.empty(2 * chunk), np.empty(2 * planes * chunk)
     total = 0.0
-    for start in range(0, count, lines):
-        n = min(lines, count - start)
-        x, y = np.divmod(np.arange(start, start + n), ry)
-        xy = np.multiply(fx[x], fy[y], out=rows[:n])
-        for chunk in range(0, fz.size, width):
-            z = fz[chunk:chunk + width]
-            cells = (slice(n), slice(z.size))
-            p, e, h, wave = plane[cells], efield[cells], hfield[cells], product[cells]
-            # both factors are spread into slab arrays first: a broadcasting
-            # multiply would allocate numpy's operand buffers (2 x 8192 cells)
-            p[...] = xy[:, None]
-            wave[...] = z
-            np.multiply(p, wave, out=p)
-            e.fill(0.0)
-            h.fill(0.0)
-            for e_coefficient, h_coefficient in coefficients:
-                e += np.multiply(p, e_coefficient, out=wave)
-                h += np.multiply(p, h_coefficient, out=wave)
-            d, m = density[cells], magnetic[cells]
-            np.square(e.real, out=d)
-            np.square(h.real, out=m)
-            m *= k_sq
-            d += m
-            total += float(d.sum())
+    for y in range(0, fy.size, lines):
+        for z in range(0, fz.size, width):
+            ys, zs = fy[y:y + lines], fz[z:z + width]
+            c = ys.size * zs.size
+            # einsum forms the outer products: a broadcasting multiply would
+            # allocate numpy's operand buffers
+            np.einsum("y,z->yz", ys, zs, out=plane[:c].reshape(ys.size, zs.size))
+            yz = rows[:2 * c].reshape(2, c)
+            yz[0] = plane[:c].real
+            np.negative(plane[:c].imag, out=yz[1])
+            for x in range(0, fx.size, planes):
+                n = min(planes, fx.size - x)
+                np.einsum("x,fw->xfw", fx[x:x + n], coefficients, out=scaled[:n])
+                fields = slab[:2 * n * c].reshape(2, n, c)
+                np.einsum("xfwk,kc->fxc", table[:n], yz, out=fields)
+                np.square(fields, out=fields)
+                density, magnetic = fields
+                magnetic *= k_sq
+                density += magnetic
+                total += float(density.sum())
     return total
 
 

@@ -16,6 +16,7 @@ Units are natural: c = hbar = 1.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,10 +131,16 @@ def overlap_integral_quadrature(pair: ModePair, samples_per_axis: int = 100) -> 
     is used, which keeps this the independent check for
     `overlap_integral`. Midpoint error scales like
     sum_i (dk_i L_i / n)^2 / 24.
+
+    Raises TypeError when ``samples_per_axis`` is not an integer, and
+    ValueError below 2.
     """
-    if samples_per_axis < 2:
+    try:
+        n = operator.index(samples_per_axis)
+    except TypeError:
+        raise TypeError(f"samples_per_axis must be an integer, got {samples_per_axis!r}") from None
+    if n < 2:
         raise ValueError("need at least 2 samples per axis")
-    n = samples_per_axis
     # peak per axis: the sample points and two complex arrays (8 + 16 + 16 bytes)
     _check_budget(40 * n, f"quadrature of {n} samples per axis")
     box = pair.box

@@ -22,6 +22,7 @@ identity only.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,17 +48,21 @@ _PAIR_WORK = 10
 
 @dataclass(frozen=True)
 class FockSpace:
-    """Truncated number-state space: levels 0..n_max per mode."""
+    """Truncated number-state space: levels 0..n_max per mode. Both counts
+    are integers of at least 1 (TypeError, ValueError otherwise)."""
 
     n_max: int = 32
     mode_count: int = 1
 
     def __post_init__(self):
-        if self.n_max < 1:
-            raise ValueError("n_max must be at least 1")
-        if self.mode_count < 1:
-            raise ValueError("mode_count must be at least 1")
-        dimension = (int(self.n_max) + 1) ** int(self.mode_count)
+        for name in ("n_max", "mode_count"):
+            try:
+                object.__setattr__(self, name, operator.index(getattr(self, name)))
+            except TypeError:
+                raise TypeError(f"{name} must be an integer, got {getattr(self, name)!r}") from None
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
+        dimension = (self.n_max + 1) ** self.mode_count
         # peak of building a state: the complex vector and its read-only copy
         _check_budget(32 * dimension, f"state vector of {dimension} basis states")
 

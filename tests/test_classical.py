@@ -174,6 +174,36 @@ def whole_grid_reference(waves, volume, resolution):
     return float(density.sum() / TWO_PI * (volume.volume / math.prod(res)))
 
 
+def grid_factors(mode, volume, res):
+    """The midpoint grid's 1-D factors e^{ik_i x_i}, one per axis."""
+    k = mode.wavevector
+    lengths = volume.lengths
+    axes = [
+        volume.center[i] - lengths[i] / 2.0 + (np.arange(res[i]) + 0.5) * (lengths[i] / res[i])
+        for i in range(3)
+    ]
+    return [np.exp(1j * k[i] * axes[i]) for i in range(3)]
+
+
+def per_wave_reference(waves, volume, resolution):
+    """Reference: the grid energy from real E and H fields onto which a
+    plain loop adds each wave's own Re(c p), wave by wave, with p the whole
+    res^3 table of fx times the (y, z) table."""
+    res = tuple(np.broadcast_to(np.asarray(resolution, dtype=int), (3,)))
+    mode = waves.mode
+    fx, fy, fz = grid_factors(mode, volume, res)
+    plane = fx[:, None, None] * (fy[:, None] * fz)
+    efield = np.zeros(res)
+    hfield = np.zeros(res)
+    for phi in waves.phases:
+        analytic = mode.amplitude * np.exp(1j * phi)
+        efield += (plane * ((1j * mode.omega) * analytic)).real
+        hfield += (plane * (1j * analytic)).real
+    density = np.square(efield)
+    density += mode.wavenumber ** 2 * np.square(hfield)
+    return float(density.sum() / TWO_PI * (volume.volume / math.prod(res)))
+
+
 def random_grid_case(rng, case, resolutions=(8, 12, (8, 13, 21), (16, 9, 11), 20, (24, 16, 8))):
     """One seeded wave set, box and resolution: axis-aligned k on a
     commensurate box, axis-aligned k on a free box, or off-axis k."""
@@ -227,39 +257,51 @@ def test_slab_walk_matches_the_whole_grid_walk():
         assert abs(field_energy_grid(waves, box, resolution).energy - energy) <= 1e-14 * scale
 
 
+def test_slab_walk_matches_the_per_wave_reference():
+    """Each wave's own Re E and Re H, added wave by wave onto real fields,
+    give the walk's energy: on the random cases' shapes, on z-lines cut
+    into chunks (9 x 8 x 8200), on a long x axis (20000 x 8 x 8), and with
+    32 waves."""
+    rng = XorShift64Star(1492)
+    cases = [random_grid_case(rng, case) for case in range(24)]
+    cases += [random_grid_case(rng, case, ((9, 8, 8200), (20_000, 8, 8))) for case in range(4)]
+    waves, box, _ = random_grid_case(rng, 2)
+    cases.append((PhasedWaveSet(waves.mode, tuple(rng.phases(32))), box, (12, 20, 16)))
+    for waves, box, resolution in cases:
+        energy = per_wave_reference(waves, box, resolution)
+        scale = max(abs(energy), single_wave_energy(waves.mode, box))
+        assert abs(field_energy_grid(waves, box, resolution).energy - energy) <= 1e-14 * scale
+
+
 def test_field_energy_grid_adds_every_wave_onto_every_slab(monkeypatch):
-    """Each slab takes one product per wave for E and one for H, each with
-    that wave's own coefficient: summing the coefficients first would form
-    the phase sum by hand, and would show here as two products per slab."""
+    """Each slab's coefficient table holds 2N entries per x-plane, each
+    wave's own E or H coefficient times that plane's fx: summing the
+    coefficients first would form the phase sum by hand, and would show
+    here as one entry per field."""
     mode = WaveMode.plane(np.array([0.0, 3.0, 0.0]), amplitude=0.7 - 0.2j)
     waves = PhasedWaveSet(mode, (0.3, 1.9, 4.0, 5.5, 5.5))
     box = BoxVolume((1.1, 0.8, 2.5))
-    analytic = [mode.amplitude * np.exp(1j * phi) for phi in waves.phases]
-    expected = sorted([(1j * mode.omega) * a for a in analytic] + [1j * a for a in analytic],
-                      key=lambda c: (c.real, c.imag))
-    # 130 z-lines of 64 cells: a slab of 128 lines, then one of 2
-    slabs = {128 * 64: [], 2 * 64: []}
-    original = np.multiply
+    analytic = np.array([mode.amplitude * np.exp(1j * phi) for phi in waves.phases])
+    coefficients = np.array([(1j * mode.omega) * analytic, 1j * analytic])
+    fx = grid_factors(mode, box, (10, 13, 64))[0]
+    tables = []
+    original = np.einsum
 
-    class Recording:
-        """np.multiply, noting each array-times-scalar product by size."""
+    def recording(subscripts, *operands, **kwargs):
+        if subscripts.startswith("xfwk,"):
+            # a contraction path may sum the waves' coefficients first
+            assert not kwargs.get("optimize", False)
+            tables.append(operands[0].copy())
+        return original(subscripts, *operands, **kwargs)
 
-        def __call__(self, a, b, *args, **kwargs):
-            if np.ndim(b) == 0:
-                slabs.setdefault(np.size(a), []).append(complex(b))
-            return original(a, b, *args, **kwargs)
-
-        def __getattr__(self, name):
-            return getattr(original, name)
-
-    monkeypatch.setattr(np, "multiply", Recording())
+    monkeypatch.setattr(np, "einsum", recording)
     field_energy_grid(waves, box, (10, 13, 64))
-    assert sorted(slabs) == [2 * 64, 128 * 64]
-    for products in slabs.values():
-        assert len(products) == 2 * waves.n_waves
-        products.sort(key=lambda c: (c.real, c.imag))
-        for got, want in zip(products, expected):
-            assert abs(got - want) <= 1e-14 * abs(want)
+    # one chunk of 13 z-lines of 64 cells, so slabs of 9 x-planes, then 1
+    assert [table.shape for table in tables] == [(9, 2, 5, 2), (1, 2, 5, 2)]
+    laid = np.concatenate(tables)
+    laid = laid[..., 0] + 1j * laid[..., 1]
+    want = fx[:, None, None] * coefficients
+    assert np.all(np.abs(laid - want) <= 1e-14 * np.abs(want))
 
 
 def test_field_energy_grid_never_forms_the_phase_sum(monkeypatch):
@@ -314,12 +356,13 @@ def test_field_energy_grid_resolution_must_be_integers():
 
 
 def test_grid_request_over_budget_is_refused_before_allocation():
-    """The walk holds one slab (80 bytes per cell, at most 8192 cells: a
-    z-line longer than that is cut into chunks), 64 bytes per slab line, 56
-    per axis point and 8 KB per call, so only the axes grow with res_z; it
-    counts cells x (waves + 3) operations, one update per wave and three
-    for the per-slab work. A request over either budget is refused at
-    once, before it allocates."""
+    """The walk holds one chunk of the (y, z) table (32 bytes per cell, at
+    most 8192 cells: a z-line longer than that is cut into chunks), one
+    slab of x-planes beside it (16 bytes per cell), 32 bytes per wave for
+    each of the slab's x-planes and two more, 56 per axis point and 8 KB per
+    call, so only the axes grow with res_z; it counts cells x (waves + 3)
+    operations, one update per wave and three for the density. A request
+    over either budget is refused at once, before it allocates."""
     waves = PhasedWaveSet(unit_mode(), (0.0, 1.0))
     box = BoxVolume((1.0, 1.0, 1.0))
     work = f" operations, over the work budget of {core.WORK_BUDGET} operations"
@@ -328,9 +371,9 @@ def test_grid_request_over_budget_is_refused_before_allocation():
         (10_000, f"grid request of {10 ** 12} cells x 2 waves needs {5 * 10 ** 12}{work}"),
         ((1_000_000, 100, 100), f"grid request of {10 ** 10} cells x 2 waves needs {5 * 10 ** 10}{work}"),
         ((8, 8, 2 ** 25), f"grid request of {2 ** 31} cells needs"
-                          f" {80 * 8192 + 64 + 56 * (16 + 2 ** 25) + 8192}{memory}"),
+                          f" {48 * 8192 + 32 * 3 * 2 + 56 * (16 + 2 ** 25) + 8192}{memory}"),
         ((8, 8, 2 ** 62), f"grid request of {2 ** 68} cells needs"
-                          f" {80 * 8192 + 64 + 56 * (16 + 2 ** 62) + 8192}{memory}"),
+                          f" {48 * 8192 + 32 * 3 * 2 + 56 * (16 + 2 ** 62) + 8192}{memory}"),
     )
     tracemalloc.start()
     try:
@@ -361,12 +404,8 @@ def test_one_wave_grid_counts_its_per_slab_work(monkeypatch):
         field_energy_grid(waves, BoxVolume((1.0, 1.0, 1.0)), 2154)
 
 
-@pytest.mark.parametrize("resolution", [8, 64, (40, 30, 24), (9, 300, 50), (8, 13, 20_000)])
-def test_grid_budget_covers_the_measured_peak(monkeypatch, resolution):
-    """The memory charge covers what the slab walk really holds, for
-    isotropic and anisotropic grids and z-lines longer than one slab."""
-    mode = WaveMode.plane(np.array([1.0, -2.0, 0.5]))
-    waves = PhasedWaveSet(mode, (0.1, 2.0, 3.3))
+def measured_grid_peak(monkeypatch, waves, resolution):
+    """The grid's memory charge and its tracemalloc peak."""
     box = BoxVolume((1.0, 2.0, 0.7), (0.1, 0.0, -0.2))
     charged = []
     original = classical._check_budget
@@ -383,7 +422,29 @@ def test_grid_budget_covers_the_measured_peak(monkeypatch, resolution):
     finally:
         tracemalloc.stop()
     assert len(charged) == 1
-    assert peak <= charged[0]
+    return charged[0], peak
+
+
+@pytest.mark.parametrize(
+    "resolution", [8, 64, (40, 30, 24), (9, 300, 50), (8, 13, 20_000), (20_000, 8, 8)]
+)
+def test_grid_budget_covers_the_measured_peak(monkeypatch, resolution):
+    """The memory charge covers what the slab walk really holds, for
+    isotropic and anisotropic grids, z-lines longer than one chunk and a
+    long x axis, and charges at most twice that."""
+    waves = PhasedWaveSet(WaveMode.plane(np.array([1.0, -2.0, 0.5])), (0.1, 2.0, 3.3))
+    charged, peak = measured_grid_peak(monkeypatch, waves, resolution)
+    assert peak <= charged <= 2 * peak
+
+
+@pytest.mark.parametrize("resolution", [8, (9, 300, 50), (2000, 8, 8)])
+def test_grid_budget_covers_the_measured_peak_of_many_waves(monkeypatch, resolution):
+    """Each wave's coefficients are charged for every x-plane of a slab:
+    400 waves, on slabs of up to 128 x-planes (2000 x 8 x 8)."""
+    phases = tuple(np.linspace(0.0, 6.0, 400))
+    waves = PhasedWaveSet(WaveMode.plane(np.array([1.0, -2.0, 0.5])), phases)
+    charged, peak = measured_grid_peak(monkeypatch, waves, resolution)
+    assert peak <= charged <= 2 * peak
 
 
 class TestDetectorGrid:

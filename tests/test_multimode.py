@@ -129,6 +129,15 @@ class TestOverlapQuadrature:
         with pytest.raises(ValueError):
             overlap_integral_quadrature(pair, 1)
 
+    def test_sample_count_must_be_an_integer(self):
+        """np.arange(2.5) would give 3 nodes spaced L/2.5, the last outside
+        the box, and a wrong overlap with no error."""
+        pair = ModePair(mode_along_x(TWO_PI), mode_along_x(3.0 * math.pi), box=UNIT_BOX)
+        for bad in (2.5, 3.0, np.float64(3.0), "3"):
+            with pytest.raises(TypeError, match="samples_per_axis"):
+                overlap_integral_quadrature(pair, bad)
+        assert overlap_integral_quadrature(pair, np.int64(3)) == overlap_integral_quadrature(pair, 3)
+
     def test_separable_form_matches_full_grid_reference(self):
         rng = XorShift64Star(2024)
         for n in (16, 23, 32, 41, 48):

@@ -48,6 +48,20 @@ class TestFockSpace:
         with pytest.raises(ValueError):
             space.basis_index((0, 0))
 
+    def test_counts_must_be_integers(self):
+        """n_max = 2.5 would give 3.5 levels, and mode_count = 1.5 a
+        dimension of 8.0; both are refused, naming the field."""
+        for field, bad in (("n_max", 2.5), ("n_max", 3.0), ("n_max", "3"),
+                           ("mode_count", 1.5), ("mode_count", np.float64(2.0))):
+            with pytest.raises(TypeError, match=field):
+                FockSpace(**{field: bad})
+        space = FockSpace(n_max=np.int64(2), mode_count=np.int32(2))
+        assert type(space.n_max) is int and type(space.mode_count) is int
+        assert space == FockSpace(n_max=2, mode_count=2)
+        assert (space.levels, space.dimension) == (3, 9)
+        with pytest.raises(ValueError, match="mode_count must be at least 1"):
+            FockSpace(mode_count=np.int64(0))
+
 
 class TestLadderOperators:
     def test_destroy_action(self):
