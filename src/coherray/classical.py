@@ -12,11 +12,11 @@ sum: each wave's field is laid onto the grid and summed there. Because
 e^{ik.r} = e^{ik_x x} e^{ik_y y} e^{ik_z z} on the midpoint grid, a cell's
 plane-wave value is fx[x] times a (y, z) table fy[y]*fz[z], so the
 exponential is evaluated once per axis point and once per wave, not once
-per cell per wave. The table is built once, in cache-sized chunks kept as
-real rows, and each chunk is walked in slabs of x-planes: every wave's
-coefficient times fx goes into a small real table, and one einsum per slab
-lays every wave's own Re E and Re H onto every cell. The walk holds no
-res^3 array and no complex field; before it starts, its memory is checked
+per cell per wave. With omega = |k|, E and H are one real field F. Its
+table is built once, in L1-sized chunks of real rows, each walked in slabs
+of x-planes: one einsum per slab lays every wave's coefficient times fx, a
+small real table, as its own Re F onto every cell. The walk holds no res^3
+array and no complex field; before it starts, its memory is checked
 against MEMORY_BUDGET_BYTES and its cell updates against WORK_BUDGET.
 
 Far-field power of point-source arrays is integrated over a detector
@@ -121,31 +121,31 @@ MIN_SAMPLES = 64
 
 _COMMENSURATE_TOL = 1e-9
 
-# grid operations per cell besides one per wave: the einsum's zeroed E and
-# H, and the density's squares, H weight and sum (c of t = a (N + c) fitted
-# at 128^3, N = 1, 8, 32: 2.7-2.9, at a = 1.25 ns on a 2-vCPU VM)
+# grid operations per cell besides one per wave: the einsum's zeroed field,
+# its square and the sum (c of t = a (N + c) fitted at 128^3, N = 1, 8, 32:
+# 2.3, at a = 0.7-0.8 ns on a 2-vCPU VM)
 _GRID_CELL_WORK = 3
 
-# cells per chunk of the (y, z) table, and per slab of the grid walk; a chunk
-# is a run of consecutive z-lines, or a piece of one z-line when that is
-# longer, and a slab is as many x-planes as fit beside one chunk, so its
-# fields (128 KB) and the chunk's rows stay in cache while the waves are laid
-_SLAB_CELLS = 8192
+# cells per chunk of the (y, z) table (a run of z-lines, or a piece of one
+# longer z-line), whose Re and -Im rows (32 KB) and one x-plane of field
+# (16 KB) stay in L1, and per slab: as many x-planes as fit beside a chunk
+_TABLE_CELLS = 2 ** 11
+_SLAB_CELLS = 2 ** 15
 
-# bytes the grid walk holds per slab cell: Re E and Re H (float)
-_SLAB_CELL_BYTES = 16
+# bytes the grid walk holds per slab cell: Re F (float)
+_SLAB_CELL_BYTES = 8
 
 # bytes per (y, z) cell of a chunk: its Re and -Im rows (float) and the
 # complex fy*fz that builds them
 _TABLE_CELL_BYTES = 32
 
-# bytes per wave and slab x-plane: each wave's E and H coefficients times
-# fx (complex); the coefficients and their build count as two planes more
-_SLAB_PLANE_BYTES = 32
+# bytes per wave and slab x-plane: each wave's coefficient times fx
+# (complex); the coefficients and their build count as two planes more
+_SLAB_PLANE_BYTES = 16
 
-# bytes per axis point: the midpoint axis, its factor e^{ik x}, and the two
-# complex temporaries of the factor's build
-_AXIS_POINT_BYTES = 56
+# bytes per axis point: the midpoint axis, its factor e^{ik x}, and the one
+# complex temporary of the factor's build (40 measured by tracemalloc)
+_AXIS_POINT_BYTES = 40
 
 # bytes a grid call holds whatever its size: array headers and the walk's
 # views and einsum calls (about 6 KB measured at res 8, one wave)
@@ -346,7 +346,10 @@ def field_energy_grid(
     center (snapshot at t = 0; for a commensurate box the integral is
     time-independent) and the density (E^2 + H^2)/8pi is summed. This is
     the brute-force twin of `classical_energy` and never forms the phase
-    sum: every wave adds its own field to E and to H on the grid.
+    sum: every wave adds its own term to the one real field F = Re sum_w
+    i a_w e^{ik.r}. A PhasedWaveSet is one mode with omega = |k|, so E (along
+    pol) is omega F and |H| (along k x pol) is k F, and E^2 + H^2 = 2k^2 F^2;
+    waves of several wavevectors would need H's own components again.
 
     e^{ik.r} separates over the axes of the midpoint grid, so a cell's
     plane-wave value is fx[x] times the (y, z) table fy[y]*fz[z], and each
@@ -356,10 +359,13 @@ def field_energy_grid(
     grows with the axes and the waves, not with the cell count.
 
     ``resolution`` is the number of cells per axis, one integer or three.
-    Raises TypeError for non-integers, and ValueError below 8 cells per
-    axis, when the walk would need more than MEMORY_BUDGET_BYTES, or when
-    its cells x (waves + _GRID_CELL_WORK) operations exceed WORK_BUDGET.
+    Raises TypeError for non-integers, and ValueError for another count,
+    below 8 cells per axis, when the walk would need more than
+    MEMORY_BUDGET_BYTES, or when its cells x (waves + _GRID_CELL_WORK)
+    operations exceed WORK_BUDGET.
     """
+    if np.shape(resolution) not in ((), (1,), (3,)):
+        raise ValueError(f"resolution must be one integer or three, got {resolution!r}")
     try:
         res = tuple(operator.index(r) for r in np.broadcast_to(np.asarray(resolution), (3,)))
     except TypeError:
@@ -368,8 +374,8 @@ def field_energy_grid(
         raise ValueError("resolution must be at least 8 per axis")
     cells = math.prod(res)
     n_waves = waves.n_waves
-    width = min(res[2], _SLAB_CELLS)
-    lines = min(res[1], _SLAB_CELLS // width)
+    width = min(res[2], _TABLE_CELLS)
+    lines = min(res[1], _TABLE_CELLS // width)
     planes = min(res[0], _SLAB_CELLS // (lines * width))
     needed = (_TABLE_CELL_BYTES + _SLAB_CELL_BYTES * planes) * lines * width
     needed += _SLAB_PLANE_BYTES * (planes + 2) * n_waves
@@ -391,35 +397,32 @@ def field_energy_grid(
         for i in range(3)
     ]
     fx, fy, fz = (np.exp(1j * k[i] * axes[i]) for i in range(3))
-    analytic = mode.amplitude * np.exp(1j * np.array(waves.phases))
-    # E along the polarization; H along k x pol with |k x pol| = |k|; the
-    # real fields are 2 Re E and 2 Re H, so (E^2 + H^2)/8pi is this sum / 2pi
-    coefficients = np.stack([(1j * mode.omega) * analytic, 1j * analytic])
-    total = _slab_walk(fx, fy, fz, coefficients, mode.wavenumber ** 2, lines, width, planes)
+    coefficients = 1j * mode.amplitude * np.exp(1j * np.array(waves.phases))
+    # the real fields are 2 Re E and 2 Re H: (E^2 + H^2)/8pi = 2k^2 F^2 / 2pi
+    total = 2.0 * mode.wavenumber ** 2 * _slab_walk(fx, fy, fz, coefficients, lines, width, planes)
 
     cell = volume.volume / cells
     energy = float(total / TWO_PI * cell)
     return GridEnergy(energy, commensurate)
 
 
-def _slab_walk(fx, fy, fz, coefficients, k_sq: float, lines: int, width: int, planes: int) -> float:
-    """Sum of Re(E)^2 + k_sq Re(H)^2 over the grid of the 1-D factors.
+def _slab_walk(fx, fy, fz, coefficients, lines: int, width: int, planes: int) -> float:
+    """Sum of Re(F)^2 over the grid, F = sum_w ``coefficients``[w] fx fy fz.
 
     The (y, z) table fy*fz is built once, in chunks of ``lines`` z-lines
     cut to ``width`` cells, each kept as two real rows, Re and -Im. Each
     chunk is walked in slabs of ``planes`` x-planes (fewer in the last).
-    A slab multiplies every wave's E and H coefficient, ``coefficients``
-    (2, N), by fx at each of its x-planes, a real (x, field, wave, Re/Im)
-    table, and one einsum lays every wave's own Re E and Re H onto every
-    cell: Re(c fx) Re(fy fz) - Im(c fx) Im(fy fz), added per cell in
-    einsum's own loop, with no contraction path to sum the coefficients
-    first. Each slab's density is summed and added to the total in order.
+    A slab multiplies every wave's coefficient by fx at each of its
+    x-planes, a real (x, wave, Re/Im) table, and one einsum lays every
+    wave's own Re F onto every cell: Re(c fx) Re(fy fz) - Im(c fx) Im(fy fz),
+    added per cell in einsum's own loop, with no contraction path to sum
+    the coefficients first. Each slab's Re(F)^2 is summed pairwise, in order.
     """
-    scaled = np.empty((planes, 2, coefficients.shape[1]), dtype=complex)
+    scaled = np.empty((planes, coefficients.size), dtype=complex)
     # the complex products read as floats: their last axis is (Re, Im)
     table = scaled.view(float).reshape(scaled.shape + (2,))
     chunk = lines * width
-    plane, rows, slab = np.empty(chunk, dtype=complex), np.empty(2 * chunk), np.empty(2 * planes * chunk)
+    plane, rows, slab = np.empty(chunk, dtype=complex), np.empty(2 * chunk), np.empty(planes * chunk)
     total = 0.0
     for y in range(0, fy.size, lines):
         for z in range(0, fz.size, width):
@@ -433,14 +436,11 @@ def _slab_walk(fx, fy, fz, coefficients, k_sq: float, lines: int, width: int, pl
             np.negative(plane[:c].imag, out=yz[1])
             for x in range(0, fx.size, planes):
                 n = min(planes, fx.size - x)
-                np.einsum("x,fw->xfw", fx[x:x + n], coefficients, out=scaled[:n])
-                fields = slab[:2 * n * c].reshape(2, n, c)
-                np.einsum("xfwk,kc->fxc", table[:n], yz, out=fields)
-                np.square(fields, out=fields)
-                density, magnetic = fields
-                magnetic *= k_sq
-                density += magnetic
-                total += float(density.sum())
+                np.einsum("x,w->xw", fx[x:x + n], coefficients, out=scaled[:n])
+                field = slab[:n * c].reshape(n, c)
+                np.einsum("xwk,kc->xc", table[:n], yz, out=field)
+                np.square(field, out=field)
+                total += float(field.sum())
     return total
 
 

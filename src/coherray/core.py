@@ -24,9 +24,9 @@ MEMORY_BUDGET_BYTES = 1 << 30
 
 # operations one request may perform; a route whose time grows faster than
 # its memory counts its dominant operation against this before it starts.
-# The grid's slab walk takes 2-3 ns per counted operation on a 2-vCPU VM,
-# with one wave or with 32, so this is about half a minute of it; the
-# far-field engine weights its counts to the same time per operation
+# The far-field engine's counts take 2.2-2.5 ns each on a 2-vCPU VM, so
+# this is about 22 s of it; the grid's one-field walk takes 0.7-0.8 ns per
+# counted operation, with one wave or with 32, about 8 s
 WORK_BUDGET = 10 ** 10
 
 # peak bytes per wave of the closed-form route: the phase tuple and

@@ -242,13 +242,14 @@ def test_field_energy_grid_matches_direct_exp_reference():
 
 
 def test_slab_walk_matches_the_whole_grid_walk():
-    """The slab walk keeps every cell's arithmetic; only the grouping of the
-    final sum moves. The shapes put slab edges inside an x row (24 x 40 x 24,
-    37 x 29 x 13, 16 x 600 x 8), make z-lines longer than one slab
-    (9 x 8 x 8200), fit the grid in one slab (8 x 13 x 21), or align the
-    edges with x rows (48^3)."""
+    """The walk's one real field F, weighed by 2k^2, gives the energy of E
+    and H built separately on the whole grid, to rounding. The shapes fit
+    the grid in one chunk and slab (24 x 40 x 24, 37 x 29 x 13,
+    8 x 13 x 21), make z-lines longer than one chunk (9 x 8 x 8200), end
+    the y axis inside a chunk (16 x 600 x 8), or cut both y and x into
+    several chunks and slabs (48^3)."""
     resolutions = ((24, 40, 24), (9, 8, 8200), (37, 29, 13), (8, 13, 21), (16, 600, 8), 48)
-    assert classical._SLAB_CELLS < 8200
+    assert classical._TABLE_CELLS < 8200
     rng = XorShift64Star(1991)
     for case in range(30):
         waves, box, resolution = random_grid_case(rng, case, resolutions)
@@ -274,34 +275,67 @@ def test_slab_walk_matches_the_per_wave_reference():
 
 
 def test_field_energy_grid_adds_every_wave_onto_every_slab(monkeypatch):
-    """Each slab's coefficient table holds 2N entries per x-plane, each
-    wave's own E or H coefficient times that plane's fx: summing the
+    """Each slab's coefficient table holds N entries per x-plane, each
+    wave's own coefficient i a_w times that plane's fx: summing the
     coefficients first would form the phase sum by hand, and would show
-    here as one entry per field."""
+    here as one entry per x-plane."""
     mode = WaveMode.plane(np.array([0.0, 3.0, 0.0]), amplitude=0.7 - 0.2j)
     waves = PhasedWaveSet(mode, (0.3, 1.9, 4.0, 5.5, 5.5))
     box = BoxVolume((1.1, 0.8, 2.5))
-    analytic = np.array([mode.amplitude * np.exp(1j * phi) for phi in waves.phases])
-    coefficients = np.array([(1j * mode.omega) * analytic, 1j * analytic])
-    fx = grid_factors(mode, box, (10, 13, 64))[0]
+    coefficients = np.array([1j * mode.amplitude * np.exp(1j * phi) for phi in waves.phases])
+    fx = grid_factors(mode, box, (40, 32, 64))[0]
     tables = []
     original = np.einsum
 
     def recording(subscripts, *operands, **kwargs):
-        if subscripts.startswith("xfwk,"):
+        if subscripts.startswith("xwk,"):
             # a contraction path may sum the waves' coefficients first
             assert not kwargs.get("optimize", False)
             tables.append(operands[0].copy())
         return original(subscripts, *operands, **kwargs)
 
     monkeypatch.setattr(np, "einsum", recording)
-    field_energy_grid(waves, box, (10, 13, 64))
-    # one chunk of 13 z-lines of 64 cells, so slabs of 9 x-planes, then 1
-    assert [table.shape for table in tables] == [(9, 2, 5, 2), (1, 2, 5, 2)]
+    field_energy_grid(waves, box, (40, 32, 64))
+    # one chunk of 32 z-lines of 64 cells, so slabs of 16 x-planes, 16, then 8
+    assert [table.shape for table in tables] == [(16, 5, 2), (16, 5, 2), (8, 5, 2)]
     laid = np.concatenate(tables)
     laid = laid[..., 0] + 1j * laid[..., 1]
-    want = fx[:, None, None] * coefficients
+    want = fx[:, None] * coefficients
     assert np.all(np.abs(laid - want) <= 1e-14 * np.abs(want))
+
+
+@pytest.mark.parametrize(
+    "resolution, plan",
+    [(48, (42, 48, 16)), (64, (32, 64, 16)), ((32768, 16, 16), (16, 16, 128)), ((16, 16, 32768), (1, 2048, 16))],
+)
+def test_grid_walk_fits_its_chunks_and_slabs(monkeypatch, resolution, plan):
+    """The walk's (lines, width, planes): every chunk of the (y, z) table
+    holds at most _TABLE_CELLS cells, so its rows and one x-plane of field
+    stay in L1, and every slab at most _SLAB_CELLS; small (y, z) planes
+    take many x-planes per slab, and long z-lines are cut to one chunk."""
+    plans, slabs = [], []
+    walk, original = classical._slab_walk, np.einsum
+
+    def planned(fx, fy, fz, coefficients, lines, width, planes):
+        plans.append((lines, width, planes))
+        return walk(fx, fy, fz, coefficients, lines, width, planes)
+
+    def recording(subscripts, *operands, **kwargs):
+        if subscripts.startswith("xwk,"):
+            slabs.append(kwargs["out"].shape)
+        return original(subscripts, *operands, **kwargs)
+
+    monkeypatch.setattr(classical, "_slab_walk", planned)
+    monkeypatch.setattr(np, "einsum", recording)
+    waves = PhasedWaveSet(WaveMode.plane(np.array([1.0, -2.0, 0.5])), (0.1, 2.0))
+    field_energy_grid(waves, BoxVolume((1.0, 2.0, 0.7)), resolution)
+    assert plans == [plan]
+    lines, width, planes = plan
+    assert lines * width <= classical._TABLE_CELLS
+    assert lines * width * planes <= classical._SLAB_CELLS
+    assert max(n for n, _ in slabs) == planes
+    assert max(c for _, c in slabs) == lines * width
+    assert sum(n * c for n, c in slabs) == math.prod(np.broadcast_to(resolution, (3,)))
 
 
 def test_field_energy_grid_never_forms_the_phase_sum(monkeypatch):
@@ -345,8 +379,9 @@ def test_field_energy_grid_resolution_must_be_integers():
     for bad in (48.7, 16.0, (8.9, 13, 21), np.array([8.0, 13.0, 21.0]), "16"):
         with pytest.raises(TypeError, match="resolution"):
             field_energy_grid(waves, box, bad)
-    with pytest.raises(ValueError):
-        field_energy_grid(waves, box, (16, 16))
+    for bad in ((16, 16), (8, 8, 8, 8), [[8, 8, 8]]):
+        with pytest.raises(ValueError, match="resolution must be one integer or three"):
+            field_energy_grid(waves, box, bad)
     with pytest.raises(ValueError, match="at least 8"):
         field_energy_grid(waves, box, (8, 7, 8))
     assert field_energy_grid(waves, box, np.int64(16)) == field_energy_grid(waves, box, 16)
@@ -357,12 +392,13 @@ def test_field_energy_grid_resolution_must_be_integers():
 
 def test_grid_request_over_budget_is_refused_before_allocation():
     """The walk holds one chunk of the (y, z) table (32 bytes per cell, at
-    most 8192 cells: a z-line longer than that is cut into chunks), one
-    slab of x-planes beside it (16 bytes per cell), 32 bytes per wave for
-    each of the slab's x-planes and two more, 56 per axis point and 8 KB per
+    most 2048 cells: a z-line longer than that is cut into chunks), one
+    slab of x-planes beside it (8 bytes per cell), 16 bytes per wave for
+    each of the slab's x-planes and two more, 40 per axis point and 8 KB per
     call, so only the axes grow with res_z; it counts cells x (waves + 3)
-    operations, one update per wave and three for the density. A request
-    over either budget is refused at once, before it allocates."""
+    operations, one update per wave and three for the field's zeroing, its
+    square and the sum. A request over either budget is refused at once,
+    before it allocates."""
     waves = PhasedWaveSet(unit_mode(), (0.0, 1.0))
     box = BoxVolume((1.0, 1.0, 1.0))
     work = f" operations, over the work budget of {core.WORK_BUDGET} operations"
@@ -371,9 +407,9 @@ def test_grid_request_over_budget_is_refused_before_allocation():
         (10_000, f"grid request of {10 ** 12} cells x 2 waves needs {5 * 10 ** 12}{work}"),
         ((1_000_000, 100, 100), f"grid request of {10 ** 10} cells x 2 waves needs {5 * 10 ** 10}{work}"),
         ((8, 8, 2 ** 25), f"grid request of {2 ** 31} cells needs"
-                          f" {48 * 8192 + 32 * 3 * 2 + 56 * (16 + 2 ** 25) + 8192}{memory}"),
+                          f" {96 * 2048 + 16 * 10 * 2 + 40 * (16 + 2 ** 25) + 8192}{memory}"),
         ((8, 8, 2 ** 62), f"grid request of {2 ** 68} cells needs"
-                          f" {48 * 8192 + 32 * 3 * 2 + 56 * (16 + 2 ** 62) + 8192}{memory}"),
+                          f" {96 * 2048 + 16 * 10 * 2 + 40 * (16 + 2 ** 62) + 8192}{memory}"),
     )
     tracemalloc.start()
     try:
@@ -391,8 +427,8 @@ def test_grid_request_over_budget_is_refused_before_allocation():
 
 def test_one_wave_grid_counts_its_per_slab_work(monkeypatch):
     """A one-wave grid just under WORK_BUDGET cells costs about four times
-    its cell count, since building the plane, zeroing E and H and summing
-    the density do not scale with the waves; it is refused before the walk."""
+    its cell count, since zeroing the field, squaring it and summing the
+    squares do not scale with the waves; it is refused before the walk."""
     def walk(*args):
         raise AssertionError("the walk started")
 
@@ -440,7 +476,7 @@ def test_grid_budget_covers_the_measured_peak(monkeypatch, resolution):
 @pytest.mark.parametrize("resolution", [8, (9, 300, 50), (2000, 8, 8)])
 def test_grid_budget_covers_the_measured_peak_of_many_waves(monkeypatch, resolution):
     """Each wave's coefficients are charged for every x-plane of a slab:
-    400 waves, on slabs of up to 128 x-planes (2000 x 8 x 8)."""
+    400 waves, on slabs of up to 512 x-planes (2000 x 8 x 8)."""
     phases = tuple(np.linspace(0.0, 6.0, 400))
     waves = PhasedWaveSet(WaveMode.plane(np.array([1.0, -2.0, 0.5])), phases)
     charged, peak = measured_grid_peak(monkeypatch, waves, resolution)
