@@ -3,74 +3,55 @@
 Two independent routes to the same physics live here. The closed form
 (`classical_energy`) evaluates the interference Hamiltonian analytically:
 for N phase-shifted copies of one mode the total energy is E1*|S|^2 with
-S the coherent phase sum, so it ranges from 0 (destructive) to N^2*E1
-(constructive). The brute-force route (`field_energy_grid`) integrates
-the energy density (E^2 + H^2)/8pi on a grid, with E = -dA/dt (c = 1)
-and H = curl A evaluated pointwise; over a box commensurate with the
-wavelength the two agree to quadrature accuracy. It never forms the phase
-sum: each wave's field is laid onto the grid and summed there. Because
-e^{ik.r} = e^{ik_x x} e^{ik_y y} e^{ik_z z} on the midpoint grid, a cell's
-plane-wave value is fx[x] times a (y, z) table fy[y]*fz[z], so the
-exponential is evaluated once per axis point and once per wave, not once
-per cell per wave. With omega = |k|, E and H are one real field F. Its
-table is built once, in L1-sized chunks of real rows, each walked in slabs
-of x-planes: one einsum per slab lays every wave's coefficient times fx, a
-small real table, as its own Re F onto every cell. The walk holds no res^3
-array and no complex field; before it starts, its memory is checked
-against MEMORY_BUDGET_BYTES and its cell updates against WORK_BUDGET.
+S the coherent phase sum, from 0 (destructive) to N^2*E1 (constructive).
+The brute-force route (`field_energy_grid`) integrates the energy density
+(E^2 + H^2)/8pi on a grid, with E = -dA/dt (c = 1) and H = curl A
+evaluated pointwise; over a box commensurate with the wavelength the two
+agree to quadrature accuracy. It never forms the phase sum: each wave's
+field is laid onto the grid and summed there, from the factors e^{ik_x x},
+e^{ik_y y} and e^{ik_z z} of the midpoint axes (see _slab_walk).
 
 Far-field power of point-source arrays is integrated over a detector
-surface: the default geometry is the forward hemisphere (array along x in
-the z=0 plane, cap around +z, theta measured from +z), with a 1-D arc in
-the x-z plane as the fast mode for sweeps over linear arrays. One engine,
-`farfield_powers`, evaluates a list of arrays on one detector;
-`farfield_power`, `transmission_spectrum` and the far-field sweeps of
-`experiments` all go through it. It sums the brute-force field of every
-source at every detector point, with one rearrangement: a source at
-distance r = |p| + d from the point p contributes e^{i(k d + phi)} / r,
-since the row's common phase e^{ik|p|} drops out of |field|^2 exactly.
-The path differences d are small and exact to full precision, so real
-cos/sin of k d replace the complex exponential of k r. Arrays of equal
-positions form a group, and consecutive groups of one source count, fold,
-run shape and matvec width a stack (every step of a spacing sweep), cut to
-the groups whose source-major d and 1/r one chunk pass builds. Each stack
-is planned once, when it is formed: its rows per chunk (about 2^16 path
-differences) and its batches (consecutive runs of as many phase sets, a
-run being the steps that change only the phases, with one cos and one sin
-pass and einsum matvecs that sum each row's sources in ascending order).
-The walk and the budget check both read that plan. The detector rows are
-walked in blocks, whose quadrature is built once for every stack that
-walks the same rows (see below); each block weighs each fold's rows once,
-with its partial of the origin-centered reference source (1/|p|^2 at
-every k), and each stack of the fold walks the block in its chunks.
-Nothing the engine holds grows with the detector's points (but for the
-cosine table of a line's weights, two floats per sample) or couples its
-rows to the source count, and before it builds anything it checks the
-largest stack's walk against MEMORY_BUDGET_BYTES and its work against
-WORK_BUDGET.
+surface: the forward hemisphere by default (array along x in the z=0
+plane, cap around +z, theta from +z), or a 1-D arc in the x-z plane, the
+fast mode for sweeps over linear arrays. One engine, `farfield_powers`,
+evaluates a list of arrays on one detector; `farfield_power`,
+`transmission_spectrum` and the far-field sweeps of `experiments` go
+through it. It sums the brute-force field of every source at every
+detector point as e^{i(k d + phi)} / r, from the path differences
+d = r - |p| (a row's common phase e^{ik|p|} drops out of |field|^2
+exactly), so real cos/sin of the small, exact k d replace the complex
+exponential of k r. Arrays of equal positions form a group, and
+consecutive groups of one source count, fold, run shape and matvec width
+form a stack (every step of a spacing sweep), planned once when it is
+formed (see _planned_stacks). The detector rows are walked in blocks,
+each built once for every stack that walks its rows.
+
+Each walk allocates what its plan says: the plan records the shape of
+every array the walk allocates, and before anything is built, the plan's
+bytes are checked against MEMORY_BUDGET_BYTES (numpy's own temporaries
+and buffers, and the Python objects, are named, measured terms) and its
+work against WORK_BUDGET. Nothing the far-field engine holds grows with
+the detector's points (but for the cosine table of a line's weights) or
+couples its rows to the source count; the grid holds no res^3 array.
 
 An array whose sources all lie on the x axis (every array the CLI builds)
 is a line: its field on the hemisphere depends only on u = p_x / R, so the
 hemisphere walks it on the arc's nodes, weighted by a 1-D rule in u (see
 _line_weights), not on its (theta, phi) nodes. Its stacks walk, fold and
-are planned as on the arc of the same radius and samples (see _walked);
-only the weights differ, and the reference source takes the same rows.
+are planned as on the arc of the same radius and samples (see _walked).
 
-The arc is mirror-symmetric under x -> -x, and so are the u nodes on
-which the hemisphere walks a line. When the mirror also maps an array's
-positions onto themselves, exactly, in order or reversed (a linear array
-centered on the x axis is reversed by it), the walk folds: it builds one
-fundamental node of each mirror pair, and takes path differences and
-cos/sin only there. An image node is the exact sign flip of its
-fundamental node, so its row is the fundamental row with the sources in
-order or reversed. An in-order image adds its weight to the fundamental
-row; a reversed one sums it against the phases reversed, or reuses the
-in-order intensities when the phases equal their reversal. A centered
-line takes cos/sin over half the arc's nodes, on the arc and on the
-hemisphere. Any other array takes every row, with the nodes as listed: a
-jittered one, one symmetric only under some other order of its sources,
-and any array off the x axis on the hemisphere, which takes the (theta,
-phi) walk.
+The arc is mirror-symmetric under x -> -x, and so are a line's u nodes.
+When the mirror also maps an array's positions onto themselves, exactly,
+in order or reversed (a linear array centered on the x axis is reversed),
+the walk folds: it takes path differences and cos/sin only on one
+fundamental node of each mirror pair. An image node is the exact sign flip
+of its fundamental node, so its row is the fundamental row with the
+sources in order or reversed: an in-order image adds its weight to the
+fundamental row, a reversed one sums it against the phases reversed, or
+reuses the in-order intensities when the phases equal their reversal. Any
+other array (jittered, symmetric only under some other order of its
+sources, or off the x axis on the hemisphere) takes every row.
 """
 
 from __future__ import annotations
@@ -108,8 +89,7 @@ FAR_FIELD_FACTOR = 100.0
 GEOMETRIES = ("hemisphere", "arc")
 
 # the detector geometry of spectra, far-field sweeps and the far-field
-# scaling fit when none is chosen: the fast arc (a DetectorGrid built
-# without one is a hemisphere)
+# scaling fit when none is chosen (a DetectorGrid's own is a hemisphere)
 DRIVER_GEOMETRY = "arc"
 
 # the detector samples of far-field sweeps and the far-field scaling fit
@@ -126,43 +106,37 @@ _COMMENSURATE_TOL = 1e-9
 # 2.3, at a = 0.7-0.8 ns on a 2-vCPU VM)
 _GRID_CELL_WORK = 3
 
-# cells per chunk of the (y, z) table (a run of z-lines, or a piece of one
-# longer z-line), whose Re and -Im rows (32 KB) and one x-plane of field
-# (16 KB) stay in L1, and per slab: as many x-planes as fit beside a chunk
+# cells per chunk of the (y, z) table (z-lines, or a piece of one), whose
+# Re and -Im rows (32 KB) and one x-plane of field (16 KB) stay in L1, and
+# per slab: as many x-planes as fit beside a chunk, but no more than keep
+# its coefficient table (planes x N complex) within a full chunk's cells
 _TABLE_CELLS = 2 ** 11
 _SLAB_CELLS = 2 ** 15
-
-# bytes the grid walk holds per slab cell: Re F (float)
-_SLAB_CELL_BYTES = 8
-
-# bytes per (y, z) cell of a chunk: its Re and -Im rows (float) and the
-# complex fy*fz that builds them
-_TABLE_CELL_BYTES = 32
-
-# bytes per wave and slab x-plane: each wave's coefficient times fx
-# (complex); the coefficients and their build count as two planes more
-_SLAB_PLANE_BYTES = 16
-
-# bytes per axis point: the midpoint axis, its factor e^{ik x}, and the one
-# complex temporary of the factor's build (40 measured by tracemalloc)
-_AXIS_POINT_BYTES = 40
 
 # bytes a grid call holds whatever its size: array headers and the walk's
 # views and einsum calls (about 6 KB measured at res 8, one wave)
 _GRID_CALL_BYTES = 8192
 
+# operands that numpy's iterator buffers in one ufunc call whose inner loop
+# is shorter than np.getbufsize() elements, each buffer holding at most that
+# many: a broadcast or cast input, two at most (tracemalloc, numpy 2.4)
+_BUFFERED_OPERANDS = 2
+
+# bytes of Python objects a far-field call holds, measured with tracemalloc:
+# whatever its size (array headers, views: 8-13 KB), per stack (its lists
+# and plan: 1.5-2.0 KB) and per array (its entries and power: 160-210)
+_FARFIELD_CALL_BYTES = 16384
+_FARFIELD_STACK_BYTES = 2048
+_FARFIELD_ARRAY_BYTES = 256
+
 # detector rows per block of the far-field walk: each block builds its own
 # quadrature, shared by every positions group that walks the same rows
 _BLOCK_ROWS = 4096
 
-# path differences per chunk of a far-field block: each group walks a
-# block's fundamental rows in chunks of about this many cells and at least
-# _CHUNK_MIN_ROWS rows, so a block of up to 16 sources is one chunk, and
-# its path differences and 1/r (about 512 KB each at most) stay in cache.
-# Each chunk's weighted intensities are summed pairwise, and the chunk
-# partials added in order. The floor of two rows was timed on arc spectra
-# at N = 4000 and 20 000 (2-vCPU VM): at 20 000, chunks of 16 rows ran 9%
-# slower, since their arrays (5 MB each) no longer stay in cache
+# path differences per chunk of a far-field block, in chunks of at least
+# _CHUNK_MIN_ROWS rows: a block of up to 16 sources is one chunk, and its
+# path differences and 1/r (512 KB each at most) stay in cache; at N = 20 000
+# chunks of 16 rows (5 MB arrays) ran 9% slower (2-vCPU VM)
 _CHUNK_CELLS = 1 << 16
 _CHUNK_MIN_ROWS = 2
 
@@ -172,41 +146,26 @@ _CHUNK_MIN_ROWS = 2
 _OUTPUT_CELLS = 1 << 12
 
 # far-field work per detector point and source, in the grid's operations
-# (WORK_BUDGET): the path difference and its 1/r (once per positions group),
-# the cos and sin of a trig pass (once per run of equal wavenumber) and one
-# phase set's four matvecs, timed at about 14.5, 16 and 1.7 ns (2-vCPU VM,
-# N = 64 and 300, 1/r then in the trig pass), 2.2 ns per grid operation
+# (WORK_BUDGET, 2.2 ns each when fitted): the path difference and 1/r (once
+# per positions group), a trig pass's cos and sin (once per run of equal k)
+# and one set's four matvecs: 14.5, 16 and 1.7 ns (2-vCPU VM, N = 64, 300)
 _PATH_WORK = 7
 _TRIG_WORK = 7
 _MATVEC_WORK = 1
 
-# float columns per materialized block row: the block's quadrature (of its
-# fundamental rows) and its build's temporaries, the previous block's
-# quadrature (still referenced while the next is built), the row weights and
-# reference intensities; an unfolded hemisphere block peaked at 19.2 with
-# one phase set's matvec results, now charged per batch (tracemalloc, N = 8)
-_ROW_COLUMNS = 20
+# float columns per block row of numpy's temporaries in building a block's
+# quadrature (see _block_arrays): its angles, sines and cosines (5 measured
+# with tracemalloc on the hemisphere, 4 on a folded arc)
+_QUADRATURE_COLUMNS = 6
 
-# bytes the far-field walk holds whatever its size: the buffers numpy's
-# ufuncs and einsum take, up to 8192 elements (64 KB) for each of an einsum's
-# three operands; tracemalloc peaks exceeded the other terms by at most 125 KB
-# (arcs of 64-1024 points, N = 20-3000)
-_WALK_BUFFER_BYTES = 3 << 16
-
-# bytes per source of the fold check (see _source_mirror): the mirrored
-# copy (24) and the booleans of one comparison (3); tracemalloc peaked at
-# 27.7 at N = 10^5, for linear and jittered arrays alike. The check runs
-# before the budget check, like the positions it reads
-_FOLD_SOURCE_BYTES = 32
+# float cells per source of the fold check (see _source_mirror): the
+# mirrored copy (3) and one comparison's booleans (3 bytes)
+_FOLD_SOURCE_CELLS = 4
 
 # the cosine sum of a line's weights on the hemisphere (see _line_weights):
-# terms per chunk, and bytes per term of a chunk (its angles and their
-# cosines; 25 measured with tracemalloc) and per sample (the cosine table of
-# 2 samples entries); in the grid's operations per term (WORK_BUDGET), timed
-# at 8-9 ns from 1024 samples up (2-vCPU VM)
+# terms per chunk, and in the grid's operations per term (WORK_BUDGET),
+# timed at 8-9 ns from 1024 samples up (2-vCPU VM)
 _LINE_CELLS = 1 << 13
-_LINE_CELL_BYTES = 32
-_LINE_SAMPLE_BYTES = 16
 _LINE_WORK = 4
 
 # bytes per step of a far-field sweep besides the sources: the step's
@@ -214,17 +173,15 @@ _LINE_WORK = 4
 _SWEEP_STEP_BYTES = 512
 
 # bytes per source that a far-field sweep step holds, by kind: spectrum
-# steps share their array's positions and phases, wavelength and
-# phase_delta steps hold new phases (8), and spacing and source_count steps
-# build new positions and phases (32). phase_delta steps share one engine
-# pass, which holds the cos and sin of every step's phases at once (16)
+# steps share their array's, wavelength and phase_delta steps hold new
+# phases (8; phase_delta steps share one engine pass, which holds the cos
+# and sin of all of them, 16), spacing and source_count steps new positions
+# and phases (32)
 _SWEEP_SOURCE_BYTES = dict(spectrum=0, wavelength=8, phase_delta=24, spacing=32, source_count=32)
 
 # bytes per source held once per sweep: the first array under construction
-# and its temporaries (72 measured at 20 000 sources, more per source at a
-# few hundred, where a call's fixed overhead counts), and the cos and sin
-# (16) of one step's phases (the engine's budget charges the cos and sin it
-# holds, those of one stack's distinct phases)
+# and its temporaries (72 measured at 20 000 sources), and the cos and sin
+# (16) of one step's phases (the engine charges those of a stack's)
 _SWEEP_BUILD_BYTES = 96
 
 
@@ -241,17 +198,12 @@ class DetectorGrid:
     is ``samples`` on the arc and ``samples``^2 on the hemisphere: the
     nodes of its (theta, phi) rule.
 
-    An array whose sources all lie on the x axis radiates a field that
-    depends on a hemisphere point p only through u = p_x / R, so the
-    hemisphere integrates it as a 1-D rule in u (see _line_weights): its
-    ``samples`` u nodes are the arc's points, and no (theta, phi) node is
-    walked. Every array the CLI builds is such a line.
-
-    The arc's nodes come in mirror pairs of equal weight, theta and -theta
-    under x -> -x, and so do the u nodes of a line on the hemisphere. Where
-    the engine folds an array onto that mirror, it builds each image node
-    as the exact sign flip of its fundamental node, which may differ from
-    the node as listed in its last bit.
+    The hemisphere integrates an array on the x axis (every array the CLI
+    builds) as a 1-D rule in u = p_x / R on the arc's points (see
+    _line_weights). Where the engine folds an array onto the arc's mirror
+    x -> -x, it builds each image node as the exact sign flip of its
+    fundamental node, which may differ from the node as listed in its last
+    bit.
     """
 
     radius: float
@@ -337,9 +289,7 @@ def classical_energy(waves: PhasedWaveSet, volume: BoxVolume | None = None):
     return EnergyReport(diagonal, cross)
 
 
-def field_energy_grid(
-    waves: PhasedWaveSet, volume: BoxVolume, resolution=64
-) -> GridEnergy:
+def field_energy_grid(waves: PhasedWaveSet, volume: BoxVolume, resolution=64) -> GridEnergy:
     """Midpoint-rule integral of the instantaneous energy density.
 
     The fields of each wave are evaluated analytically at every cell
@@ -351,11 +301,8 @@ def field_energy_grid(
     pol) is omega F and |H| (along k x pol) is k F, and E^2 + H^2 = 2k^2 F^2;
     waves of several wavevectors would need H's own components again.
 
-    e^{ik.r} separates over the axes of the midpoint grid, so a cell's
-    plane-wave value is fx[x] times the (y, z) table fy[y]*fz[z], and each
-    wave's field is that value times its coefficient: 3*res + N exponentials
-    in place of N*res^3. The table is built once, chunk by chunk, and each
-    chunk is walked in slabs of x-planes (see _slab_walk), so the memory held
+    e^{ik.r} separates over the axes of the midpoint grid, so 3*res + N
+    exponentials replace N*res^3, and the walk (see _slab_walk) holds what
     grows with the axes and the waves, not with the cell count.
 
     ``resolution`` is the number of cells per axis, one integer or three.
@@ -374,12 +321,8 @@ def field_energy_grid(
         raise ValueError("resolution must be at least 8 per axis")
     cells = math.prod(res)
     n_waves = waves.n_waves
-    width = min(res[2], _TABLE_CELLS)
-    lines = min(res[1], _TABLE_CELLS // width)
-    planes = min(res[0], _SLAB_CELLS // (lines * width))
-    needed = (_TABLE_CELL_BYTES + _SLAB_CELL_BYTES * planes) * lines * width
-    needed += _SLAB_PLANE_BYTES * (planes + 2) * n_waves
-    needed += _AXIS_POINT_BYTES * sum(res) + _GRID_CALL_BYTES
+    plan = _planned_slabs(res, n_waves)
+    needed = 8 * sum(map(math.prod, plan.values())) + _GRID_CALL_BYTES
     _check_budget(needed, f"grid request of {cells} cells")
     work = cells * (n_waves + _GRID_CELL_WORK)
     _check_work(work, f"grid request of {cells} cells x {n_waves} waves")
@@ -392,37 +335,58 @@ def field_energy_grid(
     residual = np.prod(_sinc(k * lengths))
     commensurate = bool(abs(residual) < _COMMENSURATE_TOL)
 
-    axes = [
-        volume.center[i] - lengths[i] / 2.0 + (np.arange(res[i]) + 0.5) * (lengths[i] / res[i])
-        for i in range(3)
-    ]
+    axes = [volume.center[i] - lengths[i] / 2.0 + (np.arange(res[i]) + 0.5) * (lengths[i] / res[i])
+            for i in range(3)]
     fx, fy, fz = (np.exp(1j * k[i] * axes[i]) for i in range(3))
     coefficients = 1j * mode.amplitude * np.exp(1j * np.array(waves.phases))
     # the real fields are 2 Re E and 2 Re H: (E^2 + H^2)/8pi = 2k^2 F^2 / 2pi
-    total = 2.0 * mode.wavenumber ** 2 * _slab_walk(fx, fy, fz, coefficients, lines, width, planes)
+    total = 2.0 * mode.wavenumber ** 2 * _slab_walk(fx, fy, fz, coefficients, plan)
 
     cell = volume.volume / cells
     energy = float(total / TWO_PI * cell)
     return GridEnergy(energy, commensurate)
 
 
-def _slab_walk(fx, fy, fz, coefficients, lines: int, width: int, planes: int) -> float:
+def _buffers(cells: int) -> tuple[int, int]:
+    """The shape of numpy's iterator buffers for one ufunc call over
+    ``cells`` float cells (see _BUFFERED_OPERANDS)."""
+    return _BUFFERED_OPERANDS, min(cells, np.getbufsize())
+
+
+def _planned_slabs(res, n_waves: int) -> dict:
+    """The plan of a grid request of ``res`` cells per axis: the shape in
+    float cells (a complex value is two) of every array it holds, by name.
+    It builds the midpoint axes, with numpy's temporary k x of one axis and
+    the buffers of its cast to complex, their factors e^{ik x} and the
+    coefficients; its walk (see _slab_walk) takes chunks of the (y, z)
+    table, a "plane" of (lines, width) cells, at most _TABLE_CELLS, and
+    slabs of at most _SLAB_CELLS cells, whose coefficient "table" holds
+    (planes, N) complex values, at most _TABLE_CELLS, one x-plane at least."""
+    width = min(res[2], _TABLE_CELLS)
+    lines = min(res[1], _TABLE_CELLS // width)
+    planes = min(res[0], _SLAB_CELLS // (lines * width), max(1, _TABLE_CELLS // n_waves))
+    return {"axes": (sum(res),), "temporary": (max(res), 2), "buffers": _buffers(max(res)),
+            "factors": (sum(res), 2), "coefficients": (n_waves, 2), "table": (planes, n_waves, 2),
+            "plane": (lines, width, 2), "rows": (2, lines * width), "slab": (planes, lines * width)}
+
+
+def _slab_walk(fx, fy, fz, coefficients, plan: dict) -> float:
     """Sum of Re(F)^2 over the grid, F = sum_w ``coefficients``[w] fx fy fz.
 
-    The (y, z) table fy*fz is built once, in chunks of ``lines`` z-lines
-    cut to ``width`` cells, each kept as two real rows, Re and -Im. Each
-    chunk is walked in slabs of ``planes`` x-planes (fewer in the last).
-    A slab multiplies every wave's coefficient by fx at each of its
-    x-planes, a real (x, wave, Re/Im) table, and one einsum lays every
-    wave's own Re F onto every cell: Re(c fx) Re(fy fz) - Im(c fx) Im(fy fz),
-    added per cell in einsum's own loop, with no contraction path to sum
-    the coefficients first. Each slab's Re(F)^2 is summed pairwise, in order.
+    The (y, z) table fy*fz is built once, in chunks of the ``plan``'s
+    (lines, width) plane, each kept as two real rows, Re and -Im, and each
+    walked in slabs of x-planes, as many as the plan's coefficient table
+    holds (fewer in the last). A slab multiplies every wave's coefficient by
+    fx at each of its x-planes, a real (x, wave, Re/Im) table, and one
+    einsum lays every wave's own Re F onto every cell, Re(c fx) Re(fy fz) -
+    Im(c fx) Im(fy fz), in its own loop, with no contraction path to sum
+    the coefficients first. Each slab's Re(F)^2 is summed pairwise, in
+    order. The walk allocates the plan's table, plane, rows and slab.
     """
-    scaled = np.empty((planes, coefficients.size), dtype=complex)
-    # the complex products read as floats: their last axis is (Re, Im)
-    table = scaled.view(float).reshape(scaled.shape + (2,))
-    chunk = lines * width
-    plane, rows, slab = np.empty(chunk, dtype=complex), np.empty(2 * chunk), np.empty(planes * chunk)
+    table, plane, rows, slab = (np.empty(plan[name]) for name in ("table", "plane", "rows", "slab"))
+    planes, (lines, width) = len(table), plane.shape[:2]
+    # the complex products read as floats: the tables' last axis is (Re, Im)
+    scaled, plane = table.view(complex)[..., 0], plane.reshape(-1, 2).view(complex)[:, 0]
     total = 0.0
     for y in range(0, fy.size, lines):
         for z in range(0, fz.size, width):
@@ -431,13 +395,13 @@ def _slab_walk(fx, fy, fz, coefficients, lines: int, width: int, planes: int) ->
             # einsum forms the outer products: a broadcasting multiply would
             # allocate numpy's operand buffers
             np.einsum("y,z->yz", ys, zs, out=plane[:c].reshape(ys.size, zs.size))
-            yz = rows[:2 * c].reshape(2, c)
+            yz = _prefix(rows, (2, c))
             yz[0] = plane[:c].real
             np.negative(plane[:c].imag, out=yz[1])
             for x in range(0, fx.size, planes):
                 n = min(planes, fx.size - x)
                 np.einsum("x,w->xw", fx[x:x + n], coefficients, out=scaled[:n])
-                field = slab[:n * c].reshape(n, c)
+                field = _prefix(slab, (n, c))
                 np.einsum("xwk,kc->xc", table[:n], yz, out=field)
                 np.square(field, out=field)
                 total += float(field.sum())
@@ -446,11 +410,10 @@ def _slab_walk(fx, fy, fz, coefficients, lines: int, width: int, planes: int) ->
 
 def _detector_quadrature(detector: DetectorGrid, index, line=False) -> tuple[np.ndarray, np.ndarray]:
     """Midpoint sample points (rows, 3) and integration weights (rows,) of
-    the detector points of the integer array ``index``. The hemisphere's
-    index runs over phi within each theta, as a (theta, phi) meshgrid
-    flattens, and each point takes the floats that meshgrid gave it. For a
-    ``line`` on the hemisphere, the index runs over its u nodes: the arc's
-    points, with the weights of _line_weights."""
+    the detector points of the integer array ``index``, which runs over phi
+    within each theta on the hemisphere, as a (theta, phi) meshgrid
+    flattens, with the floats that meshgrid gave each point; for a ``line``
+    on the hemisphere, over its u nodes, with the weights of _line_weights."""
     n = detector.samples
     radius = detector.radius
     if detector.geometry == "arc" or line:
@@ -481,31 +444,42 @@ def _line_weights(detector: DetectorGrid, index) -> np.ndarray:
     which Fejer's first rule, w_j = (2/n) (1 - 2 sum_{k=1}^{n/2}
     cos(k (2j + 1) pi / n) / (4k^2 - 1)), integrates every polynomial below
     degree n exactly (Trefethen, SIAM Rev. 50, 2008); the (theta, phi) rule
-    errs as O(h^2). Gauss-Legendre would save a third of the nodes from
-    k L ~ 110 up (none at k L <= 36), but needs a node set and a Newton
-    iteration of its own. Each cosine is read from a table at the exact
-    integer k (2j + 1) mod 2n, in chunks of _LINE_CELLS terms: O(n) memory
-    and O(n) work per node (an FFT takes O(log n) per node, but loading
-    numpy.fft maps 0.5 MB more)."""
+    errs as O(h^2) (Gauss-Legendre would save a third of the nodes from
+    k L ~ 110 up, with a Newton iteration of its own). Each cosine is read
+    from a table at the exact integer k (2j + 1) mod 2n, in the chunks of
+    _line_terms: O(n) memory and O(n) work per node (an FFT takes O(log n),
+    but numpy.fft maps 0.5 MB more). It allocates what _block_arrays plans."""
     n = detector.samples
     k = np.arange(1, n // 2 + 1)
     coefficients = 1.0 / (4.0 * k * k - 1.0)
     table = np.cos(np.arange(2 * n) * (math.pi / n))
-    sums = np.empty(index.size)
-    rows = max(1, _LINE_CELLS // k.size)
+    sums, chunk = np.empty(index.size), _line_terms(n, index.size)
+    angles, terms, rows = np.empty(chunk, np.intp), np.empty(chunk), chunk[0]
     for start in range(0, index.size, rows):
-        angles = (2 * index[start:start + rows, None] + 1) * k
-        angles %= 2 * n
-        terms = table[angles]
-        terms *= coefficients
-        sums[start:start + rows] = terms.sum(axis=1)
-    return (2.0 * math.pi * detector.radius ** 2 / n) * (1.0 - 2.0 * sums)
+        part = slice(0, min(rows, index.size - start))
+        np.multiply(2 * index[start:start + rows, None] + 1, k, out=angles[part])
+        angles[part] %= 2 * n
+        # mode "clip" takes no buffer of the output, which "raise" would
+        np.take(table, angles[part], out=terms[part], mode="clip")
+        terms[part] *= coefficients
+        terms[part].sum(axis=1, out=sums[start:start + rows])
+    sums *= -2.0
+    sums += 1.0
+    sums *= 2.0 * math.pi * detector.radius ** 2 / n
+    return sums
+
+
+def _line_terms(samples: int, nodes: int) -> tuple[int, int]:
+    """A chunk of a line's weight terms for a block of ``nodes`` u nodes:
+    as many nodes as _LINE_CELLS terms hold (one at least, the block at
+    most), by their samples/2 terms."""
+    half = samples // 2
+    return min(nodes, max(1, _LINE_CELLS // half)), half
 
 
 def _walked(detector: DetectorGrid, line: bool) -> DetectorGrid:
-    """The detector whose nodes the walk takes: the arc of the same radius
-    and samples for a line on the hemisphere (see _fold), whose rows are
-    the arc's u nodes folded by the arc's mirror, and else the detector."""
+    """The detector whose nodes the walk takes: for a line on the
+    hemisphere (see _fold), the arc of the same radius and samples."""
     return DetectorGrid(detector.radius, "arc", detector.samples) if line else detector
 
 
@@ -521,12 +495,11 @@ def _fundamental_rows(detector: DetectorGrid, folded: bool) -> tuple[int, int]:
 
 class _Fold(NamedTuple):
     """How a positions group folds onto the walked detector's mirror (see
-    _fold). ``folded``: whether the walk takes the fundamental rows of
-    x -> -x. ``classes``: the materialized rows per fundamental node, 2
-    when the mirror reverses the sources (the second sums the fundamental
-    row against the phases reversed) and else 1. ``line``: whether the
-    group is a line on the hemisphere, walked on the arc's nodes (see
-    _walked)."""
+    _fold): whether the walk takes the fundamental rows of x -> -x; the
+    materialized rows per fundamental node, 2 when the mirror reverses the
+    sources (the second sums the fundamental row against the phases
+    reversed) and else 1; and whether the group is a line on the hemisphere,
+    walked on the arc's nodes (see _walked)."""
 
     folded: bool
     classes: int
@@ -552,10 +525,8 @@ def _source_mirror(positions: np.ndarray):
 def _fold(detector: DetectorGrid, positions: np.ndarray) -> _Fold:
     """Whether x -> -x, the mirror of the walked detector's nodes when it
     is an arc (see _walked), also maps ``positions`` onto themselves, in
-    order or reversed. Positions on the x axis (every y and z zero) on the
-    hemisphere are a line, walked on the arc's nodes, so a line centered on
-    the origin folds there as on the arc, reversed; any other group on the
-    hemisphere takes the (theta, phi) walk, unfolded.
+    order or reversed. Positions on the x axis on the hemisphere are a line,
+    walked on the arc's nodes; any other group there is unfolded.
 
     With p' the exact mirror of a node p, |p'| = |p| and d(p', x_n) =
     d(p, x_m) hold bit for bit, where m is n or N - 1 - n, so the image
@@ -584,11 +555,10 @@ def _path_differences(points, norms, positions, squares, table, inverse, scratch
     r = |p - x|, into ``table`` (groups, N, rows), and 1/r into ``inverse``.
 
     r is summed one coordinate at a time; d is then formed as
-    (|x|^2 - 2 p.x) / (r + |p|), the same quantity with no cancellation
-    between r and |p|, so d keeps full relative precision however far the
-    detector is; ``squares`` holds each |x|^2. ``inverse`` holds r + |p|
-    until then. The x terms are written into ``inverse`` and ``table``, and
-    ``scratch``, shaped like ``table``, holds the y and z terms added on.
+    (|x|^2 - 2 p.x) / (r + |p|), with no cancellation between r and |p|, so
+    d keeps full precision however far the detector is (``squares`` holds
+    each |x|^2, ``inverse`` r + |p| until then, and ``scratch``, shaped like
+    ``table``, the y and z terms).
     """
     np.subtract(points[:, 0], positions[..., 0, None], out=inverse)
     inverse *= inverse
@@ -612,8 +582,8 @@ def _row_blocks(count: int, rows: int = _BLOCK_ROWS):
     """Slices of ``count`` detector rows, ``rows`` at a time; a last row that
     would stand alone joins the slice before it, since einsum sums a lone
     row's sources in an order of its own (see _run_powers)."""
-    stops = [*range(rows, count - 1, rows), count]
-    return map(slice, [0, *stops[:-1]], stops)
+    starts = range(0, max(count - 1, 1), rows)
+    return (slice(start, start + rows if start + rows in starts else count) for start in starts)
 
 
 def _chunk_rows(block_rows: int, n_sources: int) -> int:
@@ -632,9 +602,7 @@ def _run_powers(table, inverse, weights, wavenumbers, phasors, trig, outputs) ->
     of every run takes one ``trig`` pass, matvec'd into three ``outputs`` by
     einsums (not BLAS) whose inner loop runs over the rows (two or more, see
     _row_blocks), so every row sums its sources in ascending order on any
-    machine. One class's phasors give both classes its intensities. Each
-    set's weighted intensities are summed pairwise: its partial is the same
-    in any batch."""
+    machine. Each set's partial is summed pairwise, the same in any batch."""
     cos_phi, sin_phi = phasors[:, :, 0], phasors[:, :, 1]
     real, imag, product = outputs
     runs = trig.reshape(-1, *trig.shape[2:])
@@ -661,8 +629,7 @@ def _run_powers(table, inverse, weights, wavenumbers, phasors, trig, outputs) ->
 class _Stack(NamedTuple):
     """Consecutive positions groups of one N, fold, run shape and width, no
     more than one chunk pass builds (see _position_groups), and the plan of
-    their walk of a block (see _planned_stacks), which the walk and the
-    budget check both read."""
+    their walk of a block (see _planned_stacks)."""
 
     positions: list  # each group's positions, (N, 3)
     runs: list  # each group's runs of equal wavenumber, [(wavenumber, [phases, ...]), ...]
@@ -671,17 +638,21 @@ class _Stack(NamedTuple):
     height: int  # fundamental rows per chunk
     batches: list  # slices of consecutive runs with as many phase sets
     offsets: list  # each run's first phase set, and the sets per group last
+    walk: dict  # the shape of each array its walk of a block allocates
 
 
 def _planned_stacks(detector: DetectorGrid, positions, runs, fold: _Fold, width: int) -> list:
     """These groups as _Stacks of as many groups as one chunk pass builds,
     each with the plan of its walk of a block of its fold's rows (see
     _fundamental_rows): the rows per chunk (see _chunk_rows), the batches
-    (slices of consecutive runs with as many phase sets) and each run's
-    first phase set, the sets per group last. A run of s sets holds N cos or
-    sin and s width cells of each matvec output per group and row: at most
-    _CHUNK_CELLS and _OUTPUT_CELLS in a full stack's longest run and in a
-    batch, or one run. A last, shorter stack keeps a full one's plan."""
+    (slices of consecutive runs with as many phase sets; a last, shorter
+    stack keeps a full one's), each run's first phase set, the sets per
+    group last, and the shape in float cells of each array the walk
+    allocates, by name, for a chunk one row longer (see _row_blocks), and of
+    numpy's buffers of one broadcast (see _buffers). A run of s sets holds N
+    cos or sin and s width cells of each matvec output per group and row: at
+    most _CHUNK_CELLS and _OUTPUT_CELLS in a full stack's longest run and in
+    a batch, or one run."""
     n, shape = positions[0].shape[0], [len(sets) for _, sets in runs[0]]
     height = _chunk_rows(_fundamental_rows(detector, fold.folded)[1], n)
 
@@ -696,13 +667,31 @@ def _planned_stacks(detector: DetectorGrid, positions, runs, fold: _Fold, width:
         batches += map(slice, range(start, stop, step), [*range(start + step, stop, step), stop])
         start = stop
     offsets = [0, *itertools.accumulate(shape)]
-    return [_Stack(positions[i:i + size], runs[i:i + size], fold, width, height, batches, offsets)
-            for i in range(0, len(runs), size)]
+    steps = max(batch.stop - batch.start for batch in batches)
+    sets = max(offsets[batch.stop] - offsets[batch.start] for batch in batches)
+    rows = height + 1
+
+    def walk(group_runs):
+        g = len(group_runs)
+        arrays = dict(positions=(g, n, 3), squares=(g, n), keys=(g, offsets[-1]),
+                      wavenumbers=(g, len(shape)), table=(g, n, rows), inverse=(g, n, rows),
+                      phasors=(len(_distinct_phases(group_runs)), 2, width, n),
+                      trig=(g, steps, n, rows), gather=(g * sets, 2, width, n),
+                      outputs=(3, g * sets * width * rows))
+        return {**arrays, "buffers": _buffers(max(map(math.prod, arrays.values())))}
+
+    return [_Stack(positions[i:i + size], runs[i:i + size], fold, width, height, batches, offsets,
+                   walk(runs[i:i + size])) for i in range(0, len(runs), size)]
 
 
 def _distinct_phases(runs) -> dict:
     """The distinct phase arrays of some groups' ``runs``, by id."""
     return {id(phases): phases for group in runs for _, sets in group for phases in sets}
+
+
+def _prefix(array, shape) -> np.ndarray:
+    """The first cells of ``array``, as a C-contiguous array of ``shape``."""
+    return array.reshape(-1)[:math.prod(shape)].reshape(shape)
 
 
 def _stack_walk(stack: _Stack, points, norms, row_weights, powers):
@@ -711,41 +700,38 @@ def _stack_walk(stack: _Stack, points, norms, row_weights, powers):
     fold class's ``row_weights`` (see _row_weights), to ``powers`` (groups,
     sets). Each chunk builds the path differences and 1/r of every group in
     one pass, and each batch of runs takes one cos and one sin pass (see
-    _run_powers)."""
-    runs, width, offsets = stack.runs, stack.width, stack.offsets
+    _run_powers), in prefixes of the arrays of the plan, stack.walk."""
+    runs, width, offsets, plan = stack.runs, stack.width, stack.offsets, stack.walk
     positions = np.array(stack.positions)
     g, n = positions.shape[:2]
-    chunks = list(_row_blocks(norms.size, stack.height))
-    height = max(chunk.stop - chunk.start for chunk in chunks)
-    most = max(batch.stop - batch.start for batch in stack.batches)
-    most_sets = max(offsets[batch.stop] - offsets[batch.start] for batch in stack.batches)
-    table, inverse, trig, outputs = (np.empty(g * height * k)
-                                     for k in (n, n, most * n, 3 * most_sets * width))
     squares = np.einsum("gij,gij->gi", positions, positions)
     phases = _distinct_phases(runs)
-    phasors = np.empty((len(phases), 2, width, n))
+    phasors = np.empty(plan["phasors"])
     for row, values in zip(phasors, phases.values()):
-        np.cos([values, values[::-1]][:width], out=row[0])
-        np.sin([values, values[::-1]][:width], out=row[1])
+        row[:, 0], row[:, 1:] = values, values[::-1]
+        np.cos(row[0], out=row[0])
+        np.sin(row[1], out=row[1])
     index = {key: i for i, key in enumerate(phases)}
     keys = np.array([[index[id(values)] for _, sets in group_runs for values in sets]
                      for group_runs in runs])
     wavenumbers = np.array([[k for k, _ in group_runs] for group_runs in runs])
-    for chunk in chunks:
+    table, inverse, trig, gather, outputs = (
+        np.empty(plan[name]) for name in ("table", "inverse", "trig", "gather", "outputs"))
+    for chunk in _row_blocks(norms.size, stack.height):
         size = chunk.stop - chunk.start
-        cells, chunk_weights = g * n * size, row_weights[:, chunk]
-        paths, inverses = (np.reshape(a[:cells], (g, n, size)) for a in (table, inverse))
-        _path_differences(points[chunk], norms[chunk], positions, squares, paths, inverses,
-                          np.reshape(trig[:cells], (g, n, size)))
+        paths, inverses, scratch = (_prefix(a, (g, n, size)) for a in (table, inverse, trig))
+        _path_differences(points[chunk], norms[chunk], positions, squares, paths, inverses, scratch)
         for batch in stack.batches:
-            sets = slice(offsets[batch.start], offsets[batch.stop])
-            ids, steps = keys[:, sets].ravel(), batch.stop - batch.start
+            sets, steps = slice(offsets[batch.start], offsets[batch.stop]), batch.stop - batch.start
+            count = sets.stop - sets.start
+            # mode "clip" takes no buffer of the output, which "raise" would
+            batch_phasors = np.take(phasors, keys[:, sets], axis=0, mode="clip",
+                                    out=_prefix(gather, (g, count, 2, width, n)))
             powers[:, sets] += _run_powers(
-                paths, inverses, chunk_weights, wavenumbers[:, batch],
-                phasors[ids].reshape(g * steps, -1, 2, width, n),
-                np.reshape(trig[:cells * steps], (g, steps, n, size)),
-                np.reshape(outputs[:3 * ids.size * width * size],
-                           (3, g * steps, -1, width, size)))
+                paths, inverses, row_weights[:, chunk], wavenumbers[:, batch],
+                batch_phasors.reshape(g * steps, -1, 2, width, n),
+                _prefix(trig, (g, steps, n, size)),
+                _prefix(outputs, (3, g * steps, count // steps, width, size)))
 
 
 def _position_groups(arrays, detector: DetectorGrid) -> list[_Stack]:
@@ -779,50 +765,58 @@ def _position_groups(arrays, detector: DetectorGrid) -> list[_Stack]:
                                          fold, width)]
 
 
+def _block_arrays(detector: DetectorGrid, fold: _Fold, rows: int, n_sources: int):
+    """The shapes, in float cells, of the arrays a block of ``rows``
+    fundamental rows holds while stacks of ``fold`` walk it (see
+    farfield_powers): its nodes, points, weights, |p|, reference intensities
+    and each class's row weights; and of what its build takes besides:
+    numpy's temporaries (_QUADRATURE_COLUMNS per row), the fold check of
+    ``n_sources`` sources, which runs before anything is built, and for a
+    line the arrays of _line_weights: k, its coefficients, the cosine table
+    of 2 samples entries and numpy's temporary of its build, the sums, a
+    chunk's angles and terms and numpy's buffers of their broadcast."""
+    held = [(rows,), (rows, 3), (rows,), (rows,), (rows,), (fold.classes, rows)]
+    build = [(rows, _QUADRATURE_COLUMNS), (n_sources, _FOLD_SOURCE_CELLS)]
+    if fold.line:
+        chunk, table = _line_terms(detector.samples, rows), (2 * detector.samples,)
+        build += [chunk[1:], chunk[1:], table, table, (rows,), chunk, chunk,
+                  _buffers(math.prod(chunk))]
+    return held, build
+
+
 def _check_farfield_budget(detector: DetectorGrid, stacks):
     """Refuse a far-field request for ``stacks`` (see _position_groups) over
-    either budget, before anything is built. Memory: the most one stack's
-    walk of a block holds (see _stack_walk): its path differences, 1/r,
-    positions, |x|^2, phase ids, wavenumbers and phasors, and its largest
-    batch's trig, phasors and matvec outputs (a chunk and block one row
-    more, see _row_blocks); _ROW_COLUMNS per materialized block row; the
-    fold check; _WALK_BUFFER_BYTES; for a line on the hemisphere, the build
-    of its block's weights (see _line_weights): _LINE_CELL_BYTES per term of
-    a chunk (_LINE_CELLS, or one node's samples/2 when more) and
-    _LINE_SAMPLE_BYTES per sample, which alone grow with the detector.
-    Work: per fundamental row and source, _PATH_WORK for each group and
-    _TRIG_WORK for each run, per materialized row and source
+    either budget, before anything is built. Memory: 8 bytes per planned
+    cell of the most that one stack's block takes, a block one row longer
+    (see _row_blocks): its arrays and the larger of the stack's walk and the
+    block's build (see _block_arrays), which starts once the previous
+    block's arrays are freed; and the Python objects of the call, its stacks
+    and its arrays. Work: per fundamental row and source, _PATH_WORK for
+    each group and _TRIG_WORK for each run, per materialized row and source
     _MATVEC_WORK for each set, and _LINE_WORK per term of each line fold's
     weights, samples/2 per fundamental row. The request is named by the
     nodes of the most that any stack walks (see _walked)."""
     needed = work = arrays = n_sources = 0
     for stack in stacks:
-        offsets, width, g = stack.offsets, stack.width, len(stack.runs)
+        offsets, g = stack.offsets, len(stack.runs)
         n, classes = stack.positions[0].shape[0], stack.fold.classes
-        walked = _walked(detector, stack.fold.line)
-        fundamental, rows = _fundamental_rows(walked, stack.fold.folded)
-        steps = max(batch.stop - batch.start for batch in stack.batches)
-        batch_sets = max(offsets[batch.stop] - offsets[batch.start] for batch in stack.batches)
-        phases = len(_distinct_phases(stack.runs))
-        height, rows, sets = stack.height + 1, rows + 1, offsets[-1]
-        needed = max(needed, 8 * (g * n * ((2 + steps) * height + 4 + 2 * width * batch_sets)
-                                  + g * (len(offsets) - 1 + sets) + classes * rows * _ROW_COLUMNS
-                                  + width * (3 * height * g * batch_sets + 2 * n * phases))
-                     + _FOLD_SOURCE_BYTES * n)
+        fundamental, rows = _fundamental_rows(_walked(detector, stack.fold.line), stack.fold.folded)
+        held, build = _block_arrays(detector, stack.fold, rows + 1, n)
+        cells = [sum(map(math.prod, shapes)) for shapes in (held, stack.walk.values(), build)]
+        needed = max(needed, 8 * (cells[0] + max(cells[1:])))
         work += g * fundamental * n * (
-            _PATH_WORK + _TRIG_WORK * (len(offsets) - 1) + _MATVEC_WORK * classes * sets)
-        arrays += g * sets
+            _PATH_WORK + _TRIG_WORK * (len(offsets) - 1) + _MATVEC_WORK * classes * offsets[-1])
+        arrays += g * offsets[-1]
         n_sources = max(n_sources, n)
-    line_folds = {stack.fold.folded for stack in stacks if stack.fold.line}
-    if line_folds:
-        half = detector.samples // 2
-        needed += _LINE_CELL_BYTES * max(_LINE_CELLS, half) + _LINE_SAMPLE_BYTES * detector.samples
-        work += _LINE_WORK * half * sum(_fundamental_rows(_walked(detector, True), folded)[0]
-                                        for folded in line_folds)
+    half = detector.samples // 2
+    work += _LINE_WORK * half * sum(_fundamental_rows(_walked(detector, True), folded)[0]
+                                    for folded in {stack.fold.folded for stack in stacks
+                                                   if stack.fold.line})
     points = max((_walked(detector, stack.fold.line).n_points for stack in stacks),
                  default=detector.n_points)
     request = f"far-field request of {points} detector points x {n_sources} sources"
-    _check_budget(needed + _WALK_BUFFER_BYTES, request)
+    needed += _FARFIELD_STACK_BYTES * len(stacks) + _FARFIELD_ARRAY_BYTES * arrays
+    _check_budget(needed + _FARFIELD_CALL_BYTES, request)
     _check_work(work, f"{request} x {arrays} arrays")
 
 
@@ -856,26 +850,19 @@ def farfield_powers(arrays, detector: DetectorGrid) -> tuple[np.ndarray, np.ndar
     origin-centered source of phase 0 scores exactly 1 and a subwavelength
     uniform-phase array approaches N.
 
-    Every source's distance to a detector point p is r = |p| + d, and the
-    common phase e^{ik|p|} of a detector row drops out of the intensity
-    exactly, so the field is summed as e^{i(k d + phi_n)} / r from a table
-    of path differences d (see _path_differences). This rearranges the
-    brute-force sum; it is not a Fraunhofer approximation. The reference
-    source has |e^{ikr}/r|^2 = 1/|p|^2 at every wavenumber, so it is summed
-    with no exponential, on the same rows and weights as each group of
-    equal positions, in the engine's blocks.
+    The field is summed as e^{i(k d + phi_n)} / r from path differences
+    d = r - |p| (see _path_differences): a rearrangement of the brute-force
+    sum, not a Fraunhofer approximation. The reference source has
+    |e^{ikr}/r|^2 = 1/|p|^2 at every wavenumber, so it is summed with no
+    exponential, on the rows and weights of each fold.
 
-    The arrays form stacks of equal-N groups, each planned once (see
-    _position_groups). Stacks that walk the same nodes (see _fold; lines
-    on the hemisphere take the arc's nodes, with the weights of
-    _line_weights) and all fold, or all do not, share their fundamental
-    rows, which are walked in blocks of at most _BLOCK_ROWS nodes (see
-    _fundamental_rows): each block builds its quadrature points, weights
-    and |p| once, weighs each fold's classes once (see _row_weights), and
-    each stack of the fold walks it in the chunks of its plan (see
-    _stack_walk). A power is the sum of its chunk partials in walk order.
-    The call holds one block of quadrature and one stack's chunk of path
-    differences at a time, never the whole detector.
+    Stacks (see _position_groups) that walk the same nodes (see _fold and
+    _walked) and all fold, or all do not, share their fundamental rows,
+    walked in blocks of at most _BLOCK_ROWS nodes (see _fundamental_rows):
+    each block builds its points, weights and |p| once, weighs each fold's
+    classes once (see _row_weights), and each stack of the fold walks it in
+    the chunks of its plan (see _stack_walk). A power is the sum of its
+    chunk partials in walk order. The call holds one block at a time.
 
     Raises FarFieldViolationError unless the detector radius is at least
     100x both the wavelength and the extent of every array, and ValueError
@@ -909,6 +896,8 @@ def farfield_powers(arrays, detector: DetectorGrid) -> tuple[np.ndarray, np.ndar
                 for stack, power in zip(stacks, powers):
                     if stack.fold == fold:
                         _stack_walk(stack, points, norms, row_weights, power)
+            # this block's arrays go before the next block's are built
+            del nodes, points, weights, norms, reference, row_weights
     scale = np.repeat([singles[stack.fold] for stack in stacks], [power.size for power in powers])
     scale *= [a.n_sources for a in arrays]
     powers = np.concatenate([np.empty(0), *(power.ravel() for power in powers)])

@@ -134,11 +134,20 @@ def _sweep_phase_profile(fixed: dict, n: int, stream: XorShift64Star) -> np.ndar
     return np.full(n, float(fixed.get("phase", 0.0)))
 
 
+def _count(fixed: dict, key: str, default=None) -> int:
+    """The integer fixed setting ``key``, ``default`` when it is unset."""
+    value = fixed.get(key, default)
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"fixed setting {key!r} must be an integer, got {value!r}") from None
+
+
 def _occupation(fixed: dict) -> tuple[int, int]:
     """A quantum sweep's occupation n and truncation n_max (default: room
     for n, and at least 8)."""
-    occupation = int(fixed.get("n", 0))
-    return occupation, int(fixed.get("n_max", max(occupation + 1, 8)))
+    occupation = _count(fixed, "n", 0)
+    return occupation, _count(fixed, "n_max", max(occupation + 1, 8))
 
 
 def _closed_form_observables(spec: SweepSpec, phases) -> tuple[float, float]:
@@ -158,7 +167,7 @@ def _closed_form_observables(spec: SweepSpec, phases) -> tuple[float, float]:
 def _sweep_closed_form(spec: SweepSpec, values: np.ndarray):
     stream = XorShift64Star(spec.seed)
     if spec.parameter == "phase_delta":
-        counts = [int(spec.fixed["n_waves"])] * values.size
+        counts = [_count(spec.fixed, "n_waves")] * values.size
     else:
         counts = [int(round(value)) for value in values]
         # values ascend, so the first step has the fewest waves
@@ -189,7 +198,8 @@ def _sweep_farfield(spec: SweepSpec, values: np.ndarray):
     fixed = spec.fixed
     stream = XorShift64Star(spec.seed)
     # values ascend, so a source-count sweep's last array is its largest
-    largest = int(round(values[-1]) if spec.parameter == "source_count" else fixed["n_sources"])
+    largest = (int(round(values[-1])) if spec.parameter == "source_count"
+               else _count(fixed, "n_sources"))
     _check_sweep_budget(values.size, largest, spec.parameter)
     # one detector serves the whole sweep, refused before any array is built;
     # without a radius it is sized for the worst case of the arrays below
@@ -197,12 +207,12 @@ def _sweep_farfield(spec: SweepSpec, values: np.ndarray):
     detector = DetectorGrid(
         radius=1.0 if radius is None else float(radius),
         geometry=fixed.get("geometry", classical.DRIVER_GEOMETRY),
-        samples=int(fixed.get("samples", classical.DRIVER_SAMPLES)),
+        samples=_count(fixed, "samples", classical.DRIVER_SAMPLES),
     )
 
     arrays = []
     for value in values:
-        n = int(round(value)) if spec.parameter == "source_count" else int(fixed["n_sources"])
+        n = int(round(value)) if spec.parameter == "source_count" else largest
         spacing = float(value) if spec.parameter == "spacing" else float(fixed["spacing"])
         wavelength = float(value) if spec.parameter == "wavelength" else float(fixed["wavelength"])
         if spec.parameter == "phase_delta":
@@ -234,7 +244,7 @@ def _sweep_wavepacket(spec: SweepSpec, values: np.ndarray):
     direction = np.asarray(spec.fixed.get("direction", (1.0, 0.0, 0.0)), dtype=float)
     box = BoxVolume(np.asarray(spec.fixed["box_lengths"], dtype=float))
     base = [tuple(component) for component in spec.fixed["components"]]
-    index = int(spec.fixed.get("component", len(base) - 1))
+    index = _count(spec.fixed, "component", len(base) - 1)
     if not 0 <= index < len(base):
         raise ConfigError(f"component index {index} outside 0..{len(base) - 1}")
     power = np.empty(values.size)

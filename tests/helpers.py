@@ -4,12 +4,16 @@
 not depend on where the box sits, so the grid can be compared with the
 closed form at any placement. ``find_resonances`` finds the interior
 enhancement peaks of a swept curve, such as the grating lobes of a sparse
-array's spectrum.
+array's spectrum. ``peak_and_charges`` measures what a call holds against
+the memory it was charged, so the far-field and grid walks are held to one
+rule.
 """
+
+import tracemalloc
 
 import numpy as np
 
-from coherray import BoxVolume, SpectrumCurve, WaveMode
+from coherray import BoxVolume, SpectrumCurve, WaveMode, classical
 
 
 def commensurate_box(mode: WaveMode, lengths, center=(0.0, 0.0, 0.0)) -> BoxVolume:
@@ -55,3 +59,23 @@ def find_resonances(curve: SpectrumCurve) -> list[tuple[float, float]]:
         else:
             i += 1
     return peaks
+
+
+def peak_and_charges(monkeypatch, call):
+    """The tracemalloc peak of ``call()`` and the memory charges it checked
+    through ``classical._check_budget``, in order."""
+    charges = []
+    original = classical._check_budget
+
+    def recording(needed, request):
+        charges.append(needed)
+        return original(needed, request)
+
+    monkeypatch.setattr(classical, "_check_budget", recording)
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, charges

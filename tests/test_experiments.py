@@ -112,6 +112,28 @@ def test_missing_setting_and_bad_value_raise_distinct_types():
         assert not isinstance(info.value, MissingSettingError)
 
 
+COMPONENTS = {"components": ((6.28, 1.0, 0.0), (7.85, 0.5, 0.3)), "box_lengths": (1.0, 1.0, 1.0)}
+
+
+@pytest.mark.parametrize("target, parameter, fixed, key", [
+    ("farfield_power", "wavelength", {"n_sources": 3.7, "spacing": 0.5, "samples": 128}, "n_sources"),
+    ("farfield_power", "spacing", {"n_sources": 3, "wavelength": 1.0, "samples": 128.0}, "samples"),
+    ("classical_energy", "phase_delta", {"n_waves": np.float64(4.0)}, "n_waves"),
+    ("quantum_energy", "phase_delta", {"n_waves": 2, "n": 2.5}, "n"),
+    ("quantum_energy", "source_count", {"n": 1, "n_max": "6"}, "n_max"),
+    ("wavepacket", "phase_delta", {**COMPONENTS, "component": 1.0}, "component"),
+])
+def test_integer_fixed_settings_are_not_truncated(target, parameter, fixed, key):
+    """A sweep's counts go through operator.index: a float or a string is
+    refused with a TypeError that names its key, where int() once walked 3
+    sources for n_sources = 3.7 and took the n = 2 powers for n = 2.5."""
+    with pytest.raises(TypeError) as refused:
+        run_sweep(SweepSpec(target, parameter, 1.0, 2.0, 3, fixed))
+    assert str(refused.value) == f"fixed setting {key!r} must be an integer, got {fixed[key]!r}"
+    integers = {name: int(value) if name == key else value for name, value in fixed.items()}
+    assert len(run_sweep(SweepSpec(target, parameter, 1.0, 2.0, 3, integers))) == 3
+
+
 def test_classical_phase_sweep_follows_two_plus_two_cosine():
     spec = SweepSpec(
         "classical_energy", "phase_delta", 0.0, TWO_PI, 9, {"n_waves": 2}
