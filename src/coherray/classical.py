@@ -23,17 +23,17 @@ d = r - |p| (a row's common phase e^{ik|p|} drops out of |field|^2
 exactly), so real cos/sin of the small, exact k d replace the complex
 exponential of k r. Arrays of equal positions form a group, and
 consecutive groups of one source count, fold, run shape and matvec width
-form a stack (every step of a spacing sweep), planned once when it is
-formed (see _planned_stacks). The detector rows are walked in blocks,
-each built once for every stack that walks its rows.
+form a stack (every step of a spacing sweep); each run of such stacks
+shares one plan (see _planned_stacks). The detector rows are walked in
+blocks, each built once for every stack that walks its rows.
 
 Each walk allocates what its plan says: the plan records the shape of
-every array the walk allocates, and before anything is built, the plan's
-bytes are checked against MEMORY_BUDGET_BYTES (numpy's own temporaries
-and buffers, and the Python objects, are named, measured terms) and its
-work against WORK_BUDGET. Nothing the far-field engine holds grows with
-the detector's points (but for the cosine table of a line's weights) or
-couples its rows to the source count; the grid holds no res^3 array.
+every array the walk allocates and each group's work, and before
+anything is built, its bytes are checked against MEMORY_BUDGET_BYTES
+(numpy's temporaries and buffers, and Python objects, are named,
+measured terms) and its work against WORK_BUDGET. Nothing the far-field
+engine holds grows with the detector's points (but a line's cosine
+table) or couples its rows to N; the grid holds no res^3 array.
 
 An array whose sources all lie on the x axis (every array the CLI builds)
 is a line: its field on the hemisphere depends only on u = p_x / R, so the
@@ -122,12 +122,13 @@ _GRID_CALL_BYTES = 8192
 # many: a broadcast or cast input, two at most (tracemalloc, numpy 2.4)
 _BUFFERED_OPERANDS = 2
 
-# bytes of Python objects a far-field call holds, measured with tracemalloc:
-# whatever its size (array headers, views: 8-13 KB), per stack (its lists
-# and plan: 1.5-2.0 KB) and per array (its entries and power: 160-210)
+# bytes of Python objects a far-field call holds (tracemalloc): whatever its
+# size (array headers, views: 8-13 KB), per plan (1.8-1.9 KB), per stack (its
+# lists and powers: 250-300) and per array (its entries and power: 190-310)
 _FARFIELD_CALL_BYTES = 16384
-_FARFIELD_STACK_BYTES = 2048
-_FARFIELD_ARRAY_BYTES = 256
+_FARFIELD_PLAN_BYTES = 2048
+_FARFIELD_STACK_BYTES = 320
+_FARFIELD_ARRAY_BYTES = 320
 
 # detector rows per block of the far-field walk: each block builds its own
 # quadrature, shared by every positions group that walks the same rows
@@ -154,7 +155,7 @@ _TRIG_WORK = 7
 _MATVEC_WORK = 1
 
 # float columns per block row of numpy's temporaries in building a block's
-# quadrature (see _block_arrays): its angles, sines and cosines (5 measured
+# quadrature (see _plan): its angles, sines and cosines (5 measured
 # with tracemalloc on the hemisphere, 4 on a folded arc)
 _QUADRATURE_COLUMNS = 6
 
@@ -448,7 +449,7 @@ def _line_weights(detector: DetectorGrid, index) -> np.ndarray:
     k L ~ 110 up, with a Newton iteration of its own). Each cosine is read
     from a table at the exact integer k (2j + 1) mod 2n, in the chunks of
     _line_terms: O(n) memory and O(n) work per node (an FFT takes O(log n),
-    but numpy.fft maps 0.5 MB more). It allocates what _block_arrays plans."""
+    but numpy.fft maps 0.5 MB more). It allocates what _plan plans."""
     n = detector.samples
     k = np.arange(1, n // 2 + 1)
     coefficients = 1.0 / (4.0 * k * k - 1.0)
@@ -504,10 +505,6 @@ class _Fold(NamedTuple):
     folded: bool
     classes: int
     line: bool = False
-
-
-# a group that no mirror folds: the walk over every detector row
-_UNFOLDED = _Fold(False, 1)
 
 
 def _source_mirror(positions: np.ndarray):
@@ -626,41 +623,57 @@ def _run_powers(table, inverse, weights, wavenumbers, phasors, trig, outputs) ->
     return real.reshape(-1, weights.size).sum(axis=1).reshape(len(wavenumbers), -1)
 
 
-class _Stack(NamedTuple):
-    """Consecutive positions groups of one N, fold, run shape and width, no
-    more than one chunk pass builds (see _position_groups), and the plan of
-    their walk of a block (see _planned_stacks)."""
+class _Plan(NamedTuple):
+    """The one description of a far-field walk: how each stack of a run of
+    equal stacks walks a block of its fold's rows, and what it costs."""
 
-    positions: list  # each group's positions, (N, 3)
-    runs: list  # each group's runs of equal wavenumber, [(wavenumber, [phases, ...]), ...]
     fold: _Fold
     width: int  # the fold classes its matvecs take: 1 when all its phases are palindromic
     height: int  # fundamental rows per chunk
+    size: int  # groups per stack: as many as one chunk pass builds
     batches: list  # slices of consecutive runs with as many phase sets
     offsets: list  # each run's first phase set, and the sets per group last
-    walk: dict  # the shape of each array its walk of a block allocates
+    walk: dict  # the shape in float cells of each array a stack's walk allocates
+    cells: int  # the most float cells held while a stack walks a block
+    work: int  # one group's work over every fundamental row
+    weights: int  # the work of a line's weights over every fundamental row, else 0
 
 
-def _planned_stacks(detector: DetectorGrid, positions, runs, fold: _Fold, width: int) -> list:
-    """These groups as _Stacks of as many groups as one chunk pass builds,
-    each with the plan of its walk of a block of its fold's rows (see
-    _fundamental_rows): the rows per chunk (see _chunk_rows), the batches
-    (slices of consecutive runs with as many phase sets; a last, shorter
-    stack keeps a full one's), each run's first phase set, the sets per
-    group last, and the shape in float cells of each array the walk
-    allocates, by name, for a chunk one row longer (see _row_blocks), and of
-    numpy's buffers of one broadcast (see _buffers). A run of s sets holds N
-    cos or sin and s width cells of each matvec output per group and row: at
-    most _CHUNK_CELLS and _OUTPUT_CELLS in a full stack's longest run and in
-    a batch, or one run."""
-    n, shape = positions[0].shape[0], [len(sets) for _, sets in runs[0]]
-    height = _chunk_rows(_fundamental_rows(detector, fold.folded)[1], n)
+class _Stack(NamedTuple):
+    """Consecutive positions groups of one N, fold, run shape and width (see
+    _position_groups), and the plan of their run (see _planned_stacks)."""
+
+    positions: list  # each group's positions, (N, 3)
+    runs: list  # each group's runs of equal wavenumber, [(wavenumber, [phases, ...]), ...]
+    plan: _Plan
+
+
+def _plan(detector, fold, width, n, shape, groups, distinct) -> _Plan:
+    """The plan, sized for a full stack, of ``groups`` positions groups of
+    ``n`` sources folded by ``fold`` onto the walked ``detector`` (see
+    _walked), with matvecs of ``width`` classes and runs of ``shape`` phase
+    sets, whose stacks of s groups hold ``distinct(s)`` distinct phase
+    arrays at most. A run of s sets holds N cos or sin and s width cells of
+    each matvec output per group and row: at most _CHUNK_CELLS and
+    _OUTPUT_CELLS in a full stack's longest run and in a batch, or one run.
+    The walk takes a chunk one row longer (see _row_blocks) and numpy's
+    buffers of one broadcast (see _buffers). A block one row longer holds
+    its nodes, points, weights, |p|, reference intensities and row weights,
+    and the larger of the walk and its build: numpy's temporaries
+    (_QUADRATURE_COLUMNS per row), the fold check and a line's arrays of
+    _line_weights (k, its coefficients, the cosine table and its temporary,
+    the sums, a chunk's angles and terms and their buffers). Work: per
+    fundamental row and source, _PATH_WORK and _TRIG_WORK for each run; per
+    materialized row and source, _MATVEC_WORK for each set; _LINE_WORK per
+    term of a line's weights, samples/2 per fundamental row."""
+    fundamental, block = _fundamental_rows(_walked(detector, fold.line), fold.folded)
+    height = _chunk_rows(block, n)
 
     def most(count, sets):
         return max(1, min(_CHUNK_CELLS // (count * n * height),
                           _OUTPUT_CELLS // (count * sets * width * height)))
 
-    size = min(len(runs), most(1, max(shape)))
+    size = min(groups, most(1, max(shape)))
     batches, start = [], 0
     for sets, same in itertools.groupby(shape):
         stop, step = start + len(list(same)), most(size, sets)
@@ -670,23 +683,43 @@ def _planned_stacks(detector: DetectorGrid, positions, runs, fold: _Fold, width:
     steps = max(batch.stop - batch.start for batch in batches)
     sets = max(offsets[batch.stop] - offsets[batch.start] for batch in batches)
     rows = height + 1
+    arrays = dict(positions=(size, n, 3), squares=(size, n), keys=(size, offsets[-1]),
+                  wavenumbers=(size, len(shape)), table=(size, n, rows), inverse=(size, n, rows),
+                  phasors=(distinct(size), 2, width, n), trig=(size, steps, n, rows),
+                  gather=(size * sets, 2, width, n), outputs=(3, size * sets * width * rows))
+    walk = {**arrays, "buffers": _buffers(max(map(math.prod, arrays.values())))}
+    nodes = block + 1
+    held = [(nodes,), (nodes, 3), (nodes,), (nodes,), (nodes,), (fold.classes, nodes)]
+    build = [(nodes, _QUADRATURE_COLUMNS), (n, _FOLD_SOURCE_CELLS)]
+    if fold.line:
+        chunk, table = _line_terms(detector.samples, nodes), (2 * detector.samples,)
+        build += [chunk[1:], chunk[1:], table, table, (nodes,), chunk, chunk,
+                  _buffers(math.prod(chunk))]
+    held, walking, build = (sum(map(math.prod, shapes)) for shapes in (held, walk.values(), build))
+    work = fundamental * n * (
+        _PATH_WORK + _TRIG_WORK * len(shape) + _MATVEC_WORK * fold.classes * offsets[-1])
+    return _Plan(fold, width, height, size, batches, offsets, walk, held + max(walking, build),
+                 work, _LINE_WORK * (detector.samples // 2) * fundamental if fold.line else 0)
 
-    def walk(group_runs):
-        g = len(group_runs)
-        arrays = dict(positions=(g, n, 3), squares=(g, n), keys=(g, offsets[-1]),
-                      wavenumbers=(g, len(shape)), table=(g, n, rows), inverse=(g, n, rows),
-                      phasors=(len(_distinct_phases(group_runs)), 2, width, n),
-                      trig=(g, steps, n, rows), gather=(g * sets, 2, width, n),
-                      outputs=(3, g * sets * width * rows))
-        return {**arrays, "buffers": _buffers(max(map(math.prod, arrays.values())))}
 
-    return [_Stack(positions[i:i + size], runs[i:i + size], fold, width, height, batches, offsets,
-                   walk(runs[i:i + size])) for i in range(0, len(runs), size)]
+def _planned_stacks(detector: DetectorGrid, positions, runs, fold: _Fold, width: int) -> list:
+    """These consecutive groups of one N, fold, run shape and width as
+    stacks of one plan (see _plan), the last one perhaps shorter."""
+    plan = _plan(detector, fold, width, len(positions[0]), [len(sets) for _, sets in runs[0]],
+                 len(runs), lambda size: max(len(_distinct_phases(runs[i:i + size])[0])
+                                             for i in range(0, len(runs), size)))
+    return [_Stack(positions[i:i + plan.size], runs[i:i + plan.size], plan)
+            for i in range(0, len(runs), plan.size)]
 
 
-def _distinct_phases(runs) -> dict:
-    """The distinct phase arrays of some groups' ``runs``, by id."""
-    return {id(phases): phases for group in runs for _, sets in group for phases in sets}
+def _distinct_phases(runs) -> tuple[list, dict]:
+    """The distinct phase arrays of some groups' ``runs``, matched by their
+    bytes, and each array's index among them by id (its bytes taken once)."""
+    distinct, rows = {}, {}
+    for phases in (phases for group in runs for _, sets in group for phases in sets):
+        if id(phases) not in rows:
+            rows[id(phases)] = distinct.setdefault(phases.tobytes(), (len(distinct), phases))[0]
+    return [phases for _, phases in distinct.values()], rows
 
 
 def _prefix(array, shape) -> np.ndarray:
@@ -695,33 +728,34 @@ def _prefix(array, shape) -> np.ndarray:
 
 
 def _stack_walk(stack: _Stack, points, norms, row_weights, powers):
-    """Walk a block's fundamental rows for ``stack`` in the chunks of its
-    plan, and add each phase set's partial, its intensities weighted by its
-    fold class's ``row_weights`` (see _row_weights), to ``powers`` (groups,
-    sets). Each chunk builds the path differences and 1/r of every group in
-    one pass, and each batch of runs takes one cos and one sin pass (see
-    _run_powers), in prefixes of the arrays of the plan, stack.walk."""
-    runs, width, offsets, plan = stack.runs, stack.width, stack.offsets, stack.walk
-    positions = np.array(stack.positions)
-    g, n = positions.shape[:2]
-    squares = np.einsum("gij,gij->gi", positions, positions)
-    phases = _distinct_phases(runs)
-    phasors = np.empty(plan["phasors"])
-    for row, values in zip(phasors, phases.values()):
+    """Walk a block's fundamental rows for ``stack`` by its plan, and add
+    each phase set's partial, its intensities weighted by its fold class's
+    ``row_weights`` (see _row_weights), to ``powers`` (groups, sets). Each
+    chunk builds the path differences and 1/r of every group in one pass,
+    and each batch of runs takes one cos and one sin pass (see _run_powers),
+    in prefixes of the arrays of plan.walk, which are a full stack's."""
+    runs, plan = stack.runs, stack.plan
+    width, offsets, walk = plan.width, plan.offsets, plan.walk
+    g, n = len(runs), walk["positions"][1]
+    distinct, rows = _distinct_phases(runs)
+    positions, squares, wavenumbers, phasors, table, inverse, trig, gather, outputs = (
+        np.empty(walk[name]) for name in ("positions", "squares", "wavenumbers", "phasors",
+                                          "table", "inverse", "trig", "gather", "outputs"))
+    keys, wavenumbers = np.empty(walk["keys"], np.intp)[:g], wavenumbers[:g]
+    keys[:] = [[rows[id(values)] for _, sets in group_runs for values in sets]
+               for group_runs in runs]
+    wavenumbers[:] = [[k for k, _ in group_runs] for group_runs in runs]
+    positions = np.stack(stack.positions, out=positions[:g])
+    squares = np.einsum("gij,gij->gi", positions, positions, out=squares[:g])
+    for row, values in zip(phasors, distinct):
         row[:, 0], row[:, 1:] = values, values[::-1]
         np.cos(row[0], out=row[0])
         np.sin(row[1], out=row[1])
-    index = {key: i for i, key in enumerate(phases)}
-    keys = np.array([[index[id(values)] for _, sets in group_runs for values in sets]
-                     for group_runs in runs])
-    wavenumbers = np.array([[k for k, _ in group_runs] for group_runs in runs])
-    table, inverse, trig, gather, outputs = (
-        np.empty(plan[name]) for name in ("table", "inverse", "trig", "gather", "outputs"))
-    for chunk in _row_blocks(norms.size, stack.height):
+    for chunk in _row_blocks(norms.size, plan.height):
         size = chunk.stop - chunk.start
         paths, inverses, scratch = (_prefix(a, (g, n, size)) for a in (table, inverse, trig))
         _path_differences(points[chunk], norms[chunk], positions, squares, paths, inverses, scratch)
-        for batch in stack.batches:
+        for batch in plan.batches:
             sets, steps = slice(offsets[batch.start], offsets[batch.stop]), batch.stop - batch.start
             count = sets.stop - sets.start
             # mode "clip" takes no buffer of the output, which "raise" would
@@ -744,88 +778,52 @@ def _position_groups(arrays, detector: DetectorGrid) -> list[_Stack]:
     their array's positions object, so most skip the positions comparison."""
     groups = []
     for array in arrays:
-        positions, wavenumber = array.positions, array.wavenumber
+        positions, wavenumber, phases = array.positions, array.wavenumber, array.phases
         if not groups or (
             groups[-1][0] is not positions and groups[-1][0].tobytes() != positions.tobytes()
         ):
-            groups.append((positions, []))
-        runs = groups[-1][1]
-        if not runs or runs[-1][0] != wavenumber:
-            runs.append((wavenumber, []))
-        runs[-1][1].append(array.phases)
+            groups.append((positions, [(wavenumber, [phases])]))
+        elif groups[-1][1][-1][0] != wavenumber:
+            groups[-1][1].append((wavenumber, [phases]))
+        else:
+            groups[-1][1][-1][1].append(phases)
 
     def key(group):
         fold = _fold(detector, group[0])
         width = fold.classes if any(phases.tobytes() != phases[::-1].tobytes() for phases
-                                    in _distinct_phases([group[1]]).values()) else 1
+                                    in _distinct_phases([group[1]])[0]) else 1
         return len(group[0]), fold, width, [len(sets) for _, sets in group[1]]
 
     return [stack for (_, fold, width, _), same in itertools.groupby(groups, key)
-            for stack in _planned_stacks(_walked(detector, fold.line), *map(list, zip(*same)),
-                                         fold, width)]
+            for stack in _planned_stacks(detector, *map(list, zip(*same)), fold, width)]
 
 
-def _block_arrays(detector: DetectorGrid, fold: _Fold, rows: int, n_sources: int):
-    """The shapes, in float cells, of the arrays a block of ``rows``
-    fundamental rows holds while stacks of ``fold`` walk it (see
-    farfield_powers): its nodes, points, weights, |p|, reference intensities
-    and each class's row weights; and of what its build takes besides:
-    numpy's temporaries (_QUADRATURE_COLUMNS per row), the fold check of
-    ``n_sources`` sources, which runs before anything is built, and for a
-    line the arrays of _line_weights: k, its coefficients, the cosine table
-    of 2 samples entries and numpy's temporary of its build, the sums, a
-    chunk's angles and terms and numpy's buffers of their broadcast."""
-    held = [(rows,), (rows, 3), (rows,), (rows,), (rows,), (fold.classes, rows)]
-    build = [(rows, _QUADRATURE_COLUMNS), (n_sources, _FOLD_SOURCE_CELLS)]
-    if fold.line:
-        chunk, table = _line_terms(detector.samples, rows), (2 * detector.samples,)
-        build += [chunk[1:], chunk[1:], table, table, (rows,), chunk, chunk,
-                  _buffers(math.prod(chunk))]
-    return held, build
-
-
-def _check_farfield_budget(detector: DetectorGrid, stacks):
-    """Refuse a far-field request for ``stacks`` (see _position_groups) over
-    either budget, before anything is built. Memory: 8 bytes per planned
-    cell of the most that one stack's block takes, a block one row longer
-    (see _row_blocks): its arrays and the larger of the stack's walk and the
-    block's build (see _block_arrays), which starts once the previous
-    block's arrays are freed; and the Python objects of the call, its stacks
-    and its arrays. Work: per fundamental row and source, _PATH_WORK for
-    each group and _TRIG_WORK for each run, per materialized row and source
-    _MATVEC_WORK for each set, and _LINE_WORK per term of each line fold's
-    weights, samples/2 per fundamental row. The request is named by the
-    nodes of the most that any stack walks (see _walked)."""
-    needed = work = arrays = n_sources = 0
-    for stack in stacks:
-        offsets, g = stack.offsets, len(stack.runs)
-        n, classes = stack.positions[0].shape[0], stack.fold.classes
-        fundamental, rows = _fundamental_rows(_walked(detector, stack.fold.line), stack.fold.folded)
-        held, build = _block_arrays(detector, stack.fold, rows + 1, n)
-        cells = [sum(map(math.prod, shapes)) for shapes in (held, stack.walk.values(), build)]
-        needed = max(needed, 8 * (cells[0] + max(cells[1:])))
-        work += g * fundamental * n * (
-            _PATH_WORK + _TRIG_WORK * (len(offsets) - 1) + _MATVEC_WORK * classes * offsets[-1])
-        arrays += g * offsets[-1]
-        n_sources = max(n_sources, n)
-    half = detector.samples // 2
-    work += _LINE_WORK * half * sum(_fundamental_rows(_walked(detector, True), folded)[0]
-                                    for folded in {stack.fold.folded for stack in stacks
-                                                   if stack.fold.line})
-    points = max((_walked(detector, stack.fold.line).n_points for stack in stacks),
+def _check_farfield_budget(detector: DetectorGrid, walks):
+    """Refuse a far-field request over either budget before anything is
+    built. Both charges add up the plans (see _plan) of ``walks``, each
+    stack's plan and groups: 8 bytes per cell of the most any plan holds
+    and the Python objects of the call, its plans, stacks and arrays; each
+    group's work, and each line fold's weights once."""
+    plans = {id(plan): plan for plan, _ in walks}.values()
+    arrays = sum(groups * plan.offsets[-1] for plan, groups in walks)
+    work = sum(groups * plan.work for plan, groups in walks) + sum(
+        {(plan.fold.line, plan.fold.folded): plan.weights for plan in plans}.values())
+    needed = (8 * max((plan.cells for plan in plans), default=0) + _FARFIELD_CALL_BYTES
+              + _FARFIELD_PLAN_BYTES * len(plans) + _FARFIELD_STACK_BYTES * len(walks)
+              + _FARFIELD_ARRAY_BYTES * arrays)
+    points = max((_walked(detector, plan.fold.line).n_points for plan in plans),
                  default=detector.n_points)
+    n_sources = max((plan.walk["positions"][1] for plan in plans), default=0)
     request = f"far-field request of {points} detector points x {n_sources} sources"
-    needed += _FARFIELD_STACK_BYTES * len(stacks) + _FARFIELD_ARRAY_BYTES * arrays
-    _check_budget(needed + _FARFIELD_CALL_BYTES, request)
+    _check_budget(needed, request)
     _check_work(work, f"{request} x {arrays} arrays")
 
 
 def _check_farfield_sources(detector: DetectorGrid, counts):
-    """_check_farfield_budget for one array of each of ``counts`` sources,
-    charged as unfolded (the most any fold does), with no positions built."""
-    stacks = [_planned_stacks(detector, [np.empty((n, 0))], [[(None, [None])]], _UNFOLDED, 1)[0]
-              for n in counts]
-    _check_farfield_budget(detector, stacks)
+    """_check_farfield_budget for one array of each of ``counts`` sources:
+    one group of one phase set, walked unfolded (the most any fold does)."""
+    _check_farfield_budget(detector, [(_plan(detector, _Fold(False, 1), 1, n, [1], 1,
+                                             lambda size: 1), 1) for n in counts])
 
 
 def _check_sweep_budget(steps: int, n_sources: int, kind: str):
@@ -877,9 +875,9 @@ def farfield_powers(arrays, detector: DetectorGrid) -> tuple[np.ndarray, np.ndar
                 f"detector radius {detector.radius} below far-field threshold {threshold}"
             )
     stacks = _position_groups(arrays, detector)
-    _check_farfield_budget(detector, stacks)
-    powers = [np.zeros((len(stack.runs), stack.offsets[-1])) for stack in stacks]
-    singles = dict.fromkeys((stack.fold for stack in stacks), 0.0)
+    _check_farfield_budget(detector, [(stack.plan, len(stack.runs)) for stack in stacks])
+    powers = [np.zeros((len(stack.runs), stack.plan.offsets[-1])) for stack in stacks]
+    singles = dict.fromkeys((stack.plan.fold for stack in stacks), 0.0)
     for line, folded in dict.fromkeys((fold.line, fold.folded) for fold in singles):
         walked = _walked(detector, line)
         for block in _row_blocks(*_fundamental_rows(walked, folded)):
@@ -894,11 +892,11 @@ def farfield_powers(arrays, detector: DetectorGrid) -> tuple[np.ndarray, np.ndar
                 row_weights = _row_weights(walked, fold, nodes, weights)
                 singles[fold] += float(np.multiply(reference, row_weights).sum())
                 for stack, power in zip(stacks, powers):
-                    if stack.fold == fold:
+                    if stack.plan.fold == fold:
                         _stack_walk(stack, points, norms, row_weights, power)
             # this block's arrays go before the next block's are built
             del nodes, points, weights, norms, reference, row_weights
-    scale = np.repeat([singles[stack.fold] for stack in stacks], [power.size for power in powers])
+    scale = np.repeat([singles[stack.plan.fold] for stack in stacks], [p.size for p in powers])
     scale *= [a.n_sources for a in arrays]
     powers = np.concatenate([np.empty(0), *(power.ravel() for power in powers)])
     return powers, powers / scale

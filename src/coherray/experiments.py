@@ -41,8 +41,8 @@ class XorShift64Star:
 
     state' = state ^ (state >> 12); state' ^= state' << 25 (mod 2^64);
     state' ^= state' >> 27; output = state' * 0x2545F4914F6CDD1D mod 2^64.
-    Doubles take the top 53 bits of the output. A zero seed (invalid for
-    xorshift state) is remapped to 0x9E3779B97F4A7C15.
+    Doubles take the top 53 bits of the output. An integer seed of zero
+    (invalid xorshift state) is remapped to 0x9E3779B97F4A7C15.
     """
 
     MULTIPLIER = 0x2545F4914F6CDD1D
@@ -50,7 +50,10 @@ class XorShift64Star:
     _MASK = (1 << 64) - 1
 
     def __init__(self, seed: int = 0):
-        state = int(seed) & self._MASK
+        try:
+            state = operator.index(seed) & self._MASK
+        except TypeError:
+            raise TypeError(f"seed must be an integer, got {seed!r}") from None
         self._state = state if state != 0 else self.SEED_FALLBACK
 
     def next_uint64(self) -> int:
@@ -400,11 +403,10 @@ def dicke_scaling_check(
         detector = DetectorGrid(
             radius=radius, geometry=classical.DRIVER_GEOMETRY, samples=detector_samples
         )
-        # refuse the fit before any array is built: each N is one array of its
-        # own positions, held like a source_count sweep's step (a jittered
-        # build peaks at 96 bytes per source, measured), and charged the
-        # unfolded walk's work, the most any fold does (farfield_powers then
-        # charges each array's own fold), with no positions built
+        # refuse the fit before any array is built: each N is one array held
+        # like a source_count sweep's step (a jittered build peaks at 96 bytes
+        # per source, measured), planned unfolded (farfield_powers then plans
+        # each array's own fold)
         classical._check_farfield_sources(detector, ns)
         _check_sweep_budget(len(ns), ns[-1], "source_count")
         arrays = []

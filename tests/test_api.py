@@ -19,8 +19,11 @@ TRACE_FILE = Path(__file__).resolve().parents[1] / "bench" / "trace.py"
 
 PACKAGE = Path(coherray.__file__).resolve().parent
 
-# a docstring or comment pointing at a private helper: "see _name"
-SEE_PRIVATE = re.compile(r"\bsee\s+(_\w+)")
+TESTS = Path(__file__).resolve().parent
+
+# a docstring or comment pointing at a private helper: "see" and its name,
+# bare or behind the name of one of the package's modules
+SEE_PRIVATE = re.compile(r"\bsee\s+(?:(\w+)\.)?(_\w+)")
 
 
 def traced_spans():
@@ -119,13 +122,24 @@ def test_no_private_helper_is_left_unread():
 
 
 def test_every_see_pointer_names_a_top_level_definition():
-    """Each "see _name" in the package's source names a function, class or
-    constant defined at the top of one of its modules, so a helper that is
-    renamed or folded away leaves no pointer to it behind."""
-    sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
-    defined = set().union(*(top_level_names(ast.parse(text)) for text in sources.values()))
-    pointers = [(name, target) for name, text in sources.items()
-                for target in SEE_PRIVATE.findall(text)]
-    assert len(pointers) >= 20
-    dangling = [f"{name}: see {target}" for name, target in pointers if target not in defined]
+    """Each "see" pointer to a private name, in the package's source or in
+    the tests, names a function, class or constant defined at the top of
+    one of the package's modules (or of the test's own module), and each
+    pointer behind a module's name, at the top of that module, so a helper
+    that is renamed or folded away leaves no pointer to it behind."""
+    sources = {path: path.read_text(encoding="utf-8")
+               for path in [*PACKAGE.glob("*.py"), *TESTS.glob("*.py")]}
+    defined = {path: top_level_names(ast.parse(text)) for path, text in sources.items()}
+    package = set().union(*(names for path, names in defined.items() if path.parent == PACKAGE))
+
+    def targets(path, module):
+        if module:
+            return defined.get(PACKAGE / f"{module}.py", set())
+        return package | defined[path] if path.parent == TESTS else package
+
+    pointers = [(path, module, name) for path, text in sources.items()
+                for module, name in SEE_PRIVATE.findall(text)]
+    assert len(pointers) >= 20 and any(module for _, module, _ in pointers)
+    dangling = [f"{path.name}: see {module + '.' if module else ''}{name}"
+                for path, module, name in pointers if name not in targets(path, module)]
     assert not dangling, f"pointers to no top-level definition: {dangling}"

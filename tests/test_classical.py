@@ -1175,11 +1175,11 @@ def check_stacks(stacks, kind, detector):
     stack_arrays)."""
     shapes = []
     for stack in stacks:
-        n = stack.positions[0].shape[0]
-        walked = classical._walked(detector, stack.fold.line)
-        rows = classical._fundamental_rows(walked, stack.fold.folded)[1]
-        chunks = len(list(classical._row_blocks(rows, stack.height)))
-        shapes.append((n, len(stack.runs), chunks, stack.fold.classes, stack.width))
+        n, plan = stack.positions[0].shape[0], stack.plan
+        walked = classical._walked(detector, plan.fold.line)
+        rows = classical._fundamental_rows(walked, plan.fold.folded)[1]
+        chunks = len(list(classical._row_blocks(rows, plan.height)))
+        shapes.append((n, len(stack.runs), chunks, plan.fold.classes, plan.width))
     if kind == "spacings":
         arc = detector.geometry == "arc"
         assert shapes == [(40, 1, 2, 2, 2) if arc else (5, 1, 1, 1, 1)] * 3
@@ -1367,8 +1367,8 @@ def test_far_field_budget_covers_the_measured_peak_of_a_batch(
                   for delta in np.linspace(0.0, 3.0, steps)]
     detector = far_detector(rng, arrays, "arc", samples)
     [stack] = classical._position_groups(arrays, detector)
-    longest = max(stack.batches, key=lambda runs: runs.stop - runs.start)
-    sets = stack.offsets[longest.start + 1] - stack.offsets[longest.start]
+    longest = max(stack.plan.batches, key=lambda runs: runs.stop - runs.start)
+    sets = stack.plan.offsets[longest.start + 1] - stack.plan.offsets[longest.start]
     assert (longest.stop - longest.start, sets) == batch
     peak, charged = peak_and_charge(monkeypatch, lambda: farfield_powers(arrays, detector))
     assert peak <= charged <= 2 * peak
@@ -1401,7 +1401,7 @@ def walk_allocations(monkeypatch, name, call):
         if name == "_slab_walk":
             shapes = [args[-1][array] for array in ("table", "plane", "rows", "slab")]
         else:
-            shapes = [shape for array, shape in args[0].walk.items() if array != "buffers"]
+            shapes = [shape for array, shape in args[0].plan.walk.items() if array != "buffers"]
         walks.append((collections.Counter(8 * math.prod(shape) for shape in shapes), held(), []))
         tracing = sys.gettrace()
         sys.settrace(calls)
@@ -1448,6 +1448,38 @@ def test_far_field_walk_allocates_only_its_plan(monkeypatch, case):
     for planned, lines in walks:
         assert all(not held - planned for held in lines)
         assert functools.reduce(operator.or_, lines) == planned
+
+
+def test_a_run_of_equal_stacks_holds_one_plan():
+    """A 1000-step spacing sweep of 40 sources on a 1024-point arc walks as
+    334 stacks of one plan, so its groups, stacks and plan hold under 400 KB
+    (a plan for each stack held 762 KB)."""
+    rng = XorShift64Star(3)
+    arrays = [make_linear_array(40, float(spacing), 1.0, rng.phases(40))
+              for spacing in np.linspace(0.1, 0.5, 1000)]
+    detector = DetectorGrid(radius=1e4, geometry="arc", samples=1024)
+    tracemalloc.start()
+    try:
+        stacks = classical._position_groups(arrays, detector)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(stacks) == 334 and len({id(stack.plan) for stack in stacks}) == 1
+    assert held <= 400_000
+
+
+def test_equal_phase_arrays_share_one_phasor_row():
+    """Phase arrays are matched by value: a spacing sweep whose steps each
+    build an equal phase array plans one cos/sin row for each stack of
+    three groups, not three, and each power is the array's own call's."""
+    arrays = [make_linear_array(40, float(spacing), 1.0, np.full(40, 0.3))
+              for spacing in np.linspace(0.1, 0.5, 7)]
+    detector = DetectorGrid(radius=1e4, geometry="arc", samples=1024)
+    stacks = classical._position_groups(arrays, detector)
+    assert [len(stack.runs) for stack in stacks] == [3, 3, 1]
+    assert stacks[0].plan.walk["phasors"][0] == 1
+    powers, _ = farfield_powers(arrays, detector)
+    assert list(powers) == [farfield_powers([array], detector)[0][0] for array in arrays]
 
 
 @pytest.mark.parametrize("resolution, n_waves", [(48, 3), ((40, 32, 64), 5), ((8, 8, 2100), 2),
@@ -1571,46 +1603,47 @@ def run_charge_case(kind):
 # nodes: the arc's work, plus 4 operations per term of the weights' cosine
 # sum, 150 terms for each of the folded line's 150 fundamental nodes and the
 # jittered line's 300, and more memory, since a block's build now holds the
-# weights' arrays (see classical._line_arrays); and the dicke pre-check
+# weights' arrays (see classical._plan); and the dicke pre-check
 # ahead of its walk. Each memory charge is 8 bytes per cell of the largest
-# stack's plan, plus the Python objects of the call, its stacks and arrays
+# plan, one for each run of equal stacks, plus the Python objects of the
+# call, its plans, stacks and arrays
 FAR = "far-field request of"
 PINNED_CHARGES = {
     "spacing-pieces": [
         ("_check_budget", 392, "sweep of 7 steps"),
         ("_check_budget", 16384, "far-field sweep of 7 steps x 40 sources"),
-        ("_check_budget", 1755208, f"{FAR} 1024 detector points x 40 sources"),
+        ("_check_budget", 1752520, f"{FAR} 1024 detector points x 40 sources"),
         ("_check_work", 2293760, f"{FAR} 1024 detector points x 40 sources x 7 arrays"),
     ],
     "source-count": [
         ("_check_budget", 336, "sweep of 6 steps"),
         ("_check_budget", 5088, "far-field sweep of 6 steps x 7 sources"),
-        ("_check_budget", 236096, f"{FAR} 1024 detector points x 7 sources"),
+        ("_check_budget", 238400, f"{FAR} 1024 detector points x 7 sources"),
         ("_check_work", 221184, f"{FAR} 1024 detector points x 7 sources x 6 arrays"),
     ],
     "palindromes": [
         ("_check_budget", 15840, "far-field sweep of 30 steps x 5 sources"),
-        ("_check_budget", 461416, f"{FAR} 512 detector points x 5 sources"),
+        ("_check_budget", 463656, f"{FAR} 512 detector points x 5 sources"),
         ("_check_work", 354560, f"{FAR} 512 detector points x 5 sources x 30 arrays"),
     ],
     "jittered": [
-        ("_check_budget", 156688, f"{FAR} 300 detector points x 9 sources"),
+        ("_check_budget", 157520, f"{FAR} 300 detector points x 9 sources"),
         ("_check_work", 64800, f"{FAR} 300 detector points x 9 sources x 3 arrays"),
     ],
     "hemisphere-blocks": [
-        ("_check_budget", 906184, f"{FAR} 36864 detector points x 4 sources"),
+        ("_check_budget", 904904, f"{FAR} 36864 detector points x 4 sources"),
         ("_check_work", 4423680, f"{FAR} 36864 detector points x 4 sources x 2 arrays"),
     ],
     "hemisphere-line": [
-        ("_check_budget", 328856, f"{FAR} 300 detector points x 9 sources"),
+        ("_check_budget", 329688, f"{FAR} 300 detector points x 9 sources"),
         ("_check_work", 64800 + 4 * 150 * (150 + 300),
          f"{FAR} 300 detector points x 9 sources x 3 arrays"),
     ],
     "dicke": [
-        ("_check_budget", 128680, f"{FAR} 256 detector points x 8 sources"),
+        ("_check_budget", 129832, f"{FAR} 256 detector points x 8 sources"),
         ("_check_work", 53760, f"{FAR} 256 detector points x 8 sources x 3 arrays"),
         ("_check_budget", 3072, "far-field sweep of 3 steps x 8 sources"),
-        ("_check_budget", 77488, f"{FAR} 256 detector points x 8 sources"),
+        ("_check_budget", 78640, f"{FAR} 256 detector points x 8 sources"),
         ("_check_work", 28672, f"{FAR} 256 detector points x 8 sources x 3 arrays"),
     ],
 }
@@ -1619,10 +1652,10 @@ PINNED_CHARGES = {
 @pytest.mark.parametrize("kind", list(PINNED_CHARGES))
 def test_far_field_charges_are_pinned(monkeypatch, kind):
     """The memory and work charges of these far-field calls are pinned. The
-    memory charge is the largest stack's plan, that of a full stack however
-    the walk cuts a run of equal-N groups into stacks, plus the Python
-    objects of the call, its stacks and its arrays; the work and array
-    counts add up over the stacks."""
+    memory charge is the largest plan, that of a full stack however the walk
+    cuts a run of equal-N groups into stacks, plus the Python objects of the
+    call, its plans, its stacks and its arrays; the work and array counts
+    add up over the stacks' groups."""
     records = []
     for module, name in ((classical, "_check_budget"), (classical, "_check_work"),
                          (experiments, "_check_budget")):

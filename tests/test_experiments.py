@@ -63,6 +63,9 @@ class TestXorShift:
         assert phases.shape == (50,)
         assert np.all(phases >= 0.0) and np.all(phases < TWO_PI)
 
+    def test_numpy_integer_seed_draws_as_its_value(self):
+        assert np.array_equal(XorShift64Star(np.int64(3)).phases(8), XorShift64Star(3).phases(8))
+
 
 class TestSweepSpec:
     def test_validation(self):
@@ -300,6 +303,17 @@ def test_sweeps_are_deterministic_for_a_seed():
         )
     )
     assert not np.array_equal(first.power, reseeded.power)
+
+
+def test_float_seed_is_refused_not_truncated():
+    """A seed goes through operator.index: a float is refused with a
+    TypeError that names it, where int() once drew the seed-3 phases for
+    3.7 and echoed 3.7."""
+    fixed = {"phase_profile": "random"}
+    with pytest.raises(TypeError, match=r"^seed must be an integer, got 3\.7$"):
+        run_sweep(SweepSpec("classical_energy", "source_count", 1, 4, 4, fixed, seed=3.7))
+    with pytest.raises(TypeError, match=r"^seed must be an integer, got 2\.5$"):
+        dicke_scaling_check([2, 4, 8], regime="farfield", jitter=0.3, seed=2.5)
 
 
 def test_sweep_metadata_echoes_spec():
