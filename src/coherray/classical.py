@@ -58,7 +58,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -73,7 +72,9 @@ from .core import (
     SourceArray,
     WaveMode,
     _check_budget,
+    _check_positive,
     _check_work,
+    _integer,
     _one_of,
     _readonly,
     _sinc,
@@ -215,14 +216,9 @@ class DetectorGrid:
         if self.geometry not in GEOMETRIES:
             choices = _one_of(map(repr, GEOMETRIES))
             raise ValueError(f"geometry must be {choices}, got {self.geometry!r}")
-        if not (math.isfinite(self.radius) and self.radius > 0.0):
-            raise ValueError("radius must be positive and finite")
-        try:
-            samples = operator.index(self.samples)
-        except TypeError:
-            raise TypeError(f"samples must be an integer, got {self.samples!r}") from None
-        object.__setattr__(self, "samples", samples)
-        if samples < MIN_SAMPLES:
+        _check_positive(self.radius, "radius")
+        object.__setattr__(self, "samples", _integer(self.samples, "samples"))
+        if self.samples < MIN_SAMPLES:
             raise ValueError(f"need at least {MIN_SAMPLES} samples per angular axis")
 
     @property
@@ -314,10 +310,8 @@ def field_energy_grid(waves: PhasedWaveSet, volume: BoxVolume, resolution=64) ->
     """
     if np.shape(resolution) not in ((), (1,), (3,)):
         raise ValueError(f"resolution must be one integer or three, got {resolution!r}")
-    try:
-        res = tuple(operator.index(r) for r in np.broadcast_to(np.asarray(resolution), (3,)))
-    except TypeError:
-        raise TypeError(f"resolution must be integers, got {resolution!r}") from None
+    entries = np.broadcast_to(np.asarray(resolution, dtype=object), (3,))
+    res = tuple(_integer(r, "resolution") for r in entries)
     if min(res) < 8:
         raise ValueError("resolution must be at least 8 per axis")
     cells = math.prod(res)
@@ -921,10 +915,7 @@ def transmission_spectrum(
     lo, hi = float(wavelength_range[0]), float(wavelength_range[1])
     if not (0.0 < lo < hi and math.isfinite(hi)):
         raise ValueError("wavelength range must satisfy 0 < lo < hi, both finite")
-    try:
-        steps = operator.index(steps)
-    except TypeError:
-        raise TypeError(f"steps must be an integer, got {steps!r}") from None
+    steps = _integer(steps, "steps")
     if steps < 2:
         raise ValueError("need at least 2 steps")
     _check_sweep_budget(steps, array.n_sources, "spectrum")

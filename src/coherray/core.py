@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -91,6 +92,24 @@ def _one_of(names) -> str:
     """The choices ``names`` as the text "a, b or c", for error messages."""
     *rest, last = names
     return f"{', '.join(rest)} or {last}"
+
+
+def _integer(value, name: str) -> int:
+    """``value`` as an int; raises TypeError, naming ``name`` and the value,
+    for a float, a bool or anything else that is not an integer. Every count
+    the package takes goes through here, so none is truncated."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise TypeError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_positive(value: float, name: str):
+    """Raise ValueError unless ``value`` is positive and finite."""
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be positive and finite")
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -202,9 +221,9 @@ class SourceArray:
         if not np.all(np.isfinite(pos)):
             raise ValueError("positions must be finite")
         phases = _checked_phases(self.phases, pos.shape[0])
-        _check_wavelength(self.wavelength)
-        if self.spacing is not None and not (math.isfinite(self.spacing) and self.spacing > 0.0):
-            raise ValueError("spacing must be positive and finite")
+        _check_positive(self.wavelength, "wavelength")
+        if self.spacing is not None:
+            _check_positive(self.spacing, "spacing")
         object.__setattr__(self, "extent", _checked_extent(pos))
         object.__setattr__(self, "positions", _readonly(pos))
         object.__setattr__(self, "phases", phases)
@@ -229,11 +248,6 @@ def _checked_phases(phases, n_sources: int) -> np.ndarray:
     return _readonly(ph % TWO_PI)
 
 
-def _check_wavelength(wavelength: float):
-    if not (math.isfinite(wavelength) and wavelength > 0.0):
-        raise ValueError("wavelength must be positive and finite")
-
-
 def _swept(array: SourceArray, wavelength: float | None = None, phases=None) -> SourceArray:
     """``array`` with a new wavelength and/or new phases, equal to what
     SourceArray would build from them. The positions and extent are
@@ -241,7 +255,7 @@ def _swept(array: SourceArray, wavelength: float | None = None, phases=None) -> 
     values it changes."""
     changes = {}
     if wavelength is not None:
-        _check_wavelength(wavelength)
+        _check_positive(wavelength, "wavelength")
         changes["wavelength"] = wavelength
     if phases is not None:
         changes["phases"] = _checked_phases(phases, array.n_sources)
@@ -321,8 +335,7 @@ class EnergyReport:
     enhancement: float = field(init=False)
 
     def __post_init__(self):
-        if not (math.isfinite(self.diagonal) and self.diagonal > 0.0):
-            raise ValueError("diagonal energy must be positive and finite")
+        _check_positive(self.diagonal, "diagonal energy")
         if not math.isfinite(self.cross):
             raise ValueError("cross energy must be finite")
         total = self.diagonal + self.cross
@@ -362,15 +375,15 @@ def make_linear_array(
     sequence of per-source phases. A single source sits exactly at the
     origin regardless of spacing.
     """
+    n_sources = _integer(n_sources, "n_sources")
     if n_sources < 1:
         raise ValueError("n_sources must be at least 1")
     # peak: the offsets, positions and phases (8 + 24 + 8 bytes per source),
     # SourceArray's read-only copies of the positions and phases (24 + 8),
     # and a call's array headers and objects (1.0-1.3 KB measured)
     _check_budget(72 * n_sources + 2048, f"linear array of {n_sources} sources")
-    if not (math.isfinite(spacing) and spacing > 0.0):
-        raise ValueError("spacing must be positive and finite")
-    _check_wavelength(wavelength)
+    _check_positive(spacing, "spacing")
+    _check_positive(wavelength, "wavelength")
     offsets = (np.arange(n_sources) - (n_sources - 1) / 2.0) * spacing
     positions = np.zeros((n_sources, 3))
     positions[:, 0] = offsets

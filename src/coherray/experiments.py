@@ -12,7 +12,6 @@ keys; it, ``PHASE_PROFILES`` and ``REGIMES`` are the CLI's choice lists.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -28,6 +27,7 @@ from .core import (
     WaveMode,
     _check_budget,
     _check_wave_budget,
+    _integer,
     _one_of,
     _swept,
     make_linear_array,
@@ -50,10 +50,7 @@ class XorShift64Star:
     _MASK = (1 << 64) - 1
 
     def __init__(self, seed: int = 0):
-        try:
-            state = operator.index(seed) & self._MASK
-        except TypeError:
-            raise TypeError(f"seed must be an integer, got {seed!r}") from None
+        state = _integer(seed, "seed") & self._MASK
         self._state = state if state != 0 else self.SEED_FALLBACK
 
     def next_uint64(self) -> int:
@@ -80,6 +77,8 @@ class SweepSpec:
     ``target`` picks the observable, ``parameter`` the swept knob, and
     ``fixed`` everything else the target needs. ``_SWEEPS`` lists the
     supported target x parameter pairs, their runners and fixed keys.
+    ``steps`` is an integer (TypeError otherwise) of at least 2, and the
+    range is finite with start < stop (ConfigError otherwise).
     """
 
     target: str
@@ -91,8 +90,11 @@ class SweepSpec:
     seed: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "steps", _integer(self.steps, "steps"))
         if self.steps < 2:
             raise ConfigError("sweep needs at least 2 steps")
+        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
+            raise ConfigError("sweep range must be finite")
         if not self.start < self.stop:
             raise ConfigError("sweep range must satisfy start < stop")
         object.__setattr__(self, "fixed", dict(self.fixed))
@@ -139,11 +141,7 @@ def _sweep_phase_profile(fixed: dict, n: int, stream: XorShift64Star) -> np.ndar
 
 def _count(fixed: dict, key: str, default=None) -> int:
     """The integer fixed setting ``key``, ``default`` when it is unset."""
-    value = fixed.get(key, default)
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise TypeError(f"fixed setting {key!r} must be an integer, got {value!r}") from None
+    return _integer(fixed.get(key, default), f"fixed setting {key!r}")
 
 
 def _occupation(fixed: dict) -> tuple[int, int]:
@@ -370,15 +368,7 @@ def dicke_scaling_check(
     exact periodicity; it must be finite and nonnegative. Raises TypeError
     for an N that is not an integer (a bool is not).
     """
-    ns = set()
-    for n in n_values:
-        try:
-            if isinstance(n, bool):
-                raise TypeError
-            ns.add(operator.index(n))
-        except TypeError:
-            raise TypeError(f"N values must be integers, got {n!r}") from None
-    ns = sorted(ns)
+    ns = sorted({_integer(n, "N value") for n in n_values})
     if len(ns) < 3:
         raise ValueError("need at least three distinct N values")
     if any(n < 1 for n in ns):

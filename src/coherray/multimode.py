@@ -16,12 +16,20 @@ Units are natural: c = hbar = 1.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TWO_PI, BoxVolume, EnergyReport, WaveMode, _check_budget, _sinc, reduce_phase
+from .core import (
+    TWO_PI,
+    BoxVolume,
+    EnergyReport,
+    WaveMode,
+    _check_budget,
+    _integer,
+    _sinc,
+    reduce_phase,
+)
 from .quantum import QuantumState
 
 # |dk| * max(L) below this counts as the same mode
@@ -135,10 +143,7 @@ def overlap_integral_quadrature(pair: ModePair, samples_per_axis: int = 100) -> 
     Raises TypeError when ``samples_per_axis`` is not an integer, and
     ValueError below 2.
     """
-    try:
-        n = operator.index(samples_per_axis)
-    except TypeError:
-        raise TypeError(f"samples_per_axis must be an integer, got {samples_per_axis!r}") from None
+    n = _integer(samples_per_axis, "samples_per_axis")
     if n < 2:
         raise ValueError("need at least 2 samples per axis")
     # peak per axis: the sample points and two complex arrays (8 + 16 + 16 bytes)

@@ -22,12 +22,11 @@ identity only.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _check_budget, _check_work, _one_of
+from .core import _check_budget, _check_positive, _check_work, _integer, _one_of
 
 # coherent states are rejected when the truncated tail carries more weight
 COHERENT_TAIL_LIMIT = 1e-8
@@ -56,10 +55,7 @@ class FockSpace:
 
     def __post_init__(self):
         for name in ("n_max", "mode_count"):
-            try:
-                object.__setattr__(self, name, operator.index(getattr(self, name)))
-            except TypeError:
-                raise TypeError(f"{name} must be an integer, got {getattr(self, name)!r}") from None
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
         dimension = (self.n_max + 1) ** self.mode_count
@@ -76,8 +72,10 @@ class FockSpace:
 
     def basis_index(self, occupations) -> int:
         """Row index of a product number state (a scalar for one mode); mode 0
-        varies slowest."""
-        occ = tuple(int(n) for n in np.atleast_1d(occupations))
+        varies slowest. Each occupation is an integer (TypeError otherwise)."""
+        if np.ndim(occupations) == 0:
+            occupations = (occupations,)
+        occ = tuple(_integer(n, "occupation") for n in occupations)
         if len(occ) != self.mode_count:
             raise ValueError(f"expected {self.mode_count} occupations, got {len(occ)}")
         index = 0
@@ -245,8 +243,7 @@ def single_mode_hamiltonian(
     """
     if space.mode_count != 1:
         raise ValueError("single_mode_hamiltonian needs a one-mode space")
-    if not (math.isfinite(omega) and omega > 0.0):
-        raise ValueError("omega must be positive and finite")
+    _check_positive(omega, "omega")
     phases = np.asarray(list(phases), dtype=float)
     if phases.size == 0 or not np.all(np.isfinite(phases)):
         raise ValueError("phase list must be nonempty and finite")
@@ -302,8 +299,7 @@ def biphoton_energy(delta_phi: float, overlap: complex, omega: float) -> float:
     overlap = complex(overlap)
     if not abs(overlap) <= 1.0 + 1e-12:
         raise ValueError(f"overlap magnitude {abs(overlap)} exceeds 1")
-    if not (math.isfinite(omega) and omega > 0.0):
-        raise ValueError("omega must be positive and finite")
+    _check_positive(omega, "omega")
     if not math.isfinite(delta_phi):
         raise ValueError("delta_phi must be finite")
     return 2.0 * omega * (1.0 + (overlap * np.exp(1j * delta_phi)).real)

@@ -1,4 +1,5 @@
-"""The public names the package exports and the benchmark tracer rebinds.
+"""The public names the package exports and the benchmark tracer rebinds,
+and the input rules every entry point shares.
 
 The tracer in ``bench/trace.py`` wraps functions by name; a rename or
 deletion there would only surface as a crash of the benchmark run, so the
@@ -7,19 +8,23 @@ names are checked here. The tracer file is parsed, not imported.
 
 import ast
 import importlib
+import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import coherray
-from coherray import classical, experiments, quantum
+from coherray import classical, experiments, multimode, quantum
 
 TRACE_FILE = Path(__file__).resolve().parents[1] / "bench" / "trace.py"
 
 PACKAGE = Path(coherray.__file__).resolve().parent
 
 TESTS = Path(__file__).resolve().parent
+
+TWO_PI = 2.0 * math.pi
 
 # a docstring or comment pointing at a private helper: "see" and its name,
 # bare or behind the name of one of the package's modules
@@ -143,3 +148,82 @@ def test_every_see_pointer_names_a_top_level_definition():
     dangling = [f"{path.name}: see {module + '.' if module else ''}{name}"
                 for path, module, name in pointers if name not in targets(path, module)]
     assert not dangling, f"pointers to no top-level definition: {dangling}"
+
+
+def _grid(resolution):
+    waves = coherray.PhasedWaveSet(coherray.WaveMode.plane((TWO_PI, 0.0, 0.0)), (0.0, 1.0))
+    return classical.field_energy_grid(waves, coherray.BoxVolume((1.0, 1.0, 1.0)), resolution)
+
+
+def _spectrum(steps):
+    array = coherray.make_linear_array(3, 2.0, 0.5)
+    detector = classical.DetectorGrid(radius=1e4, geometry="arc", samples=256)
+    return classical.transmission_spectrum(array, (0.5, 3.0), steps, detector)
+
+
+def _quadrature(samples):
+    pair = multimode.ModePair(coherray.WaveMode.plane((TWO_PI, 0.0, 0.0)),
+                              coherray.WaveMode.plane((3.0 * math.pi, 0.0, 0.0)))
+    return multimode.overlap_integral_quadrature(pair, samples)
+
+
+# (entry point, name in its message, call taking the count, a float it
+# refuses, an integer it takes): every count the package reads, each read
+# through core._integer
+INTEGER_ENTRIES = [
+    ("DetectorGrid", "samples", lambda n: classical.DetectorGrid(100.0, samples=n), 100.5, 128),
+    ("field_energy_grid", "resolution", _grid, 16.0, 8),
+    ("field_energy_grid-entry", "resolution", lambda n: _grid((8, n, 8)), 13.5, 13),
+    ("transmission_spectrum", "steps", _spectrum, 3.0, 3),
+    ("XorShift64Star", "seed", experiments.XorShift64Star, 3.7, 3),
+    ("run_sweep", "fixed setting 'n_waves'",
+     lambda n: experiments.run_sweep(experiments.SweepSpec(
+         "classical_energy", "phase_delta", 0.0, 1.0, 3, {"n_waves": n})), 2.0, 2),
+    ("dicke_scaling_check", "N value",
+     lambda n: experiments.dicke_scaling_check([2, 4, n]), 8.0, 8),
+    ("overlap_integral_quadrature", "samples_per_axis", _quadrature, 2.5, 3),
+    ("FockSpace-n_max", "n_max", lambda n: quantum.FockSpace(n_max=n), 2.5, 2),
+    ("FockSpace-mode_count", "mode_count", lambda n: quantum.FockSpace(mode_count=n), 1.5, 2),
+    ("fock", "occupation",
+     lambda n: quantum.QuantumState.fock(quantum.FockSpace(n_max=4), n), 2.7, 2),
+    ("superposition", "occupation", lambda n: quantum.QuantumState.superposition(
+        quantum.FockSpace(n_max=4), [(1, n)]), 1.5, 1),
+    ("SweepSpec", "steps",
+     lambda n: experiments.SweepSpec("classical_energy", "phase_delta", 0.0, 1.0, n),
+     np.float64(3.0), 3),
+    ("make_linear_array", "n_sources", lambda n: coherray.make_linear_array(n, 0.5, 1.0), 2.5, 3),
+]
+
+
+@pytest.mark.parametrize("name, call, bad, good", [case[1:] for case in INTEGER_ENTRIES],
+                         ids=[case[0] for case in INTEGER_ENTRIES])
+def test_every_count_is_an_integer(name, call, bad, good):
+    """A float is refused, not truncated, and a bool is not taken for 0 or
+    1: each raises a TypeError that names the entry and the value. A numpy
+    integer is taken."""
+    for value in (bad, True):
+        with pytest.raises(TypeError) as refused:
+            call(value)
+        assert str(refused.value) == f"{name} must be an integer, got {value!r}"
+    call(np.int64(good))
+
+
+def test_sweep_steps_are_stored_as_an_int():
+    spec = experiments.SweepSpec("classical_energy", "phase_delta", 0.0, 1.0, np.int64(3))
+    assert type(spec.steps) is int and spec.steps == 3
+
+
+# what only the owners of the input rules may write: the integer idiom and
+# the two rules' messages
+RULE_TEXT = re.compile(r"operator\.index|must be (?:an )?integers?\b|positive and finite")
+
+
+def test_core_alone_owns_the_input_rules():
+    """Outside core.py, no module calls operator.index or raises its own
+    integer or positive-and-finite message: each goes through
+    core._integer or core._check_positive, so the rules cannot drift."""
+    sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
+    assert RULE_TEXT.search(sources["core.py"])
+    copies = [f"{name}: {match.group()}" for name, text in sorted(sources.items())
+              if name != "core.py" for match in RULE_TEXT.finditer(text)]
+    assert not copies, f"input rules restated outside core.py: {copies}"

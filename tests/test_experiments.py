@@ -379,7 +379,7 @@ class TestDickeScaling:
         for regime in ("closed_form", "farfield"):
             with pytest.raises(TypeError) as refused:
                 dicke_scaling_check(counts, regime=regime)
-            assert str(refused.value) == f"N values must be integers, got {bad!r}"
+            assert str(refused.value) == f"N value must be an integer, got {bad!r}"
 
     def test_numpy_integer_counts_are_taken(self):
         fit = dicke_scaling_check(np.array([2, 4, 8]))
@@ -461,3 +461,11 @@ class TestFindResonances:
         scaled = find_resonances(_curve(t, 7.0 * enhancement))
         assert [p for p, _ in base] == [p for p, _ in scaled]
         assert len(base) >= 2
+
+
+@pytest.mark.parametrize("start, stop", [(-math.inf, 0.0), (0.0, math.inf), (math.nan, 1.0)])
+def test_sweep_range_must_be_finite(start, stop):
+    """An infinite end is refused when the sweep is declared, as a reversed
+    range is, where it once ran until an energy came out non-finite."""
+    with pytest.raises(ConfigError, match="^sweep range must be finite$"):
+        SweepSpec("wavepacket", "phase_delta", start, stop, 3, {**COMPONENTS, "component": 1})
