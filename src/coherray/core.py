@@ -106,9 +106,19 @@ def _integer(value, name: str) -> int:
     raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
+def _finite(value, name: str) -> bool:
+    """Whether the real number ``value`` is finite; raises TypeError, naming
+    ``name`` and the value, for anything that is not a real number."""
+    try:
+        return math.isfinite(value)
+    except TypeError:
+        raise TypeError(f"{name} must be a real number, got {value!r}") from None
+
+
 def _check_positive(value: float, name: str):
-    """Raise ValueError unless ``value`` is positive and finite."""
-    if not (math.isfinite(value) and value > 0.0):
+    """Raise ValueError unless ``value`` is positive and finite (TypeError
+    unless it is a real number)."""
+    if not (_finite(value, name) and value > 0.0):
         raise ValueError(f"{name} must be positive and finite")
 
 

@@ -11,7 +11,6 @@ keys; it, ``PHASE_PROFILES`` and ``REGIMES`` are the CLI's choice lists.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -27,6 +26,7 @@ from .core import (
     WaveMode,
     _check_budget,
     _check_wave_budget,
+    _finite,
     _integer,
     _one_of,
     _swept,
@@ -93,7 +93,7 @@ class SweepSpec:
         object.__setattr__(self, "steps", _integer(self.steps, "steps"))
         if self.steps < 2:
             raise ConfigError("sweep needs at least 2 steps")
-        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
+        if not (_finite(self.start, "start") and _finite(self.stop, "stop")):
             raise ConfigError("sweep range must be finite")
         if not self.start < self.stop:
             raise ConfigError("sweep range must satisfy start < stop")
@@ -119,17 +119,7 @@ PHASE_PROFILES = ("uniform", "random")
 REGIMES = ("closed_form", "farfield")
 
 
-def _default_mode() -> WaveMode:
-    return WaveMode.plane(np.array([TWO_PI, 0.0, 0.0]))
-
-
-def _ramp(n: int, delta: float) -> np.ndarray:
-    _check_wave_budget(n)
-    return np.arange(n) * delta
-
-
 def _sweep_phase_profile(fixed: dict, n: int, stream: XorShift64Star) -> np.ndarray:
-    _check_wave_budget(n)
     profile = fixed.get("phase_profile", PHASE_PROFILES[0])
     if profile not in PHASE_PROFILES:
         choices = _one_of(map(repr, PHASE_PROFILES))
@@ -153,7 +143,8 @@ def _occupation(fixed: dict) -> tuple[int, int]:
 
 def _closed_form_observables(spec: SweepSpec, phases) -> tuple[float, float]:
     if spec.target == "classical_energy":
-        report = classical.classical_energy(PhasedWaveSet(_default_mode(), tuple(phases)))
+        mode = WaveMode.plane(np.array([TWO_PI, 0.0, 0.0]))
+        report = classical.classical_energy(PhasedWaveSet(mode, tuple(phases)))
         return report.total, report.enhancement
     occupation, n_max = _occupation(spec.fixed)
     omega = float(spec.fixed.get("omega", 1.0))
@@ -165,15 +156,27 @@ def _closed_form_observables(spec: SweepSpec, phases) -> tuple[float, float]:
     return energy, energy / reference
 
 
-def _sweep_closed_form(spec: SweepSpec, values: np.ndarray):
-    stream = XorShift64Star(spec.seed)
-    if spec.parameter == "phase_delta":
-        counts = [_count(spec.fixed, "n_waves")] * values.size
-    else:
+def _steps(spec: SweepSpec, values: np.ndarray, count_key: str):
+    """The steps' wave counts, and an iterator that draws their phases in step
+    order, so the caller can refuse the counts before any is built. A
+    source_count sweep rounds its values (ConfigError unless the first is at
+    least 1), any other holds the fixed ``count_key``; a phase_delta sweep
+    takes its ramp, any other its phase profile from one seeded stream."""
+    if spec.parameter == "source_count":
         counts = [int(round(value)) for value in values]
         # values ascend, so the first step has the fewest waves
         if counts[0] < 1:
             raise ConfigError("source_count sweep values must round to N >= 1")
+    else:
+        counts = [_count(spec.fixed, count_key)] * values.size
+    if spec.parameter == "phase_delta":
+        return counts, (np.arange(n) * float(value) for value, n in zip(values, counts))
+    stream = XorShift64Star(spec.seed)
+    return counts, (_sweep_phase_profile(spec.fixed, n, stream) for n in counts)
+
+
+def _sweep_closed_form(spec: SweepSpec, values: np.ndarray):
+    counts, phase_sets = _steps(spec, values, "n_waves")
     # the largest step's phases are refused for their memory before any work
     _check_wave_budget(counts[-1])
     if spec.target == "quantum_energy":
@@ -186,22 +189,16 @@ def _sweep_closed_form(spec: SweepSpec, values: np.ndarray):
         )
     power = np.empty(values.size)
     enhancement = np.empty(values.size)
-    for i, (value, n) in enumerate(zip(values, counts)):
-        if spec.parameter == "phase_delta":
-            phases = _ramp(n, float(value))
-        else:
-            phases = _sweep_phase_profile(spec.fixed, n, stream)
+    for i, phases in enumerate(phase_sets):
         power[i], enhancement[i] = _closed_form_observables(spec, phases)
     return power, enhancement
 
 
 def _sweep_farfield(spec: SweepSpec, values: np.ndarray):
     fixed = spec.fixed
-    stream = XorShift64Star(spec.seed)
-    # values ascend, so a source-count sweep's last array is its largest
-    largest = (int(round(values[-1])) if spec.parameter == "source_count"
-               else _count(fixed, "n_sources"))
-    _check_sweep_budget(values.size, largest, spec.parameter)
+    counts, phase_sets = _steps(spec, values, "n_sources")
+    # values ascend, so the last step holds the most sources
+    _check_sweep_budget(values.size, counts[-1], spec.parameter)
     # one detector serves the whole sweep, refused before any array is built;
     # without a radius it is sized for the worst case of the arrays below
     radius = fixed.get("radius")
@@ -212,14 +209,9 @@ def _sweep_farfield(spec: SweepSpec, values: np.ndarray):
     )
 
     arrays = []
-    for value in values:
-        n = int(round(value)) if spec.parameter == "source_count" else largest
+    for value, n, profile in zip(values, counts, phase_sets):
         spacing = float(value) if spec.parameter == "spacing" else float(fixed["spacing"])
         wavelength = float(value) if spec.parameter == "wavelength" else float(fixed["wavelength"])
-        if spec.parameter == "phase_delta":
-            profile = _ramp(n, float(value))
-        else:
-            profile = _sweep_phase_profile(fixed, n, stream)
         if arrays and spec.parameter in ("wavelength", "phase_delta"):
             # the positions hold still: reuse the first step's validated array
             arrays.append(_swept(arrays[0], wavelength, profile))
@@ -291,10 +283,11 @@ def run_sweep(spec: SweepSpec) -> SpectrumCurve:
     any other pair raises ConfigError, a missing key MissingSettingError.
     The runner sees only those keys, and only they are echoed as ``fixed.*``.
 
-    - classical_energy / quantum_energy: a phase_delta sweep uses the
-      progressive ramp phi_n = n * delta; a source_count sweep uses a
-      constant phase or phase_profile='random'. quantum_energy takes the
-      expectation on the number state n (default 0).
+    - classical_energy / quantum_energy / farfield_power: a phase_delta
+      sweep uses the progressive ramp phi_n = n * delta; any other uses a
+      constant phase or phase_profile='random'. A source_count sweep
+      rounds its values to counts, the first at least 1 (see _steps).
+      quantum_energy takes the expectation on the number state n (default 0).
     - farfield_power: a linear array seen by an arc detector by default;
       the radius defaults to the far-field minimum over the swept arrays.
     - wavepacket: the delta replaces the phase of one component (default
@@ -375,17 +368,14 @@ def dicke_scaling_check(
         raise ValueError("N values must be positive")
     if regime not in REGIMES:
         raise ValueError(f"regime must be {_one_of(map(repr, REGIMES))}, got {regime!r}")
-    if not (math.isfinite(jitter) and jitter >= 0.0):
+    if not (_finite(jitter, "jitter") and jitter >= 0.0):
         raise ValueError("jitter must be nonnegative and finite")
 
-    stream = XorShift64Star(seed)
-    energies = []
     if regime == "closed_form":
-        mode = _default_mode()
-        _check_wave_budget(ns[-1])
-        for n in ns:
-            energies.append(classical.classical_energy(PhasedWaveSet(mode, (0.0,) * n)).total)
+        spec = SweepSpec("classical_energy", "source_count", ns[0], ns[-1], len(ns))
+        energies, _ = _sweep_closed_form(spec, np.array(ns))
     else:
+        stream = XorShift64Star(seed)
         wavelength = 1.0
         spacing = spacing_ratio * wavelength
         max_extent = (ns[-1] - 1) * spacing * (1.0 + 2.0 * jitter)

@@ -213,17 +213,65 @@ def test_sweep_steps_are_stored_as_an_int():
     assert type(spec.steps) is int and spec.steps == 3
 
 
+# (entry point, name in its message, call taking the value, a value that is
+# not a number, a number it takes): scales read through core._check_positive
+# and a sweep range read through core._finite
+REAL_ENTRIES = [
+    ("DetectorGrid", "radius", lambda r: classical.DetectorGrid(radius=r), "100", 100.0),
+    ("make_linear_array", "spacing", lambda d: coherray.make_linear_array(3, d, 1.0), "0.5", 0.5),
+    ("biphoton_energy", "omega", lambda w: quantum.biphoton_energy(0.0, 1.0, w), None, 1.0),
+    ("SweepSpec", "start",
+     lambda x: experiments.SweepSpec("classical_energy", "phase_delta", x, 1.0, 3), "0", 0.0),
+]
+
+
+@pytest.mark.parametrize("name, call, bad, good", [case[1:] for case in REAL_ENTRIES],
+                         ids=[case[0] for case in REAL_ENTRIES])
+def test_every_scale_is_a_real_number(name, call, bad, good):
+    """A value that is not a number raises a TypeError that names the entry
+    and the value, not Python's own "must be real number, not str"."""
+    with pytest.raises(TypeError) as refused:
+        call(bad)
+    assert str(refused.value) == f"{name} must be a real number, got {bad!r}"
+    call(good)
+
+
 # what only the owners of the input rules may write: the integer idiom and
-# the two rules' messages
-RULE_TEXT = re.compile(r"operator\.index|must be (?:an )?integers?\b|positive and finite")
+# the rules' messages
+RULE_TEXT = re.compile(
+    r"operator\.index|must be (?:an )?integers?\b|positive and finite|must be a real number"
+)
 
 
 def test_core_alone_owns_the_input_rules():
     """Outside core.py, no module calls operator.index or raises its own
-    integer or positive-and-finite message: each goes through
-    core._integer or core._check_positive, so the rules cannot drift."""
+    integer, real-number or positive-and-finite message: each goes through
+    core._integer, core._finite or core._check_positive, so the rules
+    cannot drift."""
     sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
     assert RULE_TEXT.search(sources["core.py"])
     copies = [f"{name}: {match.group()}" for name, text in sorted(sources.items())
               if name != "core.py" for match in RULE_TEXT.finditer(text)]
     assert not copies, f"input rules restated outside core.py: {copies}"
+
+
+def functions_writing(pattern):
+    """module.function for each function of the package whose source
+    matches ``pattern``."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.FunctionDef) and pattern.search(
+                    ast.get_source_segment(text, node)):
+                found.append(f"{path.stem}.{node.name}")
+    return found
+
+
+@pytest.mark.parametrize("pattern", [r"\bround\(", r"N >= 1", r"XorShift64Star\(spec\.seed\)"],
+                         ids=["round", "refusal", "stream"])
+def test_one_function_owns_the_step_rule(pattern):
+    """One function gives every sweep its steps' counts and phases: only it
+    rounds values to counts, refuses a count below 1 and seeds the phase
+    stream, so the closed-form, far-field and dicke routes cannot drift."""
+    assert functions_writing(re.compile(pattern)) == ["experiments._steps"]

@@ -163,9 +163,11 @@ class TestExitCodes:
             (("dicke", "--n-values", "2,four"), "'n-values'"),
             (("biphoton", "--overlap", "1,2,3"), "'overlap'"),
             (("wavepacket", "--components", "1,2"), "'components'"),
+            (("dicke", "--n-values", ","), "'n-values'"),
+            (("wavepacket", "--components", " ; "), "'components'"),
         ],
         ids=("classical", "biphoton", "overlap", "dk-length", "n-values", "overlap-length",
-             "components"),
+             "components", "n-values-empty", "components-empty"),
     )
     def test_non_finite_number_is_type_mismatch(self, capsys, argv, key):
         code, out, err = run_cli(capsys, *argv)
@@ -276,6 +278,24 @@ class TestExitCodes:
         )
         assert code == 3
         assert err
+
+    @pytest.mark.parametrize("start", ["0.2", "-3"])
+    @pytest.mark.parametrize(
+        "target, extra",
+        [("classical_energy", ()), ("quantum_energy", ()),
+         ("farfield_power", ("--spacing", "0.3", "--wavelength", "1"))],
+        ids=("classical", "quantum", "farfield"),
+    )
+    def test_source_count_below_one_is_type_mismatch(self, capsys, target, extra, start):
+        """Every source_count sweep whose first value rounds below one source
+        exits 3 with the one message, the far-field one included."""
+        code, out, err = run_cli(
+            capsys, "sweep", "--target", target, "--parameter", "source_count",
+            "--start", start, "--stop", "3", "--steps", "3", *extra,
+        )
+        assert code == 3
+        assert err == "error: source_count sweep values must round to N >= 1\n"
+        assert out == ""
 
     def test_negative_jitter_is_runtime_failure(self, capsys):
         code, out, err = run_cli(

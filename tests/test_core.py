@@ -313,9 +313,10 @@ def test_make_linear_array_rejects_non_finite_input(spacing, wavelength, profile
         (lambda: SourceArray(np.zeros((1, 3)), np.zeros(1), 1.0, 0.0), "spacing"),
         (lambda: PhasedWaveSet(WaveMode.plane((TWO_PI, 0.0, 0.0)), ()), "at least one phase"),
         (lambda: WaveMode.plane(np.zeros(3)), "wavevector must be nonzero"),
+        (lambda: BoxVolume((1.0, math.inf, 1.0)), "lengths must be finite"),
     ],
     ids=["no-linear-sources", "positions-shape", "no-sources", "spacing", "no-phases",
-         "zero-wavevector"],
+         "zero-wavevector", "box-lengths"],
 )
 def test_degenerate_input_is_refused(build, message):
     with pytest.raises(ValueError, match=message):

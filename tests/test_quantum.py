@@ -148,6 +148,28 @@ class TestQuantumState:
             QuantumState(space, np.array([1.0, 1.0, 0.0], dtype=complex))
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: QuantumState(FockSpace(n_max=2), np.ones(2)),
+         r"vector shape \(2,\) does not match space dimension 3"),
+        (lambda: QuantumState.coherent(FockSpace(n_max=4, mode_count=2), (0.1,)),
+         "expected 2 amplitudes, got 1"),
+        (lambda: QuantumState.superposition(FockSpace(n_max=2), []),
+         "superposition needs at least one term"),
+        (lambda: QuantumState.superposition(FockSpace(n_max=2), [(1, 1), (-1, 1)]),
+         "superposition terms cancel to the zero vector"),
+        (lambda: build_operators(FockSpace(n_max=2, mode_count=2), 2),
+         r"mode_index 2 outside 0\.\.1"),
+    ],
+    ids=["vector-shape", "amplitude-count", "empty-superposition", "cancelling-superposition",
+         "mode-index"],
+)
+def test_inconsistent_state_or_mode_is_refused(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def test_hamiltonian_expectation_matches_phase_sum_oracle():
     """<n|H|n> must equal w |S|^2 (n + 1/2) for any phases.
 
