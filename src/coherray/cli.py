@@ -314,20 +314,27 @@ class _RaisingParser(argparse.ArgumentParser):
         raise _CliError(2, message)
 
 
-def _build_parser(argv) -> _RaisingParser:
-    """Parser for ``argv``: the named subcommand's subparser only, else all eight.
-
-    A run parses with exactly one subparser, so building the other seven
-    is wasted work. Help, a missing command, an unknown command or an
-    unknown flag first need the full parser, whose usage and choice list
-    are unchanged.
-    """
-    names = [argv[0]] if argv and argv[0] in _SUBCOMMAND_FIELDS else _SUBCOMMAND_FIELDS
-    shared = _RaisingParser(add_help=False)
+def _add_flags(parser: _RaisingParser, name: str) -> _RaisingParser:
+    """``parser`` with the global flags, ``--config`` and subcommand ``name``'s fields."""
     for field_spec in _GLOBAL_FIELDS:
-        shared.add_argument(f"--{field_spec.name}", default=None, help=field_spec.help)
-    shared.add_argument("--config", default=None, help="config file path")
+        parser.add_argument(f"--{field_spec.name}", default=None, help=field_spec.help)
+    parser.add_argument("--config", default=None, help="config file path")
+    for field_spec in _SUBCOMMAND_FIELDS[name]:
+        parser.add_argument(f"--{field_spec.name}", default=None, help=field_spec.help)
+    return parser
 
+
+def _build_parser(name: str | None) -> _RaisingParser:
+    """A run's flat parser for subcommand ``name``, else the full parser.
+
+    A run is an argv whose first word names a subcommand; one flat
+    ``coherray NAME`` parser reads the words after it. Help, a missing or
+    unknown command and a flag before the command (``name`` None) build
+    the full parser, the top level with all eight subparsers, which alone
+    prints the top-level usage and choice list.
+    """
+    if name is not None:
+        return _add_flags(_RaisingParser(prog=f"coherray {name}"), name)
     parser = _RaisingParser(
         prog="coherray",
         description="Collective energy of N phase-coherent waves",
@@ -337,10 +344,8 @@ def _build_parser(argv) -> _RaisingParser:
         ),
     )
     subparsers = parser.add_subparsers(dest="command", required=True, metavar="command")
-    for name in names:
-        sub = subparsers.add_parser(name, parents=[shared], help=_SUBCOMMAND_HELP[name])
-        for field_spec in _SUBCOMMAND_FIELDS[name]:
-            sub.add_argument(f"--{field_spec.name}", default=None, help=field_spec.help)
+    for sub in _SUBCOMMAND_FIELDS:
+        _add_flags(subparsers.add_parser(sub, help=_SUBCOMMAND_HELP[sub]), sub)
     return parser
 
 
@@ -416,11 +421,13 @@ def parse_config(argv) -> RunConfig:
         raise _CliError(
             2, f"global flag {flag} goes after the subcommand: coherray COMMAND {flag} ..."
         )
-    namespace, unknown = _build_parser(argv).parse_known_args(argv)
+    name = argv[0] if argv and argv[0] in _SUBCOMMAND_FIELDS else None
+    namespace, unknown = _build_parser(name).parse_known_args(argv[1:] if name else argv)
     if unknown:
         raise _CliError(5, f"unrecognized arguments: {' '.join(unknown)}")
     flag_values = vars(namespace)
-    subcommand = flag_values.pop("command")
+    # only the full parser sets the command; a run's parser reads what follows it
+    subcommand = flag_values.pop("command", name)
 
     path = flag_values.pop("config")
     file_entries = _read_config_file(path) if path else {}

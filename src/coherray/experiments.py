@@ -25,6 +25,7 @@ from .core import (
     SourceArray,
     WaveMode,
     _check_budget,
+    _check_positive,
     _check_wave_budget,
     _finite,
     _integer,
@@ -375,6 +376,7 @@ def dicke_scaling_check(
         spec = SweepSpec("classical_energy", "source_count", ns[0], ns[-1], len(ns))
         energies, _ = _sweep_closed_form(spec, np.array(ns))
     else:
+        _check_positive(spacing_ratio, "spacing_ratio")
         stream = XorShift64Star(seed)
         wavelength = 1.0
         spacing = spacing_ratio * wavelength

@@ -26,6 +26,7 @@ from .core import (
     EnergyReport,
     WaveMode,
     _check_budget,
+    _finite,
     _integer,
     _sinc,
     reduce_phase,
@@ -50,7 +51,7 @@ class ModePair:
     box: BoxVolume = None
 
     def __post_init__(self):
-        if not (math.isfinite(self.phi1) and math.isfinite(self.phi2)):
+        if not (_finite(self.phi1, "phi1") and _finite(self.phi2, "phi2")):
             raise ValueError("phi1 and phi2 must be finite")
         if self.box is None:
             object.__setattr__(self, "box", BoxVolume(np.ones(3)))

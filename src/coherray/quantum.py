@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _check_budget, _check_positive, _check_work, _integer, _one_of
+from .core import _check_budget, _check_positive, _check_work, _finite, _integer, _one_of
 
 # coherent states are rejected when the truncated tail carries more weight
 COHERENT_TAIL_LIMIT = 1e-8
@@ -300,6 +300,6 @@ def biphoton_energy(delta_phi: float, overlap: complex, omega: float) -> float:
     if not abs(overlap) <= 1.0 + 1e-12:
         raise ValueError(f"overlap magnitude {abs(overlap)} exceeds 1")
     _check_positive(omega, "omega")
-    if not math.isfinite(delta_phi):
+    if not _finite(delta_phi, "delta_phi"):
         raise ValueError("delta_phi must be finite")
     return 2.0 * omega * (1.0 + (overlap * np.exp(1j * delta_phi)).real)

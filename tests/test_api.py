@@ -213,15 +213,25 @@ def test_sweep_steps_are_stored_as_an_int():
     assert type(spec.steps) is int and spec.steps == 3
 
 
+MODE = coherray.WaveMode.plane(np.array([1.0, 0.0, 0.0]))
+
 # (entry point, name in its message, call taking the value, a value that is
 # not a number, a number it takes): scales read through core._check_positive
-# and a sweep range read through core._finite
+# and phases and a sweep range read through core._finite
 REAL_ENTRIES = [
     ("DetectorGrid", "radius", lambda r: classical.DetectorGrid(radius=r), "100", 100.0),
     ("make_linear_array", "spacing", lambda d: coherray.make_linear_array(3, d, 1.0), "0.5", 0.5),
     ("biphoton_energy", "omega", lambda w: quantum.biphoton_energy(0.0, 1.0, w), None, 1.0),
     ("SweepSpec", "start",
      lambda x: experiments.SweepSpec("classical_energy", "phase_delta", x, 1.0, 3), "0", 0.0),
+    ("biphoton_energy-delta_phi", "delta_phi", lambda p: quantum.biphoton_energy(p, 1.0, 1.0),
+     "0", 0.0),
+    ("ModePair-phi1", "phi1", lambda p: multimode.ModePair(MODE, MODE, phi1=p), "0", 0.0),
+    ("ModePair-phi2", "phi2", lambda p: multimode.ModePair(MODE, MODE, phi2=p), "0", 0.0),
+    ("dicke_scaling_check", "spacing_ratio",
+     lambda s: experiments.dicke_scaling_check(
+         [2, 4, 8], regime="farfield", spacing_ratio=s, detector_samples=classical.MIN_SAMPLES),
+     "0.01", 0.01),
 ]
 
 

@@ -8,7 +8,14 @@ import numpy as np
 import pytest
 
 from coherray import SweepSpec, run_sweep
-from coherray.cli import _SUBCOMMAND_FIELDS, _sections, main, parse_config
+from coherray.cli import (
+    _GLOBAL_FIELDS,
+    _SUBCOMMAND_FIELDS,
+    _build_parser,
+    _sections,
+    main,
+    parse_config,
+)
 from coherray.experiments import _SWEEPS
 
 TWO_PI = 2.0 * math.pi
@@ -738,7 +745,7 @@ def test_sweep_ignores_and_hides_keys_it_does_not_read(target, parameter):
 
 
 class TestParserBuild:
-    """A run builds only the subparser it names; usage paths build all eight."""
+    """A run builds one flat parser for its subcommand; usage paths build all eight subparsers."""
 
     @pytest.fixture
     def subparsers_built(self, monkeypatch):
@@ -752,11 +759,40 @@ class TestParserBuild:
         monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
         return built
 
+    @pytest.fixture
+    def parsers_built(self, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def recording(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            built.append(self)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", recording)
+        return built
+
     @pytest.mark.parametrize("name", list(_SUBCOMMAND_FIELDS))
-    def test_a_run_builds_one_subparser(self, subparsers_built, name):
+    def test_a_run_builds_one_subparser(self, subparsers_built, parsers_built, name):
+        """One ArgumentParser, no add_parser call, and its flags in table order."""
         config = parse_config([name, *MINIMAL_ARGV[name]])
         assert config.subcommand == name
-        assert subparsers_built == [name]
+        assert subparsers_built == []
+        [parser] = parsers_built
+        global_flags = [f"--{field_spec.name}" for field_spec in _GLOBAL_FIELDS]
+        own_flags = [f"--{field_spec.name}" for field_spec in _SUBCOMMAND_FIELDS[name]]
+        options = [option for action in parser._actions for option in action.option_strings]
+        assert options == ["-h", "--help", *global_flags, "--config", *own_flags]
+
+    @pytest.mark.parametrize("columns", ["40", "80", "200"])
+    @pytest.mark.parametrize("name", list(_SUBCOMMAND_FIELDS))
+    def test_a_runs_help_is_its_subparsers_help(self, name, columns, monkeypatch, capsys):
+        """At every terminal width, not only the corpus's 80 columns, a run's
+        help is the full parser's help of the same subcommand."""
+        monkeypatch.setenv("COLUMNS", columns)
+        with pytest.raises(SystemExit) as exit_:
+            _build_parser(None).parse_args([name, "--help"])
+        assert exit_.value.code == 0
+        assert _build_parser(name).format_help() == capsys.readouterr().out
 
     def test_help_builds_every_subparser(self, subparsers_built, capsys):
         with pytest.raises(SystemExit) as exit_:

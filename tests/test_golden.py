@@ -19,7 +19,11 @@ claims to change no behaviour must leave every hash as it is.
 ``golden/usage_corpus.json`` does the same for the usage surface:
 top-level and per-subcommand ``--help``, no command, an unknown command,
 an unknown flag, an abbreviated flag, a flag before the command and a
-missing required key. Each case stores the exit code and the SHA-256 of
+missing required key, and the argv edge cases of a run: ``--`` before a
+flag, a repeated flag, ``--flag=value`` with a negative value after it, a
+flag without its value, ``-h`` after a flag, a stray word, an exact flag
+beside a longer one it prefixes (``quantum --n``), an unknown short flag
+and a sweep's ``--start=-1``. Each case stores the exit code and the SHA-256 of
 stdout and of stderr, recorded with ``COLUMNS=80`` so that argparse
 wraps help text the same way on every terminal.
 
