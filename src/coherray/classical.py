@@ -814,10 +814,12 @@ def _check_farfield_budget(detector: DetectorGrid, walks):
 
 
 def _check_farfield_sources(detector: DetectorGrid, counts):
-    """_check_farfield_budget for one array of each of ``counts`` sources:
-    one group of one phase set, walked unfolded (the most any fold does)."""
-    _check_farfield_budget(detector, [(_plan(detector, _Fold(False, 1), 1, n, [1], 1,
-                                             lambda size: 1), 1) for n in counts])
+    """_check_farfield_budget for one linear array of each of ``counts``
+    sources: one group of one phase set, folded with one class (the least
+    any fold walks), so it refuses only what farfield_powers would."""
+    fold = _Fold(True, 1, detector.geometry == "hemisphere")
+    _check_farfield_budget(detector, [(_plan(detector, fold, 1, n, [1], 1, lambda size: 1), 1)
+                                      for n in counts])
 
 
 def _check_sweep_budget(steps: int, n_sources: int, kind: str):

@@ -158,11 +158,12 @@ def _closed_form_observables(spec: SweepSpec, phases) -> tuple[float, float]:
 
 
 def _steps(spec: SweepSpec, values: np.ndarray, count_key: str):
-    """The steps' wave counts, and an iterator that draws their phases in step
-    order, so the caller can refuse the counts before any is built. A
-    source_count sweep rounds its values (ConfigError unless the first is at
-    least 1), any other holds the fixed ``count_key``; a phase_delta sweep
-    takes its ramp, any other its phase profile from one seeded stream."""
+    """The steps' wave counts, an iterator that draws their phases in step
+    order, so the caller can refuse the counts before any is built, and the
+    seeded stream it draws from (None for a ramp). A source_count sweep
+    rounds its values (ConfigError unless the first is at least 1), any
+    other holds the fixed ``count_key``; a phase_delta sweep takes its ramp,
+    any other its phase profile from the stream."""
     if spec.parameter == "source_count":
         counts = [int(round(value)) for value in values]
         # values ascend, so the first step has the fewest waves
@@ -171,13 +172,13 @@ def _steps(spec: SweepSpec, values: np.ndarray, count_key: str):
     else:
         counts = [_count(spec.fixed, count_key)] * values.size
     if spec.parameter == "phase_delta":
-        return counts, (np.arange(n) * float(value) for value, n in zip(values, counts))
+        return counts, (np.arange(n) * float(value) for value, n in zip(values, counts)), None
     stream = XorShift64Star(spec.seed)
-    return counts, (_sweep_phase_profile(spec.fixed, n, stream) for n in counts)
+    return counts, (_sweep_phase_profile(spec.fixed, n, stream) for n in counts), stream
 
 
 def _sweep_closed_form(spec: SweepSpec, values: np.ndarray):
-    counts, phase_sets = _steps(spec, values, "n_waves")
+    counts, phase_sets, _ = _steps(spec, values, "n_waves")
     # the largest step's phases are refused for their memory before any work
     _check_wave_budget(counts[-1])
     if spec.target == "quantum_energy":
@@ -197,18 +198,20 @@ def _sweep_closed_form(spec: SweepSpec, values: np.ndarray):
 
 def _sweep_farfield(spec: SweepSpec, values: np.ndarray):
     fixed = spec.fixed
-    counts, phase_sets = _steps(spec, values, "n_sources")
+    counts, phase_sets, stream = _steps(spec, values, "n_sources")
     # values ascend, so the last step holds the most sources
     _check_sweep_budget(values.size, counts[-1], spec.parameter)
-    # one detector serves the whole sweep, refused before any array is built;
-    # without a radius it is sized for the worst case of the arrays below
+    # one detector serves the whole sweep, whose counts it refuses before any
+    # array is built; without a radius it is sized for the worst case below
     radius = fixed.get("radius")
     detector = DetectorGrid(
         radius=1.0 if radius is None else float(radius),
         geometry=fixed.get("geometry", classical.DRIVER_GEOMETRY),
         samples=_count(fixed, "samples", classical.DRIVER_SAMPLES),
     )
-
+    classical._check_farfield_sources(detector, sorted(set(counts)))
+    # only the dicke fit jitters its arrays: _SWEEPS hands no sweep a jitter
+    jitter = fixed.get("jitter", 0.0)
     arrays = []
     for value, n, profile in zip(values, counts, phase_sets):
         spacing = float(value) if spec.parameter == "spacing" else float(fixed["spacing"])
@@ -216,8 +219,14 @@ def _sweep_farfield(spec: SweepSpec, values: np.ndarray):
         if arrays and spec.parameter in ("wavelength", "phase_delta"):
             # the positions hold still: reuse the first step's validated array
             arrays.append(_swept(arrays[0], wavelength, profile))
-        else:
-            arrays.append(make_linear_array(n, spacing, wavelength, profile))
+            continue
+        array = make_linear_array(n, spacing, wavelength, profile)
+        if jitter > 0.0:
+            # up to +-jitter * spacing along the axis, drawn after the phases
+            positions = array.positions.copy()
+            positions[:, 0] += [(2.0 * stream.uniform() - 1.0) * jitter * spacing for _ in range(n)]
+            array = SourceArray(positions, array.phases, wavelength, None)
+        arrays.append(array)
 
     if radius is None:
         radius = max(classical._far_field_radius(a.wavelength, a.extent) for a in arrays)
@@ -291,6 +300,8 @@ def run_sweep(spec: SweepSpec) -> SpectrumCurve:
       quantum_energy takes the expectation on the number state n (default 0).
     - farfield_power: a linear array seen by an arc detector by default;
       the radius defaults to the far-field minimum over the swept arrays.
+      The engine's budgets refuse one array of each distinct count (see
+      classical._check_farfield_sources) before any array is built.
     - wavepacket: the delta replaces the phase of one component (default
       the last).
 
@@ -351,16 +362,18 @@ def dicke_scaling_check(
 ) -> ScalingFit:
     """Fit the source-count scaling exponent of the collective energy.
 
-    regime "closed_form": uniform-phase closed-form energy, which scales
-    exactly as N^2. regime "farfield": detected far-field power of a
-    linear array with spacing = spacing_ratio * wavelength; deep in the
-    subwavelength regime the exponent stays within [1.9, 2.0], while
-    spacings well above the wavelength destroy the collective scaling.
+    Each regime is the source_count sweep of the N values, in phase.
+    regime "closed_form": closed-form energy, which scales exactly as N^2.
+    regime "farfield": detected far-field power of a linear array with
+    spacing = spacing_ratio * wavelength; deep in the subwavelength regime
+    the exponent stays within [1.9, 2.0], while spacings well above the
+    wavelength destroy the collective scaling.
 
     ``jitter`` displaces each source by up to +-jitter * spacing along the
-    array axis (xorshift-seeded), to show the scaling does not rely on
-    exact periodicity; it must be finite and nonnegative. Raises TypeError
-    for an N that is not an integer (a bool is not).
+    array axis (from the sweep's seeded stream), to show the scaling does
+    not rely on exact periodicity; it must be finite and nonnegative. Raises
+    TypeError for an N or detector_samples that is not an integer (a bool
+    is not).
     """
     ns = sorted({_integer(n, "N value") for n in n_values})
     if len(ns) < 3:
@@ -377,32 +390,13 @@ def dicke_scaling_check(
         energies, _ = _sweep_closed_form(spec, np.array(ns))
     else:
         _check_positive(spacing_ratio, "spacing_ratio")
-        stream = XorShift64Star(seed)
-        wavelength = 1.0
-        spacing = spacing_ratio * wavelength
-        max_extent = (ns[-1] - 1) * spacing * (1.0 + 2.0 * jitter)
-        radius = classical._far_field_radius(wavelength, max_extent)
-        detector = DetectorGrid(
-            radius=radius, geometry=classical.DRIVER_GEOMETRY, samples=detector_samples
-        )
-        # refuse the fit before any array is built: each N is one array held
-        # like a source_count sweep's step (a jittered build peaks at 96 bytes
-        # per source, measured), planned unfolded (farfield_powers then plans
-        # each array's own fold)
-        classical._check_farfield_sources(detector, ns)
-        _check_sweep_budget(len(ns), ns[-1], "source_count")
-        arrays = []
-        for n in ns:
-            array = make_linear_array(n, spacing, wavelength)
-            if jitter > 0.0:
-                positions = array.positions.copy()
-                offsets = np.array(
-                    [(2.0 * stream.uniform() - 1.0) * jitter * spacing for _ in range(n)]
-                )
-                positions[:, 0] += offsets
-                array = SourceArray(positions, array.phases, wavelength, None)
-            arrays.append(array)
-        energies, _ = farfield_powers(arrays, detector)
+        # the detector is far from the widest array, widened for its jitter
+        extent = (ns[-1] - 1) * float(spacing_ratio) * (1.0 + 2.0 * jitter)
+        fixed = dict(spacing=float(spacing_ratio), wavelength=1.0, jitter=jitter,
+                     samples=_integer(detector_samples, "detector_samples"),
+                     radius=classical._far_field_radius(1.0, extent))
+        spec = SweepSpec("farfield_power", "source_count", ns[0], ns[-1], len(ns), fixed, seed)
+        energies, _ = _sweep_farfield(spec, np.array(ns))
 
     log_n = np.log(np.asarray(ns, dtype=float))
     log_e = np.log(np.asarray(energies))

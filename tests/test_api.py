@@ -181,6 +181,9 @@ INTEGER_ENTRIES = [
          "classical_energy", "phase_delta", 0.0, 1.0, 3, {"n_waves": n})), 2.0, 2),
     ("dicke_scaling_check", "N value",
      lambda n: experiments.dicke_scaling_check([2, 4, n]), 8.0, 8),
+    ("dicke_scaling_check-detector_samples", "detector_samples",
+     lambda n: experiments.dicke_scaling_check([2, 4, 8], "farfield", detector_samples=n),
+     64.5, classical.MIN_SAMPLES),
     ("overlap_integral_quadrature", "samples_per_axis", _quadrature, 2.5, 3),
     ("FockSpace-n_max", "n_max", lambda n: quantum.FockSpace(n_max=n), 2.5, 2),
     ("FockSpace-mode_count", "mode_count", lambda n: quantum.FockSpace(mode_count=n), 1.5, 2),
@@ -285,3 +288,15 @@ def test_one_function_owns_the_step_rule(pattern):
     rounds values to counts, refuses a count below 1 and seeds the phase
     stream, so the closed-form, far-field and dicke routes cannot drift."""
     assert functions_writing(re.compile(pattern)) == ["experiments._steps"]
+
+
+@pytest.mark.parametrize("pattern", [r"\bfarfield_powers\(", r"\bmake_linear_array\(",
+                                     r"\b_check_farfield_sources\("],
+                         ids=["walk", "build", "pre-check"])
+def test_one_function_drives_the_far_field(pattern):
+    """Within experiments, only _sweep_farfield builds arrays, checks their
+    counts and walks them: the far-field dicke fit is one of its sweeps, so
+    no second far-field driver, with its own checks, can drift from it."""
+    found = [name for name in functions_writing(re.compile(pattern))
+             if name.startswith("experiments.")]
+    assert found == ["experiments._sweep_farfield"]

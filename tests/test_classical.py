@@ -1603,21 +1603,29 @@ def run_charge_case(kind):
 # nodes: the arc's work, plus 4 operations per term of the weights' cosine
 # sum, 150 terms for each of the folded line's 150 fundamental nodes and the
 # jittered line's 300, and more memory, since a block's build now holds the
-# weights' arrays (see classical._plan); and the dicke pre-check
-# ahead of its walk. Each memory charge is 8 bytes per cell of the largest
-# plan, one for each run of equal stacks, plus the Python objects of the
-# call, its plans, stacks and arrays
+# weights' arrays (see classical._plan); and the dicke fit, a source_count
+# sweep. Each far-field sweep, the fit included, charges one array of each
+# of its distinct counts, folded with one class (see
+# classical._check_farfield_sources), between its sweep charge and its walk:
+# each of those two charges is at most the walk's charge that follows it.
+# Each memory charge is 8 bytes per cell of the largest plan, one for each
+# run of equal stacks, plus the Python objects of the call, its plans,
+# stacks and arrays
 FAR = "far-field request of"
 PINNED_CHARGES = {
     "spacing-pieces": [
         ("_check_budget", 392, "sweep of 7 steps"),
         ("_check_budget", 16384, "far-field sweep of 7 steps x 40 sources"),
+        ("_check_budget", 690344, f"{FAR} 1024 detector points x 40 sources"),
+        ("_check_work", 307200, f"{FAR} 1024 detector points x 40 sources x 1 arrays"),
         ("_check_budget", 1752520, f"{FAR} 1024 detector points x 40 sources"),
         ("_check_work", 2293760, f"{FAR} 1024 detector points x 40 sources x 7 arrays"),
     ],
     "source-count": [
         ("_check_budget", 336, "sweep of 6 steps"),
         ("_check_budget", 5088, "far-field sweep of 6 steps x 7 sources"),
+        ("_check_budget", 221760, f"{FAR} 1024 detector points x 7 sources"),
+        ("_check_work", 207360, f"{FAR} 1024 detector points x 7 sources x 6 arrays"),
         ("_check_budget", 238400, f"{FAR} 1024 detector points x 7 sources"),
         ("_check_work", 221184, f"{FAR} 1024 detector points x 7 sources x 6 arrays"),
     ],
@@ -1640,9 +1648,9 @@ PINNED_CHARGES = {
          f"{FAR} 300 detector points x 9 sources x 3 arrays"),
     ],
     "dicke": [
-        ("_check_budget", 129832, f"{FAR} 256 detector points x 8 sources"),
-        ("_check_work", 53760, f"{FAR} 256 detector points x 8 sources x 3 arrays"),
         ("_check_budget", 3072, "far-field sweep of 3 steps x 8 sources"),
+        ("_check_budget", 77608, f"{FAR} 256 detector points x 8 sources"),
+        ("_check_work", 26880, f"{FAR} 256 detector points x 8 sources x 3 arrays"),
         ("_check_budget", 78640, f"{FAR} 256 detector points x 8 sources"),
         ("_check_work", 28672, f"{FAR} 256 detector points x 8 sources x 3 arrays"),
     ],

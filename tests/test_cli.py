@@ -313,19 +313,21 @@ class TestExitCodes:
         assert out == ""
 
     @pytest.mark.parametrize(
-        "n_values, extra",
-        [("1000000,1100000,1200000,1300000", ()), ("2,3,2000000", ("--jitter", "0.3"))],
-        ids=("million-sources", "jittered"),
+        "argv",
+        [("dicke", "--n-values", "1000000,1100000,1200000,1300000", "--regime", "farfield"),
+         ("dicke", "--n-values", "2,3,2000000", "--regime", "farfield", "--jitter", "0.3"),
+         ("sweep", "--target", "farfield_power", "--parameter", "source_count", "--start", "1",
+          "--stop", "5000000", "--steps", "2", "--spacing", "0.3", "--wavelength", "1")],
+        ids=("million-sources", "jittered", "sweep"),
     )
-    def test_far_field_dicke_is_refused_before_its_arrays_are_built(self, capsys, n_values, extra):
-        """The far-field fit checks the engine's budgets on its source counts
-        before it builds, validates or jitters any array."""
+    def test_far_field_counts_are_refused_before_building(self, capsys, argv):
+        """A far-field source_count sweep, the far-field fit included, checks
+        the engine's budgets on its source counts before it builds,
+        validates or jitters any array."""
         tracemalloc.start()
         try:
             started = time.perf_counter()
-            code, out, err = run_cli(
-                capsys, "dicke", "--n-values", n_values, "--regime", "farfield", *extra
-            )
+            code, out, err = run_cli(capsys, *argv)
             elapsed = time.perf_counter() - started
             peak = tracemalloc.get_traced_memory()[1]
         finally:

@@ -420,6 +420,46 @@ class TestDickeScaling:
         assert len(charged) == 1 and len(peaks) == 1
         assert peaks[0] <= charged[0]
 
+    @pytest.mark.parametrize("geometry", ["arc", "hemisphere"])
+    @pytest.mark.parametrize(
+        "counts, jitter",
+        [((2, 3, 1_000_000), 0.0), ((2, 4, 8), 0.0), ((2, 4, 8), 0.3), ((1, 5, 40), 0.0),
+         ((1, 5, 40), 0.3)],
+        ids=["million", "small", "small-jittered", "forty", "forty-jittered"],
+    )
+    def test_farfield_precheck_is_never_stricter_than_the_walk(
+            self, monkeypatch, counts, jitter, geometry):
+        """The fit's pre-check charges one folded array per count, the least
+        any fold walks, so it passes whatever farfield_powers would run and
+        reaches the walk's own charges, each at least the pre-check's. Its
+        unfolded charge once refused the million-source fit at 1.536e10
+        operations, which the walk charges 8.19e9. The walk's work check
+        stops the fit before it runs."""
+        class Walked(Exception):
+            pass
+
+        budgets, works = [], []
+        check_budget, check_work = classical._check_budget, classical._check_work
+
+        def budget(needed, request):
+            if request.startswith("far-field request"):
+                budgets.append(needed)
+            return check_budget(needed, request)
+
+        def work(needed, request):
+            works.append(needed)
+            if len(works) == 2:
+                raise Walked
+            return check_work(needed, request)
+
+        monkeypatch.setattr(classical, "DRIVER_GEOMETRY", geometry)
+        monkeypatch.setattr(classical, "_check_budget", budget)
+        monkeypatch.setattr(classical, "_check_work", work)
+        with pytest.raises(Walked):
+            dicke_scaling_check(counts, "farfield", jitter=jitter, seed=3)
+        assert len(budgets) == 2
+        assert budgets[0] <= budgets[1] and works[0] <= works[1]
+
     def test_scaling_fit_validates_r_squared(self):
         with pytest.raises(ValueError):
             ScalingFit(2.0, 1.5, ((1, 1.0),))
