@@ -74,6 +74,7 @@ from .core import (
     _check_budget,
     _check_positive,
     _check_work,
+    _finite,
     _integer,
     _one_of,
     _readonly,
@@ -173,13 +174,6 @@ _LINE_WORK = 4
 # bytes per step of a far-field sweep besides the sources: the step's
 # SourceArray object and curve entries (~250 measured with tracemalloc)
 _SWEEP_STEP_BYTES = 512
-
-# bytes per source that a far-field sweep step holds, by kind: spectrum
-# steps share their array's, wavelength and phase_delta steps hold new
-# phases (8; phase_delta steps share one engine pass, which holds the cos
-# and sin of all of them, 16), spacing and source_count steps new positions
-# and phases (32)
-_SWEEP_SOURCE_BYTES = dict(spectrum=0, wavelength=8, phase_delta=24, spacing=32, source_count=32)
 
 # bytes per source held once per sweep: the first array under construction
 # and its temporaries (72 measured at 20 000 sources), and the cos and sin
@@ -671,7 +665,8 @@ def _plan(detector, fold, width, n, shape, groups, distinct) -> _Plan:
     batches, start = [], 0
     for sets, same in itertools.groupby(shape):
         stop, step = start + len(list(same)), most(size, sets)
-        batches += map(slice, range(start, stop, step), [*range(start + step, stop, step), stop])
+        bounds = [*range(start, stop, step), stop]
+        batches += map(slice, bounds, bounds[1:])
         start = stop
     offsets = [0, *itertools.accumulate(shape)]
     steps = max(batch.stop - batch.start for batch in batches)
@@ -707,13 +702,21 @@ def _planned_stacks(detector: DetectorGrid, positions, runs, fold: _Fold, width:
 
 
 def _distinct_phases(runs) -> tuple[list, dict]:
-    """The distinct phase arrays of some groups' ``runs``, matched by their
-    bytes, and each array's index among them by id (its bytes taken once)."""
-    distinct, rows = {}, {}
+    """The distinct phase arrays of some groups' ``runs``, matched bit for
+    bit, and each array's index among them by id. An array is keyed by the
+    hash of its bytes, or the next free key if that one holds other bytes,
+    so no copy of its bytes is kept."""
+    distinct, rows, seen = [], {}, {}
     for phases in (phases for group in runs for _, sets in group for phases in sets):
         if id(phases) not in rows:
-            rows[id(phases)] = distinct.setdefault(phases.tobytes(), (len(distinct), phases))[0]
-    return [phases for _, phases in distinct.values()], rows
+            data = phases.tobytes()
+            key = hash(data)
+            while key in seen and distinct[seen[key]].tobytes() != data:
+                key += 1
+            rows[id(phases)] = seen.setdefault(key, len(distinct))
+            if rows[id(phases)] == len(distinct):
+                distinct.append(phases)
+    return distinct, rows
 
 
 def _prefix(array, shape) -> np.ndarray:
@@ -813,21 +816,20 @@ def _check_farfield_budget(detector: DetectorGrid, walks):
     _check_work(work, f"{request} x {arrays} arrays")
 
 
-def _check_farfield_sources(detector: DetectorGrid, counts):
-    """_check_farfield_budget for one linear array of each of ``counts``
-    sources: one group of one phase set, folded with one class (the least
-    any fold walks), so it refuses only what farfield_powers would."""
+def _check_farfield_sweep(detector: DetectorGrid, groups):
+    """Refuse a far-field sweep before any step is built, from the shape of
+    its walk: ``groups`` lists each positions group's N and the phase sets
+    of each of its runs (see _plan). Its steps hold phases of up to the
+    largest N, its groups their positions; each run of equal groups is then
+    planned as one stack folded with one class, the least any fold walks."""
+    steps, n_max = sum(sum(shape) for _, shape in groups), max(n for n, _ in groups)
+    held = steps * (_SWEEP_STEP_BYTES + 8 * n_max) + 24 * sum(n for n, _ in groups)
+    request = f"far-field sweep of {steps} steps x {n_max} sources"
+    _check_budget(held + _SWEEP_BUILD_BYTES * n_max, request)
     fold = _Fold(True, 1, detector.geometry == "hemisphere")
-    _check_farfield_budget(detector, [(_plan(detector, fold, 1, n, [1], 1, lambda size: 1), 1)
-                                      for n in counts])
-
-
-def _check_sweep_budget(steps: int, n_sources: int, kind: str):
-    """Refuse a far-field sweep of ``kind`` (a _SWEEP_SOURCE_BYTES key) whose
-    steps of up to ``n_sources`` sources exceed the budget."""
-    per_step = _SWEEP_STEP_BYTES + _SWEEP_SOURCE_BYTES[kind] * n_sources
-    needed = steps * per_step + _SWEEP_BUILD_BYTES * n_sources
-    _check_budget(needed, f"far-field sweep of {steps} steps x {n_sources} sources")
+    runs = [(key, len(list(same))) for key, same in itertools.groupby(groups)]
+    _check_farfield_budget(detector, [(_plan(detector, fold, 1, n, shape, count, lambda size: 1),
+                                       count) for (n, shape), count in runs])
 
 
 def _far_field_radius(wavelength: float, extent: float) -> float:
@@ -914,13 +916,15 @@ def transmission_spectrum(
     exceeds the wavelength and grating lobes sweep across the detector.
     Raises TypeError unless ``steps`` is an integer.
     """
-    lo, hi = float(wavelength_range[0]), float(wavelength_range[1])
-    if not (0.0 < lo < hi and math.isfinite(hi)):
+    lo, hi = (float(x) if _finite(x, "wavelength_range") else math.nan for x in wavelength_range)
+    if not 0.0 < lo < hi:
         raise ValueError("wavelength range must satisfy 0 < lo < hi, both finite")
     steps = _integer(steps, "steps")
     if steps < 2:
         raise ValueError("need at least 2 steps")
-    _check_sweep_budget(steps, array.n_sources, "spectrum")
+    # its steps share the array's positions and phases
+    _check_budget(_SWEEP_STEP_BYTES * steps + _SWEEP_BUILD_BYTES * array.n_sources,
+                  f"far-field sweep of {steps} steps x {array.n_sources} sources")
     values = np.linspace(lo, hi, steps)
     swept = [_swept(array, wavelength=float(wavelength)) for wavelength in values]
     powers, enhancements = farfield_powers(swept, detector)

@@ -33,7 +33,7 @@ from .core import (
     _swept,
     make_linear_array,
 )
-from .classical import DetectorGrid, SpectrumCurve, _check_sweep_budget, farfield_powers
+from .classical import DetectorGrid, SpectrumCurve, farfield_powers
 from .multimode import WavepacketSpectrum, wavepacket_energy
 
 
@@ -199,26 +199,31 @@ def _sweep_closed_form(spec: SweepSpec, values: np.ndarray):
 def _sweep_farfield(spec: SweepSpec, values: np.ndarray):
     fixed = spec.fixed
     counts, phase_sets, stream = _steps(spec, values, "n_sources")
-    # values ascend, so the last step holds the most sources
-    _check_sweep_budget(values.size, counts[-1], spec.parameter)
-    # one detector serves the whole sweep, whose counts it refuses before any
-    # array is built; without a radius it is sized for the worst case below
+    # one detector serves the whole sweep, which is checked on its steps
+    # before any is built; without a radius it is sized for the worst case
     radius = fixed.get("radius")
     detector = DetectorGrid(
         radius=1.0 if radius is None else float(radius),
         geometry=fixed.get("geometry", classical.DRIVER_GEOMETRY),
         samples=_count(fixed, "samples", classical.DRIVER_SAMPLES),
     )
-    classical._check_farfield_sources(detector, sorted(set(counts)))
     # only the dicke fit jitters its arrays: _SWEEPS hands no sweep a jitter
     jitter = fixed.get("jitter", 0.0)
+    # consecutive steps of one spacing and count share positions (the fit's
+    # counts, the only jittered ones, are distinct); a wavelength step is a
+    # run of its own, any other a phase set of its positions group's run
+    keys = values if spec.parameter == "spacing" else counts
+    starts = [i for i in range(values.size) if i == 0 or keys[i] != keys[i - 1]]
+    classical._check_farfield_sweep(detector, [
+        (counts[i], [1] * (stop - i) if spec.parameter == "wavelength" else [stop - i])
+        for i, stop in zip(starts, [*starts[1:], values.size])])
     arrays = []
-    for value, n, profile in zip(values, counts, phase_sets):
+    for i, (value, n, profile) in enumerate(zip(values, counts, phase_sets)):
         spacing = float(value) if spec.parameter == "spacing" else float(fixed["spacing"])
         wavelength = float(value) if spec.parameter == "wavelength" else float(fixed["wavelength"])
-        if arrays and spec.parameter in ("wavelength", "phase_delta"):
-            # the positions hold still: reuse the first step's validated array
-            arrays.append(_swept(arrays[0], wavelength, profile))
+        if i and keys[i] == keys[i - 1]:
+            # the positions hold still: reuse the previous step's validated array
+            arrays.append(_swept(arrays[-1], wavelength, profile))
             continue
         array = make_linear_array(n, spacing, wavelength, profile)
         if jitter > 0.0:
@@ -268,6 +273,7 @@ _PROFILE = ("phase", "phase_profile")
 _QUANTUM = ("n", "n_max", "omega")
 _DETECTOR = ("geometry", "samples", "radius")
 _FARFIELD = _DETECTOR + _PROFILE
+_REAL_KEYS = ("phase", "omega", "spacing", "wavelength", "radius")
 _SWEEPS = {
     ("classical_energy", "phase_delta"): (_sweep_closed_form, ("n_waves",), ()),
     ("classical_energy", "source_count"): (_sweep_closed_form, (), _PROFILE),
@@ -290,8 +296,9 @@ def run_sweep(spec: SweepSpec) -> SpectrumCurve:
 
     ``_SWEEPS`` lists each supported (target, parameter) pair with its
     runner, the fixed keys it requires and the optional ones it reads;
-    any other pair raises ConfigError, a missing key MissingSettingError.
-    The runner sees only those keys, and only they are echoed as ``fixed.*``.
+    any other pair raises ConfigError, a missing key MissingSettingError, a
+    _REAL_KEYS value that is not a real number TypeError. The runner sees
+    only those keys, and only they are echoed as ``fixed.*``.
 
     - classical_energy / quantum_energy / farfield_power: a phase_delta
       sweep uses the progressive ramp phi_n = n * delta; any other uses a
@@ -300,8 +307,9 @@ def run_sweep(spec: SweepSpec) -> SpectrumCurve:
       quantum_energy takes the expectation on the number state n (default 0).
     - farfield_power: a linear array seen by an arc detector by default;
       the radius defaults to the far-field minimum over the swept arrays.
-      The engine's budgets refuse one array of each distinct count (see
-      classical._check_farfield_sources) before any array is built.
+      The sweep is checked against both budgets on the shape its walk will
+      take, every step included (see classical._check_farfield_sweep),
+      before any phase or array is built.
     - wavepacket: the delta replaces the phase of one component (default
       the last).
 
@@ -330,6 +338,9 @@ def run_sweep(spec: SweepSpec) -> SpectrumCurve:
             f"target {spec.target!r} is missing fixed settings: {', '.join(missing)}"
         )
     fixed = {key: value for key, value in spec.fixed.items() if key in required + optional}
+    for key in _REAL_KEYS:
+        if key in fixed:  # a number at all: each runner checks its range
+            _finite(fixed[key], f"fixed setting {key!r}")
     values = np.linspace(spec.start, spec.stop, spec.steps)
     power, enhancement = runner(replace(spec, fixed=fixed), values)
     meta = {

@@ -7,6 +7,7 @@ names are checked here. The tracer file is parsed, not imported.
 """
 
 import ast
+import functools
 import importlib
 import math
 import re
@@ -161,6 +162,20 @@ def _spectrum(steps):
     return classical.transmission_spectrum(array, (0.5, 3.0), steps, detector)
 
 
+def _spectrum_range(lo, hi):
+    array = coherray.make_linear_array(3, 0.5, 1.0)
+    detector = classical.DetectorGrid(radius=1e4, geometry="arc", samples=64)
+    return classical.transmission_spectrum(array, (lo, hi), 3, detector)
+
+
+def _farfield_sweep(parameter, key):
+    """A call running a far-field sweep of ``parameter`` whose fixed ``key``
+    holds the value it is given."""
+    fixed = {"n_sources": 3, "spacing": 0.3, "wavelength": 1.0, "samples": 64}
+    return lambda value: experiments.run_sweep(experiments.SweepSpec(
+        "farfield_power", parameter, 0.5, 1.0, 2, {**fixed, key: value}))
+
+
 def _quadrature(samples):
     pair = multimode.ModePair(coherray.WaveMode.plane((TWO_PI, 0.0, 0.0)),
                               coherray.WaveMode.plane((3.0 * math.pi, 0.0, 0.0)))
@@ -220,7 +235,8 @@ MODE = coherray.WaveMode.plane(np.array([1.0, 0.0, 0.0]))
 
 # (entry point, name in its message, call taking the value, a value that is
 # not a number, a number it takes): scales read through core._check_positive
-# and phases and a sweep range read through core._finite
+# and phases, a sweep's fixed real settings and a range read through
+# core._finite
 REAL_ENTRIES = [
     ("DetectorGrid", "radius", lambda r: classical.DetectorGrid(radius=r), "100", 100.0),
     ("make_linear_array", "spacing", lambda d: coherray.make_linear_array(3, d, 1.0), "0.5", 0.5),
@@ -235,6 +251,18 @@ REAL_ENTRIES = [
      lambda s: experiments.dicke_scaling_check(
          [2, 4, 8], regime="farfield", spacing_ratio=s, detector_samples=classical.MIN_SAMPLES),
      "0.01", 0.01),
+    ("transmission_spectrum-lo", "wavelength_range", lambda lo: _spectrum_range(lo, 3), "0.5", 0.5),
+    ("transmission_spectrum-hi", "wavelength_range", lambda hi: _spectrum_range(0.5, hi), "3", 3.0),
+    ("run_sweep-spacing", "fixed setting 'spacing'", _farfield_sweep("wavelength", "spacing"),
+     "0.3", 0.3),
+    ("run_sweep-wavelength", "fixed setting 'wavelength'", _farfield_sweep("spacing", "wavelength"),
+     "1", 1.0),
+    ("run_sweep-radius", "fixed setting 'radius'", _farfield_sweep("wavelength", "radius"),
+     "1000", 1000.0),
+    ("run_sweep-phase", "fixed setting 'phase'", _farfield_sweep("wavelength", "phase"), "0", 0.0),
+    ("run_sweep-omega", "fixed setting 'omega'", lambda w: experiments.run_sweep(
+        experiments.SweepSpec("biphoton", "phase_delta", 0.0, 1.0, 2, {"overlap": 1.0, "omega": w})),
+     "1", 1.0),
 ]
 
 
@@ -268,17 +296,22 @@ def test_core_alone_owns_the_input_rules():
     assert not copies, f"input rules restated outside core.py: {copies}"
 
 
+@functools.cache
+def package_functions():
+    """(module.function, source) for each function of the package, each
+    module parsed once per session."""
+    functions = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        functions += [(f"{path.stem}.{node.name}", ast.get_source_segment(text, node))
+                      for node in ast.walk(ast.parse(text)) if isinstance(node, ast.FunctionDef)]
+    return functions
+
+
 def functions_writing(pattern):
     """module.function for each function of the package whose source
     matches ``pattern``."""
-    found = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        text = path.read_text(encoding="utf-8")
-        for node in ast.walk(ast.parse(text)):
-            if isinstance(node, ast.FunctionDef) and pattern.search(
-                    ast.get_source_segment(text, node)):
-                found.append(f"{path.stem}.{node.name}")
-    return found
+    return [name for name, source in package_functions() if pattern.search(source)]
 
 
 @pytest.mark.parametrize("pattern", [r"\bround\(", r"N >= 1", r"XorShift64Star\(spec\.seed\)"],
@@ -291,11 +324,11 @@ def test_one_function_owns_the_step_rule(pattern):
 
 
 @pytest.mark.parametrize("pattern", [r"\bfarfield_powers\(", r"\bmake_linear_array\(",
-                                     r"\b_check_farfield_sources\("],
+                                     r"\b_check_farfield_sweep\("],
                          ids=["walk", "build", "pre-check"])
 def test_one_function_drives_the_far_field(pattern):
     """Within experiments, only _sweep_farfield builds arrays, checks their
-    counts and walks them: the far-field dicke fit is one of its sweeps, so
+    steps and walks them: the far-field dicke fit is one of its sweeps, so
     no second far-field driver, with its own checks, can drift from it."""
     found = [name for name in functions_writing(re.compile(pattern))
              if name.startswith("experiments.")]

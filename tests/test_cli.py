@@ -313,17 +313,26 @@ class TestExitCodes:
         assert out == ""
 
     @pytest.mark.parametrize(
-        "argv",
-        [("dicke", "--n-values", "1000000,1100000,1200000,1300000", "--regime", "farfield"),
-         ("dicke", "--n-values", "2,3,2000000", "--regime", "farfield", "--jitter", "0.3"),
-         ("sweep", "--target", "farfield_power", "--parameter", "source_count", "--start", "1",
-          "--stop", "5000000", "--steps", "2", "--spacing", "0.3", "--wavelength", "1")],
-        ids=("million-sources", "jittered", "sweep"),
+        "argv, refusal",
+        [(("dicke", "--n-values", "1000000,1100000,1200000,1300000", "--regime", "farfield"),
+          "1024 detector points x "),
+         (("dicke", "--n-values", "2,3,2000000", "--regime", "farfield", "--jitter", "0.3"),
+          "1024 detector points x "),
+         (("sweep", "--target", "farfield_power", "--parameter", "source_count", "--start", "1",
+           "--stop", "5000000", "--steps", "2", "--spacing", "0.3", "--wavelength", "1"),
+          "1024 detector points x "),
+         (("sweep", "--target", "farfield_power", "--parameter", "wavelength", "--start", "0.5",
+           "--stop", "2", "--steps", "4000", "--n-sources", "20000", "--spacing", "0.3",
+           "--samples", "64", "--phase-profile", "random"),
+          "64 detector points x 20000 sources x 4000 arrays needs ")],
+        ids=("million-sources", "jittered", "sweep", "wavelength-steps"),
     )
-    def test_far_field_counts_are_refused_before_building(self, capsys, argv):
-        """A far-field source_count sweep, the far-field fit included, checks
-        the engine's budgets on its source counts before it builds,
-        validates or jitters any array."""
+    def test_far_field_counts_are_refused_before_building(self, capsys, argv, refusal):
+        """A far-field sweep, the far-field fit included, checks the engine's
+        budgets on the shape of its whole walk before it draws a phase or
+        builds, validates or jitters any array: a wavelength sweep of 4000
+        steps of 20 000 random phases is refused for all its arrays' work,
+        where it once drew its 8e7 phases first."""
         tracemalloc.start()
         try:
             started = time.perf_counter()
@@ -333,7 +342,7 @@ class TestExitCodes:
         finally:
             tracemalloc.stop()
         assert code == 1
-        assert "error: far-field request of 1024 detector points x " in err
+        assert f"error: far-field request of {refusal}" in err
         assert out == ""
         assert elapsed < 1.0
         assert peak < 2 ** 20

@@ -435,34 +435,62 @@ class TestDickeScaling:
         unfolded charge once refused the million-source fit at 1.536e10
         operations, which the walk charges 8.19e9. The walk's work check
         stops the fit before it runs."""
-        class Walked(Exception):
-            pass
-
-        budgets, works = [], []
-        check_budget, check_work = classical._check_budget, classical._check_work
-
-        def budget(needed, request):
-            if request.startswith("far-field request"):
-                budgets.append(needed)
-            return check_budget(needed, request)
-
-        def work(needed, request):
-            works.append(needed)
-            if len(works) == 2:
-                raise Walked
-            return check_work(needed, request)
-
         monkeypatch.setattr(classical, "DRIVER_GEOMETRY", geometry)
-        monkeypatch.setattr(classical, "_check_budget", budget)
-        monkeypatch.setattr(classical, "_check_work", work)
-        with pytest.raises(Walked):
-            dicke_scaling_check(counts, "farfield", jitter=jitter, seed=3)
-        assert len(budgets) == 2
-        assert budgets[0] <= budgets[1] and works[0] <= works[1]
+        assert_precheck_is_never_stricter_than_the_walk(
+            monkeypatch, lambda: dicke_scaling_check(counts, "farfield", jitter=jitter, seed=3))
 
     def test_scaling_fit_validates_r_squared(self):
         with pytest.raises(ValueError):
             ScalingFit(2.0, 1.5, ((1, 1.0),))
+
+
+def assert_precheck_is_never_stricter_than_the_walk(monkeypatch, call):
+    """Run the far-field ``call`` up to its walk's work check, and check that
+    the pre-check's memory and work charges are at most the walk's."""
+    class Walked(Exception):
+        pass
+
+    budgets, works = [], []
+    check_budget, check_work = classical._check_budget, classical._check_work
+
+    def budget(needed, request):
+        if request.startswith("far-field request"):
+            budgets.append(needed)
+        return check_budget(needed, request)
+
+    def work(needed, request):
+        works.append(needed)
+        if len(works) == 2:
+            raise Walked
+        return check_work(needed, request)
+
+    monkeypatch.setattr(classical, "_check_budget", budget)
+    monkeypatch.setattr(classical, "_check_work", work)
+    with pytest.raises(Walked):
+        call()
+    assert len(budgets) == 2
+    assert budgets[0] <= budgets[1] and works[0] <= works[1]
+
+
+@pytest.mark.parametrize("geometry", ["arc", "hemisphere"])
+@pytest.mark.parametrize(
+    "parameter, start, stop, steps, fixed",
+    [("wavelength", 0.5, 2.0, 5, {"n_sources": 6, "spacing": 0.3, "phase_profile": "random"}),
+     ("phase_delta", 0.0, 3.0, 5, {"n_sources": 6, "spacing": 0.3, "wavelength": 1.0}),
+     ("spacing", 0.1, 0.5, 7, {"n_sources": 6, "wavelength": 1.0, "phase_profile": "random"}),
+     ("source_count", 1, 4, 7, {"spacing": 0.3, "wavelength": 1.0, "phase_profile": "random"})],
+    ids=["wavelength", "phase_delta", "spacing", "source_count-repeats"],
+)
+def test_farfield_sweep_precheck_is_never_stricter_than_the_walk(
+        monkeypatch, parameter, start, stop, steps, fixed, geometry):
+    """A far-field sweep's pre-check charges every step of its walk, each
+    run of equal positions groups folded with one class, so it reaches the
+    walk's own charges, each at least the pre-check's: on random phases,
+    on a phase ramp, on a spacing sweep's groups of one step and on a
+    source_count sweep whose rounded counts repeat (1, 2, 2, 2, 3, 4, 4)."""
+    spec = SweepSpec("farfield_power", parameter, start, stop, steps,
+                     {**fixed, "geometry": geometry, "samples": 256}, seed=7)
+    assert_precheck_is_never_stricter_than_the_walk(monkeypatch, lambda: run_sweep(spec))
 
 
 def _curve(parameter, enhancement):
