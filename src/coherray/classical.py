@@ -15,9 +15,10 @@ Far-field power of point-source arrays is integrated over a detector
 surface: the forward hemisphere by default (array along x in the z=0
 plane, cap around +z, theta from +z), or a 1-D arc in the x-z plane, the
 fast mode for sweeps over linear arrays. One engine, `farfield_powers`,
-evaluates a list of arrays on one detector; `farfield_power`,
-`transmission_spectrum` and the far-field sweeps of `experiments` go
-through it. It sums the brute-force field of every source at every
+evaluates a list of arrays on one detector; `farfield_power` goes
+through it, and spectra and far-field sweeps hand its entry, _step_powers,
+their steps as tables, not one array per step. It sums the brute-force
+field of every source at every
 detector point as e^{i(k d + phi)} / r, from the path differences
 d = r - |p| (a row's common phase e^{ik|p|} drops out of |field|^2
 exactly), so real cos/sin of the small, exact k d replace the complex
@@ -79,7 +80,6 @@ from .core import (
     _one_of,
     _readonly,
     _sinc,
-    _swept,
     phase_sum,
 )
 
@@ -172,7 +172,8 @@ _LINE_CELLS = 1 << 13
 _LINE_WORK = 4
 
 # bytes per step of a far-field sweep besides the sources: the step's
-# SourceArray object and curve entries (~250 measured with tracemalloc)
+# tuple, row views and curve entries (fitted, at ~250 measured with
+# tracemalloc, to the SourceArray object each step once built)
 _SWEEP_STEP_BYTES = 512
 
 # bytes per source held once per sweep: the first array under construction
@@ -534,7 +535,7 @@ def _row_weights(detector: DetectorGrid, fold: _Fold, nodes, weights) -> np.ndar
     return np.array([weights + images] if fold.classes == 1 else [weights, images])
 
 
-def _path_differences(points, norms, positions, squares, table, inverse, scratch):
+def _path_differences(points, norms, positions, squares, table, inverse, scratch, line):
     """Path differences d = r - |p| from each source x of each group of
     ``positions`` (groups, N, 3) to each detector point p of one chunk,
     r = |p - x|, into ``table`` (groups, N, rows), and 1/r into ``inverse``.
@@ -543,12 +544,17 @@ def _path_differences(points, norms, positions, squares, table, inverse, scratch
     (|x|^2 - 2 p.x) / (r + |p|), with no cancellation between r and |p|, so
     d keeps full precision however far the detector is (``squares`` holds
     each |x|^2, ``inverse`` r + |p| until then, and ``scratch``, shaped like
-    ``table``, the y and z terms).
+    ``table``, the y and z terms). On a ``line`` (every source has y = z = 0
+    and every point y = 0) the y terms are +0 and the z terms p_z^2 in r and
+    a zero in p.x, whose sign |x|^2 absorbs, so only p_z^2 is added: the
+    same bits.
     """
     np.subtract(points[:, 0], positions[..., 0, None], out=inverse)
     inverse *= inverse
     np.multiply(points[:, 0], positions[..., 0, None], out=table)
-    for axis in (1, 2):
+    if line:
+        inverse += np.square(points[:, 2], out=_prefix(scratch, points[:, 2].shape))
+    for axis in () if line else (1, 2):
         np.subtract(points[:, axis], positions[..., axis, None], out=scratch)
         scratch *= scratch
         inverse += scratch
@@ -629,11 +635,13 @@ class _Plan(NamedTuple):
 
 class _Stack(NamedTuple):
     """Consecutive positions groups of one N, fold, run shape and width (see
-    _position_groups), and the plan of their run (see _planned_stacks)."""
+    _position_groups), the plan of their run (see _planned_stacks) and
+    their phase arrays matched once (see _distinct_phases)."""
 
     positions: list  # each group's positions, (N, 3)
     runs: list  # each group's runs of equal wavenumber, [(wavenumber, [phases, ...]), ...]
     plan: _Plan
+    phases: tuple  # the distinct phase arrays, and each array's index among them by id
 
 
 def _plan(detector, fold, width, n, shape, groups, distinct) -> _Plan:
@@ -693,12 +701,18 @@ def _plan(detector, fold, width, n, shape, groups, distinct) -> _Plan:
 
 def _planned_stacks(detector: DetectorGrid, positions, runs, fold: _Fold, width: int) -> list:
     """These consecutive groups of one N, fold, run shape and width as
-    stacks of one plan (see _plan), the last one perhaps shorter."""
+    stacks of one plan (see _plan), the last one perhaps shorter, each with
+    its phase arrays matched once, when the plan sizes its stacks."""
+    matches = []
+
+    def distinct(size):
+        matches[:] = [_distinct_phases(runs[i:i + size]) for i in range(0, len(runs), size)]
+        return max(len(phases) for phases, _ in matches)
+
     plan = _plan(detector, fold, width, len(positions[0]), [len(sets) for _, sets in runs[0]],
-                 len(runs), lambda size: max(len(_distinct_phases(runs[i:i + size])[0])
-                                             for i in range(0, len(runs), size)))
-    return [_Stack(positions[i:i + plan.size], runs[i:i + plan.size], plan)
-            for i in range(0, len(runs), plan.size)]
+                 len(runs), distinct)
+    return [_Stack(positions[i:i + plan.size], runs[i:i + plan.size], plan, match)
+            for i, match in zip(range(0, len(runs), plan.size), matches)]
 
 
 def _distinct_phases(runs) -> tuple[list, dict]:
@@ -731,10 +745,9 @@ def _stack_walk(stack: _Stack, points, norms, row_weights, powers):
     chunk builds the path differences and 1/r of every group in one pass,
     and each batch of runs takes one cos and one sin pass (see _run_powers),
     in prefixes of the arrays of plan.walk, which are a full stack's."""
-    runs, plan = stack.runs, stack.plan
+    runs, plan, (distinct, rows) = stack.runs, stack.plan, stack.phases
     width, offsets, walk = plan.width, plan.offsets, plan.walk
-    g, n = len(runs), walk["positions"][1]
-    distinct, rows = _distinct_phases(runs)
+    g, n, d = len(runs), walk["positions"][1], len(distinct)
     positions, squares, wavenumbers, phasors, table, inverse, trig, gather, outputs = (
         np.empty(walk[name]) for name in ("positions", "squares", "wavenumbers", "phasors",
                                           "table", "inverse", "trig", "gather", "outputs"))
@@ -744,14 +757,19 @@ def _stack_walk(stack: _Stack, points, norms, row_weights, powers):
     wavenumbers[:] = [[k for k, _ in group_runs] for group_runs in runs]
     positions = np.stack(stack.positions, out=positions[:g])
     squares = np.einsum("gij,gij->gi", positions, positions, out=squares[:g])
-    for row, values in zip(phasors, distinct):
-        row[:, 0], row[:, 1:] = values, values[::-1]
-        np.cos(row[0], out=row[0])
-        np.sin(row[1], out=row[1])
+    line = not (positions[..., 1:].any() or points[:, 1].any())
+    # each class's phases under cos and sin, stacked from the arrays (a copy
+    # within the table would take a temporary)
+    for order in range(width):
+        for half in phasors[:d].transpose(1, 2, 0, 3)[:, order]:
+            np.stack([values[::1 - 2 * order] for values in distinct], out=half)
+    np.cos(phasors[:d, 0], out=phasors[:d, 0])
+    np.sin(phasors[:d, 1], out=phasors[:d, 1])
     for chunk in _row_blocks(norms.size, plan.height):
         size = chunk.stop - chunk.start
         paths, inverses, scratch = (_prefix(a, (g, n, size)) for a in (table, inverse, trig))
-        _path_differences(points[chunk], norms[chunk], positions, squares, paths, inverses, scratch)
+        _path_differences(points[chunk], norms[chunk], positions, squares, paths, inverses,
+                          scratch, line)
         for batch in plan.batches:
             sets, steps = slice(offsets[batch.start], offsets[batch.stop]), batch.stop - batch.start
             count = sets.stop - sets.start
@@ -765,17 +783,25 @@ def _stack_walk(stack: _Stack, points, norms, row_weights, powers):
                 _prefix(outputs, (3, g * steps, count // steps, width, size)))
 
 
-def _position_groups(arrays, detector: DetectorGrid) -> list[_Stack]:
-    """The arrays as consecutive groups of equal positions, each with its
-    runs of equal wavenumber, and the groups as stacks of consecutive groups
-    of one source count, fold onto ``detector`` (see _fold), run shape and
+def _position_groups(steps, detector: DetectorGrid) -> list[_Stack]:
+    """The ``steps`` (positions, wavelength, extent, phases, as a SourceArray
+    holds them) as consecutive groups of equal positions, each with its runs
+    of equal wavenumber, and the groups as stacks of consecutive groups of
+    one source count, fold onto ``detector`` (see _fold), run shape and
     matvec width (one class when every phase array equals its reversal bit
     for bit, as both classes then have its intensities), each cut to the
-    groups one chunk pass builds (see _planned_stacks). Sweep steps share
-    their array's positions object, so most skip the positions comparison."""
+    groups one chunk pass builds (see _planned_stacks). Steps that hold
+    still share their positions object, so most skip the positions
+    comparison. A step whose far-field threshold (see _far_field_radius)
+    exceeds the detector's radius raises FarFieldViolationError."""
     groups = []
-    for array in arrays:
-        positions, wavenumber, phases = array.positions, array.wavenumber, array.phases
+    for positions, wavelength, extent, phases in steps:
+        threshold = _far_field_radius(wavelength, extent)
+        if detector.radius < threshold:
+            raise FarFieldViolationError(
+                f"detector radius {detector.radius} below far-field threshold {threshold}"
+            )
+        wavenumber = TWO_PI / wavelength
         if not groups or (
             groups[-1][0] is not positions and groups[-1][0].tobytes() != positions.tobytes()
         ):
@@ -787,8 +813,9 @@ def _position_groups(arrays, detector: DetectorGrid) -> list[_Stack]:
 
     def key(group):
         fold = _fold(detector, group[0])
-        width = fold.classes if any(phases.tobytes() != phases[::-1].tobytes() for phases
-                                    in _distinct_phases([group[1]])[0]) else 1
+        arrays = {id(phases): phases for _, sets in group[1] for phases in sets}.values()
+        width = fold.classes if any(phases.tobytes() != phases[::-1].tobytes()
+                                    for phases in arrays) else 1
         return len(group[0]), fold, width, [len(sets) for _, sets in group[1]]
 
     return [stack for (_, fold, width, _), same in itertools.groupby(groups, key)
@@ -865,14 +892,14 @@ def farfield_powers(arrays, detector: DetectorGrid) -> tuple[np.ndarray, np.ndar
     if the request would need more than MEMORY_BUDGET_BYTES or more than
     WORK_BUDGET operations (see _check_farfield_budget).
     """
-    arrays = list(arrays)
-    for array in arrays:
-        threshold = _far_field_radius(array.wavelength, array.extent)
-        if detector.radius < threshold:
-            raise FarFieldViolationError(
-                f"detector radius {detector.radius} below far-field threshold {threshold}"
-            )
-    stacks = _position_groups(arrays, detector)
+    return _step_powers(((array.positions, array.wavelength, array.extent, array.phases)
+                         for array in arrays), detector)
+
+
+def _step_powers(steps, detector: DetectorGrid) -> tuple[np.ndarray, np.ndarray]:
+    """farfield_powers of the ``steps`` of _position_groups: the engine's
+    one entry, which spectra and sweeps call with their steps' tables."""
+    stacks = _position_groups(steps, detector)
     _check_farfield_budget(detector, [(stack.plan, len(stack.runs)) for stack in stacks])
     powers = [np.zeros((len(stack.runs), stack.plan.offsets[-1])) for stack in stacks]
     singles = dict.fromkeys((stack.plan.fold for stack in stacks), 0.0)
@@ -895,7 +922,7 @@ def farfield_powers(arrays, detector: DetectorGrid) -> tuple[np.ndarray, np.ndar
             # this block's arrays go before the next block's are built
             del nodes, points, weights, norms, reference, row_weights
     scale = np.repeat([singles[stack.plan.fold] for stack in stacks], [p.size for p in powers])
-    scale *= [a.n_sources for a in arrays]
+    scale *= np.repeat([len(stack.positions[0]) for stack in stacks], [p.size for p in powers])
     powers = np.concatenate([np.empty(0), *(power.ravel() for power in powers)])
     return powers, powers / scale
 
@@ -926,8 +953,9 @@ def transmission_spectrum(
     _check_budget(_SWEEP_STEP_BYTES * steps + _SWEEP_BUILD_BYTES * array.n_sources,
                   f"far-field sweep of {steps} steps x {array.n_sources} sources")
     values = np.linspace(lo, hi, steps)
-    swept = [_swept(array, wavelength=float(wavelength)) for wavelength in values]
-    powers, enhancements = farfield_powers(swept, detector)
+    powers, enhancements = _step_powers(
+        [(array.positions, wavelength, array.extent, array.phases)
+         for wavelength in values.tolist()], detector)
     meta = {
         "kind": "transmission_spectrum",
         "n_sources": array.n_sources,

@@ -29,11 +29,12 @@ from .core import (
     _check_wave_budget,
     _finite,
     _integer,
+    _line_extents,
+    _line_positions,
     _one_of,
-    _swept,
     make_linear_array,
 )
-from .classical import DetectorGrid, SpectrumCurve, farfield_powers
+from .classical import DetectorGrid, SpectrumCurve
 from .multimode import WavepacketSpectrum, wavepacket_energy
 
 
@@ -212,31 +213,58 @@ def _sweep_farfield(spec: SweepSpec, values: np.ndarray):
     # consecutive steps of one spacing and count share positions (the fit's
     # counts, the only jittered ones, are distinct); a wavelength step is a
     # run of its own, any other a phase set of its positions group's run
-    keys = values if spec.parameter == "spacing" else counts
-    starts = [i for i in range(values.size) if i == 0 or keys[i] != keys[i - 1]]
+    keys = np.asarray(values if spec.parameter == "spacing" else counts)
+    firsts = np.r_[True, keys[1:] != keys[:-1]]
+    starts = np.flatnonzero(firsts).tolist()
     classical._check_farfield_sweep(detector, [
         (counts[i], [1] * (stop - i) if spec.parameter == "wavelength" else [stop - i])
         for i, stop in zip(starts, [*starts[1:], values.size])])
-    arrays = []
-    for i, (value, n, profile) in enumerate(zip(values, counts, phase_sets)):
-        spacing = float(value) if spec.parameter == "spacing" else float(fixed["spacing"])
-        wavelength = float(value) if spec.parameter == "wavelength" else float(fixed["wavelength"])
-        if i and keys[i] == keys[i - 1]:
-            # the positions hold still: reuse the previous step's validated array
-            arrays.append(_swept(arrays[-1], wavelength, profile))
-            continue
-        array = make_linear_array(n, spacing, wavelength, profile)
-        if jitter > 0.0:
-            # up to +-jitter * spacing along the axis, drawn after the phases
-            positions = array.positions.copy()
-            positions[:, 0] += [(2.0 * stream.uniform() - 1.0) * jitter * spacing for _ in range(n)]
-            array = SourceArray(positions, array.phases, wavelength, None)
-        arrays.append(array)
+    spacings, wavelengths = (values if spec.parameter == key
+                             else np.full(values.size, float(fixed[key]))
+                             for key in ("spacing", "wavelength"))
+    steps, bounds = [], np.flatnonzero(np.r_[True, np.diff(counts) != 0, True]).tolist()
+    for lo, hi in zip(bounds, bounds[1:]):
+        n, first = counts[lo], firsts[lo:hi]
+        phases, shifts = np.empty((hi - lo, n)), []
+        for i, row in enumerate(phases, lo):
+            row[:] = next(phase_sets)
+            if jitter > 0.0 and firsts[i]:
+                # up to +-jitter * spacing along the axis, drawn after the phases
+                shifts.append([(2.0 * stream.uniform() - 1.0) * jitter * spacings[i]
+                               for _ in range(n)])
+        # each count's first step is built and checked as an array; its
+        # steps' positions and phases are built and checked as tables
+        make_linear_array(n, float(spacings[lo]), float(wavelengths[lo]), phases[0])
+        positions = _line_positions(n, spacings[lo:hi][first])
+        if shifts:
+            positions[..., 0] += shifts
+        (extents, lines), group = _line_extents(positions), np.cumsum(first) - 1
+        for j in np.flatnonzero(~np.isfinite(phases).all(axis=1) | first & ~lines[group]):
+            # as its own array, the step raises what its build raised, or
+            # (jittered out of order) takes the extent of every pair
+            array = SourceArray(positions[group[j]], phases[j], wavelengths[lo + j])
+            extents[group[j]] = array.extent
+        np.remainder(phases, TWO_PI, out=phases)
+        positions.flags.writeable = phases.flags.writeable = False
+        rows = _shared_rows(positions)
+        steps += zip([rows[g] for g in group], wavelengths[lo:hi].tolist(),
+                     extents[group].tolist(), _shared_rows(phases))
 
     if radius is None:
-        radius = max(classical._far_field_radius(a.wavelength, a.extent) for a in arrays)
+        radius = max(classical._far_field_radius(w, extent) for _, w, extent, _ in steps)
         detector = replace(detector, radius=radius)
-    return farfield_powers(arrays, detector)
+    return classical._step_powers(steps, detector)
+
+
+def _shared_rows(table) -> list:
+    """The rows of ``table``, each one the previous row's object when their
+    bits are equal, as the engine shares a positions group or a phasor row."""
+    bits = table.reshape(len(table), -1).view(np.int64)
+    same = (bits[1:] == bits[:-1]).all(axis=1)
+    rows = [table[0]]
+    for row, repeat in zip(table[1:], same):
+        rows.append(rows[-1] if repeat else row)
+    return rows
 
 
 def _sweep_biphoton(spec: SweepSpec, values: np.ndarray):

@@ -323,13 +323,14 @@ def test_one_function_owns_the_step_rule(pattern):
     assert functions_writing(re.compile(pattern)) == ["experiments._steps"]
 
 
-@pytest.mark.parametrize("pattern", [r"\bfarfield_powers\(", r"\bmake_linear_array\(",
-                                     r"\b_check_farfield_sweep\("],
-                         ids=["walk", "build", "pre-check"])
+@pytest.mark.parametrize("pattern", [r"\b_step_powers\(", r"\bmake_linear_array\(",
+                                     r"\b_line_positions\(", r"\b_check_farfield_sweep\("],
+                         ids=["walk", "build", "table", "pre-check"])
 def test_one_function_drives_the_far_field(pattern):
-    """Within experiments, only _sweep_farfield builds arrays, checks their
-    steps and walks them: the far-field dicke fit is one of its sweeps, so
-    no second far-field driver, with its own checks, can drift from it."""
+    """Within experiments, only _sweep_farfield builds arrays and tables of
+    steps, checks them and walks them: the far-field dicke fit is one of its
+    sweeps, so no second far-field driver, with its own checks, can drift
+    from it."""
     found = [name for name in functions_writing(re.compile(pattern))
              if name.startswith("experiments.")]
     assert found == ["experiments._sweep_farfield"]

@@ -460,6 +460,12 @@ def test_one_wave_grid_counts_its_per_slab_work(monkeypatch):
         field_energy_grid(waves, BoxVolume((1.0, 1.0, 1.0)), 2154)
 
 
+def steps_of(arrays):
+    """The far-field engine's steps (see classical._position_groups) of
+    these arrays, as farfield_powers hands them to it."""
+    return [(array.positions, array.wavelength, array.extent, array.phases) for array in arrays]
+
+
 def peak_and_charge(monkeypatch, call):
     """The tracemalloc peak of ``call()`` and the one memory charge it
     checked."""
@@ -1140,7 +1146,7 @@ def test_streamed_engine_is_bit_equal_to_the_whole_table_walk(geometry, samples,
     assert classes == ({1} if lifted else {2} if stacks in ("spacings", "palindromes")
                        else {1, 2} if min(counts, default=0) < 1000 else {1})
     if stacks:
-        check_stacks(classical._position_groups(arrays, detector), stacks, detector)
+        check_stacks(classical._position_groups(steps_of(arrays), detector), stacks, detector)
     for power, array in zip(powers, arrays):
         assert power == whole_table_power(detector, array.positions, array.phases,
                                           array.wavenumber)
@@ -1242,14 +1248,16 @@ def test_far_field_request_over_work_budget_is_refused_before_the_walk(monkeypat
     array = lifted_line(64, 0.01, 1.0)
     detector = DetectorGrid(radius=1e3, geometry="hemisphere", samples=1024)
     points = 1024 ** 2
-    spectrum = [core._swept(array, wavelength=1.0 + i / 10_000) for i in range(10_000)]
-    phases = [core._swept(array, phases=np.arange(64) * (i / 400)) for i in range(400)]
+    spectrum = [(array.positions, 1.0 + i / 10_000, array.extent, array.phases)
+                for i in range(10_000)]
+    phases = [(array.positions, 1.0, array.extent,
+               core._checked_phases(np.arange(64) * (i / 400), 64)) for i in range(400)]
     assert points * 64 * (7 + 7) < core.WORK_BUDGET
     for arrays, operations in ((spectrum, points * 64 * (7 + 10_000 * (7 + 1))),
                                (phases, points * 64 * (7 + 7 + 400))):
         started = time.perf_counter()
         with pytest.raises(ValueError) as refused:
-            farfield_powers(arrays, detector)
+            classical._step_powers(arrays, detector)
         assert time.perf_counter() - started < 1.0
         assert str(refused.value) == over_work(points, 64, len(arrays), operations)
 
@@ -1361,12 +1369,12 @@ def test_far_field_budget_covers_the_measured_peak_of_a_batch(
     rng = XorShift64Star(steps + n_sources)
     array = make_linear_array(n_sources, 0.3, 1.0, rng.phases(n_sources))
     if swept == "wavelength":
-        arrays = [core._swept(array, wavelength=float(w)) for w in np.linspace(0.5, 3.0, steps)]
+        arrays = [replace(array, wavelength=float(w)) for w in np.linspace(0.5, 3.0, steps)]
     else:
-        arrays = [core._swept(array, phases=np.arange(n_sources) * delta)
+        arrays = [replace(array, phases=np.arange(n_sources) * delta)
                   for delta in np.linspace(0.0, 3.0, steps)]
     detector = far_detector(rng, arrays, "arc", samples)
-    [stack] = classical._position_groups(arrays, detector)
+    [stack] = classical._position_groups(steps_of(arrays), detector)
     longest = max(stack.plan.batches, key=lambda runs: runs.stop - runs.start)
     sets = stack.plan.offsets[longest.start + 1] - stack.plan.offsets[longest.start]
     assert (longest.stop - longest.start, sets) == batch
@@ -1429,7 +1437,7 @@ def far_field_walk_cases():
     # seven lines of 40 sources on a 1024-point arc walk as stacks of 3, 3 and 1
     fixed = {"n_sources": 40, "wavelength": 1.0, "phase_profile": "random", "samples": 1024}
     yield lambda: transmission_spectrum(line, (1.0, 2.0), 24, arc)
-    yield lambda: farfield_powers([core._swept(line, phases=np.arange(5) * delta)
+    yield lambda: farfield_powers([replace(line, phases=np.arange(5) * delta)
                                    for delta in np.linspace(0.0, 3.0, 12)], arc)
     yield lambda: run_sweep(SweepSpec("farfield_power", "spacing", 0.1, 0.5, 7, fixed, seed=3))
     hemisphere = DetectorGrid(radius=1e3, geometry="hemisphere", samples=64)
@@ -1455,12 +1463,12 @@ def test_a_run_of_equal_stacks_holds_one_plan():
     334 stacks of one plan, so its groups, stacks and plan hold under 400 KB
     (a plan for each stack held 762 KB)."""
     rng = XorShift64Star(3)
-    arrays = [make_linear_array(40, float(spacing), 1.0, rng.phases(40))
-              for spacing in np.linspace(0.1, 0.5, 1000)]
+    steps = steps_of(make_linear_array(40, float(spacing), 1.0, rng.phases(40))
+                     for spacing in np.linspace(0.1, 0.5, 1000))
     detector = DetectorGrid(radius=1e4, geometry="arc", samples=1024)
     tracemalloc.start()
     try:
-        stacks = classical._position_groups(arrays, detector)
+        stacks = classical._position_groups(steps, detector)
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -1475,7 +1483,7 @@ def test_equal_phase_arrays_share_one_phasor_row():
     arrays = [make_linear_array(40, float(spacing), 1.0, np.full(40, 0.3))
               for spacing in np.linspace(0.1, 0.5, 7)]
     detector = DetectorGrid(radius=1e4, geometry="arc", samples=1024)
-    stacks = classical._position_groups(arrays, detector)
+    stacks = classical._position_groups(steps_of(arrays), detector)
     assert [len(stack.runs) for stack in stacks] == [3, 3, 1]
     assert stacks[0].plan.walk["phasors"][0] == 1
     powers, _ = farfield_powers(arrays, detector)
@@ -1536,13 +1544,13 @@ def test_sweep_budget_covers_the_measured_peak_of_building_the_steps(
 
     peaks = []
 
-    def stub(arrays, detector):
+    def stub(steps, detector):
         peaks.append(tracemalloc.get_traced_memory()[1])
-        return np.ones(len(arrays)), np.ones(len(arrays))
+        steps = list(steps)
+        return np.ones(len(steps)), np.ones(len(steps))
 
     monkeypatch.setattr(classical, "_check_budget", recording)
-    monkeypatch.setattr(classical, "farfield_powers", stub)
-    monkeypatch.setattr(experiments, "farfield_powers", stub)
+    monkeypatch.setattr(classical, "_step_powers", stub)
     tracemalloc.start()
     try:
         if kind == "spectrum":
@@ -1753,13 +1761,58 @@ def test_matching_phase_arrays_keeps_no_copy_of_them():
     every one, made before any budget check and counted in none."""
     rng = np.random.default_rng(5)
     array = make_linear_array(4000, 0.3, 1.0)
-    arrays = [core._swept(array, phases=rng.uniform(0.0, TWO_PI, 4000)) for _ in range(50)]
+    steps = steps_of(replace(array, phases=rng.uniform(0.0, TWO_PI, 4000)) for _ in range(50))
     detector = DetectorGrid(radius=1e6, geometry="arc", samples=64)
     tracemalloc.start()
     try:
-        [stack] = classical._position_groups(arrays, detector)
+        [stack] = classical._position_groups(steps, detector)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert len(stack.runs[0][0][1]) == 50
     assert peak < 50 * 4000 * 8 / 4
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("n_sources", [5, 6])
+@pytest.mark.parametrize("geometry, samples", [("arc", 65), ("arc", 64), ("hemisphere", 96)])
+def test_line_path_differences_keep_the_general_bits(geometry, samples, n_sources, seed):
+    """On a line (sources with y = z = 0, nodes with y = 0) the path
+    differences skip the y and z passes and keep every bit of the general
+    path, for odd N (a source at x = 0) and even N, and for odd samples (the
+    middle node at x = 0) and even ones; the hemisphere walks a line on the
+    arc's nodes."""
+    rng = XorShift64Star(seed)
+    line = make_linear_array(n_sources, 0.1 + rng.uniform(), 1.0)
+    detector = DetectorGrid(radius=1e3, geometry=geometry, samples=samples)
+    points, _ = _detector_quadrature(detector, np.arange(samples), geometry == "hemisphere")
+    norms = np.sqrt(np.einsum("ij,ij->i", points, points))
+    positions = line.positions[None]
+    squares = np.einsum("gij,gij->gi", positions, positions)
+    tables = []
+    for flag in (False, True):
+        table, inverse, scratch = (np.empty((1, n_sources, samples)) for _ in range(3))
+        classical._path_differences(points, norms, positions, squares, table, inverse, scratch,
+                                    flag)
+        tables.append((table.tobytes(), inverse.tobytes()))
+    assert tables[0] == tables[1]
+
+
+def test_an_array_off_the_x_axis_takes_the_y_and_z_terms(monkeypatch):
+    """Only a line skips the y and z passes: the same line lifted off the x
+    axis, on the arc or the hemisphere, takes them."""
+    flags = []
+    paths = classical._path_differences
+
+    def recorded(*args):
+        flags.append(args[-1])
+        return paths(*args)
+
+    monkeypatch.setattr(classical, "_path_differences", recorded)
+    line = make_linear_array(4, 0.3, 1.0)
+    for geometry in ("arc", "hemisphere"):
+        detector = DetectorGrid(radius=1e3, geometry=geometry, samples=64)
+        for array, expected in ((line, True), (lifted_line(4, 0.3, 1.0), False)):
+            flags.clear()
+            farfield_powers([array], detector)
+            assert flags and set(flags) == {expected}

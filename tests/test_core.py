@@ -249,25 +249,6 @@ def test_jittered_array_over_work_budget_is_refused_at_once():
     )
 
 
-def test_swept_array_equals_a_freshly_validated_one():
-    arr = make_linear_array(6, 0.4, 1.0, [0.5, 7.0, -1.0, 2.0, 3.0, 4.0])
-    phases = [9.0, -2.0, 0.1, 0.2, 0.3, 0.4]
-    step = core._swept(arr, wavelength=2.5, phases=phases)
-    fresh = SourceArray(arr.positions, phases, 2.5, arr.spacing)
-    for name in ("positions", "phases"):
-        assert np.array_equal(getattr(step, name), getattr(fresh, name))
-        assert not getattr(step, name).flags.writeable
-    assert (step.wavelength, step.spacing, step.extent) == (2.5, 0.4, fresh.extent)
-    assert core._swept(arr, wavelength=3.0).phases is arr.phases
-    assert arr.wavelength == 1.0
-    with pytest.raises(ValueError, match="wavelength"):
-        core._swept(arr, wavelength=math.inf)
-    with pytest.raises(ValueError, match="phases must be finite"):
-        core._swept(arr, phases=[math.nan] * 6)
-    with pytest.raises(ValueError, match="number of sources"):
-        core._swept(arr, phases=[0.0] * 5)
-
-
 def test_make_linear_array_centers_on_origin():
     arr = make_linear_array(5, 0.3, 1.0)
     assert abs(float(arr.positions[:, 0].mean())) < 1e-12

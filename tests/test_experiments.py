@@ -202,15 +202,16 @@ def test_farfield_sweep_refuses_its_detector_before_building_an_array(
     monkeypatch, parameter, bad
 ):
     """A far-field sweep's detector is checked before its first step is
-    built: a bad samples, geometry or radius is refused with no
-    make_linear_array call, however many steps the sweep has."""
+    built: a bad samples, geometry or radius is refused before the table of
+    its positions is built, however many steps the sweep has."""
     calls = []
+    build = experiments._line_positions
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return make_linear_array(*args, **kwargs)
+        return build(*args, **kwargs)
 
-    monkeypatch.setattr(experiments, "make_linear_array", counted)
+    monkeypatch.setattr(experiments, "_line_positions", counted)
     fixed = {"n_sources": 200, "spacing": 0.3, "wavelength": 1.0}
     with pytest.raises(ValueError):
         run_sweep(SweepSpec("farfield_power", parameter, 1.0, 2.0, 3000, {**fixed, **bad}))
@@ -406,12 +407,12 @@ class TestDickeScaling:
                 charged.append(needed)
             return original(needed, request)
 
-        def stub(arrays, detector):
+        def stub(steps, detector):
             peaks.append(tracemalloc.get_traced_memory()[1])
-            return np.arange(1.0, len(arrays) + 1) ** 2, None
+            return np.arange(1.0, len(list(steps)) + 1) ** 2, None
 
         monkeypatch.setattr(classical, "_check_budget", recording)
-        monkeypatch.setattr(experiments, "farfield_powers", stub)
+        monkeypatch.setattr(classical, "_step_powers", stub)
         tracemalloc.start()
         try:
             dicke_scaling_check(counts, "farfield", detector_samples=64, jitter=jitter)
@@ -537,3 +538,41 @@ def test_sweep_range_must_be_finite(start, stop):
     range is, where it once ran until an energy came out non-finite."""
     with pytest.raises(ConfigError, match="^sweep range must be finite$"):
         SweepSpec("wavepacket", "phase_delta", start, stop, 3, {**COMPONENTS, "component": 1})
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("n_sources", [1, 6, 7])
+@pytest.mark.parametrize("parameter", ["spacing", "wavelength", "phase_delta", "source_count"])
+def test_table_built_steps_equal_their_own_arrays(monkeypatch, parameter, n_sources, seed):
+    """The steps a far-field sweep hands the engine as tables hold, bit for
+    bit, what each step's own array holds: its positions and extent as
+    make_linear_array builds them, its wavelength and its phases reduced
+    mod 2 pi. Steps whose positions or phases hold still share one object."""
+    handed = []
+    monkeypatch.setattr(classical, "_step_powers",
+                        lambda steps, detector: handed.append(list(steps)) or (None, None))
+    fixed = {"n_sources": n_sources, "spacing": 0.3, "wavelength": 1.0, "samples": 64,
+             "radius": 1e4}
+    if parameter != "phase_delta":
+        fixed["phase_profile"] = "random"
+    if parameter == "source_count":
+        del fixed["n_sources"]
+    spec = SweepSpec("farfield_power", parameter, 1.0 if parameter == "source_count" else 0.1,
+                     n_sources + 2.0, 9, fixed, seed=seed)
+    values = np.linspace(spec.start, spec.stop, spec.steps)
+    monkeypatch.setattr(experiments, "SpectrumCurve", lambda *args: None)
+    run_sweep(spec)
+    [steps] = handed
+    counts, phase_sets, _ = experiments._steps(spec, values, "n_sources")
+    for step, value, n, phases in zip(steps, values, counts, phase_sets):
+        spacing = float(value) if parameter == "spacing" else 0.3
+        wavelength = float(value) if parameter == "wavelength" else 1.0
+        array = make_linear_array(n, spacing, wavelength, phases)
+        positions, step_wavelength, extent, step_phases = step
+        assert positions.tobytes() == array.positions.tobytes()
+        assert (step_wavelength, extent) == (array.wavelength, array.extent)
+        assert step_phases.tobytes() == array.phases.tobytes()
+    for before, after in zip(steps, steps[1:]):
+        for field in (0, 3):
+            same = before[field].tobytes() == after[field].tobytes()
+            assert same == (before[field] is after[field])
