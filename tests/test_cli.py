@@ -816,3 +816,28 @@ class TestParserBuild:
     def test_unknown_command_builds_every_subparser(self, subparsers_built, capsys):
         assert main(["frobnicate"]) == 2
         assert subparsers_built == list(_SUBCOMMAND_FIELDS)
+
+
+SWEEP = ("sweep", "--target", "farfield_power", "--steps", "5", "--n-sources", "5",
+         "--samples", "64")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--parameter", "spacing", "--start=-0.5", "--stop", "1", "--wavelength", "1"),
+     "spacing must be positive and finite"),
+    (("--parameter", "spacing", "--start", "0.5", "--stop", "1e308", "--wavelength", "1"),
+     "positions must be finite"),
+    (("--parameter", "phase_delta", "--start", "0", "--stop", "1e308", "--spacing", "0.3",
+      "--wavelength", "1"), "phases must be finite"),
+    (("--parameter", "spacing", "--start", "0.1", "--stop", "1", "--wavelength", "1",
+      "--radius", "50"), "detector radius 50.0 below far-field threshold 100.0"),
+], ids=["start", "overflow", "phases", "radius"])
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_table_built_sweep_steps_keep_their_refusals(capsys, argv, message):
+    """A far-field sweep whose steps are built as tables refuses a
+    non-positive start, positions that overflow to inf, a non-finite phase
+    and a radius below the far-field threshold with the exit code and
+    message its per-step arrays gave (numpy warns of the overflows, as it
+    did then)."""
+    code, out, err = run_cli(capsys, *SWEEP, *argv)
+    assert (code, out, err.strip().splitlines()[-1]) == (1, "", f"error: {message}")
