@@ -125,10 +125,13 @@ _GRID_CALL_BYTES = 8192
 _BUFFERED_OPERANDS = 2
 
 # bytes of Python objects a far-field call holds (tracemalloc): whatever its
-# size (array headers, views: 8-13 KB), per plan (1.8-1.9 KB), per stack (its
-# lists and powers: 250-300) and per array (its entries and power: 190-310)
+# size (array headers, views: 8-13 KB), per plan (1.8-1.9 KB) and per run of
+# a plan (its offset and batch slice, with their list entries and ints: 79 at
+# 120 runs, 134 at 4000), per stack (its lists and powers: 250-300) and per
+# array (its entries and power: 190-310)
 _FARFIELD_CALL_BYTES = 16384
 _FARFIELD_PLAN_BYTES = 2048
+_FARFIELD_RUN_BYTES = 136
 _FARFIELD_STACK_BYTES = 320
 _FARFIELD_ARRAY_BYTES = 320
 
@@ -826,14 +829,15 @@ def _check_farfield_budget(detector: DetectorGrid, walks):
     """Refuse a far-field request over either budget before anything is
     built. Both charges add up the plans (see _plan) of ``walks``, each
     stack's plan and groups: 8 bytes per cell of the most any plan holds
-    and the Python objects of the call, its plans, stacks and arrays; each
-    group's work, and each line fold's weights once."""
+    and the Python objects of the call, its plans and their runs, stacks
+    and arrays; each group's work, and each line fold's weights once."""
     plans = {id(plan): plan for plan, _ in walks}.values()
     arrays = sum(groups * plan.offsets[-1] for plan, groups in walks)
     work = sum(groups * plan.work for plan, groups in walks) + sum(
         {(plan.fold.line, plan.fold.folded): plan.weights for plan in plans}.values())
     needed = (8 * max((plan.cells for plan in plans), default=0) + _FARFIELD_CALL_BYTES
-              + _FARFIELD_PLAN_BYTES * len(plans) + _FARFIELD_STACK_BYTES * len(walks)
+              + sum(_FARFIELD_PLAN_BYTES + _FARFIELD_RUN_BYTES * (len(plan.offsets) - 1)
+                    for plan in plans) + _FARFIELD_STACK_BYTES * len(walks)
               + _FARFIELD_ARRAY_BYTES * arrays)
     points = max((_walked(detector, plan.fold.line).n_points for plan in plans),
                  default=detector.n_points)
