@@ -15,10 +15,9 @@ Far-field power of point-source arrays is integrated over a detector
 surface: the forward hemisphere by default (array along x in the z=0
 plane, cap around +z, theta from +z), or a 1-D arc in the x-z plane, the
 fast mode for sweeps over linear arrays. One engine, `farfield_powers`,
-evaluates a list of arrays on one detector; `farfield_power` goes
-through it, and spectra and far-field sweeps hand its entry, _step_powers,
-their steps as tables, not one array per step. It sums the brute-force
-field of every source at every
+evaluates a list of arrays on one detector; `farfield_power` goes through
+it, and spectra and sweeps hand its entry, _step_powers, their steps as
+tables, not arrays. It sums the brute-force field of every source at every
 detector point as e^{i(k d + phi)} / r, from the path differences
 d = r - |p| (a row's common phase e^{ik|p|} drops out of |field|^2
 exactly), so real cos/sin of the small, exact k d replace the complex
@@ -57,6 +56,7 @@ sources, or off the x axis on the hemisphere) takes every row.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -125,10 +125,9 @@ _GRID_CALL_BYTES = 8192
 _BUFFERED_OPERANDS = 2
 
 # bytes of Python objects a far-field call holds (tracemalloc): whatever its
-# size (array headers, views: 8-13 KB), per plan (1.8-1.9 KB) and per run of
-# a plan (its offset and batch slice, with their list entries and ints: 79 at
-# 120 runs, 134 at 4000), per stack (its lists and powers: 250-300) and per
-# array (its entries and power: 190-310)
+# size (array headers, views: 8-13 KB), per plan (1.8-1.9 KB), per run of a
+# plan (its offset and batch slice: 79-134), per stack (its lists and powers:
+# 250-300) and per array (its entries and power: 190-310)
 _FARFIELD_CALL_BYTES = 16384
 _FARFIELD_PLAN_BYTES = 2048
 _FARFIELD_RUN_BYTES = 136
@@ -174,9 +173,9 @@ _FOLD_SOURCE_CELLS = 4
 _LINE_CELLS = 1 << 13
 _LINE_WORK = 4
 
-# bytes per step of a far-field sweep besides the sources: the step's
-# tuple, row views and curve entries (fitted, at ~250 measured with
-# tracemalloc, to the SourceArray object each step once built)
+# bytes per step of a far-field sweep besides its phases and positions rows:
+# its tuple, list entries, wavelength and row views (tracemalloc: 120 for a
+# spectrum step, 250-280 for a sweep step, 490 where each has its positions)
 _SWEEP_STEP_BYTES = 512
 
 # bytes per source held once per sweep: the first array under construction
@@ -547,10 +546,9 @@ def _path_differences(points, norms, positions, squares, table, inverse, scratch
     (|x|^2 - 2 p.x) / (r + |p|), with no cancellation between r and |p|, so
     d keeps full precision however far the detector is (``squares`` holds
     each |x|^2, ``inverse`` r + |p| until then, and ``scratch``, shaped like
-    ``table``, the y and z terms). On a ``line`` (every source has y = z = 0
-    and every point y = 0) the y terms are +0 and the z terms p_z^2 in r and
-    a zero in p.x, whose sign |x|^2 absorbs, so only p_z^2 is added: the
-    same bits.
+    ``table``, the y and z terms). On a ``line`` (sources at y = z = 0,
+    points at y = 0) the y terms add +0 and the z terms p_z^2 to r and a
+    zero, whose sign |x|^2 absorbs, to p.x: only p_z^2 is added, same bits.
     """
     np.subtract(points[:, 0], positions[..., 0, None], out=inverse)
     inverse *= inverse
@@ -638,8 +636,7 @@ class _Plan(NamedTuple):
 
 class _Stack(NamedTuple):
     """Consecutive positions groups of one N, fold, run shape and width (see
-    _position_groups), the plan of their run (see _planned_stacks) and
-    their phase arrays matched once (see _distinct_phases)."""
+    _position_groups), their plan and their phases matched once (see _planned_stacks)."""
 
     positions: list  # each group's positions, (N, 3)
     runs: list  # each group's runs of equal wavenumber, [(wavenumber, [phases, ...]), ...]
@@ -705,17 +702,13 @@ def _plan(detector, fold, width, n, shape, groups, distinct) -> _Plan:
 def _planned_stacks(detector: DetectorGrid, positions, runs, fold: _Fold, width: int) -> list:
     """These consecutive groups of one N, fold, run shape and width as
     stacks of one plan (see _plan), the last one perhaps shorter, each with
-    its phase arrays matched once, when the plan sizes its stacks."""
-    matches = []
-
-    def distinct(size):
-        matches[:] = [_distinct_phases(runs[i:i + size]) for i in range(0, len(runs), size)]
-        return max(len(phases) for phases, _ in matches)
-
+    its phase arrays matched once, at the size the plan gives its stacks."""
+    matched = functools.cache(lambda size: [_distinct_phases(runs[i:i + size])
+                                            for i in range(0, len(runs), size)])
     plan = _plan(detector, fold, width, len(positions[0]), [len(sets) for _, sets in runs[0]],
-                 len(runs), distinct)
+                 len(runs), lambda size: max(len(phases) for phases, _ in matched(size)))
     return [_Stack(positions[i:i + plan.size], runs[i:i + plan.size], plan, match)
-            for i, match in zip(range(0, len(runs), plan.size), matches)]
+            for i, match in zip(range(0, len(runs), plan.size), matched(plan.size), strict=True)]
 
 
 def _distinct_phases(runs) -> tuple[list, dict]:
@@ -761,8 +754,7 @@ def _stack_walk(stack: _Stack, points, norms, row_weights, powers):
     positions = np.stack(stack.positions, out=positions[:g])
     squares = np.einsum("gij,gij->gi", positions, positions, out=squares[:g])
     line = not (positions[..., 1:].any() or points[:, 1].any())
-    # each class's phases under cos and sin, stacked from the arrays (a copy
-    # within the table would take a temporary)
+    # each class's phases, stacked from the arrays (a copy would buffer)
     for order in range(width):
         for half in phasors[:d].transpose(1, 2, 0, 3)[:, order]:
             np.stack([values[::1 - 2 * order] for values in distinct], out=half)
@@ -793,10 +785,9 @@ def _position_groups(steps, detector: DetectorGrid) -> list[_Stack]:
     one source count, fold onto ``detector`` (see _fold), run shape and
     matvec width (one class when every phase array equals its reversal bit
     for bit, as both classes then have its intensities), each cut to the
-    groups one chunk pass builds (see _planned_stacks). Steps that hold
-    still share their positions object, so most skip the positions
-    comparison. A step whose far-field threshold (see _far_field_radius)
-    exceeds the detector's radius raises FarFieldViolationError."""
+    groups one chunk pass builds (see _planned_stacks). Steps that hold still
+    share their positions object, so most skip the positions comparison; a
+    step inside its far-field threshold raises FarFieldViolationError."""
     groups = []
     for positions, wavelength, extent, phases in steps:
         threshold = _far_field_radius(wavelength, extent)

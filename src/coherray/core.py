@@ -273,7 +273,7 @@ def _checked_extent(pos: np.ndarray) -> float:
     and the extent is the sqrt of the largest, as sqrt is monotone.
     """
     x = pos[:, 0]
-    if not pos[:, 1:].any() and np.all(x[1:] > x[:-1]):
+    if not pos[:, 1:].any() and (x[1:] > x[:-1]).all():
         return float(x[-1] - x[0])
     n = pos.shape[0]
     _check_work(_EXTENT_PAIR_WORK * (n * (n - 1) // 2), f"pairwise distance check of {n} sources")
@@ -355,30 +355,6 @@ def phase_sum(phases) -> tuple[complex, float]:
         raise ValueError("phase list must not be empty")
     total = complex(np.exp(1j * arr).sum())
     return total, total.real ** 2 + total.imag ** 2
-
-
-def _line_positions(n_sources: int, spacings) -> np.ndarray:
-    """The positions (rows, N, 3) of a line of N sources centered on the x
-    axis at each of ``spacings``, as make_linear_array places them, bit for
-    bit: x = (n - (N - 1)/2) * spacing, y = z = 0."""
-    offsets = np.arange(n_sources) - (n_sources - 1) / 2.0
-    positions = np.zeros((len(spacings), n_sources, 3))
-    for spacing, row in zip(spacings, positions):
-        # row by row: one broadcasting multiply would take numpy's buffers
-        np.multiply(offsets, spacing, out=row[:, 0])
-    return positions
-
-
-def _line_extents(positions) -> tuple[np.ndarray, np.ndarray]:
-    """Each row of a (rows, N, 3) table of positions on the x axis: its
-    extent x[-1] - x[0], and whether it is finite and strictly ascending,
-    the line SourceArray takes with that extent (see _checked_extent). Each
-    pass is one-dimensional: a strided 2-D pass would take numpy's buffers."""
-    x, ends = positions.reshape(-1)[::3], positions[:, [0, -1], 0]
-    ascending = np.append(x[1:] > x[:-1], True)
-    ascending[positions.shape[1] - 1::positions.shape[1]] = True
-    lines = np.isfinite(ends).all(axis=1) & ascending.reshape(len(positions), -1).all(axis=1)
-    return ends[:, 1] - ends[:, 0], lines
 
 
 def make_linear_array(

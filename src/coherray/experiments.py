@@ -27,10 +27,9 @@ from .core import (
     _check_budget,
     _check_positive,
     _check_wave_budget,
+    _checked_extent,
     _finite,
     _integer,
-    _line_extents,
-    _line_positions,
     _one_of,
     make_linear_array,
 )
@@ -219,36 +218,39 @@ def _sweep_farfield(spec: SweepSpec, values: np.ndarray):
     classical._check_farfield_sweep(detector, [
         (counts[i], [1] * (stop - i) if spec.parameter == "wavelength" else [stop - i])
         for i, stop in zip(starts, [*starts[1:], values.size])])
-    spacings, wavelengths = (values if spec.parameter == key
-                             else np.full(values.size, float(fixed[key]))
+    spacings, wavelengths = (values.tolist() if spec.parameter == key
+                             else [float(fixed[key])] * values.size
                              for key in ("spacing", "wavelength"))
     steps, bounds = [], np.flatnonzero(np.r_[True, np.diff(counts) != 0, True]).tolist()
     for lo, hi in zip(bounds, bounds[1:]):
-        n, first = counts[lo], firsts[lo:hi]
-        phases, shifts = np.empty((hi - lo, n)), []
+        # one count's steps as tables: phases per step, positions per group
+        n, group = counts[lo], np.cumsum(firsts[lo:hi]) - 1
+        offsets, phases = np.arange(n) - (n - 1) / 2.0, np.empty((hi - lo, n))
         for i, row in enumerate(phases, lo):
             row[:] = next(phase_sets)
-            if jitter > 0.0 and firsts[i]:
-                # up to +-jitter * spacing along the axis, drawn after the phases
-                shifts.append([(2.0 * stream.uniform() - 1.0) * jitter * spacings[i]
-                               for _ in range(n)])
-        # each count's first step is built and checked as an array; its
-        # steps' positions and phases are built and checked as tables
-        make_linear_array(n, float(spacings[lo]), float(wavelengths[lo]), phases[0])
-        positions = _line_positions(n, spacings[lo:hi][first])
-        if shifts:
-            positions[..., 0] += shifts
-        (extents, lines), group = _line_extents(positions), np.cumsum(first) - 1
-        for j in np.flatnonzero(~np.isfinite(phases).all(axis=1) | first & ~lines[group]):
-            # as its own array, the step raises what its build raised, or
-            # (jittered out of order) takes the extent of every pair
-            array = SourceArray(positions[group[j]], phases[j], wavelengths[lo + j])
-            extents[group[j]] = array.extent
+            if i == lo:
+                # the first step is built as an array, with every check
+                make_linear_array(n, spacings[i], wavelengths[i], row)
+                positions = np.zeros((group[-1] + 1, n, 3))
+            if firsts[i]:
+                # make_linear_array's x, then up to +-jitter * spacing, drawn after the phases
+                x = np.multiply(offsets, spacings[i], out=positions[group[i - lo], :, 0])
+                if jitter > 0.0:
+                    x += [(2.0 * stream.uniform() - 1.0) * jitter * spacings[i] for _ in range(n)]
+        # steps that start a positions group or hold a non-finite phase are checked
+        # in step order; one that fails is built as an array, to raise its error
+        finite, extents = np.isfinite(phases.min(axis=1)) & np.isfinite(phases.max(axis=1)), []
+        for j in np.flatnonzero(firsts[lo:hi] | ~finite):
+            row = positions[group[j]]
+            if not (finite[j] and np.isfinite(row).all()):
+                SourceArray(row, phases[j], wavelengths[lo + j])
+            if firsts[lo + j]:
+                extents.append(_checked_extent(row))
         np.remainder(phases, TWO_PI, out=phases)
         positions.flags.writeable = phases.flags.writeable = False
-        rows = _shared_rows(positions)
-        steps += zip([rows[g] for g in group], wavelengths[lo:hi].tolist(),
-                     extents[group].tolist(), _shared_rows(phases))
+        rows, shared = _shared_rows(positions), _shared_rows(phases)
+        steps += ((rows[g], wavelengths[lo + j], extents[g], shared[j])
+                  for j, g in enumerate(group))
 
     if radius is None:
         radius = max(classical._far_field_radius(w, extent) for _, w, extent, _ in steps)
@@ -258,12 +260,12 @@ def _sweep_farfield(spec: SweepSpec, values: np.ndarray):
 
 def _shared_rows(table) -> list:
     """The rows of ``table``, each one the previous row's object when their
-    bits are equal, as the engine shares a positions group or a phasor row."""
-    bits = table.reshape(len(table), -1).view(np.int64)
-    same = (bits[1:] == bits[:-1]).all(axis=1)
-    rows = [table[0]]
-    for row, repeat in zip(table[1:], same):
-        rows.append(rows[-1] if repeat else row)
+    bits are equal, as the engine shares a positions group or a phasor row.
+    Only rows whose bits sum alike are compared, one pair at a time."""
+    rows, sums = list(table), table.reshape(len(table), -1).view(np.int64).sum(axis=1)
+    for i in np.flatnonzero(sums[1:] == sums[:-1]) + 1:
+        if rows[i].tobytes() == rows[i - 1].tobytes():
+            rows[i] = rows[i - 1]
     return rows
 
 

@@ -324,7 +324,7 @@ def test_one_function_owns_the_step_rule(pattern):
 
 
 @pytest.mark.parametrize("pattern", [r"\b_step_powers\(", r"\bmake_linear_array\(",
-                                     r"\b_line_positions\(", r"\b_check_farfield_sweep\("],
+                                     r"\b_checked_extent\(", r"\b_check_farfield_sweep\("],
                          ids=["walk", "build", "table", "pre-check"])
 def test_one_function_drives_the_far_field(pattern):
     """Within experiments, only _sweep_farfield builds arrays and tables of

@@ -1522,7 +1522,8 @@ def test_spectrum_of_four_thousand_sources_peaks_under_sixteen_megabytes():
     assert peak < 16 * 2 ** 20
 
 
-@pytest.mark.parametrize("n_sources, steps", [(300, 2), (2000, 2), (300, 30), (20, 300)])
+@pytest.mark.parametrize("n_sources, steps",
+                         [(300, 2), (2000, 2), (300, 30), (20, 300), (300, 300)])
 @pytest.mark.parametrize(
     "kind", ["spectrum", "wavelength", "phase_delta", "spacing", "source_count"]
 )
@@ -1533,7 +1534,8 @@ def test_sweep_budget_covers_the_measured_peak_of_building_the_steps(
     tracemalloc peak of building them stays below the charge. The far-field
     engine is stubbed out; its own peak has its own budget. A call's few KB
     of fixed overhead are not charged, so each case has 300 sources or 300
-    steps."""
+    steps; 300 of each holds tables of every step, whose checks must not
+    take temporaries of a whole table."""
     charged = []
     original = classical._check_budget
 

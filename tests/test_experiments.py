@@ -202,16 +202,16 @@ def test_farfield_sweep_refuses_its_detector_before_building_an_array(
     monkeypatch, parameter, bad
 ):
     """A far-field sweep's detector is checked before its first step is
-    built: a bad samples, geometry or radius is refused before the table of
-    its positions is built, however many steps the sweep has."""
+    built: a bad samples, geometry or radius is refused before any row of
+    its positions table is checked, however many steps the sweep has."""
     calls = []
-    build = experiments._line_positions
+    build = experiments._checked_extent
 
     def counted(*args, **kwargs):
         calls.append(args)
         return build(*args, **kwargs)
 
-    monkeypatch.setattr(experiments, "_line_positions", counted)
+    monkeypatch.setattr(experiments, "_checked_extent", counted)
     fixed = {"n_sources": 200, "spacing": 0.3, "wavelength": 1.0}
     with pytest.raises(ValueError):
         run_sweep(SweepSpec("farfield_power", parameter, 1.0, 2.0, 3000, {**fixed, **bad}))
