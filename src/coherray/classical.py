@@ -124,10 +124,9 @@ _GRID_CALL_BYTES = 8192
 # many: a broadcast or cast input, two at most (tracemalloc, numpy 2.4)
 _BUFFERED_OPERANDS = 2
 
-# bytes of Python objects a far-field call holds (tracemalloc): whatever its
-# size (array headers, views: 8-13 KB), per plan (1.8-1.9 KB), per run of a
-# plan (its offset and batch slice: 79-134), per stack (its lists and powers:
-# 250-300) and per array (its entries and power: 190-310)
+# bytes of Python objects a far-field call holds (tracemalloc): any call (8-13 KB),
+# each plan (1.8-1.9 KB) and run of a plan (its offset and batch slice: 79-134),
+# stack (its lists and powers: 250-300) and array (its entries and power: 190-310)
 _FARFIELD_CALL_BYTES = 16384
 _FARFIELD_PLAN_BYTES = 2048
 _FARFIELD_RUN_BYTES = 136
@@ -546,9 +545,8 @@ def _path_differences(points, norms, positions, squares, table, inverse, scratch
     (|x|^2 - 2 p.x) / (r + |p|), with no cancellation between r and |p|, so
     d keeps full precision however far the detector is (``squares`` holds
     each |x|^2, ``inverse`` r + |p| until then, and ``scratch``, shaped like
-    ``table``, the y and z terms). On a ``line`` (sources at y = z = 0,
-    points at y = 0) the y terms add +0 and the z terms p_z^2 to r and a
-    zero, whose sign |x|^2 absorbs, to p.x: only p_z^2 is added, same bits.
+    ``table``, the y and z terms). On a ``line`` (sources at y = z = 0, points
+    at y = 0) those add p_z^2 to r and zeros to p.x: only p_z^2 is added, bit for bit.
     """
     np.subtract(points[:, 0], positions[..., 0, None], out=inverse)
     inverse *= inverse
@@ -700,9 +698,8 @@ def _plan(detector, fold, width, n, shape, groups, distinct) -> _Plan:
 
 
 def _planned_stacks(detector: DetectorGrid, positions, runs, fold: _Fold, width: int) -> list:
-    """These consecutive groups of one N, fold, run shape and width as
-    stacks of one plan (see _plan), the last one perhaps shorter, each with
-    its phase arrays matched once, at the size the plan gives its stacks."""
+    """These consecutive groups of one N, fold, run shape and width as stacks
+    of one plan (see _plan), the last perhaps shorter, with phases matched once."""
     matched = functools.cache(lambda size: [_distinct_phases(runs[i:i + size])
                                             for i in range(0, len(runs), size)])
     plan = _plan(detector, fold, width, len(positions[0]), [len(sets) for _, sets in runs[0]],
@@ -754,10 +751,8 @@ def _stack_walk(stack: _Stack, points, norms, row_weights, powers):
     positions = np.stack(stack.positions, out=positions[:g])
     squares = np.einsum("gij,gij->gi", positions, positions, out=squares[:g])
     line = not (positions[..., 1:].any() or points[:, 1].any())
-    # each class's phases, stacked from the arrays (a copy would buffer)
-    for order in range(width):
-        for half in phasors[:d].transpose(1, 2, 0, 3)[:, order]:
-            np.stack([values[::1 - 2 * order] for values in distinct], out=half)
+    for row, values in zip(phasors, distinct):
+        row[:, 0], row[:, 1:] = values, values[::-1]
     np.cos(phasors[:d, 0], out=phasors[:d, 0])
     np.sin(phasors[:d, 1], out=phasors[:d, 1])
     for chunk in _row_blocks(norms.size, plan.height):

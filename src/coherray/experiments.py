@@ -213,7 +213,7 @@ def _sweep_farfield(spec: SweepSpec, values: np.ndarray):
     # counts, the only jittered ones, are distinct); a wavelength step is a
     # run of its own, any other a phase set of its positions group's run
     keys = np.asarray(values if spec.parameter == "spacing" else counts)
-    firsts = np.r_[True, keys[1:] != keys[:-1]]
+    firsts = np.concatenate(([True], keys[1:] != keys[:-1]))
     starts = np.flatnonzero(firsts).tolist()
     classical._check_farfield_sweep(detector, [
         (counts[i], [1] * (stop - i) if spec.parameter == "wavelength" else [stop - i])
@@ -221,26 +221,33 @@ def _sweep_farfield(spec: SweepSpec, values: np.ndarray):
     spacings, wavelengths = (values.tolist() if spec.parameter == key
                              else [float(fixed[key])] * values.size
                              for key in ("spacing", "wavelength"))
-    steps, bounds = [], np.flatnonzero(np.r_[True, np.diff(counts) != 0, True]).tolist()
+    steps, bounds = [], [i for i in range(len(counts) + 1)
+                         if i in (0, len(counts)) or counts[i] != counts[i - 1]]
     for lo, hi in zip(bounds, bounds[1:]):
-        # one count's steps as tables: phases per step, positions per group
-        n, group = counts[lo], np.cumsum(firsts[lo:hi]) - 1
-        offsets, phases = np.arange(n) - (n - 1) / 2.0, np.empty((hi - lo, n))
-        for i, row in enumerate(phases, lo):
+        # a count's first step is built as an array, with every check
+        n = counts[lo]
+        array = make_linear_array(n, spacings[lo], wavelengths[lo], next(phase_sets))
+        if jitter > 0.0:
+            # up to +-jitter * spacing along the axis, drawn after the phases
+            positions, spacing = array.positions.copy(), spacings[lo]
+            positions[:, 0] += [(2.0 * stream.uniform() - 1.0) * jitter * spacing for _ in range(n)]
+            array = SourceArray(positions, array.phases, wavelengths[lo], None)
+        if hi == lo + 1:
+            steps.append((array.positions, wavelengths[lo], array.extent, array.phases))
+            continue
+        # a count of several steps (none jittered) as tables from the array's
+        # rows: phases per step, positions (make_linear_array's) per spacing
+        group, offsets = np.cumsum(firsts[lo:hi]) - 1, np.arange(n) - (n - 1) / 2.0
+        phases, positions = np.empty((hi - lo, n)), np.zeros((group[-1] + 1, n, 3))
+        phases[0], positions[0], extents = array.phases, array.positions, [array.extent]
+        del array
+        for i, row in enumerate(phases[1:], lo + 1):
             row[:] = next(phase_sets)
-            if i == lo:
-                # the first step is built as an array, with every check
-                make_linear_array(n, spacings[i], wavelengths[i], row)
-                positions = np.zeros((group[-1] + 1, n, 3))
             if firsts[i]:
-                # make_linear_array's x, then up to +-jitter * spacing, drawn after the phases
-                x = np.multiply(offsets, spacings[i], out=positions[group[i - lo], :, 0])
-                if jitter > 0.0:
-                    x += [(2.0 * stream.uniform() - 1.0) * jitter * spacings[i] for _ in range(n)]
-        # steps that start a positions group or hold a non-finite phase are checked
-        # in step order; one that fails is built as an array, to raise its error
-        finite, extents = np.isfinite(phases.min(axis=1)) & np.isfinite(phases.max(axis=1)), []
-        for j in np.flatnonzero(firsts[lo:hi] | ~finite):
+                np.multiply(offsets, spacings[i], out=positions[group[i - lo], :, 0])
+        # checked row by row in step order; a failing step is built to raise
+        finite = np.isfinite(phases.min(axis=1)) & np.isfinite(phases.max(axis=1))
+        for j in np.flatnonzero(firsts[lo:hi] | ~finite)[1:]:
             row = positions[group[j]]
             if not (finite[j] and np.isfinite(row).all()):
                 SourceArray(row, phases[j], wavelengths[lo + j])
@@ -259,9 +266,8 @@ def _sweep_farfield(spec: SweepSpec, values: np.ndarray):
 
 
 def _shared_rows(table) -> list:
-    """The rows of ``table``, each one the previous row's object when their
-    bits are equal, as the engine shares a positions group or a phasor row.
-    Only rows whose bits sum alike are compared, one pair at a time."""
+    """The rows of ``table``, each the previous row's object when their bits are
+    equal (compared only if they sum alike), which the engine then matches by id."""
     rows, sums = list(table), table.reshape(len(table), -1).view(np.int64).sum(axis=1)
     for i in np.flatnonzero(sums[1:] == sums[:-1]) + 1:
         if rows[i].tobytes() == rows[i - 1].tobytes():

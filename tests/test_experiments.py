@@ -202,22 +202,23 @@ def test_farfield_sweep_refuses_its_detector_before_building_an_array(
     monkeypatch, parameter, bad
 ):
     """A far-field sweep's detector is checked before its first step is
-    built: a bad samples, geometry or radius is refused before any row of
-    its positions table is checked, however many steps the sweep has."""
+    built: a bad samples, geometry or radius is refused before the first
+    step's array is built or any row of its positions table is checked,
+    however many steps the sweep has."""
     calls = []
-    build = experiments._checked_extent
+    for name in ("make_linear_array", "_checked_extent"):
+        def counted(*args, name=name, build=getattr(experiments, name), **kwargs):
+            calls.append(name)
+            return build(*args, **kwargs)
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return build(*args, **kwargs)
-
-    monkeypatch.setattr(experiments, "_checked_extent", counted)
+        monkeypatch.setattr(experiments, name, counted)
     fixed = {"n_sources": 200, "spacing": 0.3, "wavelength": 1.0}
     with pytest.raises(ValueError):
         run_sweep(SweepSpec("farfield_power", parameter, 1.0, 2.0, 3000, {**fixed, **bad}))
     assert calls == []
     run_sweep(SweepSpec("farfield_power", parameter, 1.0, 2.0, 3, {**fixed, "samples": 64}))
-    assert calls
+    assert calls[0] == "make_linear_array"
+    assert ("_checked_extent" in calls) == (parameter == "spacing")
 
 
 def test_farfield_source_count_sweep_is_monotone_when_subwavelength():
