@@ -16,8 +16,8 @@ surface: the forward hemisphere by default (array along x in the z=0
 plane, cap around +z, theta from +z), or a 1-D arc in the x-z plane, the
 fast mode for sweeps over linear arrays. One engine, `farfield_powers`,
 evaluates a list of arrays on one detector; `farfield_power` goes through
-it, and spectra and sweeps hand its entry, _step_powers, their steps as
-tables, not arrays. It sums the brute-force field of every source at every
+it, and spectra and sweeps hand its entry, _step_powers, their steps' rows,
+not an array per step. It sums the brute-force field of every source at every
 detector point as e^{i(k d + phi)} / r, from the path differences
 d = r - |p| (a row's common phase e^{ik|p|} drops out of |field|^2
 exactly), so real cos/sin of the small, exact k d replace the complex

@@ -240,7 +240,7 @@ def _sweep_farfield(spec: SweepSpec, values: np.ndarray):
         group, offsets = np.cumsum(firsts[lo:hi]) - 1, np.arange(n) - (n - 1) / 2.0
         phases, positions = np.empty((hi - lo, n)), np.zeros((group[-1] + 1, n, 3))
         phases[0], positions[0], extents = array.phases, array.positions, [array.extent]
-        del array
+        del array  # its rows are copied: it goes before the tables fill
         for i, row in enumerate(phases[1:], lo + 1):
             row[:] = next(phase_sets)
             if firsts[i]:
