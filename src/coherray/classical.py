@@ -172,10 +172,11 @@ _FOLD_SOURCE_CELLS = 4
 _LINE_CELLS = 1 << 13
 _LINE_WORK = 4
 
-# bytes per step of a far-field sweep besides its phases and positions rows:
-# its tuple, list entries, wavelength and row views (tracemalloc: 120 for a
-# spectrum step, 250-280 for a sweep step, 490 where each has its positions)
+# bytes per step of a far-field sweep besides its phases row, and per positions
+# group besides its row: their tuple, list entries, values and views (tracemalloc:
+# 100-220 a step, 175-225 a group), so a group per step peaks under 0.95 of both
 _SWEEP_STEP_BYTES = 512
+_SWEEP_GROUP_BYTES = 384
 
 # bytes per source held once per sweep: the first array under construction
 # and its temporaries (72 measured at 20 000 sources), and the cos and sin
@@ -237,15 +238,21 @@ class SpectrumCurve:
         enh = np.asarray(self.enhancement, dtype=float)
         if not (par.shape == pw.shape == enh.shape) or par.ndim != 1:
             raise ValueError("parameter, power, enhancement must be equal-length 1-D arrays")
-        if par.size >= 2 and not np.all(np.diff(par) > 0.0):
-            raise ValueError("parameter values must be strictly increasing")
-        object.__setattr__(self, "parameter", _readonly(par))
+        object.__setattr__(self, "parameter", _readonly(_increasing(par)))
         object.__setattr__(self, "power", _readonly(pw))
         object.__setattr__(self, "enhancement", _readonly(enh))
         object.__setattr__(self, "metadata", dict(self.metadata))
 
     def __len__(self) -> int:
         return int(self.parameter.size)
+
+
+def _increasing(values: np.ndarray) -> np.ndarray:
+    """The 1-D parameter ``values``, refused unless they strictly increase (a
+    sweep's linspace over a range too narrow for its steps repeats them)."""
+    if values.size >= 2 and not np.all(np.diff(values) > 0.0):
+        raise ValueError("parameter values must be strictly increasing")
+    return values
 
 
 class GridEnergy(NamedTuple):
@@ -833,16 +840,19 @@ def _check_farfield_budget(detector: DetectorGrid, walks):
     _check_work(work, f"{request} x {arrays} arrays")
 
 
-def _check_farfield_sweep(detector: DetectorGrid, groups):
-    """Refuse a far-field sweep before any step is built, from the shape of
-    its walk: ``groups`` lists each positions group's N and the phase sets
-    of each of its runs (see _plan). Its steps hold phases of up to the
-    largest N, its groups their positions; each run of equal groups is then
-    planned as one stack folded with one class, the least any fold walks."""
-    steps, n_max = sum(sum(shape) for _, shape in groups), max(n for n, _ in groups)
-    held = steps * (_SWEEP_STEP_BYTES + 8 * n_max) + 24 * sum(n for n, _ in groups)
-    request = f"far-field sweep of {steps} steps x {n_max} sources"
-    _check_budget(held + _SWEEP_BUILD_BYTES * n_max, request)
+def _check_farfield_sweep(detector: DetectorGrid, steps):
+    """Refuse a far-field sweep before any step is built: ``steps`` gives each
+    step's N, positions key and wavelength, grouped as _position_groups groups
+    (a new group where (N, key) changes, a new run where 2 pi / wavelength does).
+    Steps hold phases, groups positions; each run of equal groups is planned as
+    one stack folded with one class, the least any fold walks (see _plan)."""
+    groups = [(n, [sum(1 for _ in run) for _, run in itertools.groupby(
+                   TWO_PI / wavelength for _, _, wavelength in group)])
+              for (n, _), group in itertools.groupby(steps, lambda step: step[:2])]
+    total, n_max = sum(sum(shape) for _, shape in groups), max(n for n, _ in groups)
+    held = total * (_SWEEP_STEP_BYTES + 8 * n_max) + 24 * sum(n for n, _ in groups)
+    request = f"far-field sweep of {total} steps x {n_max} sources"
+    _check_budget(held + _SWEEP_GROUP_BYTES * len(groups) + _SWEEP_BUILD_BYTES * n_max, request)
     fold = _Fold(True, 1, detector.geometry == "hemisphere")
     runs = [(key, len(list(same))) for key, same in itertools.groupby(groups)]
     _check_farfield_budget(detector, [(_plan(detector, fold, 1, n, shape, count, lambda size: 1),
@@ -942,7 +952,7 @@ def transmission_spectrum(
     # its steps share the array's positions and phases
     _check_budget(_SWEEP_STEP_BYTES * steps + _SWEEP_BUILD_BYTES * array.n_sources,
                   f"far-field sweep of {steps} steps x {array.n_sources} sources")
-    values = np.linspace(lo, hi, steps)
+    values = _increasing(np.linspace(lo, hi, steps))
     powers, enhancements = _step_powers(
         [(array.positions, wavelength, array.extent, array.phases)
          for wavelength in values.tolist()], detector)

@@ -209,18 +209,15 @@ def _sweep_farfield(spec: SweepSpec, values: np.ndarray):
     )
     # only the dicke fit jitters its arrays: _SWEEPS hands no sweep a jitter
     jitter = fixed.get("jitter", 0.0)
-    # consecutive steps of one spacing and count share positions (the fit's
-    # counts, the only jittered ones, are distinct); a wavelength step is a
-    # run of its own, any other a phase set of its positions group's run
-    keys = np.asarray(values if spec.parameter == "spacing" else counts)
-    firsts = np.concatenate(([True], keys[1:] != keys[:-1]))
-    starts = np.flatnonzero(firsts).tolist()
-    classical._check_farfield_sweep(detector, [
-        (counts[i], [1] * (stop - i) if spec.parameter == "wavelength" else [stop - i])
-        for i, stop in zip(starts, [*starts[1:], values.size])])
-    spacings, wavelengths = (values.tolist() if spec.parameter == key
-                             else [float(fixed[key])] * values.size
+    spacings, wavelengths = (values if spec.parameter == key
+                             else np.full(values.size, float(fixed[key]))
                              for key in ("spacing", "wavelength"))
+    # a step's positions key is its spacing, but a lone source sits at the
+    # origin at every spacing (the fit's counts, the only jittered ones, are
+    # distinct); the check streams the steps, listed only once it passes
+    keys = np.where(np.asarray(counts) > 1, spacings, 0.0)
+    classical._check_farfield_sweep(detector, zip(counts, keys, wavelengths))
+    spacings, wavelengths = spacings.tolist(), wavelengths.tolist()
     steps, bounds = [], [i for i in range(len(counts) + 1)
                          if i in (0, len(counts)) or counts[i] != counts[i - 1]]
     for lo, hi in zip(bounds, bounds[1:]):
@@ -236,43 +233,35 @@ def _sweep_farfield(spec: SweepSpec, values: np.ndarray):
             steps.append((array.positions, wavelengths[lo], array.extent, array.phases))
             continue
         # a count of several steps (none jittered) as tables from the array's
-        # rows: phases per step, positions (make_linear_array's) per spacing
-        group, offsets = np.cumsum(firsts[lo:hi]) - 1, np.arange(n) - (n - 1) / 2.0
+        # rows: phases per step, positions (make_linear_array's) per key
+        firsts = np.concatenate(([True], keys[lo + 1:hi] != keys[lo:hi - 1]))
+        group, offsets = np.cumsum(firsts) - 1, np.arange(n) - (n - 1) / 2.0
         phases, positions = np.empty((hi - lo, n)), np.zeros((group[-1] + 1, n, 3))
         phases[0], positions[0], extents = array.phases, array.positions, [array.extent]
         del array  # its rows are copied: it goes before the tables fill
-        for i, row in enumerate(phases[1:], lo + 1):
+        for i, row in enumerate(phases[1:], 1):
             row[:] = next(phase_sets)
             if firsts[i]:
-                np.multiply(offsets, spacings[i], out=positions[group[i - lo], :, 0])
+                np.multiply(offsets, spacings[lo + i], out=positions[group[i], :, 0])
         # checked row by row in step order; a failing step is built to raise
         finite = np.isfinite(phases.min(axis=1)) & np.isfinite(phases.max(axis=1))
-        for j in np.flatnonzero(firsts[lo:hi] | ~finite)[1:]:
+        for j in np.flatnonzero(firsts | ~finite)[1:]:
             row = positions[group[j]]
             if not (finite[j] and np.isfinite(row).all()):
                 SourceArray(row, phases[j], wavelengths[lo + j])
-            if firsts[lo + j]:
+            if firsts[j]:
                 extents.append(_checked_extent(row))
         np.remainder(phases, TWO_PI, out=phases)
         positions.flags.writeable = phases.flags.writeable = False
-        rows, shared = _shared_rows(positions), _shared_rows(phases)
-        steps += ((rows[g], wavelengths[lo + j], extents[g], shared[j])
+        # equal rows are matched by the engine, as in any farfield_powers call
+        rows = list(positions)
+        steps += ((rows[g], wavelengths[lo + j], extents[g], phases[j])
                   for j, g in enumerate(group))
 
     if radius is None:
         radius = max(classical._far_field_radius(w, extent) for _, w, extent, _ in steps)
         detector = replace(detector, radius=radius)
     return classical._step_powers(steps, detector)
-
-
-def _shared_rows(table) -> list:
-    """The rows of ``table``, each the previous row's object when their bits are
-    equal (compared only if they sum alike), which the engine then matches by id."""
-    rows, sums = list(table), table.reshape(len(table), -1).view(np.int64).sum(axis=1)
-    for i in np.flatnonzero(sums[1:] == sums[:-1]) + 1:
-        if rows[i].tobytes() == rows[i - 1].tobytes():
-            rows[i] = rows[i - 1]
-    return rows
 
 
 def _sweep_biphoton(spec: SweepSpec, values: np.ndarray):
@@ -377,7 +366,7 @@ def run_sweep(spec: SweepSpec) -> SpectrumCurve:
     for key in _REAL_KEYS:
         if key in fixed:  # a number at all: each runner checks its range
             _finite(fixed[key], f"fixed setting {key!r}")
-    values = np.linspace(spec.start, spec.stop, spec.steps)
+    values = classical._increasing(np.linspace(spec.start, spec.stop, spec.steps))
     power, enhancement = runner(replace(spec, fixed=fixed), values)
     meta = {
         "target": spec.target,

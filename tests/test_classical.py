@@ -1523,7 +1523,7 @@ def test_spectrum_of_four_thousand_sources_peaks_under_sixteen_megabytes():
 
 
 @pytest.mark.parametrize("n_sources, steps",
-                         [(300, 2), (2000, 2), (300, 30), (20, 300), (300, 300)])
+                         [(300, 2), (2000, 2), (300, 30), (20, 300), (300, 300), (20, 1200)])
 @pytest.mark.parametrize(
     "kind", ["spectrum", "wavelength", "phase_delta", "spacing", "source_count"]
 )
@@ -1531,11 +1531,14 @@ def test_sweep_budget_covers_the_measured_peak_of_building_the_steps(
     monkeypatch, kind, n_sources, steps
 ):
     """Each kind of far-field sweep is charged what its steps hold: the
-    tracemalloc peak of building them stays below the charge. The far-field
+    tracemalloc peak of building them stays below 0.95 of the charge, which
+    leaves room for numpy's and Python's allocations to move. The far-field
     engine is stubbed out; its own peak has its own budget. A call's few KB
-    of fixed overhead are not charged, so each case has 300 sources or 300
-    steps; 300 of each holds tables of every step, whose checks must not
-    take temporaries of a whole table."""
+    of fixed overhead are not charged, so each case has 300 sources or at
+    least 300 steps; 300 of each holds tables of every step, whose checks
+    must not take temporaries of a whole table, and 1200 steps of 20 sources
+    hold mostly Python objects, those of 1200 positions groups in a spacing
+    sweep."""
     charged = []
     original = classical._check_budget
 
@@ -1570,7 +1573,7 @@ def test_sweep_budget_covers_the_measured_peak_of_building_the_steps(
     finally:
         tracemalloc.stop()
     assert len(charged) == 1 and len(peaks) == 1
-    assert peaks[0] <= charged[0]
+    assert peaks[0] <= 0.95 * charged[0]
 
 
 def run_charge_case(kind):
@@ -1625,7 +1628,7 @@ FAR = "far-field request of"
 PINNED_CHARGES = {
     "spacing-pieces": [
         ("_check_budget", 392, "sweep of 7 steps"),
-        ("_check_budget", 16384, "far-field sweep of 7 steps x 40 sources"),
+        ("_check_budget", 19072, "far-field sweep of 7 steps x 40 sources"),
         ("_check_budget", 1705856, f"{FAR} 1024 detector points x 40 sources"),
         ("_check_work", 2150400, f"{FAR} 1024 detector points x 40 sources x 7 arrays"),
         ("_check_budget", 1752656, f"{FAR} 1024 detector points x 40 sources"),
@@ -1633,7 +1636,7 @@ PINNED_CHARGES = {
     ],
     "source-count": [
         ("_check_budget", 336, "sweep of 6 steps"),
-        ("_check_budget", 4728, "far-field sweep of 6 steps x 7 sources"),
+        ("_check_budget", 7032, "far-field sweep of 6 steps x 7 sources"),
         ("_check_budget", 222576, f"{FAR} 1024 detector points x 7 sources"),
         ("_check_work", 207360, f"{FAR} 1024 detector points x 7 sources x 6 arrays"),
         ("_check_budget", 239216, f"{FAR} 1024 detector points x 7 sources"),
@@ -1658,7 +1661,7 @@ PINNED_CHARGES = {
          f"{FAR} 300 detector points x 9 sources x 3 arrays"),
     ],
     "dicke": [
-        ("_check_budget", 2832, "far-field sweep of 3 steps x 8 sources"),
+        ("_check_budget", 3984, "far-field sweep of 3 steps x 8 sources"),
         ("_check_budget", 78016, f"{FAR} 256 detector points x 8 sources"),
         ("_check_work", 26880, f"{FAR} 256 detector points x 8 sources x 3 arrays"),
         ("_check_budget", 79048, f"{FAR} 256 detector points x 8 sources"),

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from coherray import SweepSpec, run_sweep
+from coherray import SweepSpec, classical, run_sweep
 from coherray.cli import (
     _GLOBAL_FIELDS,
     _SUBCOMMAND_FIELDS,
@@ -346,6 +346,28 @@ class TestExitCodes:
         assert out == ""
         assert elapsed < 1.0
         assert peak < 2 ** 20
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("spectrum", "--n-sources", "5", "--spacing", "0.7", "--wavelength-min", "1",
+          "--wavelength-max", "1.0000000000000004", "--steps", "6"),
+         ("sweep", "--target", "farfield_power", "--parameter", "spacing", "--n-sources", "5",
+          "--wavelength", "1", "--start", "1", "--stop", "1.0000000000000004", "--steps", "6")],
+        ids=("spectrum", "sweep"),
+    )
+    def test_repeated_values_are_refused_before_any_step(self, capsys, monkeypatch, argv):
+        """A range too narrow for its steps, whose linspace repeats a value,
+        exits 1 with the curve's message before the far-field engine or any
+        sweep runner is reached, where it once charged and walked every step."""
+        reached = []
+        monkeypatch.setattr(classical, "_step_powers", lambda *args: reached.append(args))
+        for key, (_, required, optional) in _SWEEPS.items():
+            monkeypatch.setitem(
+                _SWEEPS, key, (lambda *args: reached.append(args), required, optional))
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == "error: parameter values must be strictly increasing\n"
+        assert reached == []
 
     def test_huge_hemisphere_is_runtime_failure(self, capsys):
         """A hemisphere of 200 000 samples is refused by the work budget: a

@@ -480,16 +480,22 @@ def assert_precheck_is_never_stricter_than_the_walk(monkeypatch, call):
     [("wavelength", 0.5, 2.0, 5, {"n_sources": 6, "spacing": 0.3, "phase_profile": "random"}),
      ("phase_delta", 0.0, 3.0, 5, {"n_sources": 6, "spacing": 0.3, "wavelength": 1.0}),
      ("spacing", 0.1, 0.5, 7, {"n_sources": 6, "wavelength": 1.0, "phase_profile": "random"}),
-     ("source_count", 1, 4, 7, {"spacing": 0.3, "wavelength": 1.0, "phase_profile": "random"})],
-    ids=["wavelength", "phase_delta", "spacing", "source_count-repeats"],
+     ("source_count", 1, 4, 7, {"spacing": 0.3, "wavelength": 1.0, "phase_profile": "random"}),
+     ("wavelength", 1.5583161224314392, 1.5583161224314397, 3, {"n_sources": 5, "spacing": 0.7}),
+     ("spacing", 0.1, 2.0, 50, {"n_sources": 1, "wavelength": 1.0})],
+    ids=["wavelength", "phase_delta", "spacing", "source_count-repeats",
+         "wavelength-shared-wavenumber", "spacing-lone-source"],
 )
 def test_farfield_sweep_precheck_is_never_stricter_than_the_walk(
         monkeypatch, parameter, start, stop, steps, fixed, geometry):
     """A far-field sweep's pre-check charges every step of its walk, each
     run of equal positions groups folded with one class, so it reaches the
     walk's own charges, each at least the pre-check's: on random phases,
-    on a phase ramp, on a spacing sweep's groups of one step and on a
-    source_count sweep whose rounded counts repeat (1, 2, 2, 2, 3, 4, 4)."""
+    on a phase ramp, on a spacing sweep's groups of one step, on a
+    source_count sweep whose rounded counts repeat (1, 2, 2, 2, 3, 4, 4), on
+    a wavelength sweep whose first two steps share a wavenumber (one run
+    of the walk) and on a spacing sweep of one source, whose steps all
+    share the origin (one positions group of the walk)."""
     spec = SweepSpec("farfield_power", parameter, start, stop, steps,
                      {**fixed, "geometry": geometry, "samples": 256}, seed=7)
     assert_precheck_is_never_stricter_than_the_walk(monkeypatch, lambda: run_sweep(spec))
@@ -548,7 +554,10 @@ def test_table_built_steps_equal_their_own_arrays(monkeypatch, parameter, n_sour
     """The steps a far-field sweep hands the engine as tables hold, bit for
     bit, what each step's own array holds: its positions and extent as
     make_linear_array builds them, its wavelength and its phases reduced
-    mod 2 pi. Steps whose positions or phases hold still share one object."""
+    mod 2 pi. Consecutive steps share one positions object exactly when they
+    share their count and positions key: the spacing, or none for a lone
+    source, which sits at the origin at every spacing. Phases are compared
+    by their bits only, as the engine matches them."""
     handed = []
     monkeypatch.setattr(classical, "_step_powers",
                         lambda steps, detector: handed.append(list(steps)) or (None, None))
@@ -573,7 +582,7 @@ def test_table_built_steps_equal_their_own_arrays(monkeypatch, parameter, n_sour
         assert positions.tobytes() == array.positions.tobytes()
         assert (step_wavelength, extent) == (array.wavelength, array.extent)
         assert step_phases.tobytes() == array.phases.tobytes()
-    for before, after in zip(steps, steps[1:]):
-        for field in (0, 3):
-            same = before[field].tobytes() == after[field].tobytes()
-            assert same == (before[field] is after[field])
+    keys = [(n, float(value) if parameter == "spacing" and n > 1 else None)
+            for value, n in zip(values, counts)]
+    for before, after, key, next_key in zip(steps, steps[1:], keys, keys[1:]):
+        assert (key == next_key) == (before[0] is after[0])
