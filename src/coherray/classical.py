@@ -172,9 +172,9 @@ _FOLD_SOURCE_CELLS = 4
 _LINE_CELLS = 1 << 13
 _LINE_WORK = 4
 
-# bytes per step of a far-field sweep besides its phases row, and per positions
-# group besides its row: their tuple, list entries, values and views (tracemalloc:
-# 100-220 a step, 175-225 a group), so a group per step peaks under 0.95 of both
+# bytes per step of a far-field sweep besides its phases, and per positions group
+# besides its positions: tuples, list entries, values and array headers (tracemalloc:
+# 180-210 a step, 340-370 a step and its group), so a group per step peaks under both
 _SWEEP_STEP_BYTES = 512
 _SWEEP_GROUP_BYTES = 384
 
@@ -898,7 +898,7 @@ def farfield_powers(arrays, detector: DetectorGrid) -> tuple[np.ndarray, np.ndar
 
 def _step_powers(steps, detector: DetectorGrid) -> tuple[np.ndarray, np.ndarray]:
     """farfield_powers of the ``steps`` of _position_groups: the engine's
-    one entry, which spectra and sweeps call with their steps' tables."""
+    one entry, which spectra and sweeps call with their steps."""
     stacks = _position_groups(steps, detector)
     _check_farfield_budget(detector, [(stack.plan, len(stack.runs)) for stack in stacks])
     powers = [np.zeros((len(stack.runs), stack.plan.offsets[-1])) for stack in stacks]

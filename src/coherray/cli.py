@@ -497,9 +497,7 @@ def _run_classical(params: dict) -> ResultTable:
 
 def _run_quantum(params: dict) -> ResultTable:
     phases = _ramp_or_phases(params)
-    occupation, n_max = params["n"], params["n_max"]
-    if not 0 <= occupation <= n_max:
-        raise ConfigError(f"occupation n = {occupation} outside 0..n-max = {n_max}")
+    occupation, n_max = experiments._occupation(params)
     convention = params["convention"]
     space = quantum.FockSpace(n_max=n_max)
     state = quantum.QuantumState.fock(space, occupation)

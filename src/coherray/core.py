@@ -59,10 +59,16 @@ def _vec3(value, name: str) -> np.ndarray:
     arr = np.asarray(value, dtype=float)
     if arr.shape != (3,):
         raise ValueError(f"{name} must be a 3-vector, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} must be finite")
+    _check_finite(arr, name)
     # a copy, so freezing it never freezes the caller's array
     return _readonly(arr)
+
+
+def _check_finite(values, name: str):
+    """Raise ValueError, naming ``name``, unless every entry of ``values``
+    (a number or an array of them) is finite."""
+    if not np.isfinite(values).all():
+        raise ValueError(f"{name} must be finite")
 
 
 def _check_budget(needed: int, request: str):
@@ -122,10 +128,13 @@ def _check_positive(value: float, name: str):
         raise ValueError(f"{name} must be positive and finite")
 
 
-def _readonly(arr: np.ndarray) -> np.ndarray:
-    arr = np.array(arr, copy=True)
+def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
+
+
+def _readonly(arr: np.ndarray) -> np.ndarray:
+    return _frozen(np.array(arr, copy=True))
 
 
 def _sinc(x):
@@ -193,13 +202,9 @@ class PhasedWaveSet:
     def __post_init__(self):
         if len(self.phases) < 1:
             raise ValueError("a wave set needs at least one phase")
-        reduced = []
-        for phase in self.phases:
-            phase = reduce_phase(phase)
-            if not math.isfinite(phase):
-                raise ValueError("phases must be finite")
-            reduced.append(phase)
-        object.__setattr__(self, "phases", tuple(reduced))
+        reduced = tuple(map(reduce_phase, self.phases))
+        _check_finite(reduced, "phases")
+        object.__setattr__(self, "phases", reduced)
 
     @property
     def n_waves(self) -> int:
@@ -228,8 +233,7 @@ class SourceArray:
             raise ValueError(f"positions must have shape (N, 3), got {pos.shape}")
         if pos.shape[0] < 1:
             raise ValueError("need at least one source")
-        if not np.all(np.isfinite(pos)):
-            raise ValueError("positions must be finite")
+        _check_finite(pos, "positions")
         phases = _checked_phases(self.phases, pos.shape[0])
         _check_positive(self.wavelength, "wavelength")
         if self.spacing is not None:
@@ -248,14 +252,13 @@ class SourceArray:
 
 
 def _checked_phases(phases, n_sources: int) -> np.ndarray:
-    """The phases as a read-only float array reduced mod 2*pi; raises
+    """The phases as a new read-only float array reduced mod 2*pi; raises
     ValueError unless there are ``n_sources`` of them, all finite."""
     ph = np.asarray(phases, dtype=float)
     if ph.shape != (n_sources,):
         raise ValueError("phases must match the number of sources")
-    if not np.all(np.isfinite(ph)):
-        raise ValueError("phases must be finite")
-    return _readonly(ph % TWO_PI)
+    _check_finite(ph, "phases")
+    return _frozen(ph % TWO_PI)
 
 
 def _checked_extent(pos: np.ndarray) -> float:
@@ -357,6 +360,15 @@ def phase_sum(phases) -> tuple[complex, float]:
     return total, total.real ** 2 + total.imag ** 2
 
 
+def _linear_positions(n_sources: int, spacing: float) -> np.ndarray:
+    """The read-only (N, 3) positions of N sources ``spacing`` apart on the x
+    axis, centered on the origin; unchecked (see SourceArray)."""
+    offsets = np.arange(n_sources) - (n_sources - 1) / 2.0
+    positions = np.zeros((n_sources, 3))
+    np.multiply(offsets, spacing, out=positions[:, 0])
+    return _frozen(positions)
+
+
 def make_linear_array(
     n_sources: int,
     spacing: float,
@@ -378,9 +390,7 @@ def make_linear_array(
     _check_budget(72 * n_sources + 2048, f"linear array of {n_sources} sources")
     _check_positive(spacing, "spacing")
     _check_positive(wavelength, "wavelength")
-    offsets = (np.arange(n_sources) - (n_sources - 1) / 2.0) * spacing
-    positions = np.zeros((n_sources, 3))
-    positions[:, 0] = offsets
+    positions = _linear_positions(n_sources, spacing)
     if np.isscalar(phase_profile):
         phases = np.full(n_sources, float(phase_profile))
     else:

@@ -25,11 +25,14 @@ from .core import (
     SourceArray,
     WaveMode,
     _check_budget,
+    _check_finite,
     _check_positive,
     _check_wave_budget,
     _checked_extent,
+    _checked_phases,
     _finite,
     _integer,
+    _linear_positions,
     _one_of,
     make_linear_array,
 )
@@ -68,7 +71,7 @@ class XorShift64Star:
 
     def phases(self, count: int) -> np.ndarray:
         """Next ``count`` phases uniform in [0, 2*pi)."""
-        return np.array([self.uniform() * TWO_PI for _ in range(count)])
+        return np.fromiter((self.uniform() * TWO_PI for _ in range(count)), float, count)
 
 
 @dataclass(frozen=True)
@@ -136,10 +139,13 @@ def _count(fixed: dict, key: str, default=None) -> int:
 
 
 def _occupation(fixed: dict) -> tuple[int, int]:
-    """A quantum sweep's occupation n and truncation n_max (default: room
-    for n, and at least 8)."""
+    """The occupation n and truncation n_max (default: room for n, and at
+    least 8) of a quantum sweep or run; ConfigError unless 0 <= n <= n_max."""
     occupation = _count(fixed, "n", 0)
-    return occupation, _count(fixed, "n_max", max(occupation + 1, 8))
+    n_max = _count(fixed, "n_max", max(occupation + 1, 8))
+    if not 0 <= occupation <= n_max:
+        raise ConfigError(f"occupation n = {occupation} outside 0..n-max = {n_max}")
+    return occupation, n_max
 
 
 def _closed_form_observables(spec: SweepSpec, phases) -> tuple[float, float]:
@@ -182,9 +188,7 @@ def _sweep_closed_form(spec: SweepSpec, values: np.ndarray):
     # the largest step's phases are refused for their memory before any work
     _check_wave_budget(counts[-1])
     if spec.target == "quantum_energy":
-        occupation, n_max = _occupation(spec.fixed)
-        if not 0 <= occupation <= n_max:
-            raise ConfigError(f"occupation n = {occupation} outside 0..n-max = {n_max}")
+        _occupation(spec.fixed)
         # every step builds a Hamiltonian: charge all their wave pairs at once
         quantum._check_pair_work(
             counts, f"quantum sweep of {values.size} steps x up to {counts[-1]} waves"
@@ -217,46 +221,29 @@ def _sweep_farfield(spec: SweepSpec, values: np.ndarray):
     # distinct); the check streams the steps, listed only once it passes
     keys = np.where(np.asarray(counts) > 1, spacings, 0.0)
     classical._check_farfield_sweep(detector, zip(counts, keys, wavelengths))
-    spacings, wavelengths = spacings.tolist(), wavelengths.tolist()
-    steps, bounds = [], [i for i in range(len(counts) + 1)
-                         if i in (0, len(counts)) or counts[i] != counts[i - 1]]
-    for lo, hi in zip(bounds, bounds[1:]):
-        # a count's first step is built as an array, with every check
-        n = counts[lo]
-        array = make_linear_array(n, spacings[lo], wavelengths[lo], next(phase_sets))
-        if jitter > 0.0:
-            # up to +-jitter * spacing along the axis, drawn after the phases
-            positions, spacing = array.positions.copy(), spacings[lo]
-            positions[:, 0] += [(2.0 * stream.uniform() - 1.0) * jitter * spacing for _ in range(n)]
-            array = SourceArray(positions, array.phases, wavelengths[lo], None)
-        if hi == lo + 1:
-            steps.append((array.positions, wavelengths[lo], array.extent, array.phases))
-            continue
-        # a count of several steps (none jittered) as tables from the array's
-        # rows: phases per step, positions (make_linear_array's) per key
-        firsts = np.concatenate(([True], keys[lo + 1:hi] != keys[lo:hi - 1]))
-        group, offsets = np.cumsum(firsts) - 1, np.arange(n) - (n - 1) / 2.0
-        phases, positions = np.empty((hi - lo, n)), np.zeros((group[-1] + 1, n, 3))
-        phases[0], positions[0], extents = array.phases, array.positions, [array.extent]
-        del array  # its rows are copied: it goes before the tables fill
-        for i, row in enumerate(phases[1:], 1):
-            row[:] = next(phase_sets)
-            if firsts[i]:
-                np.multiply(offsets, spacings[lo + i], out=positions[group[i], :, 0])
-        # checked row by row in step order; a failing step is built to raise
-        finite = np.isfinite(phases.min(axis=1)) & np.isfinite(phases.max(axis=1))
-        for j in np.flatnonzero(firsts | ~finite)[1:]:
-            row = positions[group[j]]
-            if not (finite[j] and np.isfinite(row).all()):
-                SourceArray(row, phases[j], wavelengths[lo + j])
-            if firsts[j]:
-                extents.append(_checked_extent(row))
-        np.remainder(phases, TWO_PI, out=phases)
-        positions.flags.writeable = phases.flags.writeable = False
-        # equal rows are matched by the engine, as in any farfield_powers call
-        rows = list(positions)
-        steps += ((rows[g], wavelengths[lo + j], extents[g], phases[j])
-                  for j, g in enumerate(group))
+    steps = []
+    for i, (n, spacing, wavelength, phases) in enumerate(
+            zip(counts, spacings.tolist(), wavelengths.tolist(), phase_sets)):
+        if i == 0 or n != counts[i - 1]:
+            # a count's first step is built as an array, with every check
+            array = make_linear_array(n, spacing, wavelength, phases)
+            if jitter > 0.0:
+                # up to +-jitter * spacing along the axis, drawn after the phases
+                positions = array.positions.copy()
+                positions[:, 0] += [(2.0 * stream.uniform() - 1.0) * jitter * spacing
+                                    for _ in range(n)]
+                array = SourceArray(positions, array.phases, wavelength, None)
+            positions, extent, phases = array.positions, array.extent, array.phases
+        elif keys[i] == keys[i - 1]:
+            # a later step keeps the positions object of the step before it
+            phases = _checked_phases(phases, n)
+        else:
+            # or takes new positions, checked in SourceArray's order
+            positions = _linear_positions(n, spacing)
+            _check_finite(positions, "positions")
+            phases = _checked_phases(phases, n)
+            extent = _checked_extent(positions)
+        steps.append((positions, wavelength, extent, phases))
 
     if radius is None:
         radius = max(classical._far_field_radius(w, extent) for _, w, extent, _ in steps)

@@ -26,9 +26,13 @@ from .core import (
     EnergyReport,
     WaveMode,
     _check_budget,
+    _check_finite,
+    _check_positive,
     _finite,
+    _frozen,
     _integer,
     _sinc,
+    _vec3,
     reduce_phase,
 )
 from .quantum import QuantumState
@@ -74,7 +78,7 @@ class WavepacketSpectrum:
     ``components`` holds (wavenumber, complex amplitude, phase) triples;
     all wavevectors point along the shared unit ``direction`` (a component
     with nonpositive wavenumber would leave the collinear family and is
-    rejected).
+    rejected). The direction and each entry of a component must be finite.
     """
 
     direction: np.ndarray
@@ -82,21 +86,19 @@ class WavepacketSpectrum:
     box: BoxVolume
 
     def __post_init__(self):
-        direction = np.asarray(self.direction, dtype=float)
+        direction = _vec3(self.direction, "direction")
         norm = float(np.linalg.norm(direction))
-        if direction.shape != (3,) or norm <= 0.0:
+        if norm <= 0.0:
             raise ValueError("direction must be a nonzero 3-vector")
-        direction = direction / norm
-        direction.flags.writeable = False
-        object.__setattr__(self, "direction", direction)
+        object.__setattr__(self, "direction", _frozen(direction / norm))
         cleaned = []
-        for wavenumber, amplitude, phase in self.components:
-            wavenumber = float(wavenumber)
-            if wavenumber <= 0.0:
-                raise ValueError(
-                    "component wavenumbers must be positive (collinear with direction)"
-                )
-            cleaned.append((wavenumber, complex(amplitude), reduce_phase(phase)))
+        for i, (wavenumber, amplitude, phase) in enumerate(self.components):
+            _check_positive(wavenumber, f"component {i} wavenumber")
+            amplitude = complex(amplitude)
+            _check_finite(amplitude, f"component {i} amplitude")
+            if not _finite(phase, f"component {i} phase"):
+                raise ValueError(f"component {i} phase must be finite")
+            cleaned.append((float(wavenumber), amplitude, reduce_phase(phase)))
         if not cleaned:
             raise ValueError("wavepacket needs at least one component")
         object.__setattr__(self, "components", tuple(cleaned))
@@ -113,8 +115,7 @@ def box_overlap(delta_k, box: BoxVolume) -> complex:
     times the center phase e^{i dk . center}.
     """
     delta_k = np.asarray(delta_k, dtype=float)
-    if not np.all(np.isfinite(delta_k)):
-        raise ValueError("delta_k must be finite")
+    _check_finite(delta_k, "delta_k")
     geometric = float(np.prod(_sinc(delta_k * box.lengths / 2.0)))
     center_phase = np.exp(1j * float(np.dot(delta_k, box.center)))
     return complex(center_phase * geometric)
@@ -167,6 +168,7 @@ def classify_overlap(delta_k, box: BoxVolume) -> str:
     of the wavevector mismatch) that the overlap need not be negligible.
     """
     delta_k = np.asarray(delta_k, dtype=float)
+    _check_finite(delta_k, "delta_k")
     lengths = box.lengths
     if float(np.linalg.norm(delta_k)) * float(lengths.max()) < SAME_MODE_TOL:
         return "same_mode"

@@ -1535,10 +1535,9 @@ def test_sweep_budget_covers_the_measured_peak_of_building_the_steps(
     leaves room for numpy's and Python's allocations to move. The far-field
     engine is stubbed out; its own peak has its own budget. A call's few KB
     of fixed overhead are not charged, so each case has 300 sources or at
-    least 300 steps; 300 of each holds tables of every step, whose checks
-    must not take temporaries of a whole table, and 1200 steps of 20 sources
-    hold mostly Python objects, those of 1200 positions groups in a spacing
-    sweep."""
+    least 300 steps; 300 of each holds the rows of every step, and 1200
+    steps of 20 sources hold mostly Python objects, those of 1200 positions
+    groups in a spacing sweep."""
     charged = []
     original = classical._check_budget
 

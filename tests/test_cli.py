@@ -855,11 +855,11 @@ SWEEP = ("sweep", "--target", "farfield_power", "--steps", "5", "--n-sources", "
       "--radius", "50"), "detector radius 50.0 below far-field threshold 100.0"),
 ], ids=["start", "overflow", "phases", "radius"])
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-def test_table_built_sweep_steps_keep_their_refusals(capsys, argv, message):
-    """A far-field sweep whose steps are built as tables refuses a
-    non-positive start, positions that overflow to inf, a non-finite phase
-    and a radius below the far-field threshold with the exit code and
-    message its per-step arrays gave (numpy warns of the overflows, as it
-    did then)."""
+def test_sweep_steps_keep_their_refusals(capsys, argv, message):
+    """A far-field sweep whose later steps are checked on what they do not
+    share refuses a non-positive start, positions that overflow to inf, a
+    non-finite phase and a radius below the far-field threshold with the
+    exit code and message a SourceArray per step gave (numpy warns of the
+    overflows, as it did then)."""
     code, out, err = run_cli(capsys, *SWEEP, *argv)
     assert (code, out, err.strip().splitlines()[-1]) == (1, "", f"error: {message}")

@@ -367,3 +367,18 @@ def test_value_objects_do_not_freeze_the_callers_vectors():
     assert not box.lengths.flags.writeable
     k[0] = 1.0
     assert mode.wavevector[0] == TWO_PI
+
+
+def test_checked_phases_freeze_a_new_array():
+    """_checked_phases returns its remainder mod 2 pi as a new read-only
+    array; the caller's phases stay writeable and unreduced, whether they
+    are an array or a list."""
+    phases = np.array([-1.0, 0.5, 7.0])
+    checked = core._checked_phases(phases, 3)
+    assert checked is not phases and not np.shares_memory(checked, phases)
+    assert not checked.flags.writeable
+    assert phases.flags.writeable and phases.tolist() == [-1.0, 0.5, 7.0]
+    assert checked.tobytes() == (phases % TWO_PI).tobytes()
+    from_list = core._checked_phases([-1.0, 0.5, 7.0], 3)
+    assert not from_list.flags.writeable
+    assert from_list.tobytes() == checked.tobytes()

@@ -203,7 +203,7 @@ def test_farfield_sweep_refuses_its_detector_before_building_an_array(
 ):
     """A far-field sweep's detector is checked before its first step is
     built: a bad samples, geometry or radius is refused before the first
-    step's array is built or any row of its positions table is checked,
+    step's array is built or any later step's positions are checked,
     however many steps the sweep has."""
     calls = []
     for name in ("make_linear_array", "_checked_extent"):
@@ -550,9 +550,9 @@ def test_sweep_range_must_be_finite(start, stop):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 @pytest.mark.parametrize("n_sources", [1, 6, 7])
 @pytest.mark.parametrize("parameter", ["spacing", "wavelength", "phase_delta", "source_count"])
-def test_table_built_steps_equal_their_own_arrays(monkeypatch, parameter, n_sources, seed):
-    """The steps a far-field sweep hands the engine as tables hold, bit for
-    bit, what each step's own array holds: its positions and extent as
+def test_sweep_steps_equal_their_own_arrays(monkeypatch, parameter, n_sources, seed):
+    """The steps a far-field sweep hands the engine hold, bit for bit, what
+    each step's own array holds: its positions and extent as
     make_linear_array builds them, its wavelength and its phases reduced
     mod 2 pi. Consecutive steps share one positions object exactly when they
     share their count and positions key: the spacing, or none for a lone

@@ -188,6 +188,13 @@ class TestOverlapRegimes:
         pair = ModePair(mode_along_x(TWO_PI), mode_along_x(TWO_PI + 1.0), box=UNIT_BOX)
         assert classify_overlap(pair.delta_k, pair.box) == "small_volume"
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_a_non_finite_mismatch(self, bad):
+        """A nan or inf dk is refused as box_overlap refuses it, where it was
+        once called 'small_volume' or 'vanishing'."""
+        with pytest.raises(ValueError, match="^delta_k must be finite$"):
+            classify_overlap(np.array([bad, 0.0, 0.0]), UNIT_BOX)
+
     def test_vanishing_envelope_bounds_actual_overlap(self):
         rng = XorShift64Star(23)
         for _ in range(40):
@@ -378,6 +385,36 @@ class TestWavepacket:
     def test_rejects_empty_components(self):
         with pytest.raises(ValueError, match="at least one component"):
             WavepacketSpectrum((1.0, 0.0, 0.0), (), UNIT_BOX)
+
+    def test_rejects_a_non_finite_phase(self):
+        """A nan phase is refused by name, where it once left a finite
+        energy (the cross term of a nan phase was dropped)."""
+        components = ((1.0, 1.0, math.nan), (2.0, 1.0, 0.0))
+        with pytest.raises(ValueError, match="^component 0 phase must be finite$"):
+            WavepacketSpectrum((1.0, 0.0, 0.0), components, UNIT_BOX)
+
+    def test_rejects_a_non_finite_direction(self):
+        """An infinite direction is refused, where it was once stored as
+        [nan, 0, 0] with only a RuntimeWarning."""
+        with pytest.raises(ValueError, match="^direction must be finite$"):
+            WavepacketSpectrum((math.inf, 0.0, 0.0), ((1.0, 1.0, 0.0),), UNIT_BOX)
+
+    def test_rejects_infinite_phases_where_the_spectrum_is_built(self):
+        """An inf phase on two components is refused by name at the first,
+        not later as a non-finite cross energy."""
+        components = ((1.0, 1.0, math.inf), (2.0, 1.0, math.inf))
+        with pytest.raises(ValueError, match="^component 0 phase must be finite$"):
+            WavepacketSpectrum((1.0, 0.0, 0.0), components, UNIT_BOX)
+
+    @pytest.mark.parametrize("component, entry", [
+        ((math.inf, 1.0, 0.0), "wavenumber must be positive and finite"),
+        ((1.0, complex(math.nan, 0.0), 0.0), "amplitude must be finite"),
+        ((1.0, complex(0.0, math.inf), 0.0), "amplitude must be finite"),
+        ((1.0, 1.0, -math.inf), "phase must be finite"),
+    ], ids=["wavenumber", "amplitude-real", "amplitude-imag", "phase"])
+    def test_each_component_entry_is_named(self, component, entry):
+        with pytest.raises(ValueError, match=f"^component 1 {entry}$"):
+            WavepacketSpectrum((1.0, 0.0, 0.0), ((2.0, 1.0, 0.0), component), UNIT_BOX)
 
     def test_direction_is_normalized(self):
         spectrum = WavepacketSpectrum((3.0, 0.0, 4.0), ((1.0, 1.0, 0.0),), UNIT_BOX)
