@@ -174,7 +174,7 @@ _LINE_WORK = 4
 
 # bytes per step of a far-field sweep besides its phases, and per positions group
 # besides its positions: tuples, list entries, values and array headers (tracemalloc:
-# 180-210 a step, 340-370 a step and its group), so a group per step peaks under both
+# 180-200 a step, 335-360 a step and its group), so a group per step peaks under both
 _SWEEP_STEP_BYTES = 512
 _SWEEP_GROUP_BYTES = 384
 

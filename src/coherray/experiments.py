@@ -25,14 +25,11 @@ from .core import (
     SourceArray,
     WaveMode,
     _check_budget,
-    _check_finite,
     _check_positive,
     _check_wave_budget,
-    _checked_extent,
     _checked_phases,
     _finite,
     _integer,
-    _linear_positions,
     _one_of,
     make_linear_array,
 )
@@ -221,29 +218,24 @@ def _sweep_farfield(spec: SweepSpec, values: np.ndarray):
     # distinct); the check streams the steps, listed only once it passes
     keys = np.where(np.asarray(counts) > 1, spacings, 0.0)
     classical._check_farfield_sweep(detector, zip(counts, keys, wavelengths))
-    steps = []
-    for i, (n, spacing, wavelength, phases) in enumerate(
-            zip(counts, spacings.tolist(), wavelengths.tolist(), phase_sets)):
-        if i == 0 or n != counts[i - 1]:
-            # a count's first step is built as an array, with every check
-            array = make_linear_array(n, spacing, wavelength, phases)
-            if jitter > 0.0:
-                # up to +-jitter * spacing along the axis, drawn after the phases
-                positions = array.positions.copy()
-                positions[:, 0] += [(2.0 * stream.uniform() - 1.0) * jitter * spacing
-                                    for _ in range(n)]
-                array = SourceArray(positions, array.phases, wavelength, None)
-            positions, extent, phases = array.positions, array.extent, array.phases
-        elif keys[i] == keys[i - 1]:
-            # a later step keeps the positions object of the step before it
-            phases = _checked_phases(phases, n)
-        else:
-            # or takes new positions, checked in SourceArray's order
-            positions = _linear_positions(n, spacing)
-            _check_finite(positions, "positions")
-            phases = _checked_phases(phases, n)
-            extent = _checked_extent(positions)
-        steps.append((positions, wavelength, extent, phases))
+    steps, last = [], None
+    for n, key, spacing, wavelength, phases in zip(
+            counts, keys, spacings, wavelengths.tolist(), phase_sets):
+        if (n, key) == last:
+            # a later step keeps the positions of the step before it
+            steps.append((positions, wavelength, extent, _checked_phases(phases, n)))
+            continue
+        last = (n, key)
+        # a step of a new count or positions key is built as an array, with every check
+        array = make_linear_array(n, spacing, wavelength, phases)
+        if jitter > 0.0:
+            # up to +-jitter * spacing along the axis, drawn after the phases
+            positions = array.positions.copy()
+            positions[:, 0] += [(2.0 * stream.uniform() - 1.0) * jitter * spacing
+                                for _ in range(n)]
+            array = SourceArray(positions, array.phases, wavelength, None)
+        positions, extent = array.positions, array.extent
+        steps.append((positions, wavelength, extent, array.phases))
 
     if radius is None:
         radius = max(classical._far_field_radius(w, extent) for _, w, extent, _ in steps)

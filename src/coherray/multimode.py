@@ -87,9 +87,10 @@ class WavepacketSpectrum:
 
     def __post_init__(self):
         direction = _vec3(self.direction, "direction")
-        norm = float(np.linalg.norm(direction))
-        if norm <= 0.0:
-            raise ValueError("direction must be a nonzero 3-vector")
+        with np.errstate(over="ignore"):  # an overflowing norm is refused below
+            norm = float(np.linalg.norm(direction))
+        if not 0.0 < norm < math.inf:
+            raise ValueError("direction must be nonzero, with a finite norm")
         object.__setattr__(self, "direction", _frozen(direction / norm))
         cleaned = []
         for i, (wavenumber, amplitude, phase) in enumerate(self.components):

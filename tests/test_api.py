@@ -324,25 +324,25 @@ def test_one_function_owns_the_step_rule(pattern):
 
 
 @pytest.mark.parametrize("pattern", [r"\b_step_powers\(", r"\bmake_linear_array\(",
-                                     r"\b_checked_extent\(", r"\b_check_farfield_sweep\("],
+                                     r"\b_checked_phases\(", r"\b_check_farfield_sweep\("],
                          ids=["walk", "build", "step", "pre-check"])
 def test_one_function_drives_the_far_field(pattern):
-    """Within experiments, only _sweep_farfield builds arrays and later
-    steps, checks them and walks them: the far-field dicke fit is one of its
-    sweeps, so no second far-field driver, with its own checks, can drift
-    from it."""
+    """Within experiments, only _sweep_farfield builds arrays, checks the
+    phases of a step that keeps its positions and walks the steps: the
+    far-field dicke fit is one of its sweeps, so no second far-field
+    driver, with its own checks, can drift from it."""
     found = [name for name in functions_writing(re.compile(pattern))
              if name.startswith("experiments.")]
     assert found == ["experiments._sweep_farfield"]
 
 
 @pytest.mark.parametrize("pattern, owners", [
-    (r"- 1\) / 2\.0", ["core._linear_positions"]),
+    (r"- 1\) / 2\.0", ["core.make_linear_array"]),
     (r"% TWO_PI|\bremainder\(", ["core._checked_phases", "core.reduce_phase"]),
     (r"outside 0\.\.n-max", ["experiments._occupation"]),
 ], ids=["layout", "phase-reduction", "occupation"])
 def test_one_function_owns_each_array_rule(pattern, owners):
-    """Only core._linear_positions centers a linear array, only
+    """Only core.make_linear_array centers a linear array, only
     core._checked_phases and core.reduce_phase reduce phases mod 2 pi, and
     only experiments._occupation bounds a quantum occupation, so a sweep's
     steps, a SourceArray and the CLI cannot hold drifting copies."""

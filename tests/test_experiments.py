@@ -203,22 +203,18 @@ def test_farfield_sweep_refuses_its_detector_before_building_an_array(
 ):
     """A far-field sweep's detector is checked before its first step is
     built: a bad samples, geometry or radius is refused before the first
-    step's array is built or any later step's positions are checked,
-    however many steps the sweep has."""
+    step's array is built, however many steps the sweep has."""
     calls = []
-    for name in ("make_linear_array", "_checked_extent"):
-        def counted(*args, name=name, build=getattr(experiments, name), **kwargs):
-            calls.append(name)
-            return build(*args, **kwargs)
-
-        monkeypatch.setattr(experiments, name, counted)
+    build = experiments.make_linear_array
+    monkeypatch.setattr(experiments, "make_linear_array",
+                        lambda *args: calls.append(args[0]) or build(*args))
     fixed = {"n_sources": 200, "spacing": 0.3, "wavelength": 1.0}
     with pytest.raises(ValueError):
         run_sweep(SweepSpec("farfield_power", parameter, 1.0, 2.0, 3000, {**fixed, **bad}))
     assert calls == []
     run_sweep(SweepSpec("farfield_power", parameter, 1.0, 2.0, 3, {**fixed, "samples": 64}))
-    assert calls[0] == "make_linear_array"
-    assert ("_checked_extent" in calls) == (parameter == "spacing")
+    # a step is built where its count or spacing changes (source_count: 1, 2, 2)
+    assert calls == {"spacing": [200] * 3, "source_count": [1, 2], "wavelength": [200]}[parameter]
 
 
 def test_farfield_source_count_sweep_is_monotone_when_subwavelength():

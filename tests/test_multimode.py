@@ -386,35 +386,35 @@ class TestWavepacket:
         with pytest.raises(ValueError, match="at least one component"):
             WavepacketSpectrum((1.0, 0.0, 0.0), (), UNIT_BOX)
 
-    def test_rejects_a_non_finite_phase(self):
-        """A nan phase is refused by name, where it once left a finite
-        energy (the cross term of a nan phase was dropped)."""
-        components = ((1.0, 1.0, math.nan), (2.0, 1.0, 0.0))
-        with pytest.raises(ValueError, match="^component 0 phase must be finite$"):
+    @pytest.mark.parametrize("direction, message", [
+        ((math.inf, 0.0, 0.0), "direction must be finite"),
+        ((1e200, 0.0, 0.0), "direction must be nonzero, with a finite norm"),
+        ((0.0, 0.0, 0.0), "direction must be nonzero, with a finite norm"),
+    ], ids=["inf", "overflowing-norm", "zero"])
+    def test_rejects_a_direction_without_a_finite_unit(self, direction, message):
+        """An infinite direction, once stored as [nan, 0, 0] with only a
+        RuntimeWarning, and a finite one whose norm overflows, once stored
+        as [0, 0, 0] so that every pair of components was one mode, are
+        refused, as a zero direction is."""
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            WavepacketSpectrum(direction, ((1.0, 1.0, 0.0), (2.0, 1.0, 0.0)), UNIT_BOX)
+
+    @pytest.mark.parametrize("components, message", [
+        (((2.0, 1.0, 0.0), (math.inf, 1.0, 0.0)), "1 wavenumber must be positive and finite"),
+        (((2.0, 1.0, 0.0), (1.0, complex(math.nan, 0.0), 0.0)), "1 amplitude must be finite"),
+        (((2.0, 1.0, 0.0), (1.0, complex(0.0, math.inf), 0.0)), "1 amplitude must be finite"),
+        (((2.0, 1.0, 0.0), (1.0, 1.0, -math.inf)), "1 phase must be finite"),
+        (((1.0, 1.0, math.nan), (2.0, 1.0, 0.0)), "0 phase must be finite"),
+        (((1.0, 1.0, math.inf), (2.0, 1.0, math.inf)), "0 phase must be finite"),
+    ], ids=["wavenumber", "amplitude-real", "amplitude-imag", "phase", "nan-phase",
+            "two-inf-phases"])
+    def test_each_component_entry_is_named(self, components, message):
+        """A non-finite entry is refused at the first component that holds
+        it, naming the component: a nan phase once left a finite energy, and
+        inf phases on two components were refused only as a non-finite
+        cross energy."""
+        with pytest.raises(ValueError, match=f"^component {message}$"):
             WavepacketSpectrum((1.0, 0.0, 0.0), components, UNIT_BOX)
-
-    def test_rejects_a_non_finite_direction(self):
-        """An infinite direction is refused, where it was once stored as
-        [nan, 0, 0] with only a RuntimeWarning."""
-        with pytest.raises(ValueError, match="^direction must be finite$"):
-            WavepacketSpectrum((math.inf, 0.0, 0.0), ((1.0, 1.0, 0.0),), UNIT_BOX)
-
-    def test_rejects_infinite_phases_where_the_spectrum_is_built(self):
-        """An inf phase on two components is refused by name at the first,
-        not later as a non-finite cross energy."""
-        components = ((1.0, 1.0, math.inf), (2.0, 1.0, math.inf))
-        with pytest.raises(ValueError, match="^component 0 phase must be finite$"):
-            WavepacketSpectrum((1.0, 0.0, 0.0), components, UNIT_BOX)
-
-    @pytest.mark.parametrize("component, entry", [
-        ((math.inf, 1.0, 0.0), "wavenumber must be positive and finite"),
-        ((1.0, complex(math.nan, 0.0), 0.0), "amplitude must be finite"),
-        ((1.0, complex(0.0, math.inf), 0.0), "amplitude must be finite"),
-        ((1.0, 1.0, -math.inf), "phase must be finite"),
-    ], ids=["wavenumber", "amplitude-real", "amplitude-imag", "phase"])
-    def test_each_component_entry_is_named(self, component, entry):
-        with pytest.raises(ValueError, match=f"^component 1 {entry}$"):
-            WavepacketSpectrum((1.0, 0.0, 0.0), ((2.0, 1.0, 0.0), component), UNIT_BOX)
 
     def test_direction_is_normalized(self):
         spectrum = WavepacketSpectrum((3.0, 0.0, 4.0), ((1.0, 1.0, 0.0),), UNIT_BOX)
